@@ -20,6 +20,8 @@ lam-Jacobian forward (``bilevelopt.affine``).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import affine
@@ -80,7 +82,9 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
 
     Entry j is [f_K(lam + eps e_j) - f_K(lam - eps e_j)] / (2 eps), each
     evaluation restarting from the same omega_0.  Deliberately independent of
-    the VJP machinery: it only consumes values and the forward solver.
+    the VJP machinery: it only consumes values and the forward solver, and it
+    runs that solver's generic loop even where the problem declares an affine
+    structure.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -98,8 +102,12 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
         values = np.array([problem.g_value(finals[i], probes[i]) for i in range(2 * m)])
         return (values[:m] - values[m:]) / (2.0 * eps)
 
+    # a replace copy drops the affine declaration: the probes run the generic
+    # loop, so the referee does not share the composed path it checks
+    generic = replace(problem)
+
     def f_K(lam_probe: np.ndarray) -> float:
-        omega_hat = final_inner_iterate(problem, lam_probe, spec, mode)
+        omega_hat = final_inner_iterate(generic, lam_probe, spec, mode)
         return float(problem.g_value(omega_hat, lam_probe))
 
     out = np.empty(m)

@@ -102,7 +102,9 @@ def run_model(problem: BilevelProblem, lam0, config: SolveConfig,
     False zeroes the wall-clock column, for byte-level reproducibility.
 
     An oracle divergence mid-run aborts with the failing outer iteration in
-    the message and the partial trace attached to the exception.
+    the message and the partial trace attached to the exception's cause.  A
+    non-finite outer value, gradient norm, metric or updated lam is reported
+    the same way, and is never recorded.
     """
     lam = as_vector(lam0, problem.outer_dim, "lam0").copy()
     trace = ExperimentTrace(config=config)
@@ -114,20 +116,31 @@ def run_model(problem: BilevelProblem, lam0, config: SolveConfig,
             tape = solve_inner(problem, lam, spec, config.mode)
             omega_hat = tape.final
             G = reverse_hypergradient(problem, tape)
+            wall_ms = (time.monotonic() - started) * 1e3 if collect_timing else 0.0
+            # an overflow past this point is reported once, as the divergence below
+            with np.errstate(over="ignore", invalid="ignore"):
+                record = TraceRecord(
+                    index=it,
+                    outer_value=float(problem.g_value(omega_hat, lam)),
+                    grad_norm=float(np.linalg.norm(G)),
+                    metric=None if metric is None else float(metric(omega_hat, lam)),
+                    wall_ms=wall_ms,
+                )
+                if it < config.T - 1:
+                    lam = lam - config.eta * G
+            bad = [name for name, value in (("outer value", record.outer_value),
+                                            ("gradient norm", record.grad_norm),
+                                            ("metric", record.metric))
+                   if value is not None and not np.isfinite(value)]
+            if bad:
+                raise OracleDivergence(f"oracle-divergence: non-finite {' and '.join(bad)}")
+            trace.records.append(record)
+            if not np.all(np.isfinite(lam)):
+                raise OracleDivergence("oracle-divergence: non-finite lam after the outer update")
         except OracleDivergence as exc:
             exc.partial_trace = trace
             exc.failed_iteration = it
             raise OracleDivergence(f"outer iteration {it}: {exc}") from exc
-        wall_ms = (time.monotonic() - started) * 1e3 if collect_timing else 0.0
-        trace.records.append(TraceRecord(
-            index=it,
-            outer_value=float(problem.g_value(omega_hat, lam)),
-            grad_norm=float(np.linalg.norm(G)),
-            metric=None if metric is None else float(metric(omega_hat, lam)),
-            wall_ms=wall_ms,
-        ))
-        if it < config.T - 1:
-            lam = lam - config.eta * G
     trace.final_lambda = lam
     trace.final_omega = omega_hat
     return trace

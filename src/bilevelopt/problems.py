@@ -14,6 +14,17 @@ Four families, all with analytic first-order gradients and analytic VJPs
 Losses are plain sums over samples, not means.  Softmax cross-entropy is not
 strongly convex in the weights, so the hyper-cleaning and hyper-representation
 outer objectives add a small ridge term (default 1e-4) on the inner variable.
+
+The two learning problems hold their logits class-major: C x N for
+hyper-cleaning (batch x C x N in its batched slots) and task x way x N for
+hyper-representation, with the samples on the last, contiguous axis.  numpy
+reduces a short trailing axis one row at a time, so a softmax over a
+trailing class axis of length 2 costs several times the same reduction over
+a leading one.  The shared helpers therefore take the class axis as an
+argument (default -1).  Every contraction is a (batched) matmul taken
+pairwise, never a multi-operand einsum.  The flattened inner and outer
+variables keep their layouts (d x C weights; task x r x way heads; d x r
+map); only the kernels' intermediates are transposed.
 """
 
 from __future__ import annotations
@@ -48,33 +59,45 @@ __all__ = [
 # numerics helpers
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With e = exp(-|x|), which never overflows, the value is 1 / (1 + e) for
+    x >= 0 and e / (1 + e) otherwise.  Since e <= 1, the numerator is
+    max(e, [x >= 0]), which picks the branch without a masked scatter.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.maximum(e, x >= 0)
+    out /= 1.0 + e
     return out
 
 
-def softmax(Z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax along the last axis."""
-    Z = Z - Z.max(axis=-1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=-1, keepdims=True)
+def _softmax_inplace(Z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis``, overwriting a freshly allocated logits array."""
+    Z -= Z.max(axis=axis, keepdims=True)
+    np.exp(Z, out=Z)
+    Z /= Z.sum(axis=axis, keepdims=True)
+    return Z
 
 
-def sample_losses(Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per-sample softmax cross-entropy from logits Z and one-hot targets Y."""
-    m = Z.max(axis=-1)
-    lse = m + np.log(np.exp(Z - m[..., None]).sum(axis=-1))
-    return lse - (Z * Y).sum(axis=-1)
+def softmax(Z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along the class axis (the last one by default)."""
+    return _softmax_inplace(np.array(Z, dtype=np.float64), axis)
 
 
-def _softmax_jvp(P: np.ndarray, dZ: np.ndarray) -> np.ndarray:
-    """Directional derivative of softmax rows along a logit perturbation."""
-    return P * dZ - P * (P * dZ).sum(axis=-1, keepdims=True)
+def sample_losses(Z: np.ndarray, Y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Per-sample softmax cross-entropy from logits Z and one-hot targets Y.
+
+    ``axis`` is the class axis; the result drops it.
+    """
+    m = Z.max(axis=axis, keepdims=True)
+    lse = m + np.log(np.exp(Z - m).sum(axis=axis, keepdims=True))
+    return (lse - (Z * Y).sum(axis=axis, keepdims=True)).squeeze(axis)
+
+
+def _softmax_jvp(P: np.ndarray, dZ: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Directional derivative of softmax along a logit perturbation; ``axis`` is the class axis."""
+    return P * dZ - P * (P * dZ).sum(axis=axis, keepdims=True)
 
 
 def _onehot(y: np.ndarray, C: int) -> np.ndarray:
@@ -253,10 +276,12 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
     C = train.C
     if val.C != C:
         raise ValueError("bad-label: train/validation class counts differ")
-    Xtr, Xva = train.X, val.X
-    Ytr, Yva = _onehot(train.y, C), _onehot(val.y, C)
-    XtrT = np.ascontiguousarray(Xtr.T)
-    XvaT = np.ascontiguousarray(Xva.T)
+    # logits are C x N, B x C x N in the batched slots (class-major, see the
+    # module docstring); W(w).T @ X.T reads the d x C weights in place
+    XtrT = np.ascontiguousarray(train.X.T)
+    XvaT = np.ascontiguousarray(val.X.T)
+    YtrT = np.ascontiguousarray(_onehot(train.y, C).T)
+    YvaT = np.ascontiguousarray(_onehot(val.y, C).T)
     d = train.d
     n = d * C
     m = len(train)
@@ -265,73 +290,71 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
     # of one inner solve, and the lookup is observationally pure
     sig_cache: dict = {}
 
-    def _sig_col(lam):
+    def _sig(lam):
         key = lam.tobytes()
         hit = sig_cache.get(key)
         if hit is None:
             if len(sig_cache) > 128:
                 sig_cache.clear()
-            hit = sigmoid(lam)[:, None]
+            hit = sigmoid(lam)
             sig_cache[key] = hit
         return hit
 
-    def W(w):
-        return w.reshape(d, C)
+    def WT(w):
+        # C x d view of the d x C weights
+        return w.reshape(d, C).T
+
+    def train_losses(w):
+        return sample_losses(WT(w) @ XtrT, YtrT, axis=0)
 
     def h_value(w, lam):
-        return float(sigmoid(lam) @ sample_losses(Xtr @ W(w), Ytr))
+        return float(sigmoid(lam) @ train_losses(w))
 
     def g_value(w, lam):
-        return float(sample_losses(Xva @ W(w), Yva).sum() + ridge * (w @ w))
-
-    def _softmax_owned(Z):
-        # in-place on a freshly allocated logits matrix
-        Z -= Z.max(axis=1, keepdims=True)
-        np.exp(Z, out=Z)
-        Z /= Z.sum(axis=1, keepdims=True)
-        return Z
+        return float(sample_losses(WT(w) @ XvaT, YvaT, axis=0).sum() + ridge * (w @ w))
 
     def grad1_h(w, lam):
-        P = _softmax_owned(Xtr @ W(w))
-        np.subtract(P, Ytr, out=P)
-        P *= _sig_col(lam)
-        return (XtrT @ P).ravel()
+        P = _softmax_inplace(WT(w) @ XtrT, axis=0)
+        P -= YtrT
+        P *= _sig(lam)
+        return (XtrT @ P.T).ravel()
 
     def grad1_g(w, lam):
-        P = _softmax_owned(Xva @ W(w))
-        np.subtract(P, Yva, out=P)
-        out = (XvaT @ P).ravel()
+        P = _softmax_inplace(WT(w) @ XvaT, axis=0)
+        P -= YvaT
+        out = (XvaT @ P.T).ravel()
         out += (2.0 * ridge) * w
         return out
 
     def vjp11_h(a, w, lam):
-        P = _softmax_owned(Xtr @ W(w))
-        dP = _softmax_jvp(P, Xtr @ W(a))
-        dP *= _sig_col(lam)
-        return (XtrT @ dP).ravel()
+        P = _softmax_inplace(WT(w) @ XtrT, axis=0)
+        dP = _softmax_jvp(P, WT(a) @ XtrT, axis=0)
+        dP *= _sig(lam)
+        return (XtrT @ dP.T).ravel()
 
     def vjp12_h(a, w, lam):
-        sig = _sig_col(lam)[:, 0]
-        P = _softmax_owned(Xtr @ W(w))
-        return sig * (1.0 - sig) * ((Xtr @ W(a)) * (P - Ytr)).sum(axis=1)
+        sig = _sig(lam)
+        P = _softmax_inplace(WT(w) @ XtrT, axis=0)
+        P -= YtrT
+        return sig * (1.0 - sig) * ((WT(a) @ XtrT) * P).sum(axis=0)
 
     def vjp11_g(a, w, lam):
-        P = _softmax_owned(Xva @ W(w))
-        dP = _softmax_jvp(P, Xva @ W(a))
-        out = (XvaT @ dP).ravel()
+        P = _softmax_inplace(WT(w) @ XvaT, axis=0)
+        dP = _softmax_jvp(P, WT(a) @ XvaT, axis=0)
+        out = (XvaT @ dP.T).ravel()
         out += (2.0 * ridge) * a
         return out
 
     def grad1_h_many(ws, lams):
-        P = softmax(np.matmul(Xtr, ws.reshape(-1, d, C)))
-        P -= Ytr
-        P *= sigmoid(lams)[:, :, None]
-        return np.matmul(XtrT, P).reshape(ws.shape[0], n)
+        P = _softmax_inplace(np.matmul(ws.reshape(-1, d, C).transpose(0, 2, 1), XtrT), axis=-2)
+        P -= YtrT
+        P *= sigmoid(lams)[:, None, :]
+        return np.matmul(XtrT, P.transpose(0, 2, 1)).reshape(ws.shape[0], n)
 
     def grad1_g_many(ws, lams):
-        P = softmax(np.matmul(Xva, ws.reshape(-1, d, C)))
-        P -= Yva
-        return np.matmul(XvaT, P).reshape(ws.shape[0], n) + (2.0 * ridge) * ws
+        P = _softmax_inplace(np.matmul(ws.reshape(-1, d, C).transpose(0, 2, 1), XvaT), axis=-2)
+        P -= YvaT
+        return np.matmul(XvaT, P.transpose(0, 2, 1)).reshape(ws.shape[0], n) + (2.0 * ridge) * ws
 
     p = BilevelProblem(
         inner_dim=n, outer_dim=m, name="hypercleaning",
@@ -344,9 +367,9 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
         grad1_h_many=grad1_h_many, grad1_g_many=grad1_g_many,
     )
     p.answers = {
-        "train_losses": lambda w: sample_losses(Xtr @ W(w), Ytr),
+        "train_losses": train_losses,
         # dh/dlam_i = sigmoid'(lam_i) * loss_i(w)
-        "grad2_h": lambda w, lam: sigmoid(lam) * (1.0 - sigmoid(lam)) * sample_losses(Xtr @ W(w), Ytr),
+        "grad2_h": lambda w, lam: sigmoid(lam) * (1.0 - sigmoid(lam)) * train_losses(w),
         "mask": train.mask.copy(),
         "ridge": ridge,
     }
@@ -396,64 +419,84 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
     way = episodes.way
     if int(ytr.max()) >= way or int(yva.max()) >= way:
         raise ValueError("bad-episode: episode labels exceed way")
-    Ytr = _onehot(ytr, way)
-    Yva = _onehot(yva, way)
     r = rep_dim
     n = n_tasks * r * way
     m = d * r
 
-    def L(lam):
-        return lam.reshape(d, r)
+    # logits are task x way x sample (class-major, see the module docstring)
+    def rows_and_targets(X, y):
+        # X stacked over tasks as (task * sample) x d rows, and the one-hot
+        # targets as task x way x sample
+        return (np.ascontiguousarray(X.reshape(-1, d)),
+                np.ascontiguousarray(_onehot(y, way).transpose(0, 2, 1)))
 
-    def W(w):
-        return w.reshape(n_tasks, r, way)
+    Xtr2, YtrT = rows_and_targets(Xtr, ytr)
+    Xva2, YvaT = rows_and_targets(Xva, yva)
 
-    def _forward(X, w, lam):
-        F = X @ L(lam)                                  # task, sample, r
-        Z = np.einsum("tnr,trc->tnc", F, W(w))
-        return F, softmax(Z), Z
+    def WT(w):
+        # task x way x r view of the task x r x way heads
+        return w.reshape(n_tasks, r, way).transpose(0, 2, 1)
+
+    def _forward(X2, w, lam):
+        # the mapped features X @ L as a task x r x sample view, and the logits
+        FT = (X2 @ lam.reshape(d, r)).reshape(n_tasks, -1, r).transpose(0, 2, 1)
+        return FT, np.matmul(WT(w), FT)
+
+    def _contract_inputs(X2, M):
+        # sum over tasks and samples of X^T M for a task x sample x r array M
+        return (X2.T @ M.reshape(-1, r)).ravel()
 
     def h_value(w, lam):
-        _, _, Z = _forward(Xtr, w, lam)
-        return float(sample_losses(Z, Ytr).sum())
+        _, ZT = _forward(Xtr2, w, lam)
+        return float(sample_losses(ZT, YtrT, axis=-2).sum())
 
     def g_value(w, lam):
-        _, _, Z = _forward(Xva, w, lam)
-        return float(sample_losses(Z, Yva).sum() + ridge * (w @ w))
+        _, ZT = _forward(Xva2, w, lam)
+        return float(sample_losses(ZT, YvaT, axis=-2).sum() + ridge * (w @ w))
+
+    def _residual(X2, YT, w, lam):
+        FT, ZT = _forward(X2, w, lam)
+        D = _softmax_inplace(ZT, axis=-2)
+        D -= YT
+        return FT, D
 
     def grad1_h(w, lam):
-        F, P, _ = _forward(Xtr, w, lam)
-        return np.einsum("tnr,tnc->trc", F, P - Ytr).ravel()
+        FT, D = _residual(Xtr2, YtrT, w, lam)
+        return np.matmul(FT, D.transpose(0, 2, 1)).ravel()
 
     def grad1_g(w, lam):
-        F, P, _ = _forward(Xva, w, lam)
-        return np.einsum("tnr,tnc->trc", F, P - Yva).ravel() + 2.0 * ridge * w
+        FT, D = _residual(Xva2, YvaT, w, lam)
+        return np.matmul(FT, D.transpose(0, 2, 1)).ravel() + 2.0 * ridge * w
 
     def grad2_g(w, lam):
-        _, P, _ = _forward(Xva, w, lam)
-        return np.einsum("tnd,tnc,trc->dr", Xva, P - Yva, W(w)).ravel()
+        _, D = _residual(Xva2, YvaT, w, lam)
+        return _contract_inputs(Xva2, np.matmul(D.transpose(0, 2, 1), WT(w)))
 
-    def _vjp11(X, Y, a, w, lam, rg):
-        F, P, _ = _forward(X, w, lam)
-        dP = _softmax_jvp(P, np.einsum("tnr,trc->tnc", F, W(a)))
-        out = np.einsum("tnr,tnc->trc", F, dP).ravel()
+    def _vjp11(X2, a, w, lam, rg):
+        FT, ZT = _forward(X2, w, lam)
+        P = _softmax_inplace(ZT, axis=-2)
+        dP = _softmax_jvp(P, np.matmul(WT(a), FT), axis=-2)
+        out = np.matmul(FT, dP.transpose(0, 2, 1)).ravel()
         return out + 2.0 * rg * a if rg else out
 
-    def _vjp12(X, Y, a, w, lam):
-        F, P, _ = _forward(X, w, lam)
-        A = W(a)
-        dP = _softmax_jvp(P, np.einsum("tnr,trc->tnc", F, A))
-        return (np.einsum("tnd,tnc,trc->dr", X, dP, W(w))
-                + np.einsum("tnd,tnc,trc->dr", X, P - Y, A)).ravel()
+    def _vjp12(X2, YT, a, w, lam):
+        FT, ZT = _forward(X2, w, lam)
+        P = _softmax_inplace(ZT, axis=-2)
+        A = WT(a)
+        dP = _softmax_jvp(P, np.matmul(A, FT), axis=-2)
+        P -= YT
+        M = np.matmul(dP.transpose(0, 2, 1), WT(w))
+        M += np.matmul(P.transpose(0, 2, 1), A)
+        return _contract_inputs(X2, M)
 
     p = BilevelProblem(
         inner_dim=n, outer_dim=m, name="hyperrep",
         h_value=h_value, g_value=g_value,
         grad1_h=grad1_h, grad1_g=grad1_g, grad2_g=grad2_g,
-        vjp11_h=lambda a, w, lam: _vjp11(Xtr, Ytr, a, w, lam, 0.0),
-        vjp12_h=lambda a, w, lam: _vjp12(Xtr, Ytr, a, w, lam),
-        vjp11_g=lambda a, w, lam: _vjp11(Xva, Yva, a, w, lam, ridge),
-        vjp12_g=lambda a, w, lam: _vjp12(Xva, Yva, a, w, lam),
+        vjp11_h=lambda a, w, lam: _vjp11(Xtr2, a, w, lam, 0.0),
+        vjp12_h=lambda a, w, lam: _vjp12(Xtr2, YtrT, a, w, lam),
+        vjp11_g=lambda a, w, lam: _vjp11(Xva2, a, w, lam, ridge),
+        vjp12_g=lambda a, w, lam: _vjp12(Xva2, YvaT, a, w, lam),
     )
     p.answers = {"n_tasks": n_tasks, "rep_dim": r, "way": way, "ridge": ridge}
     return p
@@ -467,7 +510,7 @@ def hyperrep_accuracy_metric(episodes: EpisodeSet, rep_dim: int) -> Callable:
 
     def metric(omega, lam):
         F = Xva @ lam.reshape(d, rep_dim)
-        Z = np.einsum("tnr,trc->tnc", F, omega.reshape(n_tasks, rep_dim, way))
+        Z = np.matmul(F, omega.reshape(n_tasks, rep_dim, way))
         return float((np.argmax(Z, axis=-1) == yva).mean())
 
     return metric

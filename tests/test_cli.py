@@ -122,6 +122,23 @@ class TestSolve:
         assert lines[-1] == "# truncated"
         assert len(lines) > 2
 
+    def test_outer_divergence_exits_3_with_truncated_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"t": 0.1, "s": 0.1, "eta": 1e308, "K": 200, "T": 100}))
+        out = tmp_path / "run.csv"
+        code = run_cli("solve", "--problem", "closedform_quadratic",
+                       "--config", str(cfg), "--out", str(out), "--no-timing")
+        assert code == 3
+        # lam is finite after the first update; g overflows at the next iterate
+        assert "outer iteration 1: oracle-divergence: non-finite outer value" in capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert lines[0] == "iter,outer_value,grad_norm,metric,wall_ms"
+        assert lines[-1] == "# truncated"
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert len(rows) == 1
+        assert all(np.isfinite(float(row[1])) and np.isfinite(float(row[2])) for row in rows)
+        assert (tmp_path / "run.csv.manifest.json").exists()
+
 
 class TestCheck:
     def test_quadratics_pass(self, tmp_path):

@@ -210,6 +210,40 @@ class TestFdOracleEdges:
             np.testing.assert_allclose(batched, looped, rtol=1e-10, atol=1e-12)
 
 
+class TestFdOracleIndependence:
+    """The FD referee runs the generic loop even where the problem is affine."""
+
+    @pytest.mark.parametrize("maker", [bl.make_closedform_quadratic,
+                                       bl.make_degenerate_quadratic])
+    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    def test_equals_fd_on_a_copy_without_the_declaration(self, maker, mode):
+        p = maker()
+        assert p.affine is not None
+        generic = dataclasses.replace(p)
+        assert generic.affine is None
+        lam = np.array([0.7])
+        for K in (1, 50, 300):
+            spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1)
+            got = bl.hypergradient_fd_oracle(p, lam, spec, mode)
+            want = bl.hypergradient_fd_oracle(generic, lam, spec, mode)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_serial_probes_never_see_the_declaration(self, monkeypatch):
+        from bilevelopt import hypergrad
+        seen = []
+        real = hypergrad.final_inner_iterate
+
+        def spy(problem, lam, spec, mode):
+            seen.append(problem.affine)
+            return real(problem, lam, spec, mode)
+
+        monkeypatch.setattr(hypergrad, "final_inner_iterate", spy)
+        p = bl.make_degenerate_quadratic()
+        bl.hypergradient_fd_oracle(p, np.array([0.2]), bl.InnerSolveSpec(K=20, t=0.1, s=0.1),
+                                   "improved")
+        assert seen == [None, None]
+
+
 class TestTapeMismatch:
     def test_dimension_mismatch_rejected(self):
         p = bl.make_closedform_quadratic()

@@ -119,6 +119,39 @@ class TestRunModel:
             assert isinstance(partial, bl.ExperimentTrace)
             assert len(partial.records) == 1
 
+    @pytest.mark.parametrize("lam0, failed, what", [
+        (2.0, 1, "non-finite outer value and gradient norm"),   # g overflows at lam ~ -1.4e307
+        (100.0, 0, "non-finite lam after the outer update"),    # eta * G overflows
+    ])
+    def test_outer_overflow_is_a_divergence(self, lam0, failed, what):
+        p = bl.make_closedform_quadratic()
+        cfg = bl.SolveConfig(t=0.1, s=0.1, eta=1e308, K=200, T=100)
+        with pytest.raises(bl.OracleDivergence, match=f"outer iteration {failed}: .*{what}") as info:
+            bl.run_model(p, np.array([lam0]), cfg)
+        cause = info.value.__cause__
+        assert cause.failed_iteration == failed
+        assert len(cause.partial_trace.records) == 1
+        assert np.isfinite(cause.partial_trace.outer_values).all()
+
+    @pytest.mark.parametrize("bad", ["outer value", "metric"])
+    def test_non_finite_record_is_a_divergence(self, bad):
+        p = bl.make_closedform_quadratic()
+        if bad == "outer value":
+            p = dataclasses.replace(
+                p, g_value=lambda w, lam: 0.5 * w[0] ** 2 if lam[0] > 1.5 else np.inf,
+                vjp_flavor=dict(p.vjp_flavor))
+            metric = None
+        else:
+            def metric(omega, lam):
+                return 1.0 if lam[0] > 1.5 else np.nan
+        cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.1, K=50, T=20)
+        with pytest.raises(bl.OracleDivergence, match=f"outer iteration (\\d+): .*{bad}") as info:
+            bl.run_model(p, np.array([2.0]), cfg, metric=metric)
+        cause = info.value.__cause__
+        assert cause.failed_iteration >= 1
+        assert len(cause.partial_trace.records) == cause.failed_iteration
+        assert np.isfinite(cause.partial_trace.outer_values).all()
+
 
 class TestRunAblation:
     def test_frequency_one_equals_plain_run(self):
