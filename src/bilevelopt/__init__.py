@@ -14,9 +14,7 @@ inner trajectory.  Everything is float64 numpy and deterministic given seeds.
 
 from .problem import (BilevelProblem, FirstOrderReport, OracleDivergence,
                       default_fd_eps, fd_vjp, validate_first_order)
-from .bigsam import (InnerSolveSpec, StepParams, Tape, alpha_schedule,
-                     bigsam_standalone, bigsam_step, solve_inner,
-                     vjp_phi_lambda, vjp_phi_omega)
+from .bigsam import InnerSolveSpec, Tape, bigsam_standalone, schedule, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
 from .models import ExperimentTrace, SolveConfig, TraceRecord, run_ablation, run_model
 from .problems import (QuadraticBilevelSpec, ZooInstance, ZOO_NAMES,
@@ -35,8 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BilevelProblem", "FirstOrderReport", "OracleDivergence", "default_fd_eps",
     "fd_vjp", "validate_first_order",
-    "InnerSolveSpec", "StepParams", "Tape", "alpha_schedule", "bigsam_standalone",
-    "bigsam_step", "solve_inner", "vjp_phi_lambda", "vjp_phi_omega",
+    "InnerSolveSpec", "Tape", "bigsam_standalone", "schedule", "solve_inner",
     "hypergradient_fd_oracle", "reverse_hypergradient",
     "ExperimentTrace", "SolveConfig", "TraceRecord", "run_ablation", "run_model",
     "QuadraticBilevelSpec", "ZooInstance", "ZOO_NAMES", "hyperclean_f1_metric",

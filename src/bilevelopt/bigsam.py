@@ -1,4 +1,4 @@
-"""Sequential-averaging inner solvers and the step map's VJPs.
+"""The averaged inner solver: the schedule, the one inner loop, tapes.
 
 One inner iteration averages a gradient step on the inner objective h with a
 gradient step on the outer objective g:
@@ -7,19 +7,14 @@ gradient step on the outer objective g:
     phi_{k+1}   = omega_k - s * grad1_g(omega_k, lam)
     omega_{k+1} = alpha_{k+1} * theta_{k+1} + (1 - alpha_{k+1}) * phi_{k+1}
 
-With alpha == 1 the update degenerates to plain gradient descent on h, which
-is exactly the inner solver of the basic bilevel model; the improved model
-uses the decaying schedule alpha_k = min(1, k^(-exponent)).  Steps with
-alpha == 1 skip the grad1_g evaluation entirely, so a run with exponent 0 is
-bit-identical to a basic-mode run.
-
-The step map's partial derivatives, consumed adjoint-first by the reverse
-pass, are
-
-    a^T d(omega')/d(omega) = a - t*alpha * vjp11_h(a) - s*(1-alpha) * vjp11_g(a)
-    a^T d(omega')/d(lam)   =   - t*alpha * vjp12_h(a) - s*(1-alpha) * vjp12_g(a)
-
-evaluated at the step's input iterate.
+``_iterate`` applies it in the expanded form
+omega - t*alpha*grad1_h - s*(1-alpha)*grad1_g, one pass over omega.  With
+alpha == 1 the update degenerates to plain gradient descent on h, which is
+exactly the inner solver of the basic bilevel model; the improved model uses
+the decaying weight alpha_k = min(1, k^(-exponent)) of ``schedule``.  Steps
+with alpha == 1 skip the grad1_g evaluation entirely, so a run with exponent
+0 is bit-identical to a basic-mode run.  The reverse pass over a recorded
+``Tape`` lives in ``bilevelopt.hypergrad``.
 """
 
 from __future__ import annotations
@@ -32,36 +27,9 @@ import numpy as np
 from . import affine
 from .problem import BilevelProblem, OracleDivergence, as_vector
 
-__all__ = [
-    "StepParams",
-    "InnerSolveSpec",
-    "Tape",
-    "alpha_schedule",
-    "bigsam_step",
-    "vjp_phi_omega",
-    "vjp_phi_lambda",
-    "solve_inner",
-    "bigsam_standalone",
-]
+__all__ = ["InnerSolveSpec", "Tape", "schedule", "solve_inner", "bigsam_standalone"]
 
 MODES = ("improved", "basic")
-
-
-@dataclass(frozen=True)
-class StepParams:
-    """Per-step constants: inner step sizes and the averaging weight."""
-
-    t: float
-    s: float
-    alpha: float
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("t must be positive")
-        if not self.s > 0:
-            raise ValueError("s must be positive")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -119,67 +87,21 @@ class Tape:
         return self.iterates[-1]
 
 
-def alpha_schedule(k: int, exponent: float) -> float:
-    """Averaging weight for the step producing iterate k (1-based): min(1, k^-exponent)."""
-    if int(k) != k or k < 1:
-        raise ValueError(f"invalid-iteration-index: k must be a positive integer, got {k}")
-    return min(1.0, float(k) ** (-exponent))
+def schedule(K: int, mode: str, spec: InnerSolveSpec) -> np.ndarray:
+    """The K averaging weights of one solve; alphas[k] produces iterate k+1.
 
-
-def _finite(vec: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(vec)):
-        raise OracleDivergence(f"oracle-divergence: {what} returned a non-finite value")
-    return vec
-
-
-def bigsam_step(problem: BilevelProblem, omega, lam, p: StepParams) -> np.ndarray:
-    """One averaged step; the alpha == 1 branch never evaluates grad1_g."""
-    omega = as_vector(omega, problem.inner_dim, "omega")
-    lam = as_vector(lam, problem.outer_dim, "lam")
-    gh = _finite(np.asarray(problem.grad1_h(omega, lam), dtype=np.float64), "grad1_h")
-    theta = omega - p.t * gh
-    if p.alpha == 1.0:
-        return theta
-    gg = _finite(np.asarray(problem.grad1_g(omega, lam), dtype=np.float64), "grad1_g")
-    phi = omega - p.s * gg
-    return p.alpha * theta + (1.0 - p.alpha) * phi
-
-
-def vjp_phi_omega(problem: BilevelProblem, a, omega, lam, p: StepParams) -> np.ndarray:
-    """Adjoint times the step map's Jacobian in omega."""
-    a = as_vector(a, problem.inner_dim, "adjoint")
-    out = a - p.t * p.alpha * _finite(problem.vjp11_h(a, omega, lam), "vjp11_h")
-    if p.alpha != 1.0:
-        out = out - p.s * (1.0 - p.alpha) * _finite(problem.vjp11_g(a, omega, lam), "vjp11_g")
-    return out
-
-
-def vjp_phi_lambda(problem: BilevelProblem, a, omega, lam, p: StepParams) -> np.ndarray:
-    """Adjoint times the step map's Jacobian in lam."""
-    a = as_vector(a, problem.inner_dim, "adjoint")
-    out = -p.t * p.alpha * _finite(problem.vjp12_h(a, omega, lam), "vjp12_h")
-    if p.alpha != 1.0:
-        out = out - p.s * (1.0 - p.alpha) * _finite(problem.vjp12_g(a, omega, lam), "vjp12_g")
-    return out
-
-
-def step_alpha(k: int, mode: str, spec: InnerSolveSpec) -> float:
-    """Averaging weight used on 0-based step k under the given mode."""
-    if mode == "basic" or (k % spec.bigsam_frequency) != 0:
-        return 1.0
-    return alpha_schedule(k + 1, spec.alpha_exponent)
-
-
-def _schedule(K: int, mode: str, spec: InnerSolveSpec) -> list:
-    """The K averaging weights of one solve; alphas[k] produces iterate k+1."""
+    Basic mode and the steps off the averaging frequency get 1; the averaged
+    steps of improved mode get min(1, k^-exponent) at their 1-based index k.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     alphas = [1.0] * K
     if mode == "improved":
-        # alpha_schedule, min(1, k^-exponent), at the 1-based indices of the
-        # averaged steps; the comparison is min() without its call overhead
+        # min(1, k^-exponent), the comparison without min()'s call overhead
         freq, power = spec.bigsam_frequency, -spec.alpha_exponent
         alphas[::freq] = [a if a < 1.0 else 1.0
                           for a in [float(k) ** power for k in range(1, K + 1, freq)]]
-    return alphas
+    return np.asarray(alphas, dtype=np.float64)
 
 
 def _start(problem: BilevelProblem, spec: InnerSolveSpec) -> np.ndarray:
@@ -191,21 +113,26 @@ def _start(problem: BilevelProblem, spec: InnerSolveSpec) -> np.ndarray:
     return np.zeros(problem.inner_dim)
 
 
-def _loop_iterates(problem: BilevelProblem, omega, lam, alphas: list,
-                   t: float, s: float) -> np.ndarray:
-    """The generic K-step loop over the gradient oracles; iterates stacked row-wise."""
-    grad1_h, grad1_g = problem.grad1_h, problem.grad1_g
-    iterates = np.empty((len(alphas) + 1, problem.inner_dim))
-    iterates[0] = omega
-    for k, alpha in enumerate(alphas):
-        if alpha == 1.0:
-            omega = omega - t * grad1_h(omega, lam)
-        else:
-            # expanded form of the theta/phi average, one pass over omega
-            omega = omega - (t * alpha) * grad1_h(omega, lam) \
-                          - (s * (1.0 - alpha)) * grad1_g(omega, lam)
-        iterates[k + 1] = omega
-    return iterates
+def _iterate(omega: np.ndarray, lam, alphas: np.ndarray, t: float, s: float,
+             grad_h: Callable, grad_g: Callable,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Run the K averaged steps from omega and return the last iterate.
+
+    ``omega`` is one row or a stack of rows, with gradient oracles to match.
+    A step with alpha == 1 never calls ``grad_g``.  When ``out`` is given,
+    iterate k+1 is written into its row k+1.  An overflow is not warned
+    about: the caller's finiteness check reports the divergence.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, alpha in enumerate(alphas.tolist()):
+            if alpha == 1.0:
+                omega = omega - t * grad_h(omega, lam)
+            else:
+                omega = omega - (t * alpha) * grad_h(omega, lam) \
+                              - (s * (1.0 - alpha)) * grad_g(omega, lam)
+            if out is not None:
+                out[k + 1] = omega
+    return omega
 
 
 def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -> Tape:
@@ -215,34 +142,31 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -
     plain gradient descent on h and never touches g).  No projection, no line
     search, no stopping rule beyond the fixed K.
 
-    The generic loop applies the expanded single-expression form of the
-    update, omega - t*alpha*grad1_h - s*(1-alpha)*grad1_g, which agrees with
-    ``bigsam_step``'s two-step average to floating-point roundoff.  It costs
-    K gradient evaluations of h plus one of g per averaged step.  A problem
-    that declares its affine structure (``BilevelProblem.affine``) instead has
-    its K step maps composed by a blocked scan (``bilevelopt.affine``), which
-    evaluates no gradient oracle and agrees with the loop to roundoff; if a
-    composed value is not finite the loop is run instead.  Finiteness is
-    checked once on the recorded trajectory: the first non-finite iterate
-    names the diverging step.
+    The loop costs K gradient evaluations of h plus one of g per averaged
+    step.  A problem that declares its affine structure
+    (``BilevelProblem.affine``) instead has its K step maps composed by a
+    blocked scan (``bilevelopt.affine``), which evaluates no gradient oracle
+    and agrees with the loop to roundoff; if a composed value is not finite
+    the loop is run instead.  Finiteness is checked once on the recorded
+    trajectory: the first non-finite iterate names the diverging step.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    alphas = schedule(spec.K, mode, spec)
     lam = as_vector(lam, problem.outer_dim, "lam")
     omega = _start(problem, spec)
-    alphas = _schedule(spec.K, mode, spec)
-    alpha_arr = np.asarray(alphas, dtype=np.float64)
     iterates = None
     if problem.affine is not None:
-        iterates = affine.inner_iterates(problem.affine, omega, lam, alpha_arr, spec.t, spec.s)
+        iterates = affine.inner_iterates(problem.affine, omega, lam, alphas, spec.t, spec.s)
     if iterates is None:
-        iterates = _loop_iterates(problem, omega, lam, alphas, spec.t, spec.s)
+        iterates = np.empty((spec.K + 1, problem.inner_dim))
+        iterates[0] = omega
+        _iterate(omega, lam, alphas, spec.t, spec.s, problem.grad1_h, problem.grad1_g,
+                 out=iterates)
     finite_rows = np.all(np.isfinite(iterates), axis=1)
     if not finite_rows.all():
         bad = int(np.argmin(finite_rows))
         raise OracleDivergence(
             f"oracle-divergence: non-finite iterate (inner step {max(bad - 1, 0)})")
-    return Tape(iterates=iterates, alphas=alpha_arr, t=spec.t, s=spec.s,
+    return Tape(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
                 lam=lam.copy(), mode=mode)
 
 
@@ -263,20 +187,13 @@ def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
     schedule from the same omega_0, so this is the per-row recursion executed
     together.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    alphas = schedule(spec.K, mode, spec)
     if problem.grad1_h_many is None or (mode == "improved" and problem.grad1_g_many is None):
         raise ValueError("problem does not provide batched gradient oracles")
     lams = np.asarray(lams, dtype=np.float64)
     omegas = np.tile(_start(problem, spec), (lams.shape[0], 1))
-    gh_many, gg_many = problem.grad1_h_many, problem.grad1_g_many
-    t, s = spec.t, spec.s
-    for alpha in _schedule(spec.K, mode, spec):
-        if alpha == 1.0:
-            omegas = omegas - t * gh_many(omegas, lams)
-        else:
-            omegas = omegas - (t * alpha) * gh_many(omegas, lams) \
-                            - (s * (1.0 - alpha)) * gg_many(omegas, lams)
+    omegas = _iterate(omegas, lams, alphas, spec.t, spec.s,
+                      problem.grad1_h_many, problem.grad1_g_many)
     if not np.all(np.isfinite(omegas)):
         raise OracleDivergence("oracle-divergence: non-finite final iterate in batched solve")
     return omegas
@@ -289,23 +206,15 @@ def bigsam_standalone(h_oracle: Tuple[Callable, Callable],
     """Averaged solver for the single-level form: minimize g over argmin h.
 
     The oracles are (value, gradient) pairs of a single variable; only the
-    gradients drive the iteration.
+    gradients drive the iteration, every step of which is averaged.
     """
-    if int(K) != K or K < 0:
-        raise ValueError("K must be a non-negative integer")
-    if not (t > 0 and s > 0):
-        raise ValueError("step sizes must be positive")
+    spec = InnerSolveSpec(K=K, t=t, s=s, alpha_exponent=alpha_exponent)
     _, h_grad = h_oracle
     _, g_grad = g_oracle
     omega = np.array(omega0, dtype=np.float64, copy=True).reshape(-1)
-    for k in range(K):
-        alpha = alpha_schedule(k + 1, alpha_exponent)
-        gh = _finite(np.asarray(h_grad(omega), dtype=np.float64), "h gradient")
-        theta = omega - t * gh
-        if alpha == 1.0:
-            omega = theta
-            continue
-        gg = _finite(np.asarray(g_grad(omega), dtype=np.float64), "g gradient")
-        phi = omega - s * gg
-        omega = alpha * theta + (1.0 - alpha) * phi
+    omega = _iterate(omega, None, schedule(K, "improved", spec), t, s,
+                     lambda w, _: np.asarray(h_grad(w), dtype=np.float64),
+                     lambda w, _: np.asarray(g_grad(w), dtype=np.float64))
+    if not np.all(np.isfinite(omega)):
+        raise OracleDivergence("oracle-divergence: non-finite final iterate")
     return omega

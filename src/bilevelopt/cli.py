@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .data import corrupt_labels, gen_synthetic, load_idx, split
-from .models import SolveConfig, run_model
+from .models import SolveConfig, TraceRecord, run_ablation, run_model
 from .oracles import check_suite, default_check_configs
 from .problem import OracleDivergence
 from .problems import ZOO_NAMES, hyperclean_f1_metric, make_hypercleaning, zoo_problem
@@ -108,6 +108,12 @@ def _write_trace_csv(path: Path, records, truncated: bool = False) -> None:
             f.write("# truncated\n")
 
 
+def _partial_records(exc: OracleDivergence) -> list:
+    """The finite records that a diverged ``run_model`` call attached to the error's cause."""
+    partial = getattr(exc.__cause__, "partial_trace", None)
+    return partial.records if partial is not None else []
+
+
 def cmd_check(args) -> int:
     names = list(ZOO_NAMES) if args.problem == "all" else [args.problem]
     for name in names:
@@ -149,9 +155,7 @@ def cmd_solve(args) -> int:
         trace = run_model(inst.problem, inst.lam0, config, metric=inst.metric,
                           collect_timing=not args.no_timing)
     except OracleDivergence as exc:
-        partial = exc.__cause__.partial_trace if exc.__cause__ is not None else None
-        records = partial.records if partial is not None else []
-        _write_trace_csv(out, records, truncated=True)
+        _write_trace_csv(out, _partial_records(exc), truncated=True)
         _write_manifest(out, "solve", payload, [out.name])
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
@@ -161,17 +165,23 @@ def cmd_solve(args) -> int:
 
 
 def _ablation_cell(payload: dict) -> dict:
-    """Worker for one (frequency) cell; rebuilds the problem in-process."""
+    """Worker for one (frequency) cell; rebuilds the problem in-process.
+
+    A divergence is caught here and returned with the partial records: the
+    exception's cause, which holds them, does not cross the process pool.
+    """
     inst = zoo_problem(payload["problem"], seed=payload["seed"])
-    mode = "basic" if payload["frequency"] == 0 else "improved"
-    cfg = dict(payload["config"])
-    cfg["bigsam_frequency"] = 1 if payload["frequency"] == 0 else payload["frequency"]
-    config = _solve_config(cfg, mode)
-    trace = run_model(inst.problem, inst.lam0, config, metric=inst.metric,
-                      collect_timing=not payload["no_timing"])
-    return {"frequency": payload["frequency"],
+    error = None
+    try:
+        (trace,) = run_ablation(inst.problem, inst.lam0, payload["config"],
+                                [payload["frequency"]], metric=inst.metric,
+                                collect_timing=not payload["no_timing"])
+        records = trace.records
+    except OracleDivergence as exc:
+        records, error = _partial_records(exc), str(exc)
+    return {"frequency": payload["frequency"], "error": error,
             "records": [(r.index, r.outer_value, r.grad_norm, r.metric, r.wall_ms)
-                        for r in trace.records]}
+                        for r in records]}
 
 
 def cmd_ablation(args) -> int:
@@ -187,11 +197,12 @@ def cmd_ablation(args) -> int:
         raise CliError("frequencies must be positive integers")
     inst = zoo_problem(args.problem, seed=args.seed or 0)
     cfg = _resolve_config(args, inst.defaults)
+    base = _solve_config(cfg, "improved")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cells = [{"problem": args.problem, "seed": int(cfg["seed"]), "frequency": f,
-              "config": cfg, "no_timing": bool(args.no_timing)}
+              "config": base, "no_timing": bool(args.no_timing)}
              for f in freqs + [0]]            # sentinel 0 = basic baseline
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -199,20 +210,23 @@ def cmd_ablation(args) -> int:
     else:
         results = [_ablation_cell(c) for c in cells]
 
-    from .models import TraceRecord
-    index = []
+    index, errors = [], []
     for res in sorted(results, key=lambda r: r["frequency"]):
         f = res["frequency"]
         name = "basic.csv" if f == 0 else f"improved-{f}.csv"
         path = out_dir / name
         records = [TraceRecord(*row) for row in res["records"]]
-        _write_trace_csv(path, records)
+        _write_trace_csv(path, records, truncated=res["error"] is not None)
         _write_manifest(path, "ablation", {"problem": args.problem, "frequency": f,
                                            "config": cfg, "data": inst.data_spec,
                                            "no_timing": bool(args.no_timing)}, [name])
         index.append({"frequency": f, "file": name})
+        if res["error"] is not None:
+            errors.append(f"{name}: {res['error']}")
     (out_dir / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
-    return 0
+    for error in errors:
+        print(f"divergence: {error}", file=sys.stderr)
+    return 3 if errors else 0
 
 
 def _clean_dataset(args, seed: int):
@@ -247,23 +261,36 @@ def cmd_clean(args) -> int:
     cfg["seed"] = seed
     lam0 = np.zeros(problem.outer_dim)
 
-    traces = {}
+    records, errors = {}, []
     for mode in ("improved", "basic"):
         config = _solve_config(cfg, mode)
-        traces[mode] = run_model(problem, lam0, config, metric=metric,
-                                 collect_timing=not args.no_timing)
+        try:
+            records[mode] = run_model(problem, lam0, config, metric=metric,
+                                      collect_timing=not args.no_timing).records
+        except OracleDivergence as exc:
+            records[mode] = _partial_records(exc)
+            errors.append(f"{mode} model: {exc}")
     out = Path(args.out)
     with open(out, "w", newline="") as f:
         f.write("iter,f1_improved,f1_basic\n")
-        for ri, rb in zip(traces["improved"].records, traces["basic"].records):
+        for ri, rb in zip(records["improved"], records["basic"]):
             f.write(f"{ri.index},{_fmt(ri.metric)},{_fmt(rb.metric)}\n")
+        if errors:
+            f.write("# truncated\n")
+    manifest = {"args": {"data": args.data, "rho": args.rho, "ntr": args.ntr, "nval": args.nval},
+                "config": cfg, "no_timing": bool(args.no_timing)}
+    if errors:
+        _write_manifest(out, "clean", manifest, [out.name])
+        for error in errors:
+            print(f"divergence: {error}", file=sys.stderr)
+        return 3
     no_positives = int(train.mask.sum()) == 0
     summary = {
         "flag_rule": "sample i is flagged corrupted when its weight lambda_i < 0",
         "rho": args.rho,
         "corrupted_count": int(train.mask.sum()),
-        "final_f1_improved": traces["improved"].final_metric,
-        "final_f1_basic": traces["basic"].final_metric,
+        "final_f1_improved": records["improved"][-1].metric,
+        "final_f1_basic": records["basic"][-1].metric,
         "undefined_f1": no_positives,
         "note": "undefined-F1, reported 0" if no_positives else "",
         "config": cfg,
@@ -271,10 +298,7 @@ def cmd_clean(args) -> int:
     }
     spath = out.with_suffix(out.suffix + ".summary.json")
     spath.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    _write_manifest(out, "clean", {"args": {"data": args.data, "rho": args.rho,
-                                            "ntr": args.ntr, "nval": args.nval},
-                                   "config": cfg, "no_timing": bool(args.no_timing)},
-                    [out.name, spath.name])
+    _write_manifest(out, "clean", manifest, [out.name, spath.name])
     return 0
 
 

@@ -1,11 +1,19 @@
 """Reverse-mode hypergradient over a recorded inner trajectory.
 
 The outer objective seen through K inner steps is f_K(lam) = g(omega_K, lam)
-with omega_{k+1} = Phi_k(omega_k, lam).  Its gradient unrolls by the chain
-rule: initialize the adjoint a = grad1_g(omega_K, lam) and the accumulator
-G = grad2_g(omega_K, lam), then walk the transitions newest to oldest,
-evaluating each step map's partials at the step's *input* iterate with the
-averaging weight that step actually used.
+with omega_{k+1} = Phi_k(omega_k, lam), the averaged step of
+``bilevelopt.bigsam``.  Its gradient unrolls by the chain rule, in reverse
+mode (Franceschi et al. 2017, "Forward and reverse gradient-based
+hyperparameter optimization"): initialize the adjoint a = grad1_g(omega_K, lam)
+and the accumulator G = grad2_g(omega_K, lam), then walk the transitions
+newest to oldest, evaluating each step map's partials at the step's *input*
+iterate with the averaging weight that step actually used:
+
+    a^T dPhi_k/d(omega) = a - t*alpha * vjp11_h(a) - s*(1-alpha) * vjp11_g(a)
+    a^T dPhi_k/d(lam)   =   - t*alpha * vjp12_h(a) - s*(1-alpha) * vjp12_g(a)
+
+The g terms drop out on steps with alpha == 1.  ``reverse_hypergradient``
+holds the only implementation of these two products.
 
 Every transition contributes its lam-partial, including the very first one
 (omega_0 -> omega_1): omega_0 itself is lam-independent, but the step that
@@ -34,12 +42,12 @@ __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
     """Accumulate the hypergradient of f_K at the tape's recorded lam.
 
-    The generic loop performs the same arithmetic as ``vjp_phi_lambda`` and
-    ``vjp_phi_omega``, inlined: K lam-side and K-1 omega-side VJPs of h, plus
-    those of g on averaged steps.  A problem with a declared affine structure
-    instead gets grad2_g + J_K^T grad1_g from its composed step maps, and runs
-    the loop only if that value is not finite.  Finiteness is checked once on
-    the result.
+    The generic loop applies the step map's two VJPs of the module docstring:
+    K lam-side and K-1 omega-side VJPs of h, plus those of g on averaged
+    steps.  A problem with a declared affine structure instead gets
+    grad2_g + J_K^T grad1_g from its composed step maps, and runs the loop
+    only if that value is not finite.  Finiteness is checked once on the
+    result, so an overflow on the way is not warned about.
     """
     n, m = problem.dims
     if tape.iterates.shape[1] != n or tape.lam.shape[0] != m:
@@ -52,25 +60,26 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
             return G
     lam = tape.lam
     omega_K = tape.final
-    a = np.asarray(problem.grad1_g(omega_K, lam), dtype=np.float64)
-    G = np.asarray(problem.grad2_g(omega_K, lam), dtype=np.float64).copy()
     vjp11_h, vjp12_h = problem.vjp11_h, problem.vjp12_h
     vjp11_g, vjp12_g = problem.vjp11_g, problem.vjp12_g
     lam_free_g = problem.g_lambda_free
     t, s = tape.t, tape.s
     iterates = tape.iterates
     alphas = tape.alphas.tolist()
-    for k in range(tape.K - 1, -1, -1):
-        alpha = alphas[k]
-        omega_k = iterates[k]
-        G += -(t * alpha) * vjp12_h(a, omega_k, lam)
-        if alpha != 1.0 and not lam_free_g:
-            G += -(s * (1.0 - alpha)) * vjp12_g(a, omega_k, lam)
-        if k > 0:
-            a_new = a - (t * alpha) * vjp11_h(a, omega_k, lam)
-            if alpha != 1.0:
-                a_new = a_new - (s * (1.0 - alpha)) * vjp11_g(a, omega_k, lam)
-            a = a_new
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.asarray(problem.grad1_g(omega_K, lam), dtype=np.float64)
+        G = np.asarray(problem.grad2_g(omega_K, lam), dtype=np.float64).copy()
+        for k in range(tape.K - 1, -1, -1):
+            alpha = alphas[k]
+            omega_k = iterates[k]
+            G += -(t * alpha) * vjp12_h(a, omega_k, lam)
+            if alpha != 1.0 and not lam_free_g:
+                G += -(s * (1.0 - alpha)) * vjp12_g(a, omega_k, lam)
+            if k > 0:
+                a_new = a - (t * alpha) * vjp11_h(a, omega_k, lam)
+                if alpha != 1.0:
+                    a_new = a_new - (s * (1.0 - alpha)) * vjp11_g(a, omega_k, lam)
+                a = a_new
     if not np.all(np.isfinite(G)):
         raise OracleDivergence("oracle-divergence: non-finite hypergradient")
     return G

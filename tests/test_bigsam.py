@@ -1,10 +1,13 @@
 """Averaged inner steps, schedules, solvers, and tapes."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 import bilevelopt as bl
-from bilevelopt.bigsam import StepParams, final_inner_iterate, step_alpha
+from bilevelopt.bigsam import final_inner_iterate
 
 
 def reference_trajectory(grad_h, grad_g, lam, omega0, K, t, s, mode,
@@ -29,65 +32,83 @@ def reference_trajectory(grad_h, grad_g, lam, omega0, K, t, s, mode,
     return np.array(traj), np.array(alphas)
 
 
+def spec(K=1, t=0.1, s=0.1, **kw):
+    return bl.InnerSolveSpec(K=K, t=t, s=s, **kw)
+
+
+def loop_copy(problem):
+    """A ``replace`` copy: it drops the affine declaration, so it runs the loop."""
+    return dataclasses.replace(problem, vjp_flavor=dict(problem.vjp_flavor))
+
+
 class TestAlphaSchedule:
     def test_first_step_is_one(self):
-        assert bl.alpha_schedule(1, 0.25) == 1.0
+        assert bl.schedule(1, "improved", spec())[0] == 1.0
 
     def test_sixteen_to_the_minus_quarter(self):
-        assert bl.alpha_schedule(16, 0.25) == pytest.approx(0.5)
+        assert bl.schedule(16, "improved", spec())[15] == pytest.approx(0.5)
 
     def test_zero_exponent_disables_averaging(self):
-        assert bl.alpha_schedule(5, 0.0) == 1.0
+        assert np.all(bl.schedule(5, "improved", spec(alpha_exponent=0.0)) == 1.0)
 
-    def test_index_zero_rejected(self):
-        with pytest.raises(ValueError, match="invalid-iteration-index"):
-            bl.alpha_schedule(0, 0.25)
+    def test_basic_mode_is_all_ones(self):
+        assert np.all(bl.schedule(40, "basic", spec(bigsam_frequency=3)) == 1.0)
+
+    def test_mode_validated(self):
+        with pytest.raises(ValueError, match="mode"):
+            bl.schedule(3, "augmented", spec())
 
 
 class TestBigsamStep:
+    """One averaged step, seen through ``solve_inner`` and ``bigsam_standalone``.
+
+    The closed-form problem runs its composed affine steps, its ``replace``
+    copy the loop; both are checked.
+    """
+
     def setup_method(self):
         self.p = bl.make_closedform_quadratic()
 
     def test_hand_computed_step(self):
-        # h = (w-lam)^2/2, g = w^2/2 at w=1, lam=0: both gradients are 1, so
-        # theta = phi = 0.9 and any averaging weight returns 0.9
-        out = bl.bigsam_step(self.p, np.array([1.0]), np.array([0.0]),
-                             StepParams(t=0.1, s=0.1, alpha=0.5))
-        assert out == pytest.approx(0.9)
+        # h = (w-lam)^2/2, g = w^2/2 at lam=0: both gradients equal w, so every
+        # step, averaged (alpha_2 = 2^-0.25) or not, multiplies w by 0.9
+        for p in (self.p, loop_copy(self.p)):
+            tape = bl.solve_inner(p, np.zeros(1), spec(K=2, omega0=np.ones(1)), "improved")
+            assert tape.alphas[1] < 1.0
+            np.testing.assert_allclose(tape.iterates[:, 0], [1.0, 0.9, 0.81], rtol=1e-15)
 
     def test_alpha_one_is_pure_h_descent(self):
-        out = bl.bigsam_step(self.p, np.array([1.0]), np.array([0.0]),
-                             StepParams(t=0.1, s=0.1, alpha=1.0))
+        def no_g(w, lam):
+            raise AssertionError("an alpha == 1 step evaluated grad1_g")
+
+        p = dataclasses.replace(self.p, grad1_g=no_g, vjp_flavor=dict(self.p.vjp_flavor))
+        tape = bl.solve_inner(p, np.zeros(1), spec(K=3, omega0=np.ones(1)), "basic")
+        np.testing.assert_allclose(tape.iterates[:, 0], [1.0, 0.9, 0.81, 0.729], rtol=1e-15)
+        out = bl.bigsam_standalone((None, lambda w: w), (None, no_g), np.ones(1),
+                                   K=1, t=0.1, s=0.1)
         assert out == pytest.approx(0.9)
 
     def test_joint_stationary_point_is_fixed(self):
         # both gradients vanish at w = lam = 0
-        w = np.zeros(1)
-        out = bl.bigsam_step(self.p, w, np.zeros(1),
-                             StepParams(t=0.1, s=0.1, alpha=0.7))
-        assert np.array_equal(out, w)
-
-    def test_equals_theta_phi_average_exactly(self):
-        p = bl.make_degenerate_quadratic()
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            w = rng.normal(size=2)
-            lam = rng.normal(size=1)
-            alpha = float(rng.uniform(0.05, 0.95))
-            t, s = 0.07, 0.13
-            theta = w - t * p.grad1_h(w, lam)
-            phi = w - s * p.grad1_g(w, lam)
-            want = alpha * theta + (1.0 - alpha) * phi
-            got = bl.bigsam_step(p, w, lam, StepParams(t, s, alpha))
-            assert np.array_equal(got, want)
+        for p in (self.p, loop_copy(self.p)):
+            tape = bl.solve_inner(p, np.zeros(1), spec(K=5), "improved")
+            assert np.all(tape.alphas[1:] < 1.0)
+            assert np.array_equal(tape.iterates, np.zeros((6, 1)))
+        out = bl.bigsam_standalone((None, lambda w: w - 2.0), (None, lambda w: w - 2.0),
+                                   np.full(1, 2.0), K=5, t=0.1, s=0.1)
+        assert np.array_equal(out, np.full(1, 2.0))
 
     def test_step_params_validated(self):
-        with pytest.raises(ValueError):
-            StepParams(t=0.0, s=0.1, alpha=0.5)
-        with pytest.raises(ValueError):
-            StepParams(t=0.1, s=0.1, alpha=0.0)
-        with pytest.raises(ValueError):
-            StepParams(t=0.1, s=0.1, alpha=1.5)
+        flat = (None, lambda w: np.zeros(1))
+        for field, value, message in (("t", 0.0, "step sizes"), ("s", 0.0, "step sizes"),
+                                      ("K", -1, "K must be"), ("K", 1.5, "K must be"),
+                                      ("bigsam_frequency", 0, "bigsam_frequency")):
+            kw = {"K": 3, "t": 0.1, "s": 0.1, field: value}
+            with pytest.raises(ValueError, match=message):
+                bl.InnerSolveSpec(**kw)
+            if field != "bigsam_frequency":
+                with pytest.raises(ValueError, match=message):
+                    bl.bigsam_standalone(flat, flat, np.zeros(1), **kw)
 
     def test_divergent_gradient_raises(self):
         bad = bl.BilevelProblem(
@@ -97,47 +118,70 @@ class TestBigsamStep:
             grad1_g=lambda w, lam: np.zeros(1),
             grad2_g=lambda w, lam: np.zeros(1),
         )
+        for mode in ("improved", "basic"):
+            with pytest.raises(bl.OracleDivergence, match=r"\(inner step 0\)"):
+                bl.solve_inner(bad, np.zeros(1), spec(K=4), mode)
+        nan = (None, lambda w: np.array([np.nan]))
         with pytest.raises(bl.OracleDivergence):
-            bl.bigsam_step(bad, np.zeros(1), np.zeros(1), StepParams(0.1, 0.1, 1.0))
+            bl.bigsam_standalone(nan, (None, lambda w: np.zeros(1)), np.zeros(1),
+                                 K=4, t=0.1, s=0.1)
+
+
+def tape(iterates, alphas, t=0.1, s=0.1, lam=(0.0,)):
+    """A hand-built tape: its iterates need not follow the solver's dynamics."""
+    return bl.Tape(iterates=np.array(iterates, dtype=float).reshape(len(alphas) + 1, -1),
+                   alphas=np.array(alphas, dtype=float), t=t, s=s,
+                   lam=np.array(lam, dtype=float), mode="improved")
 
 
 class TestVjpPhi:
+    """The step map's VJPs, seen through ``reverse_hypergradient`` on short tapes.
+
+    For the scalar pair h = (w-lam)^2/2, g = w^2/2 the reverse pass starts
+    from a = grad1_g(omega_K) = omega_K and G = grad2_g = 0; each step adds
+    its lam-side product t*alpha*a (vjp12_h(a) = -a, g is lam-free) and
+    passes back the omega-side product a*(1 - t*alpha - s*(1-alpha)).
+    """
+
     def setup_method(self):
-        self.p = bl.make_closedform_quadratic()
+        self.p = loop_copy(bl.make_closedform_quadratic())
+
+    def test_lambda_hand_value(self):
+        # one step at alpha = 0.5: G = 0.1*0.5*1 = 0.05
+        G = bl.reverse_hypergradient(self.p, tape([0.0, 1.0], [0.5]))
+        assert G == pytest.approx(0.05, rel=1e-15)
 
     def test_omega_hand_value(self):
-        # 1 - 0.05*1 - 0.05*1 = 0.9 for the scalar quadratic pair
-        out = bl.vjp_phi_omega(self.p, np.ones(1), np.zeros(1), np.zeros(1),
-                               StepParams(0.1, 0.1, 0.5))
-        assert out == pytest.approx(0.9)
+        # the newer step passes back a = 1 - 0.05 - 0.05 = 0.9 to the older
+        # step (alpha 1): G = 0.1*0.5*1 + 0.1*1*0.9 = 0.14
+        G = bl.reverse_hypergradient(self.p, tape([0.0, 0.0, 1.0], [1.0, 0.5]))
+        assert G == pytest.approx(0.14, rel=1e-15)
 
     def test_omega_alpha_one_collapses_to_h_jacobian(self):
-        out = bl.vjp_phi_omega(self.p, np.array([2.0]), np.zeros(1), np.zeros(1),
-                               StepParams(0.1, 0.1, 1.0))
-        assert out == pytest.approx(2.0 - 0.1 * 2.0)
+        # a = 2 through an alpha = 1 step becomes 2 - 0.1*2 = 1.8, whatever s
+        for s in (0.1, 0.7):
+            G = bl.reverse_hypergradient(self.p, tape([0.0, 0.0, 2.0], [1.0, 1.0], s=s))
+            assert G == pytest.approx(0.1 * 2.0 + 0.1 * 1.8, rel=1e-15)
 
     def test_identity_dynamics_when_curvature_vanishes(self):
+        # h = lam * (c . w) has no curvature in w, so the adjoint
+        # a = grad1_g = (0.25, -1) passes through every step unchanged and each
+        # step adds -t*alpha*(a . c) = -0.5*alpha*(-0.5): 0.25*(0.5 + 1) exactly
+        c = np.array([2.0, 1.0])
         flat = bl.BilevelProblem(
             inner_dim=2, outer_dim=1, name="flat",
-            h_value=lambda w, lam: float(w[0]), g_value=lambda w, lam: float(w[1]),
-            grad1_h=lambda w, lam: np.array([1.0, 0.0]),
-            grad1_g=lambda w, lam: np.array([0.0, 1.0]),
+            h_value=lambda w, lam: float(lam[0] * (c @ w)),
+            g_value=lambda w, lam: float(np.array([0.25, -1.0]) @ w),
+            grad1_h=lambda w, lam: lam[0] * c,
+            grad1_g=lambda w, lam: np.array([0.25, -1.0]),
             grad2_g=lambda w, lam: np.zeros(1),
             vjp11_h=lambda a, w, lam: np.zeros(2),
-            vjp12_h=lambda a, w, lam: np.zeros(1),
+            vjp12_h=lambda a, w, lam: np.array([a @ c]),
             vjp11_g=lambda a, w, lam: np.zeros(2),
             vjp12_g=lambda a, w, lam: np.zeros(1),
         )
-        a = np.array([0.3, -1.2])
-        out = bl.vjp_phi_omega(flat, a, np.zeros(2), np.zeros(1),
-                               StepParams(0.1, 0.2, 0.5))
-        assert np.array_equal(out, a)
-
-    def test_lambda_hand_value(self):
-        # d12h = -1 for the scalar pair, g is lam-free: 0.05 total
-        out = bl.vjp_phi_lambda(self.p, np.ones(1), np.zeros(1), np.zeros(1),
-                                StepParams(0.1, 0.1, 0.5))
-        assert out == pytest.approx(0.05)
+        G = bl.reverse_hypergradient(flat, tape(np.zeros((3, 2)), [0.5, 1.0], t=0.5, s=0.25))
+        assert np.array_equal(G, np.array([0.375]))
 
     def test_lambda_free_objectives_give_zero(self):
         iso = bl.BilevelProblem(
@@ -152,14 +196,15 @@ class TestVjpPhi:
             vjp11_g=lambda a, w, lam: np.zeros(1),
             vjp12_g=lambda a, w, lam: np.zeros(1),
         )
-        out = bl.vjp_phi_lambda(iso, np.array([3.0]), np.ones(1), np.ones(1),
-                                StepParams(0.1, 0.1, 0.5))
-        assert np.all(out == 0.0)
+        for iterates, alphas in (([1.0, 1.0], [0.5]), ([1.0, 1.0, 1.0], [1.0, 0.5])):
+            G = bl.reverse_hypergradient(iso, tape(iterates, alphas, lam=(1.0,)))
+            assert np.all(G == 0.0)
 
     def test_zero_adjoint_gives_zero(self):
-        out = bl.vjp_phi_lambda(self.p, np.zeros(1), np.ones(1), np.ones(1),
-                                StepParams(0.1, 0.1, 0.5))
-        assert np.all(out == 0.0)
+        # omega_K = 0 makes a = grad1_g(omega_K) = 0
+        for iterates, alphas in (([1.0, 0.0], [0.5]), ([1.0, 1.0, 0.0], [1.0, 0.5])):
+            G = bl.reverse_hypergradient(self.p, tape(iterates, alphas, lam=(1.0,)))
+            assert np.all(G == 0.0)
 
 
 class TestSolveInner:
@@ -244,7 +289,7 @@ class TestSolveInner:
 
     def test_frequency_alpha_pattern(self):
         spec = bl.InnerSolveSpec(K=9, t=0.1, s=0.1, bigsam_frequency=3)
-        assert [step_alpha(k, "improved", spec) for k in range(9)] == [
+        assert bl.schedule(9, "improved", spec).tolist() == [
             1.0, 1.0, 1.0, 4.0 ** -0.25, 1.0, 1.0, 7.0 ** -0.25, 1.0, 1.0]
 
     def test_divergence_names_the_step(self):
@@ -254,6 +299,14 @@ class TestSolveInner:
             with pytest.raises(bl.OracleDivergence, match="inner step"):
                 bl.solve_inner(p, np.array([1.0]),
                                bl.InnerSolveSpec(K=3000, t=1e300, s=0.1), "basic")
+
+    def test_divergence_is_reported_once_without_warnings(self):
+        # the loop's overflow is not warned about: the divergence report replaces it
+        p = loop_copy(bl.make_closedform_quadratic())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bl.OracleDivergence, match=r"\(inner step 1\)$"):
+                bl.solve_inner(p, np.array([1.0]), spec(K=3000, t=1e300), "basic")
 
     def test_mode_validated(self):
         p = bl.make_closedform_quadratic()

@@ -12,6 +12,9 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+OVERFLOW = {"t": 0.1, "s": 0.1, "eta": 1e308, "K": 200, "T": 100}
+
+
 def write_config(path, **kw):
     base = {"t": 0.1, "s": 0.1, "eta": 0.5, "K": 30, "T": 8}
     base.update(kw)
@@ -124,7 +127,7 @@ class TestSolve:
 
     def test_outer_divergence_exits_3_with_truncated_csv(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"t": 0.1, "s": 0.1, "eta": 1e308, "K": 200, "T": 100}))
+        cfg.write_text(json.dumps(OVERFLOW))
         out = tmp_path / "run.csv"
         code = run_cli("solve", "--problem", "closedform_quadratic",
                        "--config", str(cfg), "--out", str(out), "--no-timing")
@@ -196,6 +199,30 @@ class TestAblation:
         for name in ("basic.csv", "improved-1.csv", "improved-3.csv"):
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_outer_divergence_exits_3_with_every_cell_written(self, tmp_path, capsys, jobs):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(OVERFLOW))
+        out_dir = tmp_path / "abl"
+        code = run_cli("ablation", "--problem", "closedform_quadratic", "--freqs", "1",
+                       "--config", str(cfg), "--out-dir", str(out_dir), "--jobs", jobs,
+                       "--no-timing")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ("divergence: improved-1.csv: outer iteration 1: "
+                "oracle-divergence: non-finite outer value") in err
+        assert "divergence: basic.csv: outer iteration 0: " in err
+        for name in ("basic.csv", "improved-1.csv"):
+            lines = (out_dir / name).read_text().splitlines()
+            assert lines[0] == "iter,outer_value,grad_norm,metric,wall_ms"
+            assert lines[-1] == "# truncated"
+            rows = [line.split(",") for line in lines[1:-1]]
+            assert len(rows) == 1
+            assert all(np.isfinite(float(row[1])) for row in rows)
+            assert (out_dir / f"{name}.manifest.json").exists()
+        index = json.loads((out_dir / "index.json").read_text())
+        assert [c["frequency"] for c in index] == [0, 1]
+
     def test_empty_freq_list_exits_2(self, tmp_path):
         assert run_cli("ablation", "--problem", "degenerate_quadratic",
                        "--freqs", "", "--out-dir", str(tmp_path / "x")) == 2
@@ -242,6 +269,21 @@ class TestClean:
                        "--config", str(cfg), "--out", str(out), "--no-timing")
         assert code == 0
         assert out.exists()
+
+    def test_outer_divergence_exits_3_with_truncated_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(OVERFLOW))
+        out = tmp_path / "clean.csv"
+        code = run_cli("clean", "--rho", "0.5", "--ntr", "60", "--nval", "60",
+                       "--config", str(cfg), "--out", str(out), "--no-timing")
+        assert code == 3
+        err = capsys.readouterr().err
+        for mode in ("improved", "basic"):
+            assert f"divergence: {mode} model: outer iteration 0: " in err
+        assert out.read_text().splitlines() == ["iter,f1_improved,f1_basic", "0,0,0",
+                                                "# truncated"]
+        manifest = json.loads((tmp_path / "clean.csv.manifest.json").read_text())
+        assert manifest["outputs"] == ["clean.csv"]
 
     def test_bad_rho_exits_2(self, tmp_path):
         assert run_cli("clean", "--rho", "1.5", "--out", str(tmp_path / "x.csv")) == 2

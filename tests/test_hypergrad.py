@@ -1,6 +1,7 @@
 """Reverse pass vs the value-only difference-quotient oracle."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -252,3 +253,19 @@ class TestTapeMismatch:
                               bl.InnerSolveSpec(K=3, t=0.1, s=0.1), "basic")
         with pytest.raises(ValueError, match="tape-mismatch"):
             bl.reverse_hypergradient(p, tape)
+
+
+class TestReverseDivergence:
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_overflow_is_reported_once_without_warnings(self, declared):
+        # a finite tape whose step size overflows every product of the pass;
+        # the declared problem tries its composed maps first, then the loop
+        p = bl.make_closedform_quadratic()
+        if not declared:
+            p = dataclasses.replace(p)
+        tape = bl.Tape(iterates=np.array([[0.0], [1e10], [1e20]]), alphas=np.array([1.0, 0.5]),
+                       t=1e300, s=0.1, lam=np.array([1.0]), mode="improved")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bl.OracleDivergence, match="non-finite hypergradient"):
+                bl.reverse_hypergradient(p, tape)
