@@ -13,13 +13,19 @@ alpha == 1 the update degenerates to plain gradient descent on h, which is
 exactly the inner solver of the basic bilevel model; the improved model uses
 the decaying weight alpha_k = min(1, k^(-exponent)) of ``schedule``.  Steps
 with alpha == 1 skip the grad1_g evaluation entirely, so a run with exponent
-0 is bit-identical to a basic-mode run.  The reverse pass over a recorded
-``Tape`` lives in ``bilevelopt.hypergrad``.
+0 is bit-identical to a basic-mode run.
+
+A problem with a ``linearize`` hook has lam bound once per solve; ``solve_inner``
+then records each step's VJP, which reads the residuals its forward step
+saved, on the ``Tape``.  The value-only paths (``final_inner_iterate`` and the
+batched ``final_inner_iterates_many``) bind lam the same way and record
+nothing.  The reverse pass over a ``Tape`` lives in ``bilevelopt.hypergrad``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -30,6 +36,21 @@ from .problem import BilevelProblem, OracleDivergence, as_vector
 __all__ = ["InnerSolveSpec", "Tape", "schedule", "solve_inner", "bigsam_standalone"]
 
 MODES = ("improved", "basic")
+
+
+def check_alpha_exponent(exponent: float, K: int, frequency: int) -> None:
+    """Reject an exponent outside [0, inf) or one whose weights underflow within K steps.
+
+    A negative exponent pins every weight at 1 (basic mode in disguise), and
+    a weight of 0 would drop h from its step altogether.
+    """
+    if not (math.isfinite(exponent) and exponent >= 0):
+        raise ValueError(f"alpha_exponent must be finite and non-negative, got {exponent!r}")
+    # the weights fall with k: the last averaged step has the smallest
+    last = 1 + (int(K) - 1) // int(frequency) * int(frequency)
+    if K and float(last) ** -exponent == 0.0:
+        raise ValueError(f"alpha_exponent {exponent!r} underflows the averaging weight "
+                         f"of inner step {last} to 0")
 
 
 @dataclass(frozen=True)
@@ -55,6 +76,7 @@ class InnerSolveSpec:
             raise ValueError("step sizes must be positive")
         if int(self.bigsam_frequency) != self.bigsam_frequency or self.bigsam_frequency < 1:
             raise ValueError("bigsam_frequency must be a positive integer")
+        check_alpha_exponent(self.alpha_exponent, self.K, self.bigsam_frequency)
 
 
 @dataclass(frozen=True)
@@ -63,6 +85,10 @@ class Tape:
 
     ``iterates`` stacks omega_0..omega_K row-wise; ``alphas`` holds the K
     averaging weights actually used (alphas[k] produced iterates[k+1]).
+    ``vjps``, recorded through the problem's ``linearize`` hook, holds one
+    pair per step k: the VJP of h at omega_k and that of g, or None where
+    alphas[k] == 1.  Their saved residuals are O(K) arrays of the problem's
+    intermediate size; a tape without them is reversed through the VJP slots.
     """
 
     iterates: np.ndarray
@@ -71,10 +97,13 @@ class Tape:
     s: float
     lam: np.ndarray
     mode: str
+    vjps: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.iterates.shape[0] != self.alphas.shape[0] + 1:
             raise ValueError("tape must hold exactly one more iterate than alphas")
+        if self.vjps is not None and len(self.vjps) != self.alphas.shape[0]:
+            raise ValueError("tape must hold exactly one VJP pair per step")
         if not (np.all(np.isfinite(self.iterates)) and np.all(np.isfinite(self.alphas))):
             raise ValueError("tape contains non-finite entries")
 
@@ -113,26 +142,84 @@ def _start(problem: BilevelProblem, spec: InnerSolveSpec) -> np.ndarray:
     return np.zeros(problem.inner_dim)
 
 
-def _iterate(omega: np.ndarray, lam, alphas: np.ndarray, t: float, s: float,
+def _iterate(omega: np.ndarray, alphas: np.ndarray, t: float, s: float,
              grad_h: Callable, grad_g: Callable,
              out: Optional[np.ndarray] = None) -> np.ndarray:
     """Run the K averaged steps from omega and return the last iterate.
 
-    ``omega`` is one row or a stack of rows, with gradient oracles to match.
-    A step with alpha == 1 never calls ``grad_g``.  When ``out`` is given,
-    iterate k+1 is written into its row k+1.  An overflow is not warned
-    about: the caller's finiteness check reports the divergence.
+    ``omega`` is one row or a stack of rows; ``grad_h`` and ``grad_g`` map it
+    to the gradients of h and g at the solve's lam, bound beforehand.  A step
+    with alpha == 1 never calls ``grad_g``.  When ``out`` is given, iterate
+    k+1 is written into its row k+1.  An overflow is not warned about: the
+    caller's finiteness check reports the divergence.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for k, alpha in enumerate(alphas.tolist()):
             if alpha == 1.0:
-                omega = omega - t * grad_h(omega, lam)
+                omega = omega - t * grad_h(omega)
             else:
-                omega = omega - (t * alpha) * grad_h(omega, lam) \
-                              - (s * (1.0 - alpha)) * grad_g(omega, lam)
+                omega = omega - (t * alpha) * grad_h(omega) \
+                              - (s * (1.0 - alpha)) * grad_g(omega)
             if out is not None:
                 out[k + 1] = omega
     return omega
+
+
+def _gradients(problem: BilevelProblem, lam: np.ndarray, vjps: Optional[tuple] = None,
+               batched: bool = False) -> Tuple[Callable, Callable]:
+    """grad1_h and grad1_g at ``lam``, as functions of omega alone.
+
+    A problem with a ``linearize`` hook binds lam once; given ``vjps``, a
+    pair of lists, each gradient call then also appends its step's VJP to
+    the list of its objective (h's, then g's).  Without the hook the slots
+    are called with lam, the batched ones for a stack of lam rows, and
+    nothing is recorded.
+    """
+    if problem.linearize is not None:
+        lin_h, lin_g = problem.linearize(lam, residuals=vjps is not None)
+        if vjps is None:
+            return (lambda w: lin_h(w)[0]), (lambda w: lin_g(w)[0])
+        return _recorded(lin_h, vjps[0]), _recorded(lin_g, vjps[1])
+    grad_h, grad_g = ((problem.grad1_h_many, problem.grad1_g_many) if batched
+                      else (problem.grad1_h, problem.grad1_g))
+    return (lambda w: grad_h(w, lam)), (lambda w: grad_g(w, lam))
+
+
+def _recorded(linearizer: Callable, vjps: list) -> Callable:
+    def grad(w):
+        value, vjp = linearizer(w)
+        vjps.append(vjp)
+        return value
+
+    return grad
+
+
+def _solve(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str,
+           record: bool) -> Tape:
+    alphas = schedule(spec.K, mode, spec)
+    lam = as_vector(lam, problem.outer_dim, "lam")
+    omega = _start(problem, spec)
+    iterates = vjps = None
+    if problem.affine is not None:
+        iterates = affine.inner_iterates(problem.affine, omega, lam, alphas, spec.t, spec.s)
+    if iterates is None:
+        iterates = np.empty((spec.K + 1, problem.inner_dim))
+        iterates[0] = omega
+        h_vjps, g_vjps = recorded = ([], [])
+        _iterate(omega, alphas, spec.t, spec.s,
+                 *_gradients(problem, lam, recorded if record else None), out=iterates)
+        if h_vjps:
+            # g was linearized on the averaged steps only, in step order
+            g_steps = iter(g_vjps)
+            vjps = tuple((vjp_h, None if alpha == 1.0 else next(g_steps))
+                         for vjp_h, alpha in zip(h_vjps, alphas.tolist()))
+    finite_rows = np.all(np.isfinite(iterates), axis=1)
+    if not finite_rows.all():
+        bad = int(np.argmin(finite_rows))
+        raise OracleDivergence(
+            f"oracle-divergence: non-finite iterate (inner step {max(bad - 1, 0)})")
+    return Tape(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
+                lam=lam.copy(), mode=mode, vjps=vjps)
 
 
 def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -> Tape:
@@ -143,40 +230,24 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -
     search, no stopping rule beyond the fixed K.
 
     The loop costs K gradient evaluations of h plus one of g per averaged
-    step.  A problem that declares its affine structure
+    step.  A problem with a ``linearize`` hook also gets each step's VJP
+    recorded on the tape.  A problem that declares its affine structure
     (``BilevelProblem.affine``) instead has its K step maps composed by a
     blocked scan (``bilevelopt.affine``), which evaluates no gradient oracle
     and agrees with the loop to roundoff; if a composed value is not finite
     the loop is run instead.  Finiteness is checked once on the recorded
     trajectory: the first non-finite iterate names the diverging step.
     """
-    alphas = schedule(spec.K, mode, spec)
-    lam = as_vector(lam, problem.outer_dim, "lam")
-    omega = _start(problem, spec)
-    iterates = None
-    if problem.affine is not None:
-        iterates = affine.inner_iterates(problem.affine, omega, lam, alphas, spec.t, spec.s)
-    if iterates is None:
-        iterates = np.empty((spec.K + 1, problem.inner_dim))
-        iterates[0] = omega
-        _iterate(omega, lam, alphas, spec.t, spec.s, problem.grad1_h, problem.grad1_g,
-                 out=iterates)
-    finite_rows = np.all(np.isfinite(iterates), axis=1)
-    if not finite_rows.all():
-        bad = int(np.argmin(finite_rows))
-        raise OracleDivergence(
-            f"oracle-divergence: non-finite iterate (inner step {max(bad - 1, 0)})")
-    return Tape(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
-                lam=lam.copy(), mode=mode)
+    return _solve(problem, lam, spec, mode, record=True)
 
 
 def final_inner_iterate(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -> np.ndarray:
-    """The last iterate of ``solve_inner``, bit for bit.
+    """The last iterate of ``solve_inner``, bit for bit, with no VJP recorded.
 
     Used by value-only oracles that rerun the inner solve many times and
     never differentiate through it.
     """
-    return solve_inner(problem, lam, spec, mode).final
+    return _solve(problem, lam, spec, mode, record=False).final
 
 
 def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
@@ -185,15 +256,14 @@ def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
 
     Requires the problem's batched gradient oracles; every row runs the same
     schedule from the same omega_0, so this is the per-row recursion executed
-    together.
+    together.  A ``linearize`` hook binds the whole stack once.
     """
     alphas = schedule(spec.K, mode, spec)
     if problem.grad1_h_many is None or (mode == "improved" and problem.grad1_g_many is None):
         raise ValueError("problem does not provide batched gradient oracles")
     lams = np.asarray(lams, dtype=np.float64)
     omegas = np.tile(_start(problem, spec), (lams.shape[0], 1))
-    omegas = _iterate(omegas, lams, alphas, spec.t, spec.s,
-                      problem.grad1_h_many, problem.grad1_g_many)
+    omegas = _iterate(omegas, alphas, spec.t, spec.s, *_gradients(problem, lams, batched=True))
     if not np.all(np.isfinite(omegas)):
         raise OracleDivergence("oracle-divergence: non-finite final iterate in batched solve")
     return omegas
@@ -212,9 +282,9 @@ def bigsam_standalone(h_oracle: Tuple[Callable, Callable],
     _, h_grad = h_oracle
     _, g_grad = g_oracle
     omega = np.array(omega0, dtype=np.float64, copy=True).reshape(-1)
-    omega = _iterate(omega, None, schedule(K, "improved", spec), t, s,
-                     lambda w, _: np.asarray(h_grad(w), dtype=np.float64),
-                     lambda w, _: np.asarray(g_grad(w), dtype=np.float64))
+    omega = _iterate(omega, schedule(K, "improved", spec), t, s,
+                     lambda w: np.asarray(h_grad(w), dtype=np.float64),
+                     lambda w: np.asarray(g_grad(w), dtype=np.float64))
     if not np.all(np.isfinite(omega)):
         raise OracleDivergence("oracle-divergence: non-finite final iterate")
     return omega

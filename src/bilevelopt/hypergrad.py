@@ -13,17 +13,34 @@ iterate with the averaging weight that step actually used:
     a^T dPhi_k/d(lam)   =   - t*alpha * vjp12_h(a) - s*(1-alpha) * vjp12_g(a)
 
 The g terms drop out on steps with alpha == 1.  ``reverse_hypergradient``
-holds the only implementation of these two products.
+holds the only implementation of these two products.  It asks each step for
+one VJP per objective, ``vjp(a, omega_side) -> (a^T d11, a^T d12)``: the
+omega side is skipped on the oldest step, and the lam side is None where
+the objective does not read lam.
 
 Every transition contributes its lam-partial, including the very first one
 (omega_0 -> omega_1): omega_0 itself is lam-independent, but the step that
 produced omega_1 is not.  A central-difference oracle on f_K confirms this
 bound; truncating the oldest transition leaves an O(alpha_1 * t) error that
-is far above tolerance at small K.  The generic pass therefore performs
-exactly K lam-side VJPs and K-1 omega-side VJPs: O(K), matching the forward
-cost.  A problem that declares its affine structure (``BilevelProblem.affine``)
-calls no VJP: its step maps are composed by a blocked scan that carries the
-lam-Jacobian forward (``bilevelopt.affine``).
+is far above tolerance at small K.  The pass therefore takes exactly K
+lam-side and K-1 omega-side VJPs of h, plus those of g on averaged steps:
+O(K), matching the forward cost.
+
+Where those VJPs come from sets what each costs.  A problem with a
+``linearize`` hook has them recorded on the tape by the forward pass: one
+joint VJP per objective and step, which reads the residuals the forward step
+saved (the learning problems' softmax probabilities, and hyper-
+representation's lam-bound features) and so recomputes no forward quantity.
+The residuals are alive from the forward pass until the tape is dropped:
+O(K) arrays of the problem's intermediate size, K C x N probabilities for h
+and one per averaged step for g in hyper-cleaning.  A tape without them
+(hand-built, or solved by a problem without the hook) and a tape reversed
+with a problem without the hook (a ``replace`` copy) get their step VJPs
+built from the four VJP slots as the pass reaches each step: K calls of vjp12_h, K-1 of vjp11_h, and vjp11_g/vjp12_g on averaged
+steps, each recomputing its forward quantities.  A problem that declares
+its affine structure (``BilevelProblem.affine``) calls no VJP: its step maps
+are composed by a blocked scan that carries the lam-Jacobian forward
+(``bilevelopt.affine``).
 """
 
 from __future__ import annotations
@@ -39,15 +56,34 @@ from .problem import BilevelProblem, OracleDivergence, as_vector
 __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 
 
+def _slot_vjps(problem: BilevelProblem, tape: Tape):
+    """The tape's step VJPs from the problem's four VJP slots, newest step first."""
+    lam = tape.lam
+
+    def at(w, vjp11, vjp12, lam_free):
+        return lambda a, omega_side: (vjp11(a, w, lam) if omega_side else None,
+                                      None if lam_free else vjp12(a, w, lam))
+
+    alphas = tape.alphas.tolist()
+    for k in range(tape.K - 1, -1, -1):
+        w = tape.iterates[k]
+        yield (at(w, problem.vjp11_h, problem.vjp12_h, False),
+               None if alphas[k] == 1.0 else
+               at(w, problem.vjp11_g, problem.vjp12_g, problem.g_lambda_free))
+
+
 def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
     """Accumulate the hypergradient of f_K at the tape's recorded lam.
 
-    The generic loop applies the step map's two VJPs of the module docstring:
-    K lam-side and K-1 omega-side VJPs of h, plus those of g on averaged
-    steps.  A problem with a declared affine structure instead gets
-    grad2_g + J_K^T grad1_g from its composed step maps, and runs the loop
-    only if that value is not finite.  Finiteness is checked once on the
-    result, so an overflow on the way is not warned about.
+    The loop applies the step map's two VJPs of the module docstring: K
+    lam-side and K-1 omega-side VJPs of h, plus those of g on averaged
+    steps.  They are the tape's recorded ones when the problem has a
+    ``linearize`` hook (a tape is reversed with the problem that recorded
+    it), else built from the problem's VJP slots.  A problem with a declared
+    affine structure instead gets grad2_g + J_K^T grad1_g from its composed
+    step maps, and runs the loop only if that value is not finite.
+    Finiteness is checked once on the result, so an overflow on the way is
+    not warned about.
     """
     n, m = problem.dims
     if tape.iterates.shape[1] != n or tape.lam.shape[0] != m:
@@ -58,27 +94,29 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
         G = affine.hypergradient(problem, tape)
         if G is not None:
             return G
+    if problem.linearize is not None and tape.vjps is not None:
+        steps = reversed(tape.vjps)
+    else:
+        steps = _slot_vjps(problem, tape)
     lam = tape.lam
     omega_K = tape.final
-    vjp11_h, vjp12_h = problem.vjp11_h, problem.vjp12_h
-    vjp11_g, vjp12_g = problem.vjp11_g, problem.vjp12_g
-    lam_free_g = problem.g_lambda_free
     t, s = tape.t, tape.s
-    iterates = tape.iterates
     alphas = tape.alphas.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.asarray(problem.grad1_g(omega_K, lam), dtype=np.float64)
         G = np.asarray(problem.grad2_g(omega_K, lam), dtype=np.float64).copy()
-        for k in range(tape.K - 1, -1, -1):
+        for k, (vjp_h, vjp_g) in zip(range(tape.K - 1, -1, -1), steps):
             alpha = alphas[k]
-            omega_k = iterates[k]
-            G += -(t * alpha) * vjp12_h(a, omega_k, lam)
-            if alpha != 1.0 and not lam_free_g:
-                G += -(s * (1.0 - alpha)) * vjp12_g(a, omega_k, lam)
+            h_omega, h_lam = vjp_h(a, k > 0)
+            G += -(t * alpha) * h_lam
+            if vjp_g is not None:
+                g_omega, g_lam = vjp_g(a, k > 0)
+                if g_lam is not None:
+                    G += -(s * (1.0 - alpha)) * g_lam
             if k > 0:
-                a_new = a - (t * alpha) * vjp11_h(a, omega_k, lam)
-                if alpha != 1.0:
-                    a_new = a_new - (s * (1.0 - alpha)) * vjp11_g(a, omega_k, lam)
+                a_new = a - (t * alpha) * h_omega
+                if vjp_g is not None:
+                    a_new = a_new - (s * (1.0 - alpha)) * g_omega
                 a = a_new
     if not np.all(np.isfinite(G)):
         raise OracleDivergence("oracle-divergence: non-finite hypergradient")

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .bigsam import InnerSolveSpec, solve_inner
+from .bigsam import InnerSolveSpec, check_alpha_exponent, solve_inner
 from .hypergrad import reverse_hypergradient
 from .problem import BilevelProblem, OracleDivergence, as_vector
 
@@ -45,6 +45,7 @@ class SolveConfig:
             raise ValueError("bigsam_frequency must be at least 1")
         if self.mode not in ("improved", "basic"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        check_alpha_exponent(self.alpha_exponent, self.K, self.bigsam_frequency)
 
     def inner_spec(self, omega0=None) -> InnerSolveSpec:
         return InnerSolveSpec(K=self.K, t=self.t, s=self.s,
@@ -116,6 +117,8 @@ def run_model(problem: BilevelProblem, lam0, config: SolveConfig,
             tape = solve_inner(problem, lam, spec, config.mode)
             omega_hat = tape.final
             G = reverse_hypergradient(problem, tape)
+            # the tape's saved residuals are spent: drop them before the next solve
+            del tape
             wall_ms = (time.monotonic() - started) * 1e3 if collect_timing else 0.0
             # an overflow past this point is reported once, as the divergence below
             with np.errstate(over="ignore", invalid="ignore"):

@@ -12,6 +12,16 @@ left-multiplied second-order vector-Jacobian products
 and likewise for g.  Problems may supply these analytically or let the record
 fall back to central finite differences of their first-order gradients.
 
+A problem may also offer one optional hook, ``linearize(lam, residuals=True)
+-> (h, g)``.  It binds lam once per inner solve and returns two per-step
+linearizers, ``h(omega) -> (grad1_h, vjp)`` and ``g(omega) -> (grad1_g, vjp)``,
+where ``vjp(a, omega_side) -> (a^T d11, a^T d12)`` reads the residuals its
+forward step saved.  The first entry is None unless ``omega_side``; the second
+is None where the objective does not read lam.  This is the shape of JAX's
+``vjp``: the forward step and its VJP share one linearization instead of the
+slots recomputing it.  With ``residuals`` False the linearizers save nothing
+and return (gradient, None); the value-only solves ask for that.
+
 All oracles must be pure: identical inputs produce bit-identical outputs.
 Arithmetic is IEEE-754 float64 throughout.
 """
@@ -84,6 +94,14 @@ class BilevelProblem:
     after construction, and ``init=False`` makes a ``dataclasses.replace``
     copy drop it: such a copy may swap oracles, so it takes the generic loop,
     which stays the reference path.
+
+    ``linearize`` holds the hook of the module docstring; it must give bit
+    for bit what the slots give.  A problem with batched oracles must also
+    accept a stack of lam rows, and then takes stacks of omega rows.  It is
+    set after construction and dropped by a ``replace`` copy, as ``affine``
+    is.  Without it, the reverse pass builds each step's VJP from the four
+    VJP slots as it reaches the step; a slot-derived hook stored on the
+    instance would be a closure over the instance itself.
     """
 
     inner_dim: int
@@ -112,6 +130,7 @@ class BilevelProblem:
     grad1_g_many: Optional[Callable] = None
     affine: Optional[QuadraticBilevelSpec] = field(default=None, init=False, repr=False,
                                                    compare=False)
+    linearize: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.inner_dim < 1 or self.outer_dim < 1:

@@ -276,8 +276,9 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
     C = train.C
     if val.C != C:
         raise ValueError("bad-label: train/validation class counts differ")
-    # logits are C x N, B x C x N in the batched slots (class-major, see the
-    # module docstring); W(w).T @ X.T reads the d x C weights in place
+    # logits are C x N, B x C x N for a stack of rows (class-major, see the
+    # module docstring); W(w).T @ X.T reads the d x C weights in place.  The
+    # kernels below take one row or a stack of rows alike.
     XtrT = np.ascontiguousarray(train.X.T)
     XvaT = np.ascontiguousarray(val.X.T)
     YtrT = np.ascontiguousarray(_onehot(train.y, C).T)
@@ -286,23 +287,9 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
     n = d * C
     m = len(train)
 
-    # value-keyed sigmoid cache: lam is fixed across the many gradient calls
-    # of one inner solve, and the lookup is observationally pure
-    sig_cache: dict = {}
-
-    def _sig(lam):
-        key = lam.tobytes()
-        hit = sig_cache.get(key)
-        if hit is None:
-            if len(sig_cache) > 128:
-                sig_cache.clear()
-            hit = sigmoid(lam)
-            sig_cache[key] = hit
-        return hit
-
     def WT(w):
         # C x d view of the d x C weights
-        return w.reshape(d, C).T
+        return w.reshape(*w.shape[:-1], d, C).swapaxes(-1, -2)
 
     def train_losses(w):
         return sample_losses(WT(w) @ XtrT, YtrT, axis=0)
@@ -313,48 +300,85 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
     def g_value(w, lam):
         return float(sample_losses(WT(w) @ XvaT, YvaT, axis=0).sum() + ridge * (w @ w))
 
-    def grad1_h(w, lam):
-        P = _softmax_inplace(WT(w) @ XtrT, axis=0)
-        P -= YtrT
-        P *= _sig(lam)
-        return (XtrT @ P.T).ravel()
+    # the kernels: P is the softmax at w, which a linearized step saves; R
+    # is P - Y, which the gradient kernels overwrite; A is the logit
+    # perturbation W(a).T @ X.T of an adjoint a; sig is sigmoid(lam)
+    def probs(XT, w):
+        return _softmax_inplace(WT(w) @ XT, axis=-2)
 
-    def grad1_g(w, lam):
-        P = _softmax_inplace(WT(w) @ XvaT, axis=0)
-        P -= YvaT
-        out = (XvaT @ P.T).ravel()
+    def errors(XT, YT, w):
+        # P - Y in the softmax's own buffer, for a caller that keeps no P
+        P = probs(XT, w)
+        P -= YT
+        return P
+
+    def back(XT, M):
+        # X.T @ M.T, flattened to the layout of the d x C weights
+        return (XT @ M.swapaxes(-1, -2)).reshape(*M.shape[:-2], n)
+
+    def h_grad(R, sig):
+        R *= sig[..., None, :]
+        return back(XtrT, R)
+
+    def h_omega(P, A, sig):
+        dP = _softmax_jvp(P, A, axis=-2)
+        dP *= sig[..., None, :]
+        return back(XtrT, dP)
+
+    def h_lam(P, A, sig):
+        return sig * (1.0 - sig) * (A * (P - YtrT)).sum(axis=-2)
+
+    def g_grad(R, w):
+        out = back(XvaT, R)
         out += (2.0 * ridge) * w
         return out
 
-    def vjp11_h(a, w, lam):
-        P = _softmax_inplace(WT(w) @ XtrT, axis=0)
-        dP = _softmax_jvp(P, WT(a) @ XtrT, axis=0)
-        dP *= _sig(lam)
-        return (XtrT @ dP.T).ravel()
-
-    def vjp12_h(a, w, lam):
-        sig = _sig(lam)
-        P = _softmax_inplace(WT(w) @ XtrT, axis=0)
-        P -= YtrT
-        return sig * (1.0 - sig) * ((WT(a) @ XtrT) * P).sum(axis=0)
-
-    def vjp11_g(a, w, lam):
-        P = _softmax_inplace(WT(w) @ XvaT, axis=0)
-        dP = _softmax_jvp(P, WT(a) @ XvaT, axis=0)
-        out = (XvaT @ dP.T).ravel()
+    def g_omega(P, A, a):
+        out = back(XvaT, _softmax_jvp(P, A, axis=-2))
         out += (2.0 * ridge) * a
         return out
 
-    def grad1_h_many(ws, lams):
-        P = _softmax_inplace(np.matmul(ws.reshape(-1, d, C).transpose(0, 2, 1), XtrT), axis=-2)
-        P -= YtrT
-        P *= sigmoid(lams)[:, None, :]
-        return np.matmul(XtrT, P.transpose(0, 2, 1)).reshape(ws.shape[0], n)
+    def linearize(lam, residuals=True):
+        sig = sigmoid(lam)
 
-    def grad1_g_many(ws, lams):
-        P = _softmax_inplace(np.matmul(ws.reshape(-1, d, C).transpose(0, 2, 1), XvaT), axis=-2)
-        P -= YvaT
-        return np.matmul(XvaT, P.transpose(0, 2, 1)).reshape(ws.shape[0], n) + (2.0 * ridge) * ws
+        def h(w):
+            if not residuals:
+                return h_grad(errors(XtrT, YtrT, w), sig), None
+            P = probs(XtrT, w)
+
+            def vjp(a, omega_side):
+                A = WT(a) @ XtrT
+                return (h_omega(P, A, sig) if omega_side else None), h_lam(P, A, sig)
+
+            return h_grad(P - YtrT, sig), vjp
+
+        def g(w):
+            if not residuals:
+                return g_grad(errors(XvaT, YvaT, w), w), None
+            P = probs(XvaT, w)
+
+            def vjp(a, omega_side):
+                return (g_omega(P, WT(a) @ XvaT, a) if omega_side else None), None
+
+            return g_grad(P - YvaT, w), vjp
+
+        return h, g
+
+    # the slots: the same kernels at an unbound lam, for one row or a stack
+    def grad1_h(w, lam):
+        return h_grad(errors(XtrT, YtrT, w), sigmoid(lam))
+
+    def grad1_g(w, lam):
+        return g_grad(errors(XvaT, YvaT, w), w)
+
+    def vjp11_h(a, w, lam):
+        return h_omega(probs(XtrT, w), WT(a) @ XtrT, sigmoid(lam))
+
+    def vjp12_h(a, w, lam):
+        return h_lam(probs(XtrT, w), WT(a) @ XtrT, sigmoid(lam))
+
+    def vjp11_g(a, w, lam):
+        return g_omega(probs(XvaT, w), WT(a) @ XvaT, a)
 
     p = BilevelProblem(
         inner_dim=n, outer_dim=m, name="hypercleaning",
@@ -364,8 +388,9 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
         vjp11_h=vjp11_h, vjp12_h=vjp12_h, vjp11_g=vjp11_g,
         vjp12_g=lambda a, w, lam: np.zeros(m),
         g_lambda_free=True,
-        grad1_h_many=grad1_h_many, grad1_g_many=grad1_g_many,
+        grad1_h_many=grad1_h, grad1_g_many=grad1_g,
     )
+    p.linearize = linearize
     p.answers = {
         "train_losses": train_losses,
         # dh/dlam_i = sigmoid'(lam_i) * loss_i(w)
@@ -437,67 +462,93 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         # task x way x r view of the task x r x way heads
         return w.reshape(n_tasks, r, way).transpose(0, 2, 1)
 
-    def _forward(X2, w, lam):
-        # the mapped features X @ L as a task x r x sample view, and the logits
-        FT = (X2 @ lam.reshape(d, r)).reshape(n_tasks, -1, r).transpose(0, 2, 1)
-        return FT, np.matmul(WT(w), FT)
+    def features(X2, lam):
+        # the mapped features X @ L as a task x r x sample view
+        return (X2 @ lam.reshape(d, r)).reshape(n_tasks, -1, r).transpose(0, 2, 1)
 
-    def _contract_inputs(X2, M):
+    def contract_inputs(X2, M):
         # sum over tasks and samples of X^T M for a task x sample x r array M
         return (X2.T @ M.reshape(-1, r)).ravel()
 
     def h_value(w, lam):
-        _, ZT = _forward(Xtr2, w, lam)
+        ZT = np.matmul(WT(w), features(Xtr2, lam))
         return float(sample_losses(ZT, YtrT, axis=-2).sum())
 
     def g_value(w, lam):
-        _, ZT = _forward(Xva2, w, lam)
+        ZT = np.matmul(WT(w), features(Xva2, lam))
         return float(sample_losses(ZT, YvaT, axis=-2).sum() + ridge * (w @ w))
 
-    def _residual(X2, YT, w, lam):
-        FT, ZT = _forward(X2, w, lam)
-        D = _softmax_inplace(ZT, axis=-2)
-        D -= YT
-        return FT, D
+    # the kernels of one objective over its split (X2, YT), with ridge rg on
+    # the heads: FT are the features, P the softmax at w (the residuals a
+    # step saves), dP the softmax's response to the adjoint a's heads
+    def probs(FT, w):
+        return _softmax_inplace(np.matmul(WT(w), FT), axis=-2)
 
-    def grad1_h(w, lam):
-        FT, D = _residual(Xtr2, YtrT, w, lam)
-        return np.matmul(FT, D.transpose(0, 2, 1)).ravel()
+    def grad(FT, P, YT, w, rg):
+        out = np.matmul(FT, (P - YT).transpose(0, 2, 1)).ravel()
+        return out + 2.0 * rg * w if rg else out
 
-    def grad1_g(w, lam):
-        FT, D = _residual(Xva2, YvaT, w, lam)
-        return np.matmul(FT, D.transpose(0, 2, 1)).ravel() + 2.0 * ridge * w
+    def dprobs(FT, P, a):
+        return _softmax_jvp(P, np.matmul(WT(a), FT), axis=-2)
 
-    def grad2_g(w, lam):
-        _, D = _residual(Xva2, YvaT, w, lam)
-        return _contract_inputs(Xva2, np.matmul(D.transpose(0, 2, 1), WT(w)))
-
-    def _vjp11(X2, a, w, lam, rg):
-        FT, ZT = _forward(X2, w, lam)
-        P = _softmax_inplace(ZT, axis=-2)
-        dP = _softmax_jvp(P, np.matmul(WT(a), FT), axis=-2)
+    def omega_part(FT, dP, a, rg):
         out = np.matmul(FT, dP.transpose(0, 2, 1)).ravel()
         return out + 2.0 * rg * a if rg else out
 
-    def _vjp12(X2, YT, a, w, lam):
-        FT, ZT = _forward(X2, w, lam)
-        P = _softmax_inplace(ZT, axis=-2)
-        A = WT(a)
-        dP = _softmax_jvp(P, np.matmul(A, FT), axis=-2)
-        P -= YT
+    def lam_part(X2, YT, P, dP, w, a):
         M = np.matmul(dP.transpose(0, 2, 1), WT(w))
-        M += np.matmul(P.transpose(0, 2, 1), A)
-        return _contract_inputs(X2, M)
+        M += np.matmul((P - YT).transpose(0, 2, 1), WT(a))
+        return contract_inputs(X2, M)
+
+    def linearize(lam, residuals=True):
+        def bind(X2, YT, rg):
+            FT = features(X2, lam)
+
+            def lin(w):
+                P = probs(FT, w)
+
+                def vjp(a, omega_side):
+                    dP = dprobs(FT, P, a)
+                    return (omega_part(FT, dP, a, rg) if omega_side else None,
+                            lam_part(X2, YT, P, dP, w, a))
+
+                return grad(FT, P, YT, w, rg), (vjp if residuals else None)
+
+            return lin
+
+        return bind(Xtr2, YtrT, 0.0), bind(Xva2, YvaT, ridge)
+
+    # the slots: the same kernels with the features mapped at each call
+    def slots(X2, YT, rg):
+        def grad1(w, lam):
+            FT = features(X2, lam)
+            return grad(FT, probs(FT, w), YT, w, rg)
+
+        def vjp11(a, w, lam):
+            FT = features(X2, lam)
+            return omega_part(FT, dprobs(FT, probs(FT, w), a), a, rg)
+
+        def vjp12(a, w, lam):
+            FT = features(X2, lam)
+            P = probs(FT, w)
+            return lam_part(X2, YT, P, dprobs(FT, P, a), w, a)
+
+        return grad1, vjp11, vjp12
+
+    grad1_h, vjp11_h, vjp12_h = slots(Xtr2, YtrT, 0.0)
+    grad1_g, vjp11_g, vjp12_g = slots(Xva2, YvaT, ridge)
+
+    def grad2_g(w, lam):
+        P = probs(features(Xva2, lam), w)
+        return contract_inputs(Xva2, np.matmul((P - YvaT).transpose(0, 2, 1), WT(w)))
 
     p = BilevelProblem(
         inner_dim=n, outer_dim=m, name="hyperrep",
         h_value=h_value, g_value=g_value,
         grad1_h=grad1_h, grad1_g=grad1_g, grad2_g=grad2_g,
-        vjp11_h=lambda a, w, lam: _vjp11(Xtr2, a, w, lam, 0.0),
-        vjp12_h=lambda a, w, lam: _vjp12(Xtr2, YtrT, a, w, lam),
-        vjp11_g=lambda a, w, lam: _vjp11(Xva2, a, w, lam, ridge),
-        vjp12_g=lambda a, w, lam: _vjp12(Xva2, YvaT, a, w, lam),
+        vjp11_h=vjp11_h, vjp12_h=vjp12_h, vjp11_g=vjp11_g, vjp12_g=vjp12_g,
     )
+    p.linearize = linearize
     p.answers = {"n_tasks": n_tasks, "rep_dim": r, "way": way, "ridge": ridge}
     return p
 

@@ -59,6 +59,33 @@ class TestAlphaSchedule:
             bl.schedule(3, "augmented", spec())
 
 
+class TestAlphaExponentValidation:
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), -1.0, -1e-300])
+    def test_non_finite_or_negative_rejected(self, exponent):
+        with pytest.raises(ValueError, match="alpha_exponent must be finite and non-negative"):
+            spec(K=60, alpha_exponent=exponent)
+        with pytest.raises(ValueError, match="alpha_exponent must be finite and non-negative"):
+            bl.SolveConfig(t=0.1, s=0.1, eta=0.1, K=60, T=2, alpha_exponent=exponent)
+
+    def test_underflowing_weights_rejected(self):
+        # 60^-200 is 0.0 in float64: the last 19 averaged steps would drop h
+        with pytest.raises(ValueError, match="underflows the averaging weight of inner step 60"):
+            spec(K=60, alpha_exponent=200.0)
+        with pytest.raises(ValueError, match="underflows"):
+            bl.SolveConfig(t=0.1, s=0.1, eta=0.1, K=60, T=2, alpha_exponent=200.0)
+
+    def test_bound_follows_the_last_averaged_step(self):
+        # frequency 60 averages step 1 only, whose weight is 1 for any exponent
+        alphas = bl.schedule(60, "improved", spec(K=60, alpha_exponent=200.0,
+                                                  bigsam_frequency=60))
+        assert np.all(alphas == 1.0)
+        with pytest.raises(ValueError, match="inner step 60"):
+            spec(K=60, alpha_exponent=200.0, bigsam_frequency=59)
+        # 60^-180 is subnormal but positive
+        alphas = bl.schedule(60, "improved", spec(K=60, alpha_exponent=180.0))
+        assert np.all(alphas > 0.0)
+
+
 class TestBigsamStep:
     """One averaged step, seen through ``solve_inner`` and ``bigsam_standalone``.
 

@@ -101,6 +101,15 @@ class TestSolve:
         assert code == 2
         assert "'T'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exponent", [200.0, -1.0])
+    def test_out_of_range_alpha_exponent_exits_2(self, tmp_path, capsys, exponent):
+        cfg = write_config(tmp_path / "c.json", K=60, alpha_exponent=exponent)
+        code = run_cli("solve", "--problem", "closedform_quadratic",
+                       "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_divergence_exits_3_with_truncated_csv(self, tmp_path, monkeypatch):
         import dataclasses
         import bilevelopt as bl

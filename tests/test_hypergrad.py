@@ -245,6 +245,40 @@ class TestFdOracleIndependence:
         assert seen == [None, None]
 
 
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestRecordedReverse:
+    """A problem's linearize hook against its ``replace`` copy, which runs the slots."""
+
+    @pytest.mark.parametrize("name", ["hyperclean_synthetic", "hyperrep_synthetic"])
+    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    @pytest.mark.parametrize("freq", [1, 3])
+    def test_equals_the_slot_path_bit_for_bit(self, name, mode, freq):
+        inst = bl.zoo_problem(name, seed=1)
+        p = inst.problem
+        slots = dataclasses.replace(p)
+        assert p.linearize is not None and slots.linearize is None
+        d = inst.defaults
+        spec = bl.InnerSolveSpec(K=12, t=d["t"], s=d["s"], bigsam_frequency=freq)
+        lam = inst.lam0 + np.random.default_rng(freq).normal(0.0, 0.3, p.outer_dim)
+        tape = bl.solve_inner(p, lam, spec, mode)
+        ref = bl.solve_inner(slots, lam, spec, mode)
+        assert ref.vjps is None and len(tape.vjps) == spec.K
+        assert [vjp_g is None for _, vjp_g in tape.vjps] == (tape.alphas == 1.0).tolist()
+        assert same_bits(tape.iterates, ref.iterates)
+        want = bl.reverse_hypergradient(slots, ref)
+        assert same_bits(bl.reverse_hypergradient(p, tape), want)
+        # a tape reversed with a copy goes through the copy's slots
+        assert same_bits(bl.reverse_hypergradient(slots, tape), want)
+        # the FD referee: the hook binds the batched probes once, the copy
+        # runs the batched slots (hyper-cleaning) or the serial loop
+        assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec, mode),
+                         bl.hypergradient_fd_oracle(slots, lam, spec, mode))
+
+
 class TestTapeMismatch:
     def test_dimension_mismatch_rejected(self):
         p = bl.make_closedform_quadratic()

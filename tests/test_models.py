@@ -1,6 +1,8 @@
 """Outer-loop drivers: traces, determinism, ablations, divergence handling."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -151,6 +153,34 @@ class TestRunModel:
         assert cause.failed_iteration >= 1
         assert len(cause.partial_trace.records) == cause.failed_iteration
         assert np.isfinite(cause.partial_trace.outer_values).all()
+
+
+class TestTapeLifetime:
+    @pytest.mark.parametrize("name", ["hyperclean_synthetic", "hyperrep_synthetic"])
+    def test_a_tape_is_released_before_the_next_solve(self, name, monkeypatch):
+        # a recorded tape holds O(K) saved residuals; two must never be alive together
+        from bilevelopt import models
+        real = models.solve_inner
+        tapes = []
+
+        def spy(*args):
+            assert [ref() for ref in tapes] == [None] * len(tapes)
+            tape = real(*args)
+            assert tape.vjps is not None
+            tapes.append(weakref.ref(tape))
+            return tape
+
+        monkeypatch.setattr(models, "solve_inner", spy)
+        inst = bl.zoo_problem(name)
+        d = inst.defaults
+        cfg = bl.SolveConfig(t=d["t"], s=d["s"], eta=d["eta"], K=6, T=4)
+        gc.collect()
+        gc.disable()
+        try:
+            bl.run_model(inst.problem, inst.lam0, cfg)
+        finally:
+            gc.enable()
+        assert len(tapes) == 4 and tapes[-1]() is None
 
 
 class TestRunAblation:

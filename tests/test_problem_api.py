@@ -1,5 +1,9 @@
 """Oracle record, finite-difference VJPs, and first-order validation."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -187,3 +191,26 @@ class TestZooAnalyticVjps:
         assert problem.vjp12_h(a, w, lam).shape == (m,)
         assert problem.vjp11_g(a, w, lam).shape == (n,)
         assert problem.vjp12_g(a, w, lam).shape == (m,)
+
+
+class TestNoReferenceCycles:
+    """A problem must die on its last reference: no instance holds a closure over itself."""
+
+    @pytest.mark.parametrize("name", bl.ZOO_NAMES)
+    def test_problem_and_replace_copy_die_on_del(self, name):
+        gc.collect()
+        gc.disable()
+        try:
+            p = bl.zoo_problem(name).problem
+            copy = dataclasses.replace(p)
+            # a solve and its reverse pass leave nothing that points back either
+            for problem in (p, copy):
+                spec = bl.InnerSolveSpec(K=3, t=0.01, s=0.01)
+                tape = bl.solve_inner(problem, np.zeros(problem.outer_dim), spec, "improved")
+                bl.reverse_hypergradient(problem, tape)
+            del tape, problem
+            refs = [weakref.ref(p), weakref.ref(copy)]
+            del p, copy
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()

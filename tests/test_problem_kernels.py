@@ -5,7 +5,9 @@ samples along rows with a trailing class axis for hyper-cleaning, and
 three-operand einsum contractions for hyper-representation.  Every oracle
 slot of the problems built by ``make_hypercleaning`` and ``make_hyperrep``
 must agree with them to rtol 1e-12 (the array's scale is the floor for
-entries that pass through zero).
+entries that pass through zero).  The ``linearize`` hook's per-solve
+linearizers must give the slots' results bit for bit, and agree with the
+finite-difference VJPs.
 """
 
 import numpy as np
@@ -254,3 +256,77 @@ class TestSigmoid:
         assert np.isnan(got[~finite]).all() and np.isnan(want[~finite]).all()
         block = x[:2200].reshape(-1, 10)
         assert np.array_equal(sigmoid(block), masked_sigmoid(block))
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+LEARNING_BUILDS = {
+    "hyperclean-C2": lambda: bl.make_hypercleaning(*clean_data(2, seed=3)),
+    "hyperclean-C3": lambda: bl.make_hypercleaning(*clean_data(3, seed=3)),
+    "hyperrep-way3": lambda: bl.make_hyperrep(rep_episodes(way=3, shot=2), 4),
+    "hyperrep-way5": lambda: bl.make_hyperrep(rep_episodes(way=5, shot=1, vpc=10, tasks=4), 4),
+}
+
+
+def objectives(p, lin):
+    """(linearizer, grad1, vjp11, vjp12, lam_free) of h and of g, from linearize's pair."""
+    h, g = lin
+    return ((h, p.grad1_h, p.vjp11_h, p.vjp12_h, False),
+            (g, p.grad1_g, p.vjp11_g, p.vjp12_g, p.g_lambda_free))
+
+
+class TestLinearizeHook:
+    """The per-solve linearizers against the slots they must reproduce bit for bit."""
+
+    @pytest.mark.parametrize("build", list(LEARNING_BUILDS))
+    def test_bound_kernels_equal_the_slots(self, build):
+        p = LEARNING_BUILDS[build]()
+        rng = np.random.default_rng(len(build))
+        for _ in range(3):
+            a, w, lam = random_point(p, rng)
+            for residuals in (True, False):
+                lin = p.linearize(lam, residuals=residuals)
+                for linearizer, grad1, vjp11, vjp12, lam_free in objectives(p, lin):
+                    grad, vjp = linearizer(w)
+                    assert_bits(grad, grad1(w, lam))
+                    if not residuals:
+                        assert vjp is None
+                        continue
+                    d_omega, d_lam = vjp(a, True)
+                    assert_bits(d_omega, vjp11(a, w, lam))
+                    if lam_free:
+                        assert d_lam is None
+                    else:
+                        assert_bits(d_lam, vjp12(a, w, lam))
+                    skipped, again = vjp(a, False)
+                    assert skipped is None
+                    assert (again is None) if lam_free else np.array_equal(again, d_lam)
+
+    @pytest.mark.parametrize("C", [2, 3])
+    def test_bound_stack_equals_the_batched_slots(self, C):
+        p = bl.make_hypercleaning(*clean_data(C, seed=4))
+        rng = np.random.default_rng(20 + C)
+        ws = rng.normal(0, 0.5, (6, p.inner_dim))
+        lams = rng.normal(0, 0.5, (6, p.outer_dim))
+        h, g = p.linearize(lams, residuals=False)
+        assert_bits(h(ws)[0], p.grad1_h_many(ws, lams))
+        assert_bits(g(ws)[0], p.grad1_g_many(ws, lams))
+
+    @pytest.mark.parametrize("build", list(LEARNING_BUILDS))
+    def test_bound_vjps_match_fd(self, build):
+        p = LEARNING_BUILDS[build]()
+        rng = np.random.default_rng(30 + len(build))
+        a, w, lam = random_point(p, rng, scale=0.3)
+        h, g = p.linearize(lam)
+        for which, linearizer in (("h", h), ("g", g)):
+            d_omega, d_lam = linearizer(w)[1](a, True)
+            for got, sel, point in ((d_omega, which + "11", w), (d_lam, which + "12", lam)):
+                if got is None:
+                    continue
+                want = fd_vjp(p, sel, a, w, lam, 1e-5 * max(1.0, np.max(np.abs(point))))
+                err = np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
+                assert err < 1e-6, (sel, err)

@@ -10,6 +10,7 @@ spectrum in (0, 1] and K up to 300 steps stay bounded.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -96,6 +97,12 @@ def test_exponent_zero_is_basic_bit_for_bit(case):
 @given(K=st.integers(0, 500), exponent=st.floats(-1.0, 4.0), freq=st.integers(1, 10),
        mode=st.sampled_from(["improved", "basic"]))
 def test_schedule_bounds(K, exponent, freq, mode):
+    if exponent < 0.0:
+        # a negative exponent would pin every weight at 1: basic mode in disguise
+        with pytest.raises(ValueError, match="alpha_exponent"):
+            bl.InnerSolveSpec(K=max(K, 1), t=0.1, s=0.1, alpha_exponent=exponent,
+                              bigsam_frequency=freq)
+        return
     spec = bl.InnerSolveSpec(K=max(K, 1), t=0.1, s=0.1, alpha_exponent=exponent,
                              bigsam_frequency=freq)
     alphas = bl.schedule(K, mode, spec)

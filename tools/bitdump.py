@@ -1,0 +1,69 @@
+"""Print a digest of every number the solver produces on the zoo, for bit-for-bit comparison.
+
+    python3 tools/bitdump.py [--src DIR] > digests.txt
+
+For each zoo problem (seed 0), each mode and averaging frequencies 1 and 3,
+on the problem itself and on a ``dataclasses.replace`` copy of it (which
+drops every declaration set after construction, so it runs the generic loop
+over the oracle slots), the script prints one line per result: the SHA-256
+of the bytes of the recorded iterates, of the reverse-mode hypergradient and
+of the central-difference hypergradient.  ``--src`` selects the library
+sources to import (default: ``src/`` next to this directory), so two
+checkouts compare with one command:
+
+    diff <(python3 tools/bitdump.py --src ../parent/src) <(python3 tools/bitdump.py)
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(array) -> str:
+    import numpy as np
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest()
+
+
+def lines():
+    import numpy as np
+    import bilevelopt as bl
+
+    for name in bl.ZOO_NAMES:
+        inst = bl.zoo_problem(name, seed=0)
+        d = inst.defaults
+        # hyper-cleaning starts at lam = 0, where every sample weighs the
+        # same: move off it so that each lam coordinate matters
+        lam = inst.lam0 + np.random.default_rng(0).normal(0.0, 0.3, inst.lam0.shape)
+        for copy in ("problem", "replace"):
+            problem = inst.problem if copy == "problem" else dataclasses.replace(inst.problem)
+            for mode in ("improved", "basic"):
+                for freq in (1, 3):
+                    spec = bl.InnerSolveSpec(K=d["K"], t=d["t"], s=d["s"], bigsam_frequency=freq)
+                    tape = bl.solve_inner(problem, lam, spec, mode)
+                    results = (("iterates", tape.iterates),
+                               ("hypergradient", bl.reverse_hypergradient(problem, tape)),
+                               ("fd_hypergradient",
+                                bl.hypergradient_fd_oracle(problem, lam, spec, mode)))
+                    for what, value in results:
+                        yield f"{name} {copy} {mode} freq={freq} {what} {digest(value)}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="directory holding the bilevelopt package to import")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    for line in lines():
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
