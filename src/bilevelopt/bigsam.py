@@ -15,11 +15,10 @@ the decaying weight alpha_k = min(1, k^(-exponent)) of ``schedule``.  Steps
 with alpha == 1 skip the grad1_g evaluation entirely, so a run with exponent
 0 is bit-identical to a basic-mode run.
 
-A problem with a ``linearize`` hook has lam bound once per solve; ``solve_inner``
-then records each step's VJP, which reads the residuals its forward step
-saved, on the ``Tape``.  The value-only paths (``final_inner_iterate`` and the
-batched ``final_inner_iterates_many``) bind lam the same way and record
-nothing.  The reverse pass over a ``Tape`` lives in ``bilevelopt.hypergrad``.
+Every solve binds lam once through ``bilevelopt.problem.linearizer``.
+``solve_inner`` records each step's VJP on the ``Tape``; the value-only paths
+(``final_inner_iterate``, ``final_inner_iterates_many``) ask for no residuals
+and record nothing.  The reverse pass over a ``Tape`` is ``bilevelopt.hypergrad``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import affine
-from .problem import BilevelProblem, OracleDivergence, as_vector
+from .problem import BilevelProblem, OracleDivergence, as_vector, linearizer
 
 __all__ = ["InnerSolveSpec", "Tape", "schedule", "solve_inner", "bigsam_standalone"]
 
@@ -53,6 +52,17 @@ def check_alpha_exponent(exponent: float, K: int, frequency: int) -> None:
                          f"of inner step {last} to 0")
 
 
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; a non-integral value or one below ``least`` is rejected."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class InnerSolveSpec:
     """Configuration of one inner solve.
@@ -70,12 +80,11 @@ class InnerSolveSpec:
     omega0: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if int(self.K) != self.K or self.K < 0:
-            raise ValueError("K must be a non-negative integer")
+        object.__setattr__(self, "K", check_count("K", self.K, 0))
         if not (self.t > 0 and self.s > 0):
             raise ValueError("step sizes must be positive")
-        if int(self.bigsam_frequency) != self.bigsam_frequency or self.bigsam_frequency < 1:
-            raise ValueError("bigsam_frequency must be a positive integer")
+        object.__setattr__(self, "bigsam_frequency",
+                           check_count("bigsam_frequency", self.bigsam_frequency, 1))
         check_alpha_exponent(self.alpha_exponent, self.K, self.bigsam_frequency)
 
 
@@ -85,10 +94,11 @@ class Tape:
 
     ``iterates`` stacks omega_0..omega_K row-wise; ``alphas`` holds the K
     averaging weights actually used (alphas[k] produced iterates[k+1]).
-    ``vjps``, recorded through the problem's ``linearize`` hook, holds one
-    pair per step k: the VJP of h at omega_k and that of g, or None where
+    ``vjps``, recorded by every solve that runs the step loop, holds one pair
+    per step k: the VJP of h at omega_k and that of g, or None where
     alphas[k] == 1.  Their saved residuals are O(K) arrays of the problem's
-    intermediate size; a tape without them is reversed through the VJP slots.
+    intermediate size; a tape without them (hand-built, or from the composed
+    affine path) is linearized again by the reverse pass.
     """
 
     iterates: np.ndarray
@@ -143,55 +153,31 @@ def _start(problem: BilevelProblem, spec: InnerSolveSpec) -> np.ndarray:
 
 
 def _iterate(omega: np.ndarray, alphas: np.ndarray, t: float, s: float,
-             grad_h: Callable, grad_g: Callable,
-             out: Optional[np.ndarray] = None) -> np.ndarray:
+             lin_h: Callable, lin_g: Callable, out: Optional[np.ndarray] = None,
+             vjps: Optional[list] = None) -> np.ndarray:
     """Run the K averaged steps from omega and return the last iterate.
 
-    ``omega`` is one row or a stack of rows; ``grad_h`` and ``grad_g`` map it
-    to the gradients of h and g at the solve's lam, bound beforehand.  A step
-    with alpha == 1 never calls ``grad_g``.  When ``out`` is given, iterate
-    k+1 is written into its row k+1.  An overflow is not warned about: the
-    caller's finiteness check reports the divergence.
+    ``omega`` is one row or a stack of rows; ``lin_h`` and ``lin_g`` are the
+    per-step linearizers of h and g at the solve's lam, bound beforehand.  A
+    step with alpha == 1 never calls ``lin_g``.  When ``out`` is given,
+    iterate k+1 is written into its row k+1; when ``vjps`` is given, step k
+    appends its pair (VJP of h, VJP of g or None).  An overflow is not warned
+    about: the caller's finiteness check reports the divergence.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for k, alpha in enumerate(alphas.tolist()):
+            grad_h, vjp_h = lin_h(omega)
             if alpha == 1.0:
-                omega = omega - t * grad_h(omega)
+                vjp_g = None
+                omega = omega - t * grad_h
             else:
-                omega = omega - (t * alpha) * grad_h(omega) \
-                              - (s * (1.0 - alpha)) * grad_g(omega)
+                grad_g, vjp_g = lin_g(omega)
+                omega = omega - (t * alpha) * grad_h - (s * (1.0 - alpha)) * grad_g
+            if vjps is not None:
+                vjps.append((vjp_h, vjp_g))
             if out is not None:
                 out[k + 1] = omega
     return omega
-
-
-def _gradients(problem: BilevelProblem, lam: np.ndarray, vjps: Optional[tuple] = None,
-               batched: bool = False) -> Tuple[Callable, Callable]:
-    """grad1_h and grad1_g at ``lam``, as functions of omega alone.
-
-    A problem with a ``linearize`` hook binds lam once; given ``vjps``, a
-    pair of lists, each gradient call then also appends its step's VJP to
-    the list of its objective (h's, then g's).  Without the hook the slots
-    are called with lam, the batched ones for a stack of lam rows, and
-    nothing is recorded.
-    """
-    if problem.linearize is not None:
-        lin_h, lin_g = problem.linearize(lam, residuals=vjps is not None)
-        if vjps is None:
-            return (lambda w: lin_h(w)[0]), (lambda w: lin_g(w)[0])
-        return _recorded(lin_h, vjps[0]), _recorded(lin_g, vjps[1])
-    grad_h, grad_g = ((problem.grad1_h_many, problem.grad1_g_many) if batched
-                      else (problem.grad1_h, problem.grad1_g))
-    return (lambda w: grad_h(w, lam)), (lambda w: grad_g(w, lam))
-
-
-def _recorded(linearizer: Callable, vjps: list) -> Callable:
-    def grad(w):
-        value, vjp = linearizer(w)
-        vjps.append(vjp)
-        return value
-
-    return grad
 
 
 def _solve(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str,
@@ -205,21 +191,16 @@ def _solve(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str,
     if iterates is None:
         iterates = np.empty((spec.K + 1, problem.inner_dim))
         iterates[0] = omega
-        h_vjps, g_vjps = recorded = ([], [])
-        _iterate(omega, alphas, spec.t, spec.s,
-                 *_gradients(problem, lam, recorded if record else None), out=iterates)
-        if h_vjps:
-            # g was linearized on the averaged steps only, in step order
-            g_steps = iter(g_vjps)
-            vjps = tuple((vjp_h, None if alpha == 1.0 else next(g_steps))
-                         for vjp_h, alpha in zip(h_vjps, alphas.tolist()))
+        vjps = [] if record else None
+        _iterate(omega, alphas, spec.t, spec.s, *linearizer(problem, lam, residuals=record),
+                 out=iterates, vjps=vjps)
     finite_rows = np.all(np.isfinite(iterates), axis=1)
     if not finite_rows.all():
         bad = int(np.argmin(finite_rows))
         raise OracleDivergence(
             f"oracle-divergence: non-finite iterate (inner step {max(bad - 1, 0)})")
     return Tape(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
-                lam=lam.copy(), mode=mode, vjps=vjps)
+                lam=lam.copy(), mode=mode, vjps=None if vjps is None else tuple(vjps))
 
 
 def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -> Tape:
@@ -230,12 +211,11 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -
     search, no stopping rule beyond the fixed K.
 
     The loop costs K gradient evaluations of h plus one of g per averaged
-    step.  A problem with a ``linearize`` hook also gets each step's VJP
-    recorded on the tape.  A problem that declares its affine structure
-    (``BilevelProblem.affine``) instead has its K step maps composed by a
-    blocked scan (``bilevelopt.affine``), which evaluates no gradient oracle
-    and agrees with the loop to roundoff; if a composed value is not finite
-    the loop is run instead.  Finiteness is checked once on the recorded
+    step, and records each step's VJP on the tape.  A problem that declares
+    its affine structure (``BilevelProblem.affine``) instead has its K step
+    maps composed by a blocked scan (``bilevelopt.affine``), which evaluates
+    no gradient oracle and agrees with the loop to roundoff; if a composed
+    value is not finite the loop is run instead.  Finiteness is checked once on the recorded
     trajectory: the first non-finite iterate names the diverging step.
     """
     return _solve(problem, lam, spec, mode, record=True)
@@ -256,14 +236,15 @@ def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
 
     Requires the problem's batched gradient oracles; every row runs the same
     schedule from the same omega_0, so this is the per-row recursion executed
-    together.  A ``linearize`` hook binds the whole stack once.
+    together.  ``linearizer`` binds the whole stack once.
     """
     alphas = schedule(spec.K, mode, spec)
     if problem.grad1_h_many is None or (mode == "improved" and problem.grad1_g_many is None):
         raise ValueError("problem does not provide batched gradient oracles")
     lams = np.asarray(lams, dtype=np.float64)
     omegas = np.tile(_start(problem, spec), (lams.shape[0], 1))
-    omegas = _iterate(omegas, alphas, spec.t, spec.s, *_gradients(problem, lams, batched=True))
+    omegas = _iterate(omegas, alphas, spec.t, spec.s,
+                      *linearizer(problem, lams, residuals=False))
     if not np.all(np.isfinite(omegas)):
         raise OracleDivergence("oracle-divergence: non-finite final iterate in batched solve")
     return omegas
@@ -283,8 +264,8 @@ def bigsam_standalone(h_oracle: Tuple[Callable, Callable],
     _, g_grad = g_oracle
     omega = np.array(omega0, dtype=np.float64, copy=True).reshape(-1)
     omega = _iterate(omega, schedule(K, "improved", spec), t, s,
-                     lambda w: np.asarray(h_grad(w), dtype=np.float64),
-                     lambda w: np.asarray(g_grad(w), dtype=np.float64))
+                     lambda w: (np.asarray(h_grad(w), dtype=np.float64), None),
+                     lambda w: (np.asarray(g_grad(w), dtype=np.float64), None))
     if not np.all(np.isfinite(omega)):
         raise OracleDivergence("oracle-divergence: non-finite final iterate")
     return omega

@@ -77,9 +77,9 @@ def _resolve_config(args, defaults: dict) -> dict:
 def _solve_config(cfg: dict, mode: str) -> SolveConfig:
     try:
         return SolveConfig(t=float(cfg["t"]), s=float(cfg["s"]), eta=float(cfg["eta"]),
-                           K=int(cfg["K"]), T=int(cfg["T"]),
+                           K=cfg["K"], T=cfg["T"],
                            alpha_exponent=float(cfg["alpha_exponent"]),
-                           bigsam_frequency=int(cfg["bigsam_frequency"]),
+                           bigsam_frequency=cfg["bigsam_frequency"],
                            seed=int(cfg["seed"]), mode=mode)
     except (ValueError, TypeError) as exc:
         raise CliError(f"invalid config: {exc}")

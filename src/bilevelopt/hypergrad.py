@@ -26,21 +26,21 @@ is far above tolerance at small K.  The pass therefore takes exactly K
 lam-side and K-1 omega-side VJPs of h, plus those of g on averaged steps:
 O(K), matching the forward cost.
 
-Where those VJPs come from sets what each costs.  A problem with a
-``linearize`` hook has them recorded on the tape by the forward pass: one
-joint VJP per objective and step, which reads the residuals the forward step
-saved (the learning problems' softmax probabilities, and hyper-
-representation's lam-bound features) and so recomputes no forward quantity.
-The residuals are alive from the forward pass until the tape is dropped:
-O(K) arrays of the problem's intermediate size, K C x N probabilities for h
-and one per averaged step for g in hyper-cleaning.  A tape without them
-(hand-built, or solved by a problem without the hook) and a tape reversed
-with a problem without the hook (a ``replace`` copy) get their step VJPs
-built from the four VJP slots as the pass reaches each step: K calls of vjp12_h, K-1 of vjp11_h, and vjp11_g/vjp12_g on averaged
-steps, each recomputing its forward quantities.  A problem that declares
-its affine structure (``BilevelProblem.affine``) calls no VJP: its step maps
-are composed by a blocked scan that carries the lam-Jacobian forward
-(``bilevelopt.affine``).
+Where those VJPs come from sets what each costs.  Every solve that runs the
+step loop records them on its tape through ``bilevelopt.problem.linearizer``,
+and the pass walks a tape's own VJPs.  A ``linearize`` hook's VJPs read the
+residuals their forward step saved (the learning problems' softmax
+probabilities, and hyper-representation's lam-bound features), so they
+recompute no forward quantity; the residuals live until the tape is dropped,
+O(K) arrays of the problem's intermediate size.  VJPs built from the slots
+(a ``replace`` copy, a user-built record) keep only the step's iterate and
+call vjp11/vjp12, or the FD fallback of a slot left None, as the pass reaches
+them, each recomputing its forward quantities.  A tape without VJPs
+(hand-built, or from the affine path) is linearized again from its iterates
+by the problem the pass is given, at one more gradient per step.  A problem
+that declares its affine structure (``BilevelProblem.affine``) calls no VJP:
+its step maps are composed by a blocked scan that carries the lam-Jacobian
+forward (``bilevelopt.affine``).
 """
 
 from __future__ import annotations
@@ -51,25 +51,9 @@ import numpy as np
 
 from . import affine
 from .bigsam import InnerSolveSpec, Tape, final_inner_iterate, final_inner_iterates_many
-from .problem import BilevelProblem, OracleDivergence, as_vector
+from .problem import BilevelProblem, OracleDivergence, as_vector, linearizer
 
 __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
-
-
-def _slot_vjps(problem: BilevelProblem, tape: Tape):
-    """The tape's step VJPs from the problem's four VJP slots, newest step first."""
-    lam = tape.lam
-
-    def at(w, vjp11, vjp12, lam_free):
-        return lambda a, omega_side: (vjp11(a, w, lam) if omega_side else None,
-                                      None if lam_free else vjp12(a, w, lam))
-
-    alphas = tape.alphas.tolist()
-    for k in range(tape.K - 1, -1, -1):
-        w = tape.iterates[k]
-        yield (at(w, problem.vjp11_h, problem.vjp12_h, False),
-               None if alphas[k] == 1.0 else
-               at(w, problem.vjp11_g, problem.vjp12_g, problem.g_lambda_free))
 
 
 def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
@@ -77,9 +61,8 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
 
     The loop applies the step map's two VJPs of the module docstring: K
     lam-side and K-1 omega-side VJPs of h, plus those of g on averaged
-    steps.  They are the tape's recorded ones when the problem has a
-    ``linearize`` hook (a tape is reversed with the problem that recorded
-    it), else built from the problem's VJP slots.  A problem with a declared
+    steps.  They are the tape's recorded ones, else those of ``linearizer``
+    at the tape's iterates, newest first.  A problem with a declared
     affine structure instead gets grad2_g + J_K^T grad1_g from its composed
     step maps, and runs the loop only if that value is not finite.
     Finiteness is checked once on the result, so an overflow on the way is
@@ -94,14 +77,16 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
         G = affine.hypergradient(problem, tape)
         if G is not None:
             return G
-    if problem.linearize is not None and tape.vjps is not None:
-        steps = reversed(tape.vjps)
-    else:
-        steps = _slot_vjps(problem, tape)
     lam = tape.lam
     omega_K = tape.final
     t, s = tape.t, tape.s
     alphas = tape.alphas.tolist()
+    if tape.vjps is not None:
+        steps = reversed(tape.vjps)
+    else:
+        lin_h, lin_g = linearizer(problem, lam)
+        steps = ((lin_h(w)[1], None if alpha == 1.0 else lin_g(w)[1])
+                 for w, alpha in zip(tape.iterates[-2::-1], alphas[::-1]))
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.asarray(problem.grad1_g(omega_K, lam), dtype=np.float64)
         G = np.asarray(problem.grad2_g(omega_K, lam), dtype=np.float64).copy()

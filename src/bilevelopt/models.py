@@ -15,7 +15,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .bigsam import InnerSolveSpec, check_alpha_exponent, solve_inner
+from .bigsam import InnerSolveSpec, check_alpha_exponent, check_count, solve_inner
 from .hypergrad import reverse_hypergradient
 from .problem import BilevelProblem, OracleDivergence, as_vector
 
@@ -24,7 +24,10 @@ __all__ = ["SolveConfig", "TraceRecord", "ExperimentTrace", "run_model", "run_ab
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """All scalars of one run: step sizes, budgets, schedule, seed, mode."""
+    """All scalars of one run: step sizes, budgets, schedule, seed, mode.
+
+    ``K``, ``T`` and ``bigsam_frequency`` must be integral: 200.0 is 200, 2.5 fails.
+    """
 
     t: float
     s: float
@@ -39,10 +42,10 @@ class SolveConfig:
     def __post_init__(self):
         if not (self.t > 0 and self.s > 0 and self.eta > 0):
             raise ValueError("t, s and eta must be positive")
-        if self.K < 1 or self.T < 1:
-            raise ValueError("K and T must be at least 1")
-        if self.bigsam_frequency < 1:
-            raise ValueError("bigsam_frequency must be at least 1")
+        for name in ("K", "T", "bigsam_frequency"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                object.__setattr__(self, name, check_count(name, value, 1))
         if self.mode not in ("improved", "basic"):
             raise ValueError(f"unknown mode {self.mode!r}")
         check_alpha_exponent(self.alpha_exponent, self.K, self.bigsam_frequency)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .bigsam import InnerSolveSpec, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
-from .problem import BilevelProblem, default_fd_eps, fd_vjp, validate_first_order
+from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, default_fd_eps, fd_vjp,
+                      validate_first_order)
 
 __all__ = ["OracleReport", "CheckConfig", "grid_min_oracle", "check_suite",
            "default_check_configs"]
@@ -130,8 +131,7 @@ def _check_first_order(problem, cfg) -> OracleReport:
 
 
 def _check_vjps(problem, cfg) -> Optional[OracleReport]:
-    analytic = [(attr, which) for attr, which in
-                (("vjp11_h", "h11"), ("vjp12_h", "h12"), ("vjp11_g", "g11"), ("vjp12_g", "g12"))
+    analytic = [(attr, which) for attr, which in zip(VJP_SLOTS, VJP_NAMES)
                 if problem.vjp_flavor.get(attr) == "analytic"]
     if not analytic:
         return None

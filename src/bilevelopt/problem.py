@@ -9,8 +9,8 @@ left-multiplied second-order vector-Jacobian products
     vjp11_h(a) = a^T d^2h/domega^2        (length n)
     vjp12_h(a) = a^T d^2h/domega dlam     (length m)
 
-and likewise for g.  Problems may supply these analytically or let the record
-fall back to central finite differences of their first-order gradients.
+and likewise for g.  Problems may supply these analytically or leave them
+None, to be taken by central differences of the problem's own gradients.
 
 A problem may also offer one optional hook, ``linearize(lam, residuals=True)
 -> (h, g)``.  It binds lam once per inner solve and returns two per-step
@@ -21,6 +21,8 @@ is None where the objective does not read lam.  This is the shape of JAX's
 ``vjp``: the forward step and its VJP share one linearization instead of the
 slots recomputing it.  With ``residuals`` False the linearizers save nothing
 and return (gradient, None); the value-only solves ask for that.
+``linearizer(problem, lam)``, the one way the solver and the reverse pass ask
+for derivatives, returns the hook's pair or builds the same pair from the slots.
 
 All oracles must be pure: identical inputs produce bit-identical outputs.
 Arithmetic is IEEE-754 float64 throughout.
@@ -29,7 +31,8 @@ Arithmetic is IEEE-754 float64 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -42,11 +45,13 @@ __all__ = [
     "FirstOrderReport",
     "fd_vjp",
     "default_fd_eps",
+    "linearizer",
     "validate_first_order",
     "as_vector",
 ]
 
 VJP_NAMES = ("h11", "h12", "g11", "g12")
+VJP_SLOTS = ("vjp11_h", "vjp12_h", "vjp11_g", "vjp12_g")
 
 
 class OracleDivergence(RuntimeError):
@@ -77,9 +82,9 @@ class BilevelProblem:
     """Oracle record for one bilevel problem instance.
 
     ``inner_dim`` (n) and ``outer_dim`` (m) fix the lengths of omega and lam.
-    Second-order VJPs left as None are wired to finite-difference fallbacks of
-    the first-order gradients; ``vjp_flavor`` records which route each one
-    uses ("analytic" or "fd-fallback").
+    A VJP slot left as None stays None; ``linearizer`` differences this
+    problem's own gradients in its place when a step asks.  ``vjp_flavor`` is
+    derived: construction rebuilds it, fresh, as "analytic" or "fd-fallback".
 
     ``answers`` carries optional closed-form attachments (inner solutions,
     outer minima) used by oracles and tests; ``h_batch``/``g_batch`` are
@@ -99,9 +104,9 @@ class BilevelProblem:
     for bit what the slots give.  A problem with batched oracles must also
     accept a stack of lam rows, and then takes stacks of omega rows.  It is
     set after construction and dropped by a ``replace`` copy, as ``affine``
-    is.  Without it, the reverse pass builds each step's VJP from the four
-    VJP slots as it reaches the step; a slot-derived hook stored on the
-    instance would be a closure over the instance itself.
+    is.  ``g_lambda_free`` and ``grad1_h_many``/``grad1_g_many`` serve only
+    the slot-built linearizers and the FD referee; they stay init fields
+    because an outside tracer copies problems through ``replace``.
     """
 
     inner_dim: int
@@ -135,13 +140,8 @@ class BilevelProblem:
     def __post_init__(self):
         if self.inner_dim < 1 or self.outer_dim < 1:
             raise ValueError("dimensions must be at least 1")
-        for attr, which in (("vjp11_h", "h11"), ("vjp12_h", "h12"),
-                            ("vjp11_g", "g11"), ("vjp12_g", "g12")):
-            if getattr(self, attr) is None:
-                setattr(self, attr, _make_fd_fallback(self, which))
-                self.vjp_flavor[attr] = "fd-fallback"
-            else:
-                self.vjp_flavor.setdefault(attr, "analytic")
+        self.vjp_flavor = {attr: "fd-fallback" if getattr(self, attr) is None else "analytic"
+                           for attr in VJP_SLOTS}
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -189,25 +189,53 @@ def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam, eps: float) -> np
     return out
 
 
-def _make_fd_fallback(problem: BilevelProblem, which: str) -> Callable:
-    """FD-backed VJP with the record's signature.
+def _fd_fallback(problem: BilevelProblem, which: str, a, omega, lam) -> np.ndarray:
+    """FD-backed VJP with a VJP slot's signature, from ``problem``'s gradients.
 
     The adjoint is normalized before differencing so the effective step stays
     at the default scale regardless of the adjoint's magnitude, then the
     result is scaled back (fd_vjp is linear in the adjoint).
     """
+    a = as_vector(a, problem.inner_dim, "adjoint")
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if scale == 0.0:
+        return np.zeros(problem.inner_dim if which.endswith("11") else problem.outer_dim)
+    point = omega if which.endswith("11") else lam
+    eps = default_fd_eps(np.asarray(point, dtype=np.float64))
+    return scale * fd_vjp(problem, which, a / scale, omega, lam, eps)
 
-    def vjp(a, omega, lam):
-        a = as_vector(a, problem.inner_dim, "adjoint")
-        scale = float(np.max(np.abs(a))) if a.size else 0.0
-        if scale == 0.0:
-            return np.zeros(problem.inner_dim if which.endswith("11") else problem.outer_dim)
-        point = omega if which.endswith("11") else lam
-        eps = default_fd_eps(np.asarray(point, dtype=np.float64))
-        return scale * fd_vjp(problem, which, a / scale, omega, lam, eps)
 
-    vjp.__name__ = f"fd_{which}"
-    return vjp
+def linearizer(problem: BilevelProblem, lam, residuals: bool = True) -> Tuple[Callable, Callable]:
+    """The per-step linearizers ``(h, g)`` of ``problem`` with ``lam`` bound.
+
+    The ``linearize`` hook, else the pair built from the slots: ``h(w)``
+    returns ``grad1_h(w, lam)`` (``grad1_h_many`` for a stack of lam rows)
+    and a vjp bound to (w, lam) that calls vjp11_h/vjp12_h, or their FD
+    fallbacks, when the reverse pass reaches it; ``g`` likewise, without a
+    lam side when ``g_lambda_free`` is set.
+    """
+    if problem.linearize is not None:
+        return problem.linearize(lam, residuals=residuals)
+
+    def built(which):
+        grad = getattr(problem, f"grad1_{which}_many" if np.ndim(lam) == 2 else f"grad1_{which}")
+        if not residuals:
+            return lambda w: (grad(w, lam), None)
+        d11, d12 = (getattr(problem, f"vjp{ij}_{which}")
+                    or partial(_fd_fallback, problem, which + ij) for ij in ("11", "12"))
+        if which == "g" and problem.g_lambda_free:
+            d12 = None
+
+        def lin(w):
+            def vjp(a, omega_side):
+                return (d11(a, w, lam) if omega_side else None,
+                        None if d12 is None else d12(a, w, lam))
+
+            return grad(w, lam), vjp
+
+        return lin
+
+    return built("h"), built("g")
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ def spec(K=1, t=0.1, s=0.1, **kw):
 
 def loop_copy(problem):
     """A ``replace`` copy: it drops the affine declaration, so it runs the loop."""
-    return dataclasses.replace(problem, vjp_flavor=dict(problem.vjp_flavor))
+    return dataclasses.replace(problem)
 
 
 class TestAlphaSchedule:
@@ -108,7 +108,7 @@ class TestBigsamStep:
         def no_g(w, lam):
             raise AssertionError("an alpha == 1 step evaluated grad1_g")
 
-        p = dataclasses.replace(self.p, grad1_g=no_g, vjp_flavor=dict(self.p.vjp_flavor))
+        p = dataclasses.replace(self.p, grad1_g=no_g)
         tape = bl.solve_inner(p, np.zeros(1), spec(K=3, omega0=np.ones(1)), "basic")
         np.testing.assert_allclose(tape.iterates[:, 0], [1.0, 0.9, 0.81, 0.729], rtol=1e-15)
         out = bl.bigsam_standalone((None, lambda w: w), (None, no_g), np.ones(1),

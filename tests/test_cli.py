@@ -110,6 +110,27 @@ class TestSolve:
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("field", [{"K": 20.9, "T": 3.7}, {"K": 20.9}, {"T": 3.7},
+                                       {"bigsam_frequency": 1.5}])
+    def test_non_integral_counts_exit_2(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path / "c.json", **field)
+        code = run_cli("solve", "--problem", "closedform_quadratic",
+                       "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_integral_float_counts_run_as_integers(self, tmp_path):
+        csvs = []
+        for name, counts in (("int", {"K": 200, "T": 3, "bigsam_frequency": 2}),
+                             ("float", {"K": 200.0, "T": 3.0, "bigsam_frequency": 2.0})):
+            cfg = write_config(tmp_path / f"{name}.json", **counts)
+            out = tmp_path / f"{name}.csv"
+            assert run_cli("solve", "--problem", "degenerate_quadratic", "--config", str(cfg),
+                           "--out", str(out), "--no-timing") == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 4
+
     def test_divergence_exits_3_with_truncated_csv(self, tmp_path, monkeypatch):
         import dataclasses
         import bilevelopt as bl
@@ -120,8 +141,7 @@ class TestSolve:
             inst = real(name, seed=seed, rho=rho)
             bad = dataclasses.replace(
                 inst.problem,
-                grad1_h=lambda w, lam: (w - lam) if lam[0] >= 1.2 else np.array([np.nan]),
-                vjp_flavor=dict(inst.problem.vjp_flavor))
+                grad1_h=lambda w, lam: (w - lam) if lam[0] >= 1.2 else np.array([np.nan]))
             return dataclasses.replace(inst, problem=bad)
 
         monkeypatch.setattr(cli, "zoo_problem", poisoned)

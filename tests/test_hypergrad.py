@@ -26,7 +26,6 @@ def counting_problem(problem):
         problem,
         vjp11_h=wrap("vjp11_h"), vjp12_h=wrap("vjp12_h"),
         vjp11_g=wrap("vjp11_g"), vjp12_g=wrap("vjp12_g"),
-        vjp_flavor=dict(problem.vjp_flavor),
     )
     return wrapped, counts
 
@@ -149,7 +148,6 @@ class TestModeConsistency:
             grad2_g=lambda w, lam: 2.0 * p.grad2_g(w, lam),
             vjp11_g=lambda a, w, lam: 2.0 * p.vjp11_g(a, w, lam),
             vjp12_g=lambda a, w, lam: 2.0 * p.vjp12_g(a, w, lam),
-            vjp_flavor=dict(p.vjp_flavor),
         )
         lam = np.random.default_rng(0).normal(0, 0.3, p.outer_dim)
         spec = bl.InnerSolveSpec(K=15, t=0.01, s=0.001)
@@ -201,8 +199,7 @@ class TestFdOracleEdges:
     def test_batched_path_matches_serial(self):
         inst = bl.zoo_problem("hyperclean_synthetic", seed=2)
         p = inst.problem
-        serial = dataclasses.replace(p, grad1_h_many=None, grad1_g_many=None,
-                                     vjp_flavor=dict(p.vjp_flavor))
+        serial = dataclasses.replace(p, grad1_h_many=None, grad1_g_many=None)
         spec = bl.InnerSolveSpec(K=12, t=0.01, s=0.001)
         lam = np.random.default_rng(9).normal(0, 0.3, p.outer_dim)
         for mode in ("improved", "basic"):
@@ -251,7 +248,7 @@ def same_bits(x, y):
 
 
 class TestRecordedReverse:
-    """A problem's linearize hook against its ``replace`` copy, which runs the slots."""
+    """A problem's linearize hook against its ``replace`` copy's slot-built linearizers."""
 
     @pytest.mark.parametrize("name", ["hyperclean_synthetic", "hyperrep_synthetic"])
     @pytest.mark.parametrize("mode", ["improved", "basic"])
@@ -266,13 +263,20 @@ class TestRecordedReverse:
         lam = inst.lam0 + np.random.default_rng(freq).normal(0.0, 0.3, p.outer_dim)
         tape = bl.solve_inner(p, lam, spec, mode)
         ref = bl.solve_inner(slots, lam, spec, mode)
-        assert ref.vjps is None and len(tape.vjps) == spec.K
-        assert [vjp_g is None for _, vjp_g in tape.vjps] == (tape.alphas == 1.0).tolist()
+        for recorded in (tape, ref):
+            assert len(recorded.vjps) == spec.K
+            assert [vjp_g is None for _, vjp_g in recorded.vjps] == \
+                (recorded.alphas == 1.0).tolist()
         assert same_bits(tape.iterates, ref.iterates)
         want = bl.reverse_hypergradient(slots, ref)
         assert same_bits(bl.reverse_hypergradient(p, tape), want)
-        # a tape reversed with a copy goes through the copy's slots
+        # a tape carries its own VJPs: reversed with the copy, the hook's
+        # tape still walks the hook's; a tape without them is linearized
+        # again by whichever problem reverses it
         assert same_bits(bl.reverse_hypergradient(slots, tape), want)
+        bare = dataclasses.replace(tape, vjps=None)
+        for problem in (p, slots):
+            assert same_bits(bl.reverse_hypergradient(problem, bare), want)
         # the FD referee: the hook binds the batched probes once, the copy
         # runs the batched slots (hyper-cleaning) or the serial loop
         assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec, mode),

@@ -108,8 +108,7 @@ class TestRunModel:
         p = bl.make_closedform_quadratic()
         booby = dataclasses.replace(
             p,
-            grad1_h=lambda w, lam: (w - lam) if lam[0] >= 4.0 else np.array([np.nan]),
-            vjp_flavor=dict(p.vjp_flavor))
+            grad1_h=lambda w, lam: (w - lam) if lam[0] >= 4.0 else np.array([np.nan]))
         cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=20, T=50, mode="basic")
         with pytest.raises(bl.OracleDivergence, match="outer iteration 1"):
             bl.run_model(booby, np.array([5.0]), cfg)
@@ -140,8 +139,7 @@ class TestRunModel:
         p = bl.make_closedform_quadratic()
         if bad == "outer value":
             p = dataclasses.replace(
-                p, g_value=lambda w, lam: 0.5 * w[0] ** 2 if lam[0] > 1.5 else np.inf,
-                vjp_flavor=dict(p.vjp_flavor))
+                p, g_value=lambda w, lam: 0.5 * w[0] ** 2 if lam[0] > 1.5 else np.inf)
             metric = None
         else:
             def metric(omega, lam):
@@ -237,3 +235,21 @@ class TestMatchedBudgetComparisons:
             bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=0, T=3)
         with pytest.raises(ValueError):
             bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=10, T=3, mode="hybrid")
+
+    @pytest.mark.parametrize("field, value", [("K", 20.9), ("T", 2.5), ("bigsam_frequency", 1.5),
+                                              ("T", float("nan")), ("K", "20")])
+    def test_non_integral_counts_rejected(self, field, value):
+        kw = dict(dict(t=0.1, s=0.1, eta=0.5, K=10, T=3), **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            bl.SolveConfig(**kw)
+
+    def test_integral_float_counts_become_ints(self):
+        p = bl.make_closedform_quadratic()
+        cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=200.0, T=3.0, bigsam_frequency=2.0)
+        assert (cfg.K, cfg.T, cfg.bigsam_frequency) == (200, 3, 2)
+        assert all(type(v) is int for v in (cfg.K, cfg.T, cfg.bigsam_frequency))
+        trace = bl.run_model(p, np.array([2.0]), cfg, collect_timing=False)
+        same = bl.run_model(p, np.array([2.0]), bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=200, T=3,
+                                                                bigsam_frequency=2),
+                            collect_timing=False)
+        assert trace.records == same.records

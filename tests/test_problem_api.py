@@ -83,22 +83,30 @@ class TestFdVjp:
             bl.fd_vjp(p, "h11", np.ones(1), np.zeros(1), np.zeros(1), eps=0.0)
 
 
+def fallback_vjps(p, a, w, lam):
+    """(vjp11_h, vjp12_h, vjp11_g, vjp12_g) at (w, lam) through the slot-built linearizers."""
+    h, g = bl.linearizer(p, lam)
+    return h(w)[1](a, True) + g(w)[1](a, True)
+
+
 class TestFdFallbackWiring:
     def test_unsupplied_vjps_fall_back(self):
         p = scalar_coupled_quadratic()
         assert p.vjp_flavor["vjp11_h"] == "fd-fallback"
+        assert (p.vjp11_h, p.vjp12_h, p.vjp11_g, p.vjp12_g) == (None,) * 4
         a = np.array([2.0])
         w, lam = np.array([0.3]), np.array([-0.5])
-        assert p.vjp11_h(a, w, lam) == pytest.approx(2.0, rel=1e-7)
-        assert p.vjp12_h(a, w, lam) == pytest.approx(-2.0, rel=1e-7)
-        assert p.vjp11_g(a, w, lam) == pytest.approx(2.0, rel=1e-7)
-        assert p.vjp12_g(a, w, lam) == pytest.approx(0.0, abs=1e-9)
+        h11, h12, g11, g12 = fallback_vjps(p, a, w, lam)
+        assert h11 == pytest.approx(2.0, rel=1e-7)
+        assert h12 == pytest.approx(-2.0, rel=1e-7)
+        assert g11 == pytest.approx(2.0, rel=1e-7)
+        assert g12 == pytest.approx(0.0, abs=1e-9)
 
     def test_fallback_handles_large_adjoints(self):
-        # the wiring normalizes the adjoint before differencing
+        # the fallback normalizes the adjoint before differencing
         p = scalar_coupled_quadratic()
         a = np.array([1e8])
-        got = p.vjp11_h(a, np.zeros(1), np.zeros(1))
+        got = fallback_vjps(p, a, np.zeros(1), np.zeros(1))[0]
         assert got == pytest.approx(1e8, rel=1e-6)
 
 
@@ -113,8 +121,7 @@ class TestValidateFirstOrder:
     def test_planted_gradient_bug_is_detected(self):
         p = scalar_coupled_quadratic()
         import dataclasses
-        bad = dataclasses.replace(p, grad1_h=lambda w, lam: 2.0 * (w - lam),
-                                  vjp_flavor=dict(p.vjp_flavor))
+        bad = dataclasses.replace(p, grad1_h=lambda w, lam: 2.0 * (w - lam))
         rep = bl.validate_first_order(bad, np.array([0.7]), np.array([-0.3]))
         assert not rep.entries["grad1_h"][1]
         assert rep.entries["grad1_g"][1]
@@ -196,12 +203,12 @@ class TestZooAnalyticVjps:
 class TestNoReferenceCycles:
     """A problem must die on its last reference: no instance holds a closure over itself."""
 
-    @pytest.mark.parametrize("name", bl.ZOO_NAMES)
+    @pytest.mark.parametrize("name", tuple(bl.ZOO_NAMES) + ("fd-backed",))
     def test_problem_and_replace_copy_die_on_del(self, name):
         gc.collect()
         gc.disable()
         try:
-            p = bl.zoo_problem(name).problem
+            p = scalar_coupled_quadratic() if name == "fd-backed" else bl.zoo_problem(name).problem
             copy = dataclasses.replace(p)
             # a solve and its reverse pass leave nothing that points back either
             for problem in (p, copy):
@@ -214,3 +221,29 @@ class TestNoReferenceCycles:
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+class TestFallbackFollowsTheCopy:
+    """A VJP left None is differenced from the gradients of the problem it is asked of."""
+
+    def test_copy_with_a_swapped_gradient_differentiates_its_own(self):
+        p = scalar_coupled_quadratic()
+        tripled = dataclasses.replace(p, h_value=lambda w, lam: float(1.5 * (w[0] - lam[0]) ** 2),
+                                      grad1_h=lambda w, lam: 3.0 * (w - lam))
+        a, w, lam = np.ones(1), np.array([0.3]), np.array([0.4])
+        h11, h12 = fallback_vjps(tripled, a, w, lam)[:2]
+        assert h11 == pytest.approx(3.0, rel=1e-7)
+        assert h12 == pytest.approx(-3.0, rel=1e-7)
+        assert fallback_vjps(p, a, w, lam)[0] == pytest.approx(1.0, rel=1e-7)
+        spec = bl.InnerSolveSpec(K=20, t=0.1, s=0.1)
+        for mode in ("improved", "basic"):
+            got = bl.reverse_hypergradient(tripled, bl.solve_inner(tripled, lam, spec, mode))
+            want = bl.hypergradient_fd_oracle(tripled, lam, spec, mode)
+            assert got == pytest.approx(want, rel=1e-6), mode
+
+    def test_copies_get_their_own_vjp_flavor(self):
+        p = scalar_coupled_quadratic()
+        assert dataclasses.replace(p).vjp_flavor is not p.vjp_flavor
+        analytic = dataclasses.replace(p, vjp11_h=lambda a, w, lam: a.copy())
+        assert analytic.vjp_flavor["vjp11_h"] == "analytic"
+        assert p.vjp_flavor["vjp11_h"] == "fd-fallback"

@@ -1,10 +1,16 @@
-"""Properties of the solver on randomly drawn quadratic bilevel problems.
+"""Properties of the solver on randomly drawn bilevel problems.
 
-Each example draws a ``QuadraticBilevelSpec`` with n <= 4 and m <= 3: a PSD
+Most examples draw a ``QuadraticBilevelSpec`` with n <= 4 and m <= 3: a PSD
 A_h of random rank (singular ones included, which is what makes the inner
 argmin set non-trivial) and a PD A_g.  The step sizes stay below
 1/lambda_max of their quadratic form, so every averaged step map has its
 spectrum in (0, 1] and K up to 300 steps stay bounded.
+
+The learning-problem properties draw hyper-cleaning instances (C in 2..4,
+random sample counts and feature dimension) and hyper-representation
+instances (random way, shot, task count and representation size), and check
+their ``linearize`` hook against the linearizers ``linearizer`` builds from
+the slots of a ``replace`` copy, bit for bit, and both against ``fd_vjp``.
 """
 
 import dataclasses
@@ -16,6 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bilevelopt as bl
+from bilevelopt.problem import default_fd_eps, fd_vjp
 
 entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
@@ -92,6 +99,77 @@ def test_exponent_zero_is_basic_bit_for_bit(case):
         assert np.array_equal(imp.alphas, bas.alphas)
         assert np.array_equal(bl.reverse_hypergradient(problem, imp),
                               bl.reverse_hypergradient(problem, bas))
+
+
+@settings(max_examples=30)
+@given(quadratic_cases())
+def test_fd_fallback_vjps_pass_reverse_against_fd(case):
+    # every VJP slot None: the generic loop's reverse pass differences the
+    # problem's own gradients, which are affine, so only rounding is left
+    p, spec, lam, mode = case
+    bare = dataclasses.replace(p, vjp11_h=None, vjp12_h=None, vjp11_g=None, vjp12_g=None)
+    assert bare.affine is None and set(bare.vjp_flavor.values()) == {"fd-fallback"}
+    want = bl.hypergradient_fd_oracle(p, lam, spec, mode)
+    tape = bl.solve_inner(bare, lam, spec, mode)
+    got = bl.reverse_hypergradient(bare, tape)
+    f_K = abs(p.g_value(tape.final, lam))
+    tol = 1e-7 * (1.0 + f_K + np.abs(want).max())
+    assert np.abs(got - want).max() <= tol, (got, want)
+
+
+@st.composite
+def learning_problems(draw):
+    seed = draw(st.integers(0, 2 ** 16))
+    if draw(st.booleans()):
+        C = draw(st.integers(2, 4))
+        n_tr, n_val = draw(st.integers(C, 40)), draw(st.integers(C, 30))
+        ds = bl.gen_synthetic(seed, n_tr + n_val, draw(st.integers(C, 8)), C, 3.0)
+        train, val = bl.split(ds, n_tr, n_val, seed)
+        p = bl.make_hypercleaning(bl.corrupt_labels(train, 0.5, seed), val)
+    else:
+        way, shot, vpc = draw(st.integers(2, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        C = way + draw(st.integers(0, 2))
+        ds = bl.gen_synthetic(seed, C * (shot + vpc), draw(st.integers(C, 8)), C, 3.0)
+        episodes = bl.make_episodes(ds, way, shot, vpc, draw(st.integers(1, 4)), seed)
+        p = bl.make_hyperrep(episodes, draw(st.integers(1, 4)))
+    return p, np.random.default_rng(seed)
+
+
+def same_bits(x, y):
+    if x is None or y is None:
+        return x is None and y is None
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@settings(max_examples=40)
+@given(learning_problems())
+def test_learning_hook_equals_slot_linearizer_and_fd(case):
+    p, rng = case
+    slots = dataclasses.replace(p)
+    assert p.linearize is not None and slots.linearize is None
+    w, a = rng.normal(0, 0.5, p.inner_dim), rng.normal(0, 0.5, p.inner_dim)
+    lam = rng.normal(0, 0.5, p.outer_dim)
+    hook, built = p.linearize(lam), bl.linearizer(slots, lam)
+    for which, lin, ref in zip("hg", hook, built):
+        (grad, vjp), (ref_grad, ref_vjp) = lin(w), ref(w)
+        assert same_bits(grad, ref_grad), which
+        sides, ref_sides = vjp(a, True), ref_vjp(a, True)
+        for side, got, want in zip(("11", "12"), sides, ref_sides):
+            assert same_bits(got, want), which + side
+            if got is None:
+                continue
+            point = w if side == "11" else lam
+            fd = fd_vjp(p, which + side, a, w, lam, default_fd_eps(point))
+            err = np.linalg.norm(got - fd) / max(1.0, np.linalg.norm(fd))
+            assert err < 1e-6, (which + side, err)
+    if p.grad1_h_many is not None:
+        # a stack of lam rows: the hook against the batched slots
+        ws, lams = rng.normal(0, 0.5, (3, p.inner_dim)), rng.normal(0, 0.5, (3, p.outer_dim))
+        hook = p.linearize(lams, residuals=False)
+        built = bl.linearizer(slots, lams, residuals=False)
+        for lin, ref in zip(hook, built):
+            assert same_bits(lin(ws)[0], ref(ws)[0])
 
 
 @given(K=st.integers(0, 500), exponent=st.floats(-1.0, 4.0), freq=st.integers(1, 10),

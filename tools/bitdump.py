@@ -7,9 +7,11 @@ on the problem itself and on a ``dataclasses.replace`` copy of it (which
 drops every declaration set after construction, so it runs the generic loop
 over the oracle slots), the script prints one line per result: the SHA-256
 of the bytes of the recorded iterates, of the reverse-mode hypergradient and
-of the central-difference hypergradient.  ``--src`` selects the library
-sources to import (default: ``src/`` next to this directory), so two
-checkouts compare with one command:
+of the central-difference hypergradient.  The zoo quadratics also get a
+copy with all four VJP slots set to None, whose reverse pass runs on the
+finite-difference fallback (every zoo problem supplies analytic VJPs).
+``--src`` selects the library sources to import (default: ``src/`` next to
+this directory), so two checkouts compare with one command:
 
     diff <(python3 tools/bitdump.py --src ../parent/src) <(python3 tools/bitdump.py)
 """
@@ -40,8 +42,11 @@ def lines():
         # hyper-cleaning starts at lam = 0, where every sample weighs the
         # same: move off it so that each lam coordinate matters
         lam = inst.lam0 + np.random.default_rng(0).normal(0.0, 0.3, inst.lam0.shape)
-        for copy in ("problem", "replace"):
-            problem = inst.problem if copy == "problem" else dataclasses.replace(inst.problem)
+        copies = {"problem": inst.problem, "replace": dataclasses.replace(inst.problem)}
+        if inst.problem.affine is not None:
+            copies["fd-fallback"] = dataclasses.replace(
+                inst.problem, vjp11_h=None, vjp12_h=None, vjp11_g=None, vjp12_g=None)
+        for copy, problem in copies.items():
             for mode in ("improved", "basic"):
                 for freq in (1, 3):
                     spec = bl.InnerSolveSpec(K=d["K"], t=d["t"], s=d["s"], bigsam_frequency=freq)
