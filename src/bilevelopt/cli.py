@@ -1,10 +1,17 @@
 """Command-line entry point: check, solve, ablation, clean.
 
-Every output file is paired with a manifest JSON recording the resolved
-configuration; replaying a manifest reproduces the outputs byte-identically
-(the wall-clock column is zeroed under --no-timing, which the determinism
-checks use).  Floats are written with 17 significant digits, '.' decimal, no
-locale.
+Each command resolves its arguments once into a run: the plain dict that its
+manifest records beside the tool and version.  That dict alone drives the
+work, and ``replay_manifest`` loads a manifest and runs the same dict again,
+so a replay reproduces the outputs byte-identically (the wall-clock column is
+zeroed under --no-timing, which the determinism checks use).  Replaying an
+ablation cell's manifest reruns and rewrites only that cell.  Floats are
+written with 17 significant digits, '.' decimal, no locale.
+
+The run's config merges the problem's defaults, then the --config file, then
+--seed: the seed is the flag, else the file's, else 0.  That seed builds the
+data of every command and must be a non-negative integer (5.0 is 5); a solve
+or ablation manifest's ``data.seed`` is its ``config.seed``.
 
 Exit codes: 0 success, 1 check failure, 2 usage or config error, 3 runtime
 divergence.
@@ -17,22 +24,25 @@ import concurrent.futures
 import json
 import sys
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .data import corrupt_labels, gen_synthetic, load_idx, split
-from .models import SolveConfig, TraceRecord, run_ablation, run_model
+from .models import SolveConfig, ablation_config, run_model
 from .oracles import check_suite, default_check_configs
 from .problem import OracleDivergence
-from .problems import ZOO_NAMES, hyperclean_f1_metric, make_hypercleaning, zoo_problem
+from .problems import (ZOO_DEFAULTS, ZOO_NAMES, hyperclean_f1_metric, make_hypercleaning,
+                       zoo_problem)
 
 __all__ = ["main", "replay_manifest"]
 
 CONFIG_KEYS = ("t", "s", "eta", "K", "T", "alpha_exponent", "bigsam_frequency", "seed")
 REQUIRED_KEYS = ("t", "s", "eta", "K", "T")
-CLEAN_DEFAULTS = {"n": None, "d": 10, "C": 2, "margin": 3.0}
+CLEAN_DATA = {"d": 10, "C": 2, "margin": 3.0}
 
 
 class CliError(Exception):
@@ -61,41 +71,42 @@ def _load_config(path: str) -> dict:
     return raw
 
 
-def _resolve_config(args, defaults: dict) -> dict:
-    """Merge per-problem defaults, the optional config file, and the seed flag."""
-    cfg = dict(defaults)
-    cfg.setdefault("alpha_exponent", 0.25)
-    cfg.setdefault("bigsam_frequency", 1)
-    cfg.setdefault("seed", 0)
-    if getattr(args, "config", None):
+def _check_problem(name: str) -> str:
+    if name not in ZOO_NAMES:
+        raise CliError(f"unknown problem {name!r}; known: {', '.join(ZOO_NAMES)}")
+    return name
+
+
+def _resolve_config(args, problem: str) -> dict:
+    """Merge the problem's defaults, then the optional config file, then ``--seed``."""
+    cfg = {"alpha_exponent": 0.25, "bigsam_frequency": 1, "seed": 0,
+           **ZOO_DEFAULTS[_check_problem(problem)]}
+    if args.config:
         cfg.update(_load_config(args.config))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg["seed"] = args.seed
     return cfg
 
 
-def _solve_config(cfg: dict, mode: str) -> SolveConfig:
+def _solve_config(run: dict) -> SolveConfig:
+    """The validated ``SolveConfig`` of a run: its model, or its ablation frequency."""
+    cfg = run["config"]
     try:
-        return SolveConfig(t=float(cfg["t"]), s=float(cfg["s"]), eta=float(cfg["eta"]),
-                           K=cfg["K"], T=cfg["T"],
-                           alpha_exponent=float(cfg["alpha_exponent"]),
-                           bigsam_frequency=cfg["bigsam_frequency"],
-                           seed=int(cfg["seed"]), mode=mode)
+        config = SolveConfig(t=float(cfg["t"]), s=float(cfg["s"]), eta=float(cfg["eta"]),
+                             K=cfg["K"], T=cfg["T"],
+                             alpha_exponent=float(cfg["alpha_exponent"]),
+                             bigsam_frequency=cfg["bigsam_frequency"],
+                             seed=cfg["seed"], mode=run.get("model", "improved"))
+        return ablation_config(config, run["frequency"]) if "frequency" in run else config
     except (ValueError, TypeError) as exc:
         raise CliError(f"invalid config: {exc}")
 
 
-def _write_manifest(out_path: Path, command: str, payload: dict, outputs: list) -> Path:
-    manifest = {
-        "tool": "bilevelopt",
-        "version": __version__,
-        "command": command,
-        "outputs": [str(p) for p in outputs],
-    }
-    manifest.update(payload)
-    mpath = out_path.with_suffix(out_path.suffix + ".manifest.json")
+def _write_manifest(out_dir: Path, run: dict) -> None:
+    """Record a run beside its first output."""
+    manifest = {**run, "tool": "bilevelopt", "version": __version__}
+    mpath = out_dir / (run["outputs"][0] + ".manifest.json")
     mpath.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return mpath
 
 
 def _write_trace_csv(path: Path, records, truncated: bool = False) -> None:
@@ -114,79 +125,152 @@ def _partial_records(exc: OracleDivergence) -> list:
     return partial.records if partial is not None else []
 
 
-def cmd_check(args) -> int:
-    names = list(ZOO_NAMES) if args.problem == "all" else [args.problem]
+def _divergence_exit(errors: list) -> int:
+    """Report each divergence message (None is a clean run); 3 if there was one."""
+    errors = [e for e in errors if e is not None]
+    for error in errors:
+        print(f"divergence: {error}", file=sys.stderr)
+    return 3 if errors else 0
+
+
+def _run_check(run: dict, out_dir: Path) -> int:
+    names = list(ZOO_NAMES) if run["problem"] == "all" else [_check_problem(run["problem"])]
+    tol, reports = run["tol"], []
     for name in names:
-        if name not in ZOO_NAMES:
-            raise CliError(f"unknown problem {name!r}; known: {', '.join(ZOO_NAMES)}")
-    reports = []
-    for name in names:
-        inst = zoo_problem(name, seed=args.seed or 0)
+        inst = zoo_problem(name, seed=run["config"]["seed"])
         configs = default_check_configs(name)
-        if args.tol is not None:
-            configs = [replace(c, tol_grad=args.tol, tol_vjp=args.tol, tol_hg=args.tol)
-                       for c in configs]
+        if tol is not None:
+            configs = [replace(c, tol_grad=tol, tol_vjp=tol, tol_hg=tol) for c in configs]
         reports.extend(check_suite(inst.problem, configs))
     all_pass = all(r.passed for r in reports)
-    doc = {"tool": "bilevelopt", "version": __version__, "all_pass": all_pass,
-           "reports": [r.to_dict() for r in reports]}
-    if args.out:
-        out = Path(args.out)
-        out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        _write_manifest(out, "check", {"problem": args.problem, "tol": args.tol,
-                                       "config": {"seed": args.seed or 0}},
-                        [out.name])
+    if run["outputs"]:
+        doc = {"tool": "bilevelopt", "version": __version__, "all_pass": all_pass,
+               "reports": [r.to_dict() for r in reports]}
+        (out_dir / run["outputs"][0]).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write_manifest(out_dir, run)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(f"[{status}] {r.problem}: {r.name}  max_rel_err={r.max_rel_err:.3e}  tol={r.tolerance:g}")
     return 0 if all_pass else 1
 
 
-def cmd_solve(args) -> int:
-    if args.problem not in ZOO_NAMES:
-        raise CliError(f"unknown problem {args.problem!r}; known: {', '.join(ZOO_NAMES)}")
-    inst = zoo_problem(args.problem, seed=args.seed or 0)
-    cfg = _resolve_config(args, inst.defaults)
-    config = _solve_config(cfg, args.model)
-    out = Path(args.out)
-    payload = {"problem": args.problem, "model": args.model, "config": cfg,
-               "data": inst.data_spec, "no_timing": bool(args.no_timing)}
-    try:
-        trace = run_model(inst.problem, inst.lam0, config, metric=inst.metric,
-                          collect_timing=not args.no_timing)
-    except OracleDivergence as exc:
-        _write_trace_csv(out, _partial_records(exc), truncated=True)
-        _write_manifest(out, "solve", payload, [out.name])
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
-    _write_trace_csv(out, trace.records)
-    _write_manifest(out, "solve", payload, [out.name])
-    return 0
+def _run_trace(run: dict, out_dir: Path) -> Optional[str]:
+    """Run a solve or one ablation cell; write its trace CSV and manifest.
 
-
-def _ablation_cell(payload: dict) -> dict:
-    """Worker for one (frequency) cell; rebuilds the problem in-process.
-
-    A divergence is caught here and returned with the partial records: the
-    exception's cause, which holds them, does not cross the process pool.
+    Returns the divergence message, or None.  Under ``ablation --jobs`` this
+    runs in a worker process, so the message, not the exception, crosses the
+    pool.
     """
-    inst = zoo_problem(payload["problem"], seed=payload["seed"])
+    config = _solve_config(run)
+    inst = zoo_problem(_check_problem(run["problem"]), seed=config.seed)
+    out = out_dir / run["outputs"][0]
     error = None
     try:
-        (trace,) = run_ablation(inst.problem, inst.lam0, payload["config"],
-                                [payload["frequency"]], metric=inst.metric,
-                                collect_timing=not payload["no_timing"])
-        records = trace.records
+        records = run_model(inst.problem, inst.lam0, config, metric=inst.metric,
+                            collect_timing=not run["no_timing"]).records
     except OracleDivergence as exc:
-        records, error = _partial_records(exc), str(exc)
-    return {"frequency": payload["frequency"], "error": error,
-            "records": [(r.index, r.outer_value, r.grad_norm, r.metric, r.wall_ms)
-                        for r in records]}
+        records, error = _partial_records(exc), f"{out.name}: {exc}"
+    _write_trace_csv(out, records, truncated=error is not None)
+    _write_manifest(out_dir, {**run, "data": inst.data_spec})
+    return error
+
+
+def _clean_dataset(args: dict, seed: int):
+    if args["data"] == "synthetic":
+        ds = gen_synthetic(seed, args["ntr"] + args["nval"], CLEAN_DATA["d"], CLEAN_DATA["C"],
+                           CLEAN_DATA["margin"])
+        spec = {"kind": "synthetic", **CLEAN_DATA, "n": len(ds)}
+    elif args["data"].startswith("idx:"):
+        parts = args["data"][4:].split(",")
+        if len(parts) != 2:
+            raise CliError("idx data spec must be idx:<images_path>,<labels_path>")
+        ds = load_idx(parts[0], parts[1])
+        spec = {"kind": "idx", "images": parts[0], "labels": parts[1]}
+    else:
+        raise CliError(f"unknown data source {args['data']!r} (use synthetic or idx:<paths>)")
+    train, val = split(ds, args["ntr"], args["nval"], seed)
+    train = corrupt_labels(train, args["rho"], seed)
+    return train, val, spec
+
+
+def _run_clean(run: dict, out_dir: Path) -> list:
+    """Run both models on one corrupted split; returns the divergence messages."""
+    args = run["args"]
+    if not 0.0 <= args["rho"] <= 1.0:
+        raise CliError("rho must lie in [0, 1]")
+    improved = _solve_config(run)
+    configs = {"improved": improved, "basic": replace(improved, mode="basic")}
+    train, val, data_spec = _clean_dataset(args, improved.seed)
+    problem = make_hypercleaning(train, val)
+    metric = hyperclean_f1_metric(train.mask)
+    lam0 = np.zeros(problem.outer_dim)
+
+    records, errors = {}, []
+    for mode, config in configs.items():
+        try:
+            records[mode] = run_model(problem, lam0, config, metric=metric,
+                                      collect_timing=not run["no_timing"]).records
+        except OracleDivergence as exc:
+            records[mode] = _partial_records(exc)
+            errors.append(f"{mode} model: {exc}")
+    out = out_dir / run["outputs"][0]
+    with open(out, "w", newline="") as f:
+        f.write("iter,f1_improved,f1_basic\n")
+        for ri, rb in zip(records["improved"], records["basic"]):
+            f.write(f"{ri.index},{_fmt(ri.metric)},{_fmt(rb.metric)}\n")
+        if errors:
+            f.write("# truncated\n")
+    outputs = [out.name]
+    if not errors:
+        no_positives = int(train.mask.sum()) == 0
+        summary = {
+            "flag_rule": "sample i is flagged corrupted when its weight lambda_i < 0",
+            "rho": args["rho"],
+            "corrupted_count": int(train.mask.sum()),
+            "final_f1_improved": records["improved"][-1].metric,
+            "final_f1_basic": records["basic"][-1].metric,
+            "undefined_f1": no_positives,
+            "note": "undefined-F1, reported 0" if no_positives else "",
+            "config": run["config"],
+            "data": {**data_spec, "n_tr": args["ntr"], "n_val": args["nval"],
+                     "rho": args["rho"], "seed": improved.seed},
+        }
+        spath = out.with_suffix(out.suffix + ".summary.json")
+        spath.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        outputs.append(spath.name)
+    _write_manifest(out_dir, {**run, "outputs": outputs})
+    return errors
+
+
+def _execute(run: dict, out_dir: Path) -> int:
+    """Do the work that a run names and return the command's exit code."""
+    if run["command"] == "check":
+        return _run_check(run, out_dir)
+    if run["command"] == "clean":
+        return _divergence_exit(_run_clean(run, out_dir))
+    if run["command"] in ("solve", "ablation"):
+        return _divergence_exit([_run_trace(run, out_dir)])
+    raise CliError(f"cannot run command {run['command']!r}")
+
+
+def cmd_check(args) -> int:
+    out = Path(args.out) if args.out else None
+    run = {"command": "check", "problem": args.problem, "tol": args.tol,
+           "config": {"seed": args.seed if args.seed is not None else 0},
+           "outputs": [out.name] if out else []}
+    return _execute(run, out.parent if out else Path("."))
+
+
+def cmd_solve(args) -> int:
+    out = Path(args.out)
+    run = {"command": "solve", "problem": args.problem, "model": args.model,
+           "config": _resolve_config(args, args.problem),
+           "no_timing": args.no_timing, "outputs": [out.name]}
+    return _execute(run, out.parent)
 
 
 def cmd_ablation(args) -> int:
-    if args.problem not in ZOO_NAMES:
-        raise CliError(f"unknown problem {args.problem!r}; known: {', '.join(ZOO_NAMES)}")
+    cfg = _resolve_config(args, args.problem)
     try:
         freqs = [int(x) for x in args.freqs.split(",") if x.strip() != ""]
     except ValueError:
@@ -195,145 +279,57 @@ def cmd_ablation(args) -> int:
         raise CliError("frequency list is empty")
     if any(f < 1 for f in freqs):
         raise CliError("frequencies must be positive integers")
-    inst = zoo_problem(args.problem, seed=args.seed or 0)
-    cfg = _resolve_config(args, inst.defaults)
-    base = _solve_config(cfg, "improved")
+    if len(set(freqs)) != len(freqs):
+        raise CliError(f"frequency list {args.freqs!r} repeats a frequency")
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
+    cells = [{"command": "ablation", "problem": args.problem, "frequency": f, "config": cfg,
+              "no_timing": args.no_timing,
+              "outputs": ["basic.csv" if f == 0 else f"improved-{f}.csv"]}
+             for f in sorted(freqs + [0])]          # sentinel 0 = basic baseline
+    _solve_config(cells[0])                         # a bad config writes no file
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    cells = [{"problem": args.problem, "seed": int(cfg["seed"]), "frequency": f,
-              "config": base, "no_timing": bool(args.no_timing)}
-             for f in freqs + [0]]            # sentinel 0 = basic baseline
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_ablation_cell, cells))
+            results = list(pool.map(_run_trace, cells, repeat(out_dir)))
     else:
-        results = [_ablation_cell(c) for c in cells]
-
-    index, errors = [], []
-    for res in sorted(results, key=lambda r: r["frequency"]):
-        f = res["frequency"]
-        name = "basic.csv" if f == 0 else f"improved-{f}.csv"
-        path = out_dir / name
-        records = [TraceRecord(*row) for row in res["records"]]
-        _write_trace_csv(path, records, truncated=res["error"] is not None)
-        _write_manifest(path, "ablation", {"problem": args.problem, "frequency": f,
-                                           "config": cfg, "data": inst.data_spec,
-                                           "no_timing": bool(args.no_timing)}, [name])
-        index.append({"frequency": f, "file": name})
-        if res["error"] is not None:
-            errors.append(f"{name}: {res['error']}")
+        results = [_run_trace(cell, out_dir) for cell in cells]
+    index = [{"frequency": c["frequency"], "file": c["outputs"][0]} for c in cells]
     (out_dir / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
-    for error in errors:
-        print(f"divergence: {error}", file=sys.stderr)
-    return 3 if errors else 0
-
-
-def _clean_dataset(args, seed: int):
-    if args.data == "synthetic":
-        n = CLEAN_DEFAULTS["n"] or (args.ntr + args.nval)
-        ds = gen_synthetic(seed, max(n, args.ntr + args.nval), CLEAN_DEFAULTS["d"],
-                           CLEAN_DEFAULTS["C"], CLEAN_DEFAULTS["margin"])
-        spec = {"kind": "synthetic", "d": CLEAN_DEFAULTS["d"], "C": CLEAN_DEFAULTS["C"],
-                "margin": CLEAN_DEFAULTS["margin"], "n": len(ds)}
-    elif args.data.startswith("idx:"):
-        parts = args.data[4:].split(",")
-        if len(parts) != 2:
-            raise CliError("idx data spec must be idx:<images_path>,<labels_path>")
-        ds = load_idx(parts[0], parts[1])
-        spec = {"kind": "idx", "images": parts[0], "labels": parts[1]}
-    else:
-        raise CliError(f"unknown data source {args.data!r} (use synthetic or idx:<paths>)")
-    train, val = split(ds, args.ntr, args.nval, seed)
-    train = corrupt_labels(train, args.rho, seed)
-    return train, val, spec
+    return _divergence_exit(results)
 
 
 def cmd_clean(args) -> int:
-    if not 0.0 <= args.rho <= 1.0:
-        raise CliError("rho must lie in [0, 1]")
-    seed = args.seed if args.seed is not None else 0
-    train, val, data_spec = _clean_dataset(args, seed)
-    problem = make_hypercleaning(train, val)
-    metric = hyperclean_f1_metric(train.mask)
-    defaults = zoo_problem("hyperclean_synthetic").defaults
-    cfg = _resolve_config(args, defaults)
-    cfg["seed"] = seed
-    lam0 = np.zeros(problem.outer_dim)
-
-    records, errors = {}, []
-    for mode in ("improved", "basic"):
-        config = _solve_config(cfg, mode)
-        try:
-            records[mode] = run_model(problem, lam0, config, metric=metric,
-                                      collect_timing=not args.no_timing).records
-        except OracleDivergence as exc:
-            records[mode] = _partial_records(exc)
-            errors.append(f"{mode} model: {exc}")
     out = Path(args.out)
-    with open(out, "w", newline="") as f:
-        f.write("iter,f1_improved,f1_basic\n")
-        for ri, rb in zip(records["improved"], records["basic"]):
-            f.write(f"{ri.index},{_fmt(ri.metric)},{_fmt(rb.metric)}\n")
-        if errors:
-            f.write("# truncated\n")
-    manifest = {"args": {"data": args.data, "rho": args.rho, "ntr": args.ntr, "nval": args.nval},
-                "config": cfg, "no_timing": bool(args.no_timing)}
-    if errors:
-        _write_manifest(out, "clean", manifest, [out.name])
-        for error in errors:
-            print(f"divergence: {error}", file=sys.stderr)
+    run = {"command": "clean",
+           "args": {"data": args.data, "rho": args.rho, "ntr": args.ntr, "nval": args.nval},
+           "config": _resolve_config(args, "hyperclean_synthetic"),
+           "no_timing": args.no_timing, "outputs": [out.name]}
+    return _execute(run, out.parent)
+
+
+def _exit_code(work) -> int:
+    try:
+        return work()
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OracleDivergence as exc:
+        print(f"divergence: {exc}", file=sys.stderr)
         return 3
-    no_positives = int(train.mask.sum()) == 0
-    summary = {
-        "flag_rule": "sample i is flagged corrupted when its weight lambda_i < 0",
-        "rho": args.rho,
-        "corrupted_count": int(train.mask.sum()),
-        "final_f1_improved": records["improved"][-1].metric,
-        "final_f1_basic": records["basic"][-1].metric,
-        "undefined_f1": no_positives,
-        "note": "undefined-F1, reported 0" if no_positives else "",
-        "config": cfg,
-        "data": {**data_spec, "n_tr": args.ntr, "n_val": args.nval, "rho": args.rho, "seed": seed},
-    }
-    spath = out.with_suffix(out.suffix + ".summary.json")
-    spath.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    _write_manifest(out, "clean", manifest, [out.name, spath.name])
-    return 0
 
 
 def replay_manifest(path) -> int:
-    """Re-run the command recorded in a manifest; outputs land where they did."""
-    doc = json.loads(Path(path).read_text())
-    out_dir = Path(path).parent
-    cfg = doc.get("config", {})
-    argv = [doc["command"]]
-    if doc["command"] == "check":
-        argv += ["--problem", doc["problem"], "--out", str(out_dir / doc["outputs"][0]),
-                 "--seed", str(cfg.get("seed", 0))]
-        if doc.get("tol") is not None:
-            argv += ["--tol", str(doc["tol"])]
-        return main(argv)
-    if doc["command"] == "solve":
-        argv += ["--problem", doc["problem"], "--model", doc["model"],
-                 "--out", str(out_dir / doc["outputs"][0]), "--seed", str(cfg["seed"])]
-    elif doc["command"] == "ablation":
-        argv += ["--problem", doc["problem"],
-                 "--freqs", str(doc["frequency"]) if doc["frequency"] else "1",
-                 "--out-dir", str(out_dir), "--seed", str(cfg["seed"])]
-    elif doc["command"] == "clean":
-        a = doc["args"]
-        argv += ["--data", a["data"], "--rho", str(a["rho"]), "--ntr", str(a["ntr"]),
-                 "--nval", str(a["nval"]), "--out", str(out_dir / doc["outputs"][0]),
-                 "--seed", str(cfg["seed"])]
-    else:
-        raise CliError(f"cannot replay command {doc['command']!r}")
-    cfg_path = out_dir / "_replay_config.json"
-    cfg_path.write_text(json.dumps({k: cfg[k] for k in CONFIG_KEYS if k in cfg}))
-    argv += ["--config", str(cfg_path)]
-    if doc.get("no_timing"):
-        argv.append("--no-timing")
-    return main(argv)
+    """Rerun the one run that a manifest records; its outputs land beside it.
+
+    Returns the exit code that the recorded command would return.
+    """
+    path = Path(path)
+    return _exit_code(lambda: _execute(json.loads(path.read_text()), path.parent))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -359,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablation", help="sweep averaging frequencies plus a basic baseline")
     p.add_argument("--problem", required=True)
-    p.add_argument("--freqs", required=True, help="comma-separated positive integers")
+    p.add_argument("--freqs", required=True, help="comma-separated distinct positive integers")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", required=True)
@@ -386,17 +382,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OracleDivergence as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+    return _exit_code(lambda: args.func(args))
 
 
 if __name__ == "__main__":

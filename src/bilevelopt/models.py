@@ -19,14 +19,16 @@ from .bigsam import InnerSolveSpec, check_alpha_exponent, check_count, solve_inn
 from .hypergrad import reverse_hypergradient
 from .problem import BilevelProblem, OracleDivergence, as_vector
 
-__all__ = ["SolveConfig", "TraceRecord", "ExperimentTrace", "run_model", "run_ablation"]
+__all__ = ["SolveConfig", "TraceRecord", "ExperimentTrace", "run_model", "run_ablation",
+           "ablation_config"]
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     """All scalars of one run: step sizes, budgets, schedule, seed, mode.
 
-    ``K``, ``T`` and ``bigsam_frequency`` must be integral: 200.0 is 200, 2.5 fails.
+    ``K``, ``T``, ``bigsam_frequency`` and ``seed`` must be integral: 200.0 is
+    200, 2.5 fails.  The seed may be 0; the other counts are at least 1.
     """
 
     t: float
@@ -42,10 +44,10 @@ class SolveConfig:
     def __post_init__(self):
         if not (self.t > 0 and self.s > 0 and self.eta > 0):
             raise ValueError("t, s and eta must be positive")
-        for name in ("K", "T", "bigsam_frequency"):
+        for name, least in (("K", 1), ("T", 1), ("bigsam_frequency", 1), ("seed", 0)):
             value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                object.__setattr__(self, name, check_count(name, value, 1))
+            if type(value) is not int or value < least:
+                object.__setattr__(self, name, check_count(name, value, least))
         if self.mode not in ("improved", "basic"):
             raise ValueError(f"unknown mode {self.mode!r}")
         check_alpha_exponent(self.alpha_exponent, self.K, self.bigsam_frequency)
@@ -152,10 +154,8 @@ def run_model(problem: BilevelProblem, lam0, config: SolveConfig,
     return trace
 
 
-def run_ablation(problem: BilevelProblem, lam0, base_config: SolveConfig,
-                 frequencies: List[int], metric: Optional[Callable] = None,
-                 collect_timing: bool = True) -> List[ExperimentTrace]:
-    """One run per averaging frequency, all other constants held fixed.
+def ablation_config(base_config: SolveConfig, frequency: int) -> SolveConfig:
+    """The config of one ablation cell, all other constants held fixed.
 
     Frequency f applies the averaged step every f-th inner iteration and a
     pure inner-gradient step otherwise; the sentinel 0 runs basic mode on the
@@ -163,14 +163,17 @@ def run_ablation(problem: BilevelProblem, lam0, base_config: SolveConfig,
     """
     if base_config.mode != "improved":
         raise ValueError("ablation requires an improved-mode base config")
-    traces = []
-    for f in frequencies:
-        if f == 0:
-            cfg = replace(base_config, mode="basic", bigsam_frequency=1)
-        elif f >= 1:
-            cfg = replace(base_config, bigsam_frequency=int(f))
-        else:
-            raise ValueError(f"frequency must be a positive integer or the 0 sentinel, got {f}")
-        traces.append(run_model(problem, lam0, cfg, metric=metric,
-                                collect_timing=collect_timing))
-    return traces
+    if frequency == 0:
+        return replace(base_config, mode="basic", bigsam_frequency=1)
+    if frequency >= 1:
+        return replace(base_config, bigsam_frequency=int(frequency))
+    raise ValueError(f"frequency must be a positive integer or the 0 sentinel, got {frequency}")
+
+
+def run_ablation(problem: BilevelProblem, lam0, base_config: SolveConfig,
+                 frequencies: List[int], metric: Optional[Callable] = None,
+                 collect_timing: bool = True) -> List[ExperimentTrace]:
+    """One run per averaging frequency (see ``ablation_config``)."""
+    return [run_model(problem, lam0, ablation_config(base_config, f), metric=metric,
+                      collect_timing=collect_timing)
+            for f in frequencies]

@@ -48,6 +48,7 @@ __all__ = [
     "hyperrep_accuracy_metric",
     "ZooInstance",
     "zoo_problem",
+    "ZOO_DEFAULTS",
     "ZOO_NAMES",
     "sigmoid",
     "softmax",
@@ -570,8 +571,16 @@ def hyperrep_accuracy_metric(episodes: EpisodeSet, rep_dim: int) -> Callable:
 # ---------------------------------------------------------------------------
 # desk-scale registry
 
-ZOO_NAMES = ("closedform_quadratic", "degenerate_quadratic",
-             "hyperclean_synthetic", "hyperrep_synthetic")
+# Step sizes and budgets are per problem: the quadratic instances move on unit
+# scales while the learning problems use sum-over-samples losses and need far
+# smaller inner steps.  Read without building any data.
+ZOO_DEFAULTS = {
+    "closedform_quadratic": dict(t=0.1, s=0.1, eta=0.5, K=200, T=100),
+    "degenerate_quadratic": dict(t=0.1, s=0.1, eta=0.5, K=200, T=100),
+    "hyperclean_synthetic": dict(t=0.01, s=0.001, eta=1.0, K=100, T=100),
+    "hyperrep_synthetic": dict(t=0.01, s=0.01, eta=0.003, K=30, T=60),
+}
+ZOO_NAMES = tuple(ZOO_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -589,15 +598,13 @@ class ZooInstance:
 def zoo_problem(name: str, seed: int = 0, rho: float = 0.5) -> ZooInstance:
     """Build a named desk-scale instance deterministically from a seed.
 
-    Step sizes and budgets are per problem: the quadratic instances move on
-    unit scales while the learning problems use sum-over-samples losses and
-    need far smaller inner steps.
+    Its ``defaults`` are a copy of the problem's ``ZOO_DEFAULTS`` entry.
     """
     if name == "closedform_quadratic":
         return ZooInstance(
             name=name, problem=make_closedform_quadratic(),
             lam0=np.array([2.0]),
-            defaults=dict(t=0.1, s=0.1, eta=0.5, K=200, T=100),
+            defaults=dict(ZOO_DEFAULTS[name]),
             metric=None,
             data_spec={"kind": "analytic"},
         )
@@ -605,7 +612,7 @@ def zoo_problem(name: str, seed: int = 0, rho: float = 0.5) -> ZooInstance:
         return ZooInstance(
             name=name, problem=make_degenerate_quadratic(),
             lam0=np.array([1.0]),
-            defaults=dict(t=0.1, s=0.1, eta=0.5, K=200, T=100),
+            defaults=dict(ZOO_DEFAULTS[name]),
             metric=None,
             data_spec={"kind": "analytic"},
         )
@@ -619,7 +626,7 @@ def zoo_problem(name: str, seed: int = 0, rho: float = 0.5) -> ZooInstance:
         return ZooInstance(
             name=name, problem=problem,
             lam0=np.zeros(problem.outer_dim),
-            defaults=dict(t=0.01, s=0.001, eta=1.0, K=100, T=100),
+            defaults=dict(ZOO_DEFAULTS[name]),
             metric=hyperclean_f1_metric(train.mask),
             data_spec=spec,
         )
@@ -635,7 +642,7 @@ def zoo_problem(name: str, seed: int = 0, rho: float = 0.5) -> ZooInstance:
                                               spec["d"] * spec["rep_dim"])
         return ZooInstance(
             name=name, problem=problem, lam0=lam0,
-            defaults=dict(t=0.01, s=0.01, eta=0.003, K=30, T=60),
+            defaults=dict(ZOO_DEFAULTS[name]),
             metric=hyperrep_accuracy_metric(episodes, spec["rep_dim"]),
             data_spec=spec,
         )

@@ -22,6 +22,16 @@ def write_config(path, **kw):
     return path
 
 
+def write_clean_config(path, **kw):
+    """Hyper-cleaning step sizes with small budgets."""
+    return write_config(path, **dict(dict(t=0.01, s=0.001, eta=1.0, K=10, T=3), **kw))
+
+
+def snapshot(directory):
+    return {p.relative_to(directory): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
 class TestSolve:
     def test_writes_csv_and_manifest(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -130,6 +140,26 @@ class TestSolve:
                            "--out", str(out), "--no-timing") == 0
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 4
+
+    @pytest.mark.parametrize("seed, flag", [(1.7, None), (-1, None), (None, "-1")])
+    def test_bad_seed_exits_2(self, tmp_path, capsys, seed, flag):
+        cfg = write_clean_config(tmp_path / "c.json", **({} if seed is None else {"seed": seed}))
+        out = tmp_path / "x.csv"
+        code = run_cli("solve", "--problem", "hyperclean_synthetic", "--config", str(cfg),
+                       "--out", str(out), *(["--seed", flag] if flag else []))
+        assert code == 2
+        assert "invalid config: seed must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_seed_builds_the_data(self, tmp_path):
+        csvs = {}
+        for seed in (0, 5, 5.0):
+            cfg = write_clean_config(tmp_path / f"{seed!r}.json", seed=seed)
+            out = tmp_path / f"{seed!r}.csv"
+            assert run_cli("solve", "--problem", "hyperclean_synthetic", "--config", str(cfg),
+                           "--out", str(out), "--no-timing") == 0
+            csvs[repr(seed)] = out.read_bytes()
+        assert csvs["5"] == csvs["5.0"] != csvs["0"]
 
     def test_divergence_exits_3_with_truncated_csv(self, tmp_path, monkeypatch):
         import dataclasses
@@ -256,6 +286,15 @@ class TestAblation:
         assert run_cli("ablation", "--problem", "degenerate_quadratic",
                        "--freqs", "", "--out-dir", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("argv", [("--freqs", "1,1"), ("--freqs", "5,1,5", "--jobs", "2"),
+                                      ("--freqs", "1", "--jobs", "0"),
+                                      ("--freqs", "1", "--jobs", "-3")])
+    def test_repeated_frequency_or_bad_jobs_exits_2(self, tmp_path, argv):
+        out_dir = tmp_path / "abl"
+        assert run_cli("ablation", "--problem", "degenerate_quadratic", *argv,
+                       "--out-dir", str(out_dir), "--no-timing") == 2
+        assert not out_dir.exists()
+
 
 class TestClean:
     def test_comparison_csv_and_summary(self, tmp_path):
@@ -316,6 +355,61 @@ class TestClean:
 
     def test_bad_rho_exits_2(self, tmp_path):
         assert run_cli("clean", "--rho", "1.5", "--out", str(tmp_path / "x.csv")) == 2
+
+    def test_config_seed_equals_seed_flag(self, tmp_path):
+        runs = {"file": ("--config", str(write_clean_config(tmp_path / "file.json", seed=3))),
+                "flag": ("--config", str(write_clean_config(tmp_path / "flag.json")),
+                         "--seed", "3")}
+        for name, argv in runs.items():
+            (tmp_path / name).mkdir()
+            assert run_cli("clean", "--rho", "0.5", "--ntr", "40", "--nval", "40", *argv,
+                           "--out", str(tmp_path / name / "clean.csv"), "--no-timing") == 0
+        for name in ("clean.csv", "clean.csv.summary.json"):
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+        summary = json.loads((tmp_path / "file" / "clean.csv.summary.json").read_text())
+        assert summary["data"]["seed"] == summary["config"]["seed"] == 3
+
+
+class TestReplay:
+    """A replay rewrites its run's outputs and manifest byte for byte, and nothing else."""
+
+    @staticmethod
+    def assert_replays_exactly(manifest):
+        before = snapshot(manifest.parent)
+        assert cli.replay_manifest(manifest) == 0
+        assert snapshot(manifest.parent) == before
+
+    def test_solve_with_config_file_seed(self, tmp_path):
+        cfg = write_clean_config(tmp_path / "c.json", seed=5)
+        out = tmp_path / "run.csv"
+        assert run_cli("solve", "--problem", "hyperclean_synthetic", "--config", str(cfg),
+                       "--out", str(out), "--no-timing") == 0
+        manifest = tmp_path / "run.csv.manifest.json"
+        doc = json.loads(manifest.read_text())
+        assert doc["data"]["seed"] == doc["config"]["seed"] == 5
+        self.assert_replays_exactly(manifest)
+
+    def test_ablation_cell_with_config_file_seed(self, tmp_path):
+        cfg = write_clean_config(tmp_path / "c.json", seed=5)
+        out_dir = tmp_path / "abl"
+        assert run_cli("ablation", "--problem", "hyperclean_synthetic", "--freqs", "1,5",
+                       "--config", str(cfg), "--out-dir", str(out_dir), "--no-timing") == 0
+        for manifest in out_dir.glob("*.manifest.json"):
+            doc = json.loads(manifest.read_text())
+            assert doc["data"]["seed"] == doc["config"]["seed"] == 5
+        self.assert_replays_exactly(out_dir / "improved-5.csv.manifest.json")
+
+    def test_clean_with_config_file_seed(self, tmp_path):
+        cfg = write_clean_config(tmp_path / "c.json", seed=5)
+        assert run_cli("clean", "--rho", "0.5", "--ntr", "40", "--nval", "40",
+                       "--config", str(cfg), "--out", str(tmp_path / "clean.csv"),
+                       "--no-timing") == 0
+        self.assert_replays_exactly(tmp_path / "clean.csv.manifest.json")
+
+    def test_check_with_seed_flag(self, tmp_path):
+        assert run_cli("check", "--problem", "closedform_quadratic", "--seed", "3",
+                       "--out", str(tmp_path / "report.json")) == 0
+        self.assert_replays_exactly(tmp_path / "report.json.manifest.json")
 
 
 class TestFormatting:

@@ -237,7 +237,8 @@ class TestMatchedBudgetComparisons:
             bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=10, T=3, mode="hybrid")
 
     @pytest.mark.parametrize("field, value", [("K", 20.9), ("T", 2.5), ("bigsam_frequency", 1.5),
-                                              ("T", float("nan")), ("K", "20")])
+                                              ("T", float("nan")), ("K", "20"),
+                                              ("seed", 1.7), ("seed", -1)])
     def test_non_integral_counts_rejected(self, field, value):
         kw = dict(dict(t=0.1, s=0.1, eta=0.5, K=10, T=3), **{field: value})
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -245,9 +246,10 @@ class TestMatchedBudgetComparisons:
 
     def test_integral_float_counts_become_ints(self):
         p = bl.make_closedform_quadratic()
-        cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=200.0, T=3.0, bigsam_frequency=2.0)
-        assert (cfg.K, cfg.T, cfg.bigsam_frequency) == (200, 3, 2)
-        assert all(type(v) is int for v in (cfg.K, cfg.T, cfg.bigsam_frequency))
+        cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=200.0, T=3.0, bigsam_frequency=2.0,
+                             seed=5.0)
+        assert (cfg.K, cfg.T, cfg.bigsam_frequency, cfg.seed) == (200, 3, 2, 5)
+        assert all(type(v) is int for v in (cfg.K, cfg.T, cfg.bigsam_frequency, cfg.seed))
         trace = bl.run_model(p, np.array([2.0]), cfg, collect_timing=False)
         same = bl.run_model(p, np.array([2.0]), bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=200, T=3,
                                                                 bigsam_frequency=2),

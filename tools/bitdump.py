@@ -10,6 +10,14 @@ of the bytes of the recorded iterates, of the reverse-mode hypergradient and
 of the central-difference hypergradient.  The zoo quadratics also get a
 copy with all four VJP slots set to None, whose reverse pass runs on the
 finite-difference fallback (every zoo problem supplies analytic VJPs).
+
+It then runs the command line in a temporary directory, with small budgets,
+``--seed 1`` and ``--no-timing``: ``solve`` on every zoo problem,
+``ablation --freqs 1,3``, ``clean`` and ``check --problem
+closedform_quadratic``, and prints each command's exit code and the SHA-256
+of every CSV, summary, index and report it wrote.  Manifests are left out:
+their fields may change while the numbers stay.
+
 ``--src`` selects the library sources to import (default: ``src/`` next to
 this directory), so two checkouts compare with one command:
 
@@ -19,9 +27,13 @@ this directory), so two checkouts compare with one command:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +71,42 @@ def lines():
                         yield f"{name} {copy} {mode} freq={freq} {what} {digest(value)}"
 
 
+def cli_lines():
+    import bilevelopt as bl
+    from bilevelopt.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        configs = {}
+        for name in bl.ZOO_NAMES:
+            configs[name] = str(tmp / f"{name}.json")
+            Path(configs[name]).write_text(json.dumps(dict(bl.zoo_problem(name).defaults,
+                                                           K=20, T=3)))
+        runs = {f"solve-{name}": ["solve", "--problem", name, "--config", configs[name],
+                                  "--out", str(tmp / f"solve-{name}" / "run.csv")]
+                for name in bl.ZOO_NAMES}
+        runs["ablation"] = ["ablation", "--problem", "hyperclean_synthetic", "--freqs", "1,3",
+                            "--config", configs["hyperclean_synthetic"],
+                            "--out-dir", str(tmp / "ablation")]
+        runs["clean"] = ["clean", "--ntr", "60", "--nval", "60",
+                         "--config", configs["hyperclean_synthetic"],
+                         "--out", str(tmp / "clean" / "clean.csv")]
+        for argv in runs.values():
+            argv += ["--seed", "1", "--no-timing"]
+        runs["check"] = ["check", "--problem", "closedform_quadratic",
+                         "--out", str(tmp / "check" / "report.json")]
+        for label, argv in runs.items():
+            (tmp / label).mkdir()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            yield f"cli {label} exit={code}"
+            for path in sorted((tmp / label).iterdir()):
+                if not path.name.endswith(".manifest.json"):
+                    yield (f"cli {label}/{path.name} "
+                           f"{hashlib.sha256(path.read_bytes()).hexdigest()}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
@@ -66,6 +114,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     for line in lines():
+        print(line, flush=True)
+    for line in cli_lines():
         print(line, flush=True)
     return 0
 
