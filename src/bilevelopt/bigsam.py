@@ -7,15 +7,17 @@ gradient step on the outer objective g:
     phi_{k+1}   = omega_k - s * grad1_g(omega_k, lam)
     omega_{k+1} = alpha_{k+1} * theta_{k+1} + (1 - alpha_{k+1}) * phi_{k+1}
 
-``_iterate`` applies it in the expanded form
-omega - t*alpha*grad1_h - s*(1-alpha)*grad1_g, one pass over omega.  With
-alpha == 1 the update degenerates to plain gradient descent on h, which is
-exactly the inner solver of the basic bilevel model; the improved model uses
-the decaying weight alpha_k = min(1, k^(-exponent)) of ``schedule``.  Steps
-with alpha == 1 skip the grad1_g evaluation entirely, so a run with exponent
-0 is bit-identical to a basic-mode run.
+A problem's step map applies it in the expanded form
+omega - t*alpha*grad1_h - s*(1-alpha)*grad1_g.  With alpha == 1 the update
+degenerates to plain gradient descent on h, which is exactly the inner
+solver of the basic bilevel model; the improved model uses the decaying
+weight alpha_k = min(1, k^(-exponent)) of ``schedule``.  Steps with
+alpha == 1 skip the g half entirely, so a run with exponent 0 is
+bit-identical to a basic-mode run.
 
-Every solve binds lam once through ``bilevelopt.problem.linearizer``.
+Every solve binds lam once through ``bilevelopt.problem.linearizer``, which
+returns the step map itself: ``_iterate`` makes one ``step`` call per inner
+step, and a problem's hook may evaluate h and g in one fused kernel.
 ``solve_inner`` records each step's VJP on the ``Tape``; the value-only paths
 (``final_inner_iterate``, ``final_inner_iterates_many``) ask for no residuals
 and record nothing.  The reverse pass over a ``Tape`` is ``bilevelopt.hypergrad``.
@@ -32,7 +34,8 @@ import numpy as np
 from . import affine
 from .problem import BilevelProblem, OracleDivergence, as_vector, linearizer
 
-__all__ = ["InnerSolveSpec", "Tape", "schedule", "solve_inner", "bigsam_standalone"]
+__all__ = ["InnerSolveSpec", "Tape", "schedule", "step_weights", "solve_inner",
+           "bigsam_standalone"]
 
 MODES = ("improved", "basic")
 
@@ -94,11 +97,11 @@ class Tape:
 
     ``iterates`` stacks omega_0..omega_K row-wise; ``alphas`` holds the K
     averaging weights actually used (alphas[k] produced iterates[k+1]).
-    ``vjps``, recorded by every solve that runs the step loop, holds one pair
-    per step k: the VJP of h at omega_k and that of g, or None where
-    alphas[k] == 1.  Their saved residuals are O(K) arrays of the problem's
-    intermediate size; a tape without them (hand-built, or from the composed
-    affine path) is linearized again by the reverse pass.
+    ``vjps``, recorded by every solve that runs the step loop, holds one VJP
+    per step k: that of the step map at omega_k with the weight alphas[k].
+    Their saved residuals are O(K) arrays of the problem's intermediate size;
+    a tape without them (hand-built, or from the composed affine path) is
+    linearized again by the reverse pass.
     """
 
     iterates: np.ndarray
@@ -113,7 +116,7 @@ class Tape:
         if self.iterates.shape[0] != self.alphas.shape[0] + 1:
             raise ValueError("tape must hold exactly one more iterate than alphas")
         if self.vjps is not None and len(self.vjps) != self.alphas.shape[0]:
-            raise ValueError("tape must hold exactly one VJP pair per step")
+            raise ValueError("tape must hold exactly one VJP per step")
         if not (np.all(np.isfinite(self.iterates)) and np.all(np.isfinite(self.alphas))):
             raise ValueError("tape contains non-finite entries")
 
@@ -143,6 +146,12 @@ def schedule(K: int, mode: str, spec: InnerSolveSpec) -> np.ndarray:
     return np.asarray(alphas, dtype=np.float64)
 
 
+def step_weights(alphas: np.ndarray, t: float, s: float) -> list:
+    """The (ta, sb) = (t*alpha, s*(1-alpha)) of each step; sb is None where alpha == 1."""
+    return [(t, None) if alpha == 1.0 else (t * alpha, s * (1.0 - alpha))
+            for alpha in alphas.tolist()]
+
+
 def _start(problem: BilevelProblem, spec: InnerSolveSpec) -> np.ndarray:
     """omega_0: the spec's start point, else the problem's, else zeros."""
     if spec.omega0 is not None:
@@ -152,32 +161,38 @@ def _start(problem: BilevelProblem, spec: InnerSolveSpec) -> np.ndarray:
     return np.zeros(problem.inner_dim)
 
 
-def _iterate(omega: np.ndarray, alphas: np.ndarray, t: float, s: float,
-             lin_h: Callable, lin_g: Callable, out: Optional[np.ndarray] = None,
-             vjps: Optional[list] = None) -> np.ndarray:
+def _iterate(omega: np.ndarray, alphas: np.ndarray, t: float, s: float, step: Callable,
+             out: Optional[np.ndarray] = None, vjps: Optional[list] = None) -> np.ndarray:
     """Run the K averaged steps from omega and return the last iterate.
 
-    ``omega`` is one row or a stack of rows; ``lin_h`` and ``lin_g`` are the
-    per-step linearizers of h and g at the solve's lam, bound beforehand.  A
-    step with alpha == 1 never calls ``lin_g``.  When ``out`` is given,
-    iterate k+1 is written into its row k+1; when ``vjps`` is given, step k
-    appends its pair (VJP of h, VJP of g or None).  An overflow is not warned
-    about: the caller's finiteness check reports the divergence.
+    ``omega`` is one row or a stack of rows; ``step`` is the step map of
+    ``linearizer`` at the solve's lam, bound beforehand, called once per
+    step with that step's ``step_weights``.  When ``out`` is given, iterate
+    k+1 is written into its row k+1; when ``vjps`` is given, step k appends
+    its VJP.  An overflow is not warned about: the caller's finiteness check
+    reports the divergence.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, alpha in enumerate(alphas.tolist()):
-            grad_h, vjp_h = lin_h(omega)
-            if alpha == 1.0:
-                vjp_g = None
-                omega = omega - t * grad_h
-            else:
-                grad_g, vjp_g = lin_g(omega)
-                omega = omega - (t * alpha) * grad_h - (s * (1.0 - alpha)) * grad_g
+        for k, (ta, sb) in enumerate(step_weights(alphas, t, s)):
+            omega, vjp = step(omega, ta, sb)
             if vjps is not None:
-                vjps.append((vjp_h, vjp_g))
+                vjps.append(vjp)
             if out is not None:
                 out[k + 1] = omega
     return omega
+
+
+def _culprit(problem: BilevelProblem, omega: np.ndarray, lam: np.ndarray, alpha: float) -> str:
+    """The gradient oracles, of those the step read, that are not finite at omega.
+
+    Run on the failure path only: a fused step no longer tells which of its
+    halves went non-finite, so the slots are asked again at the step's input.
+    """
+    names = ("grad1_h",) if alpha == 1.0 else ("grad1_h", "grad1_g")
+    with np.errstate(all="ignore"):
+        bad = [name for name in names
+               if not np.all(np.isfinite(getattr(problem, name)(omega, lam)))]
+    return f": {', '.join(bad)}" if bad else ""
 
 
 def _solve(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str,
@@ -192,13 +207,14 @@ def _solve(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str,
         iterates = np.empty((spec.K + 1, problem.inner_dim))
         iterates[0] = omega
         vjps = [] if record else None
-        _iterate(omega, alphas, spec.t, spec.s, *linearizer(problem, lam, residuals=record),
+        _iterate(omega, alphas, spec.t, spec.s, linearizer(problem, lam, residuals=record),
                  out=iterates, vjps=vjps)
     finite_rows = np.all(np.isfinite(iterates), axis=1)
     if not finite_rows.all():
-        bad = int(np.argmin(finite_rows))
+        k = max(int(np.argmin(finite_rows)) - 1, 0)
         raise OracleDivergence(
-            f"oracle-divergence: non-finite iterate (inner step {max(bad - 1, 0)})")
+            f"oracle-divergence: non-finite iterate "
+            f"(inner step {k}{_culprit(problem, iterates[k], lam, alphas[k])})")
     return Tape(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
                 lam=lam.copy(), mode=mode, vjps=None if vjps is None else tuple(vjps))
 
@@ -210,13 +226,15 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -
     plain gradient descent on h and never touches g).  No projection, no line
     search, no stopping rule beyond the fixed K.
 
-    The loop costs K gradient evaluations of h plus one of g per averaged
-    step, and records each step's VJP on the tape.  A problem that declares
+    The loop makes one step-map call per step (K gradient evaluations of h
+    plus one of g per averaged step, fused where the problem's hook fuses
+    them) and records each step's VJP on the tape.  A problem that declares
     its affine structure (``BilevelProblem.affine``) instead has its K step
     maps composed by a blocked scan (``bilevelopt.affine``), which evaluates
     no gradient oracle and agrees with the loop to roundoff; if a composed
     value is not finite the loop is run instead.  Finiteness is checked once on the recorded
-    trajectory: the first non-finite iterate names the diverging step.
+    trajectory: the first non-finite iterate names the diverging step, and the
+    gradient oracles that are not finite at its input name the cause.
     """
     return _solve(problem, lam, spec, mode, record=True)
 
@@ -244,7 +262,7 @@ def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
     lams = np.asarray(lams, dtype=np.float64)
     omegas = np.tile(_start(problem, spec), (lams.shape[0], 1))
     omegas = _iterate(omegas, alphas, spec.t, spec.s,
-                      *linearizer(problem, lams, residuals=False))
+                      linearizer(problem, lams, residuals=False))
     if not np.all(np.isfinite(omegas)):
         raise OracleDivergence("oracle-divergence: non-finite final iterate in batched solve")
     return omegas
@@ -263,9 +281,14 @@ def bigsam_standalone(h_oracle: Tuple[Callable, Callable],
     _, h_grad = h_oracle
     _, g_grad = g_oracle
     omega = np.array(omega0, dtype=np.float64, copy=True).reshape(-1)
-    omega = _iterate(omega, schedule(K, "improved", spec), t, s,
-                     lambda w: (np.asarray(h_grad(w), dtype=np.float64), None),
-                     lambda w: (np.asarray(g_grad(w), dtype=np.float64), None))
+
+    def step(w, ta, sb):
+        w_next = w - ta * np.asarray(h_grad(w), dtype=np.float64)
+        if sb is not None:
+            w_next = w_next - sb * np.asarray(g_grad(w), dtype=np.float64)
+        return w_next, None
+
+    omega = _iterate(omega, schedule(K, "improved", spec), t, s, step)
     if not np.all(np.isfinite(omega)):
         raise OracleDivergence("oracle-divergence: non-finite final iterate")
     return omega

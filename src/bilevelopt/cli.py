@@ -184,7 +184,10 @@ def _clean_dataset(args: dict, seed: int):
         parts = args["data"][4:].split(",")
         if len(parts) != 2:
             raise CliError("idx data spec must be idx:<images_path>,<labels_path>")
-        ds = load_idx(parts[0], parts[1])
+        try:
+            ds = load_idx(parts[0], parts[1])
+        except OSError as exc:
+            raise CliError(f"cannot read idx data: {exc}")
         spec = {"kind": "idx", "images": parts[0], "labels": parts[1]}
     else:
         raise CliError(f"unknown data source {args['data']!r} (use synthetic or idx:<paths>)")

@@ -132,7 +132,10 @@ def corrupt_labels(ds: Dataset, rho: float, seed: int) -> Dataset:
 
 
 def split(ds: Dataset, n_tr: int, n_val: int, seed: int) -> Tuple[Dataset, Dataset]:
-    """Disjoint uniformly sampled train/validation subsets."""
+    """Disjoint uniformly sampled train/validation subsets, each of at least one sample."""
+    if n_tr < 1 or n_val < 1:
+        raise ValueError(f"split-too-small: n_tr and n_val must be at least 1, "
+                         f"got {n_tr} and {n_val}")
     if n_tr + n_val > len(ds):
         raise ValueError(f"split-too-large: {n_tr}+{n_val} exceeds {len(ds)} samples")
     perm = stream(seed, "split").permutation(len(ds))

@@ -12,32 +12,33 @@ iterate with the averaging weight that step actually used:
     a^T dPhi_k/d(omega) = a - t*alpha * vjp11_h(a) - s*(1-alpha) * vjp11_g(a)
     a^T dPhi_k/d(lam)   =   - t*alpha * vjp12_h(a) - s*(1-alpha) * vjp12_g(a)
 
-The g terms drop out on steps with alpha == 1.  ``reverse_hypergradient``
-holds the only implementation of these two products.  It asks each step for
-one VJP per objective, ``vjp(a, omega_side) -> (a^T d11, a^T d12)``: the
-omega side is skipped on the oldest step, and the lam side is None where
-the objective does not read lam.
+The g terms drop out on steps with alpha == 1.  Both products belong to the
+step: each step's VJP, ``vjp(a, omega_side, lam_bar)`` of
+``bilevelopt.problem.linearizer``, adds the second into the accumulator and
+returns the first, so ``reverse_hypergradient`` makes one VJP call per step
+and does no mixing of h and g itself.  The omega side is skipped on the
+oldest step.
 
 Every transition contributes its lam-partial, including the very first one
 (omega_0 -> omega_1): omega_0 itself is lam-independent, but the step that
 produced omega_1 is not.  A central-difference oracle on f_K confirms this
 bound; truncating the oldest transition leaves an O(alpha_1 * t) error that
 is far above tolerance at small K.  The pass therefore takes exactly K
-lam-side and K-1 omega-side VJPs of h, plus those of g on averaged steps:
-O(K), matching the forward cost.
+lam-side and K-1 omega-side step VJPs: O(K), matching the forward cost.
 
 Where those VJPs come from sets what each costs.  Every solve that runs the
-step loop records them on its tape through ``bilevelopt.problem.linearizer``,
-and the pass walks a tape's own VJPs.  A ``linearize`` hook's VJPs read the
-residuals their forward step saved (the learning problems' softmax
-probabilities, and hyper-representation's lam-bound features), so they
-recompute no forward quantity; the residuals live until the tape is dropped,
-O(K) arrays of the problem's intermediate size.  VJPs built from the slots
-(a ``replace`` copy, a user-built record) keep only the step's iterate and
-call vjp11/vjp12, or the FD fallback of a slot left None, as the pass reaches
+step loop records them on its tape, and the pass walks a tape's own VJPs.
+A ``linearize`` hook's VJPs read the residuals their forward step saved (the
+learning problems' softmax probabilities over both splits at once, and
+hyper-representation's lam-bound features), so they recompute no forward
+quantity, and on an averaged step they take h and g through one fused
+kernel; the residuals live until the tape is dropped, O(K) arrays of the
+problem's intermediate size.  VJPs of a step built from the slots (a
+``replace`` copy, a user-built record) keep only the step's iterate and call
+vjp11/vjp12, or the FD fallback of a slot left None, as the pass reaches
 them, each recomputing its forward quantities.  A tape without VJPs
 (hand-built, or from the affine path) is linearized again from its iterates
-by the problem the pass is given, at one more gradient per step.  A problem
+by the problem the pass is given, at one more forward step each.  A problem
 that declares its affine structure (``BilevelProblem.affine``) calls no VJP:
 its step maps are composed by a blocked scan that carries the lam-Jacobian
 forward (``bilevelopt.affine``).
@@ -50,7 +51,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import affine
-from .bigsam import InnerSolveSpec, Tape, final_inner_iterate, final_inner_iterates_many
+from .bigsam import (InnerSolveSpec, Tape, final_inner_iterate, final_inner_iterates_many,
+                     step_weights)
 from .problem import BilevelProblem, OracleDivergence, as_vector, linearizer
 
 __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
@@ -59,14 +61,13 @@ __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
     """Accumulate the hypergradient of f_K at the tape's recorded lam.
 
-    The loop applies the step map's two VJPs of the module docstring: K
-    lam-side and K-1 omega-side VJPs of h, plus those of g on averaged
-    steps.  They are the tape's recorded ones, else those of ``linearizer``
-    at the tape's iterates, newest first.  A problem with a declared
-    affine structure instead gets grad2_g + J_K^T grad1_g from its composed
-    step maps, and runs the loop only if that value is not finite.
-    Finiteness is checked once on the result, so an overflow on the way is
-    not warned about.
+    The loop makes one call per step to the step map's VJP of the module
+    docstring: the tape's recorded ones, else those of ``linearizer`` at the
+    tape's iterates, newest first.  A problem with a declared affine
+    structure instead gets grad2_g + J_K^T grad1_g from its composed step
+    maps, and runs the loop only if that value is not finite.  Finiteness is
+    checked once on the result, so an overflow on the way is not warned
+    about.
     """
     n, m = problem.dims
     if tape.iterates.shape[1] != n or tape.lam.shape[0] != m:
@@ -79,30 +80,17 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
             return G
     lam = tape.lam
     omega_K = tape.final
-    t, s = tape.t, tape.s
-    alphas = tape.alphas.tolist()
     if tape.vjps is not None:
-        steps = reversed(tape.vjps)
+        vjps = reversed(tape.vjps)
     else:
-        lin_h, lin_g = linearizer(problem, lam)
-        steps = ((lin_h(w)[1], None if alpha == 1.0 else lin_g(w)[1])
-                 for w, alpha in zip(tape.iterates[-2::-1], alphas[::-1]))
+        step = linearizer(problem, lam)
+        vjps = (step(w, ta, sb)[1] for w, (ta, sb) in
+                zip(tape.iterates[-2::-1], step_weights(tape.alphas, tape.t, tape.s)[::-1]))
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.asarray(problem.grad1_g(omega_K, lam), dtype=np.float64)
         G = np.asarray(problem.grad2_g(omega_K, lam), dtype=np.float64).copy()
-        for k, (vjp_h, vjp_g) in zip(range(tape.K - 1, -1, -1), steps):
-            alpha = alphas[k]
-            h_omega, h_lam = vjp_h(a, k > 0)
-            G += -(t * alpha) * h_lam
-            if vjp_g is not None:
-                g_omega, g_lam = vjp_g(a, k > 0)
-                if g_lam is not None:
-                    G += -(s * (1.0 - alpha)) * g_lam
-            if k > 0:
-                a_new = a - (t * alpha) * h_omega
-                if vjp_g is not None:
-                    a_new = a_new - (s * (1.0 - alpha)) * g_omega
-                a = a_new
+        for k, vjp in zip(range(tape.K - 1, -1, -1), vjps):
+            a = vjp(a, k > 0, G)
     if not np.all(np.isfinite(G)):
         raise OracleDivergence("oracle-divergence: non-finite hypergradient")
     return G

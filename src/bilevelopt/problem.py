@@ -13,16 +13,21 @@ and likewise for g.  Problems may supply these analytically or leave them
 None, to be taken by central differences of the problem's own gradients.
 
 A problem may also offer one optional hook, ``linearize(lam, residuals=True)
--> (h, g)``.  It binds lam once per inner solve and returns two per-step
-linearizers, ``h(omega) -> (grad1_h, vjp)`` and ``g(omega) -> (grad1_g, vjp)``,
-where ``vjp(a, omega_side) -> (a^T d11, a^T d12)`` reads the residuals its
-forward step saved.  The first entry is None unless ``omega_side``; the second
-is None where the objective does not read lam.  This is the shape of JAX's
-``vjp``: the forward step and its VJP share one linearization instead of the
-slots recomputing it.  With ``residuals`` False the linearizers save nothing
-and return (gradient, None); the value-only solves ask for that.
-``linearizer(problem, lam)``, the one way the solver and the reverse pass ask
-for derivatives, returns the hook's pair or builds the same pair from the slots.
+-> step``.  It binds lam once per inner solve and returns the averaged step
+map of ``bilevelopt.bigsam``, ``step(w, ta, sb) -> (w_next, vjp)``, which
+takes omega_k to omega_{k+1} = omega_k - ta * grad1_h - sb * grad1_g with
+ta = t*alpha and sb = s*(1-alpha).  ``sb`` None marks a step with alpha == 1:
+it reads h alone and never touches g.  ``vjp(a, omega_side, lam_bar)`` is the
+VJP of the whole step, read from the residuals its forward saved: it adds
+a^T dPhi/dlam into the accumulator ``lam_bar`` and returns a^T dPhi/domega,
+or None unless ``omega_side``.  This is the shape of JAX's ``vjp`` of the
+step, with the lam cotangent accumulated in place so that a step built from
+the slots adds its h and g terms one at a time, as the reverse pass always
+has.  A hook may evaluate h and g in one fused kernel per step.  With
+``residuals`` False the step saves nothing and returns (w_next, None); the
+value-only solves ask for that.  ``linearizer(problem, lam)``, the one way
+the solver and the reverse pass ask for derivatives, returns the hook's step
+or builds it from the slots.
 
 All oracles must be pure: identical inputs produce bit-identical outputs.
 Arithmetic is IEEE-754 float64 throughout.
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -100,13 +105,15 @@ class BilevelProblem:
     copy drop it: such a copy may swap oracles, so it takes the generic loop,
     which stays the reference path.
 
-    ``linearize`` holds the hook of the module docstring; it must give bit
-    for bit what the slots give.  A problem with batched oracles must also
-    accept a stack of lam rows, and then takes stacks of omega rows.  It is
-    set after construction and dropped by a ``replace`` copy, as ``affine``
-    is.  ``g_lambda_free`` and ``grad1_h_many``/``grad1_g_many`` serve only
-    the slot-built linearizers and the FD referee; they stay init fields
-    because an outside tracer copies problems through ``replace``.
+    ``linearize`` holds the hook of the module docstring.  On a step with
+    alpha == 1 it must give bit for bit what the slot-built step gives; an
+    averaged step may fuse h and g and so round differently.  A problem with
+    batched oracles must also accept a stack of lam rows, and then takes
+    stacks of omega rows.  It is set after construction and dropped by a
+    ``replace`` copy, as ``affine`` is.  ``g_lambda_free`` and
+    ``grad1_h_many``/``grad1_g_many`` serve only the slot-built step and the
+    FD referee; they stay init fields because an outside tracer copies
+    problems through ``replace``.
     """
 
     inner_dim: int
@@ -205,37 +212,47 @@ def _fd_fallback(problem: BilevelProblem, which: str, a, omega, lam) -> np.ndarr
     return scale * fd_vjp(problem, which, a / scale, omega, lam, eps)
 
 
-def linearizer(problem: BilevelProblem, lam, residuals: bool = True) -> Tuple[Callable, Callable]:
-    """The per-step linearizers ``(h, g)`` of ``problem`` with ``lam`` bound.
+def linearizer(problem: BilevelProblem, lam, residuals: bool = True) -> Callable:
+    """The averaged step map ``step(w, ta, sb) -> (w_next, vjp)`` of ``problem`` at ``lam``.
 
-    The ``linearize`` hook, else the pair built from the slots: ``h(w)``
-    returns ``grad1_h(w, lam)`` (``grad1_h_many`` for a stack of lam rows)
-    and a vjp bound to (w, lam) that calls vjp11_h/vjp12_h, or their FD
-    fallbacks, when the reverse pass reaches it; ``g`` likewise, without a
-    lam side when ``g_lambda_free`` is set.
+    The ``linearize`` hook, else the step built from the slots in the
+    solver's expression order, w - ta*grad1_h - sb*grad1_g (w - ta*grad1_h
+    where ``sb`` is None), with ``grad1_h_many``/``grad1_g_many`` for a
+    stack of lam rows.  Its vjp keeps only (w, lam) and calls vjp11/vjp12,
+    or their FD fallbacks, when the reverse pass reaches it; it takes no g
+    VJP where ``sb`` is None and no lam side of g when ``g_lambda_free`` is
+    set.
     """
     if problem.linearize is not None:
         return problem.linearize(lam, residuals=residuals)
+    many = np.ndim(lam) == 2
+    grad_h = problem.grad1_h_many if many else problem.grad1_h
+    grad_g = problem.grad1_g_many if many else problem.grad1_g
+    h11, h12, g11, g12 = (getattr(problem, slot) or partial(_fd_fallback, problem, which)
+                          for slot, which in zip(VJP_SLOTS, VJP_NAMES))
+    if problem.g_lambda_free:
+        g12 = None
 
-    def built(which):
-        grad = getattr(problem, f"grad1_{which}_many" if np.ndim(lam) == 2 else f"grad1_{which}")
+    def step(w, ta, sb):
+        if sb is None:
+            w_next = w - ta * grad_h(w, lam)
+        else:
+            w_next = w - ta * grad_h(w, lam) - sb * grad_g(w, lam)
         if not residuals:
-            return lambda w: (grad(w, lam), None)
-        d11, d12 = (getattr(problem, f"vjp{ij}_{which}")
-                    or partial(_fd_fallback, problem, which + ij) for ij in ("11", "12"))
-        if which == "g" and problem.g_lambda_free:
-            d12 = None
+            return w_next, None
 
-        def lin(w):
-            def vjp(a, omega_side):
-                return (d11(a, w, lam) if omega_side else None,
-                        None if d12 is None else d12(a, w, lam))
+        def vjp(a, omega_side, lam_bar):
+            lam_bar += -ta * h12(a, w, lam)
+            if sb is not None and g12 is not None:
+                lam_bar += -sb * g12(a, w, lam)
+            if not omega_side:
+                return None
+            a_next = a - ta * h11(a, w, lam)
+            return a_next if sb is None else a_next - sb * g11(a, w, lam)
 
-            return grad(w, lam), vjp
+        return w_next, vjp
 
-        return lin
-
-    return built("h"), built("g")
+    return step
 
 
 @dataclass(frozen=True)

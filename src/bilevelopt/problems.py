@@ -25,6 +25,14 @@ argument (default -1).  Every contraction is a (batched) matmul taken
 pairwise, never a multi-operand einsum.  The flattened inner and outer
 variables keep their layouts (d x C weights; task x r x way heads; d x r
 map); only the kernels' intermediates are transposed.
+
+Both learning problems set the ``linearize`` hook of ``bilevelopt.problem``
+to a fused averaged step.  A step with alpha == 1 runs h's kernels on the
+training split alone, exactly as the slots do.  An averaged step stacks the
+two splits as one input with the training samples first, takes one softmax
+over the concatenated logits, scales the residual per column by the step's
+weights and projects it back once; its VJP takes one softmax JVP over the
+same columns.  The weights are recomputed in the VJP, not saved.
 """
 
 from __future__ import annotations
@@ -98,7 +106,9 @@ def sample_losses(Z: np.ndarray, Y: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def _softmax_jvp(P: np.ndarray, dZ: np.ndarray, axis: int = -1) -> np.ndarray:
     """Directional derivative of softmax along a logit perturbation; ``axis`` is the class axis."""
-    return P * dZ - P * (P * dZ).sum(axis=axis, keepdims=True)
+    PdZ = P * dZ
+    PdZ -= P * PdZ.sum(axis=axis, keepdims=True)
+    return PdZ
 
 
 def _onehot(y: np.ndarray, C: int) -> np.ndarray:
@@ -279,14 +289,20 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
         raise ValueError("bad-label: train/validation class counts differ")
     # logits are C x N, B x C x N for a stack of rows (class-major, see the
     # module docstring); W(w).T @ X.T reads the d x C weights in place.  The
-    # kernels below take one row or a stack of rows alike.
-    XtrT = np.ascontiguousarray(train.X.T)
-    XvaT = np.ascontiguousarray(val.X.T)
+    # two splits' inputs are held once, stacked as one d x (N_tr + N_val)
+    # input with the training samples first; the per-split inputs are views
+    # into it, which matmul reads at full speed.  The one-hot targets stay
+    # contiguous per split: an elementwise op on a strided view costs about
+    # a microsecond more, on every step.  The kernels below take one row or
+    # a stack of rows alike.
+    m = len(train)
+    XT = np.empty((train.d, m + len(val)))
+    XtrT, XvaT = XT[:, :m], XT[:, m:]
+    XtrT[:], XvaT[:] = train.X.T, val.X.T
     YtrT = np.ascontiguousarray(_onehot(train.y, C).T)
     YvaT = np.ascontiguousarray(_onehot(val.y, C).T)
     d = train.d
     n = d * C
-    m = len(train)
 
     def WT(w):
         # C x d view of the d x C weights
@@ -303,7 +319,8 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
 
     # the kernels: P is the softmax at w, which a linearized step saves; R
     # is P - Y, which the gradient kernels overwrite; A is the logit
-    # perturbation W(a).T @ X.T of an adjoint a; sig is sigmoid(lam)
+    # perturbation W(a).T @ X.T of an adjoint a; sig is sigmoid(lam) and
+    # dsig its derivative sig * (1 - sig)
     def probs(XT, w):
         return _softmax_inplace(WT(w) @ XT, axis=-2)
 
@@ -326,8 +343,8 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
         dP *= sig[..., None, :]
         return back(XtrT, dP)
 
-    def h_lam(P, A, sig):
-        return sig * (1.0 - sig) * (A * (P - YtrT)).sum(axis=-2)
+    def h_lam(P, A, dsig):
+        return dsig * (A * (P - YtrT)).sum(axis=-2)
 
     def g_grad(R, w):
         out = back(XvaT, R)
@@ -341,29 +358,61 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
 
     def linearize(lam, residuals=True):
         sig = sigmoid(lam)
+        dsig = sig * (1.0 - sig) if residuals else None
+        YT = np.concatenate((YtrT, YvaT), axis=-1)
 
-        def h(w):
+        def weights(ta, sb):
+            # the averaged step's per-column weights on the stacked splits,
+            # [ta * sig ; sb]
+            c = np.empty(XT.shape[1])
+            np.multiply(sig, ta, out=c[:m])
+            c[m:] = sb
+            return c
+
+        def h_step(w, ta):
+            # alpha == 1: the training split alone, as the slots compute it
             if not residuals:
-                return h_grad(errors(XtrT, YtrT, w), sig), None
+                return w - ta * h_grad(errors(XtrT, YtrT, w), sig), None
             P = probs(XtrT, w)
 
-            def vjp(a, omega_side):
+            def vjp(a, omega_side, lam_bar):
                 A = WT(a) @ XtrT
-                return (h_omega(P, A, sig) if omega_side else None), h_lam(P, A, sig)
+                lam_bar += -ta * h_lam(P, A, dsig)
+                return a - ta * h_omega(P, A, sig) if omega_side else None
 
-            return h_grad(P - YtrT, sig), vjp
+            return w - ta * h_grad(P - YtrT, sig), vjp
 
-        def g(w):
+        def step(w, ta, sb):
+            if sb is None:
+                return h_step(w, ta)
+            if sig.ndim == 2:
+                # a stack of lam rows (the FD referee's probes) is bound by
+                # memory traffic, not by calls: fused, its largest array would
+                # double, so the two halves run apart, as the slots run them
+                return (w - ta * h_grad(errors(XtrT, YtrT, w), sig)
+                        - sb * g_grad(errors(XvaT, YvaT, w), w)), None
+            # one softmax over both splits' logits, whose residual, weighted
+            # per column, is back-projected once; the ridge shrinks w
+            shrink = 1.0 - (2.0 * ridge) * sb
+            P = probs(XT, w)
+            R = P - YT if residuals else np.subtract(P, YT, out=P)
+            R *= weights(ta, sb)
+            w_next = shrink * w - back(XT, R)
             if not residuals:
-                return g_grad(errors(XvaT, YvaT, w), w), None
-            P = probs(XvaT, w)
+                return w_next, None
 
-            def vjp(a, omega_side):
-                return (g_omega(P, WT(a) @ XvaT, a) if omega_side else None), None
+            def vjp(a, omega_side, lam_bar):
+                A = WT(a) @ (XT if omega_side else XtrT)
+                lam_bar += -ta * h_lam(P[:, :m], A[:, :m], dsig)
+                if not omega_side:
+                    return None
+                dP = _softmax_jvp(P, A, axis=-2)
+                dP *= weights(ta, sb)
+                return shrink * a - back(XT, dP)
 
-            return g_grad(P - YvaT, w), vjp
+            return w_next, vjp
 
-        return h, g
+        return step
 
     # the slots: the same kernels at an unbound lam, for one row or a stack
     def grad1_h(w, lam):
@@ -376,7 +425,8 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
         return h_omega(probs(XtrT, w), WT(a) @ XtrT, sigmoid(lam))
 
     def vjp12_h(a, w, lam):
-        return h_lam(probs(XtrT, w), WT(a) @ XtrT, sigmoid(lam))
+        sig = sigmoid(lam)
+        return h_lam(probs(XtrT, w), WT(a) @ XtrT, sig * (1.0 - sig))
 
     def vjp11_g(a, w, lam):
         return g_omega(probs(XvaT, w), WT(a) @ XvaT, a)
@@ -458,6 +508,8 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
 
     Xtr2, YtrT = rows_and_targets(Xtr, ytr)
     Xva2, YvaT = rows_and_targets(Xva, yva)
+    n_tr = ytr.shape[1]
+    train_cols = np.arange(n_tr + yva.shape[1]) < n_tr
 
     def WT(w):
         # task x way x r view of the task x r x way heads
@@ -502,22 +554,54 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         return contract_inputs(X2, M)
 
     def linearize(lam, residuals=True):
-        def bind(X2, YT, rg):
-            FT = features(X2, lam)
+        # both splits' features and targets as one task x r x (N_tr + N_val)
+        # input, each split's features laid out as features() lays them out,
+        # training samples first
+        FT = np.concatenate([features(X2, lam).transpose(0, 2, 1) for X2 in (Xtr2, Xva2)],
+                            axis=1).transpose(0, 2, 1)
+        FTtr = FT[..., :n_tr]
+        YT = np.concatenate((YtrT, YvaT), axis=-1)
 
-            def lin(w):
-                P = probs(FT, w)
+        def h_step(w, ta):
+            # alpha == 1: the training split alone, as the slots compute it
+            P = probs(FTtr, w)
+            w_next = w - ta * grad(FTtr, P, YtrT, w, 0.0)
+            if not residuals:
+                return w_next, None
 
-                def vjp(a, omega_side):
-                    dP = dprobs(FT, P, a)
-                    return (omega_part(FT, dP, a, rg) if omega_side else None,
-                            lam_part(X2, YT, P, dP, w, a))
+            def vjp(a, omega_side, lam_bar):
+                dP = dprobs(FTtr, P, a)
+                lam_bar += -ta * lam_part(Xtr2, YtrT, P, dP, w, a)
+                return a - ta * omega_part(FTtr, dP, a, 0.0) if omega_side else None
 
-                return grad(FT, P, YT, w, rg), (vjp if residuals else None)
+            return w_next, vjp
 
-            return lin
+        def step(w, ta, sb):
+            if sb is None:
+                return h_step(w, ta)
+            # one softmax over both splits' logits, whose residual, weighted
+            # per column by [ta ; sb], is projected back once; the ridge
+            # shrinks w
+            shrink = 1.0 - (2.0 * ridge) * sb
+            P = probs(FT, w)
+            R = P - YT
+            R *= np.where(train_cols, ta, sb)
+            w_next = shrink * w - np.matmul(FT, R.transpose(0, 2, 1)).ravel()
+            if not residuals:
+                return w_next, None
 
-        return bind(Xtr2, YtrT, 0.0), bind(Xva2, YvaT, ridge)
+            def vjp(a, omega_side, lam_bar):
+                dP = dprobs(FT, P, a)
+                lam_bar += -ta * lam_part(Xtr2, YtrT, P[..., :n_tr], dP[..., :n_tr], w, a)
+                lam_bar += -sb * lam_part(Xva2, YvaT, P[..., n_tr:], dP[..., n_tr:], w, a)
+                if not omega_side:
+                    return None
+                dP *= np.where(train_cols, ta, sb)
+                return shrink * a - np.matmul(FT, dP.transpose(0, 2, 1)).ravel()
+
+            return w_next, vjp
+
+        return step
 
     # the slots: the same kernels with the features mapped at each call
     def slots(X2, YT, rg):

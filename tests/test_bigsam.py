@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bilevelopt as bl
-from bilevelopt.bigsam import final_inner_iterate
+from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
 
 
 def reference_trajectory(grad_h, grad_g, lam, omega0, K, t, s, mode,
@@ -146,7 +146,7 @@ class TestBigsamStep:
             grad2_g=lambda w, lam: np.zeros(1),
         )
         for mode in ("improved", "basic"):
-            with pytest.raises(bl.OracleDivergence, match=r"\(inner step 0\)"):
+            with pytest.raises(bl.OracleDivergence, match=r"\(inner step 0: grad1_h\)$"):
                 bl.solve_inner(bad, np.zeros(1), spec(K=4), mode)
         nan = (None, lambda w: np.array([np.nan]))
         with pytest.raises(bl.OracleDivergence):
@@ -373,3 +373,116 @@ class TestFinalIterateHelper:
             tape = bl.solve_inner(p, lam, spec, mode)
             last = final_inner_iterate(p, lam, spec, mode)
             assert np.array_equal(tape.final, last)
+
+
+def counting_problem():
+    """h = (w - lam)^2 / 2, g = w^2 / 2 with every gradient and VJP slot counted."""
+    calls = {}
+
+    def counted(name, fn):
+        calls[name] = 0
+
+        def oracle(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return oracle
+
+    p = bl.BilevelProblem(
+        inner_dim=1, outer_dim=1, name="counted",
+        h_value=lambda w, lam: float(0.5 * (w[0] - lam[0]) ** 2),
+        g_value=lambda w, lam: float(0.5 * w[0] ** 2),
+        grad1_h=counted("grad1_h", lambda w, lam: w - lam),
+        grad1_g=counted("grad1_g", lambda w, lam: w.copy()),
+        grad2_g=counted("grad2_g", lambda w, lam: np.zeros(1)),
+        vjp11_h=counted("vjp11_h", lambda a, w, lam: a.copy()),
+        vjp12_h=counted("vjp12_h", lambda a, w, lam: -a),
+        vjp11_g=counted("vjp11_g", lambda a, w, lam: a.copy()),
+        vjp12_g=counted("vjp12_g", lambda a, w, lam: np.zeros(1)),
+    )
+    return p, calls
+
+
+def hypercleaning(val_scale=1.0, train_scale=1.0, val_nan=False):
+    """A small hyper-cleaning instance, its features optionally scaled or poisoned."""
+    ds = bl.gen_synthetic(5, 120, 4, 2, 3.0)
+    train, val = bl.split(ds, 50, 40, 5)
+    train = bl.corrupt_labels(train, 0.5, 5)
+    train, val = (dataclasses.replace(part, X=part.X * scale)
+                  for part, scale in ((train, train_scale), (val, val_scale)))
+    if val_nan:
+        # Dataset rejects non-finite features: poison a copy after the check
+        val.X[0, 0] = np.nan
+    return bl.make_hypercleaning(train, val)
+
+
+class TestAlphaOneStepsSkipG:
+    """A step with alpha == 1 reads h alone: no g oracle runs and no g value reaches it."""
+
+    def test_slot_built_step_calls_no_g_oracle(self):
+        p, calls = counting_problem()
+        K, lam = 7, np.array([0.3])
+        for mode in ("basic", "improved"):
+            for name in calls:
+                calls[name] = 0
+            cfg = spec(K=K, bigsam_frequency=3)
+            tape = bl.solve_inner(p, lam, cfg, mode)
+            bl.reverse_hypergradient(p, tape)
+            averaged = int(np.sum(tape.alphas != 1.0))
+            # the averaged steps of f = 3 are k = 3 and 6; k = 0 has alpha_1 = 1
+            assert averaged == (2 if mode == "improved" else 0)
+            assert calls["grad1_h"] == K and calls["vjp12_h"] == K
+            assert calls["vjp11_h"] == K - 1
+            # the reverse pass seeds its adjoint with grad1_g at omega_K once
+            assert calls["grad1_g"] == averaged + 1
+            assert calls["vjp11_g"] == calls["vjp12_g"] == averaged
+
+    @pytest.mark.parametrize("freq", [1, 3])
+    def test_nan_validation_features_leave_basic_runs_intact(self, freq):
+        clean, poisoned = hypercleaning(), hypercleaning(val_nan=True)
+        cfg = spec(K=20, t=0.01, s=0.001, bigsam_frequency=freq)
+        rng = np.random.default_rng(freq)
+        lam = rng.normal(0.0, 0.5, clean.outer_dim)
+        a = rng.normal(0.0, 0.5, clean.inner_dim)
+        want = bl.solve_inner(clean, lam, cfg, "basic")
+        got = bl.solve_inner(poisoned, lam, cfg, "basic")
+        assert np.all(np.isfinite(got.iterates))
+        assert np.array_equal(got.iterates.view(np.uint64), want.iterates.view(np.uint64))
+        for vjp, ref in zip(got.vjps, want.vjps):
+            lam_bar, ref_bar = np.zeros(clean.outer_dim), np.zeros(clean.outer_dim)
+            assert np.array_equal(vjp(a, True, lam_bar), ref(a, True, ref_bar))
+            assert np.array_equal(lam_bar, ref_bar)
+        assert np.array_equal(final_inner_iterate(poisoned, lam, cfg, "basic"), want.final)
+        lams = lam + rng.normal(0.0, 0.1, (3, clean.outer_dim))
+        stacked = final_inner_iterates_many(poisoned, lams, cfg, "basic")
+        assert np.array_equal(stacked, final_inner_iterates_many(clean, lams, cfg, "basic"))
+        # the improved model reads g on its averaged steps, and diverges
+        with pytest.raises(bl.OracleDivergence, match="grad1_g"):
+            bl.solve_inner(poisoned, lam, spec(K=20, t=0.01, s=0.001), "improved")
+
+
+class TestDivergenceNamesTheOracle:
+    """A fused step does not tell which half overflowed: the failure path asks the slots."""
+
+    def test_g_overflows_while_h_stays_finite(self):
+        p = hypercleaning(val_scale=1e300)
+        lam = np.zeros(p.outer_dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bl.OracleDivergence, match=r"\(inner step \d+: grad1_g\)$"):
+                bl.solve_inner(p, lam, spec(K=5, t=0.01, s=0.001), "improved")
+            # basic mode never reads g
+            assert np.all(np.isfinite(
+                bl.solve_inner(p, lam, spec(K=5, t=0.01, s=0.001), "basic").iterates))
+
+    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    def test_h_overflows_while_g_stays_finite(self, mode):
+        p = hypercleaning(train_scale=1e300)
+        with pytest.raises(bl.OracleDivergence, match=r"\(inner step \d+: grad1_h\)$"):
+            bl.solve_inner(p, np.zeros(p.outer_dim), spec(K=5, t=0.01, s=0.001), mode)
+
+    def test_no_oracle_is_named_when_both_gradients_are_finite(self):
+        # the step itself overflows: t = 1e300 times a finite gradient
+        p = loop_copy(bl.make_closedform_quadratic())
+        with pytest.raises(bl.OracleDivergence, match=r"\(inner step 1\)$"):
+            bl.solve_inner(p, np.array([1.0]), spec(K=10, t=1e300), "improved")

@@ -353,6 +353,23 @@ class TestClean:
         manifest = json.loads((tmp_path / "clean.csv.manifest.json").read_text())
         assert manifest["outputs"] == ["clean.csv"]
 
+    @pytest.mark.parametrize("flag", ["--ntr", "--nval"])
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_split_count_below_one_exits_2(self, tmp_path, capsys, flag, count):
+        out = tmp_path / "b.csv"
+        assert run_cli("clean", flag, count, "--out", str(out)) == 2
+        assert "split-too-small" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_idx_file_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        missing = tmp_path / "nofile"
+        assert run_cli("clean", "--data", f"idx:{missing},{tmp_path / 'nolab'}",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read idx data") and str(missing) in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_bad_rho_exits_2(self, tmp_path):
         assert run_cli("clean", "--rho", "1.5", "--out", str(tmp_path / "x.csv")) == 2
 

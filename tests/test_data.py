@@ -107,6 +107,12 @@ class TestSplit:
         assert np.array_equal(a[0].X, b[0].X)
         assert np.array_equal(a[1].X, b[1].X)
 
+    @pytest.mark.parametrize("n_tr, n_val", [(-5, 20), (20, 0)])
+    def test_counts_below_one_rejected(self, n_tr, n_val):
+        ds = bl.gen_synthetic(0, 50, 4, 2, 2.0)
+        with pytest.raises(ValueError, match="split-too-small"):
+            bl.split(ds, n_tr, n_val, 0)
+
     def test_budget_exceeded(self):
         ds = bl.gen_synthetic(0, 50, 4, 2, 2.0)
         with pytest.raises(ValueError, match="split-too-large"):

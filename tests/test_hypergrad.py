@@ -247,8 +247,23 @@ def same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
+def agree(x, y, exact):
+    """Bit for bit where ``exact``, else to 1e-12 relative to y's largest entry."""
+    if exact:
+        return same_bits(x, y)
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
 class TestRecordedReverse:
-    """A problem's linearize hook against its ``replace`` copy's slot-built linearizers."""
+    """A problem's linearize hook against its ``replace`` copy's slot-built step.
+
+    Bit for bit in basic mode, where every step has alpha == 1; to 1e-12
+    relative in improved mode, whose averaged steps the hook fuses.  A
+    tape's own VJPs, and a bare tape re-linearized by the hook, reproduce
+    the hook's reverse pass bit for bit in either mode, and the FD referee,
+    whose stacked probes the hook does not fuse, agrees bit for bit.
+    """
 
     @pytest.mark.parametrize("name", ["hyperclean_synthetic", "hyperrep_synthetic"])
     @pytest.mark.parametrize("mode", ["improved", "basic"])
@@ -261,22 +276,21 @@ class TestRecordedReverse:
         d = inst.defaults
         spec = bl.InnerSolveSpec(K=12, t=d["t"], s=d["s"], bigsam_frequency=freq)
         lam = inst.lam0 + np.random.default_rng(freq).normal(0.0, 0.3, p.outer_dim)
+        exact = mode == "basic"
         tape = bl.solve_inner(p, lam, spec, mode)
         ref = bl.solve_inner(slots, lam, spec, mode)
-        for recorded in (tape, ref):
-            assert len(recorded.vjps) == spec.K
-            assert [vjp_g is None for _, vjp_g in recorded.vjps] == \
-                (recorded.alphas == 1.0).tolist()
-        assert same_bits(tape.iterates, ref.iterates)
+        assert len(tape.vjps) == len(ref.vjps) == spec.K
+        assert agree(tape.iterates, ref.iterates, exact)
+        G = bl.reverse_hypergradient(p, tape)
         want = bl.reverse_hypergradient(slots, ref)
-        assert same_bits(bl.reverse_hypergradient(p, tape), want)
+        assert agree(G, want, exact)
         # a tape carries its own VJPs: reversed with the copy, the hook's
         # tape still walks the hook's; a tape without them is linearized
         # again by whichever problem reverses it
-        assert same_bits(bl.reverse_hypergradient(slots, tape), want)
+        assert same_bits(bl.reverse_hypergradient(slots, tape), G)
         bare = dataclasses.replace(tape, vjps=None)
-        for problem in (p, slots):
-            assert same_bits(bl.reverse_hypergradient(problem, bare), want)
+        assert same_bits(bl.reverse_hypergradient(p, bare), G)
+        assert agree(bl.reverse_hypergradient(slots, bare), want, exact)
         # the FD referee: the hook binds the batched probes once, the copy
         # runs the batched slots (hyper-cleaning) or the serial loop
         assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec, mode),

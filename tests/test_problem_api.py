@@ -84,9 +84,18 @@ class TestFdVjp:
 
 
 def fallback_vjps(p, a, w, lam):
-    """(vjp11_h, vjp12_h, vjp11_g, vjp12_g) at (w, lam) through the slot-built linearizers."""
-    h, g = bl.linearizer(p, lam)
-    return h(w)[1](a, True) + g(w)[1](a, True)
+    """(vjp11_h, vjp12_h, vjp11_g, vjp12_g) at (w, lam), read off the slot-built step's VJPs.
+
+    An h-only step with ta = -1 maps the adjoint a to a + vjp11_h and adds
+    vjp12_h to its lam accumulator; an averaged step with ta = 0 and sb = -1
+    does the same with g's.
+    """
+    step = bl.linearizer(p, lam)
+    out = []
+    for ta, sb in ((-1.0, None), (0.0, -1.0)):
+        lam_bar = np.zeros(p.outer_dim)
+        out += [step(w, ta, sb)[1](a, True, lam_bar) - a, lam_bar]
+    return tuple(out)
 
 
 class TestFdFallbackWiring:

@@ -5,10 +5,14 @@ samples along rows with a trailing class axis for hyper-cleaning, and
 three-operand einsum contractions for hyper-representation.  Every oracle
 slot of the problems built by ``make_hypercleaning`` and ``make_hyperrep``
 must agree with them to rtol 1e-12 (the array's scale is the floor for
-entries that pass through zero).  The ``linearize`` hook's per-solve
-linearizers must give the slots' results bit for bit, and agree with the
+entries that pass through zero).  The ``linearize`` hook's step map must
+give the slot-built step's results bit for bit on a step with alpha == 1
+and on a stack of lam rows, agree with them to the same rtol on an averaged
+step of one row, where it fuses h and g, and agree with the
 finite-difference VJPs.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -272,15 +276,30 @@ LEARNING_BUILDS = {
 }
 
 
-def objectives(p, lin):
-    """(linearizer, grad1, vjp11, vjp12, lam_free) of h and of g, from linearize's pair."""
-    h, g = lin
-    return ((h, p.grad1_h, p.vjp11_h, p.vjp12_h, False),
-            (g, p.grad1_g, p.vjp11_g, p.vjp12_g, p.g_lambda_free))
+# an alpha == 1 step and an averaged one, as (ta, sb) = (t*alpha, s*(1-alpha))
+WEIGHTS = ((0.7, None), (0.3, 0.4))
+
+
+def slot_step(p, lam, residuals=True):
+    """The step map a ``replace`` copy builds from the slots."""
+    copy = dataclasses.replace(p)
+    assert p.linearize is not None and copy.linearize is None
+    return bl.linearizer(copy, lam, residuals=residuals)
+
+
+def step_and_vjp(step, a, w, ta, sb, m):
+    """w_next, then the VJP's omega and lam sides, then both again at omega_side False."""
+    w_next, vjp = step(w, ta, sb)
+    lam_bar, lam_only = np.zeros(m), np.zeros(m)
+    return w_next, vjp(a, True, lam_bar), lam_bar, vjp(a, False, lam_only), lam_only
 
 
 class TestLinearizeHook:
-    """The per-solve linearizers against the slots they must reproduce bit for bit."""
+    """The hook's step map against the one built from the slots.
+
+    A step with alpha == 1 and its VJP must match the slot-built step bit for
+    bit; an averaged step fuses h and g and must agree to 1e-12 relative.
+    """
 
     @pytest.mark.parametrize("build", list(LEARNING_BUILDS))
     def test_bound_kernels_equal_the_slots(self, build):
@@ -288,23 +307,22 @@ class TestLinearizeHook:
         rng = np.random.default_rng(len(build))
         for _ in range(3):
             a, w, lam = random_point(p, rng)
-            for residuals in (True, False):
-                lin = p.linearize(lam, residuals=residuals)
-                for linearizer, grad1, vjp11, vjp12, lam_free in objectives(p, lin):
-                    grad, vjp = linearizer(w)
-                    assert_bits(grad, grad1(w, lam))
-                    if not residuals:
-                        assert vjp is None
-                        continue
-                    d_omega, d_lam = vjp(a, True)
-                    assert_bits(d_omega, vjp11(a, w, lam))
-                    if lam_free:
-                        assert d_lam is None
+            for ta, sb in WEIGHTS:
+                same = assert_bits if sb is None else _close
+                got = step_and_vjp(p.linearize(lam), a, w, ta, sb, p.outer_dim)
+                want = step_and_vjp(slot_step(p, lam), a, w, ta, sb, p.outer_dim)
+                for g, v in zip(got, want):
+                    if v is None:
+                        assert g is None
                     else:
-                        assert_bits(d_lam, vjp12(a, w, lam))
-                    skipped, again = vjp(a, False)
-                    assert skipped is None
-                    assert (again is None) if lam_free else np.array_equal(again, d_lam)
+                        same(g, v)
+                w_next, omega_side, lam_side, skipped, lam_only = got
+                assert skipped is None
+                assert_bits(lam_only, lam_side)
+                # the value-only step: the same iterate, no VJP
+                value_only, vjp = p.linearize(lam, residuals=False)(w, ta, sb)
+                assert vjp is None
+                assert_bits(value_only, w_next)
 
     @pytest.mark.parametrize("C", [2, 3])
     def test_bound_stack_equals_the_batched_slots(self, C):
@@ -312,21 +330,29 @@ class TestLinearizeHook:
         rng = np.random.default_rng(20 + C)
         ws = rng.normal(0, 0.5, (6, p.inner_dim))
         lams = rng.normal(0, 0.5, (6, p.outer_dim))
-        h, g = p.linearize(lams, residuals=False)
-        assert_bits(h(ws)[0], p.grad1_h_many(ws, lams))
-        assert_bits(g(ws)[0], p.grad1_g_many(ws, lams))
+        # a stack is bound by memory traffic: the hook runs the halves apart
+        for ta, sb in WEIGHTS:
+            got, vjp = p.linearize(lams, residuals=False)(ws, ta, sb)
+            want, _ = slot_step(p, lams, residuals=False)(ws, ta, sb)
+            assert vjp is None
+            assert_bits(got, want)
 
     @pytest.mark.parametrize("build", list(LEARNING_BUILDS))
     def test_bound_vjps_match_fd(self, build):
         p = LEARNING_BUILDS[build]()
         rng = np.random.default_rng(30 + len(build))
         a, w, lam = random_point(p, rng, scale=0.3)
-        h, g = p.linearize(lam)
-        for which, linearizer in (("h", h), ("g", g)):
-            d_omega, d_lam = linearizer(w)[1](a, True)
-            for got, sel, point in ((d_omega, which + "11", w), (d_lam, which + "12", lam)):
-                if got is None:
-                    continue
-                want = fd_vjp(p, sel, a, w, lam, 1e-5 * max(1.0, np.max(np.abs(point))))
+        fd = {which: fd_vjp(p, which, a, w, lam,
+                            1e-5 * max(1.0, np.max(np.abs(w if which.endswith("11") else lam))))
+              for which in ("h11", "h12", "g11", "g12")}
+        for ta, sb in WEIGHTS:
+            _, omega_side, lam_side = step_and_vjp(p.linearize(lam), a, w, ta, sb,
+                                                   p.outer_dim)[:3]
+            # a^T dPhi = a - ta a^T d1 grad_h - sb a^T d1 grad_g on the omega
+            # side, and minus the lam-side terms of both
+            want_omega, want_lam = ta * fd["h11"], -ta * fd["h12"]
+            if sb is not None:
+                want_omega, want_lam = want_omega + sb * fd["g11"], want_lam - sb * fd["g12"]
+            for got, want in ((a - omega_side, want_omega), (lam_side, want_lam)):
                 err = np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
-                assert err < 1e-6, (sel, err)
+                assert err < 1e-6, (ta, sb, err)

@@ -9,8 +9,9 @@ spectrum in (0, 1] and K up to 300 steps stay bounded.
 The learning-problem properties draw hyper-cleaning instances (C in 2..4,
 random sample counts and feature dimension) and hyper-representation
 instances (random way, shot, task count and representation size), and check
-their ``linearize`` hook against the linearizers ``linearizer`` builds from
-the slots of a ``replace`` copy, bit for bit, and both against ``fd_vjp``.
+their ``linearize`` hook's step map against the one ``linearizer`` builds
+from the slots of a ``replace`` copy (bit for bit on a step with alpha == 1,
+to 1e-12 on an averaged step) and its VJP against ``fd_vjp``.
 """
 
 import dataclasses
@@ -142,34 +143,51 @@ def same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
+def close(x, y):
+    """Agreement to 1e-12 relative, with the array's scale as the floor near zero."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    scale = float(np.max(np.abs(y))) if y.size else 0.0
+    return x.shape == y.shape and np.allclose(x, y, rtol=1e-12, atol=1e-12 * scale)
+
+
 @settings(max_examples=40)
 @given(learning_problems())
 def test_learning_hook_equals_slot_linearizer_and_fd(case):
+    # the hook's step against the step built from the slots of a replace
+    # copy: bit for bit on an alpha == 1 step, to 1e-12 on an averaged one
+    # (which the hook fuses); the VJPs against fd_vjp at the same tolerance
+    # as the slots' own
     p, rng = case
     slots = dataclasses.replace(p)
     assert p.linearize is not None and slots.linearize is None
     w, a = rng.normal(0, 0.5, p.inner_dim), rng.normal(0, 0.5, p.inner_dim)
     lam = rng.normal(0, 0.5, p.outer_dim)
-    hook, built = p.linearize(lam), bl.linearizer(slots, lam)
-    for which, lin, ref in zip("hg", hook, built):
-        (grad, vjp), (ref_grad, ref_vjp) = lin(w), ref(w)
-        assert same_bits(grad, ref_grad), which
-        sides, ref_sides = vjp(a, True), ref_vjp(a, True)
-        for side, got, want in zip(("11", "12"), sides, ref_sides):
-            assert same_bits(got, want), which + side
-            if got is None:
-                continue
-            point = w if side == "11" else lam
-            fd = fd_vjp(p, which + side, a, w, lam, default_fd_eps(point))
-            err = np.linalg.norm(got - fd) / max(1.0, np.linalg.norm(fd))
-            assert err < 1e-6, (which + side, err)
-    if p.grad1_h_many is not None:
-        # a stack of lam rows: the hook against the batched slots
-        ws, lams = rng.normal(0, 0.5, (3, p.inner_dim)), rng.normal(0, 0.5, (3, p.outer_dim))
-        hook = p.linearize(lams, residuals=False)
-        built = bl.linearizer(slots, lams, residuals=False)
-        for lin, ref in zip(hook, built):
-            assert same_bits(lin(ws)[0], ref(ws)[0])
+    fd = {which: fd_vjp(p, which, a, w, lam,
+                        default_fd_eps(w if which.endswith("11") else lam))
+          for which in ("h11", "h12", "g11", "g12")}
+    ta = float(rng.uniform(0.1, 1.0))
+    for sb in (None, float(rng.uniform(0.1, 1.0))):
+        agree = same_bits if sb is None else close
+        sides = []
+        for step in (p.linearize(lam), bl.linearizer(slots, lam)):
+            w_next, vjp = step(w, ta, sb)
+            lam_bar = np.zeros(p.outer_dim)
+            sides.append((w_next, vjp(a, True, lam_bar), lam_bar))
+        for got, want in zip(*sides):
+            assert agree(got, want), sb
+        _, omega_side, lam_side = sides[0]
+        want_omega, want_lam = ta * fd["h11"], -ta * fd["h12"]
+        if sb is not None:
+            want_omega, want_lam = want_omega + sb * fd["g11"], want_lam - sb * fd["g12"]
+        for got, want in ((a - omega_side, want_omega), (lam_side, want_lam)):
+            err = np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
+            assert err < 1e-6, (sb, err)
+        if p.grad1_h_many is not None:
+            # a stack of lam rows: the hook against the batched slots
+            ws, lams = rng.normal(0, 0.5, (3, p.inner_dim)), rng.normal(0, 0.5, (3, p.outer_dim))
+            got = p.linearize(lams, residuals=False)(ws, ta, sb)[0]
+            want = bl.linearizer(slots, lams, residuals=False)(ws, ta, sb)[0]
+            assert same_bits(got, want), sb
 
 
 @given(K=st.integers(0, 500), exponent=st.floats(-1.0, 4.0), freq=st.integers(1, 10),

@@ -22,6 +22,14 @@ their fields may change while the numbers stay.
 this directory), so two checkouts compare with one command:
 
     diff <(python3 tools/bitdump.py --src ../parent/src) <(python3 tools/bitdump.py)
+
+``--rel OTHER`` prints, instead of digests, the same lines with the largest
+relative deviation of each result from the one the sources in OTHER give:
+max |x - y| / max |y|, with y from OTHER, and 0 where the bits agree.  A CLI
+output compares the numbers in its text, an exit code compares exactly
+(``inf`` where they differ).  The sources in OTHER run in a child process:
+
+    python3 tools/bitdump.py --rel ../parent/src
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import pickle
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +56,7 @@ def digest(array) -> str:
 
 
 def lines():
+    """(label, array) for every number the solver produces on the zoo."""
     import numpy as np
     import bilevelopt as bl
 
@@ -68,10 +80,11 @@ def lines():
                                ("fd_hypergradient",
                                 bl.hypergradient_fd_oracle(problem, lam, spec, mode)))
                     for what, value in results:
-                        yield f"{name} {copy} {mode} freq={freq} {what} {digest(value)}"
+                        yield f"{name} {copy} {mode} freq={freq} {what}", value
 
 
 def cli_lines():
+    """(label, exit code) per command and (label, bytes) per output it wrote."""
     import bilevelopt as bl
     from bilevelopt.cli import main
 
@@ -100,23 +113,69 @@ def cli_lines():
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
-            yield f"cli {label} exit={code}"
+            yield f"cli {label} exit", code
             for path in sorted((tmp / label).iterdir()):
                 if not path.name.endswith(".manifest.json"):
-                    yield (f"cli {label}/{path.name} "
-                           f"{hashlib.sha256(path.read_bytes()).hexdigest()}")
+                    yield f"cli {label}/{path.name}", path.read_bytes()
+
+
+def results():
+    yield from lines()
+    yield from cli_lines()
+
+
+def digest_line(label: str, value) -> str:
+    if isinstance(value, int):
+        return f"{label}={value}"
+    if isinstance(value, bytes):
+        return f"{label} {hashlib.sha256(value).hexdigest()}"
+    return f"{label} {digest(value)}"
+
+
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def relative_deviation(value, other) -> float:
+    """max |value - other| / max |other|; 0 where the bits agree, inf where the shapes differ."""
+    import numpy as np
+    if isinstance(value, int):
+        return 0.0 if value == other else float("inf")
+    if isinstance(value, bytes):
+        value, other = ([float(tok) for tok in NUMBER.findall(text)] for text in (value, other))
+    x, y = (np.asarray(v, dtype=np.float64) for v in (value, other))
+    if x.shape != y.shape:
+        return float("inf")
+    if np.array_equal(x.view(np.uint64), y.view(np.uint64)):
+        return 0.0
+    scale = float(np.max(np.abs(y)))
+    return float(np.max(np.abs(x - y)) / scale) if scale > 0 else float("inf")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the bilevelopt package to import")
+    parser.add_argument("--rel", default=None, metavar="OTHER",
+                        help="print each result's relative deviation from OTHER's sources")
+    parser.add_argument("--save", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.rel is not None:
+        with tempfile.TemporaryDirectory() as tmp:
+            saved = Path(tmp) / "other.pickle"
+            subprocess.run([sys.executable, __file__, "--src", args.rel, "--save", str(saved)],
+                           check=True)
+            others = dict(pickle.loads(saved.read_bytes()))
     sys.path.insert(0, str(Path(args.src).resolve()))
-    for line in lines():
-        print(line, flush=True)
-    for line in cli_lines():
-        print(line, flush=True)
+    if args.save is not None:
+        Path(args.save).write_bytes(pickle.dumps(list(results())))
+        return 0
+    for label, value in results():
+        if args.rel is None:
+            print(digest_line(label, value), flush=True)
+        elif label in others:
+            print(f"{label} rel={relative_deviation(value, others[label]):.3g}", flush=True)
+        else:
+            print(f"{label} missing from {args.rel}", flush=True)
     return 0
 
 
