@@ -18,9 +18,11 @@ bit-identical to a basic-mode run.
 Every solve binds lam once through ``bilevelopt.problem.linearizer``, which
 returns the step map itself: ``_iterate`` makes one ``step`` call per inner
 step, and a problem's hook may evaluate h and g in one fused kernel.
-``solve_inner`` records each step's VJP on the ``Tape``; the value-only paths
-(``final_inner_iterate``, ``final_inner_iterates_many``) ask for no residuals
-and record nothing.  The reverse pass over a ``Tape`` is ``bilevelopt.hypergrad``.
+``solve_inner`` records each step's VJP on the ``Tape``, and
+``final_inner_iterate`` is its last iterate.  The shape of lam decides what
+a step saves: a stack of lam rows (``final_inner_iterates_many``, the
+finite-difference referee's probes) binds value-only steps that record
+nothing.  The reverse pass over a ``Tape`` is ``bilevelopt.hypergrad``.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class InnerSolveSpec:
 
     ``bigsam_frequency`` f applies the averaged step on iterations with
     k % f == 0 (0-based) and a pure h-gradient step otherwise; f = 1 averages
-    every step.  ``omega0`` defaults to the problem's start point, or zeros.
+    every step.  ``omega0`` defaults to zeros.
     """
 
     K: int
@@ -153,11 +155,9 @@ def step_weights(alphas: np.ndarray, t: float, s: float) -> list:
 
 
 def _start(problem: BilevelProblem, spec: InnerSolveSpec) -> np.ndarray:
-    """omega_0: the spec's start point, else the problem's, else zeros."""
+    """omega_0: the spec's start point, else zeros."""
     if spec.omega0 is not None:
         return as_vector(spec.omega0, problem.inner_dim, "omega0").copy()
-    if problem.omega0 is not None:
-        return as_vector(problem.omega0, problem.inner_dim, "omega0").copy()
     return np.zeros(problem.inner_dim)
 
 
@@ -195,30 +195,6 @@ def _culprit(problem: BilevelProblem, omega: np.ndarray, lam: np.ndarray, alpha:
     return f": {', '.join(bad)}" if bad else ""
 
 
-def _solve(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str,
-           record: bool) -> Tape:
-    alphas = schedule(spec.K, mode, spec)
-    lam = as_vector(lam, problem.outer_dim, "lam")
-    omega = _start(problem, spec)
-    iterates = vjps = None
-    if problem.affine is not None:
-        iterates = affine.inner_iterates(problem.affine, omega, lam, alphas, spec.t, spec.s)
-    if iterates is None:
-        iterates = np.empty((spec.K + 1, problem.inner_dim))
-        iterates[0] = omega
-        vjps = [] if record else None
-        _iterate(omega, alphas, spec.t, spec.s, linearizer(problem, lam, residuals=record),
-                 out=iterates, vjps=vjps)
-    finite_rows = np.all(np.isfinite(iterates), axis=1)
-    if not finite_rows.all():
-        k = max(int(np.argmin(finite_rows)) - 1, 0)
-        raise OracleDivergence(
-            f"oracle-divergence: non-finite iterate "
-            f"(inner step {k}{_culprit(problem, iterates[k], lam, alphas[k])})")
-    return Tape(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
-                lam=lam.copy(), mode=mode, vjps=None if vjps is None else tuple(vjps))
-
-
 def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -> Tape:
     """Run K averaged steps from omega_0 and record the full trajectory.
 
@@ -236,16 +212,35 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -
     trajectory: the first non-finite iterate names the diverging step, and the
     gradient oracles that are not finite at its input name the cause.
     """
-    return _solve(problem, lam, spec, mode, record=True)
+    alphas = schedule(spec.K, mode, spec)
+    lam = as_vector(lam, problem.outer_dim, "lam")
+    omega = _start(problem, spec)
+    iterates = vjps = None
+    if problem.affine is not None:
+        iterates = affine.inner_iterates(problem.affine, omega, lam, alphas, spec.t, spec.s)
+    if iterates is None:
+        iterates = np.empty((spec.K + 1, problem.inner_dim))
+        iterates[0] = omega
+        vjps = []
+        _iterate(omega, alphas, spec.t, spec.s, linearizer(problem, lam),
+                 out=iterates, vjps=vjps)
+    finite_rows = np.all(np.isfinite(iterates), axis=1)
+    if not finite_rows.all():
+        k = max(int(np.argmin(finite_rows)) - 1, 0)
+        raise OracleDivergence(
+            f"oracle-divergence: non-finite iterate "
+            f"(inner step {k}{_culprit(problem, iterates[k], lam, alphas[k])})")
+    return Tape(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
+                lam=lam.copy(), mode=mode, vjps=None if vjps is None else tuple(vjps))
 
 
 def final_inner_iterate(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -> np.ndarray:
-    """The last iterate of ``solve_inner``, bit for bit, with no VJP recorded.
+    """The last iterate of ``solve_inner``, for value-only callers.
 
-    Used by value-only oracles that rerun the inner solve many times and
-    never differentiate through it.
+    The finite-difference referee reruns the inner solve once per serial
+    probe through this name.
     """
-    return _solve(problem, lam, spec, mode, record=False).final
+    return solve_inner(problem, lam, spec, mode).final
 
 
 def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
@@ -254,15 +249,14 @@ def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
 
     Requires the problem's batched gradient oracles; every row runs the same
     schedule from the same omega_0, so this is the per-row recursion executed
-    together.  ``linearizer`` binds the whole stack once.
+    together.  ``linearizer`` binds the whole stack once, as value-only steps.
     """
     alphas = schedule(spec.K, mode, spec)
     if problem.grad1_h_many is None or (mode == "improved" and problem.grad1_g_many is None):
         raise ValueError("problem does not provide batched gradient oracles")
     lams = np.asarray(lams, dtype=np.float64)
     omegas = np.tile(_start(problem, spec), (lams.shape[0], 1))
-    omegas = _iterate(omegas, alphas, spec.t, spec.s,
-                      linearizer(problem, lams, residuals=False))
+    omegas = _iterate(omegas, alphas, spec.t, spec.s, linearizer(problem, lams))
     if not np.all(np.isfinite(omegas)):
         raise OracleDivergence("oracle-divergence: non-finite final iterate in batched solve")
     return omegas

@@ -172,6 +172,16 @@ def make_episodes(ds: Dataset, way: int, shot: int, val_per_class: int,
     return EpisodeSet(episodes=episodes, way=way, shot=shot, val_per_class=val_per_class)
 
 
+def _idx_header(f, fmt: str, path) -> tuple:
+    """Unpack an IDX header; a file shorter than it is a ValueError naming the file."""
+    size = struct.calcsize(fmt)
+    head = f.read(size)
+    if len(head) != size:
+        raise ValueError(f"idx-short-header: {path} holds {len(head)} bytes, "
+                         f"fewer than its {size}-byte header")
+    return struct.unpack(fmt, head)
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse big-endian IDX image/label files into a flat-feature dataset.
 
@@ -179,14 +189,14 @@ def load_idx(images_path, labels_path) -> Dataset:
     d = rows * cols.
     """
     with open(images_path, "rb") as f:
-        magic, n_img, rows, cols = struct.unpack(">IIII", f.read(16))
+        magic, n_img, rows, cols = _idx_header(f, ">IIII", images_path)
         if magic != IDX_IMAGES_MAGIC:
             raise ValueError(f"idx-bad-magic: expected {IDX_IMAGES_MAGIC:#010x} in image file, got {magic:#010x}")
         raw = f.read(n_img * rows * cols)
     if len(raw) != n_img * rows * cols:
         raise ValueError("idx-count-mismatch: image file truncated")
     with open(labels_path, "rb") as f:
-        magic, n_lab = struct.unpack(">II", f.read(8))
+        magic, n_lab = _idx_header(f, ">II", labels_path)
         if magic != IDX_LABELS_MAGIC:
             raise ValueError(f"idx-bad-magic: expected {IDX_LABELS_MAGIC:#010x} in label file, got {magic:#010x}")
         lab = f.read(n_lab)

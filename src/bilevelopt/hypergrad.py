@@ -53,7 +53,8 @@ import numpy as np
 from . import affine
 from .bigsam import (InnerSolveSpec, Tape, final_inner_iterate, final_inner_iterates_many,
                      step_weights)
-from .problem import BilevelProblem, OracleDivergence, as_vector, linearizer
+from .problem import (BilevelProblem, OracleDivergence, as_vector, central_differences,
+                      linearizer)
 
 __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 
@@ -101,38 +102,32 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
     """Central-difference hypergradient, rerunning the full inner solve per probe.
 
     Entry j is [f_K(lam + eps e_j) - f_K(lam - eps e_j)] / (2 eps), each
-    evaluation restarting from the same omega_0.  Deliberately independent of
-    the VJP machinery: it only consumes values and the forward solver, and it
-    runs that solver's generic loop even where the problem declares an affine
-    structure.
+    evaluation restarting from the same omega_0, formed by
+    ``central_differences``.  Deliberately independent of the VJP machinery:
+    it only consumes values and the forward solver, and it runs that solver's
+    generic loop even where the problem declares an affine structure.  A
+    problem with batched gradient oracles solves the 2m probes as one stack
+    (``final_inner_iterates_many``), whose steps are value-only; any other
+    solves them one at a time (``final_inner_iterate``) on a ``replace``
+    copy, which takes the slot-built step.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     lam = as_vector(lam, problem.outer_dim, "lam")
-    m = problem.outer_dim
+    if problem.grad1_h_many is not None and (mode == "basic" or problem.grad1_g_many is not None):
+        def values(probes):
+            # all 2m probes share the schedule: solve them as one batch
+            probes = np.array(list(probes))
+            finals = final_inner_iterates_many(problem, probes, spec, mode)
+            return [problem.g_value(w, probe) for w, probe in zip(finals, probes)]
+    else:
+        # a replace copy drops the affine declaration: the probes run the
+        # generic loop, so the referee does not share the composed path it
+        # checks
+        generic = replace(problem)
 
-    batched = problem.grad1_h_many is not None and (
-        mode == "basic" or problem.grad1_g_many is not None)
-    if batched:
-        # all 2m probes share the schedule: solve them as one batch
-        probes = np.repeat(lam[None, :], 2 * m, axis=0)
-        probes[:m, :] += eps * np.eye(m)
-        probes[m:, :] -= eps * np.eye(m)
-        finals = final_inner_iterates_many(problem, probes, spec, mode)
-        values = np.array([problem.g_value(finals[i], probes[i]) for i in range(2 * m)])
-        return (values[:m] - values[m:]) / (2.0 * eps)
+        def values(probes):
+            return [problem.g_value(final_inner_iterate(generic, probe, spec, mode), probe)
+                    for probe in probes]
 
-    # a replace copy drops the affine declaration: the probes run the generic
-    # loop, so the referee does not share the composed path it checks
-    generic = replace(problem)
-
-    def f_K(lam_probe: np.ndarray) -> float:
-        omega_hat = final_inner_iterate(generic, lam_probe, spec, mode)
-        return float(problem.g_value(omega_hat, lam_probe))
-
-    out = np.empty(m)
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = eps
-        out[j] = (f_K(lam + e) - f_K(lam - e)) / (2.0 * eps)
-    return out
+    return central_differences(values, lam, eps)

@@ -52,11 +52,10 @@ class SolveConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         check_alpha_exponent(self.alpha_exponent, self.K, self.bigsam_frequency)
 
-    def inner_spec(self, omega0=None) -> InnerSolveSpec:
+    def inner_spec(self) -> InnerSolveSpec:
         return InnerSolveSpec(K=self.K, t=self.t, s=self.s,
                               alpha_exponent=self.alpha_exponent,
-                              bigsam_frequency=self.bigsam_frequency,
-                              omega0=omega0)
+                              bigsam_frequency=self.bigsam_frequency)
 
 
 @dataclass(frozen=True)

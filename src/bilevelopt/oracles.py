@@ -24,6 +24,10 @@ __all__ = ["OracleReport", "CheckConfig", "grid_min_oracle", "check_suite",
            "default_check_configs"]
 
 ARGMIN_BAND = 1e-6   # membership band converting the exact argmin set to a grid set
+ALPHA_EXPONENT = 0.25   # averaging-weight exponent of the reverse-vs-FD solves
+GRID_TOL = 0.05         # grid minimum against the analytic one, absolute
+GRID_RESOLUTION = 401   # grid points per axis
+GRID_HALFWIDTH = 2.0    # every grid axis spans [-GRID_HALFWIDTH, GRID_HALFWIDTH]
 
 
 @dataclass(frozen=True)
@@ -54,13 +58,9 @@ class CheckConfig:
     t: float = 0.1
     s: float = 0.1
     mode: str = "improved"
-    alpha_exponent: float = 0.25
     tol_grad: float = 1e-6
     tol_vjp: float = 1e-4
     tol_hg: float = 1e-4
-    tol_grid: float = 0.05
-    grid_resolution: int = 401
-    grid_halfwidth: float = 2.0
     run_grid: bool = False
 
 
@@ -156,7 +156,7 @@ def _check_vjps(problem, cfg) -> Optional[OracleReport]:
 
 def _check_reverse(problem, cfg) -> OracleReport:
     rng = np.random.default_rng(cfg.seed + 2)
-    spec = InnerSolveSpec(K=cfg.K, t=cfg.t, s=cfg.s, alpha_exponent=cfg.alpha_exponent)
+    spec = InnerSolveSpec(K=cfg.K, t=cfg.t, s=cfg.s, alpha_exponent=ALPHA_EXPONENT)
     worst = 0.0
     details = []
     for _ in range(cfg.hg_points):
@@ -178,11 +178,11 @@ def _check_grid(problem, cfg) -> Optional[OracleReport]:
     analytic_min = problem.answers.get("min_f_improved", problem.answers.get("min_f"))
     if analytic_min is None:
         return None
-    box = [(-cfg.grid_halfwidth, cfg.grid_halfwidth)]
-    _, _, value = grid_min_oracle(problem, box * m, box * n, cfg.grid_resolution)
+    box = [(-GRID_HALFWIDTH, GRID_HALFWIDTH)]
+    _, _, value = grid_min_oracle(problem, box * m, box * n, GRID_RESOLUTION)
     err = abs(value - analytic_min)
-    return OracleReport("grid-min-vs-analytic", problem.name, float(err), cfg.tol_grid,
-                        err <= cfg.tol_grid, ({"grid_value": value, "analytic": analytic_min},))
+    return OracleReport("grid-min-vs-analytic", problem.name, float(err), GRID_TOL,
+                        err <= GRID_TOL, ({"grid_value": value, "analytic": analytic_min},))
 
 
 def check_suite(problem: BilevelProblem, configs: List[CheckConfig]) -> List[OracleReport]:

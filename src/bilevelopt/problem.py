@@ -12,22 +12,25 @@ left-multiplied second-order vector-Jacobian products
 and likewise for g.  Problems may supply these analytically or leave them
 None, to be taken by central differences of the problem's own gradients.
 
-A problem may also offer one optional hook, ``linearize(lam, residuals=True)
--> step``.  It binds lam once per inner solve and returns the averaged step
-map of ``bilevelopt.bigsam``, ``step(w, ta, sb) -> (w_next, vjp)``, which
-takes omega_k to omega_{k+1} = omega_k - ta * grad1_h - sb * grad1_g with
+A problem may also offer one optional hook, ``linearize(lam) -> step``.  It
+binds lam once per inner solve and returns the averaged step map of
+``bilevelopt.bigsam``, ``step(w, ta, sb) -> (w_next, vjp)``, which takes
+omega_k to omega_{k+1} = omega_k - ta * grad1_h - sb * grad1_g with
 ta = t*alpha and sb = s*(1-alpha).  ``sb`` None marks a step with alpha == 1:
-it reads h alone and never touches g.  ``vjp(a, omega_side, lam_bar)`` is the
-VJP of the whole step, read from the residuals its forward saved: it adds
-a^T dPhi/dlam into the accumulator ``lam_bar`` and returns a^T dPhi/domega,
-or None unless ``omega_side``.  This is the shape of JAX's ``vjp`` of the
-step, with the lam cotangent accumulated in place so that a step built from
-the slots adds its h and g terms one at a time, as the reverse pass always
-has.  A hook may evaluate h and g in one fused kernel per step.  With
-``residuals`` False the step saves nothing and returns (w_next, None); the
-value-only solves ask for that.  ``linearizer(problem, lam)``, the one way
-the solver and the reverse pass ask for derivatives, returns the hook's step
-or builds it from the slots.
+it reads h alone and never touches g.  A step on one lam row returns its VJP,
+``vjp(a, omega_side, lam_bar)``, read from the residuals its forward saved:
+it adds a^T dPhi/dlam into the accumulator ``lam_bar`` and returns
+a^T dPhi/domega, or None unless ``omega_side``.  This is the shape of JAX's
+``vjp`` of the step, with the lam cotangent accumulated in place so that a
+step built from the slots adds its h and g terms one at a time, as the
+reverse pass always has.  A hook may evaluate h and g in one fused kernel
+per step.  A step on a stack of lam rows (the finite-difference referee's
+probes) is value-only: it saves nothing and returns (w_next, None).
+``linearizer(problem, lam)``, the one way the solver and the reverse pass ask
+for derivatives, returns the hook's step or builds it from the slots.
+
+Every central difference of the package, f(x + eps e_j) - f(x - eps e_j)
+over the coordinates j of x, goes through ``central_differences``.
 
 All oracles must be pure: identical inputs produce bit-identical outputs.
 Arithmetic is IEEE-754 float64 throughout.
@@ -53,6 +56,7 @@ __all__ = [
     "linearizer",
     "validate_first_order",
     "as_vector",
+    "central_differences",
 ]
 
 VJP_NAMES = ("h11", "h12", "g11", "g12")
@@ -107,10 +111,11 @@ class BilevelProblem:
 
     ``linearize`` holds the hook of the module docstring.  On a step with
     alpha == 1 it must give bit for bit what the slot-built step gives; an
-    averaged step may fuse h and g and so round differently.  A problem with
-    batched oracles must also accept a stack of lam rows, and then takes
-    stacks of omega rows.  It is set after construction and dropped by a
-    ``replace`` copy, as ``affine`` is.  ``g_lambda_free`` and
+    averaged step may fuse h and g and so round differently.  A step on one
+    lam row returns its VJP.  A problem with batched oracles must also accept
+    a stack of lam rows, and then takes stacks of omega rows; such a step
+    returns None in place of a VJP.  The hook is set after construction and
+    dropped by a ``replace`` copy, as ``affine`` is.  ``g_lambda_free`` and
     ``grad1_h_many``/``grad1_g_many`` serve only the slot-built step and the
     FD referee; they stay init fields because an outside tracer copies
     problems through ``replace``.
@@ -131,7 +136,6 @@ class BilevelProblem:
     answers: dict = field(default_factory=dict)
     h_batch: Optional[Callable] = None
     g_batch: Optional[Callable] = None
-    omega0: Optional[np.ndarray] = None
     vjp_flavor: dict = field(default_factory=dict)
     # set when g never reads lam: grad2_g and vjp12_g are identically zero,
     # and the reverse pass may skip their (exactly zero) contributions
@@ -186,14 +190,36 @@ def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam, eps: float) -> np
         gm = _check_finite_grad(grad(omega - eps * a, lam), gname, f"omega-eps*a (eps={eps})")
         return (gp - gm) / (2.0 * eps)
 
-    out = np.empty(m)
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = eps
-        gp = _check_finite_grad(grad(omega, lam + e), gname, f"lam+eps*e_{j} (eps={eps})")
-        gm = _check_finite_grad(grad(omega, lam - e), gname, f"lam-eps*e_{j} (eps={eps})")
-        out[j] = (a @ gp - a @ gm) / (2.0 * eps)
-    return out
+    def values(probes):
+        return [a @ _check_finite_grad(grad(omega, probe), gname,
+                                       f"lam{'+-'[i // m]}eps*e_{i % m} (eps={eps})")
+                for i, probe in enumerate(probes)]
+
+    return central_differences(values, lam, eps)
+
+
+def central_differences(values: Callable, x: np.ndarray, eps: float) -> np.ndarray:
+    """[f(x + eps e_j) - f(x - eps e_j)] / (2 eps) for every coordinate j of x.
+
+    ``values`` takes an iterable of the 2n probes, x + eps e_j for j = 0..n-1
+    and then x - eps e_j for j = 0..n-1, and returns their 2n values f(probe)
+    in that order.  The probes are formed one at a time as ``values`` draws
+    them, so an evaluator that consumes them serially holds O(n) memory; one
+    that stacks them into a batch holds the batch.  Each probe is x + e or
+    x - e with e = eps e_j, so every coordinate but j is x's own plus or
+    minus 0.0.
+    """
+    n = x.shape[0]
+
+    def probes():
+        for plus in (True, False):
+            for j in range(n):
+                e = np.zeros(n)
+                e[j] = eps
+                yield x + e if plus else x - e
+
+    v = np.asarray(values(probes()), dtype=np.float64)
+    return (v[:n] - v[n:]) / (2.0 * eps)
 
 
 def _fd_fallback(problem: BilevelProblem, which: str, a, omega, lam) -> np.ndarray:
@@ -212,19 +238,19 @@ def _fd_fallback(problem: BilevelProblem, which: str, a, omega, lam) -> np.ndarr
     return scale * fd_vjp(problem, which, a / scale, omega, lam, eps)
 
 
-def linearizer(problem: BilevelProblem, lam, residuals: bool = True) -> Callable:
+def linearizer(problem: BilevelProblem, lam) -> Callable:
     """The averaged step map ``step(w, ta, sb) -> (w_next, vjp)`` of ``problem`` at ``lam``.
 
     The ``linearize`` hook, else the step built from the slots in the
     solver's expression order, w - ta*grad1_h - sb*grad1_g (w - ta*grad1_h
     where ``sb`` is None), with ``grad1_h_many``/``grad1_g_many`` for a
-    stack of lam rows.  Its vjp keeps only (w, lam) and calls vjp11/vjp12,
-    or their FD fallbacks, when the reverse pass reaches it; it takes no g
-    VJP where ``sb`` is None and no lam side of g when ``g_lambda_free`` is
-    set.
+    stack of lam rows, where it is value-only.  On one row its vjp keeps
+    only (w, lam) and calls vjp11/vjp12, or their FD fallbacks, when the
+    reverse pass reaches it; it takes no g VJP where ``sb`` is None and no
+    lam side of g when ``g_lambda_free`` is set.
     """
     if problem.linearize is not None:
-        return problem.linearize(lam, residuals=residuals)
+        return problem.linearize(lam)
     many = np.ndim(lam) == 2
     grad_h = problem.grad1_h_many if many else problem.grad1_h
     grad_g = problem.grad1_g_many if many else problem.grad1_g
@@ -238,7 +264,7 @@ def linearizer(problem: BilevelProblem, lam, residuals: bool = True) -> Callable
             w_next = w - ta * grad_h(w, lam)
         else:
             w_next = w - ta * grad_h(w, lam) - sb * grad_g(w, lam)
-        if not residuals:
+        if many:
             return w_next, None
 
         def vjp(a, omega_side, lam_bar):
@@ -270,18 +296,6 @@ class FirstOrderReport:
         return {k: v[0] for k, v in self.entries.items()}
 
 
-def _fd_grad(value_fn, x: np.ndarray, other: np.ndarray, eps: float, x_first: bool) -> np.ndarray:
-    out = np.empty(x.shape[0])
-    for j in range(x.shape[0]):
-        e = np.zeros(x.shape[0])
-        e[j] = eps
-        if x_first:
-            out[j] = (value_fn(x + e, other) - value_fn(x - e, other)) / (2.0 * eps)
-        else:
-            out[j] = (value_fn(other, x + e) - value_fn(other, x - e)) / (2.0 * eps)
-    return out
-
-
 def validate_first_order(problem: BilevelProblem, omega, lam,
                          eps: float = 1e-5, tol: float = 1e-6) -> FirstOrderReport:
     """Compare grad1_g, grad2_g and grad1_h against central differences.
@@ -295,14 +309,13 @@ def validate_first_order(problem: BilevelProblem, omega, lam,
     omega = as_vector(omega, n, "omega")
     lam = as_vector(lam, m, "lam")
 
-    checks = {
-        "grad1_g": (problem.grad1_g(omega, lam), _fd_grad(problem.g_value, omega, lam, eps, True)),
-        "grad2_g": (problem.grad2_g(omega, lam), _fd_grad(problem.g_value, lam, omega, eps, False)),
-        "grad1_h": (problem.grad1_h(omega, lam), _fd_grad(problem.h_value, omega, lam, eps, True)),
-    }
+    checks = {"grad1_g": (problem.grad1_g, lambda w: problem.g_value(w, lam), omega),
+              "grad2_g": (problem.grad2_g, lambda l: problem.g_value(omega, l), lam),
+              "grad1_h": (problem.grad1_h, lambda w: problem.h_value(w, lam), omega)}
     entries = {}
-    for name, (analytic, fd) in checks.items():
-        analytic = np.asarray(analytic, dtype=np.float64)
+    for name, (grad, value, x) in checks.items():
+        analytic = np.asarray(grad(omega, lam), dtype=np.float64)
+        fd = central_differences(lambda probes: [value(p) for p in probes], x, eps)
         err = float(np.max(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic)))) if analytic.size else 0.0
         entries[name] = (err, err <= tol)
     return FirstOrderReport(entries=entries, tolerance=tol)

@@ -356,9 +356,13 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
         out += (2.0 * ridge) * a
         return out
 
-    def linearize(lam, residuals=True):
+    def linearize(lam):
         sig = sigmoid(lam)
-        dsig = sig * (1.0 - sig) if residuals else None
+        # a stack of lam rows (the FD referee's probes) is value-only: its
+        # steps save no residual, and its largest array would double if
+        # they did
+        stack = sig.ndim == 2
+        dsig = None if stack else sig * (1.0 - sig)
         YT = np.concatenate((YtrT, YvaT), axis=-1)
 
         def weights(ta, sb):
@@ -371,7 +375,7 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
 
         def h_step(w, ta):
             # alpha == 1: the training split alone, as the slots compute it
-            if not residuals:
+            if stack:
                 return w - ta * h_grad(errors(XtrT, YtrT, w), sig), None
             P = probs(XtrT, w)
 
@@ -385,21 +389,19 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
         def step(w, ta, sb):
             if sb is None:
                 return h_step(w, ta)
-            if sig.ndim == 2:
-                # a stack of lam rows (the FD referee's probes) is bound by
-                # memory traffic, not by calls: fused, its largest array would
-                # double, so the two halves run apart, as the slots run them
+            if stack:
+                # bound by memory traffic, not by calls: fused, the largest
+                # array would double, so the two halves run apart, as the
+                # slots run them
                 return (w - ta * h_grad(errors(XtrT, YtrT, w), sig)
                         - sb * g_grad(errors(XvaT, YvaT, w), w)), None
             # one softmax over both splits' logits, whose residual, weighted
             # per column, is back-projected once; the ridge shrinks w
             shrink = 1.0 - (2.0 * ridge) * sb
             P = probs(XT, w)
-            R = P - YT if residuals else np.subtract(P, YT, out=P)
+            R = P - YT
             R *= weights(ta, sb)
             w_next = shrink * w - back(XT, R)
-            if not residuals:
-                return w_next, None
 
             def vjp(a, omega_side, lam_bar):
                 A = WT(a) @ (XT if omega_side else XtrT)
@@ -553,7 +555,7 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         M += np.matmul((P - YT).transpose(0, 2, 1), WT(a))
         return contract_inputs(X2, M)
 
-    def linearize(lam, residuals=True):
+    def linearize(lam):
         # both splits' features and targets as one task x r x (N_tr + N_val)
         # input, each split's features laid out as features() lays them out,
         # training samples first
@@ -566,8 +568,6 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
             # alpha == 1: the training split alone, as the slots compute it
             P = probs(FTtr, w)
             w_next = w - ta * grad(FTtr, P, YtrT, w, 0.0)
-            if not residuals:
-                return w_next, None
 
             def vjp(a, omega_side, lam_bar):
                 dP = dprobs(FTtr, P, a)
@@ -587,8 +587,6 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
             R = P - YT
             R *= np.where(train_cols, ta, sb)
             w_next = shrink * w - np.matmul(FT, R.transpose(0, 2, 1)).ravel()
-            if not residuals:
-                return w_next, None
 
             def vjp(a, omega_side, lam_bar):
                 dP = dprobs(FT, P, a)

@@ -1,0 +1,174 @@
+"""``central_differences``: the one routine that forms the probes x +/- eps e_j.
+
+Every referee value that differences along coordinates (``fd_vjp``'s lam
+side, the three checks of ``validate_first_order`` and the FD hypergradient)
+must keep the bits of the per-coordinate loop each of them used to run,
+which ``reference_loop`` copies.
+"""
+
+import dataclasses
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import bilevelopt as bl
+from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
+from bilevelopt.data import corrupt_labels, gen_synthetic, make_episodes, split
+from bilevelopt.problem import central_differences, fd_vjp
+
+
+def reference_loop(f, x, eps):
+    """The per-coordinate central difference, one probe pair per coordinate."""
+    out = np.empty(x.shape[0])
+    for j in range(x.shape[0]):
+        e = np.zeros(x.shape[0])
+        e[j] = eps
+        out[j] = (f(x + e) - f(x - e)) / (2.0 * eps)
+    return out
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def zoo_point(name, seed=0):
+    p = bl.zoo_problem(name, seed=0).problem
+    rng = np.random.default_rng(seed)
+    return (p, rng.normal(0, 0.5, p.inner_dim), rng.normal(0, 0.5, p.inner_dim),
+            rng.normal(0, 0.5, p.outer_dim))
+
+
+def small_hypercleaning():
+    ds = gen_synthetic(0, 160, 6, 2, 3.0)
+    train, val = split(ds, 30, 40, 0)
+    return bl.make_hypercleaning(corrupt_labels(train, 0.5, 0), val)
+
+
+def small_hyperrep():
+    ds = gen_synthetic(0, 300, 7, 6, 3.0)
+    return bl.make_hyperrep(make_episodes(ds, 3, 2, 4, 3, 0), 3)
+
+
+class TestProbes:
+    def test_probes_are_x_plus_e_then_x_minus_e(self):
+        # signed zeros tell x + e from a copy of x with x_j alone moved:
+        # -0.0 + 0.0 is +0.0, while -0.0 - 0.0 stays -0.0
+        x = np.array([-0.0, 1.5, 0.0, -2.0])
+        eps = 1e-3
+        seen = []
+        central_differences(lambda probes: [seen.append(p) or 0.0 for p in probes], x, eps)
+        want = []
+        for plus in (True, False):
+            for j in range(4):
+                e = np.zeros(4)
+                e[j] = eps
+                want.append(x + e if plus else x - e)
+        assert len(seen) == 8
+        for got, ref in zip(seen, want):
+            assert same_bits(got, ref)
+
+    def test_equals_the_reference_loop(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(0, 2.0, 9)
+
+        def f(v):
+            return float(np.sin(v) @ np.cosh(v) + v[0] * v[-1])
+
+        got = central_differences(lambda probes: [f(p) for p in probes], x, 1e-5)
+        assert same_bits(got, reference_loop(f, x, 1e-5))
+
+    def test_serial_evaluator_holds_o_n_memory(self):
+        # 2n probes of n floats stacked would take 2 * 2000 * 2000 * 8 bytes
+        # = 64 MiB; drawn one at a time they stay far below 2 MiB
+        n = 2000
+        x = np.ones(n)
+        tracemalloc.start()
+        try:
+            got = central_differences(lambda probes: [p[0] + p[-1] for p in probes], x, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got[[0, -1]], 1.0, rtol=1e-9)
+        assert not got[1:-1].any()
+
+
+class TestCallersKeepTheirBits:
+    @pytest.mark.parametrize("name", bl.ZOO_NAMES)
+    @pytest.mark.parametrize("which", ["h12", "g12"])
+    def test_fd_vjp_lam_side(self, name, which):
+        p, a, w, lam = zoo_point(name)
+        grad = p.grad1_h if which[0] == "h" else p.grad1_g
+        eps = bl.default_fd_eps(lam)
+        want = reference_loop(lambda probe: a @ grad(w, probe), lam, eps)
+        assert same_bits(fd_vjp(p, which, a, w, lam, eps), want)
+
+    @pytest.mark.parametrize("name", bl.ZOO_NAMES)
+    def test_validate_first_order_entries(self, name):
+        p, _, w, lam = zoo_point(name, seed=1)
+        eps = 1e-5
+        fds = {"grad1_g": reference_loop(lambda v: p.g_value(v, lam), w, eps),
+               "grad2_g": reference_loop(lambda v: p.g_value(w, v), lam, eps),
+               "grad1_h": reference_loop(lambda v: p.h_value(v, lam), w, eps)}
+        report = bl.validate_first_order(p, w, lam, eps=eps)
+        assert set(report.entries) == set(fds)
+        for gname, fd in fds.items():
+            analytic = np.asarray(getattr(p, gname)(w, lam), dtype=np.float64)
+            err = float(np.max(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))))
+            assert same_bits(report.entries[gname][0], err), gname
+
+    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    def test_fd_hypergradient_serial(self, mode):
+        # hyperrep has no batched oracles: one inner solve per probe, on a
+        # replace copy
+        p = small_hyperrep()
+        assert p.grad1_h_many is None
+        lam = np.random.default_rng(2).normal(0, 0.5, p.outer_dim)
+        spec = bl.InnerSolveSpec(K=8, t=0.05, s=0.05)
+        generic = dataclasses.replace(p)
+
+        def f_K(probe):
+            return float(p.g_value(final_inner_iterate(generic, probe, spec, mode), probe))
+
+        want = reference_loop(f_K, lam, 1e-5)
+        assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec, mode), want)
+
+    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    def test_fd_hypergradient_batched(self, mode):
+        # hyper-cleaning solves the 2m probes as one stack; each row of a
+        # stack gives what a stack of that row alone gives
+        p = small_hypercleaning()
+        assert p.grad1_h_many is not None
+        lam = np.random.default_rng(3).normal(0, 0.5, p.outer_dim)
+        spec = bl.InnerSolveSpec(K=8, t=0.05, s=0.01)
+
+        def f_K(probe):
+            return p.g_value(final_inner_iterates_many(p, probe[None], spec, mode)[0], probe)
+
+        want = reference_loop(f_K, lam, 1e-5)
+        assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec, mode), want)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("bad, sign", [(3, -1.0), (1, 1.0)])
+    def test_fd_vjp_names_the_nonfinite_probe(self, bad, sign):
+        # grad1_h goes non-finite only where lam's coordinate `bad` moves
+        # toward `sign`: exactly one of the 2m probes
+        def grad1_h(w, lam):
+            return w * (np.nan if sign * lam[bad] > 0.0 else 1.0)
+
+        p = bl.BilevelProblem(
+            inner_dim=2, outer_dim=5, name="one-bad-probe",
+            h_value=lambda w, lam: 0.5 * float(w @ w),
+            g_value=lambda w, lam: 0.0,
+            grad1_h=grad1_h,
+            grad1_g=lambda w, lam: np.zeros(2),
+            grad2_g=lambda w, lam: np.zeros(5),
+        )
+        probe = f"lam{'+' if sign > 0 else '-'}eps*e_{bad} "
+        with pytest.raises(bl.OracleDivergence, match=re.escape(f"grad1_h non-finite at {probe}")):
+            fd_vjp(p, "h12", np.ones(2), np.ones(2), np.zeros(5), 1e-4)

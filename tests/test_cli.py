@@ -370,6 +370,29 @@ class TestClean:
         assert err.startswith("error: cannot read idx data") and str(missing) in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_short_idx_image_file_exits_2_naming_it(self, tmp_path, capsys):
+        img, lab = tmp_path / "short_img", tmp_path / "short_lab"
+        img.write_bytes(b"\x00\x00\x08")
+        lab.write_bytes(b"\x00\x00\x08")
+        out = tmp_path / "c.csv"
+        assert run_cli("clean", "--data", f"idx:{img},{lab}", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: idx-short-header") and str(img) in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_short_idx_label_file_exits_2_naming_it(self, tmp_path, capsys):
+        import bilevelopt as bl
+        from bilevelopt.data import Dataset
+        ds = Dataset(X=np.zeros((4, 1)), y=np.zeros(4, np.int64), mask=np.zeros(4, bool), C=2)
+        img, lab = tmp_path / "img", tmp_path / "short_lab"
+        bl.write_idx(ds, img, tmp_path / "lab")
+        lab.write_bytes((tmp_path / "lab").read_bytes()[:7])
+        out = tmp_path / "c.csv"
+        assert run_cli("clean", "--data", f"idx:{img},{lab}", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: idx-short-header") and str(lab) in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_bad_rho_exits_2(self, tmp_path):
         assert run_cli("clean", "--rho", "1.5", "--out", str(tmp_path / "x.csv")) == 2
 

@@ -10,6 +10,10 @@ of the bytes of the recorded iterates, of the reverse-mode hypergradient and
 of the central-difference hypergradient.  The zoo quadratics also get a
 copy with all four VJP slots set to None, whose reverse pass runs on the
 finite-difference fallback (every zoo problem supplies analytic VJPs).
+Each zoo problem's ``check_suite`` report (seed 0, ``default_check_configs``)
+gets one line per verifier row: the SHA-256 of the row's JSON, whose floats
+round-trip, so every referee value (first-order, VJP and hypergradient
+differences, grid minimum) is compared bit for bit.
 
 It then runs the command line in a temporary directory, with small budgets,
 ``--seed 1`` and ``--no-timing``: ``solve`` on every zoo problem,
@@ -83,6 +87,18 @@ def lines():
                         yield f"{name} {copy} {mode} freq={freq} {what}", value
 
 
+def check_lines():
+    """(label, bytes) per row of each zoo problem's ``check_suite`` report."""
+    import bilevelopt as bl
+
+    for name in bl.ZOO_NAMES:
+        reports = bl.check_suite(bl.zoo_problem(name, seed=0).problem,
+                                 bl.default_check_configs(name))
+        for i, report in enumerate(reports):
+            yield (f"check {name} {i} {report.name}",
+                   json.dumps(report.to_dict(), sort_keys=True).encode())
+
+
 def cli_lines():
     """(label, exit code) per command and (label, bytes) per output it wrote."""
     import bilevelopt as bl
@@ -121,6 +137,7 @@ def cli_lines():
 
 def results():
     yield from lines()
+    yield from check_lines()
     yield from cli_lines()
 
 
