@@ -54,7 +54,7 @@ from . import affine
 from .bigsam import (InnerSolveSpec, Tape, final_inner_iterate, final_inner_iterates_many,
                      step_weights)
 from .problem import (BilevelProblem, OracleDivergence, as_vector, central_differences,
-                      linearizer)
+                      linearizer, stacked)
 
 __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 
@@ -106,20 +106,26 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
     ``central_differences``.  Deliberately independent of the VJP machinery:
     it only consumes values and the forward solver, and it runs that solver's
     generic loop even where the problem declares an affine structure.  A
-    problem with batched gradient oracles solves the 2m probes as one stack
-    (``final_inner_iterates_many``), whose steps are value-only; any other
-    solves them one at a time (``final_inner_iterate``) on a ``replace``
-    copy, which takes the slot-built step.
+    problem with batched gradient oracles solves the 2m probes in blocks
+    (``stacked``), one ``final_inner_iterates_many`` per block, whose steps
+    are value-only, and reads g on a block through ``g_batch`` where it has
+    one; any other solves them one at a time (``final_inner_iterate``) on a
+    ``replace`` copy, which takes the slot-built step.  Both give the same
+    bits where the stacked oracles keep the row oracles' bits, as the zoo's
+    do.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     lam = as_vector(lam, problem.outer_dim, "lam")
     if problem.grad1_h_many is not None and (mode == "basic" or problem.grad1_g_many is not None):
-        def values(probes):
-            # all 2m probes share the schedule: solve them as one batch
-            probes = np.array(list(probes))
-            finals = final_inner_iterates_many(problem, probes, spec, mode)
-            return [problem.g_value(w, probe) for w, probe in zip(finals, probes)]
+        def solve(block, start):
+            # every probe shares the schedule: a block solves as one stack
+            finals = final_inner_iterates_many(problem, block, spec, mode)
+            if problem.g_batch is not None:
+                return problem.g_batch(finals, block)
+            return [problem.g_value(w, probe) for w, probe in zip(finals, block)]
+
+        values = stacked(solve)
     else:
         # a replace copy drops the affine declaration: the probes run the
         # generic loop, so the referee does not share the composed path it

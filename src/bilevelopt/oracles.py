@@ -127,7 +127,7 @@ def _check_first_order(problem, cfg) -> OracleReport:
             worst = max(worst, err)
             details.append({"gradient": gname, "rel_err": err})
     return OracleReport("first-order-vs-fd", problem.name, worst, cfg.tol_grad,
-                        worst <= cfg.tol_grad, tuple(details[:6]))
+                        worst <= cfg.tol_grad, tuple(details))
 
 
 def _check_vjps(problem, cfg) -> Optional[OracleReport]:
@@ -151,7 +151,7 @@ def _check_vjps(problem, cfg) -> Optional[OracleReport]:
             worst = max(worst, err)
             details.append({"vjp": attr, "rel_err": err})
     return OracleReport("vjp-vs-fd", problem.name, worst, cfg.tol_vjp,
-                        worst <= cfg.tol_vjp, tuple(details[:8]))
+                        worst <= cfg.tol_vjp, tuple(details))
 
 
 def _check_reverse(problem, cfg) -> OracleReport:

@@ -16,15 +16,15 @@ strongly convex in the weights, so the hyper-cleaning and hyper-representation
 outer objectives add a small ridge term (default 1e-4) on the inner variable.
 
 The two learning problems hold their logits class-major: C x N for
-hyper-cleaning (batch x C x N in its batched slots) and task x way x N for
-hyper-representation, with the samples on the last, contiguous axis.  numpy
-reduces a short trailing axis one row at a time, so a softmax over a
-trailing class axis of length 2 costs several times the same reduction over
-a leading one.  The shared helpers therefore take the class axis as an
-argument (default -1).  Every contraction is a (batched) matmul taken
-pairwise, never a multi-operand einsum.  The flattened inner and outer
-variables keep their layouts (d x C weights; task x r x way heads; d x r
-map); only the kernels' intermediates are transposed.
+hyper-cleaning and task x way x N for hyper-representation (with a leading
+batch axis in their stacked oracles), with the samples on the last,
+contiguous axis.  numpy reduces a short trailing axis one row at a time, so
+a softmax over a trailing class axis of length 2 costs several times the
+same reduction over a leading one.  The shared helpers therefore take the
+class axis as an argument (default -1).  Every contraction is a (batched)
+matmul taken pairwise, never a multi-operand einsum.  The flattened inner
+and outer variables keep their layouts (d x C weights; task x r x way heads;
+d x r map); only the kernels' intermediates are transposed.
 
 Both learning problems set the ``linearize`` hook of ``bilevelopt.problem``
 to a fused averaged step.  A step with alpha == 1 runs h's kernels on the
@@ -32,7 +32,16 @@ training split alone, exactly as the slots do.  An averaged step stacks the
 two splits as one input with the training samples first, takes one softmax
 over the concatenated logits, scales the residual per column by the step's
 weights and projects it back once; its VJP takes one softmax JVP over the
-same columns.  The weights are recomputed in the VJP, not saved.
+same columns.  The weights are recomputed in the VJP, not saved.  A step on
+a stack of lam rows (the finite-difference referee's probes) is value-only
+and runs h and g apart, as the slots do.
+
+Both learning problems also give the finite-difference referee stacked
+oracles: ``grad1_h_many``/``grad1_g_many`` and ``h_batch``/``g_batch``.
+Each row of a stack gives the row oracle's bits: the kernels run per row
+of the stack, and the dot products that reduce a row (sigmoid(lam) @
+losses, w @ w) are taken one row at a time, since a stacked reduction
+would round them differently.
 """
 
 from __future__ import annotations
@@ -162,7 +171,10 @@ def _frozen_spec(**arrays) -> QuadraticBilevelSpec:
 
 
 # the analytic instances as quadratic specs: h = (w1 - lam)^2 / 2 up to the
-# lam-only term lam^2 / 2, and g as written in each maker
+# lam-only term lam^2 / 2, and g as written in each maker.  Their values
+# square with np.square, as their batches do: a scalar's ** 2 calls pow,
+# which can round differently from x * x, and each row of a batch must give
+# its value's bits.
 _CLOSEDFORM_SPEC = _frozen_spec(A_h=[[1.0]], B_h=[[1.0]], d_h=[0.0], A_g=[[1.0]], c_g=[0.0])
 _DEGENERATE_SPEC = _frozen_spec(A_h=[[1.0, 0.0], [0.0, 0.0]], B_h=[[1.0], [0.0]],
                                 d_h=[0.0, 0.0], A_g=np.eye(2), c_g=[0.0, 1.0])
@@ -205,8 +217,8 @@ def make_closedform_quadratic() -> BilevelProblem:
     """
     p = BilevelProblem(
         inner_dim=1, outer_dim=1, name="closedform_quadratic",
-        h_value=lambda w, lam: float(0.5 * (w[0] - lam[0]) ** 2),
-        g_value=lambda w, lam: float(0.5 * w[0] ** 2),
+        h_value=lambda w, lam: float(0.5 * np.square(w[0] - lam[0])),
+        g_value=lambda w, lam: float(0.5 * np.square(w[0])),
         grad1_h=lambda w, lam: w - lam,
         grad1_g=lambda w, lam: w.copy(),
         grad2_g=lambda w, lam: np.zeros(1),
@@ -214,8 +226,8 @@ def make_closedform_quadratic() -> BilevelProblem:
         vjp12_h=lambda a, w, lam: -a,
         vjp11_g=lambda a, w, lam: a.copy(),
         vjp12_g=lambda a, w, lam: np.zeros(1),
-        h_batch=lambda W, lam: 0.5 * (W[:, 0] - lam[0]) ** 2,
-        g_batch=lambda W, lam: 0.5 * W[:, 0] ** 2,
+        h_batch=lambda W, lam: 0.5 * np.square(W[:, 0] - lam[..., 0]),
+        g_batch=lambda W, lam: 0.5 * np.square(W[:, 0]),
         g_lambda_free=True,
     )
     p.affine = _CLOSEDFORM_SPEC
@@ -241,8 +253,8 @@ def make_degenerate_quadratic() -> BilevelProblem:
     g_center = np.array([0.0, 1.0])
     p = BilevelProblem(
         inner_dim=2, outer_dim=1, name="degenerate_quadratic",
-        h_value=lambda w, lam: float(0.5 * (w[0] - lam[0]) ** 2),
-        g_value=lambda w, lam: float(0.5 * w[0] ** 2 + 0.5 * (w[1] - 1.0) ** 2),
+        h_value=lambda w, lam: float(0.5 * np.square(w[0] - lam[0])),
+        g_value=lambda w, lam: float(0.5 * np.square(w[0]) + 0.5 * np.square(w[1] - 1.0)),
         grad1_h=lambda w, lam: (w - lam[0]) * first_coord,
         grad1_g=lambda w, lam: w - g_center,
         grad2_g=lambda w, lam: np.zeros(1),
@@ -251,8 +263,8 @@ def make_degenerate_quadratic() -> BilevelProblem:
         # the outer quadratic form is the identity: adjoint passes through
         vjp11_g=lambda a, w, lam: a,
         vjp12_g=lambda a, w, lam: np.zeros(1),
-        h_batch=lambda W, lam: 0.5 * (W[:, 0] - lam[0]) ** 2,
-        g_batch=lambda W, lam: 0.5 * W[:, 0] ** 2 + 0.5 * (W[:, 1] - 1.0) ** 2,
+        h_batch=lambda W, lam: 0.5 * np.square(W[:, 0] - lam[..., 0]),
+        g_batch=lambda W, lam: 0.5 * np.square(W[:, 0]) + 0.5 * np.square(W[:, 1] - 1.0),
         g_lambda_free=True,
     )
     p.affine = _DEGENERATE_SPEC
@@ -309,13 +321,25 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
         return w.reshape(*w.shape[:-1], d, C).swapaxes(-1, -2)
 
     def train_losses(w):
-        return sample_losses(WT(w) @ XtrT, YtrT, axis=0)
+        return sample_losses(WT(w) @ XtrT, YtrT, axis=-2)
+
+    def val_losses(w):
+        return sample_losses(WT(w) @ XvaT, YvaT, axis=-2)
 
     def h_value(w, lam):
         return float(sigmoid(lam) @ train_losses(w))
 
     def g_value(w, lam):
-        return float(sample_losses(WT(w) @ XvaT, YvaT, axis=0).sum() + ridge * (w @ w))
+        return float(val_losses(w).sum() + ridge * (w @ w))
+
+    # the values on a stack of rows take their dot products one row at a
+    # time: a stacked reduction would round them differently
+    def h_batch(W, lam):
+        sig = np.broadcast_to(sigmoid(lam), (len(W), m))
+        return np.array([s @ losses for s, losses in zip(sig, train_losses(W))])
+
+    def g_batch(W, lam):
+        return val_losses(W).sum(axis=-1) + ridge * np.array([w @ w for w in W])
 
     # the kernels: P is the softmax at w, which a linearized step saves; R
     # is P - Y, which the gradient kernels overwrite; A is the logit
@@ -440,6 +464,7 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
         grad2_g=lambda w, lam: np.zeros(m),
         vjp11_h=vjp11_h, vjp12_h=vjp12_h, vjp11_g=vjp11_g,
         vjp12_g=lambda a, w, lam: np.zeros(m),
+        h_batch=h_batch, g_batch=g_batch,
         g_lambda_free=True,
         grad1_h_many=grad1_h, grad1_g_many=grad1_g,
     )
@@ -513,13 +538,15 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
     n_tr = ytr.shape[1]
     train_cols = np.arange(n_tr + yva.shape[1]) < n_tr
 
+    # WT, features, probs and grad take one row or a stack of rows alike
     def WT(w):
         # task x way x r view of the task x r x way heads
-        return w.reshape(n_tasks, r, way).transpose(0, 2, 1)
+        return w.reshape(*w.shape[:-1], n_tasks, r, way).swapaxes(-1, -2)
 
     def features(X2, lam):
         # the mapped features X @ L as a task x r x sample view
-        return (X2 @ lam.reshape(d, r)).reshape(n_tasks, -1, r).transpose(0, 2, 1)
+        stack = lam.shape[:-1]
+        return (X2 @ lam.reshape(*stack, d, r)).reshape(*stack, n_tasks, -1, r).swapaxes(-1, -2)
 
     def contract_inputs(X2, M):
         # sum over tasks and samples of X^T M for a task x sample x r array M
@@ -533,6 +560,19 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         ZT = np.matmul(WT(w), features(Xva2, lam))
         return float(sample_losses(ZT, YvaT, axis=-2).sum() + ridge * (w @ w))
 
+    # the values on a stack of rows sum each row's losses as one flat run, as
+    # the row values do, and take w @ w one row at a time: a stacked
+    # reduction would round it differently
+    def loss_sums(X2, YT, W, lam):
+        ZT = np.matmul(WT(W), features(X2, lam))
+        return sample_losses(ZT, YT, axis=-2).reshape(len(W), -1).sum(axis=-1)
+
+    def h_batch(W, lam):
+        return loss_sums(Xtr2, YtrT, W, lam)
+
+    def g_batch(W, lam):
+        return loss_sums(Xva2, YvaT, W, lam) + ridge * np.array([w @ w for w in W])
+
     # the kernels of one objective over its split (X2, YT), with ridge rg on
     # the heads: FT are the features, P the softmax at w (the residuals a
     # step saves), dP the softmax's response to the adjoint a's heads
@@ -540,7 +580,7 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         return _softmax_inplace(np.matmul(WT(w), FT), axis=-2)
 
     def grad(FT, P, YT, w, rg):
-        out = np.matmul(FT, (P - YT).transpose(0, 2, 1)).ravel()
+        out = np.matmul(FT, (P - YT).swapaxes(-1, -2)).reshape(w.shape)
         return out + 2.0 * rg * w if rg else out
 
     def dprobs(FT, P, a):
@@ -556,6 +596,18 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         return contract_inputs(X2, M)
 
     def linearize(lam):
+        if lam.ndim == 2:
+            # a stack of lam rows (the FD referee's probes) is value-only: h
+            # and g run apart, as the slots run them
+            FTtr, FTva = features(Xtr2, lam), features(Xva2, lam)
+
+            def stack_step(w, ta, sb):
+                w_next = w - ta * grad(FTtr, probs(FTtr, w), YtrT, w, 0.0)
+                if sb is not None:
+                    w_next = w_next - sb * grad(FTva, probs(FTva, w), YvaT, w, ridge)
+                return w_next, None
+
+            return stack_step
         # both splits' features and targets as one task x r x (N_tr + N_val)
         # input, each split's features laid out as features() lays them out,
         # training samples first
@@ -630,6 +682,8 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         h_value=h_value, g_value=g_value,
         grad1_h=grad1_h, grad1_g=grad1_g, grad2_g=grad2_g,
         vjp11_h=vjp11_h, vjp12_h=vjp12_h, vjp11_g=vjp11_g, vjp12_g=vjp12_g,
+        h_batch=h_batch, g_batch=g_batch,
+        grad1_h_many=grad1_h, grad1_g_many=grad1_g,
     )
     p.linearize = linearize
     p.answers = {"n_tasks": n_tasks, "rep_dim": r, "way": way, "ridge": ridge}

@@ -3,7 +3,8 @@
 Every referee value that differences along coordinates (``fd_vjp``'s lam
 side, the three checks of ``validate_first_order`` and the FD hypergradient)
 must keep the bits of the per-coordinate loop each of them used to run,
-which ``reference_loop`` copies.
+which ``reference_loop`` copies, whether its probes run one at a time or
+stacked in blocks of rows (``stacked``).
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 import bilevelopt as bl
 from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
 from bilevelopt.data import corrupt_labels, gen_synthetic, make_episodes, split
-from bilevelopt.problem import central_differences, fd_vjp
+from bilevelopt.problem import PROBE_BLOCK, central_differences, fd_vjp, stacked
 
 
 def reference_loop(f, x, eps):
@@ -41,15 +42,31 @@ def zoo_point(name, seed=0):
             rng.normal(0, 0.5, p.outer_dim))
 
 
-def small_hypercleaning():
+def small_hypercleaning(n_tr=30):
     ds = gen_synthetic(0, 160, 6, 2, 3.0)
-    train, val = split(ds, 30, 40, 0)
+    train, val = split(ds, n_tr, 40, 0)
     return bl.make_hypercleaning(corrupt_labels(train, 0.5, 0), val)
 
 
-def small_hyperrep():
+def small_hyperrep(r=3):
     ds = gen_synthetic(0, 300, 7, 6, 3.0)
-    return bl.make_hyperrep(make_episodes(ds, 3, 2, 4, 3, 0), 3)
+    return bl.make_hyperrep(make_episodes(ds, 3, 2, 4, 3, 0), r)
+
+
+def serial(p):
+    """A copy without stacked oracles: the referee evaluates every probe alone."""
+    return dataclasses.replace(p, grad1_h_many=None, grad1_g_many=None, h_batch=None,
+                               g_batch=None)
+
+
+def serial_f_K(p, spec, mode):
+    """f_K at one probe: one inner solve on a copy that takes the slot-built step."""
+    generic = serial(p)
+
+    def f_K(probe):
+        return float(p.g_value(final_inner_iterate(generic, probe, spec, mode), probe))
+
+    return f_K
 
 
 class TestProbes:
@@ -123,9 +140,9 @@ class TestCallersKeepTheirBits:
 
     @pytest.mark.parametrize("mode", ["improved", "basic"])
     def test_fd_hypergradient_serial(self, mode):
-        # hyperrep has no batched oracles: one inner solve per probe, on a
+        # a copy without batched oracles: one inner solve per probe, on a
         # replace copy
-        p = small_hyperrep()
+        p = serial(small_hyperrep())
         assert p.grad1_h_many is None
         lam = np.random.default_rng(2).normal(0, 0.5, p.outer_dim)
         spec = bl.InnerSolveSpec(K=8, t=0.05, s=0.05)
@@ -135,6 +152,17 @@ class TestCallersKeepTheirBits:
             return float(p.g_value(final_inner_iterate(generic, probe, spec, mode), probe))
 
         want = reference_loop(f_K, lam, 1e-5)
+        assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec, mode), want)
+
+    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    def test_fd_hypergradient_stacked_hyperrep(self, mode):
+        # hyperrep's hook takes a stack of lam rows, which runs h and g
+        # apart: the stacked solves keep the serial loop's bits
+        p = small_hyperrep()
+        assert p.grad1_h_many is not None and p.linearize is not None
+        lam = np.random.default_rng(2).normal(0, 0.5, p.outer_dim)
+        spec = bl.InnerSolveSpec(K=8, t=0.05, s=0.05)
+        want = reference_loop(serial_f_K(p, spec, mode), lam, 1e-5)
         assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec, mode), want)
 
     @pytest.mark.parametrize("mode", ["improved", "basic"])
@@ -172,3 +200,106 @@ class TestDivergence:
         probe = f"lam{'+' if sign > 0 else '-'}eps*e_{bad} "
         with pytest.raises(bl.OracleDivergence, match=re.escape(f"grad1_h non-finite at {probe}")):
             fd_vjp(p, "h12", np.ones(2), np.ones(2), np.zeros(5), 1e-4)
+
+    @pytest.mark.parametrize("m, bad, sign", [(5, 3, -1.0), (5, 1, 1.0), (40, 37, -1.0),
+                                              (40, 30, 1.0)])
+    def test_stacked_fd_vjp_names_the_probe_as_the_serial_one(self, m, bad, sign):
+        # at m = 40 the probes lam-eps*e_37 (probe 77) and lam+eps*e_30
+        # (probe 30) sit in the second and the first block of 64
+        def grad1_h(w, lam):
+            return w * (np.nan if sign * lam[bad] > 0.0 else 1.0)
+
+        p = bl.BilevelProblem(
+            inner_dim=2, outer_dim=m, name="one-bad-probe",
+            h_value=lambda w, lam: 0.5 * float(w @ w),
+            g_value=lambda w, lam: 0.0,
+            grad1_h=grad1_h,
+            grad1_g=lambda w, lam: np.zeros(2),
+            grad2_g=lambda w, lam: np.zeros(m),
+            grad1_h_many=lambda W, L: np.array([grad1_h(w, lam) for w, lam in zip(W, L)]),
+        )
+        messages = []
+        for copy in (p, serial(p)):
+            with pytest.raises(bl.OracleDivergence) as info:
+                fd_vjp(copy, "h12", np.ones(2), np.ones(2), np.zeros(m), 1e-4)
+            messages.append(str(info.value))
+        probe = f"lam{'+' if sign > 0 else '-'}eps*e_{bad} "
+        assert messages[0] == messages[1]
+        assert f"grad1_h non-finite at {probe}" in messages[0]
+
+
+class TestBlocks:
+    """``stacked`` hands its oracle ``PROBE_BLOCK`` probes at a time, in order."""
+
+    @pytest.mark.parametrize("n", [1, PROBE_BLOCK // 2, PROBE_BLOCK // 2 + 9, PROBE_BLOCK + 3])
+    def test_blocks_cover_the_probes_in_order(self, n):
+        x = np.random.default_rng(n).normal(0, 1.0, n)
+        seen = []
+
+        def oracle(block, start):
+            seen.append((start, block.copy()))
+            return block.sum(axis=1)
+
+        def f(v):
+            return v.sum()
+
+        got = central_differences(stacked(oracle), x, 1e-4)
+        assert same_bits(got, central_differences(lambda probes: [f(p) for p in probes], x, 1e-4))
+        starts = list(range(0, 2 * n, PROBE_BLOCK))
+        assert [start for start, _ in seen] == starts
+        assert [len(block) for _, block in seen] == [min(PROBE_BLOCK, 2 * n - s) for s in starts]
+        rows = np.concatenate([block for _, block in seen])
+        want = [x + e for e in 1e-4 * np.eye(n)] + [x - e for e in 1e-4 * np.eye(n)]
+        assert same_bits(rows, np.array(want))
+
+    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    @pytest.mark.parametrize("build, m", [(lambda: small_hypercleaning(n_tr=1), 1),
+                                          (lambda: small_hyperrep(r=5), 35)],
+                             ids=["hyperclean-m1", "hyperrep-m35"])
+    def test_fd_at_m_one_and_a_ragged_last_block(self, build, m, mode):
+        # m = 1 gives one block of two probes; m = 35 gives blocks of 64 and
+        # 6, a boundary that does not divide 2m
+        p = build()
+        assert p.outer_dim == m
+        lam = np.random.default_rng(m).normal(0, 0.5, m)
+        spec = bl.InnerSolveSpec(K=5, t=0.05, s=0.05)
+        want = reference_loop(serial_f_K(p, spec, mode), lam, 1e-5)
+        # the hook's stack step with g_batch, and the slot-built stack step
+        # with g_value per probe
+        for copy in (p, dataclasses.replace(p, g_batch=None)):
+            assert same_bits(bl.hypergradient_fd_oracle(copy, lam, spec, mode), want)
+        a, w = np.random.default_rng(m + 1).normal(0, 0.5, (2, p.inner_dim))
+        eps = bl.default_fd_eps(lam)
+        for which in ("h12", "g12"):
+            grad = p.grad1_h if which[0] == "h" else p.grad1_g
+            want = reference_loop(lambda probe: a @ grad(w, probe), lam, eps)
+            assert same_bits(fd_vjp(p, which, a, w, lam, eps), want)
+
+
+class TestStackedOracles:
+    @pytest.mark.parametrize("name", bl.ZOO_NAMES)
+    def test_batch_rows_equal_the_values(self, name):
+        # a stack of lam rows is paired row by row with W's; one lam row is
+        # shared by every row of W
+        p = bl.zoo_problem(name, seed=0).problem
+        rng = np.random.default_rng(5)
+        W = rng.normal(0, 0.7, (PROBE_BLOCK + 5, p.inner_dim))
+        L = rng.normal(0, 0.7, (PROBE_BLOCK + 5, p.outer_dim))
+        for batch, value in ((p.h_batch, p.h_value), (p.g_batch, p.g_value)):
+            assert same_bits(batch(W, L), [value(w, lam) for w, lam in zip(W, L)])
+            assert same_bits(batch(W, L[0]), [value(w, L[0]) for w in W])
+
+    def test_fd_hypergradient_memory_is_bounded_by_the_block(self):
+        # the 800 probes of the zoo's hyper-cleaning problem as one stack
+        # peak at about 12.6 MiB; in blocks of 64 rows at about 1.3 MiB
+        p = bl.zoo_problem("hyperclean_synthetic", seed=0).problem
+        lam = np.random.default_rng(6).normal(0, 0.3, p.outer_dim)
+        spec = bl.InnerSolveSpec(K=3, t=0.01, s=0.001)
+        bl.hypergradient_fd_oracle(p, lam, spec, "improved")
+        tracemalloc.start()
+        try:
+            bl.hypergradient_fd_oracle(p, lam, spec, "improved")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak

@@ -11,7 +11,8 @@ random sample counts and feature dimension) and hyper-representation
 instances (random way, shot, task count and representation size), and check
 their ``linearize`` hook's step map against the one ``linearizer`` builds
 from the slots of a ``replace`` copy (bit for bit on a step with alpha == 1,
-to 1e-12 on an averaged step) and its VJP against ``fd_vjp``.
+to 1e-12 on an averaged step) and its VJP against ``fd_vjp``, and their
+stacked oracles against the row oracles, bit for bit.
 """
 
 import dataclasses
@@ -190,6 +191,22 @@ def test_learning_hook_equals_slot_linearizer_and_fd(case):
             want, slot_vjp = bl.linearizer(slots, lams)(ws, ta, sb)
             assert vjp is None and slot_vjp is None
             assert same_bits(got, want), sb
+
+
+@settings(max_examples=30)
+@given(learning_problems(), st.integers(1, 9))
+def test_stacked_oracles_equal_the_row_oracles(case, rows):
+    # every row of a stacked oracle is the row oracle at its pair, bit for
+    # bit, so that the referee's stacked probes keep the serial probes' bits
+    p, rng = case
+    W, L = rng.normal(0, 0.5, (rows, p.inner_dim)), rng.normal(0, 0.5, (rows, p.outer_dim))
+    for many, row in ((p.grad1_h_many, p.grad1_h), (p.grad1_g_many, p.grad1_g)):
+        for got, w, lam in zip(many(W, L), W, L):
+            assert same_bits(got, row(w, lam))
+    for batch, value in ((p.h_batch, p.h_value), (p.g_batch, p.g_value)):
+        # a stack of lam rows paired with W's, and one lam row shared by all
+        assert same_bits(batch(W, L), [value(w, lam) for w, lam in zip(W, L)])
+        assert same_bits(batch(W, L[0]), [value(w, L[0]) for w in W])
 
 
 @given(K=st.integers(0, 500), exponent=st.floats(-1.0, 4.0), freq=st.integers(1, 10),

@@ -9,8 +9,12 @@ over the oracle slots), the script prints one line per result: the SHA-256
 of the bytes of the recorded iterates, of the reverse-mode hypergradient and
 of the central-difference hypergradient.  The zoo quadratics also get a
 copy with all four VJP slots set to None, whose reverse pass runs on the
-finite-difference fallback (every zoo problem supplies analytic VJPs).
-Each zoo problem's ``check_suite`` report (seed 0, ``default_check_configs``)
+finite-difference fallback (every zoo problem supplies analytic VJPs).  The
+learning problems also get a "serial" copy without stacked oracles
+(``grad1_h_many``, ``grad1_g_many``, ``h_batch``, ``g_batch``), whose
+finite-difference referee evaluates every probe one at a time; it digests
+its central-difference hypergradient.  Each zoo problem's ``check_suite``
+report (seed 0, ``default_check_configs``), and that of each serial copy,
 gets one line per verifier row: the SHA-256 of the row's JSON, whose floats
 round-trip, so every referee value (first-order, VJP and hypergradient
 differences, grid minimum) is compared bit for bit.
@@ -59,6 +63,12 @@ def digest(array) -> str:
     return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest()
 
 
+def serial(problem):
+    """A copy without stacked oracles: the referee takes its serial evaluators."""
+    return dataclasses.replace(problem, grad1_h_many=None, grad1_g_many=None,
+                               h_batch=None, g_batch=None)
+
+
 def lines():
     """(label, array) for every number the solver produces on the zoo."""
     import numpy as np
@@ -74,17 +84,19 @@ def lines():
         if inst.problem.affine is not None:
             copies["fd-fallback"] = dataclasses.replace(
                 inst.problem, vjp11_h=None, vjp12_h=None, vjp11_g=None, vjp12_g=None)
+        else:
+            copies["serial"] = serial(inst.problem)
         for copy, problem in copies.items():
             for mode in ("improved", "basic"):
                 for freq in (1, 3):
                     spec = bl.InnerSolveSpec(K=d["K"], t=d["t"], s=d["s"], bigsam_frequency=freq)
-                    tape = bl.solve_inner(problem, lam, spec, mode)
-                    results = (("iterates", tape.iterates),
-                               ("hypergradient", bl.reverse_hypergradient(problem, tape)),
-                               ("fd_hypergradient",
-                                bl.hypergradient_fd_oracle(problem, lam, spec, mode)))
-                    for what, value in results:
-                        yield f"{name} {copy} {mode} freq={freq} {what}", value
+                    label = f"{name} {copy} {mode} freq={freq}"
+                    if copy != "serial":
+                        tape = bl.solve_inner(problem, lam, spec, mode)
+                        yield f"{label} iterates", tape.iterates
+                        yield f"{label} hypergradient", bl.reverse_hypergradient(problem, tape)
+                    yield (f"{label} fd_hypergradient",
+                           bl.hypergradient_fd_oracle(problem, lam, spec, mode))
 
 
 def check_lines():
@@ -92,11 +104,14 @@ def check_lines():
     import bilevelopt as bl
 
     for name in bl.ZOO_NAMES:
-        reports = bl.check_suite(bl.zoo_problem(name, seed=0).problem,
-                                 bl.default_check_configs(name))
-        for i, report in enumerate(reports):
-            yield (f"check {name} {i} {report.name}",
-                   json.dumps(report.to_dict(), sort_keys=True).encode())
+        problem = bl.zoo_problem(name, seed=0).problem
+        copies = {name: problem}
+        if problem.affine is None:
+            copies[f"{name} serial"] = serial(problem)
+        for label, p in copies.items():
+            for i, report in enumerate(bl.check_suite(p, bl.default_check_configs(name))):
+                yield (f"check {label} {i} {report.name}",
+                       json.dumps(report.to_dict(), sort_keys=True).encode())
 
 
 def cli_lines():
