@@ -18,17 +18,19 @@ bit-identical to a basic-mode run.
 Every solve binds lam once through ``bilevelopt.problem.linearizer``, which
 returns the step map itself: ``_iterate`` makes one ``step`` call per inner
 step, and a problem's hook may evaluate h and g in one fused kernel.
-``solve_inner`` records each step's VJP on the ``Tape``, and
-``final_inner_iterate`` is its last iterate.  The shape of lam decides what
-a step saves: a stack of lam rows (``final_inner_iterates_many``, the
-finite-difference referee's probes) binds value-only steps that record
-nothing.  The reverse pass over a ``Tape`` is ``bilevelopt.hypergrad``.
+``solve_inner`` records each step's VJP on the ``Tape`` (the composed affine
+path records J_K = d omega_K / d lam instead), and ``final_inner_iterate``
+is its last iterate.  The shape of lam decides what a step saves: a stack
+of lam rows (``final_inner_iterates_many``, the finite-difference referee's
+probes) binds value-only steps that record nothing.  The reverse pass over
+a ``Tape`` is ``bilevelopt.hypergrad``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -101,9 +103,12 @@ class Tape:
     averaging weights actually used (alphas[k] produced iterates[k+1]).
     ``vjps``, recorded by every solve that runs the step loop, holds one VJP
     per step k: that of the step map at omega_k with the weight alphas[k].
-    Their saved residuals are O(K) arrays of the problem's intermediate size;
-    a tape without them (hand-built, or from the composed affine path) is
-    linearized again by the reverse pass.
+    Their saved residuals are O(K) arrays of the problem's intermediate size.
+    ``jacobian``, recorded only by the composed affine path, is the (n, m)
+    J_K = d omega_K / d lam that its scan carried with the iterates; the
+    reverse pass of a problem that declares its affine structure reads the
+    hypergradient off it.  A tape with neither (hand-built) is linearized
+    again by the reverse pass.
     """
 
     iterates: np.ndarray
@@ -113,12 +118,16 @@ class Tape:
     lam: np.ndarray
     mode: str
     vjps: Optional[tuple] = field(default=None, repr=False, compare=False)
+    jacobian: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.iterates.shape[0] != self.alphas.shape[0] + 1:
             raise ValueError("tape must hold exactly one more iterate than alphas")
         if self.vjps is not None and len(self.vjps) != self.alphas.shape[0]:
             raise ValueError("tape must hold exactly one VJP per step")
+        if self.jacobian is not None and \
+                self.jacobian.shape != (self.iterates.shape[1], self.lam.shape[0]):
+            raise ValueError("tape jacobian must be (inner_dim, outer_dim)")
         if not (np.all(np.isfinite(self.iterates)) and np.all(np.isfinite(self.alphas))):
             raise ValueError("tape contains non-finite entries")
 
@@ -139,13 +148,14 @@ def schedule(K: int, mode: str, spec: InnerSolveSpec) -> np.ndarray:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    alphas = [1.0] * K
+    alphas = np.ones(K)
     if mode == "improved":
-        # min(1, k^-exponent), the comparison without min()'s call overhead
+        # math.pow is libm pow, as float ** float is; np.power rounds some
+        # entries differently
         freq, power = spec.bigsam_frequency, -spec.alpha_exponent
-        alphas[::freq] = [a if a < 1.0 else 1.0
-                          for a in [float(k) ** power for k in range(1, K + 1, freq)]]
-    return np.asarray(alphas, dtype=np.float64)
+        alphas[::freq] = np.minimum(
+            np.fromiter(map(math.pow, range(1, K + 1, freq), repeat(power)), np.float64), 1.0)
+    return alphas
 
 
 def step_weights(alphas: np.ndarray, t: float, s: float) -> list:
@@ -207,17 +217,21 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -
     them) and records each step's VJP on the tape.  A problem that declares
     its affine structure (``BilevelProblem.affine``) instead has its K step
     maps composed by a blocked scan (``bilevelopt.affine``), which evaluates
-    no gradient oracle and agrees with the loop to roundoff; if a composed
-    value is not finite the loop is run instead.  Finiteness is checked once on the recorded
-    trajectory: the first non-finite iterate names the diverging step, and the
-    gradient oracles that are not finite at its input name the cause.
+    no gradient oracle and agrees with the loop to roundoff.  That scan
+    carries the lam-Jacobian J_K alongside the iterates, and the tape
+    records it in place of VJPs; if a composed value is not finite the loop
+    is run instead.  Finiteness is checked once on the recorded trajectory:
+    the first non-finite iterate names the diverging step, and the gradient
+    oracles that are not finite at its input name the cause.
     """
     alphas = schedule(spec.K, mode, spec)
     lam = as_vector(lam, problem.outer_dim, "lam")
     omega = _start(problem, spec)
-    iterates = vjps = None
+    iterates = vjps = jacobian = None
     if problem.affine is not None:
-        iterates = affine.inner_iterates(problem.affine, omega, lam, alphas, spec.t, spec.s)
+        composed = affine.inner_iterates(problem.affine, omega, lam, alphas, spec.t, spec.s)
+        if composed is not None:
+            iterates, jacobian = composed
     if iterates is None:
         iterates = np.empty((spec.K + 1, problem.inner_dim))
         iterates[0] = omega
@@ -231,7 +245,8 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -
             f"oracle-divergence: non-finite iterate "
             f"(inner step {k}{_culprit(problem, iterates[k], lam, alphas[k])})")
     return Tape(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
-                lam=lam.copy(), mode=mode, vjps=None if vjps is None else tuple(vjps))
+                lam=lam.copy(), mode=mode, vjps=None if vjps is None else tuple(vjps),
+                jacobian=jacobian)
 
 
 def final_inner_iterate(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -> np.ndarray:

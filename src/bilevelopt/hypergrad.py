@@ -36,12 +36,14 @@ kernel; the residuals live until the tape is dropped, O(K) arrays of the
 problem's intermediate size.  VJPs of a step built from the slots (a
 ``replace`` copy, a user-built record) keep only the step's iterate and call
 vjp11/vjp12, or the FD fallback of a slot left None, as the pass reaches
-them, each recomputing its forward quantities.  A tape without VJPs
-(hand-built, or from the affine path) is linearized again from its iterates
-by the problem the pass is given, at one more forward step each.  A problem
-that declares its affine structure (``BilevelProblem.affine``) calls no VJP:
-its step maps are composed by a blocked scan that carries the lam-Jacobian
-forward (``bilevelopt.affine``).
+them, each recomputing its forward quantities.  A problem that declares its
+affine structure (``BilevelProblem.affine``) has its solve compose the step
+maps in a blocked scan that carries the lam-Jacobian J_K forward with the
+iterates (``bilevelopt.affine``); its tape records J_K in place of VJPs,
+and the pass reads grad2_g + J_K^T grad1_g off it without calling a VJP.
+A tape with neither (hand-built), or one reversed by a problem without the
+declaration, is linearized again from its iterates by the problem the pass
+is given, at one more forward step each.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import affine
 from .bigsam import (InnerSolveSpec, Tape, final_inner_iterate, final_inner_iterates_many,
                      step_weights)
 from .problem import (BilevelProblem, OracleDivergence, as_vector, central_differences,
@@ -64,23 +65,27 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
 
     The loop makes one call per step to the step map's VJP of the module
     docstring: the tape's recorded ones, else those of ``linearizer`` at the
-    tape's iterates, newest first.  A problem with a declared affine
-    structure instead gets grad2_g + J_K^T grad1_g from its composed step
-    maps, and runs the loop only if that value is not finite.  Finiteness is
-    checked once on the result, so an overflow on the way is not warned
-    about.
+    tape's iterates, newest first.  A tape that records the lam-Jacobian J_K
+    (the composed affine path's), reversed by a problem that declares its
+    affine structure, instead gives grad2_g + J_K^T grad1_g, and the loop
+    runs only if that value is not finite.  A problem without the
+    declaration (a ``replace`` copy, the reference) walks the loop.
+    Finiteness is checked once on the result, so an overflow on the way is
+    not warned about.
     """
     n, m = problem.dims
     if tape.iterates.shape[1] != n or tape.lam.shape[0] != m:
         raise ValueError(
             f"tape-mismatch: tape is ({tape.iterates.shape[1]}, {tape.lam.shape[0]})-dimensional, "
             f"problem expects ({n}, {m})")
-    if problem.affine is not None:
-        G = affine.hypergradient(problem, tape)
-        if G is not None:
-            return G
     lam = tape.lam
     omega_K = tape.final
+    if tape.jacobian is not None and problem.affine is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = np.asarray(problem.grad2_g(omega_K, lam), dtype=np.float64) \
+                + tape.jacobian.T @ np.asarray(problem.grad1_g(omega_K, lam), dtype=np.float64)
+        if np.all(np.isfinite(G)):
+            return G
     if tape.vjps is not None:
         vjps = reversed(tape.vjps)
     else:
@@ -112,18 +117,32 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
     one; any other solves them one at a time (``final_inner_iterate``) on a
     ``replace`` copy, which takes the slot-built step.  Both give the same
     bits where the stacked oracles keep the row oracles' bits, as the zoo's
-    do.
+    do.  Every probe's value must be finite: the first that is not raises
+    ``OracleDivergence`` naming it, and so does a non-finite difference.
+    The solves and g run with numpy's warnings off, so that one report
+    replaces them.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    lam = as_vector(lam, problem.outer_dim, "lam")
+    m = problem.outer_dim
+    lam = as_vector(lam, m, "lam")
+
+    def finite(vals, start):
+        # the values of probes start, start + 1, ...
+        bad = np.flatnonzero(~np.isfinite(np.asarray(vals, dtype=np.float64)))
+        if bad.size:
+            i = start + int(bad[0])
+            raise OracleDivergence(f"oracle-divergence: g non-finite at probe "
+                                   f"lam{'+-'[i // m]}eps*e_{i % m} (eps={eps})")
+        return vals
+
     if problem.grad1_h_many is not None and (mode == "basic" or problem.grad1_g_many is not None):
         def solve(block, start):
             # every probe shares the schedule: a block solves as one stack
             finals = final_inner_iterates_many(problem, block, spec, mode)
             if problem.g_batch is not None:
-                return problem.g_batch(finals, block)
-            return [problem.g_value(w, probe) for w, probe in zip(finals, block)]
+                return finite(problem.g_batch(finals, block), start)
+            return finite([problem.g_value(w, probe) for w, probe in zip(finals, block)], start)
 
         values = stacked(solve)
     else:
@@ -133,7 +152,11 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
         generic = replace(problem)
 
         def values(probes):
-            return [problem.g_value(final_inner_iterate(generic, probe, spec, mode), probe)
-                    for probe in probes]
+            return finite([problem.g_value(final_inner_iterate(generic, probe, spec, mode), probe)
+                           for probe in probes], 0)
 
-    return central_differences(values, lam, eps)
+    with np.errstate(all="ignore"):
+        G = central_differences(values, lam, eps)
+    if not np.all(np.isfinite(G)):
+        raise OracleDivergence("oracle-divergence: non-finite FD hypergradient")
+    return G

@@ -10,6 +10,7 @@ inner argmin set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from .bigsam import InnerSolveSpec, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
-from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, default_fd_eps, fd_vjp,
-                      validate_first_order)
+from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, OracleDivergence, default_fd_eps,
+                      fd_vjp, validate_first_order)
 
 __all__ = ["OracleReport", "CheckConfig", "grid_min_oracle", "check_suite",
            "default_check_configs"]
@@ -30,9 +31,31 @@ GRID_RESOLUTION = 401   # grid points per axis
 GRID_HALFWIDTH = 2.0    # every grid axis spans [-GRID_HALFWIDTH, GRID_HALFWIDTH]
 
 
+def _worst(errors: list) -> float:
+    """The largest of the per-point errors, NaN if any is NaN (``max`` would drop it)."""
+    return float(np.max(errors)) if errors else 0.0
+
+
+def _json_safe(value):
+    """``value`` with every non-finite float, however nested, as its repr."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(float(value))
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class OracleReport:
-    """One verifier's outcome; passed iff max_rel_err <= tolerance."""
+    """One verifier's outcome; passed iff max_rel_err <= tolerance.
+
+    A non-finite per-point error fails its report, and ``max_rel_err`` is
+    then NaN or inf.  ``to_dict`` keeps every finite float a JSON number
+    and writes a non-finite one as the string "nan", "inf" or "-inf", so
+    that its dict always serializes to strict JSON.
+    """
 
     name: str
     problem: str
@@ -42,9 +65,9 @@ class OracleReport:
     details: tuple = ()
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "problem": self.problem,
-                "max_rel_err": self.max_rel_err, "tolerance": self.tolerance,
-                "passed": bool(self.passed), "details": list(self.details)}
+        return _json_safe({"name": self.name, "problem": self.problem,
+                           "max_rel_err": self.max_rel_err, "tolerance": self.tolerance,
+                           "passed": bool(self.passed), "details": list(self.details)})
 
 
 @dataclass(frozen=True)
@@ -79,7 +102,9 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
     For each grid lam: find the grid argmin set of h (within a 1e-6 band of
     the grid minimum), pick its g-minimizing member, and track the best
     (lam, omega, value) overall.  Ties break toward the lowest lexicographic
-    grid index, so the reduction is deterministic.
+    grid index, so the reduction is deterministic.  A grid lam where h's
+    minimum, or g on a member of the argmin set, is not finite raises
+    ``OracleDivergence``.
     """
     n, m = problem.dims
     if n > 2 or m > 2:
@@ -104,9 +129,16 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
     best = None
     lam_grid = np.stack([g.ravel() for g in np.meshgrid(*lam_axes, indexing="ij")], axis=1)
     for lam in lam_grid:
-        h = h_all(lam)
-        members = np.flatnonzero(h <= h.min() + ARGMIN_BAND)
-        g = g_all(lam)
+        with np.errstate(all="ignore"):
+            h = h_all(lam)
+            h_min = h.min()
+            g = g_all(lam)
+        if not math.isfinite(h_min):
+            raise OracleDivergence(f"oracle-divergence: h non-finite on the grid at lam={lam}")
+        members = np.flatnonzero(h <= h_min + ARGMIN_BAND)
+        if not np.all(np.isfinite(g[members])):
+            raise OracleDivergence(
+                f"oracle-divergence: g non-finite on the argmin set at lam={lam}")
         pick = members[np.argmin(g[members])]
         if g[pick] < best_val:
             best_val = float(g[pick])
@@ -117,15 +149,14 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
 def _check_first_order(problem, cfg) -> OracleReport:
     rng = np.random.default_rng(cfg.seed)
     n, m = problem.dims
-    worst = 0.0
     details = []
     for _ in range(cfg.n_points):
         omega = _unit_ball(rng, n)
         lam = _unit_ball(rng, m)
         rep = validate_first_order(problem, omega, lam, tol=cfg.tol_grad)
         for gname, (err, _) in rep.entries.items():
-            worst = max(worst, err)
             details.append({"gradient": gname, "rel_err": err})
+    worst = _worst([d["rel_err"] for d in details])
     return OracleReport("first-order-vs-fd", problem.name, worst, cfg.tol_grad,
                         worst <= cfg.tol_grad, tuple(details))
 
@@ -137,7 +168,6 @@ def _check_vjps(problem, cfg) -> Optional[OracleReport]:
         return None
     rng = np.random.default_rng(cfg.seed + 1)
     n, m = problem.dims
-    worst = 0.0
     details = []
     for _ in range(cfg.n_points):
         omega = _unit_ball(rng, n)
@@ -148,8 +178,8 @@ def _check_vjps(problem, cfg) -> Optional[OracleReport]:
             point = omega if which.endswith("11") else lam
             want = fd_vjp(problem, which, a, omega, lam, default_fd_eps(point))
             err = float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
-            worst = max(worst, err)
             details.append({"vjp": attr, "rel_err": err})
+    worst = _worst([d["rel_err"] for d in details])
     return OracleReport("vjp-vs-fd", problem.name, worst, cfg.tol_vjp,
                         worst <= cfg.tol_vjp, tuple(details))
 
@@ -157,7 +187,6 @@ def _check_vjps(problem, cfg) -> Optional[OracleReport]:
 def _check_reverse(problem, cfg) -> OracleReport:
     rng = np.random.default_rng(cfg.seed + 2)
     spec = InnerSolveSpec(K=cfg.K, t=cfg.t, s=cfg.s, alpha_exponent=ALPHA_EXPONENT)
-    worst = 0.0
     details = []
     for _ in range(cfg.hg_points):
         lam = _unit_ball(rng, problem.outer_dim)
@@ -165,8 +194,8 @@ def _check_reverse(problem, cfg) -> OracleReport:
         got = reverse_hypergradient(problem, tape)
         want = hypergradient_fd_oracle(problem, lam, spec, cfg.mode)
         err = float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
-        worst = max(worst, err)
         details.append({"mode": cfg.mode, "K": cfg.K, "rel_err": err})
+    worst = _worst([d["rel_err"] for d in details])
     return OracleReport("reverse-vs-fd-hypergradient", problem.name, worst, cfg.tol_hg,
                         worst <= cfg.tol_hg, tuple(details))
 

@@ -171,3 +171,78 @@ class TestDeclaredSpecs:
             p = maker()
             assert p.affine is not None
             assert dataclasses.replace(p).affine is None
+
+
+class TestOneScan:
+    """The solve's one scan carries J_K = d omega_K / d lam; the reverse pass reads it."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        count = []
+        real = affine._states
+
+        def counted(*args):
+            count.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(affine, "_states", counted)
+        return count
+
+    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    def test_one_pass_per_solve_and_none_in_the_reverse_pass(self, passes, mode):
+        p = bl.make_degenerate_quadratic()
+        spec = bl.InnerSolveSpec(K=5000, t=0.1, s=0.1)
+        tape = bl.solve_inner(p, np.array([0.25]), spec, mode)
+        assert len(passes) == 1 and tape.jacobian.shape == (2, 1)
+        bl.reverse_hypergradient(p, tape)
+        assert len(passes) == 1
+
+    def test_one_pass_per_outer_iteration(self, passes):
+        p = bl.make_degenerate_quadratic()
+        config = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=600, T=3, mode="improved")
+        trace = bl.run_model(p, np.array([0.25]), config)
+        assert len(passes) == len(trace.records) == 3
+
+    @pytest.mark.parametrize("schedule", list(SCHEDULES))
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_jacobian_is_the_loop_difference(self, name, schedule):
+        # omega_K is affine in lam, so a unit difference of the loop's final
+        # iterate is J_K's column exactly, up to roundoff
+        p = PROBLEMS[name]()
+        ref = dataclasses.replace(p)
+        mode, freq = SCHEDULES[schedule]
+        spec = bl.InnerSolveSpec(K=affine.BLOCK + 1, t=0.2, s=0.15, bigsam_frequency=freq)
+        lam = np.random.default_rng(3).normal(size=p.outer_dim)
+        J = bl.solve_inner(p, lam, spec, mode).jacobian
+        base = final_inner_iterate(ref, lam, spec, mode)
+        for j in range(p.outer_dim):
+            e = np.zeros(p.outer_dim)
+            e[j] = 1.0
+            _close(J[:, j], final_inner_iterate(ref, lam + e, spec, mode) - base, 1e-10)
+
+    def test_k_zero_jacobian_is_zero(self):
+        p = random_quadratic(0)
+        tape = bl.solve_inner(p, np.ones(3), bl.InnerSolveSpec(K=0, t=0.2, s=0.15), "basic")
+        assert tape.jacobian.shape == (4, 3) and np.all(tape.jacobian == 0.0)
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_loop_and_hand_built_tapes_have_no_jacobian(self, name):
+        p = PROBLEMS[name]()
+        ref = dataclasses.replace(p)
+        spec = bl.InnerSolveSpec(K=40, t=0.2, s=0.15)
+        lam = np.random.default_rng(5).normal(size=p.outer_dim)
+        fast = bl.solve_inner(p, lam, spec, "improved")
+        assert bl.solve_inner(ref, lam, spec, "improved").jacobian is None
+        hand = bl.Tape(iterates=fast.iterates, alphas=fast.alphas, t=fast.t, s=fast.s,
+                       lam=fast.lam, mode=fast.mode)
+        assert hand.jacobian is None
+        # a hand-built tape is linearized again: the declared problem takes
+        # the slot-built step of its replace copy
+        G = bl.reverse_hypergradient(p, hand)
+        assert np.array_equal(G.view(np.uint64),
+                              bl.reverse_hypergradient(ref, hand).view(np.uint64))
+
+    def test_jacobian_shape_is_checked(self):
+        with pytest.raises(ValueError, match="jacobian"):
+            bl.Tape(iterates=np.zeros((2, 2)), alphas=np.ones(1), t=0.1, s=0.1,
+                    lam=np.zeros(1), mode="basic", jacobian=np.zeros((1, 2)))

@@ -1,6 +1,7 @@
 """Reverse pass vs the value-only difference-quotient oracle."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -321,3 +322,69 @@ class TestReverseDivergence:
             warnings.simplefilter("error")
             with pytest.raises(bl.OracleDivergence, match="non-finite hypergradient"):
                 bl.reverse_hypergradient(p, tape)
+
+
+def serial_copy(problem):
+    """A copy without stacked oracles: the FD referee solves its probes one at a time."""
+    return dataclasses.replace(problem, grad1_h_many=None, grad1_g_many=None,
+                               h_batch=None, g_batch=None)
+
+
+class TestFdOracleDivergence:
+    """A non-finite probe value is one ``OracleDivergence`` naming the probe, not NaN."""
+
+    @pytest.mark.parametrize("path", ["stacked", "serial"])
+    def test_overflowing_g_is_reported_without_warnings(self, path):
+        # the final iterates of K = 3 huge steps stay finite; g overflows on them
+        p = bl.zoo_problem("hyperclean_synthetic").problem
+        if path == "serial":
+            p = serial_copy(p)
+        spec = bl.InnerSolveSpec(K=3, t=1e200, s=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(bl.OracleDivergence,
+                               match=r"g non-finite at probe lam\+eps\*e_0 \(eps=1e-05\)"):
+                bl.hypergradient_fd_oracle(p, np.zeros(p.outer_dim), spec, "basic")
+
+    @pytest.mark.parametrize("path", ["stacked", "serial"])
+    @pytest.mark.parametrize("bad,sign", [(37, -1), (3, 1), (399, -1)])
+    def test_names_the_first_non_finite_probe(self, path, bad, sign):
+        # g is NaN only on the probe lam -/+ eps e_bad; with m = 400 the
+        # probes lam-eps*e_37 and lam-eps*e_399 sit in later blocks of 64
+        p = bl.zoo_problem("hyperclean_synthetic").problem
+        lam = np.zeros(p.outer_dim)
+
+        def poisoned(value):
+            def g(w, probe):
+                return np.where(sign * probe[..., bad] > 0, np.nan, value(w, probe))
+            return g
+
+        p = dataclasses.replace(p, g_value=poisoned(p.g_value), g_batch=poisoned(p.g_batch))
+        if path == "serial":
+            p = serial_copy(p)
+        probe = f"lam{'+' if sign > 0 else '-'}eps*e_{bad} "
+        with pytest.raises(bl.OracleDivergence, match=re.escape(f"g non-finite at probe {probe}")):
+            bl.hypergradient_fd_oracle(p, lam, bl.InnerSolveSpec(K=2, t=0.01, s=0.001), "basic")
+
+    def test_nan_g_on_a_declared_quadratic(self):
+        p = dataclasses.replace(bl.make_degenerate_quadratic(),
+                                g_value=lambda w, lam: float("nan"))
+        with pytest.raises(bl.OracleDivergence, match=r"lam\+eps\*e_0"):
+            bl.hypergradient_fd_oracle(p, np.array([0.3]), bl.InnerSolveSpec(K=5, t=0.1, s=0.1),
+                                       "improved")
+
+    def test_overflowing_difference_is_reported(self):
+        # every probe's value is finite, but their difference overflows
+        p = bl.BilevelProblem(
+            inner_dim=1, outer_dim=1, name="cliff",
+            h_value=lambda w, lam: float(0.5 * w[0] ** 2),
+            g_value=lambda w, lam: 1.5e308 * float(np.sign(lam[0])),
+            grad1_h=lambda w, lam: w.copy(),
+            grad1_g=lambda w, lam: np.zeros(1),
+            grad2_g=lambda w, lam: np.zeros(1),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(bl.OracleDivergence, match="non-finite FD hypergradient"):
+                bl.hypergradient_fd_oracle(p, np.zeros(1), bl.InnerSolveSpec(K=2, t=0.1, s=0.1),
+                                           "basic")

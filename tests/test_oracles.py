@@ -1,12 +1,14 @@
 """Brute-force referees: grid minimum and the aggregated check suite."""
 
 import dataclasses
+import json
+import warnings
 
 import numpy as np
 import pytest
 
 import bilevelopt as bl
-from bilevelopt.oracles import CheckConfig
+from bilevelopt.oracles import CheckConfig, OracleReport
 
 
 class TestGridMinOracle:
@@ -98,3 +100,119 @@ class TestCheckSuite:
         a = bl.check_suite(p, cfg)
         b = bl.check_suite(p, cfg)
         assert [(r.name, r.max_rel_err) for r in a] == [(r.name, r.max_rel_err) for r in b]
+
+
+def nan_g(problem):
+    """A ``replace`` copy whose g is NaN everywhere; its gradients stay finite."""
+    return dataclasses.replace(problem, g_value=lambda w, lam: float("nan"),
+                               g_batch=lambda W, lam: np.full(len(W), np.nan))
+
+
+def strict_json(doc):
+    """json.dumps that refuses NaN and inf, as strict JSON does."""
+    return json.dumps(doc, allow_nan=False)
+
+
+class TestNonFiniteErrorsFail:
+    """A NaN per-point error fails its report; ``max`` would have dropped it."""
+
+    def test_nan_g_fails_the_first_order_check(self):
+        from bilevelopt.oracles import _check_first_order
+        p = nan_g(bl.make_degenerate_quadratic())
+        rep = _check_first_order(p, bl.default_check_configs("degenerate_quadratic")[0])
+        assert not rep.passed and np.isnan(rep.max_rel_err)
+        doc = rep.to_dict()
+        assert doc["max_rel_err"] == "nan" and doc["passed"] is False
+        assert {"gradient": "grad1_g", "rel_err": "nan"} in doc["details"]
+        strict_json(doc)
+
+    def test_nan_g_stops_the_suite_at_the_fd_referee(self):
+        p = nan_g(bl.make_degenerate_quadratic())
+        with pytest.raises(bl.OracleDivergence, match=r"g non-finite at probe lam\+eps\*e_0"):
+            bl.check_suite(p, bl.default_check_configs("degenerate_quadratic"))
+
+    def test_nan_vjp_fails_the_vjp_check(self):
+        from bilevelopt.oracles import _check_vjps
+        p = bl.make_degenerate_quadratic()
+        bad = dataclasses.replace(p, vjp11_g=lambda a, w, lam: np.full(2, np.nan))
+        rep = _check_vjps(bad, CheckConfig(n_points=3))
+        assert not rep.passed and np.isnan(rep.max_rel_err)
+        strict_json(rep.to_dict())
+
+    def test_nan_error_fails_the_reverse_check(self, monkeypatch):
+        from bilevelopt import oracles
+        real = oracles.reverse_hypergradient
+        calls = []
+
+        def second_is_nan(problem, tape):
+            calls.append(1)
+            G = real(problem, tape)
+            return np.full_like(G, np.nan) if len(calls) == 2 else G
+
+        monkeypatch.setattr(oracles, "reverse_hypergradient", second_is_nan)
+        rep = oracles._check_reverse(bl.make_closedform_quadratic(),
+                                     CheckConfig(K=10, hg_points=3))
+        assert not rep.passed and np.isnan(rep.max_rel_err)
+        assert [d["rel_err"] for d in rep.to_dict()["details"]][1] == "nan"
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_errors_encode_as_strings(self, value):
+        rep = OracleReport("x", "p", float(value), 1e-6, False, ({"rel_err": float(value)},))
+        doc = rep.to_dict()
+        assert doc["max_rel_err"] == repr(float(value)) == doc["details"][0]["rel_err"]
+        strict_json(doc)
+
+    def test_finite_values_encode_as_before(self):
+        rep = OracleReport("x", "p", 1.25e-12, 1e-6, True,
+                           ({"mode": "basic", "K": 5, "rel_err": 3.5e-13},))
+        assert json.dumps(rep.to_dict()) == json.dumps(
+            {"name": "x", "problem": "p", "max_rel_err": 1.25e-12, "tolerance": 1e-6,
+             "passed": True, "details": [{"mode": "basic", "K": 5, "rel_err": 3.5e-13}]})
+
+    def test_check_writes_strict_json(self, tmp_path, monkeypatch):
+        from bilevelopt import cli
+        monkeypatch.setattr(cli, "check_suite", lambda problem, configs: [
+            OracleReport("first-order-vs-fd", problem.name, float("nan"), 1e-6, False,
+                         ({"gradient": "grad1_g", "rel_err": float("nan")},))])
+        out = tmp_path / "report.json"
+        assert cli.main(["check", "--problem", "closedform_quadratic", "--out", str(out)]) == 1
+
+        def refuse(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert doc["all_pass"] is False and doc["reports"][0]["max_rel_err"] == "nan"
+
+
+class TestGridNonFinite:
+    """The grid referee reports a non-finite h or g as a divergence."""
+
+    def test_nan_h_raises(self):
+        p = bl.make_degenerate_quadratic()
+        bad = dataclasses.replace(p, h_batch=lambda W, lam: np.where(W[:, 0] > 1.0, np.nan,
+                                                                     p.h_batch(W, lam)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bl.OracleDivergence, match="h non-finite on the grid"):
+                bl.grid_min_oracle(bad, [(-2, 2)], [(-2, 2), (-2, 2)], 21)
+
+    def test_nan_g_on_the_argmin_set_raises(self):
+        p = bl.make_degenerate_quadratic()
+        with pytest.raises(bl.OracleDivergence, match="g non-finite on the argmin set"):
+            bl.grid_min_oracle(nan_g(p), [(-2, 2)], [(-2, 2), (-2, 2)], 21)
+
+    def test_nan_g_off_the_argmin_set_is_not_read(self):
+        # g is NaN only where w1 > 1.5, off every argmin line w1 = lam in [-1, 1]
+        p = bl.make_degenerate_quadratic()
+        bad = dataclasses.replace(p, g_batch=lambda W, lam: np.where(W[:, 0] > 1.5, np.nan,
+                                                                     p.g_batch(W, lam)))
+        want = bl.grid_min_oracle(p, [(-1, 1)], [(-2, 2), (-2, 2)], 21)
+        got = bl.grid_min_oracle(bad, [(-1, 1)], [(-2, 2), (-2, 2)], 21)
+        assert got[2] == want[2]
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_nan_h_stops_the_suite(self):
+        p = bl.make_closedform_quadratic()
+        bad = dataclasses.replace(p, h_batch=lambda W, lam: np.full(len(W), np.nan))
+        with pytest.raises(bl.OracleDivergence, match="h non-finite on the grid"):
+            bl.check_suite(bad, [CheckConfig(K=10, hg_points=1, n_points=1, run_grid=True)])

@@ -226,3 +226,25 @@ def test_schedule_bounds(K, exponent, freq, mode):
     averaged = np.arange(K) % freq == 0 if mode == "improved" else np.zeros(K, bool)
     assert np.all(alphas[~averaged] == 1.0)
     assert np.all(np.diff(alphas[averaged]) <= 0.0)
+
+
+def list_schedule(K, mode, spec):
+    """The schedule as two list comprehensions of float ** float."""
+    alphas = [1.0] * K
+    if mode == "improved":
+        freq, power = spec.bigsam_frequency, -spec.alpha_exponent
+        alphas[::freq] = [a if a < 1.0 else 1.0
+                          for a in [float(k) ** power for k in range(1, K + 1, freq)]]
+    return np.asarray(alphas, dtype=np.float64)
+
+
+@settings(max_examples=80)
+@given(K=st.integers(0, 6000),
+       exponent=st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 0.7, 1.3]) | st.floats(0.0, 3.0),
+       freq=st.integers(1, 10), mode=st.sampled_from(["improved", "basic"]))
+def test_schedule_equals_the_list_comprehension_bit_for_bit(K, exponent, freq, mode):
+    spec = bl.InnerSolveSpec(K=max(K, 1), t=0.1, s=0.1, alpha_exponent=exponent,
+                             bigsam_frequency=freq)
+    got = bl.schedule(K, mode, spec)
+    want = list_schedule(K, mode, spec)
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
