@@ -250,11 +250,7 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -
 
 
 def final_inner_iterate(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -> np.ndarray:
-    """The last iterate of ``solve_inner``, for value-only callers.
-
-    The finite-difference referee reruns the inner solve once per serial
-    probe through this name.
-    """
+    """The last iterate of ``solve_inner``, for value-only callers."""
     return solve_inner(problem, lam, spec, mode).final
 
 
@@ -262,19 +258,18 @@ def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
                               spec: InnerSolveSpec, mode: str) -> np.ndarray:
     """Row-batched ``final_inner_iterate`` over a stack of outer variables.
 
-    Requires the problem's batched gradient oracles; every row runs the same
-    schedule from the same omega_0, so this is the per-row recursion executed
-    together.  ``linearizer`` binds the whole stack once, as value-only steps.
+    Every row runs the same schedule from the same omega_0, so this is the
+    per-row recursion executed together.  ``linearizer`` binds the whole
+    stack once, as value-only steps, through the problem's stacked gradient
+    oracles or its row oracles applied row by row.  It never reads
+    ``affine``: the rows run the step loop.  A row whose solve diverged is
+    returned non-finite and not reported here: the caller, which knows what
+    each row stands for, names it.
     """
-    alphas = schedule(spec.K, mode, spec)
-    if problem.grad1_h_many is None or (mode == "improved" and problem.grad1_g_many is None):
-        raise ValueError("problem does not provide batched gradient oracles")
     lams = np.asarray(lams, dtype=np.float64)
     omegas = np.tile(_start(problem, spec), (lams.shape[0], 1))
-    omegas = _iterate(omegas, alphas, spec.t, spec.s, linearizer(problem, lams))
-    if not np.all(np.isfinite(omegas)):
-        raise OracleDivergence("oracle-divergence: non-finite final iterate in batched solve")
-    return omegas
+    return _iterate(omegas, schedule(spec.K, mode, spec), spec.t, spec.s,
+                    linearizer(problem, lams))
 
 
 def bigsam_standalone(h_oracle: Tuple[Callable, Callable],

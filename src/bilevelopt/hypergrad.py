@@ -48,14 +48,13 @@ is given, at one more forward step each.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .bigsam import (InnerSolveSpec, Tape, final_inner_iterate, final_inner_iterates_many,
-                     step_weights)
-from .problem import (BilevelProblem, OracleDivergence, as_vector, central_differences,
-                      linearizer, stacked)
+from .bigsam import InnerSolveSpec, Tape, final_inner_iterates_many, step_weights
+# not called here, but the perfbench tracer patches it through this module
+from .bigsam import final_inner_iterate  # noqa: F401
+from .problem import (BilevelProblem, OracleDivergence, as_vector, batched,
+                      central_differences, linearizer, stacked)
 
 __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 
@@ -110,14 +109,13 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
     evaluation restarting from the same omega_0, formed by
     ``central_differences``.  Deliberately independent of the VJP machinery:
     it only consumes values and the forward solver, and it runs that solver's
-    generic loop even where the problem declares an affine structure.  A
-    problem with batched gradient oracles solves the 2m probes in blocks
-    (``stacked``), one ``final_inner_iterates_many`` per block, whose steps
-    are value-only, and reads g on a block through ``g_batch`` where it has
-    one; any other solves them one at a time (``final_inner_iterate``) on a
-    ``replace`` copy, which takes the slot-built step.  Both give the same
-    bits where the stacked oracles keep the row oracles' bits, as the zoo's
-    do.  Every probe's value must be finite: the first that is not raises
+    generic loop even where the problem declares an affine structure.  It
+    solves the 2m probes in blocks (``stacked``), one
+    ``final_inner_iterates_many`` per block, whose steps are value-only, and
+    reads g on a block through ``batched(problem, "g_batch")``.  A problem
+    without stacked oracles runs its row oracles row by row, with the bits
+    of one solve per probe.  Every probe's final iterate and value must be
+    finite: the first probe of a block where one is not raises
     ``OracleDivergence`` naming it, and so does a non-finite difference.
     The solves and g run with numpy's warnings off, so that one report
     replaces them.
@@ -126,37 +124,26 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
         raise ValueError("eps must be positive")
     m = problem.outer_dim
     lam = as_vector(lam, m, "lam")
+    g_batch = batched(problem, "g_batch")
 
-    def finite(vals, start):
-        # the values of probes start, start + 1, ...
-        bad = np.flatnonzero(~np.isfinite(np.asarray(vals, dtype=np.float64)))
-        if bad.size:
-            i = start + int(bad[0])
-            raise OracleDivergence(f"oracle-divergence: g non-finite at probe "
+    def finite(what, rows, start):
+        # the rows of probes start, start + 1, ...
+        rows = np.asarray(rows, dtype=np.float64)
+        ok = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
+        if not ok.all():
+            i = start + int(np.argmin(ok))
+            raise OracleDivergence(f"oracle-divergence: {what} non-finite at probe "
                                    f"lam{'+-'[i // m]}eps*e_{i % m} (eps={eps})")
-        return vals
+        return rows
 
-    if problem.grad1_h_many is not None and (mode == "basic" or problem.grad1_g_many is not None):
-        def solve(block, start):
-            # every probe shares the schedule: a block solves as one stack
-            finals = final_inner_iterates_many(problem, block, spec, mode)
-            if problem.g_batch is not None:
-                return finite(problem.g_batch(finals, block), start)
-            return finite([problem.g_value(w, probe) for w, probe in zip(finals, block)], start)
-
-        values = stacked(solve)
-    else:
-        # a replace copy drops the affine declaration: the probes run the
-        # generic loop, so the referee does not share the composed path it
-        # checks
-        generic = replace(problem)
-
-        def values(probes):
-            return finite([problem.g_value(final_inner_iterate(generic, probe, spec, mode), probe)
-                           for probe in probes], 0)
+    def solve(block, start):
+        # every probe shares the schedule: a block solves as one stack
+        finals = finite("final iterate", final_inner_iterates_many(problem, block, spec, mode),
+                        start)
+        return finite("g", g_batch(finals, block), start)
 
     with np.errstate(all="ignore"):
-        G = central_differences(values, lam, eps)
+        G = central_differences(stacked(solve), lam, eps)
     if not np.all(np.isfinite(G)):
         raise OracleDivergence("oracle-divergence: non-finite FD hypergradient")
     return G

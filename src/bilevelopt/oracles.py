@@ -18,8 +18,8 @@ import numpy as np
 
 from .bigsam import InnerSolveSpec, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
-from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, OracleDivergence, default_fd_eps,
-                      fd_vjp, validate_first_order)
+from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, OracleDivergence, batched,
+                      default_fd_eps, fd_vjp, validate_first_order)
 
 __all__ = ["OracleReport", "CheckConfig", "grid_min_oracle", "check_suite",
            "default_check_configs"]
@@ -101,10 +101,11 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
 
     For each grid lam: find the grid argmin set of h (within a 1e-6 band of
     the grid minimum), pick its g-minimizing member, and track the best
-    (lam, omega, value) overall.  Ties break toward the lowest lexicographic
-    grid index, so the reduction is deterministic.  A grid lam where h's
-    minimum, or g on a member of the argmin set, is not finite raises
-    ``OracleDivergence``.
+    (lam, omega, value) overall.  h is evaluated on the whole omega grid and
+    g on the argmin set alone, each as one stack through ``batched``.  Ties
+    break toward the lowest lexicographic grid index, so the reduction is
+    deterministic.  A grid lam where h's minimum, or g on a member of the
+    argmin set, is not finite raises ``OracleDivergence``.
     """
     n, m = problem.dims
     if n > 2 or m > 2:
@@ -115,34 +116,26 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
     om_axes = [np.linspace(lo, hi, resolution) for lo, hi in omega_box]
     om_grid = np.stack([g.ravel() for g in np.meshgrid(*om_axes, indexing="ij")], axis=1)
 
-    def h_all(lam):
-        if problem.h_batch is not None:
-            return np.asarray(problem.h_batch(om_grid, lam))
-        return np.array([problem.h_value(w, lam) for w in om_grid])
-
-    def g_all(lam):
-        if problem.g_batch is not None:
-            return np.asarray(problem.g_batch(om_grid, lam))
-        return np.array([problem.g_value(w, lam) for w in om_grid])
-
+    h_batch, g_batch = batched(problem, "h_batch"), batched(problem, "g_batch")
     best_val = np.inf
     best = None
     lam_grid = np.stack([g.ravel() for g in np.meshgrid(*lam_axes, indexing="ij")], axis=1)
     for lam in lam_grid:
         with np.errstate(all="ignore"):
-            h = h_all(lam)
+            h = np.asarray(h_batch(om_grid, lam))
             h_min = h.min()
-            g = g_all(lam)
         if not math.isfinite(h_min):
             raise OracleDivergence(f"oracle-divergence: h non-finite on the grid at lam={lam}")
         members = np.flatnonzero(h <= h_min + ARGMIN_BAND)
-        if not np.all(np.isfinite(g[members])):
+        with np.errstate(all="ignore"):
+            g = np.asarray(g_batch(om_grid[members], lam))
+        if not np.all(np.isfinite(g)):
             raise OracleDivergence(
                 f"oracle-divergence: g non-finite on the argmin set at lam={lam}")
-        pick = members[np.argmin(g[members])]
+        pick = int(np.argmin(g))
         if g[pick] < best_val:
             best_val = float(g[pick])
-            best = (lam.copy(), om_grid[pick].copy())
+            best = (lam.copy(), om_grid[members[pick]].copy())
     return best[0], best[1], best_val
 
 

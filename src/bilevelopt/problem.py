@@ -29,11 +29,17 @@ probes) is value-only: it saves nothing and returns (w_next, None).
 ``linearizer(problem, lam)``, the one way the solver and the reverse pass ask
 for derivatives, returns the hook's step or builds it from the slots.
 
+A problem may also offer stacked oracles, which evaluate a stack of rows in
+one call: ``h_batch``/``g_batch`` for the values and
+``grad1_h_many``/``grad1_g_many`` for the inner gradients.  Every reader
+asks for them through ``batched(problem, name)``, which returns the stacked
+oracle, else its row oracle applied row by row; the rows of either give the
+row oracle's bits.
+
 Every central difference of the package, f(x + eps e_j) - f(x - eps e_j)
-over the coordinates j of x, goes through ``central_differences``.  Where
-the problem has a stacked oracle for f, ``stacked`` evaluates the probes in
-blocks of ``PROBE_BLOCK`` rows, one oracle call per block; otherwise they
-are evaluated one at a time.
+over the coordinates j of x, goes through ``central_differences``, and
+``stacked`` evaluates its probes in blocks of ``PROBE_BLOCK`` rows, one
+stacked call per block.
 
 All oracles must be pure: identical inputs produce bit-identical outputs.
 Arithmetic is IEEE-754 float64 throughout.
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -62,10 +68,14 @@ __all__ = [
     "as_vector",
     "central_differences",
     "stacked",
+    "batched",
 ]
 
 VJP_NAMES = ("h11", "h12", "g11", "g12")
 VJP_SLOTS = ("vjp11_h", "vjp12_h", "vjp11_g", "vjp12_g")
+# each stacked oracle and the row oracle whose bits its rows give
+ROW_ORACLES = {"h_batch": "h_value", "g_batch": "g_value",
+               "grad1_h_many": "grad1_h", "grad1_g_many": "grad1_g"}
 
 # probes per stacked oracle call.  A stack of all 2n probes is bound by
 # memory traffic at the zoo's sizes: on a 2-core Xeon, hyper-cleaning's FD
@@ -111,8 +121,9 @@ class BilevelProblem:
     optional evaluators over a stack of omega rows, W (B, n) -> (B,): lam is
     one row, shared by every row of W, or a (B, m) stack paired row by row
     with W's.  Each row must give h_value/g_value of its pair bit for bit.
-    The brute-force grid referee and ``validate_first_order``'s differences
-    read them.
+    ``grad1_h_many``/``grad1_g_many`` are the same for the inner gradients,
+    (B, n) x (B, m) -> (B, n).  A stacked oracle left None is the row oracle
+    applied row by row: the referees read all four through ``batched``.
 
     ``affine`` declares that the inner gradients are affine in omega: it holds
     the ``QuadraticBilevelSpec`` whose quadratics reproduce grad1_h, grad1_g,
@@ -126,13 +137,12 @@ class BilevelProblem:
     ``linearize`` holds the hook of the module docstring.  On a step with
     alpha == 1 it must give bit for bit what the slot-built step gives; an
     averaged step may fuse h and g and so round differently.  A step on one
-    lam row returns its VJP.  A problem with batched oracles must also accept
-    a stack of lam rows, and then takes stacks of omega rows; such a step
-    returns None in place of a VJP.  The hook is set after construction and
-    dropped by a ``replace`` copy, as ``affine`` is.  ``g_lambda_free`` and
-    ``grad1_h_many``/``grad1_g_many`` serve only the slot-built step and the
-    FD referee; they stay init fields because an outside tracer copies
-    problems through ``replace``.
+    lam row returns its VJP.  The hook must also accept a stack of lam rows,
+    and then takes stacks of omega rows; such a step returns None in place of
+    a VJP.  The hook is set after construction and dropped by a ``replace``
+    copy, as ``affine`` is.  ``g_lambda_free`` and the stacked oracles stay
+    init fields because an outside tracer copies problems through
+    ``replace``.
     """
 
     inner_dim: int
@@ -154,9 +164,8 @@ class BilevelProblem:
     # set when g never reads lam: grad2_g and vjp12_g are identically zero,
     # and the reverse pass may skip their (exactly zero) contributions
     g_lambda_free: bool = False
-    # optional row-batched first-order oracles, (B, n) x (B, m) -> (B, n),
-    # each row bit for bit that of grad1_h/grad1_g; the FD referee's probes
-    # (the FD hypergradient's solves, fd_vjp's lam side) run as stacks
+    # optional row-batched first-order oracles; the FD referee's probes (the
+    # FD hypergradient's solves, fd_vjp's lam side) run as stacks
     grad1_h_many: Optional[Callable] = None
     grad1_g_many: Optional[Callable] = None
     affine: Optional[QuadraticBilevelSpec] = field(default=None, init=False, repr=False,
@@ -188,9 +197,8 @@ def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam, eps: float) -> np
     [grad1_h(omega + eps*a) - grad1_h(omega - eps*a)] / (2 eps); for "h12"
     the j-th entry differentiates a . grad1_h along the j-th lam coordinate.
     "g11"/"g12" do the same with grad1_g.  The lam side evaluates its 2m
-    probes through ``grad1_h_many``/``grad1_g_many``, omega tiled over each
-    block, where the problem has them, and one at a time otherwise; either
-    way a non-finite gradient names its probe.
+    probes in blocks through ``batched(problem, "grad1_*_many")``, omega
+    tiled over each block; a non-finite gradient names its probe.
     """
     if which not in VJP_NAMES:
         raise ValueError(f"unknown vjp selector {which!r}")
@@ -201,7 +209,7 @@ def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam, eps: float) -> np
     omega = as_vector(omega, n, "omega")
     lam = as_vector(lam, m, "lam")
     gname = "grad1_h" if which[0] == "h" else "grad1_g"
-    grad, grad_many = getattr(problem, gname), getattr(problem, gname + "_many")
+    grad, grad_many = getattr(problem, gname), batched(problem, gname + "_many")
 
     if which.endswith("11"):
         gp = _check_finite_grad(grad(omega + eps * a, lam), gname, f"omega+eps*a (eps={eps})")
@@ -212,17 +220,12 @@ def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam, eps: float) -> np
         # a . g of probe i, whose gradient g must be finite
         return a @ _check_finite_grad(g, gname, f"lam{'+-'[i // m]}eps*e_{i % m} (eps={eps})")
 
-    if grad_many is None:
-        def values(probes):
-            return [dot(grad(omega, probe), i) for i, probe in enumerate(probes)]
-    else:
-        def oracle(block, start):
-            # one dot per row: a stacked G @ a would round differently
-            return [dot(g, start + i)
-                    for i, g in enumerate(grad_many(np.tile(omega, (len(block), 1)), block))]
-        values = stacked(oracle)
+    def oracle(block, start):
+        # one dot per row: a stacked G @ a would round differently
+        return [dot(g, start + i)
+                for i, g in enumerate(grad_many(np.tile(omega, (len(block), 1)), block))]
 
-    return central_differences(values, lam, eps)
+    return central_differences(stacked(oracle), lam, eps)
 
 
 def central_differences(values: Callable, x: np.ndarray, eps: float) -> np.ndarray:
@@ -231,9 +234,9 @@ def central_differences(values: Callable, x: np.ndarray, eps: float) -> np.ndarr
     ``values`` takes an iterable of the 2n probes, x + eps e_j for j = 0..n-1
     and then x - eps e_j for j = 0..n-1, and returns their 2n values f(probe)
     in that order.  The probes are formed one at a time as ``values`` draws
-    them, so an evaluator that consumes them serially holds O(n) memory, and
-    ``stacked`` holds one block of them.  Each probe is x + e or x - e with
-    e = eps e_j, so every coordinate but j is x's own plus or minus 0.0.
+    them, so ``stacked`` holds one block of them.  Each probe is x + e or
+    x - e with e = eps e_j, so every coordinate but j is x's own plus or
+    minus 0.0.
     """
     n = x.shape[0]
 
@@ -267,6 +270,30 @@ def stacked(oracle: Callable) -> Callable:
     return values
 
 
+def batched(problem: BilevelProblem, name: str) -> Callable:
+    """The stacked oracle ``name`` of ``problem``, else its row oracle applied row by row.
+
+    ``name`` is one of ``h_batch``, ``g_batch``, ``grad1_h_many`` and
+    ``grad1_g_many``, whose row oracles are ``h_value``, ``g_value``,
+    ``grad1_h`` and ``grad1_g``.  The oracle takes a (B, n) stack W and lam,
+    one row shared by every row of W or a (B, m) stack paired row by row
+    with W's.  The row-by-row default is the serial reference that the
+    problem's own stacked oracle must match bit for bit.
+    """
+    if name not in ROW_ORACLES:
+        raise ValueError(f"unknown stacked oracle {name!r}")
+    oracle = getattr(problem, name)
+    if oracle is not None:
+        return oracle
+    row = getattr(problem, ROW_ORACLES[name])
+
+    def rows(W, lam):
+        lams = lam if np.ndim(lam) == 2 else repeat(lam)
+        return np.array([row(w, lam_row) for w, lam_row in zip(W, lams)], dtype=np.float64)
+
+    return rows
+
+
 def _fd_fallback(problem: BilevelProblem, which: str, a, omega, lam) -> np.ndarray:
     """FD-backed VJP with a VJP slot's signature, from ``problem``'s gradients.
 
@@ -288,7 +315,7 @@ def linearizer(problem: BilevelProblem, lam) -> Callable:
 
     The ``linearize`` hook, else the step built from the slots in the
     solver's expression order, w - ta*grad1_h - sb*grad1_g (w - ta*grad1_h
-    where ``sb`` is None), with ``grad1_h_many``/``grad1_g_many`` for a
+    where ``sb`` is None), with ``batched(problem, "grad1_*_many")`` for a
     stack of lam rows, where it is value-only.  On one row its vjp keeps
     only (w, lam) and calls vjp11/vjp12, or their FD fallbacks, when the
     reverse pass reaches it; it takes no g VJP where ``sb`` is None and no
@@ -297,8 +324,8 @@ def linearizer(problem: BilevelProblem, lam) -> Callable:
     if problem.linearize is not None:
         return problem.linearize(lam)
     many = np.ndim(lam) == 2
-    grad_h = problem.grad1_h_many if many else problem.grad1_h
-    grad_g = problem.grad1_g_many if many else problem.grad1_g
+    grad_h = batched(problem, "grad1_h_many") if many else problem.grad1_h
+    grad_g = batched(problem, "grad1_g_many") if many else problem.grad1_g
     h11, h12, g11, g12 = (getattr(problem, slot) or partial(_fd_fallback, problem, which)
                           for slot, which in zip(VJP_SLOTS, VJP_NAMES))
     if problem.g_lambda_free:
@@ -347,31 +374,27 @@ def validate_first_order(problem: BilevelProblem, omega, lam,
 
     Mismatches land in the report rather than raising; the per-component
     error is |fd - analytic| / max(1, |analytic|), reported as its maximum.
-    The differences evaluate their probes through ``g_batch``/``h_batch``
-    where the problem has them: the omega probes against the one lam, and
-    grad2_g's lam probes, a stack, against omega tiled over each block.
-    Otherwise they call g_value/h_value once per probe.
+    The differences evaluate their probes in blocks through
+    ``batched(problem, "g_batch")``/``batched(problem, "h_batch")``: the
+    omega probes against the one lam, and grad2_g's lam probes, a stack,
+    against omega tiled over each block.
     """
     if eps <= 0 or tol <= 0:
         raise ValueError("eps and tol must be positive")
     n, m = problem.dims
     omega = as_vector(omega, n, "omega")
     lam = as_vector(lam, m, "lam")
-    g_batch, h_batch = problem.g_batch, problem.h_batch
+    g_batch, h_batch = batched(problem, "g_batch"), batched(problem, "h_batch")
 
-    # each check's f on one probe, and on a block of probes (None where the
-    # problem has no batch)
-    checks = {"grad1_g": (problem.grad1_g, lambda w: problem.g_value(w, lam),
-                          g_batch and (lambda W, _: g_batch(W, lam)), omega),
-              "grad2_g": (problem.grad2_g, lambda l: problem.g_value(omega, l),
-                          g_batch and (lambda L, _: g_batch(np.tile(omega, (len(L), 1)), L)), lam),
-              "grad1_h": (problem.grad1_h, lambda w: problem.h_value(w, lam),
-                          h_batch and (lambda W, _: h_batch(W, lam)), omega)}
+    # each check's f on a block of probes
+    checks = {"grad1_g": (problem.grad1_g, lambda W, _: g_batch(W, lam), omega),
+              "grad2_g": (problem.grad2_g,
+                          lambda L, _: g_batch(np.tile(omega, (len(L), 1)), L), lam),
+              "grad1_h": (problem.grad1_h, lambda W, _: h_batch(W, lam), omega)}
     entries = {}
-    for name, (grad, value, batch, x) in checks.items():
+    for name, (grad, batch, x) in checks.items():
         analytic = np.asarray(grad(omega, lam), dtype=np.float64)
-        values = (lambda probes: [value(p) for p in probes]) if batch is None else stacked(batch)
-        fd = central_differences(values, x, eps)
+        fd = central_differences(stacked(batch), x, eps)
         err = float(np.max(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic)))) if analytic.size else 0.0
         entries[name] = (err, err <= tol)
     return FirstOrderReport(entries=entries, tolerance=tol)

@@ -54,7 +54,7 @@ def small_hyperrep(r=3):
 
 
 def serial(p):
-    """A copy without stacked oracles: the referee evaluates every probe alone."""
+    """A copy without stacked oracles: the referee applies its row oracles row by row."""
     return dataclasses.replace(p, grad1_h_many=None, grad1_g_many=None, h_batch=None,
                                g_batch=None)
 

@@ -228,19 +228,25 @@ class TestFdOracleIndependence:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_serial_probes_never_see_the_declaration(self, monkeypatch):
-        from bilevelopt import hypergrad
-        seen = []
-        real = hypergrad.final_inner_iterate
+        # the composed affine path is what the referee checks: its probes
+        # must not run it
+        from bilevelopt import affine
+        calls = []
+        real = affine.inner_iterates
 
-        def spy(problem, lam, spec, mode):
-            seen.append(problem.affine)
-            return real(problem, lam, spec, mode)
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(hypergrad, "final_inner_iterate", spy)
-        p = bl.make_degenerate_quadratic()
-        bl.hypergradient_fd_oracle(p, np.array([0.2]), bl.InnerSolveSpec(K=20, t=0.1, s=0.1),
-                                   "improved")
-        assert seen == [None, None]
+        monkeypatch.setattr(affine, "inner_iterates", spy)
+        spec = bl.InnerSolveSpec(K=20, t=0.1, s=0.1)
+        for p in (bl.make_closedform_quadratic(), bl.make_degenerate_quadratic()):
+            assert p.affine is not None
+            bl.solve_inner(p, np.array([0.2]), spec, "improved")
+            assert len(calls) == 1
+            calls.clear()
+            bl.hypergradient_fd_oracle(p, np.array([0.2]), spec, "improved")
+            assert calls == []
 
 
 def same_bits(x, y):
@@ -325,7 +331,7 @@ class TestReverseDivergence:
 
 
 def serial_copy(problem):
-    """A copy without stacked oracles: the FD referee solves its probes one at a time."""
+    """A copy without stacked oracles: the FD referee applies its row oracles row by row."""
     return dataclasses.replace(problem, grad1_h_many=None, grad1_g_many=None,
                                h_batch=None, g_batch=None)
 
@@ -366,9 +372,38 @@ class TestFdOracleDivergence:
         with pytest.raises(bl.OracleDivergence, match=re.escape(f"g non-finite at probe {probe}")):
             bl.hypergradient_fd_oracle(p, lam, bl.InnerSolveSpec(K=2, t=0.01, s=0.001), "basic")
 
+    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    def test_names_the_probe_whose_inner_solve_diverged(self, mode):
+        # grad1_h is NaN only where lam_30 moves down: the probe
+        # lam-eps*e_30 (probe 70 of 80, in the second block of 64) diverges
+        m, bad = 40, 30
+
+        def grad1_h(w, lam):
+            return w - (np.nan if lam[bad] < 0.0 else 1.0)
+
+        p = bl.BilevelProblem(
+            inner_dim=2, outer_dim=m, name="one-bad-probe",
+            h_value=lambda w, lam: 0.5 * float(w @ w),
+            g_value=lambda w, lam: float(w.sum()),
+            grad1_h=grad1_h,
+            grad1_g=lambda w, lam: w.copy(),
+            grad2_g=lambda w, lam: np.zeros(m),
+        )
+        looped = dataclasses.replace(
+            p, grad1_h_many=lambda W, L: np.array([grad1_h(w, lam) for w, lam in zip(W, L)]))
+        spec = bl.InnerSolveSpec(K=3, t=0.1, s=0.1)
+        for copy in (p, looped):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(bl.OracleDivergence, match=re.escape(
+                        f"final iterate non-finite at probe lam-eps*e_{bad} (eps=1e-05)")):
+                    bl.hypergradient_fd_oracle(copy, np.zeros(m), spec, mode)
+
     def test_nan_g_on_a_declared_quadratic(self):
+        # g_value and g_batch poisoned alike, as the row contract asks
         p = dataclasses.replace(bl.make_degenerate_quadratic(),
-                                g_value=lambda w, lam: float("nan"))
+                                g_value=lambda w, lam: float("nan"),
+                                g_batch=lambda W, lam: np.full(len(W), np.nan))
         with pytest.raises(bl.OracleDivergence, match=r"lam\+eps\*e_0"):
             bl.hypergradient_fd_oracle(p, np.array([0.3]), bl.InnerSolveSpec(K=5, t=0.1, s=0.1),
                                        "improved")

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import bilevelopt as bl
-from bilevelopt.problem import OracleDivergence, default_fd_eps
+from bilevelopt import oracles
+from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
+from bilevelopt.problem import ROW_ORACLES, OracleDivergence, batched, default_fd_eps
 
 
 def scalar_coupled_quadratic():
@@ -256,3 +258,46 @@ class TestFallbackFollowsTheCopy:
         analytic = dataclasses.replace(p, vjp11_h=lambda a, w, lam: a.copy())
         assert analytic.vjp_flavor["vjp11_h"] == "analytic"
         assert p.vjp_flavor["vjp11_h"] == "fd-fallback"
+
+
+def unstacked_quadratic():
+    """The degenerate 2+1 quadratic built by ``make_quadratic``: no stacked oracle at all."""
+    zoo = bl.make_degenerate_quadratic()
+    p = bl.make_quadratic(zoo.affine, name="unstacked")
+    assert all(getattr(p, name) is None for name in ROW_ORACLES)
+    p.answers = dict(zoo.answers)
+    return p
+
+
+class TestBatchedDefault:
+    """A stacked oracle left None is its row oracle, row by row, for every referee."""
+
+    def test_unknown_name_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown stacked oracle"):
+            batched(scalar_coupled_quadratic(), "vjp11_h_many")
+
+    def test_the_problems_own_stacked_oracle_is_returned(self):
+        p = bl.make_degenerate_quadratic()
+        assert batched(p, "h_batch") is p.h_batch and batched(p, "g_batch") is p.g_batch
+
+    def test_check_suite_with_the_grid_passes(self, monkeypatch):
+        # every row oracle is called alone: a 41-point grid per axis keeps
+        # the grid referee at about 70,000 h calls, where the default 401
+        # would make 64 million
+        monkeypatch.setattr(oracles, "GRID_RESOLUTION", 41)
+        p = unstacked_quadratic()
+        reports = bl.check_suite(p, bl.default_check_configs("degenerate_quadratic"))
+        assert "grid-min-vs-analytic" in [r.name for r in reports]
+        assert all(r.passed for r in reports), [r.to_dict() for r in reports]
+
+    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    def test_batched_solve_equals_one_solve_per_row(self, mode):
+        p = unstacked_quadratic()
+        generic = dataclasses.replace(p)
+        lams = np.random.default_rng(4).normal(0, 0.7, (5, p.outer_dim))
+        spec = bl.InnerSolveSpec(K=40, t=0.2, s=0.1, bigsam_frequency=2)
+        got = final_inner_iterates_many(p, lams, spec, mode)
+        assert got.shape == (5, p.inner_dim)
+        for row, lam in zip(got, lams):
+            want = final_inner_iterate(generic, lam, spec, mode)
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))

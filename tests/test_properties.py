@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bilevelopt as bl
-from bilevelopt.problem import default_fd_eps, fd_vjp
+from bilevelopt.problem import ROW_ORACLES, batched, default_fd_eps, fd_vjp
 
 entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
@@ -248,3 +248,77 @@ def test_schedule_equals_the_list_comprehension_bit_for_bit(K, exponent, freq, m
     got = bl.schedule(K, mode, spec)
     want = list_schedule(K, mode, spec)
     assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=40)
+@given(quadratic_cases(), st.integers(1, 9), st.integers(0, 2 ** 16))
+def test_batched_default_gives_the_row_oracles_bits(case, rows, seed):
+    # a drawn quadratic has no stacked oracle: ``batched`` applies each row
+    # oracle row by row, to one shared lam row or to lam rows paired with W's
+    p, _, _, _ = case
+    rng = np.random.default_rng(seed)
+    W, L = rng.normal(0, 0.5, (rows, p.inner_dim)), rng.normal(0, 0.5, (rows, p.outer_dim))
+    for name, row in ROW_ORACLES.items():
+        assert getattr(p, name) is None
+        oracle = batched(p, name)
+        assert same_bits(oracle(W, L), [getattr(p, row)(w, lam) for w, lam in zip(W, L)]), name
+        assert same_bits(oracle(W, L[0]), [getattr(p, row)(w, L[0]) for w in W]), name
+
+
+lattice = st.sampled_from([0.0, 0.0, -1.0, -0.5, 0.5, 1.0])
+
+
+@st.composite
+def tied_quadratics(draw):
+    """1-D and 2-D quadratics on a coarse lattice, whose grid minima tie often.
+
+    A_h of random rank, over a lattice heavy in zeros, gives flat argmin
+    sets; a diagonal A_g and a c_g that may sit midway between two grid
+    points give members of equal g.  Of the 40 examples drawn, 28 have an
+    argmin set of more than one point at some grid lam, 10 a tie in g on
+    one, and 27 a tie between the best values of two grid lams.
+    """
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    resolution = draw(st.sampled_from([3, 4, 5, 7]))
+
+    def mat(r, c):
+        return np.array(draw(st.lists(lattice, min_size=r * c, max_size=r * c))).reshape(r, c)
+
+    axis = np.linspace(-1.0, 1.0, resolution)
+    midway = st.sampled_from(list((axis[:-1] + axis[1:]) / 2))
+    U = mat(n, draw(st.integers(0, n)))
+    diag = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n))
+    spec = bl.QuadraticBilevelSpec(
+        A_h=U @ U.T, B_h=mat(n, m), d_h=mat(n, 1)[:, 0], A_g=np.diag(diag),
+        c_g=np.array(draw(st.lists(lattice | midway, min_size=n, max_size=n))))
+    return bl.make_quadratic(spec, name="tied"), resolution
+
+
+def whole_grid_min(problem, lam_box, omega_box, resolution):
+    """The grid reduction with h and g both read on the whole omega grid, row by row."""
+    lam_axes = [np.linspace(lo, hi, resolution) for lo, hi in lam_box]
+    om_axes = [np.linspace(lo, hi, resolution) for lo, hi in omega_box]
+    om_grid = np.stack([g.ravel() for g in np.meshgrid(*om_axes, indexing="ij")], axis=1)
+    lam_grid = np.stack([g.ravel() for g in np.meshgrid(*lam_axes, indexing="ij")], axis=1)
+    best_val, best = np.inf, None
+    for lam in lam_grid:
+        h = np.array([problem.h_value(w, lam) for w in om_grid])
+        g = np.array([problem.g_value(w, lam) for w in om_grid])
+        members = np.flatnonzero(h <= h.min() + 1e-6)
+        pick = members[np.argmin(g[members])]
+        if g[pick] < best_val:
+            best_val = float(g[pick])
+            best = (lam.copy(), om_grid[pick].copy())
+    return best[0], best[1], best_val
+
+
+@settings(max_examples=40)
+@given(tied_quadratics())
+def test_grid_reads_g_on_the_argmin_set_with_the_whole_grid_bits(case):
+    p, resolution = case
+    n, m = p.dims
+    box = [(-1.0, 1.0)]
+    got = bl.grid_min_oracle(p, box * m, box * n, resolution)
+    want = whole_grid_min(p, box * m, box * n, resolution)
+    for x, y in zip(got, want):
+        assert same_bits(x, y), (got, want)

@@ -1,0 +1,36 @@
+"""The names the benchmark reaches into the library by must resolve.
+
+``perfbench/bench.py`` patches library functions through module globals, and
+``perfbench/spans.py`` copies problems through ``dataclasses.replace`` with
+its ``SLOTS`` as keyword arguments.  A renamed function or field would only
+crash a traced run; these tests catch it in the suite.  The benchmark's
+modules are imported, never changed.
+"""
+
+import dataclasses
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+for path in (str(ROOT / "src"), str(ROOT / "perfbench")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
+
+import bench  # noqa: E402
+import spans  # noqa: E402
+from bilevelopt import BilevelProblem  # noqa: E402
+
+ENTRIES = bench.SOLVE_ENTRIES + bench.CHECK_ENTRIES + bench.SETUP_ENTRIES
+
+
+@pytest.mark.parametrize("module, attr", [(e[0], e[1]) for e in ENTRIES],
+                         ids=[f"{e[0].__name__}.{e[1]}" for e in ENTRIES])
+def test_every_patched_entry_resolves(module, attr):
+    assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_every_traced_slot_is_an_init_field():
+    init_fields = {f.name for f in dataclasses.fields(BilevelProblem) if f.init}
+    assert set(spans.SLOTS) <= init_fields, set(spans.SLOTS) - init_fields

@@ -12,8 +12,9 @@ copy with all four VJP slots set to None, whose reverse pass runs on the
 finite-difference fallback (every zoo problem supplies analytic VJPs).  The
 learning problems also get a "serial" copy without stacked oracles
 (``grad1_h_many``, ``grad1_g_many``, ``h_batch``, ``g_batch``), whose
-finite-difference referee evaluates every probe one at a time; it digests
-its central-difference hypergradient.  Each zoo problem's ``check_suite``
+finite-difference referee reaches the row oracles row by row through
+``bilevelopt.problem.batched``; it digests its central-difference
+hypergradient.  Each zoo problem's ``check_suite``
 report (seed 0, ``default_check_configs``), and that of each serial copy,
 gets one line per verifier row: the SHA-256 of the row's JSON, whose floats
 round-trip, so every referee value (first-order, VJP and hypergradient
@@ -64,7 +65,7 @@ def digest(array) -> str:
 
 
 def serial(problem):
-    """A copy without stacked oracles: the referee takes its serial evaluators."""
+    """A copy without stacked oracles: the referee applies the row oracles row by row."""
     return dataclasses.replace(problem, grad1_h_many=None, grad1_g_many=None,
                                h_batch=None, g_batch=None)
 
