@@ -9,13 +9,14 @@ model, which never consults the outer objective during the inner solve.
 
 import numpy as np
 
-from bilevelopt import SolveConfig, make_degenerate_quadratic, run_ablation
+from bilevelopt import SolveConfig, make_degenerate_quadratic, run_model
+from bilevelopt.models import ablation_config
 
 problem = make_degenerate_quadratic()
 base = SolveConfig(t=0.1, s=0.1, eta=0.5, K=200, T=100)
 
 frequencies = [1, 5, 20, 0]          # 0 = basic baseline on the same budget
-traces = run_ablation(problem, np.array([1.0]), base, frequencies)
+traces = [run_model(problem, np.array([1.0]), ablation_config(base, f)) for f in frequencies]
 
 print("final outer value by averaging frequency (K = 200 inner steps):")
 for f, trace in zip(frequencies, traces):

@@ -16,7 +16,7 @@ from .problem import (BilevelProblem, FirstOrderReport, OracleDivergence,
                       default_fd_eps, fd_vjp, linearizer, validate_first_order)
 from .bigsam import InnerSolveSpec, Tape, bigsam_standalone, schedule, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
-from .models import ExperimentTrace, SolveConfig, TraceRecord, run_ablation, run_model
+from .models import ExperimentTrace, SolveConfig, TraceRecord, run_model
 from .problems import (QuadraticBilevelSpec, ZooInstance, ZOO_NAMES,
                        hyperclean_f1_metric, hyperrep_accuracy_metric,
                        make_closedform_quadratic, make_degenerate_quadratic,
@@ -35,7 +35,7 @@ __all__ = [
     "fd_vjp", "linearizer", "validate_first_order",
     "InnerSolveSpec", "Tape", "bigsam_standalone", "schedule", "solve_inner",
     "hypergradient_fd_oracle", "reverse_hypergradient",
-    "ExperimentTrace", "SolveConfig", "TraceRecord", "run_ablation", "run_model",
+    "ExperimentTrace", "SolveConfig", "TraceRecord", "run_model",
     "QuadraticBilevelSpec", "ZooInstance", "ZOO_NAMES", "hyperclean_f1_metric",
     "hyperrep_accuracy_metric", "make_closedform_quadratic",
     "make_degenerate_quadratic", "make_hypercleaning", "make_hyperrep",

@@ -11,9 +11,11 @@ A problem's step map applies it in the expanded form
 omega - t*alpha*grad1_h - s*(1-alpha)*grad1_g.  With alpha == 1 the update
 degenerates to plain gradient descent on h, which is exactly the inner
 solver of the basic bilevel model; the improved model uses the decaying
-weight alpha_k = min(1, k^(-exponent)) of ``schedule``.  Steps with
+weight alpha_k = min(1, k^(-exponent)) of ``schedule``.  The exponent
+defaults to ``ALPHA_EXPONENT`` = 1/4 in ``InnerSolveSpec``,
+``bigsam_standalone`` and ``bilevelopt.models.SolveConfig``.  Steps with
 alpha == 1 skip the g half entirely, so a run with exponent 0 is
-bit-identical to a basic-mode run.
+bit-identical to a basic-mode run.  Every solve starts at omega_0 = 0.
 
 Every solve binds lam once through ``bilevelopt.problem.linearizer``, which
 returns the step map itself: ``_iterate`` makes one ``step`` call per inner
@@ -42,6 +44,8 @@ __all__ = ["InnerSolveSpec", "Tape", "schedule", "step_weights", "solve_inner",
            "bigsam_standalone"]
 
 MODES = ("improved", "basic")
+# the improved model's averaging weight alpha_k = k^-ALPHA_EXPONENT
+ALPHA_EXPONENT = 0.25
 
 
 def check_alpha_exponent(exponent: float, K: int, frequency: int) -> None:
@@ -76,15 +80,14 @@ class InnerSolveSpec:
 
     ``bigsam_frequency`` f applies the averaged step on iterations with
     k % f == 0 (0-based) and a pure h-gradient step otherwise; f = 1 averages
-    every step.  ``omega0`` defaults to zeros.
+    every step.  Every solve starts at omega_0 = 0.
     """
 
     K: int
     t: float
     s: float
-    alpha_exponent: float = 0.25
+    alpha_exponent: float = ALPHA_EXPONENT
     bigsam_frequency: int = 1
-    omega0: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "K", check_count("K", self.K, 0))
@@ -140,14 +143,15 @@ class Tape:
         return self.iterates[-1]
 
 
-def schedule(K: int, mode: str, spec: InnerSolveSpec) -> np.ndarray:
-    """The K averaging weights of one solve; alphas[k] produces iterate k+1.
+def schedule(spec: InnerSolveSpec, mode: str) -> np.ndarray:
+    """The spec's K averaging weights; alphas[k] produces iterate k+1.
 
     Basic mode and the steps off the averaging frequency get 1; the averaged
     steps of improved mode get min(1, k^-exponent) at their 1-based index k.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    K = spec.K
     alphas = np.ones(K)
     if mode == "improved":
         # math.pow is libm pow, as float ** float is; np.power rounds some
@@ -162,13 +166,6 @@ def step_weights(alphas: np.ndarray, t: float, s: float) -> list:
     """The (ta, sb) = (t*alpha, s*(1-alpha)) of each step; sb is None where alpha == 1."""
     return [(t, None) if alpha == 1.0 else (t * alpha, s * (1.0 - alpha))
             for alpha in alphas.tolist()]
-
-
-def _start(problem: BilevelProblem, spec: InnerSolveSpec) -> np.ndarray:
-    """omega_0: the spec's start point, else zeros."""
-    if spec.omega0 is not None:
-        return as_vector(spec.omega0, problem.inner_dim, "omega0").copy()
-    return np.zeros(problem.inner_dim)
 
 
 def _iterate(omega: np.ndarray, alphas: np.ndarray, t: float, s: float, step: Callable,
@@ -206,7 +203,7 @@ def _culprit(problem: BilevelProblem, omega: np.ndarray, lam: np.ndarray, alpha:
 
 
 def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -> Tape:
-    """Run K averaged steps from omega_0 and record the full trajectory.
+    """Run K averaged steps from omega_0 = 0 and record the full trajectory.
 
     Basic mode forces alpha == 1 on every step (the averaged update then is
     plain gradient descent on h and never touches g).  No projection, no line
@@ -224,9 +221,9 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -
     the first non-finite iterate names the diverging step, and the gradient
     oracles that are not finite at its input name the cause.
     """
-    alphas = schedule(spec.K, mode, spec)
+    alphas = schedule(spec, mode)
     lam = as_vector(lam, problem.outer_dim, "lam")
-    omega = _start(problem, spec)
+    omega = np.zeros(problem.inner_dim)
     iterates = vjps = jacobian = None
     if problem.affine is not None:
         composed = affine.inner_iterates(problem.affine, omega, lam, alphas, spec.t, spec.s)
@@ -258,7 +255,7 @@ def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
                               spec: InnerSolveSpec, mode: str) -> np.ndarray:
     """Row-batched ``final_inner_iterate`` over a stack of outer variables.
 
-    Every row runs the same schedule from the same omega_0, so this is the
+    Every row runs the same schedule from omega_0 = 0, so this is the
     per-row recursion executed together.  ``linearizer`` binds the whole
     stack once, as value-only steps, through the problem's stacked gradient
     oracles or its row oracles applied row by row.  It never reads
@@ -267,15 +264,14 @@ def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
     each row stands for, names it.
     """
     lams = np.asarray(lams, dtype=np.float64)
-    omegas = np.tile(_start(problem, spec), (lams.shape[0], 1))
-    return _iterate(omegas, schedule(spec.K, mode, spec), spec.t, spec.s,
-                    linearizer(problem, lams))
+    omegas = np.zeros((lams.shape[0], problem.inner_dim))
+    return _iterate(omegas, schedule(spec, mode), spec.t, spec.s, linearizer(problem, lams))
 
 
 def bigsam_standalone(h_oracle: Tuple[Callable, Callable],
                       g_oracle: Tuple[Callable, Callable],
                       omega0, K: int, t: float, s: float,
-                      alpha_exponent: float = 0.25) -> np.ndarray:
+                      alpha_exponent: float = ALPHA_EXPONENT) -> np.ndarray:
     """Averaged solver for the single-level form: minimize g over argmin h.
 
     The oracles are (value, gradient) pairs of a single variable; only the
@@ -292,7 +288,7 @@ def bigsam_standalone(h_oracle: Tuple[Callable, Callable],
             w_next = w_next - sb * np.asarray(g_grad(w), dtype=np.float64)
         return w_next, None
 
-    omega = _iterate(omega, schedule(K, "improved", spec), t, s, step)
+    omega = _iterate(omega, schedule(spec, "improved"), t, s, step)
     if not np.all(np.isfinite(omega)):
         raise OracleDivergence("oracle-divergence: non-finite final iterate")
     return omega

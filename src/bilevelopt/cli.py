@@ -8,7 +8,8 @@ zeroed under --no-timing, which the determinism checks use).  Replaying an
 ablation cell's manifest reruns and rewrites only that cell.  Floats are
 written with 17 significant digits, '.' decimal, no locale.
 
-The run's config merges the problem's defaults, then the --config file, then
+The run's config holds the fields of ``SolveConfig`` but its mode, and
+merges that class's defaults, then the problem's, then the --config file, then
 --seed: the seed is the flag, else the file's, else 0.  That seed builds the
 data of every command and must be a non-negative integer (5.0 is 5); a solve
 or ablation manifest's ``data.seed`` is its ``config.seed``.
@@ -23,7 +24,7 @@ import argparse
 import concurrent.futures
 import json
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Optional
@@ -40,8 +41,11 @@ from .problems import (ZOO_DEFAULTS, ZOO_NAMES, hyperclean_f1_metric, make_hyper
 
 __all__ = ["main", "replay_manifest"]
 
-CONFIG_KEYS = ("t", "s", "eta", "K", "T", "alpha_exponent", "bigsam_frequency", "seed")
-REQUIRED_KEYS = ("t", "s", "eta", "K", "T")
+# a config file holds SolveConfig's fields but the mode, which each command sets
+CONFIG_FIELDS = tuple(f for f in fields(SolveConfig) if f.name != "mode")
+CONFIG_KEYS = tuple(f.name for f in CONFIG_FIELDS)
+REQUIRED_KEYS = tuple(f.name for f in CONFIG_FIELDS if f.default is MISSING)
+CONFIG_DEFAULTS = {f.name: f.default for f in CONFIG_FIELDS if f.default is not MISSING}
 CLEAN_DATA = {"d": 10, "C": 2, "margin": 3.0}
 
 
@@ -78,9 +82,8 @@ def _check_problem(name: str) -> str:
 
 
 def _resolve_config(args, problem: str) -> dict:
-    """Merge the problem's defaults, then the optional config file, then ``--seed``."""
-    cfg = {"alpha_exponent": 0.25, "bigsam_frequency": 1, "seed": 0,
-           **ZOO_DEFAULTS[_check_problem(problem)]}
+    """Merge ``SolveConfig``'s defaults, the problem's, the optional config file, ``--seed``."""
+    cfg = {**CONFIG_DEFAULTS, **ZOO_DEFAULTS[_check_problem(problem)]}
     if args.config:
         cfg.update(_load_config(args.config))
     if args.seed is not None:
@@ -92,11 +95,9 @@ def _solve_config(run: dict) -> SolveConfig:
     """The validated ``SolveConfig`` of a run: its model, or its ablation frequency."""
     cfg = run["config"]
     try:
-        config = SolveConfig(t=float(cfg["t"]), s=float(cfg["s"]), eta=float(cfg["eta"]),
-                             K=cfg["K"], T=cfg["T"],
-                             alpha_exponent=float(cfg["alpha_exponent"]),
-                             bigsam_frequency=cfg["bigsam_frequency"],
-                             seed=cfg["seed"], mode=run.get("model", "improved"))
+        # a float field takes what float() takes; the counts are checked as given
+        config = SolveConfig(**{f.name: float(cfg[f.name]) if f.type == "float" else cfg[f.name]
+                                for f in CONFIG_FIELDS}, mode=run.get("model", "improved"))
         return ablation_config(config, run["frequency"]) if "frequency" in run else config
     except (ValueError, TypeError) as exc:
         raise CliError(f"invalid config: {exc}")

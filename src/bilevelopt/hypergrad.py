@@ -54,7 +54,7 @@ from .bigsam import InnerSolveSpec, Tape, final_inner_iterates_many, step_weight
 # not called here, but the perfbench tracer patches it through this module
 from .bigsam import final_inner_iterate  # noqa: F401
 from .problem import (BilevelProblem, OracleDivergence, as_vector, batched,
-                      central_differences, linearizer, stacked)
+                      central_differences, linearizer, probe_name, stacked)
 
 __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 
@@ -131,9 +131,8 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
         rows = np.asarray(rows, dtype=np.float64)
         ok = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
         if not ok.all():
-            i = start + int(np.argmin(ok))
             raise OracleDivergence(f"oracle-divergence: {what} non-finite at probe "
-                                   f"lam{'+-'[i // m]}eps*e_{i % m} (eps={eps})")
+                                   f"{probe_name(start + int(np.argmin(ok)), m, eps)}")
         return rows
 
     def solve(block, start):

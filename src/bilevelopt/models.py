@@ -4,7 +4,8 @@ Each outer iteration re-initializes the inner variable, runs the inner solver
 for K steps, differentiates through the recorded trajectory, and takes one
 plain gradient-descent step on the outer variable.  Improved and basic runs
 differ only in the inner solver's mode; every other constant is shared so
-comparisons are matched-budget.
+comparisons are matched-budget.  One cell of a frequency ablation is
+``run_model`` on the config that ``ablation_config`` derives from a base.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .bigsam import InnerSolveSpec, check_alpha_exponent, check_count, solve_inner
+from .bigsam import (ALPHA_EXPONENT, MODES, InnerSolveSpec, check_alpha_exponent, check_count,
+                     solve_inner)
 from .hypergrad import reverse_hypergradient
 from .problem import BilevelProblem, OracleDivergence, as_vector
 
-__all__ = ["SolveConfig", "TraceRecord", "ExperimentTrace", "run_model", "run_ablation",
-           "ablation_config"]
+__all__ = ["SolveConfig", "TraceRecord", "ExperimentTrace", "run_model", "ablation_config"]
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class SolveConfig:
     eta: float
     K: int
     T: int
-    alpha_exponent: float = 0.25
+    alpha_exponent: float = ALPHA_EXPONENT
     bigsam_frequency: int = 1
     seed: int = 0
     mode: str = "improved"
@@ -48,7 +49,7 @@ class SolveConfig:
             value = getattr(self, name)
             if type(value) is not int or value < least:
                 object.__setattr__(self, name, check_count(name, value, least))
-        if self.mode not in ("improved", "basic"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         check_alpha_exponent(self.alpha_exponent, self.K, self.bigsam_frequency)
 
@@ -78,7 +79,6 @@ class ExperimentTrace:
     records: List[TraceRecord] = field(default_factory=list)
     final_lambda: Optional[np.ndarray] = None
     final_omega: Optional[np.ndarray] = None
-    config: Optional[SolveConfig] = None
 
     @property
     def outer_values(self) -> np.ndarray:
@@ -112,7 +112,7 @@ def run_model(problem: BilevelProblem, lam0, config: SolveConfig,
     the same way, and is never recorded.
     """
     lam = as_vector(lam0, problem.outer_dim, "lam0").copy()
-    trace = ExperimentTrace(config=config)
+    trace = ExperimentTrace()
     spec = config.inner_spec()
     omega_hat = None
     for it in range(config.T):
@@ -167,12 +167,3 @@ def ablation_config(base_config: SolveConfig, frequency: int) -> SolveConfig:
     if frequency >= 1:
         return replace(base_config, bigsam_frequency=int(frequency))
     raise ValueError(f"frequency must be a positive integer or the 0 sentinel, got {frequency}")
-
-
-def run_ablation(problem: BilevelProblem, lam0, base_config: SolveConfig,
-                 frequencies: List[int], metric: Optional[Callable] = None,
-                 collect_timing: bool = True) -> List[ExperimentTrace]:
-    """One run per averaging frequency (see ``ablation_config``)."""
-    return [run_model(problem, lam0, ablation_config(base_config, f), metric=metric,
-                      collect_timing=collect_timing)
-            for f in frequencies]

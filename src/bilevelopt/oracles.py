@@ -6,6 +6,13 @@ against the finite-difference fallback, the unrolled reverse pass against a
 value-only difference quotient of f_K, and (at tiny dimension) the whole
 bilevel minimum against an exhaustive grid that literally enumerates the
 inner argmin set.
+
+The referee fails closed: a ``CheckConfig`` that samples no point, or
+compares against a tolerance that is not finite and positive, or names an
+inner solve that ``InnerSolveSpec`` rejects, is refused at construction,
+before any check runs.  Every verifier draws its points from its own fixed
+seed, and the reverse-vs-FD solves average with the solver's default
+exponent, ``bilevelopt.bigsam.ALPHA_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bigsam import InnerSolveSpec, solve_inner
+from .bigsam import MODES, InnerSolveSpec, check_count, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
 from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, OracleDivergence, batched,
                       default_fd_eps, fd_vjp, validate_first_order)
@@ -25,7 +32,6 @@ __all__ = ["OracleReport", "CheckConfig", "grid_min_oracle", "check_suite",
            "default_check_configs"]
 
 ARGMIN_BAND = 1e-6   # membership band converting the exact argmin set to a grid set
-ALPHA_EXPONENT = 0.25   # averaging-weight exponent of the reverse-vs-FD solves
 GRID_TOL = 0.05         # grid minimum against the analytic one, absolute
 GRID_RESOLUTION = 401   # grid points per axis
 GRID_HALFWIDTH = 2.0    # every grid axis spans [-GRID_HALFWIDTH, GRID_HALFWIDTH]
@@ -72,9 +78,14 @@ class OracleReport:
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """One bundle of checks: sampling, inner-solve constants, tolerances."""
+    """One bundle of checks: sampling, inner-solve constants, tolerances.
 
-    seed: int = 0
+    A config that would check nothing, or check against nothing, is rejected
+    at construction: ``n_points`` and ``hg_points`` must be at least 1, each
+    tolerance finite and positive, and ``mode``, ``K``, ``t`` and ``s`` must
+    make the ``inner_spec`` of the reverse-vs-FD check.
+    """
+
     n_points: int = 10
     hg_points: int = 5
     K: int = 50
@@ -85,6 +96,20 @@ class CheckConfig:
     tol_vjp: float = 1e-4
     tol_hg: float = 1e-4
     run_grid: bool = False
+
+    def __post_init__(self):
+        for name in ("n_points", "hg_points"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
+        for name in ("tol_grad", "tol_vjp", "tol_hg"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        self.inner_spec()   # rejects a bad K, t or s
+
+    def inner_spec(self) -> InnerSolveSpec:
+        """The inner solve of the reverse-vs-FD check, at the default exponent."""
+        return InnerSolveSpec(K=self.K, t=self.t, s=self.s)
 
 
 def _unit_ball(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -140,7 +165,7 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
 
 
 def _check_first_order(problem, cfg) -> OracleReport:
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
     n, m = problem.dims
     details = []
     for _ in range(cfg.n_points):
@@ -156,10 +181,10 @@ def _check_first_order(problem, cfg) -> OracleReport:
 
 def _check_vjps(problem, cfg) -> Optional[OracleReport]:
     analytic = [(attr, which) for attr, which in zip(VJP_SLOTS, VJP_NAMES)
-                if problem.vjp_flavor.get(attr) == "analytic"]
+                if getattr(problem, attr) is not None]
     if not analytic:
         return None
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.default_rng(1)
     n, m = problem.dims
     details = []
     for _ in range(cfg.n_points):
@@ -178,8 +203,8 @@ def _check_vjps(problem, cfg) -> Optional[OracleReport]:
 
 
 def _check_reverse(problem, cfg) -> OracleReport:
-    rng = np.random.default_rng(cfg.seed + 2)
-    spec = InnerSolveSpec(K=cfg.K, t=cfg.t, s=cfg.s, alpha_exponent=ALPHA_EXPONENT)
+    rng = np.random.default_rng(2)
+    spec = cfg.inner_spec()
     details = []
     for _ in range(cfg.hg_points):
         lam = _unit_ball(rng, problem.outer_dim)

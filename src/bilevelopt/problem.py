@@ -115,6 +115,8 @@ class BilevelProblem:
     A VJP slot left as None stays None; ``linearizer`` differences this
     problem's own gradients in its place when a step asks.  ``vjp_flavor`` is
     derived: construction rebuilds it, fresh, as "analytic" or "fd-fallback".
+    The library reads the slots themselves; the field stays an init field
+    because an outside tracer passes it to ``replace``.
 
     ``answers`` carries optional closed-form attachments (inner solutions,
     outer minima) used by oracles and tests.  ``h_batch``/``g_batch`` are
@@ -218,7 +220,7 @@ def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam, eps: float) -> np
 
     def dot(g, i):
         # a . g of probe i, whose gradient g must be finite
-        return a @ _check_finite_grad(g, gname, f"lam{'+-'[i // m]}eps*e_{i % m} (eps={eps})")
+        return a @ _check_finite_grad(g, gname, probe_name(i, m, eps))
 
     def oracle(block, start):
         # one dot per row: a stacked G @ a would round differently
@@ -249,6 +251,11 @@ def central_differences(values: Callable, x: np.ndarray, eps: float) -> np.ndarr
 
     v = np.asarray(values(probes()), dtype=np.float64)
     return (v[:n] - v[n:]) / (2.0 * eps)
+
+
+def probe_name(i: int, n: int, eps: float) -> str:
+    """The name of probe i of ``central_differences`` of lam over n coordinates."""
+    return f"lam{'+-'[i // n]}eps*e_{i % n} (eps={eps})"
 
 
 def stacked(oracle: Callable) -> Callable:

@@ -15,6 +15,7 @@ import bilevelopt as bl
 import bilevelopt.cli as cli
 from bilevelopt.bigsam import final_inner_iterate
 from bilevelopt.data import corrupt_labels, gen_synthetic, make_episodes, split, stream
+from bilevelopt.models import ablation_config
 from bilevelopt.problems import (hyperclean_f1_metric, hyperrep_accuracy_metric,
                                  make_hypercleaning, make_hyperrep)
 
@@ -208,8 +209,8 @@ def test_criterion_7_frequency_ablation():
     # budgets frozen where the sweep is cleanly ordered: K=200 inner steps,
     # T=100 outer iterations at the quadratics' standard step sizes
     cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=200, T=100)
-    traces = bl.run_ablation(p, np.array([1.0]), cfg, [1, 5, 20, 0],
-                             collect_timing=False)
+    traces = [bl.run_model(p, np.array([1.0]), ablation_config(cfg, f), collect_timing=False)
+              for f in (1, 5, 20, 0)]
     finals = [tr.final_outer_value for tr in traces]
     f1, f5, f20, basic = finals
     elapsed = time.monotonic() - started

@@ -43,20 +43,20 @@ def loop_copy(problem):
 
 class TestAlphaSchedule:
     def test_first_step_is_one(self):
-        assert bl.schedule(1, "improved", spec())[0] == 1.0
+        assert bl.schedule(spec(), "improved")[0] == 1.0
 
     def test_sixteen_to_the_minus_quarter(self):
-        assert bl.schedule(16, "improved", spec())[15] == pytest.approx(0.5)
+        assert bl.schedule(spec(K=16), "improved")[15] == pytest.approx(0.5)
 
     def test_zero_exponent_disables_averaging(self):
-        assert np.all(bl.schedule(5, "improved", spec(alpha_exponent=0.0)) == 1.0)
+        assert np.all(bl.schedule(spec(K=5, alpha_exponent=0.0), "improved") == 1.0)
 
     def test_basic_mode_is_all_ones(self):
-        assert np.all(bl.schedule(40, "basic", spec(bigsam_frequency=3)) == 1.0)
+        assert np.all(bl.schedule(spec(K=40, bigsam_frequency=3), "basic") == 1.0)
 
     def test_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):
-            bl.schedule(3, "augmented", spec())
+            bl.schedule(spec(K=3), "augmented")
 
 
 class TestAlphaExponentValidation:
@@ -76,13 +76,13 @@ class TestAlphaExponentValidation:
 
     def test_bound_follows_the_last_averaged_step(self):
         # frequency 60 averages step 1 only, whose weight is 1 for any exponent
-        alphas = bl.schedule(60, "improved", spec(K=60, alpha_exponent=200.0,
-                                                  bigsam_frequency=60))
+        alphas = bl.schedule(spec(K=60, alpha_exponent=200.0, bigsam_frequency=60),
+                             "improved")
         assert np.all(alphas == 1.0)
         with pytest.raises(ValueError, match="inner step 60"):
             spec(K=60, alpha_exponent=200.0, bigsam_frequency=59)
         # 60^-180 is subnormal but positive
-        alphas = bl.schedule(60, "improved", spec(K=60, alpha_exponent=180.0))
+        alphas = bl.schedule(spec(K=60, alpha_exponent=180.0), "improved")
         assert np.all(alphas > 0.0)
 
 
@@ -97,20 +97,25 @@ class TestBigsamStep:
         self.p = bl.make_closedform_quadratic()
 
     def test_hand_computed_step(self):
-        # h = (w-lam)^2/2, g = w^2/2 at lam=0: both gradients equal w, so every
-        # step, averaged (alpha_2 = 2^-0.25) or not, multiplies w by 0.9
+        # h = (w-lam)^2/2, g = w^2/2 at lam=1 from w=0: step 1 (alpha_1 = 1)
+        # goes to 0.1; step 2 averages, with alpha_2 = 2^-0.25, the h step
+        # 0.1 - 0.1*(0.1 - 1) = 0.19 and the g step 0.1 - 0.1*0.1 = 0.09
+        alpha = 2.0 ** -0.25
         for p in (self.p, loop_copy(self.p)):
-            tape = bl.solve_inner(p, np.zeros(1), spec(K=2, omega0=np.ones(1)), "improved")
-            assert tape.alphas[1] < 1.0
-            np.testing.assert_allclose(tape.iterates[:, 0], [1.0, 0.9, 0.81], rtol=1e-15)
+            tape = bl.solve_inner(p, np.ones(1), spec(K=2), "improved")
+            assert tape.alphas[1] == alpha
+            np.testing.assert_allclose(tape.iterates[:, 0],
+                                       [0.0, 0.1, alpha * 0.19 + (1.0 - alpha) * 0.09],
+                                       rtol=1e-15)
 
     def test_alpha_one_is_pure_h_descent(self):
         def no_g(w, lam):
             raise AssertionError("an alpha == 1 step evaluated grad1_g")
 
-        p = dataclasses.replace(self.p, grad1_g=no_g)
-        tape = bl.solve_inner(p, np.zeros(1), spec(K=3, omega0=np.ones(1)), "basic")
-        np.testing.assert_allclose(tape.iterates[:, 0], [1.0, 0.9, 0.81, 0.729], rtol=1e-15)
+        # at lam=1 from w=0 each step is w -> 0.9*w + 0.1
+        for p in (self.p, dataclasses.replace(self.p, grad1_g=no_g)):
+            tape = bl.solve_inner(p, np.ones(1), spec(K=3), "basic")
+            np.testing.assert_allclose(tape.iterates[:, 0], [0.0, 0.1, 0.19, 0.271], rtol=1e-15)
         out = bl.bigsam_standalone((None, lambda w: w), (None, no_g), np.ones(1),
                                    K=1, t=0.1, s=0.1)
         assert out == pytest.approx(0.9)
@@ -316,7 +321,7 @@ class TestSolveInner:
 
     def test_frequency_alpha_pattern(self):
         spec = bl.InnerSolveSpec(K=9, t=0.1, s=0.1, bigsam_frequency=3)
-        assert bl.schedule(9, "improved", spec).tolist() == [
+        assert bl.schedule(spec, "improved").tolist() == [
             1.0, 1.0, 1.0, 4.0 ** -0.25, 1.0, 1.0, 7.0 ** -0.25, 1.0, 1.0]
 
     def test_divergence_names_the_step(self):

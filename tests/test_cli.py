@@ -94,6 +94,20 @@ class TestSolve:
         assert finals["improved"] == pytest.approx(0.0, abs=1e-3)
         assert finals["basic"] == pytest.approx(0.5, abs=1e-3)
 
+    def test_unset_fields_take_the_solve_config_defaults(self, tmp_path):
+        # a file may set every SolveConfig field but the mode; each one it
+        # leaves out takes SolveConfig's default
+        short = write_config(tmp_path / "short.json")
+        full = write_config(tmp_path / "full.json", alpha_exponent=0.25, bigsam_frequency=1,
+                            seed=0)
+        for cfg in (short, full):
+            assert run_cli("solve", "--problem", "degenerate_quadratic", "--config", str(cfg),
+                           "--out", str(tmp_path / f"{cfg.stem}.csv"), "--no-timing") == 0
+        assert (tmp_path / "short.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+        configs = [json.loads((tmp_path / f"{stem}.csv.manifest.json").read_text())["config"]
+                   for stem in ("short", "full")]
+        assert configs[0] == configs[1]
+
     def test_unknown_config_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"t": 0.1, "s": 0.1, "eta": 0.5, "K": 5, "T": 2,
@@ -228,6 +242,14 @@ class TestCheck:
 
     def test_unknown_problem_exits_2(self):
         assert run_cli("check", "--problem", "wat") == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-4"])
+    def test_tolerance_not_finite_and_positive_exits_2(self, tmp_path, capsys, tol):
+        out = tmp_path / "report.json"
+        assert run_cli("check", "--problem", "closedform_quadratic", f"--tol={tol}",
+                       "--out", str(out)) == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAblation:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bilevelopt as bl
+from bilevelopt.models import ablation_config
 
 
 def outer_reference(problem, lam0, config):
@@ -182,14 +183,21 @@ class TestTapeLifetime:
 
 
 class TestRunAblation:
+    """One ablation cell is ``run_model`` on the config of ``ablation_config``."""
+
+    @staticmethod
+    def cells(p, cfg, frequencies):
+        return [bl.run_model(p, np.array([1.0]), ablation_config(cfg, f), collect_timing=False)
+                for f in frequencies]
+
     def test_frequency_one_equals_plain_run(self):
         p = bl.make_degenerate_quadratic()
         cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=60, T=15)
         direct = bl.run_model(p, np.array([1.0]), cfg, collect_timing=False)
-        swept = bl.run_ablation(p, np.array([1.0]), cfg, [1], collect_timing=False)
-        assert len(swept) == 1
-        assert swept[0].records == direct.records
-        assert np.array_equal(swept[0].final_lambda, direct.final_lambda)
+        assert ablation_config(cfg, 1) == cfg
+        [swept] = self.cells(p, cfg, [1])
+        assert swept.records == direct.records
+        assert np.array_equal(swept.final_lambda, direct.final_lambda)
 
     def test_zero_sentinel_runs_basic(self):
         p = bl.make_degenerate_quadratic()
@@ -197,25 +205,25 @@ class TestRunAblation:
         basic_direct = bl.run_model(p, np.array([1.0]),
                                     dataclasses.replace(cfg, mode="basic"),
                                     collect_timing=False)
-        swept = bl.run_ablation(p, np.array([1.0]), cfg, [0], collect_timing=False)
-        assert swept[0].records == basic_direct.records
+        [swept] = self.cells(p, cfg, [0])
+        assert swept.records == basic_direct.records
 
     def test_frequency_beyond_horizon_equals_basic(self):
         p = bl.make_degenerate_quadratic()
         cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=40, T=10)
-        swept = bl.run_ablation(p, np.array([1.0]), cfg, [41, 0], collect_timing=False)
+        swept = self.cells(p, cfg, [41, 0])
         assert swept[0].records == swept[1].records
 
     def test_requires_improved_base(self):
-        p = bl.make_degenerate_quadratic()
         cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=10, T=3, mode="basic")
         with pytest.raises(ValueError, match="improved"):
-            bl.run_ablation(p, np.array([1.0]), cfg, [1])
+            ablation_config(cfg, 1)
 
-    def test_empty_list_gives_empty_output(self):
-        p = bl.make_degenerate_quadratic()
+    @pytest.mark.parametrize("frequency", [-1, -3])
+    def test_negative_frequency_rejected(self, frequency):
         cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=10, T=3)
-        assert bl.run_ablation(p, np.array([1.0]), cfg, []) == []
+        with pytest.raises(ValueError, match="positive integer or the 0 sentinel"):
+            ablation_config(cfg, frequency)
 
 
 class TestMatchedBudgetComparisons:

@@ -95,11 +95,52 @@ class TestCheckSuite:
         assert "first-order-vs-fd" in doc
 
     def test_deterministic_given_seed(self):
+        # every verifier draws its sample points from its own fixed seed
         p = bl.make_degenerate_quadratic()
-        cfg = [CheckConfig(K=15, hg_points=2, n_points=3, seed=9)]
+        cfg = [CheckConfig(K=15, hg_points=2, n_points=3)]
         a = bl.check_suite(p, cfg)
         b = bl.check_suite(p, cfg)
         assert [(r.name, r.max_rel_err) for r in a] == [(r.name, r.max_rel_err) for r in b]
+        assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+
+
+class TestCheckConfigFailsClosed:
+    """A config that would check nothing, or against nothing, is refused at construction."""
+
+    @pytest.mark.parametrize("counts", [dict(n_points=0), dict(hg_points=0),
+                                        dict(n_points=0, hg_points=0), dict(n_points=-2),
+                                        dict(hg_points=1.5)])
+    def test_zero_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="must be an integer of at least 1"):
+            CheckConfig(**counts)
+
+    @pytest.mark.parametrize("field", ["tol_grad", "tol_vjp", "tol_hg"])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-4])
+    def test_tolerance_must_be_finite_and_positive(self, field, tol):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            CheckConfig(**{field: tol})
+
+    def test_bad_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            CheckConfig(mode="augmented")
+
+    @pytest.mark.parametrize("solve, message", [(dict(K=-1), "K must be an integer"),
+                                                (dict(K=2.5), "K must be an integer"),
+                                                (dict(t=0.0), "step sizes"),
+                                                (dict(s=-0.1), "step sizes")])
+    def test_bad_inner_solve_rejected(self, solve, message):
+        with pytest.raises(ValueError, match=message):
+            CheckConfig(**solve)
+
+    def test_integral_counts_become_ints(self):
+        cfg = CheckConfig(n_points=3.0, hg_points=2.0)
+        assert (cfg.n_points, cfg.hg_points) == (3, 2)
+        assert type(cfg.n_points) is int and type(cfg.hg_points) is int
+
+    def test_inner_spec_uses_the_default_exponent(self):
+        spec = CheckConfig(K=7, t=0.2, s=0.3).inner_spec()
+        assert spec == bl.InnerSolveSpec(K=7, t=0.2, s=0.3)
+        assert spec.alpha_exponent == bl.bigsam.ALPHA_EXPONENT == 0.25
 
 
 def nan_g(problem):

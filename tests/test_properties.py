@@ -218,9 +218,9 @@ def test_schedule_bounds(K, exponent, freq, mode):
             bl.InnerSolveSpec(K=max(K, 1), t=0.1, s=0.1, alpha_exponent=exponent,
                               bigsam_frequency=freq)
         return
-    spec = bl.InnerSolveSpec(K=max(K, 1), t=0.1, s=0.1, alpha_exponent=exponent,
+    spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1, alpha_exponent=exponent,
                              bigsam_frequency=freq)
-    alphas = bl.schedule(K, mode, spec)
+    alphas = bl.schedule(spec, mode)
     assert alphas.shape == (K,)
     assert np.all((alphas > 0.0) & (alphas <= 1.0))
     averaged = np.arange(K) % freq == 0 if mode == "improved" else np.zeros(K, bool)
@@ -228,8 +228,9 @@ def test_schedule_bounds(K, exponent, freq, mode):
     assert np.all(np.diff(alphas[averaged]) <= 0.0)
 
 
-def list_schedule(K, mode, spec):
+def list_schedule(spec, mode):
     """The schedule as two list comprehensions of float ** float."""
+    K = spec.K
     alphas = [1.0] * K
     if mode == "improved":
         freq, power = spec.bigsam_frequency, -spec.alpha_exponent
@@ -243,10 +244,10 @@ def list_schedule(K, mode, spec):
        exponent=st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 0.7, 1.3]) | st.floats(0.0, 3.0),
        freq=st.integers(1, 10), mode=st.sampled_from(["improved", "basic"]))
 def test_schedule_equals_the_list_comprehension_bit_for_bit(K, exponent, freq, mode):
-    spec = bl.InnerSolveSpec(K=max(K, 1), t=0.1, s=0.1, alpha_exponent=exponent,
+    spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1, alpha_exponent=exponent,
                              bigsam_frequency=freq)
-    got = bl.schedule(K, mode, spec)
-    want = list_schedule(K, mode, spec)
+    got = bl.schedule(spec, mode)
+    want = list_schedule(spec, mode)
     assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
