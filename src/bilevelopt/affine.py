@@ -74,14 +74,16 @@ def _states(spec, alphas: np.ndarray, t: float, s: float, X: np.ndarray,
         yield H[:, :n, n:]
 
 
-def inner_iterates(spec, omega0: np.ndarray, lam: np.ndarray, alphas: np.ndarray,
+def inner_iterates(spec, lam: np.ndarray, alphas: np.ndarray,
                    t: float, s: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """omega_0..omega_K stacked row-wise and J_K = d omega_K / d lam, or None if not finite."""
+    """omega_0..omega_K from omega_0 = 0, stacked row-wise, and J_K = d omega_K / d lam.
+
+    None if a composed value is not finite.
+    """
     n, m = spec.B_h.shape
     X = np.zeros((n, 1 + m))
-    X[:, 0] = omega0
     iterates = np.empty((alphas.shape[0] + 1, n))
-    iterates[0] = omega0
+    iterates[0] = 0.0
     row = 1
     with np.errstate(over="ignore", invalid="ignore"):
         for Y in _states(spec, alphas, t, s, X, spec.B_h @ lam + spec.d_h,

@@ -8,14 +8,17 @@ gradient step on the outer objective g:
     omega_{k+1} = alpha_{k+1} * theta_{k+1} + (1 - alpha_{k+1}) * phi_{k+1}
 
 A problem's step map applies it in the expanded form
-omega - t*alpha*grad1_h - s*(1-alpha)*grad1_g.  With alpha == 1 the update
-degenerates to plain gradient descent on h, which is exactly the inner
-solver of the basic bilevel model; the improved model uses the decaying
-weight alpha_k = min(1, k^(-exponent)) of ``schedule``.  The exponent
+omega - t*alpha*grad1_h - s*(1-alpha)*grad1_g.  The weight follows the one
+schedule alpha_k = min(1, k^(-exponent)) of ``schedule``.  The solver knows
+no model: with exponent 0 every alpha is 1 and the update is plain gradient
+descent on h, which is exactly the inner solver of the basic bilevel model,
+while the improved model averages with a positive exponent.  A model name
+becomes an exponent in one place, ``model_exponent``, which the configs of
+``bilevelopt.models`` and ``bilevelopt.oracles`` call.  The exponent
 defaults to ``ALPHA_EXPONENT`` = 1/4 in ``InnerSolveSpec``,
-``bigsam_standalone`` and ``bilevelopt.models.SolveConfig``.  Steps with
-alpha == 1 skip the g half entirely, so a run with exponent 0 is
-bit-identical to a basic-mode run.  Every solve starts at omega_0 = 0.
+``bigsam_standalone``, ``model_exponent`` and
+``bilevelopt.models.SolveConfig``.  Steps with alpha == 1 skip the g half
+entirely.  Every solve starts at omega_0 = 0.
 
 Every solve binds lam once through ``bilevelopt.problem.linearizer``, which
 returns the step map itself: ``_iterate`` makes one ``step`` call per inner
@@ -40,19 +43,36 @@ import numpy as np
 from . import affine
 from .problem import BilevelProblem, OracleDivergence, as_vector, linearizer
 
-__all__ = ["InnerSolveSpec", "Tape", "schedule", "step_weights", "solve_inner",
-           "bigsam_standalone"]
+__all__ = ["InnerSolveSpec", "Tape", "model_exponent", "schedule", "step_weights",
+           "solve_inner", "bigsam_standalone"]
 
 MODES = ("improved", "basic")
 # the improved model's averaging weight alpha_k = k^-ALPHA_EXPONENT
 ALPHA_EXPONENT = 0.25
 
 
+def model_exponent(mode: str, alpha_exponent: float = ALPHA_EXPONENT) -> float:
+    """The alpha-exponent that runs model ``mode``: 0 for basic, ``alpha_exponent`` for improved.
+
+    The one place a model name is read, and so the one place an unknown
+    one is rejected.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return 0.0 if mode == "basic" else alpha_exponent
+
+
+def check_finite_positive(name: str, value) -> None:
+    """Reject a step size or tolerance that is not finite and positive (NaN included)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def check_alpha_exponent(exponent: float, K: int, frequency: int) -> None:
     """Reject an exponent outside [0, inf) or one whose weights underflow within K steps.
 
-    A negative exponent pins every weight at 1 (basic mode in disguise), and
-    a weight of 0 would drop h from its step altogether.
+    A negative exponent pins every weight at 1, as exponent 0 (the basic
+    model) does, and a weight of 0 would drop h from its step altogether.
     """
     if not (math.isfinite(exponent) and exponent >= 0):
         raise ValueError(f"alpha_exponent must be finite and non-negative, got {exponent!r}")
@@ -91,8 +111,8 @@ class InnerSolveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "K", check_count("K", self.K, 0))
-        if not (self.t > 0 and self.s > 0):
-            raise ValueError("step sizes must be positive")
+        check_finite_positive("t", self.t)
+        check_finite_positive("s", self.s)
         object.__setattr__(self, "bigsam_frequency",
                            check_count("bigsam_frequency", self.bigsam_frequency, 1))
         check_alpha_exponent(self.alpha_exponent, self.K, self.bigsam_frequency)
@@ -119,7 +139,6 @@ class Tape:
     t: float
     s: float
     lam: np.ndarray
-    mode: str
     vjps: Optional[tuple] = field(default=None, repr=False, compare=False)
     jacobian: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
@@ -142,18 +161,23 @@ class Tape:
     def final(self) -> np.ndarray:
         return self.iterates[-1]
 
+    # not read by the library, but the perfbench tracer's span notes read it
+    @property
+    def mode(self) -> str:
+        """The model the weights run: "improved" iff some alpha < 1."""
+        return "improved" if np.any(self.alphas < 1.0) else "basic"
 
-def schedule(spec: InnerSolveSpec, mode: str) -> np.ndarray:
+
+def schedule(spec: InnerSolveSpec) -> np.ndarray:
     """The spec's K averaging weights; alphas[k] produces iterate k+1.
 
-    Basic mode and the steps off the averaging frequency get 1; the averaged
-    steps of improved mode get min(1, k^-exponent) at their 1-based index k.
+    The steps off the averaging frequency get 1; the averaged steps get
+    min(1, k^-exponent) at their 1-based index k.  Exponent 0 (the basic
+    model) gives all ones, without taking the K powers.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     K = spec.K
     alphas = np.ones(K)
-    if mode == "improved":
+    if spec.alpha_exponent != 0.0:
         # math.pow is libm pow, as float ** float is; np.power rounds some
         # entries differently
         freq, power = spec.bigsam_frequency, -spec.alpha_exponent
@@ -202,12 +226,12 @@ def _culprit(problem: BilevelProblem, omega: np.ndarray, lam: np.ndarray, alpha:
     return f": {', '.join(bad)}" if bad else ""
 
 
-def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -> Tape:
+def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
     """Run K averaged steps from omega_0 = 0 and record the full trajectory.
 
-    Basic mode forces alpha == 1 on every step (the averaged update then is
-    plain gradient descent on h and never touches g).  No projection, no line
-    search, no stopping rule beyond the fixed K.
+    Exponent 0 (the basic model) gives alpha == 1 on every step: the averaged
+    update then is plain gradient descent on h and never touches g.  No
+    projection, no line search, no stopping rule beyond the fixed K.
 
     The loop makes one step-map call per step (K gradient evaluations of h
     plus one of g per averaged step, fused where the problem's hook fuses
@@ -221,15 +245,15 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -
     the first non-finite iterate names the diverging step, and the gradient
     oracles that are not finite at its input name the cause.
     """
-    alphas = schedule(spec, mode)
+    alphas = schedule(spec)
     lam = as_vector(lam, problem.outer_dim, "lam")
-    omega = np.zeros(problem.inner_dim)
     iterates = vjps = jacobian = None
     if problem.affine is not None:
-        composed = affine.inner_iterates(problem.affine, omega, lam, alphas, spec.t, spec.s)
+        composed = affine.inner_iterates(problem.affine, lam, alphas, spec.t, spec.s)
         if composed is not None:
             iterates, jacobian = composed
     if iterates is None:
+        omega = np.zeros(problem.inner_dim)
         iterates = np.empty((spec.K + 1, problem.inner_dim))
         iterates[0] = omega
         vjps = []
@@ -242,17 +266,17 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -
             f"oracle-divergence: non-finite iterate "
             f"(inner step {k}{_culprit(problem, iterates[k], lam, alphas[k])})")
     return Tape(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
-                lam=lam.copy(), mode=mode, vjps=None if vjps is None else tuple(vjps),
+                lam=lam.copy(), vjps=None if vjps is None else tuple(vjps),
                 jacobian=jacobian)
 
 
-def final_inner_iterate(problem: BilevelProblem, lam, spec: InnerSolveSpec, mode: str) -> np.ndarray:
+def final_inner_iterate(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> np.ndarray:
     """The last iterate of ``solve_inner``, for value-only callers."""
-    return solve_inner(problem, lam, spec, mode).final
+    return solve_inner(problem, lam, spec).final
 
 
 def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
-                              spec: InnerSolveSpec, mode: str) -> np.ndarray:
+                              spec: InnerSolveSpec) -> np.ndarray:
     """Row-batched ``final_inner_iterate`` over a stack of outer variables.
 
     Every row runs the same schedule from omega_0 = 0, so this is the
@@ -265,7 +289,7 @@ def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
     """
     lams = np.asarray(lams, dtype=np.float64)
     omegas = np.zeros((lams.shape[0], problem.inner_dim))
-    return _iterate(omegas, schedule(spec, mode), spec.t, spec.s, linearizer(problem, lams))
+    return _iterate(omegas, schedule(spec), spec.t, spec.s, linearizer(problem, lams))
 
 
 def bigsam_standalone(h_oracle: Tuple[Callable, Callable],
@@ -288,7 +312,7 @@ def bigsam_standalone(h_oracle: Tuple[Callable, Callable],
             w_next = w_next - sb * np.asarray(g_grad(w), dtype=np.float64)
         return w_next, None
 
-    omega = _iterate(omega, schedule(spec, "improved"), t, s, step)
+    omega = _iterate(omega, schedule(spec), t, s, step)
     if not np.all(np.isfinite(omega)):
         raise OracleDivergence("oracle-divergence: non-finite final iterate")
     return omega

@@ -32,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .bigsam import check_finite_positive
 from .data import corrupt_labels, gen_synthetic, load_idx, split
 from .models import SolveConfig, ablation_config, run_model
 from .oracles import check_suite, default_check_configs
@@ -137,6 +138,8 @@ def _divergence_exit(errors: list) -> int:
 def _run_check(run: dict, out_dir: Path) -> int:
     names = list(ZOO_NAMES) if run["problem"] == "all" else [_check_problem(run["problem"])]
     tol, reports = run["tol"], []
+    if tol is not None:
+        check_finite_positive("--tol", tol)
     for name in names:
         inst = zoo_problem(name, seed=run["config"]["seed"])
         configs = default_check_configs(name)

@@ -12,12 +12,14 @@ iterate with the averaging weight that step actually used:
     a^T dPhi_k/d(omega) = a - t*alpha * vjp11_h(a) - s*(1-alpha) * vjp11_g(a)
     a^T dPhi_k/d(lam)   =   - t*alpha * vjp12_h(a) - s*(1-alpha) * vjp12_g(a)
 
-The g terms drop out on steps with alpha == 1.  Both products belong to the
-step: each step's VJP, ``vjp(a, omega_side, lam_bar)`` of
-``bilevelopt.problem.linearizer``, adds the second into the accumulator and
-returns the first, so ``reverse_hypergradient`` makes one VJP call per step
-and does no mixing of h and g itself.  The omega side is skipped on the
-oldest step.
+The g terms drop out on steps with alpha == 1.  Neither the pass nor the
+finite-difference oracle knows the model: they see it only as the tape's
+weights or the spec's exponent (the basic model is exponent 0, every alpha
+1).  Both products belong to the step: each step's VJP,
+``vjp(a, omega_side, lam_bar)`` of ``bilevelopt.problem.linearizer``, adds
+the second into the accumulator and returns the first, so
+``reverse_hypergradient`` makes one VJP call per step and does no mixing of
+h and g itself.  The omega side is skipped on the oldest step.
 
 Every transition contributes its lam-partial, including the very first one
 (omega_0 -> omega_1): omega_0 itself is lam-independent, but the step that
@@ -102,7 +104,7 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
 
 
 def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
-                            mode: str, eps: float = 1e-5) -> np.ndarray:
+                            eps: float = 1e-5) -> np.ndarray:
     """Central-difference hypergradient, rerunning the full inner solve per probe.
 
     Entry j is [f_K(lam + eps e_j) - f_K(lam - eps e_j)] / (2 eps), each
@@ -137,7 +139,7 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
 
     def solve(block, start):
         # every probe shares the schedule: a block solves as one stack
-        finals = finite("final iterate", final_inner_iterates_many(problem, block, spec, mode),
+        finals = finite("final iterate", final_inner_iterates_many(problem, block, spec),
                         start)
         return finite("g", g_batch(finals, block), start)
 

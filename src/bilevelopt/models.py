@@ -3,9 +3,11 @@
 Each outer iteration re-initializes the inner variable, runs the inner solver
 for K steps, differentiates through the recorded trajectory, and takes one
 plain gradient-descent step on the outer variable.  Improved and basic runs
-differ only in the inner solver's mode; every other constant is shared so
-comparisons are matched-budget.  One cell of a frequency ablation is
-``run_model`` on the config that ``ablation_config`` derives from a base.
+differ only in the averaging exponent of the inner solve, which
+``SolveConfig.inner_spec`` reads off the config's mode (basic is exponent
+0); every other constant is shared so comparisons are matched-budget.  One
+cell of a frequency ablation is ``run_model`` on the config that
+``ablation_config`` derives from a base.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .bigsam import (ALPHA_EXPONENT, MODES, InnerSolveSpec, check_alpha_exponent, check_count,
-                     solve_inner)
+from .bigsam import (ALPHA_EXPONENT, InnerSolveSpec, check_alpha_exponent, check_count,
+                     check_finite_positive, model_exponent, solve_inner)
 from .hypergrad import reverse_hypergradient
 from .problem import BilevelProblem, OracleDivergence, as_vector
 
@@ -29,7 +31,9 @@ class SolveConfig:
     """All scalars of one run: step sizes, budgets, schedule, seed, mode.
 
     ``K``, ``T``, ``bigsam_frequency`` and ``seed`` must be integral: 200.0 is
-    200, 2.5 fails.  The seed may be 0; the other counts are at least 1.
+    200, 2.5 fails.  The seed may be 0; the other counts are at least 1.  The
+    step sizes ``t``, ``s`` and ``eta`` must be finite and positive.  A basic
+    run solves with exponent 0, whatever ``alpha_exponent`` holds.
     """
 
     t: float
@@ -43,19 +47,19 @@ class SolveConfig:
     mode: str = "improved"
 
     def __post_init__(self):
-        if not (self.t > 0 and self.s > 0 and self.eta > 0):
-            raise ValueError("t, s and eta must be positive")
+        check_finite_positive("t", self.t)
+        check_finite_positive("s", self.s)
+        check_finite_positive("eta", self.eta)
         for name, least in (("K", 1), ("T", 1), ("bigsam_frequency", 1), ("seed", 0)):
             value = getattr(self, name)
             if type(value) is not int or value < least:
                 object.__setattr__(self, name, check_count(name, value, least))
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        model_exponent(self.mode)   # rejects an unknown mode
         check_alpha_exponent(self.alpha_exponent, self.K, self.bigsam_frequency)
 
     def inner_spec(self) -> InnerSolveSpec:
         return InnerSolveSpec(K=self.K, t=self.t, s=self.s,
-                              alpha_exponent=self.alpha_exponent,
+                              alpha_exponent=model_exponent(self.mode, self.alpha_exponent),
                               bigsam_frequency=self.bigsam_frequency)
 
 
@@ -118,7 +122,7 @@ def run_model(problem: BilevelProblem, lam0, config: SolveConfig,
     for it in range(config.T):
         started = time.monotonic()
         try:
-            tape = solve_inner(problem, lam, spec, config.mode)
+            tape = solve_inner(problem, lam, spec)
             omega_hat = tape.final
             G = reverse_hypergradient(problem, tape)
             # the tape's saved residuals are spent: drop them before the next solve

@@ -11,8 +11,9 @@ The referee fails closed: a ``CheckConfig`` that samples no point, or
 compares against a tolerance that is not finite and positive, or names an
 inner solve that ``InnerSolveSpec`` rejects, is refused at construction,
 before any check runs.  Every verifier draws its points from its own fixed
-seed, and the reverse-vs-FD solves average with the solver's default
-exponent, ``bilevelopt.bigsam.ALPHA_EXPONENT``.
+seed.  The reverse-vs-FD solves of an improved config average with the
+solver's default exponent, ``bilevelopt.bigsam.ALPHA_EXPONENT``, and those
+of a basic config with exponent 0 (``bilevelopt.bigsam.model_exponent``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bigsam import MODES, InnerSolveSpec, check_count, solve_inner
+from .bigsam import (InnerSolveSpec, check_count, check_finite_positive, model_exponent,
+                     solve_inner)
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
 from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, OracleDivergence, batched,
                       default_fd_eps, fd_vjp, validate_first_order)
@@ -101,15 +103,13 @@ class CheckConfig:
         for name in ("n_points", "hg_points"):
             object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
         for name in ("tol_grad", "tol_vjp", "tol_hg"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        self.inner_spec()   # rejects a bad K, t or s
+            check_finite_positive(name, getattr(self, name))
+        self.inner_spec()   # rejects a bad mode, K, t or s
 
     def inner_spec(self) -> InnerSolveSpec:
-        """The inner solve of the reverse-vs-FD check, at the default exponent."""
-        return InnerSolveSpec(K=self.K, t=self.t, s=self.s)
+        """The inner solve of the reverse-vs-FD check: the mode's exponent at its default."""
+        return InnerSolveSpec(K=self.K, t=self.t, s=self.s,
+                              alpha_exponent=model_exponent(self.mode))
 
 
 def _unit_ball(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -208,9 +208,9 @@ def _check_reverse(problem, cfg) -> OracleReport:
     details = []
     for _ in range(cfg.hg_points):
         lam = _unit_ball(rng, problem.outer_dim)
-        tape = solve_inner(problem, lam, spec, cfg.mode)
+        tape = solve_inner(problem, lam, spec)
         got = reverse_hypergradient(problem, tape)
-        want = hypergradient_fd_oracle(problem, lam, spec, cfg.mode)
+        want = hypergradient_fd_oracle(problem, lam, spec)
         err = float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
         details.append({"mode": cfg.mode, "K": cfg.K, "rel_err": err})
     worst = _worst([d["rel_err"] for d in details])

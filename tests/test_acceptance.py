@@ -5,6 +5,7 @@ lines and measured runtimes.  Constants not fixed by a criterion (start
 points, per-problem step sizes, seeds) are frozen here and documented inline.
 """
 
+import dataclasses
 import json
 import time
 
@@ -42,14 +43,14 @@ def test_criterion_1_hypergradient_correctness():
     worst = 0.0
     for problem, t, s, lam_scale in cases:
         rng = np.random.default_rng(123)
-        for mode in ("improved", "basic"):
+        for expo in (0.25, 0.0):    # the improved and the basic model
             for K in (5, 50, 500):
-                spec = bl.InnerSolveSpec(K=K, t=t, s=s)
+                spec = bl.InnerSolveSpec(K=K, t=t, s=s, alpha_exponent=expo)
                 for _ in range(5):
                     lam = rng.normal(0.0, lam_scale, problem.outer_dim)
-                    tape = bl.solve_inner(problem, lam, spec, mode)
+                    tape = bl.solve_inner(problem, lam, spec)
                     got = bl.reverse_hypergradient(problem, tape)
-                    want = bl.hypergradient_fd_oracle(problem, lam, spec, mode)
+                    want = bl.hypergradient_fd_oracle(problem, lam, spec)
                     rel = float(np.linalg.norm(got - want)
                                 / max(1.0, np.linalg.norm(want)))
                     worst = max(worst, rel)
@@ -119,8 +120,7 @@ def test_criterion_3_inner_horizon_convergence():
     gaps = []
     for K in (10, 100, 1000):
         spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1)
-        best = min(float(p.g_value(final_inner_iterate(p, np.array([lv]), spec,
-                                                       "improved"),
+        best = min(float(p.g_value(final_inner_iterate(p, np.array([lv]), spec),
                                    np.array([lv])))
                    for lv in lam_grid)
         gaps.append(abs(best - p.answers["min_f"]))
@@ -135,20 +135,36 @@ def test_criterion_3_inner_horizon_convergence():
     assert elapsed < 5.0
 
 
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 def test_criterion_4_reduction_identity():
+    # two routes to exponent 0: the basic model's config, and an explicit
+    # exponent-0 spec (for run_model, an improved config with exponent 0)
     checked = []
     for name in bl.ZOO_NAMES:
         inst = bl.zoo_problem(name)
-        spec0 = bl.InnerSolveSpec(K=25, t=inst.defaults["t"], s=inst.defaults["s"],
-                                  alpha_exponent=0.0)
-        spec = bl.InnerSolveSpec(K=25, t=inst.defaults["t"], s=inst.defaults["s"])
-        tape_imp = bl.solve_inner(inst.problem, inst.lam0, spec0, "improved")
-        tape_bas = bl.solve_inner(inst.problem, inst.lam0, spec, "basic")
-        traj_equal = np.array_equal(tape_imp.iterates, tape_bas.iterates)
+        d = dict(K=25, t=inst.defaults["t"], s=inst.defaults["s"])
+        config = bl.SolveConfig(eta=inst.defaults["eta"], T=3, mode="basic", **d)
+        spec_bas = config.inner_spec()
+        spec0 = bl.InnerSolveSpec(alpha_exponent=0.0, **d)
+        tape_imp = bl.solve_inner(inst.problem, inst.lam0, spec0)
+        tape_bas = bl.solve_inner(inst.problem, inst.lam0, spec_bas)
+        traj_equal = same_bits(tape_imp.iterates, tape_bas.iterates)
         G_imp = bl.reverse_hypergradient(inst.problem, tape_imp)
         G_bas = bl.reverse_hypergradient(inst.problem, tape_bas)
-        grad_equal = np.array_equal(G_imp, G_bas)
-        checked.append((name, traj_equal and grad_equal))
+        grad_equal = same_bits(G_imp, G_bas)
+        run_bas = bl.run_model(inst.problem, inst.lam0, config, metric=inst.metric,
+                               collect_timing=False)
+        run_imp = bl.run_model(inst.problem, inst.lam0,
+                               dataclasses.replace(config, mode="improved", alpha_exponent=0.0),
+                               metric=inst.metric, collect_timing=False)
+        runs_equal = (run_imp.records == run_bas.records
+                      and same_bits(run_imp.final_lambda, run_bas.final_lambda)
+                      and same_bits(run_imp.final_omega, run_bas.final_omega))
+        checked.append((name, spec0 == spec_bas and traj_equal and grad_equal and runs_equal))
     ok = all(flag for _, flag in checked)
     report(4, ok, "exponent-0 improved runs bit-identical to basic on "
                   + ", ".join(name for name, _ in checked))
@@ -246,8 +262,7 @@ def test_criterion_8_property_bundle(tmp_path):
 
     # tape lengths and alpha range
     p = bl.make_degenerate_quadratic()
-    tape = bl.solve_inner(p, np.array([0.5]),
-                          bl.InnerSolveSpec(K=33, t=0.1, s=0.1), "improved")
+    tape = bl.solve_inner(p, np.array([0.5]), bl.InnerSolveSpec(K=33, t=0.1, s=0.1))
     check("tape-length", tape.iterates.shape[0] == 34 and tape.alphas.shape[0] == 33)
     check("alpha-range", bool(np.all((tape.alphas > 0) & (tape.alphas <= 1))))
 
@@ -267,8 +282,7 @@ def test_criterion_8_property_bundle(tmp_path):
     # transition and one omega-side VJP per interior transition
     from test_hypergrad import counting_problem
     K = 17
-    tape = bl.solve_inner(p, np.array([0.5]),
-                          bl.InnerSolveSpec(K=K, t=0.1, s=0.1), "improved")
+    tape = bl.solve_inner(p, np.array([0.5]), bl.InnerSolveSpec(K=K, t=0.1, s=0.1))
     wrapped, counts = counting_problem(p)
     bl.reverse_hypergradient(wrapped, tape)
     check("op-count", counts["vjp12_h"] == K and counts["vjp11_h"] == K - 1)

@@ -37,10 +37,11 @@ PROBLEMS = {
     "random-0": lambda: random_quadratic(0),
     "random-1": lambda: random_quadratic(1),
 }
+# schedule name -> (alpha_exponent, bigsam_frequency); the basic model is exponent 0
 SCHEDULES = {
-    "improved": ("improved", 1),
-    "basic": ("basic", 1),
-    "every-third": ("improved", 3),
+    "improved": (0.25, 1),
+    "basic": (0.0, 1),
+    "every-third": (0.25, 3),
 }
 
 
@@ -59,24 +60,25 @@ class TestFastPathMatchesLoop:
         p = PROBLEMS[name]()
         ref = dataclasses.replace(p)
         assert p.affine is not None and ref.affine is None
-        mode, freq = SCHEDULES[schedule]
-        spec = bl.InnerSolveSpec(K=K, t=0.2, s=0.15, bigsam_frequency=freq)
+        expo, freq = SCHEDULES[schedule]
+        spec = bl.InnerSolveSpec(K=K, t=0.2, s=0.15, alpha_exponent=expo, bigsam_frequency=freq)
         lam = np.random.default_rng(K).normal(size=p.outer_dim)
-        fast = bl.solve_inner(p, lam, spec, mode)
-        loop = bl.solve_inner(ref, lam, spec, mode)
+        fast = bl.solve_inner(p, lam, spec)
+        loop = bl.solve_inner(ref, lam, spec)
         assert np.array_equal(fast.alphas, loop.alphas)
         _close(fast.iterates, loop.iterates, 1e-12)
         _close(bl.reverse_hypergradient(p, fast), bl.reverse_hypergradient(ref, loop), 1e-10)
-        assert np.array_equal(final_inner_iterate(p, lam, spec, mode), fast.final)
+        assert np.array_equal(final_inner_iterate(p, lam, spec), fast.final)
 
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_exponent_zero_is_basic_bit_for_bit(self, name):
         p = PROBLEMS[name]()
         lam = np.random.default_rng(4).normal(size=p.outer_dim)
         spec0 = bl.InnerSolveSpec(K=affine.BLOCK + 7, t=0.2, s=0.15, alpha_exponent=0.0)
-        spec = bl.InnerSolveSpec(K=affine.BLOCK + 7, t=0.2, s=0.15)
-        imp = bl.solve_inner(p, lam, spec0, "improved")
-        bas = bl.solve_inner(p, lam, spec, "basic")
+        spec = bl.SolveConfig(t=0.2, s=0.15, eta=0.1, K=affine.BLOCK + 7, T=1,
+                              mode="basic").inner_spec()
+        imp = bl.solve_inner(p, lam, spec0)
+        bas = bl.solve_inner(p, lam, spec)
         assert np.array_equal(imp.iterates, bas.iterates)
         assert np.array_equal(bl.reverse_hypergradient(p, imp),
                               bl.reverse_hypergradient(p, bas))
@@ -96,8 +98,7 @@ class TestFastPathMatchesLoop:
 
         for name in ("grad1_h", "grad1_g", "vjp11_h", "vjp12_h", "vjp11_g", "vjp12_g"):
             setattr(p, name, count(name))
-        tape = bl.solve_inner(p, np.array([0.3]), bl.InnerSolveSpec(K=500, t=0.1, s=0.1),
-                              "improved")
+        tape = bl.solve_inner(p, np.array([0.3]), bl.InnerSolveSpec(K=500, t=0.1, s=0.1))
         bl.reverse_hypergradient(p, tape)
         # the reverse pass seeds its adjoint with one grad1_g, as the loop does
         assert calls == ["grad1_g"]
@@ -108,9 +109,9 @@ class TestDivergence:
         # w = lam = 0 is a fixed point of every step, however large t is; the
         # composed step maps overflow, so the solver falls back to the loop
         p = bl.make_closedform_quadratic()
-        spec = bl.InnerSolveSpec(K=50, t=1e300, s=0.1)
+        spec = bl.InnerSolveSpec(K=50, t=1e300, s=0.1, alpha_exponent=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            tape = bl.solve_inner(p, np.zeros(1), spec, "basic")
+            tape = bl.solve_inner(p, np.zeros(1), spec)
             G = bl.reverse_hypergradient(p, tape)
         assert np.all(tape.iterates == 0.0)
         assert np.all(G == 0.0)
@@ -119,8 +120,8 @@ class TestDivergence:
         # |1 - t| = 2: the iterates stay finite at this tiny lam, but the
         # lam-Jacobian grows as 2^K and overflows
         p = bl.make_closedform_quadratic()
-        spec = bl.InnerSolveSpec(K=1100, t=3.0, s=0.1)
-        tape = bl.solve_inner(p, np.array([1e-300]), spec, "basic")
+        spec = bl.InnerSolveSpec(K=1100, t=3.0, s=0.1, alpha_exponent=0.0)
+        tape = bl.solve_inner(p, np.array([1e-300]), spec)
         assert np.all(np.isfinite(tape.iterates))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(bl.OracleDivergence, match="non-finite hypergradient"):
@@ -188,11 +189,11 @@ class TestOneScan:
         monkeypatch.setattr(affine, "_states", counted)
         return count
 
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
-    def test_one_pass_per_solve_and_none_in_the_reverse_pass(self, passes, mode):
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
+    def test_one_pass_per_solve_and_none_in_the_reverse_pass(self, passes, expo):
         p = bl.make_degenerate_quadratic()
-        spec = bl.InnerSolveSpec(K=5000, t=0.1, s=0.1)
-        tape = bl.solve_inner(p, np.array([0.25]), spec, mode)
+        spec = bl.InnerSolveSpec(K=5000, t=0.1, s=0.1, alpha_exponent=expo)
+        tape = bl.solve_inner(p, np.array([0.25]), spec)
         assert len(passes) == 1 and tape.jacobian.shape == (2, 1)
         bl.reverse_hypergradient(p, tape)
         assert len(passes) == 1
@@ -210,19 +211,21 @@ class TestOneScan:
         # iterate is J_K's column exactly, up to roundoff
         p = PROBLEMS[name]()
         ref = dataclasses.replace(p)
-        mode, freq = SCHEDULES[schedule]
-        spec = bl.InnerSolveSpec(K=affine.BLOCK + 1, t=0.2, s=0.15, bigsam_frequency=freq)
+        expo, freq = SCHEDULES[schedule]
+        spec = bl.InnerSolveSpec(K=affine.BLOCK + 1, t=0.2, s=0.15, alpha_exponent=expo,
+                                 bigsam_frequency=freq)
         lam = np.random.default_rng(3).normal(size=p.outer_dim)
-        J = bl.solve_inner(p, lam, spec, mode).jacobian
-        base = final_inner_iterate(ref, lam, spec, mode)
+        J = bl.solve_inner(p, lam, spec).jacobian
+        base = final_inner_iterate(ref, lam, spec)
         for j in range(p.outer_dim):
             e = np.zeros(p.outer_dim)
             e[j] = 1.0
-            _close(J[:, j], final_inner_iterate(ref, lam + e, spec, mode) - base, 1e-10)
+            _close(J[:, j], final_inner_iterate(ref, lam + e, spec) - base, 1e-10)
 
     def test_k_zero_jacobian_is_zero(self):
         p = random_quadratic(0)
-        tape = bl.solve_inner(p, np.ones(3), bl.InnerSolveSpec(K=0, t=0.2, s=0.15), "basic")
+        tape = bl.solve_inner(p, np.ones(3), bl.InnerSolveSpec(K=0, t=0.2, s=0.15,
+                                                               alpha_exponent=0.0))
         assert tape.jacobian.shape == (4, 3) and np.all(tape.jacobian == 0.0)
 
     @pytest.mark.parametrize("name", list(PROBLEMS))
@@ -231,10 +234,10 @@ class TestOneScan:
         ref = dataclasses.replace(p)
         spec = bl.InnerSolveSpec(K=40, t=0.2, s=0.15)
         lam = np.random.default_rng(5).normal(size=p.outer_dim)
-        fast = bl.solve_inner(p, lam, spec, "improved")
-        assert bl.solve_inner(ref, lam, spec, "improved").jacobian is None
+        fast = bl.solve_inner(p, lam, spec)
+        assert bl.solve_inner(ref, lam, spec).jacobian is None
         hand = bl.Tape(iterates=fast.iterates, alphas=fast.alphas, t=fast.t, s=fast.s,
-                       lam=fast.lam, mode=fast.mode)
+                       lam=fast.lam)
         assert hand.jacobian is None
         # a hand-built tape is linearized again: the declared problem takes
         # the slot-built step of its replace copy
@@ -245,4 +248,4 @@ class TestOneScan:
     def test_jacobian_shape_is_checked(self):
         with pytest.raises(ValueError, match="jacobian"):
             bl.Tape(iterates=np.zeros((2, 2)), alphas=np.ones(1), t=0.1, s=0.1,
-                    lam=np.zeros(1), mode="basic", jacobian=np.zeros((1, 2)))
+                    lam=np.zeros(1), jacobian=np.zeros((1, 2)))

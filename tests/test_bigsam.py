@@ -10,14 +10,14 @@ import bilevelopt as bl
 from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
 
 
-def reference_trajectory(grad_h, grad_g, lam, omega0, K, t, s, mode,
+def reference_trajectory(grad_h, grad_g, lam, omega0, K, t, s,
                          expo=0.25, freq=1):
     """Independent three-line recurrence used as the oracle for solve_inner."""
     w = np.array(omega0, dtype=float)
     traj = [w.copy()]
     alphas = []
     for k in range(K):
-        if mode == "basic" or (k % freq) != 0:
+        if (k % freq) != 0:
             alpha = 1.0
         else:
             alpha = min(1.0, float(k + 1) ** -expo)
@@ -43,20 +43,48 @@ def loop_copy(problem):
 
 class TestAlphaSchedule:
     def test_first_step_is_one(self):
-        assert bl.schedule(spec(), "improved")[0] == 1.0
+        assert bl.schedule(spec())[0] == 1.0
 
     def test_sixteen_to_the_minus_quarter(self):
-        assert bl.schedule(spec(K=16), "improved")[15] == pytest.approx(0.5)
+        assert bl.schedule(spec(K=16))[15] == pytest.approx(0.5)
 
     def test_zero_exponent_disables_averaging(self):
-        assert np.all(bl.schedule(spec(K=5, alpha_exponent=0.0), "improved") == 1.0)
+        assert np.all(bl.schedule(spec(K=5, alpha_exponent=0.0)) == 1.0)
 
     def test_basic_mode_is_all_ones(self):
-        assert np.all(bl.schedule(spec(K=40, bigsam_frequency=3), "basic") == 1.0)
+        # the basic model is exponent 0, at any averaging frequency
+        basic = spec(K=40, alpha_exponent=bl.bigsam.model_exponent("basic"), bigsam_frequency=3)
+        assert basic.alpha_exponent == 0.0
+        assert np.array_equal(bl.schedule(basic), np.ones(40))
 
     def test_mode_validated(self):
-        with pytest.raises(ValueError, match="mode"):
-            bl.schedule(spec(K=3), "augmented")
+        # a model name is read where it becomes an exponent; the schedule takes none
+        with pytest.raises(ValueError, match="mode must be one of"):
+            bl.bigsam.model_exponent("augmented")
+        with pytest.raises(TypeError):
+            bl.schedule(spec(K=3), "improved")
+
+
+class TestModelExponent:
+    """A model name becomes an exponent in ``model_exponent`` alone."""
+
+    def test_basic_is_exponent_zero(self):
+        assert bl.bigsam.model_exponent("basic") == 0.0
+        assert bl.bigsam.model_exponent("basic", 0.7) == 0.0
+        assert bl.bigsam.model_exponent("improved") == bl.bigsam.ALPHA_EXPONENT == 0.25
+        assert bl.bigsam.model_exponent("improved", 0.7) == 0.7
+
+    @pytest.mark.parametrize("mode", ["augmented", "Basic", "", None])
+    def test_unknown_mode_rejected_with_one_message(self, mode):
+        message = f"mode must be one of ('improved', 'basic'), got {mode!r}"
+        rejections = []
+        for build in (lambda: bl.bigsam.model_exponent(mode),
+                      lambda: bl.SolveConfig(t=0.1, s=0.1, eta=0.1, K=3, T=1, mode=mode),
+                      lambda: bl.CheckConfig(mode=mode)):
+            with pytest.raises(ValueError) as info:
+                build()
+            rejections.append(str(info.value))
+        assert rejections == [message] * 3
 
 
 class TestAlphaExponentValidation:
@@ -76,13 +104,12 @@ class TestAlphaExponentValidation:
 
     def test_bound_follows_the_last_averaged_step(self):
         # frequency 60 averages step 1 only, whose weight is 1 for any exponent
-        alphas = bl.schedule(spec(K=60, alpha_exponent=200.0, bigsam_frequency=60),
-                             "improved")
+        alphas = bl.schedule(spec(K=60, alpha_exponent=200.0, bigsam_frequency=60))
         assert np.all(alphas == 1.0)
         with pytest.raises(ValueError, match="inner step 60"):
             spec(K=60, alpha_exponent=200.0, bigsam_frequency=59)
         # 60^-180 is subnormal but positive
-        alphas = bl.schedule(spec(K=60, alpha_exponent=180.0), "improved")
+        alphas = bl.schedule(spec(K=60, alpha_exponent=180.0))
         assert np.all(alphas > 0.0)
 
 
@@ -102,7 +129,7 @@ class TestBigsamStep:
         # 0.1 - 0.1*(0.1 - 1) = 0.19 and the g step 0.1 - 0.1*0.1 = 0.09
         alpha = 2.0 ** -0.25
         for p in (self.p, loop_copy(self.p)):
-            tape = bl.solve_inner(p, np.ones(1), spec(K=2), "improved")
+            tape = bl.solve_inner(p, np.ones(1), spec(K=2))
             assert tape.alphas[1] == alpha
             np.testing.assert_allclose(tape.iterates[:, 0],
                                        [0.0, 0.1, alpha * 0.19 + (1.0 - alpha) * 0.09],
@@ -114,7 +141,7 @@ class TestBigsamStep:
 
         # at lam=1 from w=0 each step is w -> 0.9*w + 0.1
         for p in (self.p, dataclasses.replace(self.p, grad1_g=no_g)):
-            tape = bl.solve_inner(p, np.ones(1), spec(K=3), "basic")
+            tape = bl.solve_inner(p, np.ones(1), spec(K=3, alpha_exponent=0.0))
             np.testing.assert_allclose(tape.iterates[:, 0], [0.0, 0.1, 0.19, 0.271], rtol=1e-15)
         out = bl.bigsam_standalone((None, lambda w: w), (None, no_g), np.ones(1),
                                    K=1, t=0.1, s=0.1)
@@ -123,7 +150,7 @@ class TestBigsamStep:
     def test_joint_stationary_point_is_fixed(self):
         # both gradients vanish at w = lam = 0
         for p in (self.p, loop_copy(self.p)):
-            tape = bl.solve_inner(p, np.zeros(1), spec(K=5), "improved")
+            tape = bl.solve_inner(p, np.zeros(1), spec(K=5))
             assert np.all(tape.alphas[1:] < 1.0)
             assert np.array_equal(tape.iterates, np.zeros((6, 1)))
         out = bl.bigsam_standalone((None, lambda w: w - 2.0), (None, lambda w: w - 2.0),
@@ -132,7 +159,8 @@ class TestBigsamStep:
 
     def test_step_params_validated(self):
         flat = (None, lambda w: np.zeros(1))
-        for field, value, message in (("t", 0.0, "step sizes"), ("s", 0.0, "step sizes"),
+        for field, value, message in (("t", 0.0, "t must be finite and positive"),
+                                      ("s", 0.0, "s must be finite and positive"),
                                       ("K", -1, "K must be"), ("K", 1.5, "K must be"),
                                       ("bigsam_frequency", 0, "bigsam_frequency")):
             kw = {"K": 3, "t": 0.1, "s": 0.1, field: value}
@@ -150,9 +178,9 @@ class TestBigsamStep:
             grad1_g=lambda w, lam: np.zeros(1),
             grad2_g=lambda w, lam: np.zeros(1),
         )
-        for mode in ("improved", "basic"):
+        for expo in (0.25, 0.0):
             with pytest.raises(bl.OracleDivergence, match=r"\(inner step 0: grad1_h\)$"):
-                bl.solve_inner(bad, np.zeros(1), spec(K=4), mode)
+                bl.solve_inner(bad, np.zeros(1), spec(K=4, alpha_exponent=expo))
         nan = (None, lambda w: np.array([np.nan]))
         with pytest.raises(bl.OracleDivergence):
             bl.bigsam_standalone(nan, (None, lambda w: np.zeros(1)), np.zeros(1),
@@ -163,7 +191,7 @@ def tape(iterates, alphas, t=0.1, s=0.1, lam=(0.0,)):
     """A hand-built tape: its iterates need not follow the solver's dynamics."""
     return bl.Tape(iterates=np.array(iterates, dtype=float).reshape(len(alphas) + 1, -1),
                    alphas=np.array(alphas, dtype=float), t=t, s=s,
-                   lam=np.array(lam, dtype=float), mode="improved")
+                   lam=np.array(lam, dtype=float))
 
 
 class TestVjpPhi:
@@ -242,28 +270,27 @@ class TestVjpPhi:
 class TestSolveInner:
     def test_k_zero_holds_only_start(self):
         p = bl.make_closedform_quadratic()
-        tape = bl.solve_inner(p, np.array([1.0]), bl.InnerSolveSpec(K=0, t=0.1, s=0.1),
-                              "improved")
+        tape = bl.solve_inner(p, np.array([1.0]), bl.InnerSolveSpec(K=0, t=0.1, s=0.1))
         assert tape.iterates.shape == (1, 1)
         assert tape.alphas.shape == (0,)
         assert np.array_equal(tape.final, np.zeros(1))
 
     def test_tape_lengths(self):
         p = bl.make_degenerate_quadratic()
-        tape = bl.solve_inner(p, np.array([0.5]), bl.InnerSolveSpec(K=37, t=0.1, s=0.1),
-                              "improved")
+        tape = bl.solve_inner(p, np.array([0.5]), bl.InnerSolveSpec(K=37, t=0.1, s=0.1))
         assert tape.iterates.shape == (38, 2)
         assert tape.alphas.shape == (37,)
 
     def test_matches_reference_recurrence(self):
         p = bl.make_degenerate_quadratic()
         lam = np.array([1.0])
-        for mode, freq in (("improved", 1), ("improved", 3), ("basic", 1)):
-            spec = bl.InnerSolveSpec(K=200, t=0.1, s=0.1, bigsam_frequency=freq)
-            tape = bl.solve_inner(p, lam, spec, mode)
+        for expo, freq in ((0.25, 1), (0.25, 3), (0.0, 1)):
+            spec = bl.InnerSolveSpec(K=200, t=0.1, s=0.1, alpha_exponent=expo,
+                                     bigsam_frequency=freq)
+            tape = bl.solve_inner(p, lam, spec)
             ref, alphas = reference_trajectory(p.grad1_h, p.grad1_g, lam,
-                                               np.zeros(2), 200, 0.1, 0.1, mode,
-                                               freq=freq)
+                                               np.zeros(2), 200, 0.1, 0.1,
+                                               expo=expo, freq=freq)
             np.testing.assert_allclose(tape.iterates, ref, rtol=1e-12, atol=1e-13)
             assert np.array_equal(tape.alphas, alphas)
 
@@ -273,12 +300,12 @@ class TestSolveInner:
         # whose h-weight is alpha_K (value frozen from the recurrence above)
         p = bl.make_closedform_quadratic()
         lam = np.array([1.0])
-        basic = bl.solve_inner(p, lam, bl.InnerSolveSpec(K=2000, t=0.1, s=0.1), "basic")
+        basic = bl.solve_inner(p, lam, bl.InnerSolveSpec(K=2000, t=0.1, s=0.1,
+                                                         alpha_exponent=0.0))
         assert basic.final == pytest.approx(1.0, abs=1e-3)
-        improved = bl.solve_inner(p, lam, bl.InnerSolveSpec(K=2000, t=0.1, s=0.1),
-                                  "improved")
+        improved = bl.solve_inner(p, lam, bl.InnerSolveSpec(K=2000, t=0.1, s=0.1))
         ref, _ = reference_trajectory(p.grad1_h, p.grad1_g, lam, np.zeros(1),
-                                      2000, 0.1, 0.1, "improved")
+                                      2000, 0.1, 0.1)
         assert improved.final == pytest.approx(ref[-1], abs=1e-12)
         assert improved.final[0] == pytest.approx(2000.0 ** -0.25, abs=2e-3)
 
@@ -287,41 +314,56 @@ class TestSolveInner:
         # averaged solver drives it to the outer objective's preferred 1
         p = bl.make_degenerate_quadratic()
         lam = np.array([1.0])
-        spec = bl.InnerSolveSpec(K=5000, t=0.1, s=0.1)
-        improved = bl.solve_inner(p, lam, spec, "improved").final
-        basic = bl.solve_inner(p, lam, spec, "basic").final
+        improved = bl.solve_inner(p, lam, bl.InnerSolveSpec(K=5000, t=0.1, s=0.1)).final
+        basic = bl.solve_inner(p, lam, bl.InnerSolveSpec(K=5000, t=0.1, s=0.1,
+                                                         alpha_exponent=0.0)).final
         assert improved[1] == pytest.approx(1.0, abs=1e-6)
         assert basic[1] == 0.0
         assert basic[0] == pytest.approx(1.0, abs=1e-6)
         ref, _ = reference_trajectory(p.grad1_h, p.grad1_g, lam, np.zeros(2),
-                                      5000, 0.1, 0.1, "improved")
+                                      5000, 0.1, 0.1)
         np.testing.assert_allclose(improved, ref[-1], atol=1e-12)
 
     def test_reduction_identity_exponent_zero_is_basic(self):
         for name in bl.ZOO_NAMES:
             inst = bl.zoo_problem(name)
-            spec0 = bl.InnerSolveSpec(K=25, t=inst.defaults["t"], s=inst.defaults["s"],
-                                      alpha_exponent=0.0)
-            spec = bl.InnerSolveSpec(K=25, t=inst.defaults["t"], s=inst.defaults["s"])
-            imp = bl.solve_inner(inst.problem, inst.lam0, spec0, "improved")
-            bas = bl.solve_inner(inst.problem, inst.lam0, spec, "basic")
+            d = dict(K=25, t=inst.defaults["t"], s=inst.defaults["s"])
+            spec0 = bl.InnerSolveSpec(**d, alpha_exponent=0.0)
+            basic = bl.SolveConfig(eta=1.0, T=1, mode="basic", **d).inner_spec()
+            assert basic == spec0
+            imp = bl.solve_inner(inst.problem, inst.lam0, spec0)
+            bas = bl.solve_inner(inst.problem, inst.lam0, basic)
             assert np.array_equal(imp.iterates, bas.iterates), name
             assert np.all(imp.alphas == 1.0)
+            assert imp.mode == bas.mode == "basic"
 
     def test_frequency_beyond_horizon_equals_basic(self):
         p = bl.make_degenerate_quadratic()
         lam = np.array([1.0])
         K = 50
         freq = bl.solve_inner(p, lam, bl.InnerSolveSpec(K=K, t=0.1, s=0.1,
-                                                        bigsam_frequency=K + 1),
-                              "improved")
-        basic = bl.solve_inner(p, lam, bl.InnerSolveSpec(K=K, t=0.1, s=0.1), "basic")
+                                                        bigsam_frequency=K + 1))
+        basic = bl.solve_inner(p, lam, bl.InnerSolveSpec(K=K, t=0.1, s=0.1,
+                                                         alpha_exponent=0.0))
         # the k=0 averaged step fires but its weight is alpha_1 = 1
         assert np.array_equal(freq.iterates, basic.iterates)
 
+    def test_tape_mode_is_read_off_the_weights(self):
+        p = bl.make_degenerate_quadratic()
+        lam = np.array([1.0])
+        assert bl.solve_inner(p, lam, spec(K=3)).mode == "improved"
+        assert bl.solve_inner(p, lam, spec(K=3, alpha_exponent=0.0)).mode == "basic"
+        # a single step's weight is alpha_1 = 1 at any exponent
+        assert bl.solve_inner(p, lam, spec(K=1)).mode == "basic"
+        assert tape([0.0, 0.0, 0.0], [1.0, 0.5]).mode == "improved"
+        assert tape([0.0, 0.0], [1.0]).mode == "basic"
+        with pytest.raises(TypeError):
+            bl.Tape(iterates=np.zeros((1, 1)), alphas=np.zeros(0), t=0.1, s=0.1,
+                    lam=np.zeros(1), mode="basic")
+
     def test_frequency_alpha_pattern(self):
         spec = bl.InnerSolveSpec(K=9, t=0.1, s=0.1, bigsam_frequency=3)
-        assert bl.schedule(spec, "improved").tolist() == [
+        assert bl.schedule(spec).tolist() == [
             1.0, 1.0, 1.0, 4.0 ** -0.25, 1.0, 1.0, 7.0 ** -0.25, 1.0, 1.0]
 
     def test_divergence_names_the_step(self):
@@ -330,7 +372,7 @@ class TestSolveInner:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(bl.OracleDivergence, match="inner step"):
                 bl.solve_inner(p, np.array([1.0]),
-                               bl.InnerSolveSpec(K=3000, t=1e300, s=0.1), "basic")
+                               bl.InnerSolveSpec(K=3000, t=1e300, s=0.1, alpha_exponent=0.0))
 
     def test_divergence_is_reported_once_without_warnings(self):
         # the loop's overflow is not warned about: the divergence report replaces it
@@ -338,13 +380,17 @@ class TestSolveInner:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(bl.OracleDivergence, match=r"\(inner step 1\)$"):
-                bl.solve_inner(p, np.array([1.0]), spec(K=3000, t=1e300), "basic")
+                bl.solve_inner(p, np.array([1.0]), spec(K=3000, t=1e300, alpha_exponent=0.0))
 
     def test_mode_validated(self):
+        # the solver takes no model: a mode is rejected where a config turns it
+        # into an exponent, and solve_inner accepts no mode argument
         p = bl.make_closedform_quadratic()
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            bl.SolveConfig(t=0.1, s=0.1, eta=0.1, K=1, T=1, mode="augmented")
+        with pytest.raises(TypeError):
             bl.solve_inner(p, np.array([1.0]), bl.InnerSolveSpec(K=1, t=0.1, s=0.1),
-                           "augmented")
+                           "basic")
 
 
 class TestStandalone:
@@ -373,10 +419,10 @@ class TestFinalIterateHelper:
     def test_matches_solve_inner(self):
         p = bl.make_degenerate_quadratic()
         lam = np.array([0.4])
-        for mode in ("improved", "basic"):
-            spec = bl.InnerSolveSpec(K=123, t=0.1, s=0.1)
-            tape = bl.solve_inner(p, lam, spec, mode)
-            last = final_inner_iterate(p, lam, spec, mode)
+        for expo in (0.25, 0.0):
+            spec = bl.InnerSolveSpec(K=123, t=0.1, s=0.1, alpha_exponent=expo)
+            tape = bl.solve_inner(p, lam, spec)
+            last = final_inner_iterate(p, lam, spec)
             assert np.array_equal(tape.final, last)
 
 
@@ -427,15 +473,15 @@ class TestAlphaOneStepsSkipG:
     def test_slot_built_step_calls_no_g_oracle(self):
         p, calls = counting_problem()
         K, lam = 7, np.array([0.3])
-        for mode in ("basic", "improved"):
+        for expo in (0.0, 0.25):
             for name in calls:
                 calls[name] = 0
-            cfg = spec(K=K, bigsam_frequency=3)
-            tape = bl.solve_inner(p, lam, cfg, mode)
+            cfg = spec(K=K, alpha_exponent=expo, bigsam_frequency=3)
+            tape = bl.solve_inner(p, lam, cfg)
             bl.reverse_hypergradient(p, tape)
             averaged = int(np.sum(tape.alphas != 1.0))
             # the averaged steps of f = 3 are k = 3 and 6; k = 0 has alpha_1 = 1
-            assert averaged == (2 if mode == "improved" else 0)
+            assert averaged == (2 if expo else 0)
             assert calls["grad1_h"] == K and calls["vjp12_h"] == K
             assert calls["vjp11_h"] == K - 1
             # the reverse pass seeds its adjoint with grad1_g at omega_K once
@@ -445,25 +491,25 @@ class TestAlphaOneStepsSkipG:
     @pytest.mark.parametrize("freq", [1, 3])
     def test_nan_validation_features_leave_basic_runs_intact(self, freq):
         clean, poisoned = hypercleaning(), hypercleaning(val_nan=True)
-        cfg = spec(K=20, t=0.01, s=0.001, bigsam_frequency=freq)
+        cfg = spec(K=20, t=0.01, s=0.001, alpha_exponent=0.0, bigsam_frequency=freq)
         rng = np.random.default_rng(freq)
         lam = rng.normal(0.0, 0.5, clean.outer_dim)
         a = rng.normal(0.0, 0.5, clean.inner_dim)
-        want = bl.solve_inner(clean, lam, cfg, "basic")
-        got = bl.solve_inner(poisoned, lam, cfg, "basic")
+        want = bl.solve_inner(clean, lam, cfg)
+        got = bl.solve_inner(poisoned, lam, cfg)
         assert np.all(np.isfinite(got.iterates))
         assert np.array_equal(got.iterates.view(np.uint64), want.iterates.view(np.uint64))
         for vjp, ref in zip(got.vjps, want.vjps):
             lam_bar, ref_bar = np.zeros(clean.outer_dim), np.zeros(clean.outer_dim)
             assert np.array_equal(vjp(a, True, lam_bar), ref(a, True, ref_bar))
             assert np.array_equal(lam_bar, ref_bar)
-        assert np.array_equal(final_inner_iterate(poisoned, lam, cfg, "basic"), want.final)
+        assert np.array_equal(final_inner_iterate(poisoned, lam, cfg), want.final)
         lams = lam + rng.normal(0.0, 0.1, (3, clean.outer_dim))
-        stacked = final_inner_iterates_many(poisoned, lams, cfg, "basic")
-        assert np.array_equal(stacked, final_inner_iterates_many(clean, lams, cfg, "basic"))
+        stacked = final_inner_iterates_many(poisoned, lams, cfg)
+        assert np.array_equal(stacked, final_inner_iterates_many(clean, lams, cfg))
         # the improved model reads g on its averaged steps, and diverges
         with pytest.raises(bl.OracleDivergence, match="grad1_g"):
-            bl.solve_inner(poisoned, lam, spec(K=20, t=0.01, s=0.001), "improved")
+            bl.solve_inner(poisoned, lam, spec(K=20, t=0.01, s=0.001))
 
 
 class TestDivergenceNamesTheOracle:
@@ -475,19 +521,20 @@ class TestDivergenceNamesTheOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(bl.OracleDivergence, match=r"\(inner step \d+: grad1_g\)$"):
-                bl.solve_inner(p, lam, spec(K=5, t=0.01, s=0.001), "improved")
-            # basic mode never reads g
-            assert np.all(np.isfinite(
-                bl.solve_inner(p, lam, spec(K=5, t=0.01, s=0.001), "basic").iterates))
+                bl.solve_inner(p, lam, spec(K=5, t=0.01, s=0.001))
+            # the basic model (exponent 0) never reads g
+            assert np.all(np.isfinite(bl.solve_inner(
+                p, lam, spec(K=5, t=0.01, s=0.001, alpha_exponent=0.0)).iterates))
 
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
-    def test_h_overflows_while_g_stays_finite(self, mode):
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
+    def test_h_overflows_while_g_stays_finite(self, expo):
         p = hypercleaning(train_scale=1e300)
         with pytest.raises(bl.OracleDivergence, match=r"\(inner step \d+: grad1_h\)$"):
-            bl.solve_inner(p, np.zeros(p.outer_dim), spec(K=5, t=0.01, s=0.001), mode)
+            bl.solve_inner(p, np.zeros(p.outer_dim),
+                           spec(K=5, t=0.01, s=0.001, alpha_exponent=expo))
 
     def test_no_oracle_is_named_when_both_gradients_are_finite(self):
         # the step itself overflows: t = 1e300 times a finite gradient
         p = loop_copy(bl.make_closedform_quadratic())
         with pytest.raises(bl.OracleDivergence, match=r"\(inner step 1\)$"):
-            bl.solve_inner(p, np.array([1.0]), spec(K=10, t=1e300), "improved")
+            bl.solve_inner(p, np.array([1.0]), spec(K=10, t=1e300))

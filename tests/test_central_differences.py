@@ -59,12 +59,12 @@ def serial(p):
                                g_batch=None)
 
 
-def serial_f_K(p, spec, mode):
+def serial_f_K(p, spec):
     """f_K at one probe: one inner solve on a copy that takes the slot-built step."""
     generic = serial(p)
 
     def f_K(probe):
-        return float(p.g_value(final_inner_iterate(generic, probe, spec, mode), probe))
+        return float(p.g_value(final_inner_iterate(generic, probe, spec), probe))
 
     return f_K
 
@@ -138,47 +138,47 @@ class TestCallersKeepTheirBits:
             err = float(np.max(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))))
             assert same_bits(report.entries[gname][0], err), gname
 
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
-    def test_fd_hypergradient_serial(self, mode):
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
+    def test_fd_hypergradient_serial(self, expo):
         # a copy without batched oracles: one inner solve per probe, on a
         # replace copy
         p = serial(small_hyperrep())
         assert p.grad1_h_many is None
         lam = np.random.default_rng(2).normal(0, 0.5, p.outer_dim)
-        spec = bl.InnerSolveSpec(K=8, t=0.05, s=0.05)
+        spec = bl.InnerSolveSpec(K=8, t=0.05, s=0.05, alpha_exponent=expo)
         generic = dataclasses.replace(p)
 
         def f_K(probe):
-            return float(p.g_value(final_inner_iterate(generic, probe, spec, mode), probe))
+            return float(p.g_value(final_inner_iterate(generic, probe, spec), probe))
 
         want = reference_loop(f_K, lam, 1e-5)
-        assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec, mode), want)
+        assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec), want)
 
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
-    def test_fd_hypergradient_stacked_hyperrep(self, mode):
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
+    def test_fd_hypergradient_stacked_hyperrep(self, expo):
         # hyperrep's hook takes a stack of lam rows, which runs h and g
         # apart: the stacked solves keep the serial loop's bits
         p = small_hyperrep()
         assert p.grad1_h_many is not None and p.linearize is not None
         lam = np.random.default_rng(2).normal(0, 0.5, p.outer_dim)
-        spec = bl.InnerSolveSpec(K=8, t=0.05, s=0.05)
-        want = reference_loop(serial_f_K(p, spec, mode), lam, 1e-5)
-        assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec, mode), want)
+        spec = bl.InnerSolveSpec(K=8, t=0.05, s=0.05, alpha_exponent=expo)
+        want = reference_loop(serial_f_K(p, spec), lam, 1e-5)
+        assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec), want)
 
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
-    def test_fd_hypergradient_batched(self, mode):
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
+    def test_fd_hypergradient_batched(self, expo):
         # hyper-cleaning solves the 2m probes as one stack; each row of a
         # stack gives what a stack of that row alone gives
         p = small_hypercleaning()
         assert p.grad1_h_many is not None
         lam = np.random.default_rng(3).normal(0, 0.5, p.outer_dim)
-        spec = bl.InnerSolveSpec(K=8, t=0.05, s=0.01)
+        spec = bl.InnerSolveSpec(K=8, t=0.05, s=0.01, alpha_exponent=expo)
 
         def f_K(probe):
-            return p.g_value(final_inner_iterates_many(p, probe[None], spec, mode)[0], probe)
+            return p.g_value(final_inner_iterates_many(p, probe[None], spec)[0], probe)
 
         want = reference_loop(f_K, lam, 1e-5)
-        assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec, mode), want)
+        assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec), want)
 
 
 class TestDivergence:
@@ -252,22 +252,22 @@ class TestBlocks:
         want = [x + e for e in 1e-4 * np.eye(n)] + [x - e for e in 1e-4 * np.eye(n)]
         assert same_bits(rows, np.array(want))
 
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
     @pytest.mark.parametrize("build, m", [(lambda: small_hypercleaning(n_tr=1), 1),
                                           (lambda: small_hyperrep(r=5), 35)],
                              ids=["hyperclean-m1", "hyperrep-m35"])
-    def test_fd_at_m_one_and_a_ragged_last_block(self, build, m, mode):
+    def test_fd_at_m_one_and_a_ragged_last_block(self, build, m, expo):
         # m = 1 gives one block of two probes; m = 35 gives blocks of 64 and
         # 6, a boundary that does not divide 2m
         p = build()
         assert p.outer_dim == m
         lam = np.random.default_rng(m).normal(0, 0.5, m)
-        spec = bl.InnerSolveSpec(K=5, t=0.05, s=0.05)
-        want = reference_loop(serial_f_K(p, spec, mode), lam, 1e-5)
+        spec = bl.InnerSolveSpec(K=5, t=0.05, s=0.05, alpha_exponent=expo)
+        want = reference_loop(serial_f_K(p, spec), lam, 1e-5)
         # the hook's stack step with g_batch, and the slot-built stack step
         # with g_value per probe
         for copy in (p, dataclasses.replace(p, g_batch=None)):
-            assert same_bits(bl.hypergradient_fd_oracle(copy, lam, spec, mode), want)
+            assert same_bits(bl.hypergradient_fd_oracle(copy, lam, spec), want)
         a, w = np.random.default_rng(m + 1).normal(0, 0.5, (2, p.inner_dim))
         eps = bl.default_fd_eps(lam)
         for which in ("h12", "g12"):
@@ -295,10 +295,10 @@ class TestStackedOracles:
         p = bl.zoo_problem("hyperclean_synthetic", seed=0).problem
         lam = np.random.default_rng(6).normal(0, 0.3, p.outer_dim)
         spec = bl.InnerSolveSpec(K=3, t=0.01, s=0.001)
-        bl.hypergradient_fd_oracle(p, lam, spec, "improved")
+        bl.hypergradient_fd_oracle(p, lam, spec)
         tracemalloc.start()
         try:
-            bl.hypergradient_fd_oracle(p, lam, spec, "improved")
+            bl.hypergradient_fd_oracle(p, lam, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -134,6 +134,20 @@ class TestSolve:
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("field", ["t", "s", "eta"])
+    def test_infinite_step_size_exits_2(self, tmp_path, capsys, field):
+        # an infinite step is a config error, not a divergence (exit 3); for
+        # t the file reads {"t": Infinity, "s": 0.1, "eta": 0.5, "K": 3, "T": 2}
+        steps = {"t": "0.1", "s": "0.1", "eta": "0.5", field: "Infinity"}
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"t": %(t)s, "s": %(s)s, "eta": %(eta)s, "K": 3, "T": 2}' % steps)
+        code = run_cli("solve", "--problem", "closedform_quadratic",
+                       "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert f"invalid config: {field} must be finite and positive, got inf" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("field", [{"K": 20.9, "T": 3.7}, {"K": 20.9}, {"T": 3.7},
                                        {"bigsam_frequency": 1.5}])
     def test_non_integral_counts_exit_2(self, tmp_path, capsys, field):
@@ -248,7 +262,11 @@ class TestCheck:
         out = tmp_path / "report.json"
         assert run_cli("check", "--problem", "closedform_quadratic", f"--tol={tol}",
                        "--out", str(out)) == 2
-        assert "must be finite and positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must be finite and positive" in err
+        # the message names the flag the user gave, not a CheckConfig field
+        assert f"--tol must be finite and positive, got {float(tol)!r}" in err
+        assert "tol_grad" not in err
         assert not out.exists()
 
 

@@ -32,32 +32,32 @@ def counting_problem(problem):
 
 
 class TestReverseAgainstOracle:
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
     @pytest.mark.parametrize("K", [1, 2, 5, 50])
-    def test_quadratics(self, mode, K):
+    def test_quadratics(self, expo, K):
         rng = np.random.default_rng(11)
         for maker in (bl.make_closedform_quadratic, bl.make_degenerate_quadratic):
             p = maker()
-            spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1)
+            spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1, alpha_exponent=expo)
             for _ in range(3):
                 lam = rng.normal(size=p.outer_dim)
-                tape = bl.solve_inner(p, lam, spec, mode)
+                tape = bl.solve_inner(p, lam, spec)
                 got = bl.reverse_hypergradient(p, tape)
-                want = bl.hypergradient_fd_oracle(p, lam, spec, mode)
+                want = bl.hypergradient_fd_oracle(p, lam, spec)
                 err = np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
-                assert err < 1e-6, (p.name, mode, K, err)
+                assert err < 1e-6, (p.name, expo, K, err)
 
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
-    def test_hyperclean(self, mode):
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
+    def test_hyperclean(self, expo):
         inst = bl.zoo_problem("hyperclean_synthetic", seed=3)
         p = inst.problem
         rng = np.random.default_rng(5)
         for K in (5, 20):
-            spec = bl.InnerSolveSpec(K=K, t=0.01, s=0.001)
+            spec = bl.InnerSolveSpec(K=K, t=0.01, s=0.001, alpha_exponent=expo)
             lam = rng.normal(0, 0.4, p.outer_dim)
-            tape = bl.solve_inner(p, lam, spec, mode)
+            tape = bl.solve_inner(p, lam, spec)
             got = bl.reverse_hypergradient(p, tape)
-            want = bl.hypergradient_fd_oracle(p, lam, spec, mode)
+            want = bl.hypergradient_fd_oracle(p, lam, spec)
             err = np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
             assert err < 1e-4
 
@@ -66,9 +66,9 @@ class TestReverseAgainstOracle:
         p = inst.problem
         spec = bl.InnerSolveSpec(K=8, t=0.01, s=0.01)
         lam = np.random.default_rng(6).normal(0, 0.2, p.outer_dim)
-        tape = bl.solve_inner(p, lam, spec, "improved")
+        tape = bl.solve_inner(p, lam, spec)
         got = bl.reverse_hypergradient(p, tape)
-        want = bl.hypergradient_fd_oracle(p, lam, spec, "improved")
+        want = bl.hypergradient_fd_oracle(p, lam, spec)
         err = np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
         assert err < 1e-4
 
@@ -77,16 +77,16 @@ class TestClosedFormValues:
     def test_basic_mode_recovers_exact_outer_gradient(self):
         # with the inner problem solved to convergence, df/dlam = lam
         p = bl.make_closedform_quadratic()
-        spec = bl.InnerSolveSpec(K=2000, t=0.1, s=0.1)
-        tape = bl.solve_inner(p, np.array([2.0]), spec, "basic")
+        spec = bl.InnerSolveSpec(K=2000, t=0.1, s=0.1, alpha_exponent=0.0)
+        tape = bl.solve_inner(p, np.array([2.0]), spec)
         G = bl.reverse_hypergradient(p, tape)
         assert G == pytest.approx(2.0, abs=1e-3)
 
     def test_outer_stationary_point_gives_zero(self):
         p = bl.make_closedform_quadratic()
-        spec = bl.InnerSolveSpec(K=2000, t=0.1, s=0.1)
-        for mode in ("improved", "basic"):
-            tape = bl.solve_inner(p, np.zeros(1), spec, mode)
+        for expo in (0.25, 0.0):
+            spec = bl.InnerSolveSpec(K=2000, t=0.1, s=0.1, alpha_exponent=expo)
+            tape = bl.solve_inner(p, np.zeros(1), spec)
             G = bl.reverse_hypergradient(p, tape)
             assert G == pytest.approx(0.0, abs=1e-12)
 
@@ -96,30 +96,30 @@ class TestClosedFormValues:
         p = bl.make_closedform_quadratic()
         lam = np.array([3.0])
         spec = bl.InnerSolveSpec(K=1, t=0.1, s=0.1)
-        tape = bl.solve_inner(p, lam, spec, "improved")
+        tape = bl.solve_inner(p, lam, spec)
         G = bl.reverse_hypergradient(p, tape)
         assert tape.final == pytest.approx(0.3)
         assert G == pytest.approx(0.1 * 0.3, abs=1e-15)
-        want = bl.hypergradient_fd_oracle(p, lam, spec, "improved")
+        want = bl.hypergradient_fd_oracle(p, lam, spec)
         assert G == pytest.approx(want, rel=1e-6)
 
     def test_k_zero_tape_is_plain_outer_gradient(self):
         p = bl.make_closedform_quadratic()
         spec = bl.InnerSolveSpec(K=0, t=0.1, s=0.1)
-        tape = bl.solve_inner(p, np.array([2.0]), spec, "improved")
+        tape = bl.solve_inner(p, np.array([2.0]), spec)
         G = bl.reverse_hypergradient(p, tape)
         assert np.array_equal(G, p.grad2_g(tape.final, tape.lam))
 
 
 class TestOperationCount:
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
     @pytest.mark.parametrize("K", [1, 7, 40])
-    def test_linear_cost_in_k(self, mode, K):
+    def test_linear_cost_in_k(self, expo, K):
         # one lam-side VJP per transition, one omega-side VJP per interior
         # transition: K and K-1 calls respectively
         p = bl.make_degenerate_quadratic()
-        spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1)
-        tape = bl.solve_inner(p, np.array([0.5]), spec, mode)
+        spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1, alpha_exponent=expo)
+        tape = bl.solve_inner(p, np.array([0.5]), spec)
         wrapped, counts = counting_problem(p)
         bl.reverse_hypergradient(wrapped, tape)
         assert counts["vjp12_h"] == K
@@ -131,9 +131,9 @@ class TestModeConsistency:
         p = bl.make_degenerate_quadratic()
         lam = np.array([0.8])
         spec0 = bl.InnerSolveSpec(K=60, t=0.1, s=0.1, alpha_exponent=0.0)
-        spec = bl.InnerSolveSpec(K=60, t=0.1, s=0.1)
-        tape_imp = bl.solve_inner(p, lam, spec0, "improved")
-        tape_bas = bl.solve_inner(p, lam, spec, "basic")
+        spec = bl.SolveConfig(t=0.1, s=0.1, eta=0.1, K=60, T=1, mode="basic").inner_spec()
+        tape_imp = bl.solve_inner(p, lam, spec0)
+        tape_bas = bl.solve_inner(p, lam, spec)
         G_imp = bl.reverse_hypergradient(p, tape_imp)
         G_bas = bl.reverse_hypergradient(p, tape_bas)
         assert np.array_equal(G_imp, G_bas)
@@ -151,9 +151,9 @@ class TestModeConsistency:
             vjp12_g=lambda a, w, lam: 2.0 * p.vjp12_g(a, w, lam),
         )
         lam = np.random.default_rng(0).normal(0, 0.3, p.outer_dim)
-        spec = bl.InnerSolveSpec(K=15, t=0.01, s=0.001)
-        tape = bl.solve_inner(p, lam, spec, "basic")
-        tape2 = bl.solve_inner(doubled, lam, spec, "basic")
+        spec = bl.InnerSolveSpec(K=15, t=0.01, s=0.001, alpha_exponent=0.0)
+        tape = bl.solve_inner(p, lam, spec)
+        tape2 = bl.solve_inner(doubled, lam, spec)
         assert np.array_equal(tape.iterates, tape2.iterates)
         G1 = bl.reverse_hypergradient(p, tape)
         G2 = bl.reverse_hypergradient(doubled, tape2)
@@ -171,8 +171,7 @@ class TestFdOracleEdges:
             grad2_g=lambda w, lam: np.zeros(2),
         )
         out = bl.hypergradient_fd_oracle(p, np.array([0.3, -0.2]),
-                                         bl.InnerSolveSpec(K=10, t=0.1, s=0.1),
-                                         "basic")
+                                         bl.InnerSolveSpec(K=10, t=0.1, s=0.1, alpha_exponent=0.0))
         assert np.all(out == 0.0)
 
     def test_affine_outer_response_is_exact(self):
@@ -190,10 +189,10 @@ class TestFdOracleEdges:
             vjp11_g=lambda a, w, lam: np.zeros(1),
             vjp12_g=lambda a, w, lam: np.zeros(1),
         )
-        spec = bl.InnerSolveSpec(K=30, t=0.1, s=0.1)
+        spec = bl.InnerSolveSpec(K=30, t=0.1, s=0.1, alpha_exponent=0.0)
         lam = np.array([0.4])
-        fd = bl.hypergradient_fd_oracle(p, lam, spec, "basic")
-        tape = bl.solve_inner(p, lam, spec, "basic")
+        fd = bl.hypergradient_fd_oracle(p, lam, spec)
+        tape = bl.solve_inner(p, lam, spec)
         rev = bl.reverse_hypergradient(p, tape)
         assert fd == pytest.approx(rev, abs=1e-9)
 
@@ -201,11 +200,11 @@ class TestFdOracleEdges:
         inst = bl.zoo_problem("hyperclean_synthetic", seed=2)
         p = inst.problem
         serial = dataclasses.replace(p, grad1_h_many=None, grad1_g_many=None)
-        spec = bl.InnerSolveSpec(K=12, t=0.01, s=0.001)
         lam = np.random.default_rng(9).normal(0, 0.3, p.outer_dim)
-        for mode in ("improved", "basic"):
-            batched = bl.hypergradient_fd_oracle(p, lam, spec, mode)
-            looped = bl.hypergradient_fd_oracle(serial, lam, spec, mode)
+        for expo in (0.25, 0.0):
+            spec = bl.InnerSolveSpec(K=12, t=0.01, s=0.001, alpha_exponent=expo)
+            batched = bl.hypergradient_fd_oracle(p, lam, spec)
+            looped = bl.hypergradient_fd_oracle(serial, lam, spec)
             np.testing.assert_allclose(batched, looped, rtol=1e-10, atol=1e-12)
 
 
@@ -214,17 +213,17 @@ class TestFdOracleIndependence:
 
     @pytest.mark.parametrize("maker", [bl.make_closedform_quadratic,
                                        bl.make_degenerate_quadratic])
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
-    def test_equals_fd_on_a_copy_without_the_declaration(self, maker, mode):
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
+    def test_equals_fd_on_a_copy_without_the_declaration(self, maker, expo):
         p = maker()
         assert p.affine is not None
         generic = dataclasses.replace(p)
         assert generic.affine is None
         lam = np.array([0.7])
         for K in (1, 50, 300):
-            spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1)
-            got = bl.hypergradient_fd_oracle(p, lam, spec, mode)
-            want = bl.hypergradient_fd_oracle(generic, lam, spec, mode)
+            spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1, alpha_exponent=expo)
+            got = bl.hypergradient_fd_oracle(p, lam, spec)
+            want = bl.hypergradient_fd_oracle(generic, lam, spec)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_serial_probes_never_see_the_declaration(self, monkeypatch):
@@ -242,10 +241,10 @@ class TestFdOracleIndependence:
         spec = bl.InnerSolveSpec(K=20, t=0.1, s=0.1)
         for p in (bl.make_closedform_quadratic(), bl.make_degenerate_quadratic()):
             assert p.affine is not None
-            bl.solve_inner(p, np.array([0.2]), spec, "improved")
+            bl.solve_inner(p, np.array([0.2]), spec)
             assert len(calls) == 1
             calls.clear()
-            bl.hypergradient_fd_oracle(p, np.array([0.2]), spec, "improved")
+            bl.hypergradient_fd_oracle(p, np.array([0.2]), spec)
             assert calls == []
 
 
@@ -273,19 +272,20 @@ class TestRecordedReverse:
     """
 
     @pytest.mark.parametrize("name", ["hyperclean_synthetic", "hyperrep_synthetic"])
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
     @pytest.mark.parametrize("freq", [1, 3])
-    def test_equals_the_slot_path_bit_for_bit(self, name, mode, freq):
+    def test_equals_the_slot_path_bit_for_bit(self, name, expo, freq):
         inst = bl.zoo_problem(name, seed=1)
         p = inst.problem
         slots = dataclasses.replace(p)
         assert p.linearize is not None and slots.linearize is None
         d = inst.defaults
-        spec = bl.InnerSolveSpec(K=12, t=d["t"], s=d["s"], bigsam_frequency=freq)
+        spec = bl.InnerSolveSpec(K=12, t=d["t"], s=d["s"], alpha_exponent=expo,
+                                 bigsam_frequency=freq)
         lam = inst.lam0 + np.random.default_rng(freq).normal(0.0, 0.3, p.outer_dim)
-        exact = mode == "basic"
-        tape = bl.solve_inner(p, lam, spec, mode)
-        ref = bl.solve_inner(slots, lam, spec, mode)
+        exact = expo == 0.0
+        tape = bl.solve_inner(p, lam, spec)
+        ref = bl.solve_inner(slots, lam, spec)
         assert len(tape.vjps) == len(ref.vjps) == spec.K
         assert agree(tape.iterates, ref.iterates, exact)
         G = bl.reverse_hypergradient(p, tape)
@@ -300,8 +300,8 @@ class TestRecordedReverse:
         assert agree(bl.reverse_hypergradient(slots, bare), want, exact)
         # the FD referee: the hook binds the batched probes once, the copy
         # runs the batched slots (hyper-cleaning) or the serial loop
-        assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec, mode),
-                         bl.hypergradient_fd_oracle(slots, lam, spec, mode))
+        assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec),
+                         bl.hypergradient_fd_oracle(slots, lam, spec))
 
 
 class TestTapeMismatch:
@@ -309,7 +309,7 @@ class TestTapeMismatch:
         p = bl.make_closedform_quadratic()
         other = bl.make_degenerate_quadratic()
         tape = bl.solve_inner(other, np.array([1.0]),
-                              bl.InnerSolveSpec(K=3, t=0.1, s=0.1), "basic")
+                              bl.InnerSolveSpec(K=3, t=0.1, s=0.1, alpha_exponent=0.0))
         with pytest.raises(ValueError, match="tape-mismatch"):
             bl.reverse_hypergradient(p, tape)
 
@@ -323,7 +323,7 @@ class TestReverseDivergence:
         if not declared:
             p = dataclasses.replace(p)
         tape = bl.Tape(iterates=np.array([[0.0], [1e10], [1e20]]), alphas=np.array([1.0, 0.5]),
-                       t=1e300, s=0.1, lam=np.array([1.0]), mode="improved")
+                       t=1e300, s=0.1, lam=np.array([1.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(bl.OracleDivergence, match="non-finite hypergradient"):
@@ -345,12 +345,12 @@ class TestFdOracleDivergence:
         p = bl.zoo_problem("hyperclean_synthetic").problem
         if path == "serial":
             p = serial_copy(p)
-        spec = bl.InnerSolveSpec(K=3, t=1e200, s=1e-3)
+        spec = bl.InnerSolveSpec(K=3, t=1e200, s=1e-3, alpha_exponent=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(bl.OracleDivergence,
                                match=r"g non-finite at probe lam\+eps\*e_0 \(eps=1e-05\)"):
-                bl.hypergradient_fd_oracle(p, np.zeros(p.outer_dim), spec, "basic")
+                bl.hypergradient_fd_oracle(p, np.zeros(p.outer_dim), spec)
 
     @pytest.mark.parametrize("path", ["stacked", "serial"])
     @pytest.mark.parametrize("bad,sign", [(37, -1), (3, 1), (399, -1)])
@@ -370,10 +370,11 @@ class TestFdOracleDivergence:
             p = serial_copy(p)
         probe = f"lam{'+' if sign > 0 else '-'}eps*e_{bad} "
         with pytest.raises(bl.OracleDivergence, match=re.escape(f"g non-finite at probe {probe}")):
-            bl.hypergradient_fd_oracle(p, lam, bl.InnerSolveSpec(K=2, t=0.01, s=0.001), "basic")
+            bl.hypergradient_fd_oracle(p, lam, bl.InnerSolveSpec(K=2, t=0.01, s=0.001,
+                                                                 alpha_exponent=0.0))
 
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
-    def test_names_the_probe_whose_inner_solve_diverged(self, mode):
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
+    def test_names_the_probe_whose_inner_solve_diverged(self, expo):
         # grad1_h is NaN only where lam_30 moves down: the probe
         # lam-eps*e_30 (probe 70 of 80, in the second block of 64) diverges
         m, bad = 40, 30
@@ -391,13 +392,13 @@ class TestFdOracleDivergence:
         )
         looped = dataclasses.replace(
             p, grad1_h_many=lambda W, L: np.array([grad1_h(w, lam) for w, lam in zip(W, L)]))
-        spec = bl.InnerSolveSpec(K=3, t=0.1, s=0.1)
+        spec = bl.InnerSolveSpec(K=3, t=0.1, s=0.1, alpha_exponent=expo)
         for copy in (p, looped):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(bl.OracleDivergence, match=re.escape(
                         f"final iterate non-finite at probe lam-eps*e_{bad} (eps=1e-05)")):
-                    bl.hypergradient_fd_oracle(copy, np.zeros(m), spec, mode)
+                    bl.hypergradient_fd_oracle(copy, np.zeros(m), spec)
 
     def test_nan_g_on_a_declared_quadratic(self):
         # g_value and g_batch poisoned alike, as the row contract asks
@@ -405,8 +406,7 @@ class TestFdOracleDivergence:
                                 g_value=lambda w, lam: float("nan"),
                                 g_batch=lambda W, lam: np.full(len(W), np.nan))
         with pytest.raises(bl.OracleDivergence, match=r"lam\+eps\*e_0"):
-            bl.hypergradient_fd_oracle(p, np.array([0.3]), bl.InnerSolveSpec(K=5, t=0.1, s=0.1),
-                                       "improved")
+            bl.hypergradient_fd_oracle(p, np.array([0.3]), bl.InnerSolveSpec(K=5, t=0.1, s=0.1))
 
     def test_overflowing_difference_is_reported(self):
         # every probe's value is finite, but their difference overflows
@@ -421,5 +421,5 @@ class TestFdOracleDivergence:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(bl.OracleDivergence, match="non-finite FD hypergradient"):
-                bl.hypergradient_fd_oracle(p, np.zeros(1), bl.InnerSolveSpec(K=2, t=0.1, s=0.1),
-                                           "basic")
+                bl.hypergradient_fd_oracle(p, np.zeros(1), bl.InnerSolveSpec(
+                    K=2, t=0.1, s=0.1, alpha_exponent=0.0))

@@ -15,7 +15,11 @@ def outer_reference(problem, lam0, config):
     """Independent outer loop reusing only the low-level pieces."""
     lam = np.array(lam0, dtype=float)
     for it in range(config.T):
-        tape = bl.solve_inner(problem, lam, config.inner_spec(), config.mode)
+        # the basic model solves with exponent 0
+        expo = 0.0 if config.mode == "basic" else config.alpha_exponent
+        spec = bl.InnerSolveSpec(K=config.K, t=config.t, s=config.s, alpha_exponent=expo,
+                                 bigsam_frequency=config.bigsam_frequency)
+        tape = bl.solve_inner(problem, lam, spec)
         G = bl.reverse_hypergradient(problem, tape)
         if it < config.T - 1:
             lam = lam - config.eta * G
@@ -243,6 +247,24 @@ class TestMatchedBudgetComparisons:
             bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=0, T=3)
         with pytest.raises(ValueError):
             bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=10, T=3, mode="hybrid")
+
+    @pytest.mark.parametrize("field", ["t", "s", "eta"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -0.1])
+    def test_step_sizes_must_be_finite_and_positive(self, field, value):
+        kw = dict(dict(t=0.1, s=0.1, eta=0.5, K=10, T=3), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got"):
+            bl.SolveConfig(**kw)
+        if field != "eta":
+            with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got"):
+                bl.InnerSolveSpec(**{k: kw[k] for k in ("K", "t", "s")})
+
+    def test_inner_spec_reads_the_exponent_off_the_mode(self):
+        kw = dict(t=0.1, s=0.1, eta=0.5, K=10, T=3, alpha_exponent=0.5, bigsam_frequency=2)
+        improved = bl.SolveConfig(**kw).inner_spec()
+        basic = bl.SolveConfig(mode="basic", **kw).inner_spec()
+        assert improved == bl.InnerSolveSpec(K=10, t=0.1, s=0.1, alpha_exponent=0.5,
+                                             bigsam_frequency=2)
+        assert basic == dataclasses.replace(improved, alpha_exponent=0.0)
 
     @pytest.mark.parametrize("field, value", [("K", 20.9), ("T", 2.5), ("bigsam_frequency", 1.5),
                                               ("T", float("nan")), ("K", "20"),

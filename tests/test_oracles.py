@@ -125,12 +125,16 @@ class TestCheckConfigFailsClosed:
             CheckConfig(mode="augmented")
 
     @pytest.mark.parametrize("solve, message", [(dict(K=-1), "K must be an integer"),
-                                                (dict(K=2.5), "K must be an integer"),
-                                                (dict(t=0.0), "step sizes"),
-                                                (dict(s=-0.1), "step sizes")])
+                                                (dict(K=2.5), "K must be an integer")])
     def test_bad_inner_solve_rejected(self, solve, message):
         with pytest.raises(ValueError, match=message):
             CheckConfig(**solve)
+
+    @pytest.mark.parametrize("field", ["t", "s"])
+    @pytest.mark.parametrize("value", [0.0, -0.1, float("inf"), float("nan")])
+    def test_step_sizes_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got"):
+            CheckConfig(**{field: value})
 
     def test_integral_counts_become_ints(self):
         cfg = CheckConfig(n_points=3.0, hg_points=2.0)
@@ -141,6 +145,9 @@ class TestCheckConfigFailsClosed:
         spec = CheckConfig(K=7, t=0.2, s=0.3).inner_spec()
         assert spec == bl.InnerSolveSpec(K=7, t=0.2, s=0.3)
         assert spec.alpha_exponent == bl.bigsam.ALPHA_EXPONENT == 0.25
+        # the basic model solves with exponent 0
+        basic = CheckConfig(K=7, t=0.2, s=0.3, mode="basic").inner_spec()
+        assert basic == bl.InnerSolveSpec(K=7, t=0.2, s=0.3, alpha_exponent=0.0)
 
 
 def nan_g(problem):

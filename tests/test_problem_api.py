@@ -224,7 +224,7 @@ class TestNoReferenceCycles:
             # a solve and its reverse pass leave nothing that points back either
             for problem in (p, copy):
                 spec = bl.InnerSolveSpec(K=3, t=0.01, s=0.01)
-                tape = bl.solve_inner(problem, np.zeros(problem.outer_dim), spec, "improved")
+                tape = bl.solve_inner(problem, np.zeros(problem.outer_dim), spec)
                 bl.reverse_hypergradient(problem, tape)
             del tape, problem
             refs = [weakref.ref(p), weakref.ref(copy)]
@@ -246,11 +246,11 @@ class TestFallbackFollowsTheCopy:
         assert h11 == pytest.approx(3.0, rel=1e-7)
         assert h12 == pytest.approx(-3.0, rel=1e-7)
         assert fallback_vjps(p, a, w, lam)[0] == pytest.approx(1.0, rel=1e-7)
-        spec = bl.InnerSolveSpec(K=20, t=0.1, s=0.1)
-        for mode in ("improved", "basic"):
-            got = bl.reverse_hypergradient(tripled, bl.solve_inner(tripled, lam, spec, mode))
-            want = bl.hypergradient_fd_oracle(tripled, lam, spec, mode)
-            assert got == pytest.approx(want, rel=1e-6), mode
+        for expo in (0.25, 0.0):
+            spec = bl.InnerSolveSpec(K=20, t=0.1, s=0.1, alpha_exponent=expo)
+            got = bl.reverse_hypergradient(tripled, bl.solve_inner(tripled, lam, spec))
+            want = bl.hypergradient_fd_oracle(tripled, lam, spec)
+            assert got == pytest.approx(want, rel=1e-6), expo
 
     def test_copies_get_their_own_vjp_flavor(self):
         p = scalar_coupled_quadratic()
@@ -290,14 +290,14 @@ class TestBatchedDefault:
         assert "grid-min-vs-analytic" in [r.name for r in reports]
         assert all(r.passed for r in reports), [r.to_dict() for r in reports]
 
-    @pytest.mark.parametrize("mode", ["improved", "basic"])
-    def test_batched_solve_equals_one_solve_per_row(self, mode):
+    @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
+    def test_batched_solve_equals_one_solve_per_row(self, expo):
         p = unstacked_quadratic()
         generic = dataclasses.replace(p)
         lams = np.random.default_rng(4).normal(0, 0.7, (5, p.outer_dim))
-        spec = bl.InnerSolveSpec(K=40, t=0.2, s=0.1, bigsam_frequency=2)
-        got = final_inner_iterates_many(p, lams, spec, mode)
+        spec = bl.InnerSolveSpec(K=40, t=0.2, s=0.1, alpha_exponent=expo, bigsam_frequency=2)
+        got = final_inner_iterates_many(p, lams, spec)
         assert got.shape == (5, p.inner_dim)
         for row, lam in zip(got, lams):
-            want = final_inner_iterate(generic, lam, spec, mode)
+            want = final_inner_iterate(generic, lam, spec)
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64))

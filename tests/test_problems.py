@@ -74,12 +74,9 @@ class TestGeneralQuadratic:
         p = bl.make_quadratic(spec)
         rep = bl.validate_first_order(p, rng.normal(size=n), rng.normal(size=m))
         assert rep.passed
-        tape = bl.solve_inner(p, rng.normal(size=m),
-                              bl.InnerSolveSpec(K=30, t=0.05, s=0.05), "improved")
+        tape = bl.solve_inner(p, rng.normal(size=m), bl.InnerSolveSpec(K=30, t=0.05, s=0.05))
         got = bl.reverse_hypergradient(p, tape)
-        want = bl.hypergradient_fd_oracle(p, tape.lam,
-                                          bl.InnerSolveSpec(K=30, t=0.05, s=0.05),
-                                          "improved")
+        want = bl.hypergradient_fd_oracle(p, tape.lam, bl.InnerSolveSpec(K=30, t=0.05, s=0.05))
         assert np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)) < 1e-6
 
     def test_spec_validation(self):
@@ -280,19 +277,20 @@ class TestZooRegistry:
         # at lam = 0 the averaged dynamics' limit coincides with the attached
         # formulation-level solution for both named quadratics
         spec = bl.InnerSolveSpec(K=5000, t=0.1, s=0.1)
+        basic = bl.InnerSolveSpec(K=5000, t=0.1, s=0.1, alpha_exponent=0.0)
         lam = np.zeros(1)
         p = bl.make_closedform_quadratic()
-        out = bl.solve_inner(p, lam, spec, "improved").final
+        out = bl.solve_inner(p, lam, spec).final
         np.testing.assert_allclose(out, p.answers["inner_solution"](lam), atol=1e-3)
         q = bl.make_degenerate_quadratic()
-        out = bl.solve_inner(q, lam, spec, "improved").final
+        out = bl.solve_inner(q, lam, spec).final
         np.testing.assert_allclose(out, q.answers["inner_solution_improved"](lam),
                                    atol=1e-3)
-        out = bl.solve_inner(q, lam, spec, "basic").final
+        out = bl.solve_inner(q, lam, basic).final
         np.testing.assert_allclose(out, q.answers["inner_solution_basic"](lam),
                                    atol=1e-3)
         # away from the optimum the basic attachments still hold for any lam
         lam = np.array([1.0])
-        out = bl.solve_inner(q, lam, spec, "basic").final
+        out = bl.solve_inner(q, lam, basic).final
         np.testing.assert_allclose(out, q.answers["inner_solution_basic"](lam),
                                    atol=1e-3)

@@ -49,8 +49,10 @@ def quadratic_cases(draw):
                               alpha_exponent=draw(st.floats(0.0, 1.0)),
                               bigsam_frequency=draw(st.integers(1, 4)))
     lam = draw(matrix(m, 1))[:, 0]
-    mode = draw(st.sampled_from(["improved", "basic"]))
-    return bl.make_quadratic(spec, name="drawn"), inner, lam, mode
+    if draw(st.booleans()):
+        # the basic model: exponent 0
+        inner = dataclasses.replace(inner, alpha_exponent=0.0)
+    return bl.make_quadratic(spec, name="drawn"), inner, lam
 
 
 def loop_copy(problem):
@@ -65,11 +67,11 @@ def loop_copy(problem):
 def test_reverse_pass_matches_fd_hypergradient(case):
     # f_K is quadratic in lam, so central differences are exact up to the
     # rounding of f_K, which is what the tolerance scales with
-    p, spec, lam, mode = case
-    want = bl.hypergradient_fd_oracle(p, lam, spec, mode)
-    f_K = abs(p.g_value(bl.solve_inner(p, lam, spec, mode).final, lam))
+    p, spec, lam = case
+    want = bl.hypergradient_fd_oracle(p, lam, spec)
+    f_K = abs(p.g_value(bl.solve_inner(p, lam, spec).final, lam))
     for problem in (p, loop_copy(p)):
-        got = bl.reverse_hypergradient(problem, bl.solve_inner(problem, lam, spec, mode))
+        got = bl.reverse_hypergradient(problem, bl.solve_inner(problem, lam, spec))
         tol = 1e-7 * (1.0 + f_K + np.abs(want).max())
         assert np.abs(got - want).max() <= tol, (problem.affine is None, got, want)
 
@@ -77,9 +79,9 @@ def test_reverse_pass_matches_fd_hypergradient(case):
 @settings(max_examples=60)
 @given(quadratic_cases())
 def test_affine_path_matches_the_loop(case):
-    p, spec, lam, mode = case
-    fast = bl.solve_inner(p, lam, spec, mode)
-    ref = bl.solve_inner(loop_copy(p), lam, spec, mode)
+    p, spec, lam = case
+    fast = bl.solve_inner(p, lam, spec)
+    ref = bl.solve_inner(loop_copy(p), lam, spec)
     assert np.array_equal(fast.alphas, ref.alphas)
     scale = 1.0 + np.abs(ref.iterates).max()
     np.testing.assert_allclose(fast.iterates, ref.iterates, rtol=0, atol=1e-10 * scale)
@@ -92,13 +94,21 @@ def test_affine_path_matches_the_loop(case):
 @settings(max_examples=40)
 @given(quadratic_cases())
 def test_exponent_zero_is_basic_bit_for_bit(case):
-    p, spec, lam, _ = case
+    # two routes to all-ones weights: exponent 0, and a frequency beyond the
+    # horizon, which averages step 1 alone, whose weight is 1 at any exponent
+    p, spec, lam = case
     flat = dataclasses.replace(spec, alpha_exponent=0.0)
+    beyond = dataclasses.replace(spec, bigsam_frequency=spec.K + 1)
+    if spec.K:
+        basic = bl.SolveConfig(t=spec.t, s=spec.s, eta=1.0, K=spec.K, T=1, mode="basic",
+                               alpha_exponent=spec.alpha_exponent,
+                               bigsam_frequency=spec.bigsam_frequency)
+        assert basic.inner_spec() == flat
     for problem in (p, loop_copy(p)):
-        imp = bl.solve_inner(problem, lam, flat, "improved")
-        bas = bl.solve_inner(problem, lam, spec, "basic")
+        imp = bl.solve_inner(problem, lam, flat)
+        bas = bl.solve_inner(problem, lam, beyond)
         assert np.array_equal(imp.iterates, bas.iterates)
-        assert np.array_equal(imp.alphas, bas.alphas)
+        assert np.array_equal(imp.alphas, bas.alphas) and np.all(imp.alphas == 1.0)
         assert np.array_equal(bl.reverse_hypergradient(problem, imp),
                               bl.reverse_hypergradient(problem, bas))
 
@@ -108,11 +118,11 @@ def test_exponent_zero_is_basic_bit_for_bit(case):
 def test_fd_fallback_vjps_pass_reverse_against_fd(case):
     # every VJP slot None: the generic loop's reverse pass differences the
     # problem's own gradients, which are affine, so only rounding is left
-    p, spec, lam, mode = case
+    p, spec, lam = case
     bare = dataclasses.replace(p, vjp11_h=None, vjp12_h=None, vjp11_g=None, vjp12_g=None)
     assert bare.affine is None and set(bare.vjp_flavor.values()) == {"fd-fallback"}
-    want = bl.hypergradient_fd_oracle(p, lam, spec, mode)
-    tape = bl.solve_inner(bare, lam, spec, mode)
+    want = bl.hypergradient_fd_oracle(p, lam, spec)
+    tape = bl.solve_inner(bare, lam, spec)
     got = bl.reverse_hypergradient(bare, tape)
     f_K = abs(p.g_value(tape.final, lam))
     tol = 1e-7 * (1.0 + f_K + np.abs(want).max())
@@ -209,45 +219,46 @@ def test_stacked_oracles_equal_the_row_oracles(case, rows):
         assert same_bits(batch(W, L[0]), [value(w, L[0]) for w in W])
 
 
-@given(K=st.integers(0, 500), exponent=st.floats(-1.0, 4.0), freq=st.integers(1, 10),
-       mode=st.sampled_from(["improved", "basic"]))
-def test_schedule_bounds(K, exponent, freq, mode):
+@given(K=st.integers(0, 500), exponent=st.just(0.0) | st.floats(-1.0, 4.0),
+       freq=st.integers(1, 10))
+def test_schedule_bounds(K, exponent, freq):
     if exponent < 0.0:
-        # a negative exponent would pin every weight at 1: basic mode in disguise
+        # a negative exponent would pin every weight at 1: exponent 0 in disguise
         with pytest.raises(ValueError, match="alpha_exponent"):
             bl.InnerSolveSpec(K=max(K, 1), t=0.1, s=0.1, alpha_exponent=exponent,
                               bigsam_frequency=freq)
         return
     spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1, alpha_exponent=exponent,
                              bigsam_frequency=freq)
-    alphas = bl.schedule(spec, mode)
+    alphas = bl.schedule(spec)
     assert alphas.shape == (K,)
     assert np.all((alphas > 0.0) & (alphas <= 1.0))
-    averaged = np.arange(K) % freq == 0 if mode == "improved" else np.zeros(K, bool)
+    # exponent 0, the basic model, averages no step
+    averaged = np.arange(K) % freq == 0 if exponent > 0.0 else np.zeros(K, bool)
     assert np.all(alphas[~averaged] == 1.0)
     assert np.all(np.diff(alphas[averaged]) <= 0.0)
 
 
-def list_schedule(spec, mode):
+def list_schedule(spec):
     """The schedule as two list comprehensions of float ** float."""
     K = spec.K
     alphas = [1.0] * K
-    if mode == "improved":
-        freq, power = spec.bigsam_frequency, -spec.alpha_exponent
-        alphas[::freq] = [a if a < 1.0 else 1.0
-                          for a in [float(k) ** power for k in range(1, K + 1, freq)]]
+    freq, power = spec.bigsam_frequency, -spec.alpha_exponent
+    alphas[::freq] = [a if a < 1.0 else 1.0
+                      for a in [float(k) ** power for k in range(1, K + 1, freq)]]
     return np.asarray(alphas, dtype=np.float64)
 
 
 @settings(max_examples=80)
 @given(K=st.integers(0, 6000),
-       exponent=st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 0.7, 1.3]) | st.floats(0.0, 3.0),
-       freq=st.integers(1, 10), mode=st.sampled_from(["improved", "basic"]))
-def test_schedule_equals_the_list_comprehension_bit_for_bit(K, exponent, freq, mode):
+       exponent=(st.just(0.0) | st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 0.7, 1.3])
+                 | st.floats(0.0, 3.0)),
+       freq=st.integers(1, 10))
+def test_schedule_equals_the_list_comprehension_bit_for_bit(K, exponent, freq):
     spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1, alpha_exponent=exponent,
                              bigsam_frequency=freq)
-    got = bl.schedule(spec, mode)
-    want = list_schedule(spec, mode)
+    got = bl.schedule(spec)
+    want = list_schedule(spec)
     assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -256,7 +267,7 @@ def test_schedule_equals_the_list_comprehension_bit_for_bit(K, exponent, freq, m
 def test_batched_default_gives_the_row_oracles_bits(case, rows, seed):
     # a drawn quadratic has no stacked oracle: ``batched`` applies each row
     # oracle row by row, to one shared lam row or to lam rows paired with W's
-    p, _, _, _ = case
+    p, _, _ = case
     rng = np.random.default_rng(seed)
     W, L = rng.normal(0, 0.5, (rows, p.inner_dim)), rng.normal(0, 0.5, (rows, p.outer_dim))
     for name, row in ROW_ORACLES.items():

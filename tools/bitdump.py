@@ -32,6 +32,12 @@ this directory), so two checkouts compare with one command:
 
     diff <(python3 tools/bitdump.py --src ../parent/src) <(python3 tools/bitdump.py)
 
+The script calls the solver API without a ``mode`` argument, the model
+given as an exponent through ``bilevelopt.bigsam.model_exponent``, so
+``--src`` and ``--rel`` work only against sources of that API.  To compare
+with older sources, run that checkout's own copy of the script on them and
+``diff`` the two outputs: the labels are the same byte for byte.
+
 ``--rel OTHER`` prints, instead of digests, the same lines with the largest
 relative deviation of each result from the one the sources in OTHER give:
 max |x - y| / max |y|, with y from OTHER, and 0 where the bits agree.  A CLI
@@ -74,6 +80,7 @@ def lines():
     """(label, array) for every number the solver produces on the zoo."""
     import numpy as np
     import bilevelopt as bl
+    from bilevelopt.bigsam import model_exponent
 
     for name in bl.ZOO_NAMES:
         inst = bl.zoo_problem(name, seed=0)
@@ -90,14 +97,16 @@ def lines():
         for copy, problem in copies.items():
             for mode in ("improved", "basic"):
                 for freq in (1, 3):
-                    spec = bl.InnerSolveSpec(K=d["K"], t=d["t"], s=d["s"], bigsam_frequency=freq)
+                    spec = bl.InnerSolveSpec(K=d["K"], t=d["t"], s=d["s"],
+                                             alpha_exponent=model_exponent(mode),
+                                             bigsam_frequency=freq)
                     label = f"{name} {copy} {mode} freq={freq}"
                     if copy != "serial":
-                        tape = bl.solve_inner(problem, lam, spec, mode)
+                        tape = bl.solve_inner(problem, lam, spec)
                         yield f"{label} iterates", tape.iterates
                         yield f"{label} hypergradient", bl.reverse_hypergradient(problem, tape)
                     yield (f"{label} fd_hypergradient",
-                           bl.hypergradient_fd_oracle(problem, lam, spec, mode))
+                           bl.hypergradient_fd_oracle(problem, lam, spec))
 
 
 def check_lines():
