@@ -41,7 +41,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import affine
-from .problem import BilevelProblem, OracleDivergence, as_vector, linearizer
+from .problem import (BilevelProblem, OracleDivergence, as_vector, check_finite_positive,
+                      linearizer)
 
 __all__ = ["InnerSolveSpec", "Tape", "model_exponent", "schedule", "step_weights",
            "solve_inner", "bigsam_standalone"]
@@ -60,12 +61,6 @@ def model_exponent(mode: str, alpha_exponent: float = ALPHA_EXPONENT) -> float:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     return 0.0 if mode == "basic" else alpha_exponent
-
-
-def check_finite_positive(name: str, value) -> None:
-    """Reject a step size or tolerance that is not finite and positive (NaN included)."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def check_alpha_exponent(exponent: float, K: int, frequency: int) -> None:
@@ -296,10 +291,17 @@ def bigsam_standalone(h_oracle: Tuple[Callable, Callable],
                       g_oracle: Tuple[Callable, Callable],
                       omega0, K: int, t: float, s: float,
                       alpha_exponent: float = ALPHA_EXPONENT) -> np.ndarray:
-    """Averaged solver for the single-level form: minimize g over argmin h.
+    """Averaged steps on h and g of one variable, posed for min g over argmin h.
 
     The oracles are (value, gradient) pairs of a single variable; only the
-    gradients drive the iteration, every step of which is averaged.
+    gradients drive the iteration, every step of which is averaged.  The
+    decaying weight alpha_k multiplies the *h* step, so the h step fades and
+    the iterates approach argmin g, not g's pick on argmin h; the two agree
+    where g's own minimizer lies in argmin h.  With h = w1^2/2 and
+    g = (w1 - 1)^2/2 + (w2 - 3)^2/2, t = s = 0.1, from (5, 0), g's pick on
+    argmin h is (0, 3) but w1 reads 0.676, 0.822 and 0.881 at K = 100, 1,000
+    and 5,000, moving toward argmin g at (1, 3).  BiG-SAM (Sabach & Shtern
+    2017) puts the decaying weight on the g step instead.
     """
     spec = InnerSolveSpec(K=K, t=t, s=s, alpha_exponent=alpha_exponent)
     _, h_grad = h_oracle

@@ -32,11 +32,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bigsam import check_finite_positive
 from .data import corrupt_labels, gen_synthetic, load_idx, split
 from .models import SolveConfig, ablation_config, run_model
 from .oracles import check_suite, default_check_configs
-from .problem import OracleDivergence
+from .problem import OracleDivergence, check_finite_positive
 from .problems import (ZOO_DEFAULTS, ZOO_NAMES, hyperclean_f1_metric, make_hypercleaning,
                        zoo_problem)
 

@@ -56,7 +56,8 @@ from .bigsam import InnerSolveSpec, Tape, final_inner_iterates_many, step_weight
 # not called here, but the perfbench tracer patches it through this module
 from .bigsam import final_inner_iterate  # noqa: F401
 from .problem import (BilevelProblem, OracleDivergence, as_vector, batched,
-                      central_differences, linearizer, probe_name, stacked)
+                      central_differences, check_finite_positive, linearizer, probe_name,
+                      stacked)
 
 __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 
@@ -122,8 +123,7 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
     The solves and g run with numpy's warnings off, so that one report
     replaces them.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_finite_positive("eps", eps)
     m = problem.outer_dim
     lam = as_vector(lam, m, "lam")
     g_batch = batched(problem, "g_batch")

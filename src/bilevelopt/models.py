@@ -19,9 +19,9 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .bigsam import (ALPHA_EXPONENT, InnerSolveSpec, check_alpha_exponent, check_count,
-                     check_finite_positive, model_exponent, solve_inner)
+                     model_exponent, solve_inner)
 from .hypergrad import reverse_hypergradient
-from .problem import BilevelProblem, OracleDivergence, as_vector
+from .problem import BilevelProblem, OracleDivergence, as_vector, check_finite_positive
 
 __all__ = ["SolveConfig", "TraceRecord", "ExperimentTrace", "run_model", "ablation_config"]
 

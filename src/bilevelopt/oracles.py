@@ -24,11 +24,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bigsam import (InnerSolveSpec, check_count, check_finite_positive, model_exponent,
-                     solve_inner)
+from .bigsam import InnerSolveSpec, check_count, model_exponent, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
 from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, OracleDivergence, batched,
-                      default_fd_eps, fd_vjp, validate_first_order)
+                      check_finite_positive, default_fd_eps, fd_vjp, validate_first_order)
 
 __all__ = ["OracleReport", "CheckConfig", "grid_min_oracle", "check_suite",
            "default_check_configs"]

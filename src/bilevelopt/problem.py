@@ -47,6 +47,7 @@ Arithmetic is IEEE-754 float64 throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice, repeat
@@ -102,6 +103,12 @@ def as_vector(x, length: Optional[int] = None, name: str = "vector") -> np.ndarr
     return v
 
 
+def check_finite_positive(name: str, value) -> None:
+    """Reject a step size or tolerance that is not finite and positive (NaN included)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def default_fd_eps(point: np.ndarray, base: float = 1e-5) -> float:
     """Central-difference step scaled by the sup-norm of the evaluation point."""
     return base * max(1.0, float(np.max(np.abs(point)))) if point.size else base
@@ -122,7 +129,9 @@ class BilevelProblem:
     outer minima) used by oracles and tests.  ``h_batch``/``g_batch`` are
     optional evaluators over a stack of omega rows, W (B, n) -> (B,): lam is
     one row, shared by every row of W, or a (B, m) stack paired row by row
-    with W's.  Each row must give h_value/g_value of its pair bit for bit.
+    with W's.  Each row must give h_value/g_value of its pair bit for bit;
+    the zoo's problems hold this at one row by construction, their row
+    values being their stacked kernels on a stack of one row.
     ``grad1_h_many``/``grad1_g_many`` are the same for the inner gradients,
     (B, n) x (B, m) -> (B, n).  A stacked oracle left None is the row oracle
     applied row by row: the referees read all four through ``batched``.
@@ -204,8 +213,7 @@ def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam, eps: float) -> np
     """
     if which not in VJP_NAMES:
         raise ValueError(f"unknown vjp selector {which!r}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_finite_positive("eps", eps)
     n, m = problem.dims
     a = as_vector(a, n, "adjoint")
     omega = as_vector(omega, n, "omega")
@@ -386,8 +394,8 @@ def validate_first_order(problem: BilevelProblem, omega, lam,
     omega probes against the one lam, and grad2_g's lam probes, a stack,
     against omega tiled over each block.
     """
-    if eps <= 0 or tol <= 0:
-        raise ValueError("eps and tol must be positive")
+    check_finite_positive("eps", eps)
+    check_finite_positive("tol", tol)
     n, m = problem.dims
     omega = as_vector(omega, n, "omega")
     lam = as_vector(lam, m, "lam")

@@ -408,6 +408,21 @@ class TestStandalone:
         out = bl.bigsam_standalone(h, g, np.array([5.0, 0.0]), K=5000, t=0.1, s=0.1)
         np.testing.assert_allclose(out, [0.0, 3.0], atol=1e-3)
 
+    def test_outer_minimum_off_argmin_h_pulls_toward_argmin_g(self):
+        # today's behavior, pinned: the decaying weight multiplies the h step,
+        # so where g's own minimizer (1, 3) lies off argmin h = {w1 = 0}, the
+        # iterates move toward it and away from g's pick on argmin h, (0, 3)
+        h = (lambda w: float(0.5 * w[0] ** 2), lambda w: np.array([w[0], 0.0]))
+        g = (lambda w: float(0.5 * (w[0] - 1.0) ** 2 + 0.5 * (w[1] - 3.0) ** 2),
+             lambda w: np.array([w[0] - 1.0, w[1] - 3.0]))
+        w1 = []
+        for K, want in ((100, 0.676), (1000, 0.822), (5000, 0.881)):
+            out = bl.bigsam_standalone(h, g, np.array([5.0, 0.0]), K=K, t=0.1, s=0.1)
+            assert out[0] == pytest.approx(want, abs=1e-3), K
+            assert out[1] == pytest.approx(3.0, abs=1e-2), K
+            w1.append(out[0])
+        assert w1 == sorted(w1) and w1[-1] < 1.0
+
     def test_k_zero_returns_start(self):
         h = (lambda w: 0.0, lambda w: np.zeros(1))
         g = (lambda w: 0.0, lambda w: np.zeros(1))

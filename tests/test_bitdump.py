@@ -1,0 +1,23 @@
+"""The committed digests of ``tools/bitdump.txt`` hold on a fast subset.
+
+Bit identity is a property of every refactor: the quadratics (their
+composed path, their ``replace`` copies on the generic loop, their
+FD-fallback copies and their ``check_suite`` rows) and the command line at
+small budgets must print the committed digest lines.  ``python3
+tools/bitdump.py --check`` compares all of them, the learning problems too.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for path in (str(ROOT / "src"), str(ROOT / "tools")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
+
+import bitdump  # noqa: E402
+
+
+def test_fast_subset_prints_the_committed_digests():
+    differences = bitdump.diff(bitdump.QUADRATICS)
+    assert not differences, "\n".join(differences)

@@ -85,6 +85,38 @@ class TestFdVjp:
             bl.fd_vjp(p, "h11", np.ones(1), np.zeros(1), np.zeros(1), eps=0.0)
 
 
+BAD_STEPS = [float("nan"), float("inf"), 0.0, -1.0]
+
+
+class TestRefereeArguments:
+    """A step or tolerance that is not finite and positive is a usage error.
+
+    It is refused before any probe runs, so that it is never reported as a
+    divergence or passed as a check.
+    """
+
+    @pytest.mark.parametrize("eps", BAD_STEPS)
+    def test_fd_vjp_eps(self, eps):
+        p = scalar_coupled_quadratic()
+        for which in ("h11", "h12"):
+            with pytest.raises(ValueError, match="eps must be finite and positive"):
+                bl.fd_vjp(p, which, np.ones(1), np.zeros(1), np.zeros(1), eps=eps)
+
+    @pytest.mark.parametrize("bad", BAD_STEPS)
+    @pytest.mark.parametrize("name", ["eps", "tol"])
+    def test_validate_first_order_eps_and_tol(self, name, bad):
+        p = scalar_coupled_quadratic()
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            bl.validate_first_order(p, np.array([0.7]), np.array([-0.3]), **{name: bad})
+
+    @pytest.mark.parametrize("eps", BAD_STEPS)
+    def test_hypergradient_fd_oracle_eps(self, eps):
+        p = bl.make_degenerate_quadratic()
+        spec = bl.InnerSolveSpec(K=5, t=0.1, s=0.1)
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            bl.hypergradient_fd_oracle(p, np.array([0.5]), spec, eps=eps)
+
+
 def fallback_vjps(p, a, w, lam):
     """(vjp11_h, vjp12_h, vjp11_g, vjp12_g) at (w, lam), read off the slot-built step's VJPs.
 

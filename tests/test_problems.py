@@ -294,3 +294,44 @@ class TestZooRegistry:
         out = bl.solve_inner(q, lam, basic).final
         np.testing.assert_allclose(out, q.answers["inner_solution_basic"](lam),
                                    atol=1e-3)
+
+
+SLOTS = ("grad1_h", "grad1_g", "grad2_g", "vjp11_h", "vjp12_h", "vjp11_g", "vjp12_g")
+
+
+def same_bytes(x, y):
+    return np.asarray(x, dtype=np.float64).tobytes() == np.asarray(y, dtype=np.float64).tobytes()
+
+
+class TestOneKernelPerQuantity:
+    """Each zoo quantity has one kernel: the quadratics' derivatives come from
+    their spec, and every row value is its stacked kernel at one row."""
+
+    @pytest.mark.parametrize("maker", [bl.make_closedform_quadratic,
+                                       bl.make_degenerate_quadratic])
+    def test_zoo_quadratic_slots_are_the_spec_problems(self, maker):
+        p = maker()
+        q = bl.make_quadratic(p.affine)
+        assert (p.dims, p.g_lambda_free) == (q.dims, q.g_lambda_free)
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            w, a = rng.normal(size=(2, p.inner_dim))
+            lam = rng.normal(size=p.outer_dim)
+            for slot in SLOTS:
+                args = (w, lam) if slot.startswith("grad") else (a, w, lam)
+                assert same_bytes(getattr(p, slot)(*args), getattr(q, slot)(*args)), slot
+
+    @pytest.mark.parametrize("name", bl.ZOO_NAMES)
+    def test_row_values_are_the_stacked_kernels_at_one_row(self, name):
+        p = bl.zoo_problem(name).problem
+        for value, batch in ((p.h_value, p.h_batch), (p.g_value, p.g_batch)):
+            # the row value calls the problem's own stacked kernel
+            assert batch in [cell.cell_contents for cell in value.__closure__ or ()]
+        rng = np.random.default_rng(22)
+        for scale in (0.0, 0.5, 3.0, 1e3):
+            w = rng.normal(0.0, scale, p.inner_dim)
+            lam = rng.normal(0.0, max(scale, 0.5), p.outer_dim)
+            for value, batch in ((p.h_value, p.h_batch), (p.g_value, p.g_batch)):
+                # lam shared by the stack, and lam as a stack of one row
+                assert same_bytes(value(w, lam), batch(w[None], lam))
+                assert same_bytes(value(w, lam), batch(w[None], lam[None]))

@@ -45,6 +45,15 @@ output compares the numbers in its text, an exit code compares exactly
 (``inf`` where they differ).  The sources in OTHER run in a child process:
 
     python3 tools/bitdump.py --rel ../parent/src
+
+``--check`` runs the script and diffs its lines against the committed
+digests in ``tools/bitdump.txt``; it prints the differing lines and exits 1
+if there are any.  ``tests/test_bitdump.py`` runs the same comparison on a
+fast subset: the two quadratics (every copy, and their ``check_suite``
+rows) and the command line.  A change that moves bits on purpose
+regenerates the file, with OpenBLAS on one thread:
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/bitdump.py > tools/bitdump.txt
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import difflib
 import hashlib
 import io
 import json
@@ -63,6 +73,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "tools" / "bitdump.txt"
+# the zoo problems of the fast subset
+QUADRATICS = ("closedform_quadratic", "degenerate_quadratic")
 
 
 def digest(array) -> str:
@@ -76,13 +89,13 @@ def serial(problem):
                                h_batch=None, g_batch=None)
 
 
-def lines():
-    """(label, array) for every number the solver produces on the zoo."""
+def lines(names):
+    """(label, array) for every number the solver produces on the zoo problems ``names``."""
     import numpy as np
     import bilevelopt as bl
     from bilevelopt.bigsam import model_exponent
 
-    for name in bl.ZOO_NAMES:
+    for name in names:
         inst = bl.zoo_problem(name, seed=0)
         d = inst.defaults
         # hyper-cleaning starts at lam = 0, where every sample weighs the
@@ -109,11 +122,11 @@ def lines():
                            bl.hypergradient_fd_oracle(problem, lam, spec))
 
 
-def check_lines():
-    """(label, bytes) per row of each zoo problem's ``check_suite`` report."""
+def check_lines(names):
+    """(label, bytes) per row of the ``check_suite`` report of each zoo problem in ``names``."""
     import bilevelopt as bl
 
-    for name in bl.ZOO_NAMES:
+    for name in names:
         problem = bl.zoo_problem(name, seed=0).problem
         copies = {name: problem}
         if problem.affine is None:
@@ -160,9 +173,12 @@ def cli_lines():
                     yield f"cli {label}/{path.name}", path.read_bytes()
 
 
-def results():
-    yield from lines()
-    yield from check_lines()
+def results(names=None):
+    """Every result on the zoo problems ``names`` (default: all), then the command line's."""
+    if names is None:
+        from bilevelopt import ZOO_NAMES as names
+    yield from lines(names)
+    yield from check_lines(names)
     yield from cli_lines()
 
 
@@ -193,12 +209,28 @@ def relative_deviation(value, other) -> float:
     return float(np.max(np.abs(x - y)) / scale) if scale > 0 else float("inf")
 
 
+def selected(line: str, names) -> bool:
+    """Whether the digest line ``line`` is one that ``results(names)`` prints."""
+    words = line.split()
+    return words[0] in names or words[0] == "cli" or (words[0] == "check" and words[1] in names)
+
+
+def diff(names=None) -> list:
+    """The unified diff of the committed digests of ``names`` (default: all) against a run."""
+    want = [line for line in DIGESTS.read_text().splitlines()
+            if names is None or selected(line, names)]
+    got = [digest_line(label, value) for label, value in results(names)]
+    return list(difflib.unified_diff(want, got, str(DIGESTS), "this run", lineterm=""))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the bilevelopt package to import")
     parser.add_argument("--rel", default=None, metavar="OTHER",
                         help="print each result's relative deviation from OTHER's sources")
+    parser.add_argument("--check", action="store_true",
+                        help="diff a run against tools/bitdump.txt; exit 1 on a difference")
     parser.add_argument("--save", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.rel is not None:
@@ -211,6 +243,10 @@ def main(argv=None) -> int:
     if args.save is not None:
         Path(args.save).write_bytes(pickle.dumps(list(results())))
         return 0
+    if args.check:
+        differences = diff()
+        print("\n".join(differences) or f"every line matches {DIGESTS}")
+        return 1 if differences else 0
     for label, value in results():
         if args.rel is None:
             print(digest_line(label, value), flush=True)
