@@ -14,6 +14,10 @@ merges that class's defaults, then the problem's, then the --config file, then
 data of every command and must be a non-negative integer (5.0 is 5); a solve
 or ablation manifest's ``data.seed`` is its ``config.seed``.
 
+An output path that cannot be created or written is a usage error: the
+command exits 2 with an ``error:`` line that names it.  Each command creates
+its output directory before any work starts.
+
 Exit codes: 0 success, 1 check failure, 2 usage or config error, 3 runtime
 divergence.
 """
@@ -36,8 +40,8 @@ from .data import corrupt_labels, gen_synthetic, load_idx, split
 from .models import SolveConfig, ablation_config, run_model
 from .oracles import check_suite, default_check_configs
 from .problem import OracleDivergence, check_finite_positive
-from .problems import (ZOO_DEFAULTS, ZOO_NAMES, hyperclean_f1_metric, make_hypercleaning,
-                       zoo_problem)
+from .problems import (HYPERCLEAN_DATA, ZOO_DEFAULTS, ZOO_NAMES, hyperclean_f1_metric,
+                       make_hypercleaning, zoo_problem)
 
 __all__ = ["main", "replay_manifest"]
 
@@ -46,7 +50,6 @@ CONFIG_FIELDS = tuple(f for f in fields(SolveConfig) if f.name != "mode")
 CONFIG_KEYS = tuple(f.name for f in CONFIG_FIELDS)
 REQUIRED_KEYS = tuple(f.name for f in CONFIG_FIELDS if f.default is MISSING)
 CONFIG_DEFAULTS = {f.name: f.default for f in CONFIG_FIELDS if f.default is not MISSING}
-CLEAN_DATA = {"d": 10, "C": 2, "margin": 3.0}
 
 
 class CliError(Exception):
@@ -180,9 +183,9 @@ def _run_trace(run: dict, out_dir: Path) -> Optional[str]:
 
 def _clean_dataset(args: dict, seed: int):
     if args["data"] == "synthetic":
-        ds = gen_synthetic(seed, args["ntr"] + args["nval"], CLEAN_DATA["d"], CLEAN_DATA["C"],
-                           CLEAN_DATA["margin"])
-        spec = {"kind": "synthetic", **CLEAN_DATA, "n": len(ds)}
+        data = {k: HYPERCLEAN_DATA[k] for k in ("d", "C", "margin")}
+        ds = gen_synthetic(seed, args["ntr"] + args["nval"], **data)
+        spec = {"kind": "synthetic", **data, "n": len(ds)}
     elif args["data"].startswith("idx:"):
         parts = args["data"][4:].split(",")
         if len(parts) != 2:
@@ -249,7 +252,12 @@ def _run_clean(run: dict, out_dir: Path) -> list:
 
 
 def _execute(run: dict, out_dir: Path) -> int:
-    """Do the work that a run names and return the command's exit code."""
+    """Do the work that a run names and return the command's exit code.
+
+    A run that writes outputs first creates their directory.
+    """
+    if run["outputs"]:
+        out_dir.mkdir(parents=True, exist_ok=True)
     if run["command"] == "check":
         return _run_check(run, out_dir)
     if run["command"] == "clean":
@@ -321,7 +329,7 @@ def _exit_code(work) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleDivergence as exc:
@@ -372,8 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clean", help="hyper-clean a corrupted dataset with both models")
     p.add_argument("--data", default="synthetic", help="synthetic or idx:<images>,<labels>")
     p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--ntr", type=int, default=400)
-    p.add_argument("--nval", type=int, default=400)
+    p.add_argument("--ntr", type=int, default=HYPERCLEAN_DATA["n_tr"])
+    p.add_argument("--nval", type=int, default=HYPERCLEAN_DATA["n_val"])
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)

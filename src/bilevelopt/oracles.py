@@ -24,10 +24,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bigsam import InnerSolveSpec, check_count, model_exponent, solve_inner
+from .bigsam import MODES, InnerSolveSpec, check_count, model_exponent, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
 from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, OracleDivergence, batched,
                       check_finite_positive, default_fd_eps, fd_vjp, validate_first_order)
+from .problems import ZOO_DEFAULTS
 
 __all__ = ["OracleReport", "CheckConfig", "grid_min_oracle", "check_suite",
            "default_check_configs"]
@@ -243,14 +244,22 @@ def check_suite(problem: BilevelProblem, configs: List[CheckConfig]) -> List[Ora
 
 
 def default_check_configs(name: str) -> List[CheckConfig]:
-    """Per-problem check bundles sized so the whole suite stays fast."""
-    if name in ("closedform_quadratic", "degenerate_quadratic"):
-        return [CheckConfig(mode="improved", K=50, run_grid=True),
-                CheckConfig(mode="basic", K=50)]
-    if name == "hyperclean_synthetic":
-        return [CheckConfig(mode="improved", K=20, t=0.01, s=0.001, n_points=5, hg_points=3),
-                CheckConfig(mode="basic", K=20, t=0.01, s=0.001, n_points=5, hg_points=3)]
-    if name == "hyperrep_synthetic":
-        return [CheckConfig(mode="improved", K=10, t=0.01, s=0.01, n_points=3, hg_points=2),
-                CheckConfig(mode="basic", K=10, t=0.01, s=0.01, n_points=3, hg_points=2)]
-    raise KeyError(f"no default check configs for {name!r}")
+    """One check bundle per model, in ``MODES`` order, for a zoo problem.
+
+    Each bundle solves at the problem's ``ZOO_DEFAULTS`` step sizes ``t`` and
+    ``s``; only the inner solve's length and the number of sampled points are
+    set per problem, sized so the whole suite stays fast.  The improved
+    bundle asks for the grid referee, which runs only on a problem of at most
+    two inner and two outer dimensions with an analytic minimum.
+    """
+    sizes = {
+        "closedform_quadratic": dict(K=50, n_points=10, hg_points=5),
+        "degenerate_quadratic": dict(K=50, n_points=10, hg_points=5),
+        "hyperclean_synthetic": dict(K=20, n_points=5, hg_points=3),
+        "hyperrep_synthetic": dict(K=10, n_points=3, hg_points=2),
+    }
+    if name not in sizes:
+        raise KeyError(f"no default check configs for {name!r}")
+    zoo = ZOO_DEFAULTS[name]
+    return [CheckConfig(mode=mode, t=zoo["t"], s=zoo["s"], run_grid=mode == "improved",
+                        **sizes[name]) for mode in MODES]

@@ -14,7 +14,13 @@ Four families, all with analytic first-order gradients and analytic VJPs
 Both quadratics take their seven derivative slots from the
 ``QuadraticBilevelSpec`` they declare, through the one builder that
 ``make_quadratic`` uses, and keep only their own value kernels.  Their specs
-and kernels are built once, at import, and shared by every instance.
+and kernels are built once, at import, and shared by every instance.  All
+three quadratic makers go through one constructor, which declares the spec
+as the problem's affine structure and attaches the answers.
+
+Each zoo problem is described once: its run settings in ``ZOO_DEFAULTS``,
+hyper-cleaning's synthetic data in ``HYPERCLEAN_DATA``, and its instance in
+``zoo_problem``.  The check bundles and the command line read them here.
 
 Losses are plain sums over samples, not means.  Softmax cross-entropy is not
 strongly convex in the weights, so the hyper-cleaning and hyper-representation
@@ -228,6 +234,14 @@ _DEGENERATE_KERNELS = _analytic_kernels(
     g_batch=lambda W, lam: 0.5 * np.square(W[:, 0]) + 0.5 * np.square(W[:, 1] - 1.0))
 
 
+def _affine_problem(name: str, spec: QuadraticBilevelSpec, kernels: dict,
+                    **answers) -> BilevelProblem:
+    """A problem on ``kernels`` that declares ``spec`` as its affine structure, with ``answers``."""
+    p = BilevelProblem(name=name, **kernels, answers=answers)
+    p.affine = spec
+    return p
+
+
 def make_quadratic(spec: QuadraticBilevelSpec, name: str = "quadratic") -> BilevelProblem:
     """Bilevel problem from a quadratic spec, with exact derivatives.
 
@@ -235,13 +249,10 @@ def make_quadratic(spec: QuadraticBilevelSpec, name: str = "quadratic") -> Bilev
     solver and the reverse pass compose its step maps.
     """
     A_h, B_h, d_h, A_g, c_g = spec.A_h, spec.B_h, spec.d_h, spec.A_g, spec.c_g
-    p = BilevelProblem(
-        name=name, **_quadratic_slots(spec),
+    return _affine_problem(name, spec, dict(
+        _quadratic_slots(spec),
         h_value=lambda w, lam: float(0.5 * w @ (A_h @ w) - (B_h @ lam + d_h) @ w),
-        g_value=lambda w, lam: float(0.5 * (w - c_g) @ (A_g @ (w - c_g))),
-    )
-    p.affine = spec
-    return p
+        g_value=lambda w, lam: float(0.5 * (w - c_g) @ (A_g @ (w - c_g)))))
 
 
 def make_closedform_quadratic() -> BilevelProblem:
@@ -250,16 +261,13 @@ def make_closedform_quadratic() -> BilevelProblem:
     The inner minimizer is w = lam, so the exact outer objective is
     f(lam) = lam^2 / 2 with gradient lam, minimized at lam = 0 with value 0.
     """
-    p = BilevelProblem(name="closedform_quadratic", **_CLOSEDFORM_KERNELS)
-    p.affine = _CLOSEDFORM_SPEC
-    p.answers = {
-        "inner_solution": lambda lam: np.array([lam[0]]),
-        "f": lambda lam: 0.5 * lam[0] ** 2,
-        "grad_f": lambda lam: np.array([lam[0]]),
-        "min_f": 0.0,
-        "argmin_f": np.zeros(1),
-    }
-    return p
+    return _affine_problem(
+        "closedform_quadratic", _CLOSEDFORM_SPEC, _CLOSEDFORM_KERNELS,
+        inner_solution=lambda lam: np.array([lam[0]]),
+        f=lambda lam: 0.5 * lam[0] ** 2,
+        grad_f=lambda lam: np.array([lam[0]]),
+        min_f=0.0,
+        argmin_f=np.zeros(1))
 
 
 def make_degenerate_quadratic() -> BilevelProblem:
@@ -270,17 +278,14 @@ def make_degenerate_quadratic() -> BilevelProblem:
     pure inner-gradient solver started at w2 = 0 never moves w2 and lands on
     (lam, 0).  The respective outer minima are 0 and 1/2, both at lam = 0.
     """
-    p = BilevelProblem(name="degenerate_quadratic", **_DEGENERATE_KERNELS)
-    p.affine = _DEGENERATE_SPEC
-    p.answers = {
-        "inner_solution_improved": lambda lam: np.array([lam[0], 1.0]),
-        "inner_solution_basic": lambda lam: np.array([lam[0], 0.0]),
-        "min_f_improved": 0.0,
-        "min_f_basic": 0.5,
-        "argmin_f": np.zeros(1),
-        "formulation_gap": 0.5,
-    }
-    return p
+    return _affine_problem(
+        "degenerate_quadratic", _DEGENERATE_SPEC, _DEGENERATE_KERNELS,
+        inner_solution_improved=lambda lam: np.array([lam[0], 1.0]),
+        inner_solution_basic=lambda lam: np.array([lam[0], 0.0]),
+        min_f_improved=0.0,
+        min_f_basic=0.5,
+        argmin_f=np.zeros(1),
+        formulation_gap=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +713,11 @@ ZOO_DEFAULTS = {
 }
 ZOO_NAMES = tuple(ZOO_DEFAULTS)
 
+# hyper-cleaning's synthetic data: feature dimension, classes, the distance
+# between class centers, and the training/validation split.  The zoo instance
+# and ``bilevelopt clean`` both read it.
+HYPERCLEAN_DATA = {"d": 10, "C": 2, "margin": 3.0, "n_tr": 400, "n_val": 400}
+
 
 @dataclass(frozen=True)
 class ZooInstance:
@@ -724,39 +734,26 @@ class ZooInstance:
 def zoo_problem(name: str, seed: int = 0, rho: float = 0.5) -> ZooInstance:
     """Build a named desk-scale instance deterministically from a seed.
 
-    Its ``defaults`` are a copy of the problem's ``ZOO_DEFAULTS`` entry.
+    Each branch builds only its problem, start point, metric and data spec;
+    ``defaults`` is a copy of the problem's ``ZOO_DEFAULTS`` entry.  An
+    unknown name raises ``KeyError`` before any data is built.  ``rho`` is
+    hyper-cleaning's label-corruption rate, and the other problems ignore it.
     """
+    if name not in ZOO_DEFAULTS:
+        raise KeyError(f"unknown problem {name!r}; known: {', '.join(ZOO_NAMES)}")
+    metric, spec = None, {"kind": "analytic"}
     if name == "closedform_quadratic":
-        return ZooInstance(
-            name=name, problem=make_closedform_quadratic(),
-            lam0=np.array([2.0]),
-            defaults=dict(ZOO_DEFAULTS[name]),
-            metric=None,
-            data_spec={"kind": "analytic"},
-        )
-    if name == "degenerate_quadratic":
-        return ZooInstance(
-            name=name, problem=make_degenerate_quadratic(),
-            lam0=np.array([1.0]),
-            defaults=dict(ZOO_DEFAULTS[name]),
-            metric=None,
-            data_spec={"kind": "analytic"},
-        )
-    if name == "hyperclean_synthetic":
-        spec = {"kind": "synthetic", "n": 1000, "d": 10, "C": 2, "margin": 3.0,
-                "n_tr": 400, "n_val": 400, "rho": rho, "seed": seed}
+        problem, lam0 = make_closedform_quadratic(), np.array([2.0])
+    elif name == "degenerate_quadratic":
+        problem, lam0 = make_degenerate_quadratic(), np.array([1.0])
+    elif name == "hyperclean_synthetic":
+        spec = {"kind": "synthetic", "n": 1000, **HYPERCLEAN_DATA, "rho": rho, "seed": seed}
         ds = gen_synthetic(seed, spec["n"], spec["d"], spec["C"], spec["margin"])
         train, val = split(ds, spec["n_tr"], spec["n_val"], seed)
         train = corrupt_labels(train, rho, seed)
         problem = make_hypercleaning(train, val)
-        return ZooInstance(
-            name=name, problem=problem,
-            lam0=np.zeros(problem.outer_dim),
-            defaults=dict(ZOO_DEFAULTS[name]),
-            metric=hyperclean_f1_metric(train.mask),
-            data_spec=spec,
-        )
-    if name == "hyperrep_synthetic":
+        lam0, metric = np.zeros(problem.outer_dim), hyperclean_f1_metric(train.mask)
+    else:
         spec = {"kind": "synthetic", "n": 1200, "d": 20, "C": 20, "margin": 3.0,
                 "way": 5, "shot": 1, "val_per_class": 10, "n_tasks": 8,
                 "rep_dim": 8, "seed": seed}
@@ -766,10 +763,6 @@ def zoo_problem(name: str, seed: int = 0, rho: float = 0.5) -> ZooInstance:
         problem = make_hyperrep(episodes, spec["rep_dim"])
         lam0 = stream(seed, "lambda0").normal(0.0, 1.0 / np.sqrt(spec["d"]),
                                               spec["d"] * spec["rep_dim"])
-        return ZooInstance(
-            name=name, problem=problem, lam0=lam0,
-            defaults=dict(ZOO_DEFAULTS[name]),
-            metric=hyperrep_accuracy_metric(episodes, spec["rep_dim"]),
-            data_spec=spec,
-        )
-    raise KeyError(f"unknown problem {name!r}; known: {', '.join(ZOO_NAMES)}")
+        metric = hyperrep_accuracy_metric(episodes, spec["rep_dim"])
+    return ZooInstance(name=name, problem=problem, lam0=lam0,
+                       defaults=dict(ZOO_DEFAULTS[name]), metric=metric, data_spec=spec)

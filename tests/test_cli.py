@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import bilevelopt as bl
 import bilevelopt.cli as cli
+from bilevelopt import OracleDivergence
 
 
 def run_cli(*argv):
@@ -107,6 +109,21 @@ class TestSolve:
         configs = [json.loads((tmp_path / f"{stem}.csv.manifest.json").read_text())["config"]
                    for stem in ("short", "full")]
         assert configs[0] == configs[1]
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config"), ("{not json", "cannot read config"),
+        ("[0.1, 0.1]", "config file must hold a JSON object"),
+        ("0.5", "config file must hold a JSON object")], ids=["missing", "not-json", "list",
+                                                             "number"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "c.json"
+        if content is not None:
+            cfg.write_text(content)
+        out = tmp_path / "run.csv"
+        assert run_cli("solve", "--problem", "closedform_quadratic", "--config", str(cfg),
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_unknown_config_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -269,6 +286,16 @@ class TestCheck:
         assert "tol_grad" not in err
         assert not out.exists()
 
+    def test_divergence_in_the_suite_exits_3(self, tmp_path, capsys, monkeypatch):
+        def diverge(problem, configs):
+            raise OracleDivergence("oracle-divergence: planted")
+
+        monkeypatch.setattr(cli, "check_suite", diverge)
+        out = tmp_path / "report.json"
+        assert run_cli("check", "--problem", "closedform_quadratic", "--out", str(out)) == 3
+        assert capsys.readouterr().err == "divergence: oracle-divergence: planted\n"
+        assert not out.exists()
+
 
 class TestAblation:
     def test_files_and_identity_with_solve(self, tmp_path):
@@ -325,6 +352,17 @@ class TestAblation:
     def test_empty_freq_list_exits_2(self, tmp_path):
         assert run_cli("ablation", "--problem", "degenerate_quadratic",
                        "--freqs", "", "--out-dir", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("freqs, message", [
+        ("a,b", "cannot parse frequency list 'a,b'"), ("1.5", "cannot parse frequency list"),
+        ("0", "frequencies must be positive integers"),
+        ("2,-1", "frequencies must be positive integers")])
+    def test_bad_frequency_list_exits_2(self, tmp_path, capsys, freqs, message):
+        out_dir = tmp_path / "abl"
+        assert run_cli("ablation", "--problem", "degenerate_quadratic", "--freqs", freqs,
+                       "--out-dir", str(out_dir)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("argv", [("--freqs", "1,1"), ("--freqs", "5,1,5", "--jobs", "2"),
                                       ("--freqs", "1", "--jobs", "0"),
@@ -433,6 +471,26 @@ class TestClean:
         assert err.startswith("error: idx-short-header") and str(lab) in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("data, message", [
+        ("idx:only_images", "idx data spec must be idx:<images_path>,<labels_path>"),
+        ("idx:a,b,c", "idx data spec must be idx:<images_path>,<labels_path>"),
+        ("mnist", "unknown data source 'mnist' (use synthetic or idx:<paths>)")])
+    def test_bad_data_source_exits_2(self, tmp_path, capsys, data, message):
+        out = tmp_path / "c.csv"
+        assert run_cli("clean", "--data", data, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_synthetic_data_is_the_zoo_problems(self, tmp_path):
+        out = tmp_path / "clean.csv"
+        cfg = write_clean_config(tmp_path / "c.json", K=2, T=1)
+        assert run_cli("clean", "--config", str(cfg), "--out", str(out), "--no-timing") == 0
+        data = json.loads((tmp_path / "clean.csv.summary.json").read_text())["data"]
+        zoo = bl.zoo_problem("hyperclean_synthetic").data_spec
+        # --ntr and --nval default to the zoo problem's split
+        for key in ("d", "C", "margin", "n_tr", "n_val"):
+            assert data[key] == zoo[key], key
+
     def test_bad_rho_exits_2(self, tmp_path):
         assert run_cli("clean", "--rho", "1.5", "--out", str(tmp_path / "x.csv")) == 2
 
@@ -448,6 +506,45 @@ class TestClean:
             assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
         summary = json.loads((tmp_path / "file" / "clean.csv.summary.json").read_text())
         assert summary["data"]["seed"] == summary["config"]["seed"] == 3
+
+
+def output_argv(command, out, tmp_path):
+    """A small run of ``command`` that writes ``out``."""
+    if command == "check":
+        return ["check", "--problem", "closedform_quadratic", "--out", str(out)]
+    if command == "solve":
+        return ["solve", "--problem", "closedform_quadratic", "--out", str(out), "--no-timing",
+                "--config", str(write_config(tmp_path / "c.json", K=5, T=2))]
+    return ["clean", "--ntr", "40", "--nval", "40", "--out", str(out), "--no-timing",
+            "--config", str(write_clean_config(tmp_path / "c.json", K=2, T=1))]
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "clean"])
+class TestOutputDirectory:
+    """A command creates its output directory; a path it cannot write exits 2."""
+
+    def test_missing_directory_is_created(self, tmp_path, command):
+        out = tmp_path / "new" / "deeper" / "out.csv"
+        assert run_cli(*output_argv(command, out, tmp_path)) == 0
+        assert out.exists() and (out.parent / "out.csv.manifest.json").exists()
+
+    def test_directory_under_a_regular_file_exits_2_naming_it(self, tmp_path, capsys,
+                                                               command):
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "sub" / "out.csv"
+        assert run_cli(*output_argv(command, out, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out.parent) in err
+        assert "Traceback" not in err
+
+    def test_output_path_that_is_a_directory_exits_2_naming_it(self, tmp_path, capsys,
+                                                                command):
+        out = tmp_path / "out.csv"
+        out.mkdir()
+        assert run_cli(*output_argv(command, out, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
 
 
 class TestReplay:

@@ -1,0 +1,224 @@
+"""Every check the library makes on its inputs raises, with its own message.
+
+One test per check that no other test reaches: the arrays handed to the
+solver, hand-built tapes and problems, quadratic specs, the data makers and
+the IDX reader and writer.  Each asserts the exception type and a fragment of
+the message.
+"""
+
+import re
+import struct
+
+import numpy as np
+import pytest
+
+import bilevelopt as bl
+from bilevelopt.data import Dataset, Episode, EpisodeSet
+
+SPEC = bl.InnerSolveSpec(K=3, t=0.1, s=0.1)
+
+
+def degenerate():
+    return bl.make_degenerate_quadratic()
+
+
+class TestVectors:
+    """``as_vector`` on lam through ``solve_inner`` and on lam0 through ``run_model``."""
+
+    BAD = [(np.zeros((1, 1)), "must be one-dimensional, got shape (1, 1)"),
+           (np.zeros(2), "must have length 1, got 2"),
+           (np.array([np.nan]), "contains non-finite entries"),
+           (np.array([np.inf]), "contains non-finite entries")]
+
+    @pytest.mark.parametrize("lam, message", BAD)
+    def test_solve_inner_lam(self, lam, message):
+        with pytest.raises(ValueError, match="lam " + re.escape(message)):
+            bl.solve_inner(degenerate(), lam, SPEC)
+
+    @pytest.mark.parametrize("lam0, message", BAD)
+    def test_run_model_lam0(self, lam0, message):
+        config = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=3, T=1)
+        with pytest.raises(ValueError, match="lam0 " + re.escape(message)):
+            bl.run_model(degenerate(), lam0, config)
+
+
+class TestTape:
+    @staticmethod
+    def tape(**kw):
+        fields = dict(iterates=np.zeros((3, 2)), alphas=np.ones(2), t=0.1, s=0.1,
+                      lam=np.zeros(1))
+        fields.update(kw)
+        return bl.Tape(**fields)
+
+    def test_extra_iterate(self):
+        with pytest.raises(ValueError, match="exactly one more iterate than alphas"):
+            self.tape(iterates=np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_vjp_count_other_than_k(self, count):
+        with pytest.raises(ValueError, match="exactly one VJP per step"):
+            self.tape(vjps=(None,) * count)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_iterate(self, value):
+        iterates = np.zeros((3, 2))
+        iterates[1, 0] = value
+        with pytest.raises(ValueError, match="tape contains non-finite entries"):
+            self.tape(iterates=iterates)
+
+
+class TestProblemDimensions:
+    @pytest.mark.parametrize("dims", [(0, 1), (1, 0), (-1, 2)])
+    def test_dimension_below_one(self, dims):
+        zero = lambda w, lam: 0.0  # noqa: E731
+        with pytest.raises(ValueError, match="dimensions must be at least 1"):
+            bl.BilevelProblem(inner_dim=dims[0], outer_dim=dims[1], g_value=zero,
+                              h_value=zero, grad1_g=zero, grad2_g=zero, grad1_h=zero)
+
+
+class TestQuadraticSpec:
+    @staticmethod
+    def spec(**kw):
+        arrays = dict(A_h=np.eye(2), B_h=np.ones((2, 1)), d_h=np.zeros(2), A_g=np.eye(2),
+                      c_g=np.zeros(2))
+        arrays.update(kw)
+        return bl.QuadraticBilevelSpec(**arrays)
+
+    @pytest.mark.parametrize("field, value", [("A_h", np.eye(2)[:, :1]),
+                                              ("A_g", np.eye(3))])
+    def test_non_square_or_mismatched_forms(self, field, value):
+        with pytest.raises(ValueError, match="quadratic forms must be square and matching"):
+            self.spec(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("B_h", np.ones((3, 1))),
+                                              ("d_h", np.zeros(3)),
+                                              ("c_g", np.zeros((2, 1)))])
+    def test_inconsistent_shapes(self, field, value):
+        with pytest.raises(ValueError, match="inconsistent quadratic spec shapes"):
+            self.spec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["A_h", "A_g"])
+    def test_asymmetric_form(self, field):
+        with pytest.raises(ValueError, match="quadratic forms must be symmetric"):
+            self.spec(**{field: np.array([[1.0, 0.5], [0.0, 1.0]])})
+
+
+class TestProblemMakers:
+    def test_hypercleaning_feature_dimensions_differ(self):
+        train = bl.gen_synthetic(0, 20, 4, 2, 3.0)
+        val = bl.gen_synthetic(0, 20, 5, 2, 3.0)
+        with pytest.raises(ValueError, match="train/validation feature dimensions differ"):
+            bl.make_hypercleaning(train, val)
+
+    @staticmethod
+    def episodes(way=2, y_val=(0, 1)):
+        episode = Episode(X_tr=np.zeros((2, 3)), y_tr=np.array([0, 1]),
+                          X_val=np.zeros((2, 3)), y_val=np.array(y_val))
+        return EpisodeSet(episodes=[episode], way=way, shot=1, val_per_class=1)
+
+    def test_hyperrep_rep_dim_zero(self):
+        with pytest.raises(ValueError, match="rep_dim must be at least 1"):
+            bl.make_hyperrep(self.episodes(), 0)
+
+    def test_hyperrep_no_episodes(self):
+        empty = EpisodeSet(episodes=[], way=2, shot=1, val_per_class=1)
+        with pytest.raises(ValueError, match="bad-episode: empty episode set"):
+            bl.make_hyperrep(empty, 2)
+
+    @pytest.mark.parametrize("episodes", [dict(way=1), dict(y_val=(0, 2))],
+                             ids=["train", "val"])
+    def test_hyperrep_label_at_least_way(self, episodes):
+        with pytest.raises(ValueError, match="bad-episode: episode labels exceed way"):
+            bl.make_hyperrep(self.episodes(**episodes), 2)
+
+
+class TestDataset:
+    @pytest.mark.parametrize("X, y, mask", [
+        (np.zeros(3), np.zeros(3, np.int64), np.zeros(3, bool)),
+        (np.zeros((3, 2)), np.zeros(2, np.int64), np.zeros(2, bool)),
+        (np.zeros((3, 2)), np.zeros(3, np.int64), np.zeros(2, bool)),
+    ], ids=["1d-features", "label-count", "mask-count"])
+    def test_inconsistent_shapes(self, X, y, mask):
+        with pytest.raises(ValueError, match="inconsistent dataset shapes"):
+            Dataset(X=X, y=y, mask=mask, C=2)
+
+    def test_non_finite_features(self):
+        with pytest.raises(ValueError, match="features contain non-finite entries"):
+            Dataset(X=np.array([[0.0], [np.nan]]), y=np.zeros(2, np.int64),
+                    mask=np.zeros(2, bool), C=2)
+
+    @pytest.mark.parametrize("y, C", [((0, -1), 2), ((0, 2), 2), ((0, 0), 0)])
+    def test_labels_outside_classes(self, y, C):
+        with pytest.raises(ValueError, match=r"bad-label: labels must lie in \[0, C\)"):
+            Dataset(X=np.zeros((2, 1)), y=np.array(y), mask=np.zeros(2, bool), C=C)
+
+
+class TestSyntheticData:
+    @pytest.mark.parametrize("margin", [0.0, -1.0])
+    def test_margin_not_positive(self, margin):
+        with pytest.raises(ValueError, match="margin must be positive"):
+            bl.gen_synthetic(0, 10, 3, 2, margin)
+
+    def test_fewer_features_than_classes(self):
+        with pytest.raises(ValueError, match="feature dimension 2 cannot place 3 separated"):
+            bl.gen_synthetic(0, 10, 2, 3, 1.0)
+
+    @pytest.mark.parametrize("rho", [-0.1, 1.5, float("nan")])
+    def test_corruption_rate_outside_unit_interval(self, rho):
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):
+            bl.corrupt_labels(bl.gen_synthetic(0, 10, 3, 2, 1.0), rho, 0)
+
+
+IMAGES, LABELS = 0x00000803, 0x00000801
+
+
+class TestIdx:
+    @staticmethod
+    def write(tmp_path, images, labels):
+        (tmp_path / "img").write_bytes(images)
+        (tmp_path / "lab").write_bytes(labels)
+        return tmp_path / "img", tmp_path / "lab"
+
+    def test_image_magic(self, tmp_path):
+        paths = self.write(tmp_path, struct.pack(">IIII", LABELS, 1, 1, 1) + bytes([5]),
+                           struct.pack(">II", LABELS, 1) + bytes([0]))
+        with pytest.raises(ValueError, match="idx-bad-magic: expected 0x00000803 in image file"):
+            bl.load_idx(*paths)
+
+    def test_image_file_truncated(self, tmp_path):
+        paths = self.write(tmp_path, struct.pack(">IIII", IMAGES, 2, 2, 1) + bytes([5, 9, 1]),
+                           struct.pack(">II", LABELS, 2) + bytes([0, 1]))
+        with pytest.raises(ValueError, match="idx-count-mismatch: image file truncated"):
+            bl.load_idx(*paths)
+
+    def test_label_file_truncated(self, tmp_path):
+        paths = self.write(tmp_path, struct.pack(">IIII", IMAGES, 2, 1, 1) + bytes([5, 9]),
+                           struct.pack(">II", LABELS, 2) + bytes([0]))
+        with pytest.raises(ValueError, match="idx-count-mismatch: label file truncated"):
+            bl.load_idx(*paths)
+
+    @staticmethod
+    def dataset(X=None, C=2):
+        X = np.full((2, 4), 0.5) if X is None else X
+        return Dataset(X=X, y=np.array([0, 1]), mask=np.zeros(2, bool), C=C)
+
+    def test_shape_not_matching_features(self, tmp_path):
+        with pytest.raises(ValueError, match="rows\\*cols = 6 does not match feature dim 4"):
+            bl.write_idx(self.dataset(), tmp_path / "img", tmp_path / "lab", rows=2, cols=3)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.1])
+    def test_features_outside_unit_interval(self, tmp_path, value):
+        X = np.full((2, 4), 0.5)
+        X[1, 2] = value
+        with pytest.raises(ValueError, match=r"features must lie in \[0, 1\]"):
+            bl.write_idx(self.dataset(X), tmp_path / "img", tmp_path / "lab")
+
+    def test_labels_beyond_one_byte(self, tmp_path):
+        with pytest.raises(ValueError, match="labels beyond one byte"):
+            bl.write_idx(self.dataset(C=257), tmp_path / "img", tmp_path / "lab")
+        assert not (tmp_path / "img").exists()
+
+
+def test_default_check_configs_unknown_name():
+    with pytest.raises(KeyError, match="no default check configs for 'wat'"):
+        bl.default_check_configs("wat")

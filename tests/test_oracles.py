@@ -9,6 +9,7 @@ import pytest
 
 import bilevelopt as bl
 from bilevelopt.oracles import CheckConfig, OracleReport
+from bilevelopt.problems import ZOO_DEFAULTS
 
 
 class TestGridMinOracle:
@@ -102,6 +103,19 @@ class TestCheckSuite:
         b = bl.check_suite(p, cfg)
         assert [(r.name, r.max_rel_err) for r in a] == [(r.name, r.max_rel_err) for r in b]
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+
+
+class TestDefaultCheckConfigs:
+    @pytest.mark.parametrize("name", bl.ZOO_NAMES)
+    def test_one_bundle_per_model_at_the_zoo_step_sizes(self, name):
+        improved, basic = bl.default_check_configs(name)
+        assert (improved.mode, basic.mode) == bl.bigsam.MODES == ("improved", "basic")
+        zoo = ZOO_DEFAULTS[name]
+        for cfg in (improved, basic):
+            assert (cfg.t, cfg.s) == (zoo["t"], zoo["s"])
+        # the bundles differ in the model and in asking for the grid referee
+        assert improved.run_grid and not basic.run_grid
+        assert dataclasses.replace(basic, mode="improved", run_grid=True) == improved
 
 
 class TestCheckConfigFailsClosed:

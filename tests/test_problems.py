@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bilevelopt as bl
+import bilevelopt.problems as problems
 from bilevelopt.data import corrupt_labels, gen_synthetic, make_episodes, split
 from bilevelopt.problems import sample_losses, sigmoid, softmax
 
@@ -258,6 +259,19 @@ class TestZooRegistry:
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
+            bl.zoo_problem("nonexistent")
+
+    def test_unknown_name_builds_no_data(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("gen_synthetic called")
+
+        # the maker reads its data functions through the module globals, which
+        # the benchmark's traced set-up patches
+        monkeypatch.setattr(problems, "gen_synthetic", refuse)
+        with pytest.raises(AssertionError, match="gen_synthetic called"):
+            bl.zoo_problem("hyperclean_synthetic")
+        with pytest.raises(KeyError, match="unknown problem 'nonexistent'; known: "
+                                           + ", ".join(bl.ZOO_NAMES)):
             bl.zoo_problem("nonexistent")
 
     @pytest.mark.parametrize("name", bl.ZOO_NAMES)

@@ -25,7 +25,9 @@ It then runs the command line in a temporary directory, with small budgets,
 ``ablation --freqs 1,3``, ``clean`` and ``check --problem
 closedform_quadratic``, and prints each command's exit code and the SHA-256
 of every CSV, summary, index and report it wrote.  Manifests are left out:
-their fields may change while the numbers stay.
+their fields may change while the numbers stay.  Each command writes into a
+directory of its own that does not exist yet, so each run also checks that
+the command creates its output directory.
 
 ``--src`` selects the library sources to import (default: ``src/`` next to
 this directory), so two checkouts compare with one command:
@@ -34,9 +36,10 @@ this directory), so two checkouts compare with one command:
 
 The script calls the solver API without a ``mode`` argument, the model
 given as an exponent through ``bilevelopt.bigsam.model_exponent``, so
-``--src`` and ``--rel`` work only against sources of that API.  To compare
-with older sources, run that checkout's own copy of the script on them and
-``diff`` the two outputs: the labels are the same byte for byte.
+``--src`` and ``--rel`` work only against sources of that API, whose
+commands also create their output directories.  To compare with older
+sources, run that checkout's own copy of the script on them and ``diff``
+the two outputs: the labels are the same byte for byte.
 
 ``--rel OTHER`` prints, instead of digests, the same lines with the largest
 relative deviation of each result from the one the sources in OTHER give:
@@ -163,7 +166,6 @@ def cli_lines():
         runs["check"] = ["check", "--problem", "closedform_quadratic",
                          "--out", str(tmp / "check" / "report.json")]
         for label, argv in runs.items():
-            (tmp / label).mkdir()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
