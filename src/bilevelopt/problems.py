@@ -43,7 +43,11 @@ training split alone, exactly as the slots do.  An averaged step stacks the
 two splits as one input with the training samples first, takes one softmax
 over the concatenated logits, scales the residual per column by the step's
 weights and projects it back once; its VJP takes one softmax JVP over the
-same columns.  The weights are recomputed in the VJP, not saved.  A step on
+same columns.  Hyper-cleaning recomputes the weights in the VJP.
+Hyper-representation's averaged step saves them with its probabilities, one
+weight per column, and its VJP scales the softmax response by them once,
+recomputes the weighted residual from the saved probabilities, and takes
+both splits' lam sides in one contraction with the stacked inputs.  A step on
 a stack of lam rows (the finite-difference referee's probes) is value-only
 and runs h and g apart, as the slots do.
 
@@ -540,6 +544,10 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
     Xva2, YvaT = rows_and_targets(Xva, yva)
     n_tr = ytr.shape[1]
     train_cols = np.arange(n_tr + yva.shape[1]) < n_tr
+    # both splits' rows and targets stacked task by task, training samples
+    # first: the averaged step's input, one column per sample
+    Xall2 = np.concatenate((Xtr, Xva), axis=1).reshape(-1, d)
+    YallT = np.concatenate((YtrT, YvaT), axis=-1)
 
     # WT, features, probs and grad take one row or a stack of rows alike
     def WT(w):
@@ -585,9 +593,10 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         out = np.matmul(FT, dP.transpose(0, 2, 1)).ravel()
         return out + 2.0 * rg * a if rg else out
 
-    def lam_part(X2, YT, P, dP, w, a):
+    def lam_part(X2, R, dP, w, a):
+        # R is the residual P - Y, weighted per column as dP is
         M = np.matmul(dP.transpose(0, 2, 1), WT(w))
-        M += np.matmul((P - YT).transpose(0, 2, 1), WT(a))
+        M += np.matmul(R.transpose(0, 2, 1), WT(a))
         return contract_inputs(X2, M)
 
     def linearize(lam):
@@ -603,13 +612,9 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
                 return w_next, None
 
             return stack_step
-        # both splits' features and targets as one task x r x (N_tr + N_val)
-        # input, each split's features laid out as features() lays them out,
-        # training samples first
-        FT = np.concatenate([features(X2, lam).transpose(0, 2, 1) for X2 in (Xtr2, Xva2)],
-                            axis=1).transpose(0, 2, 1)
+        # both splits' features as one task x r x (N_tr + N_val) input
+        FT = features(Xall2, lam)
         FTtr = FT[..., :n_tr]
-        YT = np.concatenate((YtrT, YvaT), axis=-1)
 
         def h_step(w, ta):
             # alpha == 1: the training split alone, as the slots compute it
@@ -618,7 +623,7 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
 
             def vjp(a, omega_side, lam_bar):
                 dP = dprobs(FTtr, P, a)
-                lam_bar += -ta * lam_part(Xtr2, YtrT, P, dP, w, a)
+                lam_bar += -ta * lam_part(Xtr2, P - YtrT, dP, w, a)
                 return a - ta * omega_part(FTtr, dP, a, 0.0) if omega_side else None
 
             return w_next, vjp
@@ -627,21 +632,26 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
             if sb is None:
                 return h_step(w, ta)
             # one softmax over both splits' logits, whose residual, weighted
-            # per column by [ta ; sb], is projected back once; the ridge
+            # per column by c = [ta ; sb], is projected back once; the ridge
             # shrinks w
             shrink = 1.0 - (2.0 * ridge) * sb
+            c = np.where(train_cols, ta, sb)
             P = probs(FT, w)
-            R = P - YT
-            R *= np.where(train_cols, ta, sb)
+            R = P - YallT
+            R *= c
             w_next = shrink * w - np.matmul(FT, R.transpose(0, 2, 1)).ravel()
 
             def vjp(a, omega_side, lam_bar):
+                # dP, weighted once, serves both sides; the weighted residual
+                # is recomputed, not saved, and both splits' lam sides are one
+                # contraction with their stacked inputs
                 dP = dprobs(FT, P, a)
-                lam_bar += -ta * lam_part(Xtr2, YtrT, P[..., :n_tr], dP[..., :n_tr], w, a)
-                lam_bar += -sb * lam_part(Xva2, YvaT, P[..., n_tr:], dP[..., n_tr:], w, a)
+                dP *= c
+                R = P - YallT
+                R *= c
+                lam_bar -= lam_part(Xall2, R, dP, w, a)
                 if not omega_side:
                     return None
-                dP *= np.where(train_cols, ta, sb)
                 return shrink * a - np.matmul(FT, dP.transpose(0, 2, 1)).ravel()
 
             return w_next, vjp
@@ -661,7 +671,7 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         def vjp12(a, w, lam):
             FT = features(X2, lam)
             P = probs(FT, w)
-            return lam_part(X2, YT, P, dprobs(FT, P, a), w, a)
+            return lam_part(X2, P - YT, dprobs(FT, P, a), w, a)
 
         return grad1, vjp11, vjp12
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import bilevelopt as bl
+from bilevelopt.bigsam import InnerSolveSpec, schedule, step_weights
 from bilevelopt.data import corrupt_labels, gen_synthetic, make_episodes, split
 from bilevelopt.problem import fd_vjp
 from bilevelopt.problems import _stack_episodes, sigmoid
@@ -347,6 +348,95 @@ class TestLinearizeHook:
                                                    p.outer_dim)[:3]
             # a^T dPhi = a - ta a^T d1 grad_h - sb a^T d1 grad_g on the omega
             # side, and minus the lam-side terms of both
+            want_omega, want_lam = ta * fd["h11"], -ta * fd["h12"]
+            if sb is not None:
+                want_omega, want_lam = want_omega + sb * fd["g11"], want_lam - sb * fd["g12"]
+            for got, want in ((a - omega_side, want_omega), (lam_side, want_lam)):
+                err = np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
+                assert err < 1e-6, (ta, sb, err)
+
+
+def zoo_hyperrep():
+    return bl.zoo_problem("hyperrep_synthetic")
+
+
+class TestLinearizeHookAccumulates:
+    """The hook's VJP adds its lam side into the caller's ``lam_bar``.
+
+    The reverse pass hands every step's VJP the one running accumulator, so
+    the lam side must be added into what is already there, not written over
+    it: from a random b, the result is b plus the result from zeros, bit for
+    bit, on both step kinds, with and without the omega side.
+    """
+
+    @pytest.mark.parametrize("build", [*LEARNING_BUILDS, "zoo-hyperrep"])
+    def test_vjp_adds_into_a_nonzero_lam_bar(self, build):
+        p = zoo_hyperrep().problem if build == "zoo-hyperrep" else LEARNING_BUILDS[build]()
+        rng = np.random.default_rng(40 + len(build))
+        a, w, lam = random_point(p, rng, scale=0.3)
+        b = rng.normal(0, 1.0, p.outer_dim)
+        for ta, sb in WEIGHTS:
+            _, vjp = p.linearize(lam)(w, ta, sb)
+            for omega_side in (True, False):
+                from_zeros, from_b = np.zeros(p.outer_dim), b.copy()
+                want = vjp(a, omega_side, from_zeros)
+                got = vjp(a, omega_side, from_b)
+                assert_bits(from_b, b + from_zeros)
+                if omega_side:
+                    assert_bits(got, want)
+                else:
+                    assert got is None and want is None
+
+
+class TestLinearizeHookAtZooSize:
+    """The zoo's own hyper-representation (8 tasks, way 5, r 8) on its own schedule.
+
+    The builds above stop at 4 tasks and r 4.  At the weights that
+    ``step_weights`` gives steps 1, 2 and 30 of the zoo's improved schedule
+    (step 1 has alpha == 1), the hook's step and VJP match the slot-built
+    step (bit for bit on an alpha == 1 step, to 1e-12 relative on an
+    averaged one) and the finite-difference VJPs to 1e-6.
+    """
+
+    @staticmethod
+    def zoo_weights(z):
+        t, s, K = z.defaults["t"], z.defaults["s"], z.defaults["K"]
+        weights = step_weights(schedule(InnerSolveSpec(K=K, t=t, s=s)), t, s)
+        return [weights[k - 1] for k in (1, 2, K)]
+
+    def test_zoo_shape(self):
+        z = zoo_hyperrep()
+        assert (z.problem.answers["n_tasks"], z.problem.answers["way"],
+                z.problem.answers["rep_dim"]) == (8, 5, 8)
+        weights = self.zoo_weights(z)
+        assert weights[0][1] is None and all(sb is not None for _, sb in weights[1:])
+
+    def test_step_and_vjp_equal_the_slots(self):
+        z = zoo_hyperrep()
+        p, lam = z.problem, z.lam0
+        rng = np.random.default_rng(50)
+        a, w = rng.normal(0, 0.3, p.inner_dim), rng.normal(0, 0.3, p.inner_dim)
+        for ta, sb in self.zoo_weights(z):
+            same = assert_bits if sb is None else _close
+            got = step_and_vjp(p.linearize(lam), a, w, ta, sb, p.outer_dim)
+            want = step_and_vjp(slot_step(p, lam), a, w, ta, sb, p.outer_dim)
+            for g, v in zip(got, want):
+                if v is None:
+                    assert g is None
+                else:
+                    same(g, v)
+
+    def test_vjp_matches_fd(self):
+        z = zoo_hyperrep()
+        p, lam = z.problem, z.lam0
+        rng = np.random.default_rng(51)
+        a, w = rng.normal(0, 0.3, p.inner_dim), rng.normal(0, 0.3, p.inner_dim)
+        fd = {which: fd_vjp(p, which, a, w, lam,
+                            1e-5 * max(1.0, np.max(np.abs(w if which.endswith("11") else lam))))
+              for which in ("h11", "h12", "g11", "g12")}
+        for ta, sb in self.zoo_weights(z):
+            _, omega_side, lam_side = step_and_vjp(p.linearize(lam), a, w, ta, sb,
+                                                   p.outer_dim)[:3]
             want_omega, want_lam = ta * fd["h11"], -ta * fd["h12"]
             if sb is not None:
                 want_omega, want_lam = want_omega + sb * fd["g11"], want_lam - sb * fd["g12"]
