@@ -22,9 +22,8 @@ from .problems import (QuadraticBilevelSpec, ZooInstance, ZOO_NAMES,
                        make_closedform_quadratic, make_degenerate_quadratic,
                        make_hypercleaning, make_hyperrep, make_quadratic,
                        zoo_problem)
-from .data import (Dataset, Episode, EpisodeSet, corrupt_labels, dataset_to_csv,
-                   f1_score, gen_synthetic, load_idx, make_episodes, split,
-                   write_idx)
+from .data import (Dataset, EpisodeSet, corrupt_labels, dataset_to_csv, f1_score,
+                   gen_synthetic, load_idx, make_episodes, split, write_idx)
 from .oracles import (CheckConfig, OracleReport, check_suite,
                       default_check_configs, grid_min_oracle)
 
@@ -40,7 +39,7 @@ __all__ = [
     "hyperrep_accuracy_metric", "make_closedform_quadratic",
     "make_degenerate_quadratic", "make_hypercleaning", "make_hyperrep",
     "make_quadratic", "zoo_problem",
-    "Dataset", "Episode", "EpisodeSet", "corrupt_labels", "dataset_to_csv",
+    "Dataset", "EpisodeSet", "corrupt_labels", "dataset_to_csv",
     "f1_score", "gen_synthetic", "load_idx", "make_episodes", "split", "write_idx",
     "CheckConfig", "OracleReport", "check_suite", "default_check_configs",
     "grid_min_oracle",

@@ -1,5 +1,9 @@
 """Synthetic datasets, label corruption, episodic tasks, IDX files, metrics.
 
+Episodic tasks arrive stacked: ``make_episodes`` fills an ``EpisodeSet``'s
+four arrays, one per split's inputs and labels with the tasks first, which
+its consumers read whole.
+
 Randomness: every operation derives its own child stream from (seed, op tag)
 through numpy's SeedSequence/PCG64, so results are reproducible bit-exactly
 across platforms and one operation's draws never disturb another's.
@@ -9,13 +13,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 __all__ = [
     "Dataset",
-    "Episode",
     "EpisodeSet",
     "gen_synthetic",
     "corrupt_labels",
@@ -69,24 +72,30 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Episode:
+class EpisodeSet:
+    """Few-shot tasks of one shape, stacked with the tasks first.
+
+    ``X_tr`` is tasks x training samples x d and ``y_tr`` tasks x training
+    samples; ``X_val`` and ``y_val`` hold the validation splits alike.
+    Construction checks that the four shapes agree ("bad-episode").
+    """
+
     X_tr: np.ndarray
     y_tr: np.ndarray
     X_val: np.ndarray
     y_val: np.ndarray
-
-
-@dataclass(frozen=True)
-class EpisodeSet:
-    """Few-shot tasks with identical (way, shot, val_per_class) shape."""
-
-    episodes: List[Episode]
     way: int
-    shot: int
-    val_per_class: int
+
+    def __post_init__(self):
+        shapes = [a.shape for a in (self.X_tr, self.y_tr, self.X_val, self.y_val)]
+        Xt, yt, Xv, yv = shapes
+        if not (len(Xt) == len(Xv) == 3 and yt == Xt[:2] and yv == Xv[:2]
+                and Xt[::2] == Xv[::2]):
+            raise ValueError(f"bad-episode: split shapes {shapes} are not "
+                             f"tasks x samples (x d) with one task count and d")
 
     def __len__(self) -> int:
-        return len(self.episodes)
+        return self.X_tr.shape[0]
 
 
 def gen_synthetic(seed: int, n: int, d: int, C: int, margin: float) -> Dataset:
@@ -147,8 +156,15 @@ def make_episodes(ds: Dataset, way: int, shot: int, val_per_class: int,
     """Sample n_tasks few-shot episodes with per-task labels remapped to [0, way).
 
     Each task draws `way` classes (from those with enough inventory), then
-    shot + val_per_class disjoint samples per class.
+    shot + val_per_class disjoint samples per class: the first `shot` train
+    and the rest validate.  Each split holds its classes in label order,
+    a class's samples in draw order.
     """
+    if min(way, shot, val_per_class) < 1:
+        raise ValueError(f"episode-too-small: way, shot and val_per_class must be at least 1, "
+                         f"got {way}, {shot} and {val_per_class}")
+    if n_tasks < 0:
+        raise ValueError(f"episode-count: n_tasks must be at least 0, got {n_tasks}")
     need = shot + val_per_class
     counts = np.bincount(ds.y, minlength=ds.C)
     eligible = np.flatnonzero(counts >= need)
@@ -157,19 +173,17 @@ def make_episodes(ds: Dataset, way: int, shot: int, val_per_class: int,
             f"episode-infeasible: only {eligible.size} classes have {need} samples, need {way}")
     rng = stream(seed, "make_episodes")
     by_class = {c: np.flatnonzero(ds.y == c) for c in eligible}
-    episodes = []
-    for _ in range(n_tasks):
-        classes = rng.choice(eligible, size=way, replace=False)
-        Xtr, ytr, Xva, yva = [], [], [], []
-        for new_label, c in enumerate(classes):
-            pick = rng.choice(by_class[c], size=need, replace=False)
-            Xtr.append(ds.X[pick[:shot]])
-            ytr.append(np.full(shot, new_label, dtype=np.int64))
-            Xva.append(ds.X[pick[shot:]])
-            yva.append(np.full(val_per_class, new_label, dtype=np.int64))
-        episodes.append(Episode(np.vstack(Xtr), np.concatenate(ytr),
-                                np.vstack(Xva), np.concatenate(yva)))
-    return EpisodeSet(episodes=episodes, way=way, shot=shot, val_per_class=val_per_class)
+    # the sample indices of each task, class by class in label order
+    picks = np.empty((n_tasks, way, need), dtype=np.int64)
+    for task in picks:
+        for row, c in zip(task, rng.choice(eligible, size=way, replace=False)):
+            row[:] = rng.choice(by_class[c], size=need, replace=False)
+    labels = np.arange(way, dtype=np.int64)
+    return EpisodeSet(X_tr=ds.X[picks[..., :shot].reshape(n_tasks, way * shot)],
+                      y_tr=np.tile(np.repeat(labels, shot), (n_tasks, 1)),
+                      X_val=ds.X[picks[..., shot:].reshape(n_tasks, way * val_per_class)],
+                      y_val=np.tile(np.repeat(labels, val_per_class), (n_tasks, 1)),
+                      way=way)
 
 
 def _idx_header(f, fmt: str, path) -> tuple:

@@ -37,6 +37,10 @@ ARGMIN_BAND = 1e-6   # membership band converting the exact argmin set to a grid
 GRID_TOL = 0.05         # grid minimum against the analytic one, absolute
 GRID_RESOLUTION = 401   # grid points per axis
 GRID_HALFWIDTH = 2.0    # every grid axis spans [-GRID_HALFWIDTH, GRID_HALFWIDTH]
+# h evaluations (lam points x omega points) a grid may ask for.  A 2+1 grid at
+# 401 per axis asks for 6.4e7 (a fraction of a second through a stacked
+# h_batch), a 2+2 grid for 2.6e10, which would run for hours
+GRID_BUDGET = 10 ** 8
 
 
 def _worst(errors: list) -> float:
@@ -130,13 +134,19 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
     g on the argmin set alone, each as one stack through ``batched``.  Ties
     break toward the lowest lexicographic grid index, so the reduction is
     deterministic.  A grid lam where h's minimum, or g on a member of the
-    argmin set, is not finite raises ``OracleDivergence``.
+    argmin set, is not finite raises ``OracleDivergence``.  A grid whose h
+    evaluations, resolution**(m + n), exceed ``GRID_BUDGET`` is refused
+    with a ``ValueError`` before any is evaluated.
     """
     n, m = problem.dims
     if n > 2 or m > 2:
         raise ValueError(f"oracle-dim-limit: grid oracle supports at most 2+2 dims, got {n}+{m}")
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
+    count = resolution ** (m + n)
+    if count > GRID_BUDGET:
+        raise ValueError(f"grid-budget: {resolution}^{m} lam points x {resolution}^{n} omega "
+                         f"points make {count} h evaluations, above GRID_BUDGET = {GRID_BUDGET}")
     lam_axes = [np.linspace(lo, hi, resolution) for lo, hi in lam_box]
     om_axes = [np.linspace(lo, hi, resolution) for lo, hi in omega_box]
     om_grid = np.stack([g.ravel() for g in np.meshgrid(*om_axes, indexing="ij")], axis=1)

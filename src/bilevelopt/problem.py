@@ -24,10 +24,11 @@ a^T dPhi/domega, or None unless ``omega_side``.  This is the shape of JAX's
 ``vjp`` of the step, with the lam cotangent accumulated in place so that a
 step built from the slots adds its h and g terms one at a time, as the
 reverse pass always has.  A hook may evaluate h and g in one fused kernel
-per step.  A step on a stack of lam rows (the finite-difference referee's
-probes) is value-only: it saves nothing and returns (w_next, None).
-``linearizer(problem, lam)``, the one way the solver and the reverse pass ask
-for derivatives, returns the hook's step or builds it from the slots.
+per step.  ``linearizer(problem, lam)``, the one way the solver and the
+reverse pass ask for derivatives, returns the hook's step or builds it from
+the slots.  Given a stack of lam rows (the finite-difference referee's
+probes), either step takes a stack of omega rows, and ``linearizer`` makes
+it value-only: it drops the step's VJP and returns (w_next, None).
 
 A problem may also offer stacked oracles, which evaluate a stack of rows in
 one call: ``h_batch``/``g_batch`` for the values and
@@ -149,11 +150,11 @@ class BilevelProblem:
     alpha == 1 it must give bit for bit what the slot-built step gives; an
     averaged step may fuse h and g and so round differently.  A step on one
     lam row returns its VJP.  The hook must also accept a stack of lam rows,
-    and then takes stacks of omega rows; such a step returns None in place of
-    a VJP.  The hook is set after construction and dropped by a ``replace``
-    copy, as ``affine`` is.  ``g_lambda_free`` and the stacked oracles stay
-    init fields because an outside tracer copies problems through
-    ``replace``.
+    and then takes stacks of omega rows; ``linearizer`` drops the VJP such a
+    step returns, so a hook need not make it usable.  The hook is set after
+    construction and dropped by a ``replace`` copy, as ``affine`` is.
+    ``g_lambda_free`` and the stacked oracles stay init fields because an
+    outside tracer copies problems through ``replace``.
     """
 
     inner_dim: int
@@ -328,16 +329,27 @@ def _fd_fallback(problem: BilevelProblem, which: str, a, omega, lam) -> np.ndarr
 def linearizer(problem: BilevelProblem, lam) -> Callable:
     """The averaged step map ``step(w, ta, sb) -> (w_next, vjp)`` of ``problem`` at ``lam``.
 
-    The ``linearize`` hook, else the step built from the slots in the
-    solver's expression order, w - ta*grad1_h - sb*grad1_g (w - ta*grad1_h
-    where ``sb`` is None), with ``batched(problem, "grad1_*_many")`` for a
-    stack of lam rows, where it is value-only.  On one row its vjp keeps
-    only (w, lam) and calls vjp11/vjp12, or their FD fallbacks, when the
-    reverse pass reaches it; it takes no g VJP where ``sb`` is None and no
-    lam side of g when ``g_lambda_free`` is set.
+    The ``linearize`` hook, else the step built from the slots.  This is
+    the one place that makes a step on a stack of lam rows value-only,
+    whichever built it: such a step returns (w_next, None), and whatever
+    the step kept for its VJP is freed on return.
     """
-    if problem.linearize is not None:
-        return problem.linearize(lam)
+    step = (problem.linearize or partial(_slot_step, problem))(lam)
+    if np.ndim(lam) != 2:
+        return step
+    return lambda w, ta, sb: (step(w, ta, sb)[0], None)
+
+
+def _slot_step(problem: BilevelProblem, lam) -> Callable:
+    """The step map of ``linearizer`` built from the slots, on one lam row or a stack.
+
+    It steps in the solver's expression order, w - ta*grad1_h - sb*grad1_g
+    (w - ta*grad1_h where ``sb`` is None), through
+    ``batched(problem, "grad1_*_many")`` on a stack.  Its vjp keeps only
+    (w, lam) and calls vjp11/vjp12, or their FD fallbacks, when the reverse
+    pass reaches it; it takes no g VJP where ``sb`` is None and no lam side
+    of g when ``g_lambda_free`` is set.
+    """
     many = np.ndim(lam) == 2
     grad_h = batched(problem, "grad1_h_many") if many else problem.grad1_h
     grad_g = batched(problem, "grad1_g_many") if many else problem.grad1_g
@@ -351,8 +363,6 @@ def linearizer(problem: BilevelProblem, lam) -> Callable:
             w_next = w - ta * grad_h(w, lam)
         else:
             w_next = w - ta * grad_h(w, lam) - sb * grad_g(w, lam)
-        if many:
-            return w_next, None
 
         def vjp(a, omega_side, lam_bar):
             lam_bar += -ta * h12(a, w, lam)

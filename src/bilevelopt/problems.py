@@ -47,9 +47,14 @@ same columns.  Hyper-cleaning recomputes the weights in the VJP.
 Hyper-representation's averaged step saves them with its probabilities, one
 weight per column, and its VJP scales the softmax response by them once,
 recomputes the weighted residual from the saved probabilities, and takes
-both splits' lam sides in one contraction with the stacked inputs.  A step on
-a stack of lam rows (the finite-difference referee's probes) is value-only
-and runs h and g apart, as the slots do.
+both splits' lam sides in one contraction with the stacked inputs.  Each
+hook binds lam once, for one row or for a stack of rows (the
+finite-difference referee's probes): its alpha == 1 step is one code path
+for both, and its averaged step has the one stack branch, which runs h and
+g apart, as the slots do.  ``linearizer`` makes every stack step
+value-only.  What no step reads of lam, hyper-cleaning's stacked targets
+and hyper-representation's stacked inputs and targets, the makers build
+once.
 
 Both learning problems also give the finite-difference referee stacked
 oracles: ``grad1_h_many``/``grad1_g_many`` and ``h_batch``/``g_batch``.
@@ -66,6 +71,7 @@ value gives its stacked kernel's bits by construction.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -326,6 +332,9 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
     XtrT[:], XvaT[:] = train.X.T, val.X.T
     YtrT = np.ascontiguousarray(_onehot(train.y, C).T)
     YvaT = np.ascontiguousarray(_onehot(val.y, C).T)
+    # the averaged step's targets, stacked as its input is; lam-free, so
+    # built once here
+    YT = np.concatenate((YtrT, YvaT), axis=-1)
     d = train.d
     n = d * C
 
@@ -389,12 +398,7 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
 
     def linearize(lam):
         sig = sigmoid(lam)
-        # a stack of lam rows (the FD referee's probes) is value-only: its
-        # steps save no residual, and its largest array would double if
-        # they did
-        stack = sig.ndim == 2
-        dsig = None if stack else sig * (1.0 - sig)
-        YT = np.concatenate((YtrT, YvaT), axis=-1)
+        dsig = sig * (1.0 - sig)
 
         def weights(ta, sb):
             # the averaged step's per-column weights on the stacked splits,
@@ -406,8 +410,6 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
 
         def h_step(w, ta):
             # alpha == 1: the training split alone, as the slots compute it
-            if stack:
-                return w - ta * h_grad(errors(XtrT, YtrT, w), sig), None
             P = probs(XtrT, w)
 
             def vjp(a, omega_side, lam_bar):
@@ -420,19 +422,22 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
         def step(w, ta, sb):
             if sb is None:
                 return h_step(w, ta)
-            if stack:
-                # bound by memory traffic, not by calls: fused, the largest
-                # array would double, so the two halves run apart, as the
-                # slots run them
-                return (w - ta * h_grad(errors(XtrT, YtrT, w), sig)
-                        - sb * g_grad(errors(XvaT, YvaT, w), w)), None
-            # one softmax over both splits' logits, whose residual, weighted
-            # per column, is back-projected once; the ridge shrinks w
-            shrink = 1.0 - (2.0 * ridge) * sb
-            P = probs(XT, w)
-            R = P - YT
-            R *= weights(ta, sb)
-            w_next = shrink * w - back(XT, R)
+            if lam.ndim == 2:
+                # a stack of lam rows (the FD referee's probes) is bound by
+                # memory traffic, not by calls: fused, its largest array
+                # would double, so h and g run apart, as the slots run them.
+                # Its VJP is never called: ``linearizer`` drops it.
+                w_next = (w - ta * h_grad(errors(XtrT, YtrT, w), sig)
+                          - sb * g_grad(errors(XvaT, YvaT, w), w))
+            else:
+                # one softmax over both splits' logits, whose residual,
+                # weighted per column, is back-projected once; the ridge
+                # shrinks w
+                shrink = 1.0 - (2.0 * ridge) * sb
+                P = probs(XT, w)
+                R = P - YT
+                R *= weights(ta, sb)
+                w_next = shrink * w - back(XT, R)
 
             def vjp(a, omega_side, lam_bar):
                 A = WT(a) @ (XT if omega_side else XtrT)
@@ -500,17 +505,6 @@ def hyperclean_f1_metric(mask: np.ndarray) -> Callable:
 # ---------------------------------------------------------------------------
 # toy hyper-representation
 
-def _stack_episodes(episodes: EpisodeSet):
-    try:
-        Xtr = np.stack([e.X_tr for e in episodes.episodes])
-        Xva = np.stack([e.X_val for e in episodes.episodes])
-        ytr = np.stack([e.y_tr for e in episodes.episodes])
-        yva = np.stack([e.y_val for e in episodes.episodes])
-    except ValueError as exc:
-        raise ValueError(f"bad-episode: episodes are not identically shaped ({exc})") from exc
-    return Xtr, ytr, Xva, yva
-
-
 def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> BilevelProblem:
     """Shared linear representation (outer) with per-task softmax heads (inner).
 
@@ -522,13 +516,15 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
     """
     if rep_dim < 1:
         raise ValueError("rep_dim must be at least 1")
-    if len(episodes) == 0:
-        raise ValueError("bad-episode: empty episode set")
-    Xtr, ytr, Xva, yva = _stack_episodes(episodes)
-    n_tasks, _, d = Xtr.shape
+    # copies: the oracles must not change when the caller's arrays do
+    Xtr, ytr, Xva, yva = (a.copy() for a in (episodes.X_tr, episodes.y_tr,
+                                             episodes.X_val, episodes.y_val))
+    if ytr.size == 0 or yva.size == 0:
+        raise ValueError("bad-episode: empty episode set or split")
+    n_tasks, n_tr, d = Xtr.shape
     way = episodes.way
-    if int(ytr.max()) >= way or int(yva.max()) >= way:
-        raise ValueError("bad-episode: episode labels exceed way")
+    if max(ytr.max(), yva.max()) >= way or min(ytr.min(), yva.min()) < 0:
+        raise ValueError("bad-episode: episode labels exceed way or are negative")
     r = rep_dim
     n = n_tasks * r * way
     m = d * r
@@ -542,10 +538,10 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
 
     Xtr2, YtrT = rows_and_targets(Xtr, ytr)
     Xva2, YvaT = rows_and_targets(Xva, yva)
-    n_tr = ytr.shape[1]
     train_cols = np.arange(n_tr + yva.shape[1]) < n_tr
     # both splits' rows and targets stacked task by task, training samples
-    # first: the averaged step's input, one column per sample
+    # first, one per column of the averaged step: its targets, and the
+    # inputs its VJP contracts the lam side with
     Xall2 = np.concatenate((Xtr, Xva), axis=1).reshape(-1, d)
     YallT = np.concatenate((YtrT, YvaT), axis=-1)
 
@@ -600,21 +596,18 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         return contract_inputs(X2, M)
 
     def linearize(lam):
-        if lam.ndim == 2:
-            # a stack of lam rows (the FD referee's probes) is value-only: h
-            # and g run apart, as the slots run them
-            FTtr, FTva = features(Xtr2, lam), features(Xva2, lam)
+        # each split's features mapped on its own, as the slots map them, for
+        # one lam row or a stack of them: a BLAS may round a row of X @ L
+        # differently by where the row sits in X
+        FTtr, FTva = features(Xtr2, lam), features(Xva2, lam)
 
-            def stack_step(w, ta, sb):
-                w_next = w - ta * grad(FTtr, probs(FTtr, w), YtrT, w, 0.0)
-                if sb is not None:
-                    w_next = w_next - sb * grad(FTva, probs(FTva, w), YvaT, w, ridge)
-                return w_next, None
-
-            return stack_step
-        # both splits' features as one task x r x (N_tr + N_val) input
-        FT = features(Xall2, lam)
-        FTtr = FT[..., :n_tr]
+        @cache
+        def both():
+            # both splits' features as one task x r x (N_tr + N_val) input,
+            # training samples first, laid out as features() lays them out:
+            # built for the first averaged step on one lam row
+            return np.concatenate([F.swapaxes(-1, -2) for F in (FTtr, FTva)],
+                                  axis=-2).swapaxes(-1, -2)
 
         def h_step(w, ta):
             # alpha == 1: the training split alone, as the slots compute it
@@ -631,15 +624,23 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         def step(w, ta, sb):
             if sb is None:
                 return h_step(w, ta)
-            # one softmax over both splits' logits, whose residual, weighted
-            # per column by c = [ta ; sb], is projected back once; the ridge
-            # shrinks w
-            shrink = 1.0 - (2.0 * ridge) * sb
-            c = np.where(train_cols, ta, sb)
-            P = probs(FT, w)
-            R = P - YallT
-            R *= c
-            w_next = shrink * w - np.matmul(FT, R.transpose(0, 2, 1)).ravel()
+            if lam.ndim == 2:
+                # a stack of lam rows (the FD referee's probes): h and g run
+                # apart, as the slots run them.  Its VJP is never called:
+                # ``linearizer`` drops it.
+                w_next = (w - ta * grad(FTtr, probs(FTtr, w), YtrT, w, 0.0)
+                          - sb * grad(FTva, probs(FTva, w), YvaT, w, ridge))
+            else:
+                # one softmax over both splits' logits, whose residual,
+                # weighted per column by c = [ta ; sb], is projected back
+                # once; the ridge shrinks w
+                shrink = 1.0 - (2.0 * ridge) * sb
+                c = np.where(train_cols, ta, sb)
+                FT = both()
+                P = probs(FT, w)
+                R = P - YallT
+                R *= c
+                w_next = shrink * w - np.matmul(FT, R.transpose(0, 2, 1)).ravel()
 
             def vjp(a, omega_side, lam_bar):
                 # dP, weighted once, serves both sides; the weighted residual
@@ -697,9 +698,8 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
 
 def hyperrep_accuracy_metric(episodes: EpisodeSet, rep_dim: int) -> Callable:
     """Mean accuracy on the episodes' validation splits with the current heads."""
-    Xtr, _, Xva, yva = _stack_episodes(episodes)
-    n_tasks, _, d = Xtr.shape
-    way = episodes.way
+    Xva, yva, way = episodes.X_val.copy(), episodes.y_val.copy(), episodes.way
+    n_tasks, _, d = Xva.shape
 
     def metric(omega, lam):
         F = Xva @ lam.reshape(d, rep_dim)

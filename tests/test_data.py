@@ -124,23 +124,22 @@ class TestEpisodes:
         ds = bl.gen_synthetic(0, 600, 12, 12, 3.0)
         eps = bl.make_episodes(ds, way=5, shot=1, val_per_class=10, n_tasks=4, seed=2)
         assert len(eps) == 4
-        for e in eps.episodes:
-            assert e.X_tr.shape == (5, 12)
-            assert e.X_val.shape == (50, 12)
+        assert eps.X_tr.shape == (4, 5, 12) and eps.y_tr.shape == (4, 5)
+        assert eps.X_val.shape == (4, 50, 12) and eps.y_val.shape == (4, 50)
 
     def test_labels_remapped_to_way_range(self):
         ds = bl.gen_synthetic(0, 600, 12, 12, 3.0)
         eps = bl.make_episodes(ds, way=4, shot=2, val_per_class=3, n_tasks=5, seed=3)
-        for e in eps.episodes:
-            assert set(e.y_tr) == set(range(4))
-            assert set(e.y_val) == set(range(4))
+        for y_tr, y_val in zip(eps.y_tr, eps.y_val):
+            assert set(y_tr) == set(range(4))
+            assert set(y_val) == set(range(4))
 
     def test_train_val_disjoint_within_task(self):
         ds = bl.gen_synthetic(0, 400, 10, 8, 3.0)
         eps = bl.make_episodes(ds, way=3, shot=2, val_per_class=4, n_tasks=6, seed=4)
-        for e in eps.episodes:
-            tr_rows = {tuple(r) for r in e.X_tr}
-            assert not any(tuple(r) in tr_rows for r in e.X_val)
+        for X_tr, X_val in zip(eps.X_tr, eps.X_val):
+            tr_rows = {tuple(r) for r in X_tr}
+            assert not any(tuple(r) in tr_rows for r in X_val)
 
     def test_all_classes_deterministic_selection(self):
         ds = bl.gen_synthetic(0, 60, 6, 3, 3.0)
@@ -151,6 +150,7 @@ class TestEpisodes:
         ds = bl.gen_synthetic(0, 60, 6, 3, 3.0)
         eps = bl.make_episodes(ds, 3, 1, 1, 0, 0)
         assert len(eps) == 0
+        assert eps.X_tr.shape == (0, 3, 6) and eps.X_val.shape == (0, 3, 6)
 
     def test_infeasible_inventory(self):
         ds = bl.gen_synthetic(0, 12, 6, 6, 3.0)   # 2 samples per class
@@ -161,9 +161,8 @@ class TestEpisodes:
         ds = bl.gen_synthetic(0, 600, 12, 12, 3.0)
         a = bl.make_episodes(ds, 5, 1, 10, 4, 9)
         b = bl.make_episodes(ds, 5, 1, 10, 4, 9)
-        for ea, eb in zip(a.episodes, b.episodes):
-            assert np.array_equal(ea.X_tr, eb.X_tr)
-            assert np.array_equal(ea.y_val, eb.y_val)
+        for name in ("X_tr", "y_tr", "X_val", "y_val"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestIdx:

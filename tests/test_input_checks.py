@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import bilevelopt as bl
-from bilevelopt.data import Dataset, Episode, EpisodeSet
+from bilevelopt.data import Dataset, EpisodeSet
 
 SPEC = bl.InnerSolveSpec(K=3, t=0.1, s=0.1)
 
@@ -112,21 +112,27 @@ class TestProblemMakers:
 
     @staticmethod
     def episodes(way=2, y_val=(0, 1)):
-        episode = Episode(X_tr=np.zeros((2, 3)), y_tr=np.array([0, 1]),
-                          X_val=np.zeros((2, 3)), y_val=np.array(y_val))
-        return EpisodeSet(episodes=[episode], way=way, shot=1, val_per_class=1)
+        return EpisodeSet(X_tr=np.zeros((1, 2, 3)), y_tr=np.array([[0, 1]]),
+                          X_val=np.zeros((1, 2, 3)), y_val=np.array([y_val]), way=way)
 
     def test_hyperrep_rep_dim_zero(self):
         with pytest.raises(ValueError, match="rep_dim must be at least 1"):
             bl.make_hyperrep(self.episodes(), 0)
 
     def test_hyperrep_no_episodes(self):
-        empty = EpisodeSet(episodes=[], way=2, shot=1, val_per_class=1)
+        empty = EpisodeSet(X_tr=np.zeros((0, 2, 3)), y_tr=np.zeros((0, 2), np.int64),
+                           X_val=np.zeros((0, 2, 3)), y_val=np.zeros((0, 2), np.int64), way=2)
         with pytest.raises(ValueError, match="bad-episode: empty episode set"):
             bl.make_hyperrep(empty, 2)
 
-    @pytest.mark.parametrize("episodes", [dict(way=1), dict(y_val=(0, 2))],
-                             ids=["train", "val"])
+    def test_hyperrep_empty_split(self):
+        empty = EpisodeSet(X_tr=np.zeros((1, 0, 3)), y_tr=np.zeros((1, 0), np.int64),
+                           X_val=np.zeros((1, 2, 3)), y_val=np.array([[0, 1]]), way=2)
+        with pytest.raises(ValueError, match="bad-episode: empty episode set or split"):
+            bl.make_hyperrep(empty, 2)
+
+    @pytest.mark.parametrize("episodes", [dict(way=1), dict(y_val=(0, 2)), dict(y_val=(0, -1))],
+                             ids=["train", "val", "negative"])
     def test_hyperrep_label_at_least_way(self, episodes):
         with pytest.raises(ValueError, match="bad-episode: episode labels exceed way"):
             bl.make_hyperrep(self.episodes(**episodes), 2)
@@ -167,6 +173,31 @@ class TestSyntheticData:
     def test_corruption_rate_outside_unit_interval(self, rho):
         with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):
             bl.corrupt_labels(bl.gen_synthetic(0, 10, 3, 2, 1.0), rho, 0)
+
+
+class TestEpisodes:
+    DS = bl.gen_synthetic(0, 60, 6, 3, 3.0)
+
+    @pytest.mark.parametrize("way, shot, val_per_class", [(0, 1, 1), (3, 0, 1), (3, 1, 0)],
+                             ids=["way", "shot", "val_per_class"])
+    def test_size_below_one(self, way, shot, val_per_class):
+        with pytest.raises(ValueError, match=f"episode-too-small: way, shot and "
+                                             f"val_per_class must be at least 1, got "
+                                             f"{way}, {shot} and {val_per_class}"):
+            bl.make_episodes(self.DS, way, shot, val_per_class, 2, 0)
+
+    def test_negative_task_count(self):
+        with pytest.raises(ValueError, match="episode-count: n_tasks must be at least 0, got -1"):
+            bl.make_episodes(self.DS, 3, 1, 1, -1, 0)
+
+    @pytest.mark.parametrize("field, shape", [("X_tr", (2, 3)), ("y_tr", (1, 3)),
+                                              ("X_val", (1, 2, 4)), ("y_val", (2, 2))])
+    def test_split_shapes_disagree(self, field, shape):
+        arrays = dict(X_tr=np.zeros((1, 2, 3)), y_tr=np.zeros((1, 2), np.int64),
+                      X_val=np.zeros((1, 2, 3)), y_val=np.zeros((1, 2), np.int64))
+        arrays[field] = np.zeros(shape)
+        with pytest.raises(ValueError, match="bad-episode: split shapes"):
+            EpisodeSet(**arrays, way=2)
 
 
 IMAGES, LABELS = 0x00000803, 0x00000801

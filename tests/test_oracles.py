@@ -12,6 +12,12 @@ from bilevelopt.oracles import CheckConfig, OracleReport
 from bilevelopt.problems import ZOO_DEFAULTS
 
 
+def two_by_two_quadratic():
+    """A 2+2 quadratic built by ``make_quadratic``: A_h = A_g = I, B_h = I."""
+    return bl.make_quadratic(bl.QuadraticBilevelSpec(
+        A_h=np.eye(2), B_h=np.eye(2), d_h=np.zeros(2), A_g=np.eye(2), c_g=np.zeros(2)))
+
+
 class TestGridMinOracle:
     def test_degenerate_problem_full_resolution(self):
         p = bl.make_degenerate_quadratic()
@@ -46,6 +52,25 @@ class TestGridMinOracle:
         p = bl.make_closedform_quadratic()
         with pytest.raises(ValueError, match="resolution"):
             bl.grid_min_oracle(p, [(-1, 1)], [(-1, 1)], 2)
+
+    def test_grid_above_the_budget_is_refused_before_any_evaluation(self):
+        def unreachable(*_):
+            raise AssertionError("the grid was evaluated")
+
+        p = dataclasses.replace(two_by_two_quadratic(), h_value=unreachable, g_value=unreachable)
+        with pytest.raises(ValueError, match=r"grid-budget: 401\^2 lam points x 401\^2 omega "
+                                             r"points make 25856961601 h evaluations, above "
+                                             r"GRID_BUDGET = 100000000"):
+            bl.grid_min_oracle(p, [(-2, 2)] * 2, [(-2, 2)] * 2, 401)
+
+    def test_check_suite_refuses_a_two_by_two_grid_at_once(self):
+        # 401 points per axis make 2.6e10 evaluations of h: hours, were
+        # the grid not refused before it starts
+        p = two_by_two_quadratic()
+        p.answers["min_f"] = 0.0
+        cfg = CheckConfig(K=5, n_points=1, hg_points=1, run_grid=True)
+        with pytest.raises(ValueError, match="grid-budget: .* 25856961601 h evaluations"):
+            bl.check_suite(p, [cfg])
 
     def test_deterministic(self):
         p = bl.make_degenerate_quadratic()

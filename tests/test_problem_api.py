@@ -333,3 +333,30 @@ class TestBatchedDefault:
         for row, lam in zip(got, lams):
             want = final_inner_iterate(generic, lam, spec)
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+
+
+class TestStackStepsAreValueOnly:
+    """``linearizer`` makes a step on a stack of lam rows value-only, whoever built it.
+
+    For every zoo problem and its ``replace`` copy (whose step is built from
+    the slots), on an alpha == 1 step and an averaged one: the stack step
+    returns None for its VJP, and each of its rows is the slot-built step at
+    that row, bit for bit.
+    """
+
+    @pytest.mark.parametrize("copy", [False, True], ids=["problem", "replace"])
+    @pytest.mark.parametrize("name", bl.ZOO_NAMES)
+    def test_stack_rows_are_the_slot_steps_without_vjps(self, name, copy):
+        z = bl.zoo_problem(name)
+        slots = dataclasses.replace(z.problem)
+        p = slots if copy else z.problem
+        rng = np.random.default_rng(len(name))
+        lams = z.lam0 + rng.normal(0, 0.3, (3, p.outer_dim))
+        ws = rng.normal(0, 0.3, (3, p.inner_dim))
+        for ta, sb in ((0.7, None), (0.3, 0.4)):
+            got, vjp = bl.linearizer(p, lams)(ws, ta, sb)
+            assert vjp is None
+            assert got.shape == ws.shape
+            for row, w, lam in zip(got, ws, lams):
+                want = bl.linearizer(slots, lam)(w, ta, sb)[0]
+                assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), (ta, sb)

@@ -6,10 +6,10 @@ three-operand einsum contractions for hyper-representation.  Every oracle
 slot of the problems built by ``make_hypercleaning`` and ``make_hyperrep``
 must agree with them to rtol 1e-12 (the array's scale is the floor for
 entries that pass through zero).  The ``linearize`` hook's step map must
-give the slot-built step's results bit for bit on a step with alpha == 1
-and on a stack of lam rows, agree with them to the same rtol on an averaged
-step of one row, where it fuses h and g, and agree with the
-finite-difference VJPs.
+give the slot-built step's results bit for bit on a step with alpha == 1,
+and, through ``linearizer``, on a stack of lam rows; agree with them to the
+same rtol on an averaged step of one row, where it fuses h and g; and agree
+with the finite-difference VJPs.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ import bilevelopt as bl
 from bilevelopt.bigsam import InnerSolveSpec, schedule, step_weights
 from bilevelopt.data import corrupt_labels, gen_synthetic, make_episodes, split
 from bilevelopt.problem import fd_vjp
-from bilevelopt.problems import _stack_episodes, sigmoid
+from bilevelopt.problems import sigmoid
 
 RTOL = 1e-12
 
@@ -116,9 +116,9 @@ class EinsumHyperrep:
     """Hyper-representation with samples along rows and einsum contractions."""
 
     def __init__(self, episodes, rep_dim, ridge=1e-4):
-        self.Xtr, ytr, self.Xva, self.yva = _stack_episodes(episodes)
+        self.Xtr, self.Xva, self.yva = episodes.X_tr, episodes.X_val, episodes.y_val
         way = episodes.way
-        self.Ytr, self.Yva = np.eye(way)[ytr], np.eye(way)[self.yva]
+        self.Ytr, self.Yva = np.eye(way)[episodes.y_tr], np.eye(way)[self.yva]
         self.T, _, self.d = self.Xtr.shape
         self.r, self.way, self.ridge = rep_dim, way, ridge
 
@@ -328,12 +328,32 @@ class TestLinearizeHook:
         ws = rng.normal(0, 0.5, (6, p.inner_dim))
         lams = rng.normal(0, 0.5, (6, p.outer_dim))
         # a stack is bound by memory traffic: the hook runs the halves apart,
-        # and a step on a stack is value-only on both paths
+        # and ``linearizer`` makes a step on a stack value-only on both paths
         for ta, sb in WEIGHTS:
-            got, vjp = p.linearize(lams)(ws, ta, sb)
+            got, vjp = bl.linearizer(p, lams)(ws, ta, sb)
             want, slot_vjp = slot_step(p, lams)(ws, ta, sb)
             assert vjp is None and slot_vjp is None
             assert_bits(got, want)
+
+    def test_hyperrep_keeps_the_slots_bits_at_a_ragged_row_count(self):
+        # the features X @ L of 27 training rows at r = 1: the BLAS rounds
+        # some rows of a matrix-vector product by where they sit in X, so a
+        # training row mapped among both splits' rows can differ from the
+        # same row mapped with its own split, as the slots map it
+        p = bl.make_hyperrep(rep_episodes(way=3, shot=3, vpc=1, tasks=3, d=20), 1)
+        rng = np.random.default_rng(60)
+        for _ in range(20):
+            a, w, lam = random_point(p, rng)
+            got = step_and_vjp(p.linearize(lam), a, w, 0.7, None, p.outer_dim)
+            want = step_and_vjp(slot_step(p, lam), a, w, 0.7, None, p.outer_dim)
+            for g, v in zip(got, want):
+                if v is None:
+                    assert g is None
+                else:
+                    assert_bits(g, v)
+        ws, lams = rng.normal(0, 0.5, (5, p.inner_dim)), rng.normal(0, 0.5, (5, p.outer_dim))
+        for ta, sb in WEIGHTS:
+            assert_bits(bl.linearizer(p, lams)(ws, ta, sb)[0], slot_step(p, lams)(ws, ta, sb)[0])
 
     @pytest.mark.parametrize("build", list(LEARNING_BUILDS))
     def test_bound_vjps_match_fd(self, build):

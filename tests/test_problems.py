@@ -174,15 +174,14 @@ class TestHyperrep:
         lam = np.eye(5).ravel()
         rng = np.random.default_rng(5)
         w = rng.normal(0, 0.4, p.inner_dim)
-        e = eps.episodes[0]
-        Y = np.eye(5)[e.y_tr]
-        direct = sample_losses(e.X_tr @ w.reshape(5, 5), Y).sum()
+        Y = np.eye(5)[eps.y_tr[0]]
+        direct = sample_losses(eps.X_tr[0] @ w.reshape(5, 5), Y).sum()
         assert p.h_value(w, lam) == pytest.approx(direct, rel=1e-12)
 
     def test_zero_representation_gives_log_way_loss(self):
         p, eps = tiny_episode_problem()
         w = np.random.default_rng(6).normal(0, 0.3, p.inner_dim)
-        n_train = sum(len(e.y_tr) for e in eps.episodes)
+        n_train = eps.y_tr.size
         assert p.h_value(w, np.zeros(p.outer_dim)) == pytest.approx(
             n_train * np.log(eps.way), rel=1e-12)
 
@@ -210,14 +209,11 @@ class TestHyperrep:
         assert rep.passed
 
     def test_mismatched_episodes_rejected(self):
-        from bilevelopt.data import Episode, EpisodeSet
-        e1 = Episode(np.zeros((2, 4)), np.array([0, 1]),
-                     np.zeros((3, 4)), np.array([0, 1, 1]))
-        e2 = Episode(np.zeros((3, 4)), np.array([0, 1, 1]),
-                     np.zeros((3, 4)), np.array([0, 1, 1]))
-        bad = EpisodeSet(episodes=[e1, e2], way=2, shot=2, val_per_class=2)
+        # two tasks' training splits against three tasks' validation splits
+        from bilevelopt.data import EpisodeSet
         with pytest.raises(ValueError, match="bad-episode"):
-            bl.make_hyperrep(bad, 2)
+            EpisodeSet(np.zeros((2, 2, 4)), np.zeros((2, 2), np.int64),
+                       np.zeros((3, 3, 4)), np.zeros((3, 3), np.int64), way=2)
 
     def test_accuracy_metric_range_and_determinism(self):
         p, eps = tiny_episode_problem()

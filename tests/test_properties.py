@@ -260,9 +260,9 @@ def test_learning_hook_equals_slot_linearizer_and_fd(case):
             assert err < 1e-6, (sb, err)
         if p.grad1_h_many is not None:
             # a stack of lam rows: the hook against the batched slots, both
-            # value-only
+            # made value-only by ``linearizer``
             ws, lams = rng.normal(0, 0.5, (3, p.inner_dim)), rng.normal(0, 0.5, (3, p.outer_dim))
-            got, vjp = p.linearize(lams)(ws, ta, sb)
+            got, vjp = bl.linearizer(p, lams)(ws, ta, sb)
             want, slot_vjp = bl.linearizer(slots, lams)(ws, ta, sb)
             assert vjp is None and slot_vjp is None
             assert same_bits(got, want), sb

@@ -1,13 +1,17 @@
-"""The names the benchmark reaches into the library by must resolve.
+"""The names the benchmark and the package's users reach the library by must resolve.
 
 ``perfbench/bench.py`` patches library functions through module globals, and
 ``perfbench/spans.py`` copies problems through ``dataclasses.replace`` with
 its ``SLOTS`` as keyword arguments.  A renamed function or field would only
 crash a traced run; these tests catch it in the suite.  The benchmark's
-modules are imported, never changed.
+modules are imported, never changed.  Every name that ``bilevelopt`` and
+each of its modules export in ``__all__`` must be defined there too, or a
+``from ... import *`` fails.
 """
 
 import dataclasses
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -20,6 +24,7 @@ for path in (str(ROOT / "src"), str(ROOT / "perfbench")):
 
 import bench  # noqa: E402
 import spans  # noqa: E402
+import bilevelopt  # noqa: E402
 from bilevelopt import BilevelProblem  # noqa: E402
 
 ENTRIES = bench.SOLVE_ENTRIES + bench.CHECK_ENTRIES + bench.SETUP_ENTRIES
@@ -34,3 +39,14 @@ def test_every_patched_entry_resolves(module, attr):
 def test_every_traced_slot_is_an_init_field():
     init_fields = {f.name for f in dataclasses.fields(BilevelProblem) if f.init}
     assert set(spans.SLOTS) <= init_fields, set(spans.SLOTS) - init_fields
+
+
+MODULES = ["bilevelopt"] + [f"bilevelopt.{m.name}" for m in pkgutil.iter_modules(bilevelopt.__path__)
+                            if m.name != "__main__"]   # importing __main__ runs the CLI
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names {missing}"
