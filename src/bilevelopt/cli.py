@@ -14,9 +14,12 @@ merges that class's defaults, then the problem's, then the --config file, then
 data of every command and must be a non-negative integer (5.0 is 5); a solve
 or ablation manifest's ``data.seed`` is its ``config.seed``.
 
-An output path that cannot be created or written is a usage error: the
-command exits 2 with an ``error:`` line that names it.  Each command creates
-its output directory before any work starts.
+A usage error is raised as a ``ValueError``, and an output path that cannot
+be created or written as an ``OSError``: either exits 2 with an ``error:``
+line that names it.  Each command creates its output directory before any
+work starts.  One runner, ``_records``, runs every model of every command; a
+diverged run keeps its finite records, and its CSV ends with a
+``# truncated`` line.
 
 Exit codes: 0 success, 1 check failure, 2 usage or config error, 3 runtime
 divergence.
@@ -52,12 +55,6 @@ REQUIRED_KEYS = tuple(f.name for f in CONFIG_FIELDS if f.default is MISSING)
 CONFIG_DEFAULTS = {f.name: f.default for f in CONFIG_FIELDS if f.default is not MISSING}
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -66,21 +63,21 @@ def _load_config(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     if not isinstance(raw, dict):
-        raise CliError("config file must hold a JSON object of flat scalar fields")
+        raise ValueError("config file must hold a JSON object of flat scalar fields")
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
-        raise CliError(f"unknown config field {unknown[0]!r}")
+        raise ValueError(f"unknown config field {unknown[0]!r}")
     missing = [k for k in REQUIRED_KEYS if k not in raw]
     if missing:
-        raise CliError(f"missing config field {missing[0]!r}")
+        raise ValueError(f"missing config field {missing[0]!r}")
     return raw
 
 
 def _check_problem(name: str) -> str:
     if name not in ZOO_NAMES:
-        raise CliError(f"unknown problem {name!r}; known: {', '.join(ZOO_NAMES)}")
+        raise ValueError(f"unknown problem {name!r}; known: {', '.join(ZOO_NAMES)}")
     return name
 
 
@@ -103,7 +100,7 @@ def _solve_config(run: dict) -> SolveConfig:
                                 for f in CONFIG_FIELDS}, mode=run.get("model", "improved"))
         return ablation_config(config, run["frequency"]) if "frequency" in run else config
     except (ValueError, TypeError) as exc:
-        raise CliError(f"invalid config: {exc}")
+        raise ValueError(f"invalid config: {exc}")
 
 
 def _write_manifest(out_dir: Path, run: dict) -> None:
@@ -113,20 +110,28 @@ def _write_manifest(out_dir: Path, run: dict) -> None:
     mpath.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _write_trace_csv(path: Path, records, truncated: bool = False) -> None:
+def _write_csv(path: Path, header: str, rows, truncated: bool) -> None:
+    """Write ``header``, one line per row, then ``# truncated`` if the run diverged.
+
+    Each cell is a number at 17 significant digits, which prints an iteration
+    index as its integer; a None cell is empty.
+    """
     with open(path, "w", newline="") as f:
-        f.write("iter,outer_value,grad_norm,metric,wall_ms\n")
-        for r in records:
-            metric = "" if r.metric is None else _fmt(r.metric)
-            f.write(f"{r.index},{_fmt(r.outer_value)},{_fmt(r.grad_norm)},{metric},{_fmt(r.wall_ms)}\n")
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join("" if x is None else _fmt(x) for x in row) + "\n")
         if truncated:
             f.write("# truncated\n")
 
 
-def _partial_records(exc: OracleDivergence) -> list:
-    """The finite records that a diverged ``run_model`` call attached to the error's cause."""
-    partial = getattr(exc.__cause__, "partial_trace", None)
-    return partial.records if partial is not None else []
+def _records(problem, lam0, config: SolveConfig, metric, no_timing: bool):
+    """Run one model: ``(records, None)``, or a diverged run's finite records and its error."""
+    try:
+        return run_model(problem, lam0, config, metric=metric,
+                         collect_timing=not no_timing).records, None
+    except OracleDivergence as exc:
+        partial = getattr(exc.__cause__, "partial_trace", None)
+        return (partial.records if partial is not None else []), exc
 
 
 def _divergence_exit(errors: list) -> int:
@@ -170,15 +175,12 @@ def _run_trace(run: dict, out_dir: Path) -> Optional[str]:
     config = _solve_config(run)
     inst = zoo_problem(_check_problem(run["problem"]), seed=config.seed)
     out = out_dir / run["outputs"][0]
-    error = None
-    try:
-        records = run_model(inst.problem, inst.lam0, config, metric=inst.metric,
-                            collect_timing=not run["no_timing"]).records
-    except OracleDivergence as exc:
-        records, error = _partial_records(exc), f"{out.name}: {exc}"
-    _write_trace_csv(out, records, truncated=error is not None)
+    records, error = _records(inst.problem, inst.lam0, config, inst.metric, run["no_timing"])
+    _write_csv(out, "iter,outer_value,grad_norm,metric,wall_ms",
+               [(r.index, r.outer_value, r.grad_norm, r.metric, r.wall_ms) for r in records],
+               error is not None)
     _write_manifest(out_dir, {**run, "data": inst.data_spec})
-    return error
+    return None if error is None else f"{out.name}: {error}"
 
 
 def _clean_dataset(args: dict, seed: int):
@@ -189,14 +191,14 @@ def _clean_dataset(args: dict, seed: int):
     elif args["data"].startswith("idx:"):
         parts = args["data"][4:].split(",")
         if len(parts) != 2:
-            raise CliError("idx data spec must be idx:<images_path>,<labels_path>")
+            raise ValueError("idx data spec must be idx:<images_path>,<labels_path>")
         try:
             ds = load_idx(parts[0], parts[1])
         except OSError as exc:
-            raise CliError(f"cannot read idx data: {exc}")
+            raise ValueError(f"cannot read idx data: {exc}")
         spec = {"kind": "idx", "images": parts[0], "labels": parts[1]}
     else:
-        raise CliError(f"unknown data source {args['data']!r} (use synthetic or idx:<paths>)")
+        raise ValueError(f"unknown data source {args['data']!r} (use synthetic or idx:<paths>)")
     train, val = split(ds, args["ntr"], args["nval"], seed)
     train = corrupt_labels(train, args["rho"], seed)
     return train, val, spec
@@ -206,7 +208,7 @@ def _run_clean(run: dict, out_dir: Path) -> list:
     """Run both models on one corrupted split; returns the divergence messages."""
     args = run["args"]
     if not 0.0 <= args["rho"] <= 1.0:
-        raise CliError("rho must lie in [0, 1]")
+        raise ValueError("rho must lie in [0, 1]")
     improved = _solve_config(run)
     configs = {"improved": improved, "basic": replace(improved, mode="basic")}
     train, val, data_spec = _clean_dataset(args, improved.seed)
@@ -216,19 +218,13 @@ def _run_clean(run: dict, out_dir: Path) -> list:
 
     records, errors = {}, []
     for mode, config in configs.items():
-        try:
-            records[mode] = run_model(problem, lam0, config, metric=metric,
-                                      collect_timing=not run["no_timing"]).records
-        except OracleDivergence as exc:
-            records[mode] = _partial_records(exc)
-            errors.append(f"{mode} model: {exc}")
+        records[mode], error = _records(problem, lam0, config, metric, run["no_timing"])
+        if error is not None:
+            errors.append(f"{mode} model: {error}")
     out = out_dir / run["outputs"][0]
-    with open(out, "w", newline="") as f:
-        f.write("iter,f1_improved,f1_basic\n")
-        for ri, rb in zip(records["improved"], records["basic"]):
-            f.write(f"{ri.index},{_fmt(ri.metric)},{_fmt(rb.metric)}\n")
-        if errors:
-            f.write("# truncated\n")
+    _write_csv(out, "iter,f1_improved,f1_basic",
+               [(ri.index, ri.metric, rb.metric)
+                for ri, rb in zip(records["improved"], records["basic"])], bool(errors))
     outputs = [out.name]
     if not errors:
         no_positives = int(train.mask.sum()) == 0
@@ -264,7 +260,7 @@ def _execute(run: dict, out_dir: Path) -> int:
         return _divergence_exit(_run_clean(run, out_dir))
     if run["command"] in ("solve", "ablation"):
         return _divergence_exit([_run_trace(run, out_dir)])
-    raise CliError(f"cannot run command {run['command']!r}")
+    raise ValueError(f"cannot run command {run['command']!r}")
 
 
 def cmd_check(args) -> int:
@@ -288,15 +284,15 @@ def cmd_ablation(args) -> int:
     try:
         freqs = [int(x) for x in args.freqs.split(",") if x.strip() != ""]
     except ValueError:
-        raise CliError(f"cannot parse frequency list {args.freqs!r}")
+        raise ValueError(f"cannot parse frequency list {args.freqs!r}")
     if not freqs:
-        raise CliError("frequency list is empty")
+        raise ValueError("frequency list is empty")
     if any(f < 1 for f in freqs):
-        raise CliError("frequencies must be positive integers")
+        raise ValueError("frequencies must be positive integers")
     if len(set(freqs)) != len(freqs):
-        raise CliError(f"frequency list {args.freqs!r} repeats a frequency")
+        raise ValueError(f"frequency list {args.freqs!r} repeats a frequency")
     if args.jobs < 1:
-        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     cells = [{"command": "ablation", "problem": args.problem, "frequency": f, "config": cfg,
               "no_timing": args.no_timing,
               "outputs": ["basic.csv" if f == 0 else f"improved-{f}.csv"]}
@@ -326,9 +322,6 @@ def cmd_clean(args) -> int:
 def _exit_code(work) -> int:
     try:
         return work()
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -351,6 +344,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="bilevel solvers with unrolled hypergradients")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # the flags of every command that runs models
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--config", default=None)
+    runs.add_argument("--seed", type=int, default=None)
+    runs.add_argument("--no-timing", action="store_true")
+
     p = sub.add_parser("check", help="run oracle verifiers on a named problem")
     p.add_argument("--problem", default="all")
     p.add_argument("--tol", type=float, default=None)
@@ -358,34 +357,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("solve", help="run one model on a named problem")
+    p = sub.add_parser("solve", parents=[runs], help="run one model on a named problem")
     p.add_argument("--problem", required=True)
     p.add_argument("--model", choices=("improved", "basic"), default="improved")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("ablation", help="sweep averaging frequencies plus a basic baseline")
+    p = sub.add_parser("ablation", parents=[runs],
+                       help="sweep averaging frequencies plus a basic baseline")
     p.add_argument("--problem", required=True)
     p.add_argument("--freqs", required=True, help="comma-separated distinct positive integers")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_ablation)
 
-    p = sub.add_parser("clean", help="hyper-clean a corrupted dataset with both models")
+    p = sub.add_parser("clean", parents=[runs],
+                       help="hyper-clean a corrupted dataset with both models")
     p.add_argument("--data", default="synthetic", help="synthetic or idx:<images>,<labels>")
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--ntr", type=int, default=HYPERCLEAN_DATA["n_tr"])
     p.add_argument("--nval", type=int, default=HYPERCLEAN_DATA["n_val"])
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_clean)
     return ap
 

@@ -10,10 +10,13 @@ inner argmin set.
 The referee fails closed: a ``CheckConfig`` that samples no point, or
 compares against a tolerance that is not finite and positive, or names an
 inner solve that ``InnerSolveSpec`` rejects, is refused at construction,
-before any check runs.  Every verifier draws its points from its own fixed
-seed.  The reverse-vs-FD solves of an improved config average with the
-solver's default exponent, ``bilevelopt.bigsam.ALPHA_EXPONENT``, and those
-of a basic config with exponent 0 (``bilevelopt.bigsam.model_exponent``).
+before any check runs.  The three sampling checks (first-order, VJP and
+reverse) draw their unit-ball points through one sampler, ``_points``, each
+from its own fixed seed: 0, 1 and 2; one builder, ``_report``, makes their
+reports from the worst per-point error.  The reverse-vs-FD solves of an
+improved config average with the solver's default exponent,
+``bilevelopt.bigsam.ALPHA_EXPONENT``, and those of a basic config with
+exponent 0 (``bilevelopt.bigsam.model_exponent``).
 """
 
 from __future__ import annotations
@@ -41,11 +44,6 @@ GRID_HALFWIDTH = 2.0    # every grid axis spans [-GRID_HALFWIDTH, GRID_HALFWIDTH
 # 401 per axis asks for 6.4e7 (a fraction of a second through a stacked
 # h_batch), a 2+2 grid for 2.6e10, which would run for hours
 GRID_BUDGET = 10 ** 8
-
-
-def _worst(errors: list) -> float:
-    """The largest of the per-point errors, NaN if any is NaN (``max`` would drop it)."""
-    return float(np.max(errors)) if errors else 0.0
 
 
 def _json_safe(value):
@@ -124,6 +122,23 @@ def _unit_ball(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / norm * rng.uniform() ** (1.0 / dim)
 
 
+def _points(seed: int, count: int, *dims: int) -> list:
+    """``count`` tuples of unit-ball points of the sizes ``dims``, drawn in order from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return [tuple(_unit_ball(rng, dim) for dim in dims) for _ in range(count)]
+
+
+def _report(name: str, problem, tol: float, details: list) -> OracleReport:
+    """A sampling check's report: its largest per-point ``rel_err`` against ``tol``.
+
+    The largest is NaN if any error is NaN (``max`` would drop it), so such a
+    report fails.
+    """
+    errors = [d["rel_err"] for d in details]
+    worst = float(np.max(errors)) if errors else 0.0
+    return OracleReport(name, problem.name, worst, tol, worst <= tol, tuple(details))
+
+
 def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
                     resolution: int) -> Tuple[np.ndarray, np.ndarray, float]:
     """Exhaustive bilevel minimum at tiny dimension.
@@ -175,18 +190,12 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
 
 
 def _check_first_order(problem, cfg) -> OracleReport:
-    rng = np.random.default_rng(0)
-    n, m = problem.dims
     details = []
-    for _ in range(cfg.n_points):
-        omega = _unit_ball(rng, n)
-        lam = _unit_ball(rng, m)
+    for omega, lam in _points(0, cfg.n_points, *problem.dims):
         rep = validate_first_order(problem, omega, lam, tol=cfg.tol_grad)
         for gname, (err, _) in rep.entries.items():
             details.append({"gradient": gname, "rel_err": err})
-    worst = _worst([d["rel_err"] for d in details])
-    return OracleReport("first-order-vs-fd", problem.name, worst, cfg.tol_grad,
-                        worst <= cfg.tol_grad, tuple(details))
+    return _report("first-order-vs-fd", problem, cfg.tol_grad, details)
 
 
 def _check_vjps(problem, cfg) -> Optional[OracleReport]:
@@ -194,38 +203,28 @@ def _check_vjps(problem, cfg) -> Optional[OracleReport]:
                 if getattr(problem, attr) is not None]
     if not analytic:
         return None
-    rng = np.random.default_rng(1)
     n, m = problem.dims
     details = []
-    for _ in range(cfg.n_points):
-        omega = _unit_ball(rng, n)
-        lam = _unit_ball(rng, m)
-        a = _unit_ball(rng, n)
+    for omega, lam, a in _points(1, cfg.n_points, n, m, n):
         for attr, which in analytic:
             got = getattr(problem, attr)(a, omega, lam)
             point = omega if which.endswith("11") else lam
             want = fd_vjp(problem, which, a, omega, lam, default_fd_eps(point))
             err = float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
             details.append({"vjp": attr, "rel_err": err})
-    worst = _worst([d["rel_err"] for d in details])
-    return OracleReport("vjp-vs-fd", problem.name, worst, cfg.tol_vjp,
-                        worst <= cfg.tol_vjp, tuple(details))
+    return _report("vjp-vs-fd", problem, cfg.tol_vjp, details)
 
 
 def _check_reverse(problem, cfg) -> OracleReport:
-    rng = np.random.default_rng(2)
     spec = cfg.inner_spec()
     details = []
-    for _ in range(cfg.hg_points):
-        lam = _unit_ball(rng, problem.outer_dim)
+    for (lam,) in _points(2, cfg.hg_points, problem.outer_dim):
         tape = solve_inner(problem, lam, spec)
         got = reverse_hypergradient(problem, tape)
         want = hypergradient_fd_oracle(problem, lam, spec)
         err = float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
         details.append({"mode": cfg.mode, "K": cfg.K, "rel_err": err})
-    worst = _worst([d["rel_err"] for d in details])
-    return OracleReport("reverse-vs-fd-hypergradient", problem.name, worst, cfg.tol_hg,
-                        worst <= cfg.tol_hg, tuple(details))
+    return _report("reverse-vs-fd-hypergradient", problem, cfg.tol_hg, details)
 
 
 def _check_grid(problem, cfg) -> Optional[OracleReport]:

@@ -276,8 +276,7 @@ def make_closedform_quadratic() -> BilevelProblem:
         inner_solution=lambda lam: np.array([lam[0]]),
         f=lambda lam: 0.5 * lam[0] ** 2,
         grad_f=lambda lam: np.array([lam[0]]),
-        min_f=0.0,
-        argmin_f=np.zeros(1))
+        min_f=0.0)
 
 
 def make_degenerate_quadratic() -> BilevelProblem:
@@ -294,7 +293,6 @@ def make_degenerate_quadratic() -> BilevelProblem:
         inner_solution_basic=lambda lam: np.array([lam[0], 0.0]),
         min_f_improved=0.0,
         min_f_basic=0.5,
-        argmin_f=np.zeros(1),
         formulation_gap=0.5)
 
 
@@ -485,8 +483,6 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
         "train_losses": train_losses,
         # dh/dlam_i = sigmoid'(lam_i) * loss_i(w)
         "grad2_h": lambda w, lam: sigmoid(lam) * (1.0 - sigmoid(lam)) * train_losses(w),
-        "mask": train.mask.copy(),
-        "ridge": ridge,
     }
     return p
 
@@ -692,7 +688,7 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         grad1_h_many=grad1_h, grad1_g_many=grad1_g,
     )
     p.linearize = linearize
-    p.answers = {"n_tasks": n_tasks, "rep_dim": r, "way": way, "ridge": ridge}
+    p.answers = {"n_tasks": n_tasks, "rep_dim": r, "way": way}
     return p
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, file formats, byte-level determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -431,6 +432,32 @@ class TestClean:
         manifest = json.loads((tmp_path / "clean.csv.manifest.json").read_text())
         assert manifest["outputs"] == ["clean.csv"]
 
+    def test_one_diverged_model_truncates_the_csv_and_names_only_that_model(
+            self, tmp_path, capsys, monkeypatch):
+        real = cli.run_model
+
+        def basic_overflows(problem, lam0, config, **kw):
+            if config.mode == "basic":
+                config = dataclasses.replace(config, t=OVERFLOW["t"], s=OVERFLOW["s"],
+                                             eta=OVERFLOW["eta"])
+            return real(problem, lam0, config, **kw)
+
+        monkeypatch.setattr(cli, "run_model", basic_overflows)
+        out = tmp_path / "clean.csv"
+        code = run_cli("clean", "--rho", "0.5", "--ntr", "40", "--nval", "40",
+                       "--config", str(write_clean_config(tmp_path / "c.json")),
+                       "--out", str(out), "--no-timing")
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("divergence: basic model: outer iteration 0: ")
+        # rows stop at the basic run's one finite record
+        lines = out.read_text().splitlines()
+        assert lines[0] == "iter,f1_improved,f1_basic" and lines[-1] == "# truncated"
+        assert [line.split(",")[0] for line in lines[1:-1]] == ["0"]
+        assert not (tmp_path / "clean.csv.summary.json").exists()
+        manifest = json.loads((tmp_path / "clean.csv.manifest.json").read_text())
+        assert manifest["outputs"] == ["clean.csv"]
+
     @pytest.mark.parametrize("flag", ["--ntr", "--nval"])
     @pytest.mark.parametrize("count", ["-5", "0"])
     def test_split_count_below_one_exits_2(self, tmp_path, capsys, flag, count):
@@ -508,6 +535,29 @@ class TestClean:
         assert summary["data"]["seed"] == summary["config"]["seed"] == 3
 
 
+class TestRunFlags:
+    """solve, ablation and clean share --config, --seed and --no-timing; check has --seed alone."""
+
+    REQUIRED = {"solve": ["--problem", "closedform_quadratic", "--out", "x.csv"],
+                "ablation": ["--problem", "closedform_quadratic", "--freqs", "1",
+                             "--out-dir", "x"],
+                "clean": ["--out", "x.csv"]}
+
+    @pytest.mark.parametrize("command", ["solve", "ablation", "clean"])
+    def test_model_run_commands_take_each_shared_flag(self, command):
+        parse = cli._build_parser().parse_args
+        args = parse([command, *self.REQUIRED[command], "--config", "c.json", "--seed", "4",
+                      "--no-timing"])
+        assert (args.config, args.seed, args.no_timing) == ("c.json", 4, True)
+        args = parse([command, *self.REQUIRED[command]])
+        assert (args.config, args.seed, args.no_timing) == (None, None, False)
+
+    @pytest.mark.parametrize("flag", [["--config", "c.json"], ["--no-timing"]])
+    def test_check_rejects_the_model_run_flags(self, capsys, flag):
+        assert run_cli("check", "--problem", "closedform_quadratic", *flag) == 2
+        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+
+
 def output_argv(command, out, tmp_path):
     """A small run of ``command`` that writes ``out``."""
     if command == "check":
@@ -582,6 +632,12 @@ class TestReplay:
                        "--config", str(cfg), "--out", str(tmp_path / "clean.csv"),
                        "--no-timing") == 0
         self.assert_replays_exactly(tmp_path / "clean.csv.manifest.json")
+
+    def test_unknown_command_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "run.manifest.json"
+        manifest.write_text(json.dumps({"command": "train", "outputs": []}))
+        assert cli.replay_manifest(manifest) == 2
+        assert capsys.readouterr().err == "error: cannot run command 'train'\n"
 
     def test_check_with_seed_flag(self, tmp_path):
         assert run_cli("check", "--problem", "closedform_quadratic", "--seed", "3",

@@ -399,3 +399,13 @@ def test_grid_reads_g_on_the_argmin_set_with_the_whole_grid_bits(case):
     want = whole_grid_min(p, box * m, box * n, resolution)
     for x, y in zip(got, want):
         assert same_bits(x, y), (got, want)
+
+
+def test_the_suite_draws_derandomized_and_the_sweep_does_not(pytestconfig):
+    # the suite's profile fixes every draw; the sweep profile differs only in
+    # drawing from --hypothesis-seed
+    suite, sweep = settings.get_profile("reproducible"), settings.get_profile("sweep")
+    assert suite.derandomize and not sweep.derandomize
+    assert (sweep.deadline, sweep.database) == (suite.deadline, suite.database)
+    if pytestconfig.getoption("hypothesis_profile") is None:
+        assert settings.default.derandomize
