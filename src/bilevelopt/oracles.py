@@ -7,16 +7,22 @@ value-only difference quotient of f_K, and (at tiny dimension) the whole
 bilevel minimum against an exhaustive grid that literally enumerates the
 inner argmin set.
 
+Only the reverse-vs-FD check reads a model (its mode, K, t and s); the
+first-order, VJP and grid checks read the problem alone.  A config runs
+those model-free checks only when its ``model_free`` flag is set, so that a
+bundle of one config per model asks for each of them once:
+``default_check_configs`` sets it on the improved bundle alone.
+
 The referee fails closed: a ``CheckConfig`` that samples no point, or
 compares against a tolerance that is not finite and positive, or names an
-inner solve that ``InnerSolveSpec`` rejects, is refused at construction,
-before any check runs.  The three sampling checks (first-order, VJP and
-reverse) draw their unit-ball points through one sampler, ``_points``, each
-from its own fixed seed: 0, 1 and 2; one builder, ``_report``, makes their
-reports from the worst per-point error.  The reverse-vs-FD solves of an
-improved config average with the solver's default exponent,
-``bilevelopt.bigsam.ALPHA_EXPONENT``, and those of a basic config with
-exponent 0 (``bilevelopt.bigsam.model_exponent``).
+inner solve that ``InnerSolveSpec`` rejects, or whose ``model_free`` is not
+a bool, is refused at construction, before any check runs.  The three
+sampling checks (first-order, VJP and reverse) draw their unit-ball points
+through one sampler, ``_points``, each from its own fixed seed: 0, 1 and 2;
+one builder, ``_report``, makes their reports from the worst per-point
+error.  The reverse-vs-FD solves of an improved config average with the
+solver's default exponent, ``bilevelopt.bigsam.ALPHA_EXPONENT``, and those
+of a basic config with exponent 0 (``bilevelopt.bigsam.model_exponent``).
 """
 
 from __future__ import annotations
@@ -84,10 +90,15 @@ class OracleReport:
 class CheckConfig:
     """One bundle of checks: sampling, inner-solve constants, tolerances.
 
+    Every config runs the reverse-vs-FD check, the one check that reads its
+    model.  ``model_free`` (default True) adds the checks that read no model:
+    first-order, VJP, and the grid where it applies.
+
     A config that would check nothing, or check against nothing, is rejected
     at construction: ``n_points`` and ``hg_points`` must be at least 1, each
-    tolerance finite and positive, and ``mode``, ``K``, ``t`` and ``s`` must
-    make the ``inner_spec`` of the reverse-vs-FD check.
+    tolerance finite and positive, ``mode``, ``K``, ``t`` and ``s`` must
+    make the ``inner_spec`` of the reverse-vs-FD check, and ``model_free``
+    must be a bool.
     """
 
     n_points: int = 10
@@ -99,13 +110,15 @@ class CheckConfig:
     tol_grad: float = 1e-6
     tol_vjp: float = 1e-4
     tol_hg: float = 1e-4
-    run_grid: bool = False
+    model_free: bool = True
 
     def __post_init__(self):
         for name in ("n_points", "hg_points"):
             object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
         for name in ("tol_grad", "tol_vjp", "tol_hg"):
             check_finite_positive(name, getattr(self, name))
+        if not isinstance(self.model_free, bool):
+            raise ValueError(f"model_free must be a bool, got {self.model_free!r}")
         self.inner_spec()   # rejects a bad mode, K, t or s
 
     def inner_spec(self) -> InnerSolveSpec:
@@ -229,7 +242,7 @@ def _check_reverse(problem, cfg) -> OracleReport:
 
 def _check_grid(problem, cfg) -> Optional[OracleReport]:
     n, m = problem.dims
-    if n > 2 or m > 2 or not cfg.run_grid:
+    if n > 2 or m > 2 or not cfg.model_free:
         return None
     analytic_min = problem.answers.get("min_f_improved", problem.answers.get("min_f"))
     if analytic_min is None:
@@ -242,11 +255,17 @@ def _check_grid(problem, cfg) -> Optional[OracleReport]:
 
 
 def check_suite(problem: BilevelProblem, configs: List[CheckConfig]) -> List[OracleReport]:
-    """Run every applicable verifier for each config; failures are report rows."""
+    """Run every applicable verifier for each config; failures are report rows.
+
+    Each config runs the reverse-vs-FD check.  A ``model_free`` config runs,
+    in this order, the first-order, VJP, reverse-vs-FD and grid checks.
+    """
     reports: List[OracleReport] = []
     for cfg in configs:
-        for rep in (_check_first_order(problem, cfg), _check_vjps(problem, cfg),
-                    _check_reverse(problem, cfg), _check_grid(problem, cfg)):
+        checks = ((_check_first_order, _check_vjps, _check_reverse, _check_grid)
+                  if cfg.model_free else (_check_reverse,))
+        for check in checks:
+            rep = check(problem, cfg)
             if rep is not None:
                 reports.append(rep)
     return reports
@@ -258,8 +277,11 @@ def default_check_configs(name: str) -> List[CheckConfig]:
     Each bundle solves at the problem's ``ZOO_DEFAULTS`` step sizes ``t`` and
     ``s``; only the inner solve's length and the number of sampled points are
     set per problem, sized so the whole suite stays fast.  The improved
-    bundle asks for the grid referee, which runs only on a problem of at most
-    two inner and two outer dimensions with an analytic minimum.
+    bundle alone is ``model_free``: it runs the first-order and VJP checks,
+    and the grid referee on a problem of at most two inner and two outer
+    dimensions with an analytic minimum.  The basic bundle runs only the
+    reverse-vs-FD check, since the others would repeat the improved
+    bundle's bit for bit.
     """
     sizes = {
         "closedform_quadratic": dict(K=50, n_points=10, hg_points=5),
@@ -270,5 +292,5 @@ def default_check_configs(name: str) -> List[CheckConfig]:
     if name not in sizes:
         raise KeyError(f"no default check configs for {name!r}")
     zoo = ZOO_DEFAULTS[name]
-    return [CheckConfig(mode=mode, t=zoo["t"], s=zoo["s"], run_grid=mode == "improved",
+    return [CheckConfig(mode=mode, t=zoo["t"], s=zoo["s"], model_free=mode == "improved",
                         **sizes[name]) for mode in MODES]

@@ -65,7 +65,10 @@ would round them differently.
 
 Every zoo problem has one kernel per value: ``h_value``/``g_value`` are its
 ``h_batch``/``g_batch`` on a stack of one row (``_row_value``), so a row
-value gives its stacked kernel's bits by construction.
+value gives its stacked kernel's bits by construction.  So does every
+``make_quadratic`` problem.  Its stacked values sum each quadratic form
+column by column (``_half_forms``), with no matmul, so a row of a stack of
+any height gets its row value's bits.
 """
 
 from __future__ import annotations
@@ -252,17 +255,46 @@ def _affine_problem(name: str, spec: QuadraticBilevelSpec, kernels: dict,
     return p
 
 
+def _half_forms(W: np.ndarray, A: np.ndarray, offset=None) -> np.ndarray:
+    """w'Aw / 2 - offset'w for each row w of the (B, n) stack W, with A symmetric.
+
+    ``offset`` is None (zero), one (n,) row or a (B, n) stack.  The sum runs
+    over the columns, sum_i w_i (A_ii w_i / 2 + sum_{j>i} A_ij w_j - offset_i),
+    so every operation is elementwise and a row gets the same bits on a stack
+    of any height; a matmul would pick its BLAS kernel by the stack's height,
+    and round differently.
+    """
+    n = W.shape[1]
+    total = None
+    for i in range(n):
+        u = (0.5 * A[i, i]) * W[:, i]
+        for j in range(i + 1, n):
+            u += A[i, j] * W[:, j]
+        if offset is not None:
+            u -= offset[..., i]
+        u *= W[:, i]
+        total = u if total is None else total + u
+    return total
+
+
 def make_quadratic(spec: QuadraticBilevelSpec, name: str = "quadratic") -> BilevelProblem:
     """Bilevel problem from a quadratic spec, with exact derivatives.
 
     The problem declares the spec as its affine structure, so the inner
-    solver and the reverse pass compose its step maps.
+    solver and the reverse pass compose its step maps.  Its stacked values
+    take lam as one row or as a (B, m) stack, and its row values are them on
+    a stack of one row.
     """
     A_h, B_h, d_h, A_g, c_g = spec.A_h, spec.B_h, spec.d_h, spec.A_g, spec.c_g
-    return _affine_problem(name, spec, dict(
-        _quadratic_slots(spec),
-        h_value=lambda w, lam: float(0.5 * w @ (A_h @ w) - (B_h @ lam + d_h) @ w),
-        g_value=lambda w, lam: float(0.5 * (w - c_g) @ (A_g @ (w - c_g)))))
+
+    def h_batch(W, lam):
+        offset = d_h   # B_h lam + d_h, elementwise over lam's entries: a row or a stack
+        for j in range(B_h.shape[1]):
+            offset = offset + B_h[:, j] * lam[..., j, None]
+        return _half_forms(W, A_h, offset)
+
+    return _affine_problem(name, spec, _analytic_kernels(
+        spec, h_batch, lambda W, lam: _half_forms(W - c_g, A_g)))
 
 
 def make_closedform_quadratic() -> BilevelProblem:

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file formats, byte-level determinism."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -267,6 +268,9 @@ class TestCheck:
         assert doc["all_pass"]
         problems = {r["problem"] for r in doc["reports"]}
         assert len(problems) == 4
+        # no check runs twice: every row differs from every other
+        for a, b in itertools.combinations(doc["reports"], 2):
+            assert a != b, a
 
     def test_unattainable_tolerance_exits_1(self):
         assert run_cli("check", "--problem", "closedform_quadratic",

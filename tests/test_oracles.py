@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 import bilevelopt as bl
+from bilevelopt import oracles
 from bilevelopt.oracles import CheckConfig, OracleReport
 from bilevelopt.problems import ZOO_DEFAULTS
 
@@ -68,7 +70,7 @@ class TestGridMinOracle:
         # the grid not refused before it starts
         p = two_by_two_quadratic()
         p.answers["min_f"] = 0.0
-        cfg = CheckConfig(K=5, n_points=1, hg_points=1, run_grid=True)
+        cfg = CheckConfig(K=5, n_points=1, hg_points=1, model_free=True)
         with pytest.raises(ValueError, match="grid-budget: .* 25856961601 h evaluations"):
             bl.check_suite(p, [cfg])
 
@@ -126,8 +128,69 @@ class TestCheckSuite:
         cfg = [CheckConfig(K=15, hg_points=2, n_points=3)]
         a = bl.check_suite(p, cfg)
         b = bl.check_suite(p, cfg)
+        # a bare config runs every check, the grid too on this 2+1 problem
+        assert [r.name for r in a] == ["first-order-vs-fd", "vjp-vs-fd",
+                                       "reverse-vs-fd-hypergradient", "grid-min-vs-analytic"]
         assert [(r.name, r.max_rel_err) for r in a] == [(r.name, r.max_rel_err) for r in b]
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+
+
+def drawn_two_plus_one():
+    """A drawn 2+1 ``make_quadratic`` problem with its closed-form minimum as ``min_f``.
+
+    A_h is positive definite, so the inner minimizer is unique,
+    w(lam) = A_h^-1 (B_h lam + d_h) = u lam + v + c_g, and the outer
+    objective 1/2 (u lam + v)' A_g (u lam + v) is least at
+    lam = -u'A_g v / u'A_g u.
+    """
+    rng = np.random.default_rng(0)
+    M, N = rng.normal(0, 0.5, (2, 2, 2))
+    A_h, A_g = M @ M.T + np.eye(2), N @ N.T + np.eye(2)
+    B_h, d_h, c_g = rng.normal(0, 0.5, (2, 1)), rng.normal(0, 0.3, 2), rng.normal(0, 0.3, 2)
+    u, v = np.linalg.solve(A_h, B_h[:, 0]), np.linalg.solve(A_h, d_h) - c_g
+    lam = -(u @ A_g @ v) / (u @ A_g @ u)
+    # the minimizer lies well inside the grid's box
+    assert abs(lam) < 1.5 and np.all(np.abs(u * lam + v + c_g) < 1.5)
+    p = bl.make_quadratic(bl.QuadraticBilevelSpec(A_h=A_h, B_h=B_h, d_h=d_h, A_g=A_g, c_g=c_g),
+                          name="drawn")
+    p.answers["min_f"] = 0.5 * (v @ A_g @ v - (u @ A_g @ v) ** 2 / (u @ A_g @ u))
+    return p
+
+
+class TestModelFreeChecks:
+    """Only the reverse-vs-FD check reads a model; the others run once per problem."""
+
+    def test_drawn_two_plus_one_quadratic_runs_its_grid_in_under_a_second(self):
+        # the grid evaluates h 401^3 times, through the stacked h_batch;
+        # row by row it took about 11 minutes.  CPU time, so that other
+        # processes on the machine do not count
+        p = drawn_two_plus_one()
+        started = time.process_time()
+        reports = bl.check_suite(p, [CheckConfig(K=20, n_points=2, hg_points=1)])
+        elapsed = time.process_time() - started
+        assert [r.name for r in reports][-1] == "grid-min-vs-analytic"
+        assert all(r.passed for r in reports), [r.to_dict() for r in reports]
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("name", ["closedform_quadratic", "degenerate_quadratic"])
+    def test_the_basic_bundle_runs_the_reverse_check_alone(self, name):
+        basic = bl.default_check_configs(name)[1]
+        reports = bl.check_suite(bl.zoo_problem(name).problem, [basic])
+        assert [r.name for r in reports] == ["reverse-vs-fd-hypergradient"]
+        assert reports[0].passed
+        assert {d["mode"] for d in reports[0].details} == {"basic"}
+
+    @pytest.mark.parametrize("name", bl.ZOO_NAMES)
+    def test_each_check_is_asked_for_once_per_problem(self, name, monkeypatch):
+        # stand-ins record what each default bundle asks for, without running it
+        asked = []
+        for check in ("_check_first_order", "_check_vjps", "_check_reverse", "_check_grid"):
+            monkeypatch.setattr(oracles, check,
+                                lambda problem, cfg, check=check: asked.append((check, cfg.mode)))
+        assert bl.check_suite(bl.zoo_problem(name).problem, bl.default_check_configs(name)) == []
+        assert asked == [("_check_first_order", "improved"), ("_check_vjps", "improved"),
+                         ("_check_reverse", "improved"), ("_check_grid", "improved"),
+                         ("_check_reverse", "basic")]
 
 
 class TestDefaultCheckConfigs:
@@ -138,9 +201,10 @@ class TestDefaultCheckConfigs:
         zoo = ZOO_DEFAULTS[name]
         for cfg in (improved, basic):
             assert (cfg.t, cfg.s) == (zoo["t"], zoo["s"])
-        # the bundles differ in the model and in asking for the grid referee
-        assert improved.run_grid and not basic.run_grid
-        assert dataclasses.replace(basic, mode="improved", run_grid=True) == improved
+        # the bundles differ in the model and in asking for the checks that
+        # read no model
+        assert improved.model_free and not basic.model_free
+        assert dataclasses.replace(basic, mode="improved", model_free=True) == improved
 
 
 class TestCheckConfigFailsClosed:
@@ -158,6 +222,11 @@ class TestCheckConfigFailsClosed:
     def test_tolerance_must_be_finite_and_positive(self, field, tol):
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             CheckConfig(**{field: tol})
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None, np.True_])
+    def test_model_free_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match=f"model_free must be a bool, got {flag!r}"):
+            CheckConfig(model_free=flag)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode must be one of"):
@@ -302,4 +371,4 @@ class TestGridNonFinite:
         p = bl.make_closedform_quadratic()
         bad = dataclasses.replace(p, h_batch=lambda W, lam: np.full(len(W), np.nan))
         with pytest.raises(bl.OracleDivergence, match="h non-finite on the grid"):
-            bl.check_suite(bad, [CheckConfig(K=10, hg_points=1, n_points=1, run_grid=True)])
+            bl.check_suite(bad, [CheckConfig(K=10, hg_points=1, n_points=1, model_free=True)])

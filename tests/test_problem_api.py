@@ -293,9 +293,11 @@ class TestFallbackFollowsTheCopy:
 
 
 def unstacked_quadratic():
-    """The degenerate 2+1 quadratic built by ``make_quadratic``: no stacked oracle at all."""
+    """The degenerate 2+1 quadratic built by ``make_quadratic``, its stacked values
+    taken away: no stacked oracle at all."""
     zoo = bl.make_degenerate_quadratic()
     p = bl.make_quadratic(zoo.affine, name="unstacked")
+    p.h_batch = p.g_batch = None
     assert all(getattr(p, name) is None for name in ROW_ORACLES)
     p.answers = dict(zoo.answers)
     return p

@@ -330,16 +330,22 @@ def test_schedule_equals_the_list_comprehension_bit_for_bit(K, exponent, freq):
 @settings(max_examples=40)
 @given(quadratic_cases(), st.integers(1, 9), st.integers(0, 2 ** 16))
 def test_batched_default_gives_the_row_oracles_bits(case, rows, seed):
-    # a drawn quadratic has no stacked oracle: ``batched`` applies each row
-    # oracle row by row, to one shared lam row or to lam rows paired with W's
+    # a drawn quadratic has its own h_batch/g_batch and no grad1_*_many; a
+    # copy without its stacked values has no stacked oracle at all, so
+    # ``batched`` applies each row oracle row by row.  Either way, on one
+    # shared lam row or on lam rows paired with W's, every row gets the row
+    # oracle's bits
     p, _, _ = case
+    unstacked = dataclasses.replace(p, h_batch=None, g_batch=None)
+    assert p.h_batch is not None and p.g_batch is not None
+    assert all(getattr(unstacked, name) is None for name in ROW_ORACLES)
     rng = np.random.default_rng(seed)
     W, L = rng.normal(0, 0.5, (rows, p.inner_dim)), rng.normal(0, 0.5, (rows, p.outer_dim))
-    for name, row in ROW_ORACLES.items():
-        assert getattr(p, name) is None
-        oracle = batched(p, name)
-        assert same_bits(oracle(W, L), [getattr(p, row)(w, lam) for w, lam in zip(W, L)]), name
-        assert same_bits(oracle(W, L[0]), [getattr(p, row)(w, L[0]) for w in W]), name
+    for problem in (p, unstacked):
+        for name, row in ROW_ORACLES.items():
+            oracle, by_row = batched(problem, name), getattr(problem, row)
+            assert same_bits(oracle(W, L), [by_row(w, lam) for w, lam in zip(W, L)]), name
+            assert same_bits(oracle(W, L[0]), [by_row(w, L[0]) for w in W]), name
 
 
 lattice = st.sampled_from([0.0, 0.0, -1.0, -0.5, 0.5, 1.0])
