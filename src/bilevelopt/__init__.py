@@ -12,8 +12,8 @@ Hypergradients come from reverse-mode differentiation through the recorded
 inner trajectory.  Everything is float64 numpy and deterministic given seeds.
 """
 
-from .problem import (BilevelProblem, FirstOrderReport, OracleDivergence,
-                      default_fd_eps, fd_vjp, linearizer, validate_first_order)
+from .problem import (BilevelProblem, OracleDivergence, default_fd_eps, fd_vjp, linearizer,
+                      validate_first_order)
 from .bigsam import InnerSolveSpec, Tape, bigsam_standalone, schedule, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
 from .models import ExperimentTrace, SolveConfig, TraceRecord, run_model
@@ -22,15 +22,15 @@ from .problems import (QuadraticBilevelSpec, ZooInstance, ZOO_NAMES,
                        make_closedform_quadratic, make_degenerate_quadratic,
                        make_hypercleaning, make_hyperrep, make_quadratic,
                        zoo_problem)
-from .data import (Dataset, EpisodeSet, corrupt_labels, dataset_to_csv, f1_score,
-                   gen_synthetic, load_idx, make_episodes, split, write_idx)
+from .data import (Dataset, EpisodeSet, corrupt_labels, f1_score, gen_synthetic, load_idx,
+                   make_episodes, split, write_idx)
 from .oracles import (CheckConfig, OracleReport, check_suite,
                       default_check_configs, grid_min_oracle)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BilevelProblem", "FirstOrderReport", "OracleDivergence", "default_fd_eps",
+    "BilevelProblem", "OracleDivergence", "default_fd_eps",
     "fd_vjp", "linearizer", "validate_first_order",
     "InnerSolveSpec", "Tape", "bigsam_standalone", "schedule", "solve_inner",
     "hypergradient_fd_oracle", "reverse_hypergradient",
@@ -39,7 +39,7 @@ __all__ = [
     "hyperrep_accuracy_metric", "make_closedform_quadratic",
     "make_degenerate_quadratic", "make_hypercleaning", "make_hyperrep",
     "make_quadratic", "zoo_problem",
-    "Dataset", "EpisodeSet", "corrupt_labels", "dataset_to_csv",
+    "Dataset", "EpisodeSet", "corrupt_labels",
     "f1_score", "gen_synthetic", "load_idx", "make_episodes", "split", "write_idx",
     "CheckConfig", "OracleReport", "check_suite", "default_check_configs",
     "grid_min_oracle",

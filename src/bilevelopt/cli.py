@@ -144,7 +144,7 @@ def _divergence_exit(errors: list) -> int:
 
 def _run_check(run: dict, out_dir: Path) -> int:
     names = list(ZOO_NAMES) if run["problem"] == "all" else [_check_problem(run["problem"])]
-    tol, reports = run["tol"], []
+    tol, rows = run["tol"], []
     if tol is not None:
         check_finite_positive("--tol", tol)
     for name in names:
@@ -152,16 +152,20 @@ def _run_check(run: dict, out_dir: Path) -> int:
         configs = default_check_configs(name)
         if tol is not None:
             configs = [replace(c, tol_grad=tol, tol_vjp=tol, tol_hg=tol) for c in configs]
-        reports.extend(check_suite(inst.problem, configs))
-    all_pass = all(r.passed for r in reports)
+        # each report with the model of the config that produced it
+        for cfg in configs:
+            rows.extend((r, cfg.mode) for r in check_suite(inst.problem, [cfg]))
+    all_pass = all(r.passed for r, _ in rows)
     if run["outputs"]:
         doc = {"tool": "bilevelopt", "version": __version__, "all_pass": all_pass,
-               "reports": [r.to_dict() for r in reports]}
+               "reports": [r.to_dict() for r, _ in rows]}
         (out_dir / run["outputs"][0]).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         _write_manifest(out_dir, run)
-    for r in reports:
+    for r, mode in rows:
         status = "pass" if r.passed else "FAIL"
-        print(f"[{status}] {r.problem}: {r.name}  max_rel_err={r.max_rel_err:.3e}  tol={r.tolerance:g}")
+        # only the reverse-vs-FD check reads the model
+        label = f"{r.name} ({mode})" if r.name == "reverse-vs-fd-hypergradient" else r.name
+        print(f"[{status}] {r.problem}: {label}  max_rel_err={r.max_rel_err:.3e}  tol={r.tolerance:g}")
     return 0 if all_pass else 1
 
 

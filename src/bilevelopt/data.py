@@ -26,7 +26,6 @@ __all__ = [
     "make_episodes",
     "load_idx",
     "write_idx",
-    "dataset_to_csv",
     "f1_score",
     "stream",
 ]
@@ -244,16 +243,6 @@ def write_idx(ds: Dataset, images_path, labels_path, rows: int = 1, cols: int = 
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, len(ds)))
         f.write(ds.y.astype(np.uint8).tobytes())
-
-
-def dataset_to_csv(ds: Dataset, path) -> None:
-    """Export with header index,label,corrupted,feat_0..feat_{d-1}."""
-    cols = ",".join(f"feat_{j}" for j in range(ds.d))
-    with open(path, "w", newline="") as f:
-        f.write(f"index,label,corrupted,{cols}\n")
-        for i in range(len(ds)):
-            feats = ",".join(f"{v:.17g}" for v in ds.X[i])
-            f.write(f"{i},{ds.y[i]},{int(ds.mask[i])},{feats}\n")
 
 
 def f1_score(predicted_corrupt, mask) -> float:

@@ -8,21 +8,22 @@ bilevel minimum against an exhaustive grid that literally enumerates the
 inner argmin set.
 
 Only the reverse-vs-FD check reads a model (its mode, K, t and s); the
-first-order, VJP and grid checks read the problem alone.  A config runs
-those model-free checks only when its ``model_free`` flag is set, so that a
-bundle of one config per model asks for each of them once:
-``default_check_configs`` sets it on the improved bundle alone.
+first-order, VJP and grid checks read the problem alone.  So an improved
+config runs every check and a basic config the reverse-vs-FD check alone,
+and a bundle of one config per model asks for each model-free check once.
+A report's verdict is derived in one place: ``OracleReport.passed`` is
+``max_rel_err <= tolerance``.
 
 The referee fails closed: a ``CheckConfig`` that samples no point, or
 compares against a tolerance that is not finite and positive, or names an
-inner solve that ``InnerSolveSpec`` rejects, or whose ``model_free`` is not
-a bool, is refused at construction, before any check runs.  The three
-sampling checks (first-order, VJP and reverse) draw their unit-ball points
-through one sampler, ``_points``, each from its own fixed seed: 0, 1 and 2;
-one builder, ``_report``, makes their reports from the worst per-point
-error.  The reverse-vs-FD solves of an improved config average with the
-solver's default exponent, ``bilevelopt.bigsam.ALPHA_EXPONENT``, and those
-of a basic config with exponent 0 (``bilevelopt.bigsam.model_exponent``).
+inner solve that ``InnerSolveSpec`` rejects, is refused at construction,
+before any check runs.  The three sampling checks (first-order, VJP and
+reverse) draw their unit-ball points through one sampler, ``_points``, each
+from its own fixed seed: 0, 1 and 2; one builder, ``_report``, makes their
+reports from the worst per-point error.  The reverse-vs-FD solves of an
+improved config average with the solver's default exponent,
+``bilevelopt.bigsam.ALPHA_EXPONENT``, and those of a basic config with
+exponent 0 (``bilevelopt.bigsam.model_exponent``).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _json_safe(value):
 
 @dataclass(frozen=True)
 class OracleReport:
-    """One verifier's outcome; passed iff max_rel_err <= tolerance.
+    """One verifier's outcome, judged by ``passed``.
 
     A non-finite per-point error fails its report, and ``max_rel_err`` is
     then NaN or inf.  ``to_dict`` keeps every finite float a JSON number
@@ -77,13 +78,17 @@ class OracleReport:
     problem: str
     max_rel_err: float
     tolerance: float
-    passed: bool
     details: tuple = ()
+
+    @property
+    def passed(self) -> bool:
+        """``max_rel_err <= tolerance``: False at NaN, inf and -inf."""
+        return bool(math.isfinite(self.max_rel_err) and self.max_rel_err <= self.tolerance)
 
     def to_dict(self) -> dict:
         return _json_safe({"name": self.name, "problem": self.problem,
                            "max_rel_err": self.max_rel_err, "tolerance": self.tolerance,
-                           "passed": bool(self.passed), "details": list(self.details)})
+                           "passed": self.passed, "details": list(self.details)})
 
 
 @dataclass(frozen=True)
@@ -91,14 +96,13 @@ class CheckConfig:
     """One bundle of checks: sampling, inner-solve constants, tolerances.
 
     Every config runs the reverse-vs-FD check, the one check that reads its
-    model.  ``model_free`` (default True) adds the checks that read no model:
-    first-order, VJP, and the grid where it applies.
+    model.  An improved config (the default) adds the checks that read no
+    model: first-order, VJP, and the grid where it applies.
 
     A config that would check nothing, or check against nothing, is rejected
     at construction: ``n_points`` and ``hg_points`` must be at least 1, each
-    tolerance finite and positive, ``mode``, ``K``, ``t`` and ``s`` must
-    make the ``inner_spec`` of the reverse-vs-FD check, and ``model_free``
-    must be a bool.
+    tolerance finite and positive, and ``mode``, ``K``, ``t`` and ``s`` must
+    make the ``inner_spec`` of the reverse-vs-FD check.
     """
 
     n_points: int = 10
@@ -110,15 +114,12 @@ class CheckConfig:
     tol_grad: float = 1e-6
     tol_vjp: float = 1e-4
     tol_hg: float = 1e-4
-    model_free: bool = True
 
     def __post_init__(self):
         for name in ("n_points", "hg_points"):
             object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
         for name in ("tol_grad", "tol_vjp", "tol_hg"):
             check_finite_positive(name, getattr(self, name))
-        if not isinstance(self.model_free, bool):
-            raise ValueError(f"model_free must be a bool, got {self.model_free!r}")
         self.inner_spec()   # rejects a bad mode, K, t or s
 
     def inner_spec(self) -> InnerSolveSpec:
@@ -149,7 +150,7 @@ def _report(name: str, problem, tol: float, details: list) -> OracleReport:
     """
     errors = [d["rel_err"] for d in details]
     worst = float(np.max(errors)) if errors else 0.0
-    return OracleReport(name, problem.name, worst, tol, worst <= tol, tuple(details))
+    return OracleReport(name, problem.name, worst, tol, tuple(details))
 
 
 def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
@@ -205,8 +206,8 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
 def _check_first_order(problem, cfg) -> OracleReport:
     details = []
     for omega, lam in _points(0, cfg.n_points, *problem.dims):
-        rep = validate_first_order(problem, omega, lam, tol=cfg.tol_grad)
-        for gname, (err, _) in rep.entries.items():
+        errors = validate_first_order(problem, omega, lam)
+        for gname, err in errors.items():
             details.append({"gradient": gname, "rel_err": err})
     return _report("first-order-vs-fd", problem, cfg.tol_grad, details)
 
@@ -242,7 +243,7 @@ def _check_reverse(problem, cfg) -> OracleReport:
 
 def _check_grid(problem, cfg) -> Optional[OracleReport]:
     n, m = problem.dims
-    if n > 2 or m > 2 or not cfg.model_free:
+    if n > 2 or m > 2:
         return None
     analytic_min = problem.answers.get("min_f_improved", problem.answers.get("min_f"))
     if analytic_min is None:
@@ -251,19 +252,20 @@ def _check_grid(problem, cfg) -> Optional[OracleReport]:
     _, _, value = grid_min_oracle(problem, box * m, box * n, GRID_RESOLUTION)
     err = abs(value - analytic_min)
     return OracleReport("grid-min-vs-analytic", problem.name, float(err), GRID_TOL,
-                        err <= GRID_TOL, ({"grid_value": value, "analytic": analytic_min},))
+                        ({"grid_value": value, "analytic": analytic_min},))
 
 
 def check_suite(problem: BilevelProblem, configs: List[CheckConfig]) -> List[OracleReport]:
     """Run every applicable verifier for each config; failures are report rows.
 
-    Each config runs the reverse-vs-FD check.  A ``model_free`` config runs,
-    in this order, the first-order, VJP, reverse-vs-FD and grid checks.
+    An improved config runs, in this order, the first-order, VJP,
+    reverse-vs-FD and grid checks; a basic config runs the reverse-vs-FD
+    check alone, since the others read no model.
     """
     reports: List[OracleReport] = []
     for cfg in configs:
         checks = ((_check_first_order, _check_vjps, _check_reverse, _check_grid)
-                  if cfg.model_free else (_check_reverse,))
+                  if cfg.mode == "improved" else (_check_reverse,))
         for check in checks:
             rep = check(problem, cfg)
             if rep is not None:
@@ -276,12 +278,11 @@ def default_check_configs(name: str) -> List[CheckConfig]:
 
     Each bundle solves at the problem's ``ZOO_DEFAULTS`` step sizes ``t`` and
     ``s``; only the inner solve's length and the number of sampled points are
-    set per problem, sized so the whole suite stays fast.  The improved
-    bundle alone is ``model_free``: it runs the first-order and VJP checks,
-    and the grid referee on a problem of at most two inner and two outer
-    dimensions with an analytic minimum.  The basic bundle runs only the
-    reverse-vs-FD check, since the others would repeat the improved
-    bundle's bit for bit.
+    set per problem, sized so the whole suite stays fast.  ``check_suite``
+    runs the first-order and VJP checks, and the grid referee on a problem
+    of at most two inner and two outer dimensions with an analytic minimum,
+    for the improved bundle alone; the basic bundle's would repeat them bit
+    for bit.  The two bundles differ only in ``mode``.
     """
     sizes = {
         "closedform_quadratic": dict(K=50, n_points=10, hg_points=5),
@@ -292,5 +293,4 @@ def default_check_configs(name: str) -> List[CheckConfig]:
     if name not in sizes:
         raise KeyError(f"no default check configs for {name!r}")
     zoo = ZOO_DEFAULTS[name]
-    return [CheckConfig(mode=mode, t=zoo["t"], s=zoo["s"], model_free=mode == "improved",
-                        **sizes[name]) for mode in MODES]
+    return [CheckConfig(mode=mode, t=zoo["t"], s=zoo["s"], **sizes[name]) for mode in MODES]

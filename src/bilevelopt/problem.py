@@ -62,7 +62,6 @@ if TYPE_CHECKING:
 __all__ = [
     "OracleDivergence",
     "BilevelProblem",
-    "FirstOrderReport",
     "fd_vjp",
     "default_fd_eps",
     "linearizer",
@@ -378,34 +377,18 @@ def _slot_step(problem: BilevelProblem, lam) -> Callable:
     return step
 
 
-@dataclass(frozen=True)
-class FirstOrderReport:
-    """Outcome of checking analytic first-order gradients against FD."""
-
-    entries: dict  # gradient name -> (max_rel_err, ok)
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.entries.values())
-
-    def max_errors(self) -> dict:
-        return {k: v[0] for k, v in self.entries.items()}
-
-
-def validate_first_order(problem: BilevelProblem, omega, lam,
-                         eps: float = 1e-5, tol: float = 1e-6) -> FirstOrderReport:
+def validate_first_order(problem: BilevelProblem, omega, lam, eps: float = 1e-5) -> dict:
     """Compare grad1_g, grad2_g and grad1_h against central differences.
 
-    Mismatches land in the report rather than raising; the per-component
-    error is |fd - analytic| / max(1, |analytic|), reported as its maximum.
-    The differences evaluate their probes in blocks through
+    Returns ``{gradient name: max_rel_err}`` and judges nothing: the caller
+    holds the tolerance.  The per-component error is
+    |fd - analytic| / max(1, |analytic|), returned as its maximum.  The
+    differences evaluate their probes in blocks through
     ``batched(problem, "g_batch")``/``batched(problem, "h_batch")``: the
     omega probes against the one lam, and grad2_g's lam probes, a stack,
     against omega tiled over each block.
     """
     check_finite_positive("eps", eps)
-    check_finite_positive("tol", tol)
     n, m = problem.dims
     omega = as_vector(omega, n, "omega")
     lam = as_vector(lam, m, "lam")
@@ -416,10 +399,10 @@ def validate_first_order(problem: BilevelProblem, omega, lam,
               "grad2_g": (problem.grad2_g,
                           lambda L, _: g_batch(np.tile(omega, (len(L), 1)), L), lam),
               "grad1_h": (problem.grad1_h, lambda W, _: h_batch(W, lam), omega)}
-    entries = {}
+    errors = {}
     for name, (grad, batch, x) in checks.items():
         analytic = np.asarray(grad(omega, lam), dtype=np.float64)
         fd = central_differences(stacked(batch), x, eps)
-        err = float(np.max(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic)))) if analytic.size else 0.0
-        entries[name] = (err, err <= tol)
-    return FirstOrderReport(entries=entries, tolerance=tol)
+        errors[name] = (float(np.max(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))))
+                        if analytic.size else 0.0)
+    return errors

@@ -74,12 +74,12 @@ any height gets its row value's bits.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .data import Dataset, EpisodeSet, corrupt_labels, gen_synthetic, make_episodes, split, stream
+from .data import (Dataset, EpisodeSet, corrupt_labels, f1_score, gen_synthetic, make_episodes,
+                   split, stream)
 from .problem import BilevelProblem
 
 __all__ = [
@@ -524,7 +524,6 @@ def hyperclean_f1_metric(mask: np.ndarray) -> Callable:
     mask = np.asarray(mask, dtype=bool).copy()
 
     def metric(omega, lam):
-        from .data import f1_score
         return f1_score(lam < 0.0, mask)
 
     return metric
@@ -628,14 +627,11 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         # one lam row or a stack of them: a BLAS may round a row of X @ L
         # differently by where the row sits in X
         FTtr, FTva = features(Xtr2, lam), features(Xva2, lam)
-
-        @cache
-        def both():
-            # both splits' features as one task x r x (N_tr + N_val) input,
-            # training samples first, laid out as features() lays them out:
-            # built for the first averaged step on one lam row
-            return np.concatenate([F.swapaxes(-1, -2) for F in (FTtr, FTva)],
-                                  axis=-2).swapaxes(-1, -2)
+        # both splits' features as one task x r x (N_tr + N_val) input,
+        # training samples first, laid out as features() lays them out, for
+        # the averaged steps on one lam row; a stack's run the splits apart
+        FT = None if lam.ndim == 2 else np.concatenate(
+            [F.swapaxes(-1, -2) for F in (FTtr, FTva)], axis=-2).swapaxes(-1, -2)
 
         def h_step(w, ta):
             # alpha == 1: the training split alone, as the slots compute it
@@ -664,7 +660,6 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
                 # once; the ridge shrinks w
                 shrink = 1.0 - (2.0 * ridge) * sb
                 c = np.where(train_cols, ta, sb)
-                FT = both()
                 P = probs(FT, w)
                 R = P - YallT
                 R *= c

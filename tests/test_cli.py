@@ -272,6 +272,14 @@ class TestCheck:
         for a, b in itertools.combinations(doc["reports"], 2):
             assert a != b, a
 
+    def test_reverse_lines_name_their_model(self, capsys):
+        assert run_cli("check", "--problem", "closedform_quadratic") == 0
+        reverse = [line for line in capsys.readouterr().out.splitlines()
+                   if "reverse-vs-fd-hypergradient" in line]
+        assert [line.split()[2:4] for line in reverse] == [
+            ["reverse-vs-fd-hypergradient", "(improved)"],
+            ["reverse-vs-fd-hypergradient", "(basic)"]]
+
     def test_unattainable_tolerance_exits_1(self):
         assert run_cli("check", "--problem", "closedform_quadratic",
                        "--tol", "1e-12") == 1

@@ -203,20 +203,6 @@ class TestIdx:
             bl.load_idx(tmp_path / "img", tmp_path / "lab")
 
 
-class TestCsvExport:
-    def test_header_and_rows(self, tmp_path):
-        ds = bl.corrupt_labels(bl.gen_synthetic(0, 5, 3, 2, 2.0), 0.4, 0)
-        path = tmp_path / "data.csv"
-        bl.dataset_to_csv(ds, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "index,label,corrupted,feat_0,feat_1,feat_2"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert first[2] in ("0", "1")
-        assert float(first[3]) == ds.X[0, 0]
-
-
 class TestF1:
     def test_perfect_detection(self):
         mask = np.array([True, False, True, False])

@@ -70,7 +70,7 @@ class TestGridMinOracle:
         # the grid not refused before it starts
         p = two_by_two_quadratic()
         p.answers["min_f"] = 0.0
-        cfg = CheckConfig(K=5, n_points=1, hg_points=1, model_free=True)
+        cfg = CheckConfig(K=5, n_points=1, hg_points=1)
         with pytest.raises(ValueError, match="grid-budget: .* 25856961601 h evaluations"):
             bl.check_suite(p, [cfg])
 
@@ -172,6 +172,19 @@ class TestModelFreeChecks:
         assert all(r.passed for r in reports), [r.to_dict() for r in reports]
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("name", bl.ZOO_NAMES)
+    def test_the_model_picks_the_checks(self, name):
+        # cheap configs: the rows asked for, not their values, are under test
+        p = bl.zoo_problem(name).problem
+        zoo = ZOO_DEFAULTS[name]
+        cheap = dict(K=2, n_points=1, hg_points=1, t=zoo["t"], s=zoo["s"])
+        improved, basic = (bl.check_suite(p, [CheckConfig(mode=mode, **cheap)])
+                           for mode in bl.bigsam.MODES)
+        grid = ["grid-min-vs-analytic"] if max(p.dims) <= 2 else []
+        assert [r.name for r in improved] == ["first-order-vs-fd", "vjp-vs-fd",
+                                              "reverse-vs-fd-hypergradient"] + grid
+        assert [r.name for r in basic] == ["reverse-vs-fd-hypergradient"]
+
     @pytest.mark.parametrize("name", ["closedform_quadratic", "degenerate_quadratic"])
     def test_the_basic_bundle_runs_the_reverse_check_alone(self, name):
         basic = bl.default_check_configs(name)[1]
@@ -201,10 +214,8 @@ class TestDefaultCheckConfigs:
         zoo = ZOO_DEFAULTS[name]
         for cfg in (improved, basic):
             assert (cfg.t, cfg.s) == (zoo["t"], zoo["s"])
-        # the bundles differ in the model and in asking for the checks that
-        # read no model
-        assert improved.model_free and not basic.model_free
-        assert dataclasses.replace(basic, mode="improved", model_free=True) == improved
+        # the bundles differ in the model alone, which picks the checks
+        assert dataclasses.replace(basic, mode="improved") == improved
 
 
 class TestCheckConfigFailsClosed:
@@ -222,11 +233,6 @@ class TestCheckConfigFailsClosed:
     def test_tolerance_must_be_finite_and_positive(self, field, tol):
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             CheckConfig(**{field: tol})
-
-    @pytest.mark.parametrize("flag", ["no", 1, 0, None, np.True_])
-    def test_model_free_must_be_a_bool(self, flag):
-        with pytest.raises(ValueError, match=f"model_free must be a bool, got {flag!r}"):
-            CheckConfig(model_free=flag)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode must be one of"):
@@ -311,15 +317,34 @@ class TestNonFiniteErrorsFail:
         assert not rep.passed and np.isnan(rep.max_rel_err)
         assert [d["rel_err"] for d in rep.to_dict()["details"]][1] == "nan"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_errors_fail(self, value):
+        rep = OracleReport("x", "p", float(value), 1e-6)
+        assert rep.passed is False and rep.to_dict()["passed"] is False
+
+    def test_an_error_at_the_tolerance_passes(self):
+        rep = OracleReport("x", "p", 1e-6, 1e-6)
+        assert rep.passed is True and rep.to_dict()["passed"] is True
+        assert OracleReport("x", "p", np.nextafter(1e-6, 1.0), 1e-6).passed is False
+
+    def test_the_verdict_follows_the_error(self):
+        # ``passed`` is read off the error and the tolerance, never stored
+        rep = OracleReport("x", "p", 1e-9, 1e-6)
+        assert rep.passed
+        assert not dataclasses.replace(rep, max_rel_err=1e-3).passed
+        assert not dataclasses.replace(rep, tolerance=1e-12).passed
+        with pytest.raises(TypeError):
+            OracleReport("x", "p", 1e-9, 1e-6, passed=False)
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_errors_encode_as_strings(self, value):
-        rep = OracleReport("x", "p", float(value), 1e-6, False, ({"rel_err": float(value)},))
+        rep = OracleReport("x", "p", float(value), 1e-6, ({"rel_err": float(value)},))
         doc = rep.to_dict()
         assert doc["max_rel_err"] == repr(float(value)) == doc["details"][0]["rel_err"]
         strict_json(doc)
 
     def test_finite_values_encode_as_before(self):
-        rep = OracleReport("x", "p", 1.25e-12, 1e-6, True,
+        rep = OracleReport("x", "p", 1.25e-12, 1e-6,
                            ({"mode": "basic", "K": 5, "rel_err": 3.5e-13},))
         assert json.dumps(rep.to_dict()) == json.dumps(
             {"name": "x", "problem": "p", "max_rel_err": 1.25e-12, "tolerance": 1e-6,
@@ -328,7 +353,7 @@ class TestNonFiniteErrorsFail:
     def test_check_writes_strict_json(self, tmp_path, monkeypatch):
         from bilevelopt import cli
         monkeypatch.setattr(cli, "check_suite", lambda problem, configs: [
-            OracleReport("first-order-vs-fd", problem.name, float("nan"), 1e-6, False,
+            OracleReport("first-order-vs-fd", problem.name, float("nan"), 1e-6,
                          ({"gradient": "grad1_g", "rel_err": float("nan")},))])
         out = tmp_path / "report.json"
         assert cli.main(["check", "--problem", "closedform_quadratic", "--out", str(out)]) == 1
@@ -371,4 +396,4 @@ class TestGridNonFinite:
         p = bl.make_closedform_quadratic()
         bad = dataclasses.replace(p, h_batch=lambda W, lam: np.full(len(W), np.nan))
         with pytest.raises(bl.OracleDivergence, match="h non-finite on the grid"):
-            bl.check_suite(bad, [CheckConfig(K=10, hg_points=1, n_points=1, model_free=True)])
+            bl.check_suite(bad, [CheckConfig(K=10, hg_points=1, n_points=1)])
