@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Callable, Optional, Tuple
 
@@ -112,6 +113,21 @@ class InnerSolveSpec:
                            check_count("bigsam_frequency", self.bigsam_frequency, 1))
         check_alpha_exponent(self.alpha_exponent, self.K, self.bigsam_frequency)
 
+    @cached_property
+    def _alphas(self) -> np.ndarray:
+        # ``schedule``'s weights
+        K = self.K
+        alphas = np.ones(K)
+        if self.alpha_exponent != 0.0:
+            # math.pow is libm pow, as float ** float is; np.power rounds some
+            # entries differently
+            freq, power = self.bigsam_frequency, -self.alpha_exponent
+            alphas[::freq] = np.minimum(
+                np.fromiter(map(math.pow, range(1, K + 1, freq), repeat(power)), np.float64),
+                1.0)
+        alphas.flags.writeable = False
+        return alphas
+
 
 @dataclass(frozen=True)
 class Tape:
@@ -168,17 +184,11 @@ def schedule(spec: InnerSolveSpec) -> np.ndarray:
 
     The steps off the averaging frequency get 1; the averaged steps get
     min(1, k^-exponent) at their 1-based index k.  Exponent 0 (the basic
-    model) gives all ones, without taking the K powers.
+    model) gives all ones, without taking the K powers.  A spec is frozen,
+    so its weights are computed once, on the first call, and every later
+    call, and every solve of that spec, shares that one read-only array.
     """
-    K = spec.K
-    alphas = np.ones(K)
-    if spec.alpha_exponent != 0.0:
-        # math.pow is libm pow, as float ** float is; np.power rounds some
-        # entries differently
-        freq, power = spec.bigsam_frequency, -spec.alpha_exponent
-        alphas[::freq] = np.minimum(
-            np.fromiter(map(math.pow, range(1, K + 1, freq), repeat(power)), np.float64), 1.0)
-    return alphas
+    return spec._alphas
 
 
 def step_weights(alphas: np.ndarray, t: float, s: float) -> list:

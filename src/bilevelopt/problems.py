@@ -440,6 +440,10 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
 
         def h_step(w, ta):
             # alpha == 1: the training split alone, as the slots compute it
+            if lam.ndim == 2:
+                # a stack's step is value-only, so it keeps no P: the
+                # residual takes the softmax's own buffer
+                return w - ta * h_grad(errors(XtrT, YtrT, w), sig), None
             P = probs(XtrT, w)
 
             def vjp(a, omega_side, lam_bar):

@@ -104,6 +104,49 @@ class TestFastPathMatchesLoop:
         assert calls == ["grad1_g"]
 
 
+def sequential(spec, lam, alphas, t, s):
+    """omega_0..omega_K and J_K from the step maps applied one after another, in floats."""
+    n, m = spec.B_h.shape
+    b = spec.B_h @ lam + spec.d_h
+    gc = spec.A_g @ spec.c_g
+    omega, J = np.zeros(n), np.zeros((n, m))
+    iterates = [omega]
+    for alpha in alphas:
+        ta, sb = t * alpha, s * (1.0 - alpha)
+        M = np.eye(n) - ta * spec.A_h - sb * spec.A_g
+        omega = M @ omega + ta * b + sb * gc
+        J = M @ J + ta * spec.B_h
+        iterates.append(omega)
+    return np.array(iterates), J
+
+
+class TestScanIndexing:
+    """Every step's state lands on its own row, in every block and across block carries."""
+
+    @staticmethod
+    def check(K):
+        p = random_quadratic(1)
+        spec = bl.InnerSolveSpec(K=K, t=0.2, s=0.15)
+        alphas = bl.schedule(spec)
+        lam = np.random.default_rng(K).normal(size=p.outer_dim)
+        iterates, J = affine.inner_iterates(p.affine, lam, alphas, spec.t, spec.s)
+        want_iterates, want_J = sequential(p.affine, lam, alphas, spec.t, spec.s)
+        assert iterates.shape == want_iterates.shape
+        _close(iterates, want_iterates, 1e-13)
+        _close(J, want_J, 1e-13)
+
+    @pytest.mark.parametrize("block", [8, 16])
+    def test_every_horizon_up_to_seventy(self, monkeypatch, block):
+        monkeypatch.setattr(affine, "BLOCK", block)
+        for K in range(71):
+            self.check(K)
+
+    @pytest.mark.parametrize("K", [affine.BLOCK - 1, affine.BLOCK, affine.BLOCK + 1,
+                                   2 * affine.BLOCK + 1])
+    def test_around_the_real_block(self, K):
+        self.check(K)
+
+
 class TestDivergence:
     def test_unstable_steps_at_a_fixed_point_match_the_loop(self):
         # w = lam = 0 is a fixed point of every step, however large t is; the

@@ -1,6 +1,7 @@
 """Averaged inner steps, schedules, solvers, and tapes."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -63,6 +64,27 @@ class TestAlphaSchedule:
             bl.bigsam.model_exponent("augmented")
         with pytest.raises(TypeError):
             bl.schedule(spec(K=3), "improved")
+
+
+class TestOneSchedulePerSpec:
+    """A spec is frozen: its weights are computed once and shared, read-only."""
+
+    def test_every_call_and_solve_shares_one_read_only_array(self):
+        s = spec(K=50)
+        alphas = bl.schedule(s)
+        assert bl.schedule(s) is alphas
+        with pytest.raises(ValueError, match="read-only"):
+            alphas[0] = 0.5
+        assert bl.solve_inner(bl.make_degenerate_quadratic(), [0.3], s).alphas is alphas
+
+    def test_run_model_takes_the_powers_once(self, monkeypatch):
+        bases = []
+        pow_ = math.pow
+        monkeypatch.setattr(math, "pow", lambda x, y: bases.append(x) or pow_(x, y))
+        config = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=50, T=10, mode="improved")
+        trace = bl.run_model(bl.make_degenerate_quadratic(), np.array([0.25]), config)
+        assert len(trace.records) == 10
+        assert bases == list(range(1, 51))
 
 
 class TestModelExponent:
