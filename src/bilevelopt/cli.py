@@ -39,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .bigsam import check_count
 from .data import corrupt_labels, gen_synthetic, load_idx, split
 from .models import SolveConfig, ablation_config, run_model
 from .oracles import check_suite, default_check_configs
@@ -269,8 +270,10 @@ def _execute(run: dict, out_dir: Path) -> int:
 
 def cmd_check(args) -> int:
     out = Path(args.out) if args.out else None
+    # a bad seed writes no file, as a bad solve config writes none
+    seed = 0 if args.seed is None else check_count("seed", args.seed, 0)
     run = {"command": "check", "problem": args.problem, "tol": args.tol,
-           "config": {"seed": args.seed if args.seed is not None else 0},
+           "config": {"seed": seed},
            "outputs": [out.name] if out else []}
     return _execute(run, out.parent if out else Path("."))
 

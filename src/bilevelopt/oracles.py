@@ -163,13 +163,19 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
     g on the argmin set alone, each as one stack through ``batched``.  Ties
     break toward the lowest lexicographic grid index, so the reduction is
     deterministic.  A grid lam where h's minimum, or g on a member of the
-    argmin set, is not finite raises ``OracleDivergence``.  A grid whose h
-    evaluations, resolution**(m + n), exceed ``GRID_BUDGET`` is refused
-    with a ``ValueError`` before any is evaluated.
+    argmin set, is not finite raises ``OracleDivergence``.  A box that does
+    not give one (lo, hi) axis per coordinate (``lam_box`` m, ``omega_box``
+    n), and a grid whose h evaluations, resolution**(m + n), exceed
+    ``GRID_BUDGET``, are refused with a ``ValueError`` before anything is
+    evaluated.
     """
     n, m = problem.dims
     if n > 2 or m > 2:
         raise ValueError(f"oracle-dim-limit: grid oracle supports at most 2+2 dims, got {n}+{m}")
+    for box, name, dim in ((lam_box, "lam_box", m), (omega_box, "omega_box", n)):
+        if len(box) != dim:
+            raise ValueError(f"{name} must give one axis per coordinate of {name[:-4]}: "
+                             f"{dim}, got {len(box)}")
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
     count = resolution ** (m + n)

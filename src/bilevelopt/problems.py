@@ -37,24 +37,32 @@ matmul taken pairwise, never a multi-operand einsum.  The flattened inner
 and outer variables keep their layouts (d x C weights; task x r x way heads;
 d x r map); only the kernels' intermediates are transposed.
 
-Both learning problems set the ``linearize`` hook of ``bilevelopt.problem``
-to a fused averaged step.  A step with alpha == 1 runs h's kernels on the
-training split alone, exactly as the slots do.  An averaged step stacks the
-two splits as one input with the training samples first, takes one softmax
-over the concatenated logits, scales the residual per column by the step's
-weights and projects it back once; its VJP takes one softmax JVP over the
-same columns.  Hyper-cleaning recomputes the weights in the VJP.
-Hyper-representation's averaged step saves them with its probabilities, one
-weight per column, and its VJP scales the softmax response by them once,
-recomputes the weighted residual from the saved probabilities, and takes
-both splits' lam sides in one contraction with the stacked inputs.  Each
-hook binds lam once, for one row or for a stack of rows (the
-finite-difference referee's probes): its alpha == 1 step is one code path
-for both, and its averaged step has the one stack branch, which runs h and
-g apart, as the slots do.  ``linearizer`` makes every stack step
-value-only.  What no step reads of lam, hyper-cleaning's stacked targets
-and hyper-representation's stacked inputs and targets, the makers build
-once.
+The two learning problems are one template: a linear softmax model fit to
+a training split (h) and scored on a validation split plus a ridge (g).
+They differ in their layout (``WT``, the view of w as the logit map), their
+features (hyper-representation maps its inputs through lam), their values
+and their lam side.  The model's kernels are written once: ``_probs`` (the
+softmax), ``_errors`` (P - Y in the softmax's own buffer) and ``_grad`` (a
+residual or a softmax response, weighted per column, projected back into
+w's layout), and both makers write their slots over them.  So is their
+``linearize`` hook of ``bilevelopt.problem``: ``_softmax_linearize``, which
+each maker binds to its features and sample weights at lam.  A step with
+alpha == 1 runs h's kernels on the training split alone, exactly as the
+slots do.  An averaged step stacks the two splits as one input with the
+training samples first, takes one softmax over the concatenated logits,
+weights the residual per column, [t alpha sigmoid(lam) ; s (1 - alpha)] for
+hyper-cleaning and [t alpha ; s (1 - alpha)] for hyper-representation, and
+projects it back once.  Either step saves its probabilities P, and its VJP
+takes one softmax response over the same columns; an averaged VJP rebuilds
+the weights rather than saving them and weights the response once, for both
+sides.  The only part a problem adds is its lam side: hyper-cleaning's
+sigmoid'(lam) term over the training columns, and hyper-representation's
+contraction with the inputs, over the training rows or both splits' rows
+at once.  Each hook binds lam once, for one row or for a stack of rows (the
+finite-difference referee's probes).  A stack takes the one stack branch,
+which runs h and g apart, as the slots do, and is value-only: it keeps no P
+and returns no VJP.  What no step reads of lam, the stacked targets and
+hyper-representation's stacked inputs, the makers build once.
 
 Both learning problems also give the finite-difference referee stacked
 oracles: ``grad1_h_many``/``grad1_g_many`` and ``h_batch``/``g_batch``.
@@ -329,6 +337,113 @@ def make_degenerate_quadratic() -> BilevelProblem:
 
 
 # ---------------------------------------------------------------------------
+# the linear softmax model of both learning problems
+#
+# Each kernel takes the problem's WT, its view of a row or a stack of rows w
+# as the class-major logit map, and one split's features F (logits WT(w) @ F)
+# and one-hot targets Y, both class-major.
+
+def _probs(WT: Callable, F: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The softmax of the logits WT(w) @ F over their class axis."""
+    return _softmax_inplace(np.matmul(WT(w), F), axis=-2)
+
+
+def _errors(WT: Callable, F: np.ndarray, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The residual P - Y in the softmax's own buffer, for a caller that keeps no P."""
+    P = _probs(WT, F, w)
+    P -= Y
+    return P
+
+
+def _grad(F: np.ndarray, R: np.ndarray, w: np.ndarray, sw=None, rg: float = 0.0) -> np.ndarray:
+    """F @ (sw * R)^T in w's layout, plus 2 rg w.
+
+    R is a fresh class-major array, which the per-column weights ``sw`` (None
+    is 1) scale in place.  The residual P - Y gives the gradient at w, and
+    the softmax's response dP to an adjoint a's logits the omega side of
+    a's VJP, with a in place of w.
+    """
+    if sw is not None:
+        R *= sw[..., None, :]
+    out = np.matmul(F, R.swapaxes(-1, -2)).reshape(w.shape)
+    if rg:
+        out += (2.0 * rg) * w
+    return out
+
+
+def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[tuple], sw,
+                       ridge: float, lam_side: Callable) -> Callable:
+    """The ``linearize`` step of a linear softmax model at one bound lam row or a stack.
+
+    ``tr`` and ``va`` are the splits' (features, targets): h fits the model
+    to the training split, each sample weighted by ``sw`` (None is 1), and g
+    scores it on the validation split plus ``ridge`` |w|^2.  ``both`` stacks
+    the two splits as one input, training samples first, for the averaged
+    steps on one lam row; it is None on a stack of lam rows.
+    ``lam_side(P, A, dP, ta, c, w, a)`` is the problem's lam side of a
+    VJP, which the VJP subtracts from ``lam_bar``: from the saved
+    probabilities P, the adjoint's logits A, the softmax's response dP, and,
+    on an averaged step, the per-column weights c that scale dP (c is None
+    where alpha == 1).
+    """
+    (Ftr, Ytr), (Fva, Yva) = tr, va
+    m = Ytr.shape[-1]
+
+    def weights(ta, sb):
+        # an averaged step's per-column weights on the stacked splits,
+        # [ta * sw ; sb], rebuilt by its VJP rather than kept on the tape
+        c = np.empty(both[1].shape[-1])
+        if sw is None:
+            c[:m] = ta
+        else:
+            np.multiply(sw, ta, out=c[:m])
+        c[m:] = sb
+        return c
+
+    def step(w, ta, sb):
+        if both is None:
+            # a stack of lam rows (the FD referee's probes) is bound by
+            # memory traffic, not by calls: fused, its largest array would
+            # double, so h and g run apart, as the slots run them.  The step
+            # is value-only, so it keeps no P: each residual takes its
+            # softmax's own buffer
+            w_next = w - ta * _grad(Ftr, _errors(WT, Ftr, Ytr, w), w, sw)
+            if sb is not None:
+                w_next -= sb * _grad(Fva, _errors(WT, Fva, Yva, w), w, rg=ridge)
+            return w_next, None
+        if sb is None:
+            # alpha == 1: the training split alone, as the slots compute it
+            P = _probs(WT, Ftr, w)
+
+            def vjp(a, omega_side, lam_bar):
+                A = WT(a) @ Ftr
+                dP = _softmax_jvp(P, A, axis=-2)
+                lam_bar -= lam_side(P, A, dP, ta, None, w, a)
+                return a - ta * _grad(Ftr, dP, a, sw) if omega_side else None
+
+            return w - ta * _grad(Ftr, P - Ytr, w, sw), vjp
+
+        # one softmax over both splits' logits, whose residual, weighted per
+        # column, is projected back once; the ridge shrinks w.  The VJP
+        # weights the softmax's response once, for both sides
+        F, Y = both
+        shrink = 1.0 - (2.0 * ridge) * sb
+        P = _probs(WT, F, w)
+
+        def vjp(a, omega_side, lam_bar):
+            c = weights(ta, sb)
+            A = WT(a) @ F
+            dP = _softmax_jvp(P, A, axis=-2)
+            dP *= c
+            lam_bar -= lam_side(P, A, dP, ta, c, w, a)
+            return shrink * a - _grad(F, dP, a) if omega_side else None
+
+        return shrink * w - _grad(F, P - Y, w, weights(ta, sb)), vjp
+
+    return step
+
+
+# ---------------------------------------------------------------------------
 # data hyper-cleaning
 
 def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> BilevelProblem:
@@ -354,8 +469,7 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
     # input with the training samples first; the per-split inputs are views
     # into it, which matmul reads at full speed.  The one-hot targets stay
     # contiguous per split: an elementwise op on a strided view costs about
-    # a microsecond more, on every step.  The kernels below take one row or
-    # a stack of rows alike.
+    # a microsecond more, on every step.
     m = len(train)
     XT = np.empty((train.d, m + len(val)))
     XtrT, XvaT = XT[:, :m], XT[:, m:]
@@ -387,121 +501,36 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
     def g_batch(W, lam):
         return val_losses(W).sum(axis=-1) + ridge * np.array([w @ w for w in W])
 
-    # the kernels: P is the softmax at w, which a linearized step saves; R
-    # is P - Y, which the gradient kernels overwrite; A is the logit
-    # perturbation W(a).T @ X.T of an adjoint a; sig is sigmoid(lam) and
-    # dsig its derivative sig * (1 - sig)
-    def probs(XT, w):
-        return _softmax_inplace(WT(w) @ XT, axis=-2)
-
-    def errors(XT, YT, w):
-        # P - Y in the softmax's own buffer, for a caller that keeps no P
-        P = probs(XT, w)
-        P -= YT
-        return P
-
-    def back(XT, M):
-        # X.T @ M.T, flattened to the layout of the d x C weights
-        return (XT @ M.swapaxes(-1, -2)).reshape(*M.shape[:-2], n)
-
-    def h_grad(R, sig):
-        R *= sig[..., None, :]
-        return back(XtrT, R)
-
-    def h_omega(P, A, sig):
-        dP = _softmax_jvp(P, A, axis=-2)
-        dP *= sig[..., None, :]
-        return back(XtrT, dP)
-
     def h_lam(P, A, dsig):
+        # the lam side of h: sigmoid'(lam) times each training sample's
+        # response to the logit perturbation A, from the probabilities P
         return dsig * (A * (P - YtrT)).sum(axis=-2)
-
-    def g_grad(R, w):
-        out = back(XvaT, R)
-        out += (2.0 * ridge) * w
-        return out
-
-    def g_omega(P, A, a):
-        out = back(XvaT, _softmax_jvp(P, A, axis=-2))
-        out += (2.0 * ridge) * a
-        return out
 
     def linearize(lam):
         sig = sigmoid(lam)
         dsig = sig * (1.0 - sig)
-
-        def weights(ta, sb):
-            # the averaged step's per-column weights on the stacked splits,
-            # [ta * sig ; sb]
-            c = np.empty(XT.shape[1])
-            np.multiply(sig, ta, out=c[:m])
-            c[m:] = sb
-            return c
-
-        def h_step(w, ta):
-            # alpha == 1: the training split alone, as the slots compute it
-            if lam.ndim == 2:
-                # a stack's step is value-only, so it keeps no P: the
-                # residual takes the softmax's own buffer
-                return w - ta * h_grad(errors(XtrT, YtrT, w), sig), None
-            P = probs(XtrT, w)
-
-            def vjp(a, omega_side, lam_bar):
-                A = WT(a) @ XtrT
-                lam_bar += -ta * h_lam(P, A, dsig)
-                return a - ta * h_omega(P, A, sig) if omega_side else None
-
-            return w - ta * h_grad(P - YtrT, sig), vjp
-
-        def step(w, ta, sb):
-            if sb is None:
-                return h_step(w, ta)
-            if lam.ndim == 2:
-                # a stack of lam rows (the FD referee's probes) is bound by
-                # memory traffic, not by calls: fused, its largest array
-                # would double, so h and g run apart, as the slots run them.
-                # Its VJP is never called: ``linearizer`` drops it.
-                w_next = (w - ta * h_grad(errors(XtrT, YtrT, w), sig)
-                          - sb * g_grad(errors(XvaT, YvaT, w), w))
-            else:
-                # one softmax over both splits' logits, whose residual,
-                # weighted per column, is back-projected once; the ridge
-                # shrinks w
-                shrink = 1.0 - (2.0 * ridge) * sb
-                P = probs(XT, w)
-                R = P - YT
-                R *= weights(ta, sb)
-                w_next = shrink * w - back(XT, R)
-
-            def vjp(a, omega_side, lam_bar):
-                A = WT(a) @ (XT if omega_side else XtrT)
-                lam_bar += -ta * h_lam(P[:, :m], A[:, :m], dsig)
-                if not omega_side:
-                    return None
-                dP = _softmax_jvp(P, A, axis=-2)
-                dP *= weights(ta, sb)
-                return shrink * a - back(XT, dP)
-
-            return w_next, vjp
-
-        return step
+        return _softmax_linearize(
+            WT, (XtrT, YtrT), (XvaT, YvaT), None if lam.ndim == 2 else (XT, YT), sig, ridge,
+            lambda P, A, dP, ta, c, w, a: ta * h_lam(P[:, :m], A[:, :m], dsig))
 
     # the slots: the same kernels at an unbound lam, for one row or a stack
     def grad1_h(w, lam):
-        return h_grad(errors(XtrT, YtrT, w), sigmoid(lam))
+        return _grad(XtrT, _errors(WT, XtrT, YtrT, w), w, sigmoid(lam))
 
     def grad1_g(w, lam):
-        return g_grad(errors(XvaT, YvaT, w), w)
+        return _grad(XvaT, _errors(WT, XvaT, YvaT, w), w, rg=ridge)
 
     def vjp11_h(a, w, lam):
-        return h_omega(probs(XtrT, w), WT(a) @ XtrT, sigmoid(lam))
+        return _grad(XtrT, _softmax_jvp(_probs(WT, XtrT, w), WT(a) @ XtrT, axis=-2), a,
+                     sigmoid(lam))
 
     def vjp12_h(a, w, lam):
         sig = sigmoid(lam)
-        return h_lam(probs(XtrT, w), WT(a) @ XtrT, sig * (1.0 - sig))
+        return h_lam(_probs(WT, XtrT, w), WT(a) @ XtrT, sig * (1.0 - sig))
 
     def vjp11_g(a, w, lam):
-        return g_omega(probs(XvaT, w), WT(a) @ XvaT, a)
+        return _grad(XvaT, _softmax_jvp(_probs(WT, XvaT, w), WT(a) @ XvaT, axis=-2), a,
+                     rg=ridge)
 
     p = BilevelProblem(
         inner_dim=n, outer_dim=m, name="hypercleaning",
@@ -552,7 +581,7 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
                                              episodes.X_val, episodes.y_val))
     if ytr.size == 0 or yva.size == 0:
         raise ValueError("bad-episode: empty episode set or split")
-    n_tasks, n_tr, d = Xtr.shape
+    n_tasks, _, d = Xtr.shape
     way = episodes.way
     if max(ytr.max(), yva.max()) >= way or min(ytr.min(), yva.min()) < 0:
         raise ValueError("bad-episode: episode labels exceed way or are negative")
@@ -569,14 +598,13 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
 
     Xtr2, YtrT = rows_and_targets(Xtr, ytr)
     Xva2, YvaT = rows_and_targets(Xva, yva)
-    train_cols = np.arange(n_tr + yva.shape[1]) < n_tr
     # both splits' rows and targets stacked task by task, training samples
     # first, one per column of the averaged step: its targets, and the
     # inputs its VJP contracts the lam side with
     Xall2 = np.concatenate((Xtr, Xva), axis=1).reshape(-1, d)
     YallT = np.concatenate((YtrT, YvaT), axis=-1)
 
-    # WT, features, probs and grad take one row or a stack of rows alike
+    # WT and features take one row or a stack of rows alike
     def WT(w):
         # task x way x r view of the task x r x way heads
         return w.reshape(*w.shape[:-1], n_tasks, r, way).swapaxes(-1, -2)
@@ -603,28 +631,21 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
     def g_batch(W, lam):
         return loss_sums(Xva2, YvaT, W, lam) + ridge * np.array([w @ w for w in W])
 
-    # the kernels of one objective over its split (X2, YT), with ridge rg on
-    # the heads: FT are the features, P the softmax at w (the residuals a
-    # step saves), dP the softmax's response to the adjoint a's heads
-    def probs(FT, w):
-        return _softmax_inplace(np.matmul(WT(w), FT), axis=-2)
-
-    def grad(FT, P, YT, w, rg):
-        out = np.matmul(FT, (P - YT).swapaxes(-1, -2)).reshape(w.shape)
-        return out + 2.0 * rg * w if rg else out
-
-    def dprobs(FT, P, a):
-        return _softmax_jvp(P, np.matmul(WT(a), FT), axis=-2)
-
-    def omega_part(FT, dP, a, rg):
-        out = np.matmul(FT, dP.transpose(0, 2, 1)).ravel()
-        return out + 2.0 * rg * a if rg else out
-
     def lam_part(X2, R, dP, w, a):
-        # R is the residual P - Y, weighted per column as dP is
+        # the lam side over the rows X2: R is the residual P - Y and dP the
+        # softmax's response to a's heads, each weighted per column alike
         M = np.matmul(dP.transpose(0, 2, 1), WT(w))
         M += np.matmul(R.transpose(0, 2, 1), WT(a))
         return contract_inputs(X2, M)
+
+    def lam_side(P, A, dP, ta, c, w, a):
+        # alpha == 1: the training rows, scaled by ta; an averaged step: both
+        # splits' rows in one contraction, the residual weighted as dP is
+        if c is None:
+            return ta * lam_part(Xtr2, P - YtrT, dP, w, a)
+        R = P - YallT
+        R *= c
+        return lam_part(Xall2, R, dP, w, a)
 
     def linearize(lam):
         # each split's features mapped on its own, as the slots map them, for
@@ -634,72 +655,24 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         # both splits' features as one task x r x (N_tr + N_val) input,
         # training samples first, laid out as features() lays them out, for
         # the averaged steps on one lam row; a stack's run the splits apart
-        FT = None if lam.ndim == 2 else np.concatenate(
-            [F.swapaxes(-1, -2) for F in (FTtr, FTva)], axis=-2).swapaxes(-1, -2)
-
-        def h_step(w, ta):
-            # alpha == 1: the training split alone, as the slots compute it
-            P = probs(FTtr, w)
-            w_next = w - ta * grad(FTtr, P, YtrT, w, 0.0)
-
-            def vjp(a, omega_side, lam_bar):
-                dP = dprobs(FTtr, P, a)
-                lam_bar += -ta * lam_part(Xtr2, P - YtrT, dP, w, a)
-                return a - ta * omega_part(FTtr, dP, a, 0.0) if omega_side else None
-
-            return w_next, vjp
-
-        def step(w, ta, sb):
-            if sb is None:
-                return h_step(w, ta)
-            if lam.ndim == 2:
-                # a stack of lam rows (the FD referee's probes): h and g run
-                # apart, as the slots run them.  Its VJP is never called:
-                # ``linearizer`` drops it.
-                w_next = (w - ta * grad(FTtr, probs(FTtr, w), YtrT, w, 0.0)
-                          - sb * grad(FTva, probs(FTva, w), YvaT, w, ridge))
-            else:
-                # one softmax over both splits' logits, whose residual,
-                # weighted per column by c = [ta ; sb], is projected back
-                # once; the ridge shrinks w
-                shrink = 1.0 - (2.0 * ridge) * sb
-                c = np.where(train_cols, ta, sb)
-                P = probs(FT, w)
-                R = P - YallT
-                R *= c
-                w_next = shrink * w - np.matmul(FT, R.transpose(0, 2, 1)).ravel()
-
-            def vjp(a, omega_side, lam_bar):
-                # dP, weighted once, serves both sides; the weighted residual
-                # is recomputed, not saved, and both splits' lam sides are one
-                # contraction with their stacked inputs
-                dP = dprobs(FT, P, a)
-                dP *= c
-                R = P - YallT
-                R *= c
-                lam_bar -= lam_part(Xall2, R, dP, w, a)
-                if not omega_side:
-                    return None
-                return shrink * a - np.matmul(FT, dP.transpose(0, 2, 1)).ravel()
-
-            return w_next, vjp
-
-        return step
+        both = None if lam.ndim == 2 else (np.concatenate(
+            [F.swapaxes(-1, -2) for F in (FTtr, FTva)], axis=-2).swapaxes(-1, -2), YallT)
+        return _softmax_linearize(WT, (FTtr, YtrT), (FTva, YvaT), both, None, ridge, lam_side)
 
     # the slots: the same kernels with the features mapped at each call
     def slots(X2, YT, rg):
         def grad1(w, lam):
             FT = features(X2, lam)
-            return grad(FT, probs(FT, w), YT, w, rg)
+            return _grad(FT, _errors(WT, FT, YT, w), w, rg=rg)
 
         def vjp11(a, w, lam):
             FT = features(X2, lam)
-            return omega_part(FT, dprobs(FT, probs(FT, w), a), a, rg)
+            return _grad(FT, _softmax_jvp(_probs(WT, FT, w), WT(a) @ FT, axis=-2), a, rg=rg)
 
         def vjp12(a, w, lam):
             FT = features(X2, lam)
-            P = probs(FT, w)
-            return lam_part(X2, P - YT, dprobs(FT, P, a), w, a)
+            P = _probs(WT, FT, w)
+            return lam_part(X2, P - YT, _softmax_jvp(P, WT(a) @ FT, axis=-2), w, a)
 
         return grad1, vjp11, vjp12
 
@@ -707,8 +680,8 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
     grad1_g, vjp11_g, vjp12_g = slots(Xva2, YvaT, ridge)
 
     def grad2_g(w, lam):
-        P = probs(features(Xva2, lam), w)
-        return contract_inputs(Xva2, np.matmul((P - YvaT).transpose(0, 2, 1), WT(w)))
+        R = _errors(WT, features(Xva2, lam), YvaT, w)
+        return contract_inputs(Xva2, np.matmul(R.transpose(0, 2, 1), WT(w)))
 
     p = BilevelProblem(
         inner_dim=n, outer_dim=m, name="hyperrep",

@@ -2,9 +2,12 @@
 
 Bit identity is a property of every refactor: the quadratics (their
 composed path, their ``replace`` copies on the generic loop, their
-FD-fallback copies and their ``check_suite`` rows) and the command line at
-small budgets must print the committed digest lines.  ``python3
-tools/bitdump.py --check`` compares all of them, the learning problems too.
+FD-fallback copies and their ``check_suite`` rows), the two small learning
+instances (their hooks, their ``replace`` copies on the slots, their serial
+copies and their ``check_suite`` rows) and the command line at small
+budgets must print the committed digest lines.  ``python3
+tools/bitdump.py --check`` compares all of them, the zoo's learning
+problems too.
 """
 
 import sys
@@ -19,5 +22,5 @@ import bitdump  # noqa: E402
 
 
 def test_fast_subset_prints_the_committed_digests():
-    differences = bitdump.diff(bitdump.QUADRATICS)
+    differences = bitdump.diff(bitdump.FAST)
     assert not differences, "\n".join(differences)

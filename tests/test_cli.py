@@ -299,6 +299,18 @@ class TestCheck:
         assert "tol_grad" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem", ["closedform_quadratic", "hyperclean_synthetic"])
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                      problem):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a rejected seed must build no problem")
+
+        monkeypatch.setattr(cli, "zoo_problem", unreachable)
+        out = tmp_path / "reports" / "report.json"
+        assert run_cli("check", "--problem", problem, "--seed", "-1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer of at least 0, got -1\n"
+        assert not (tmp_path / "reports").exists()
+
     def test_divergence_in_the_suite_exits_3(self, tmp_path, capsys, monkeypatch):
         def diverge(problem, configs):
             raise OracleDivergence("oracle-divergence: planted")

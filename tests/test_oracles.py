@@ -65,6 +65,23 @@ class TestGridMinOracle:
                                              r"GRID_BUDGET = 100000000"):
             bl.grid_min_oracle(p, [(-2, 2)] * 2, [(-2, 2)] * 2, 401)
 
+    @pytest.mark.parametrize("lam_axes, omega_axes, refused", [
+        # 401^(2+2) = 2.6e10 evaluations, where the budget counts 401^(1+2)
+        (2, 2, "lam_box must give one axis per coordinate of lam: 1, got 2"),
+        (1, 1, "omega_box must give one axis per coordinate of omega: 2, got 1"),
+        (1, 3, "omega_box must give one axis per coordinate of omega: 2, got 3"),
+        (0, 2, "lam_box must give one axis per coordinate of lam: 1, got 0"),
+    ])
+    def test_box_of_the_wrong_length_is_refused_before_any_evaluation(
+            self, lam_axes, omega_axes, refused):
+        def unreachable(*_):
+            raise AssertionError("the grid was evaluated")
+
+        p = dataclasses.replace(bl.make_degenerate_quadratic(), h_value=unreachable,
+                                g_value=unreachable, h_batch=unreachable, g_batch=unreachable)
+        with pytest.raises(ValueError, match=refused):
+            bl.grid_min_oracle(p, [(-2, 2)] * lam_axes, [(-2, 2)] * omega_axes, 401)
+
     def test_check_suite_refuses_a_two_by_two_grid_at_once(self):
         # 401 points per axis make 2.6e10 evaluations of h: hours, were
         # the grid not refused before it starts

@@ -321,15 +321,17 @@ class TestLinearizeHook:
                 assert skipped is None
                 assert_bits(lam_only, lam_side)
 
-    @pytest.mark.parametrize("C", [2, 3])
-    def test_bound_stack_equals_the_batched_slots(self, C):
-        p = bl.make_hypercleaning(*clean_data(C, seed=4))
-        rng = np.random.default_rng(20 + C)
+    @pytest.mark.parametrize("build", list(LEARNING_BUILDS))
+    def test_bound_stack_equals_the_batched_slots(self, build):
+        p = LEARNING_BUILDS[build]()
+        rng = np.random.default_rng(20 + len(build))
         ws = rng.normal(0, 0.5, (6, p.inner_dim))
         lams = rng.normal(0, 0.5, (6, p.outer_dim))
         # a stack is bound by memory traffic: the hook runs the halves apart,
-        # and ``linearizer`` makes a step on a stack value-only on both paths
+        # and ``linearizer`` makes a step on a stack value-only on both paths;
+        # the hook's own step on a stack returns no VJP either
         for ta, sb in WEIGHTS:
+            assert p.linearize(lams)(ws, ta, sb)[1] is None
             got, vjp = bl.linearizer(p, lams)(ws, ta, sb)
             want, slot_vjp = slot_step(p, lams)(ws, ta, sb)
             assert vjp is None and slot_vjp is None

@@ -18,7 +18,12 @@ hypergradient.  Each zoo problem's ``check_suite``
 report (seed 0, ``default_check_configs``), and that of each serial copy,
 gets one line per verifier row: the SHA-256 of the row's JSON, whose floats
 round-trip, so every referee value (first-order, VJP and hypergradient
-differences, grid minimum) is compared bit for bit.
+differences, grid minimum) is compared bit for bit.  Two small learning
+instances, ``hyperclean_small`` (24 training and 24 validation samples,
+d = 5, C = 3) and ``hyperrep_small`` (3 tasks, way 5, 1 shot, 5
+validation samples per class, d = 10, r = 2), get the same lines as the
+zoo problems, at the run settings and check bundles of the zoo problem
+they shrink.
 
 It then runs the command line in a temporary directory, with small budgets,
 ``--seed 1`` and ``--no-timing``: ``solve`` on every zoo problem,
@@ -52,9 +57,10 @@ output compares the numbers in its text, an exit code compares exactly
 ``--check`` runs the script and diffs its lines against the committed
 digests in ``tools/bitdump.txt``; it prints the differing lines and exits 1
 if there are any.  ``tests/test_bitdump.py`` runs the same comparison on a
-fast subset: the two quadratics (every copy, and their ``check_suite``
-rows) and the command line.  A change that moves bits on purpose
-regenerates the file, with OpenBLAS on one thread:
+fast subset: the two quadratics and the two small learning instances
+(every copy, and their ``check_suite`` rows) and the command line.  A
+change that moves bits on purpose regenerates the file, with OpenBLAS on
+one thread:
 
     OPENBLAS_NUM_THREADS=1 python3 tools/bitdump.py > tools/bitdump.txt
 """
@@ -77,8 +83,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tools" / "bitdump.txt"
-# the zoo problems of the fast subset
-QUADRATICS = ("closedform_quadratic", "degenerate_quadratic")
+
+
+def hyperclean_small():
+    """Hyper-cleaning on 24 + 24 samples, d = 5, C = 3, half the training labels flipped."""
+    import bilevelopt as bl
+    train, val = bl.split(bl.gen_synthetic(0, 80, 5, 3, 3.0), 24, 24, 0)
+    return bl.make_hypercleaning(bl.corrupt_labels(train, 0.5, 0), val)
+
+
+def hyperrep_small():
+    """Hyper-representation on 3 tasks, way 5, 1 shot, 5 validation samples per class, r = 2."""
+    import bilevelopt as bl
+    return bl.make_hyperrep(bl.make_episodes(bl.gen_synthetic(0, 200, 10, 10, 3.0),
+                                             5, 1, 5, 3, 0), 2)
+
+
+# each small instance, and the zoo problem whose run settings and check
+# bundles it takes
+SMALL = {"hyperclean_small": (hyperclean_small, "hyperclean_synthetic"),
+         "hyperrep_small": (hyperrep_small, "hyperrep_synthetic")}
+# the problems of the fast subset
+FAST = ("closedform_quadratic", "degenerate_quadratic", *SMALL)
 
 
 def digest(array) -> str:
@@ -92,24 +118,38 @@ def serial(problem):
                                h_batch=None, g_batch=None)
 
 
+def instance(name):
+    """(problem, lam0, run settings, check configs) of a zoo problem or a small instance."""
+    import numpy as np
+    import bilevelopt as bl
+    from bilevelopt.problems import ZOO_DEFAULTS
+
+    if name in SMALL:
+        build, zoo = SMALL[name]
+        problem = build()
+        return (problem, np.zeros(problem.outer_dim), ZOO_DEFAULTS[zoo],
+                bl.default_check_configs(zoo))
+    inst = bl.zoo_problem(name, seed=0)
+    return inst.problem, inst.lam0, inst.defaults, bl.default_check_configs(name)
+
+
 def lines(names):
-    """(label, array) for every number the solver produces on the zoo problems ``names``."""
+    """(label, array) for every number the solver produces on the problems ``names``."""
     import numpy as np
     import bilevelopt as bl
     from bilevelopt.bigsam import model_exponent
 
     for name in names:
-        inst = bl.zoo_problem(name, seed=0)
-        d = inst.defaults
+        problem, lam0, d, _ = instance(name)
         # hyper-cleaning starts at lam = 0, where every sample weighs the
         # same: move off it so that each lam coordinate matters
-        lam = inst.lam0 + np.random.default_rng(0).normal(0.0, 0.3, inst.lam0.shape)
-        copies = {"problem": inst.problem, "replace": dataclasses.replace(inst.problem)}
-        if inst.problem.affine is not None:
+        lam = lam0 + np.random.default_rng(0).normal(0.0, 0.3, lam0.shape)
+        copies = {"problem": problem, "replace": dataclasses.replace(problem)}
+        if problem.affine is not None:
             copies["fd-fallback"] = dataclasses.replace(
-                inst.problem, vjp11_h=None, vjp12_h=None, vjp11_g=None, vjp12_g=None)
+                problem, vjp11_h=None, vjp12_h=None, vjp11_g=None, vjp12_g=None)
         else:
-            copies["serial"] = serial(inst.problem)
+            copies["serial"] = serial(problem)
         for copy, problem in copies.items():
             for mode in ("improved", "basic"):
                 for freq in (1, 3):
@@ -126,16 +166,16 @@ def lines(names):
 
 
 def check_lines(names):
-    """(label, bytes) per row of the ``check_suite`` report of each zoo problem in ``names``."""
+    """(label, bytes) per row of the ``check_suite`` report of each problem in ``names``."""
     import bilevelopt as bl
 
     for name in names:
-        problem = bl.zoo_problem(name, seed=0).problem
+        problem, _, _, configs = instance(name)
         copies = {name: problem}
         if problem.affine is None:
             copies[f"{name} serial"] = serial(problem)
         for label, p in copies.items():
-            for i, report in enumerate(bl.check_suite(p, bl.default_check_configs(name))):
+            for i, report in enumerate(bl.check_suite(p, configs)):
                 yield (f"check {label} {i} {report.name}",
                        json.dumps(report.to_dict(), sort_keys=True).encode())
 
@@ -176,9 +216,10 @@ def cli_lines():
 
 
 def results(names=None):
-    """Every result on the zoo problems ``names`` (default: all), then the command line's."""
+    """Every result on the problems ``names`` (default: all), then the command line's."""
     if names is None:
-        from bilevelopt import ZOO_NAMES as names
+        from bilevelopt import ZOO_NAMES
+        names = (*ZOO_NAMES, *SMALL)
     yield from lines(names)
     yield from check_lines(names)
     yield from cli_lines()
