@@ -16,10 +16,11 @@ or ablation manifest's ``data.seed`` is its ``config.seed``.
 
 A usage error is raised as a ``ValueError``, and an output path that cannot
 be created or written as an ``OSError``: either exits 2 with an ``error:``
-line that names it.  Each command creates its output directory before any
-work starts.  One runner, ``_records``, runs every model of every command; a
-diverged run keeps its finite records, and its CSV ends with a
-``# truncated`` line.
+line that names it.  Each command validates its whole run, and builds its
+data, before it creates its output directory, so a refused run leaves
+nothing behind; the directory is made before any model runs.  One runner,
+``_records``, runs every model of every command; a diverged run keeps its
+finite records, and its CSV ends with a ``# truncated`` line.
 
 Exit codes: 0 success, 1 check failure, 2 usage or config error, 3 runtime
 divergence.
@@ -148,6 +149,8 @@ def _run_check(run: dict, out_dir: Path) -> int:
     tol, rows = run["tol"], []
     if tol is not None:
         check_finite_positive("--tol", tol)
+    if run["outputs"]:
+        out_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
         inst = zoo_problem(name, seed=run["config"]["seed"])
         configs = default_check_configs(name)
@@ -179,6 +182,7 @@ def _run_trace(run: dict, out_dir: Path) -> Optional[str]:
     """
     config = _solve_config(run)
     inst = zoo_problem(_check_problem(run["problem"]), seed=config.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / run["outputs"][0]
     records, error = _records(inst.problem, inst.lam0, config, inst.metric, run["no_timing"])
     _write_csv(out, "iter,outer_value,grad_norm,metric,wall_ms",
@@ -217,6 +221,7 @@ def _run_clean(run: dict, out_dir: Path) -> list:
     improved = _solve_config(run)
     configs = {"improved": improved, "basic": replace(improved, mode="basic")}
     train, val, data_spec = _clean_dataset(args, improved.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     problem = make_hypercleaning(train, val)
     metric = hyperclean_f1_metric(train.mask)
     lam0 = np.zeros(problem.outer_dim)
@@ -255,10 +260,9 @@ def _run_clean(run: dict, out_dir: Path) -> list:
 def _execute(run: dict, out_dir: Path) -> int:
     """Do the work that a run names and return the command's exit code.
 
-    A run that writes outputs first creates their directory.
+    Each runner validates the whole run and builds its data before it
+    creates the output directory, so a refused run creates nothing.
     """
-    if run["outputs"]:
-        out_dir.mkdir(parents=True, exist_ok=True)
     if run["command"] == "check":
         return _run_check(run, out_dir)
     if run["command"] == "clean":

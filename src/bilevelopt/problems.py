@@ -24,52 +24,61 @@ hyper-cleaning's synthetic data in ``HYPERCLEAN_DATA``, and its instance in
 
 Losses are plain sums over samples, not means.  Softmax cross-entropy is not
 strongly convex in the weights, so the hyper-cleaning and hyper-representation
-outer objectives add a small ridge term (default 1e-4) on the inner variable.
+outer objectives add a small ridge term, ``RIDGE`` = 1e-4, on the inner
+variable.
 
 The two learning problems hold their logits class-major: C x N for
 hyper-cleaning and task x way x N for hyper-representation (with a leading
 batch axis in their stacked oracles), with the samples on the last,
 contiguous axis.  numpy reduces a short trailing axis one row at a time, so
 a softmax over a trailing class axis of length 2 costs several times the
-same reduction over a leading one.  The shared helpers therefore take the
-class axis as an argument (default -1).  Every contraction is a (batched)
-matmul taken pairwise, never a multi-operand einsum.  The flattened inner
-and outer variables keep their layouts (d x C weights; task x r x way heads;
-d x r map); only the kernels' intermediates are transposed.
+same reduction over a leading one.  ``softmax`` and ``sample_losses``
+therefore take the class axis as an argument (default -1), and the model's
+kernels reduce over axis -2.  Every contraction is a (batched) matmul taken
+pairwise, never a multi-operand einsum.  The flattened inner and outer
+variables keep their layouts (d x C weights; task x r x way heads; d x r
+map); only the kernels' intermediates are transposed.
 
 The two learning problems are one template: a linear softmax model fit to
 a training split (h) and scored on a validation split plus a ridge (g).
-They differ in their layout (``WT``, the view of w as the logit map), their
-features (hyper-representation maps its inputs through lam), their values
-and their lam side.  The model's kernels are written once: ``_probs`` (the
-softmax), ``_errors`` (P - Y in the softmax's own buffer) and ``_grad`` (a
-residual or a softmax response, weighted per column, projected back into
-w's layout), and both makers write their slots over them.  So is their
-``linearize`` hook of ``bilevelopt.problem``: ``_softmax_linearize``, which
-each maker binds to its features and sample weights at lam.  A step with
-alpha == 1 runs h's kernels on the training split alone, exactly as the
-slots do.  An averaged step stacks the two splits as one input with the
-training samples first, takes one softmax over the concatenated logits,
-weights the residual per column, [t alpha sigmoid(lam) ; s (1 - alpha)] for
-hyper-cleaning and [t alpha ; s (1 - alpha)] for hyper-representation, and
-projects it back once.  Either step saves its probabilities P, and its VJP
-takes one softmax response over the same columns; an averaged VJP rebuilds
-the weights rather than saving them and weights the response once, for both
-sides.  The only part a problem adds is its lam side: hyper-cleaning's
-sigmoid'(lam) term over the training columns, and hyper-representation's
-contraction with the inputs, over the training rows or both splits' rows
-at once.  Each hook binds lam once, for one row or for a stack of rows (the
-finite-difference referee's probes).  A stack takes the one stack branch,
-which runs h and g apart, as the slots do, and is value-only: it keeps no P
-and returns no VJP.  What no step reads of lam, the stacked targets and
-hyper-representation's stacked inputs, the makers build once.
+They differ only in where lam enters: hyper-cleaning weighs h's training
+samples by sigmoid(lam), and hyper-representation maps both splits' inputs
+through lam.  The template is written once, over three kernels: ``_probs``
+(the softmax), ``_errors`` (P - Y in the softmax's own buffer) and
+``_grad`` (a residual or a softmax response, weighted per column, projected
+back into w's layout).  ``_softmax_slots`` gives one split's ``grad1``,
+``vjp11`` and ``vjp12`` from its features and sample weights at lam, its
+targets, its ridge and its lam part; ``_loss_sums`` gives a split's stacked
+loss sums plus its ridge; ``_softmax_linearize`` gives the ``linearize``
+hook of ``bilevelopt.problem``; and ``_softmax_problem`` builds the record
+from the values, the two splits' slots and the hook.  The slots take a
+stack of lam rows as they take one, so they are also the stacked gradients
+``grad1_h_many``/``grad1_g_many``.  A maker keeps only its data checks, its
+layout (``WT``, the view of w as the logit map), its features and sample
+weights, its lam side (hyper-cleaning's sigmoid'(lam) term;
+hyper-representation's contraction with the inputs and its ``grad2_g``),
+hyper-cleaning's sigmoid-weighted h value, and its binding of the hook.
 
-Both learning problems also give the finite-difference referee stacked
-oracles: ``grad1_h_many``/``grad1_g_many`` and ``h_batch``/``g_batch``.
-Each row of a stack gives the row oracle's bits: the kernels run per row
-of the stack, and the dot products that reduce a row (sigmoid(lam) @
-losses, w @ w) are taken one row at a time, since a stacked reduction
-would round them differently.
+The hook binds lam once, for one row or for a stack of rows (the
+finite-difference referee's probes).  A step with alpha == 1 runs h's
+kernels on the training split alone, exactly as the slots do.  An averaged
+step stacks the two splits as one input with the training samples first,
+takes one softmax over the concatenated logits, weights the residual per
+column, [t alpha sigmoid(lam) ; s (1 - alpha)] for hyper-cleaning and
+[t alpha ; s (1 - alpha)] for hyper-representation, and projects it back
+once.  Either step saves its probabilities P, and its VJP takes one softmax
+response over the same columns; an averaged VJP rebuilds the weights rather
+than saving them and weights the response once, for both sides.  The lam
+side of hyper-representation's averaged VJP contracts both splits' rows at
+once.  A stack takes the one stack branch, which runs h and g apart, as
+the slots do, and is value-only: it keeps no P and returns no VJP.  What no
+step reads of lam, the stacked targets and hyper-representation's stacked
+inputs, the makers build once.
+
+Each row of a stacked value or gradient gives the row oracle's bits: the
+kernels run per row of the stack, and the dot products that reduce a row
+(sigmoid(lam) @ losses, w @ w) are taken one row at a time, since a stacked
+reduction would round them differently.
 
 Every zoo problem has one kernel per value: ``h_value``/``g_value`` are its
 ``h_batch``/``g_batch`` on a stack of one row (``_row_value``), so a row
@@ -149,10 +158,10 @@ def sample_losses(Z: np.ndarray, Y: np.ndarray, axis: int = -1) -> np.ndarray:
     return (lse - (Z * Y).sum(axis=axis, keepdims=True)).squeeze(axis)
 
 
-def _softmax_jvp(P: np.ndarray, dZ: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Directional derivative of softmax along a logit perturbation; ``axis`` is the class axis."""
+def _softmax_jvp(P: np.ndarray, dZ: np.ndarray) -> np.ndarray:
+    """Directional derivative of a softmax along a logit perturbation, class axis -2."""
     PdZ = P * dZ
-    PdZ -= P * PdZ.sum(axis=axis, keepdims=True)
+    PdZ -= P * PdZ.sum(axis=-2, keepdims=True)
     return PdZ
 
 
@@ -343,6 +352,10 @@ def make_degenerate_quadratic() -> BilevelProblem:
 # as the class-major logit map, and one split's features F (logits WT(w) @ F)
 # and one-hot targets Y, both class-major.
 
+# the weight of the ridge |w|^2 that g adds in both learning problems
+RIDGE = 1e-4
+
+
 def _probs(WT: Callable, F: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The softmax of the logits WT(w) @ F over their class axis."""
     return _softmax_inplace(np.matmul(WT(w), F), axis=-2)
@@ -417,7 +430,7 @@ def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[tuple]
 
             def vjp(a, omega_side, lam_bar):
                 A = WT(a) @ Ftr
-                dP = _softmax_jvp(P, A, axis=-2)
+                dP = _softmax_jvp(P, A)
                 lam_bar -= lam_side(P, A, dP, ta, None, w, a)
                 return a - ta * _grad(Ftr, dP, a, sw) if omega_side else None
 
@@ -433,7 +446,7 @@ def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[tuple]
         def vjp(a, omega_side, lam_bar):
             c = weights(ta, sb)
             A = WT(a) @ F
-            dP = _softmax_jvp(P, A, axis=-2)
+            dP = _softmax_jvp(P, A)
             dP *= c
             lam_bar -= lam_side(P, A, dP, ta, c, w, a)
             return shrink * a - _grad(F, dP, a) if omega_side else None
@@ -443,10 +456,71 @@ def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[tuple]
     return step
 
 
+def _softmax_slots(WT: Callable, F: Callable, sw: Callable, Y: np.ndarray,
+                   ridge: float, lam_part: Optional[Callable]) -> tuple:
+    """``grad1``, ``vjp11`` and ``vjp12`` of one split's loss sum plus ``ridge`` |w|^2.
+
+    ``F(lam)`` is the split's features at lam, ``sw(lam)`` its per-column
+    sample weights (None is 1) and Y its targets.
+    ``lam_part(P, A, w, a, lam)`` is the split's lam side of a's VJP, from the
+    probabilities P and a's logits A; None marks a split that never reads
+    lam, whose ``vjp12`` is None.  Each slot takes one row or a stack.
+    """
+    def grad1(w, lam):
+        FT = F(lam)
+        return _grad(FT, _errors(WT, FT, Y, w), w, sw(lam), ridge)
+
+    def vjp11(a, w, lam):
+        FT = F(lam)
+        return _grad(FT, _softmax_jvp(_probs(WT, FT, w), WT(a) @ FT), a, sw(lam), ridge)
+
+    def vjp12(a, w, lam):
+        FT = F(lam)
+        return lam_part(_probs(WT, FT, w), WT(a) @ FT, w, a, lam)
+
+    return grad1, vjp11, None if lam_part is None else vjp12
+
+
+def _loss_sums(WT: Callable, F: np.ndarray, Y: np.ndarray, W: np.ndarray,
+               ridge: float = 0.0) -> np.ndarray:
+    """Each row's loss sum on one split, plus ``ridge`` |w|^2, over the (B, n) stack W.
+
+    A row's losses sum as one flat run and w @ w is taken one row at a time:
+    a stacked reduction would round them differently.
+    """
+    sums = sample_losses(np.matmul(WT(W), F), Y, axis=-2).reshape(len(W), -1).sum(axis=-1)
+    if ridge:
+        sums += ridge * np.array([w @ w for w in W])
+    return sums
+
+
+def _softmax_problem(name: str, n: int, m: int, h_batch: Callable, g_batch: Callable,
+                     h_slots: tuple, g_slots: tuple, linearize: Callable,
+                     grad2_g: Optional[Callable] = None, **answers) -> BilevelProblem:
+    """A learning problem on its stacked values, its two splits' slots and its hook.
+
+    The slots take a stack of lam rows as they take one, so they are also the
+    stacked gradients.  ``grad2_g`` None declares g lam-free, with zero
+    ``grad2_g`` and ``vjp12_g``.
+    """
+    (grad1_h, vjp11_h, vjp12_h), (grad1_g, vjp11_g, vjp12_g) = h_slots, g_slots
+    lam_free = grad2_g is None
+    if lam_free:
+        grad2_g, vjp12_g = (lambda w, lam: np.zeros(m)), (lambda a, w, lam: np.zeros(m))
+    p = BilevelProblem(
+        inner_dim=n, outer_dim=m, name=name, answers=answers, g_lambda_free=lam_free,
+        h_value=_row_value(h_batch), g_value=_row_value(g_batch), h_batch=h_batch, g_batch=g_batch,
+        grad1_h=grad1_h, grad1_g=grad1_g, grad2_g=grad2_g,
+        vjp11_h=vjp11_h, vjp12_h=vjp12_h, vjp11_g=vjp11_g, vjp12_g=vjp12_g,
+        grad1_h_many=grad1_h, grad1_g_many=grad1_g)
+    p.linearize = linearize
+    return p
+
+
 # ---------------------------------------------------------------------------
 # data hyper-cleaning
 
-def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> BilevelProblem:
+def make_hypercleaning(train: Dataset, val: Dataset) -> BilevelProblem:
     """Per-sample reweighting of a noisy training set, tuned on clean validation.
 
     Inner variable: flattened d x C softmax weights.  Outer variable: one
@@ -454,7 +528,7 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
     the inner objective
 
         h(w, lam) = sum_i sigmoid(lam_i) * loss_i(w),
-        g(w, lam) = sum_j val_loss_j(w) + ridge * |w|^2.
+        g(w, lam) = sum_j val_loss_j(w) + RIDGE * |w|^2.
 
     A sample is flagged corrupted when its weight lam_i goes negative.
     """
@@ -470,8 +544,8 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
     # into it, which matmul reads at full speed.  The one-hot targets stay
     # contiguous per split: an elementwise op on a strided view costs about
     # a microsecond more, on every step.
-    m = len(train)
-    XT = np.empty((train.d, m + len(val)))
+    d, m = train.d, len(train)
+    XT = np.empty((d, m + len(val)))
     XtrT, XvaT = XT[:, :m], XT[:, m:]
     XtrT[:], XvaT[:] = train.X.T, val.X.T
     YtrT = np.ascontiguousarray(_onehot(train.y, C).T)
@@ -479,8 +553,6 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
     # the averaged step's targets, stacked as its input is; lam-free, so
     # built once here
     YT = np.concatenate((YtrT, YvaT), axis=-1)
-    d = train.d
-    n = d * C
 
     def WT(w):
         # C x d view of the d x C weights
@@ -489,17 +561,11 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
     def train_losses(w):
         return sample_losses(WT(w) @ XtrT, YtrT, axis=-2)
 
-    def val_losses(w):
-        return sample_losses(WT(w) @ XvaT, YvaT, axis=-2)
-
-    # the values on a stack of rows take their dot products one row at a
-    # time: a stacked reduction would round them differently
+    # h on a stack of rows takes its dot products one row at a time: a
+    # stacked reduction would round them differently
     def h_batch(W, lam):
         sig = np.broadcast_to(sigmoid(lam), (len(W), m))
         return np.array([s @ losses for s, losses in zip(sig, train_losses(W))])
-
-    def g_batch(W, lam):
-        return val_losses(W).sum(axis=-1) + ridge * np.array([w @ w for w in W])
 
     def h_lam(P, A, dsig):
         # the lam side of h: sigmoid'(lam) times each training sample's
@@ -510,46 +576,21 @@ def make_hypercleaning(train: Dataset, val: Dataset, ridge: float = 1e-4) -> Bil
         sig = sigmoid(lam)
         dsig = sig * (1.0 - sig)
         return _softmax_linearize(
-            WT, (XtrT, YtrT), (XvaT, YvaT), None if lam.ndim == 2 else (XT, YT), sig, ridge,
+            WT, (XtrT, YtrT), (XvaT, YvaT), None if lam.ndim == 2 else (XT, YT), sig, RIDGE,
             lambda P, A, dP, ta, c, w, a: ta * h_lam(P[:, :m], A[:, :m], dsig))
 
-    # the slots: the same kernels at an unbound lam, for one row or a stack
-    def grad1_h(w, lam):
-        return _grad(XtrT, _errors(WT, XtrT, YtrT, w), w, sigmoid(lam))
-
-    def grad1_g(w, lam):
-        return _grad(XvaT, _errors(WT, XvaT, YvaT, w), w, rg=ridge)
-
-    def vjp11_h(a, w, lam):
-        return _grad(XtrT, _softmax_jvp(_probs(WT, XtrT, w), WT(a) @ XtrT, axis=-2), a,
-                     sigmoid(lam))
-
-    def vjp12_h(a, w, lam):
+    def h_lam_part(P, A, w, a, lam):
+        # the slots' lam side, at an unbound lam
         sig = sigmoid(lam)
-        return h_lam(_probs(WT, XtrT, w), WT(a) @ XtrT, sig * (1.0 - sig))
+        return h_lam(P, A, sig * (1.0 - sig))
 
-    def vjp11_g(a, w, lam):
-        return _grad(XvaT, _softmax_jvp(_probs(WT, XvaT, w), WT(a) @ XvaT, axis=-2), a,
-                     rg=ridge)
-
-    p = BilevelProblem(
-        inner_dim=n, outer_dim=m, name="hypercleaning",
-        h_value=_row_value(h_batch), g_value=_row_value(g_batch),
-        grad1_h=grad1_h, grad1_g=grad1_g,
-        grad2_g=lambda w, lam: np.zeros(m),
-        vjp11_h=vjp11_h, vjp12_h=vjp12_h, vjp11_g=vjp11_g,
-        vjp12_g=lambda a, w, lam: np.zeros(m),
-        h_batch=h_batch, g_batch=g_batch,
-        g_lambda_free=True,
-        grad1_h_many=grad1_h, grad1_g_many=grad1_g,
-    )
-    p.linearize = linearize
-    p.answers = {
-        "train_losses": train_losses,
+    return _softmax_problem(
+        "hypercleaning", d * C, m, h_batch, lambda W, lam: _loss_sums(WT, XvaT, YvaT, W, RIDGE),
+        _softmax_slots(WT, lambda lam: XtrT, sigmoid, YtrT, 0.0, h_lam_part),
+        _softmax_slots(WT, lambda lam: XvaT, lambda lam: None, YvaT, RIDGE, None), linearize,
+        train_losses=train_losses,
         # dh/dlam_i = sigmoid'(lam_i) * loss_i(w)
-        "grad2_h": lambda w, lam: sigmoid(lam) * (1.0 - sigmoid(lam)) * train_losses(w),
-    }
-    return p
+        grad2_h=lambda w, lam: sigmoid(lam) * (1.0 - sigmoid(lam)) * train_losses(w))
 
 
 def hyperclean_f1_metric(mask: np.ndarray) -> Callable:
@@ -565,7 +606,7 @@ def hyperclean_f1_metric(mask: np.ndarray) -> Callable:
 # ---------------------------------------------------------------------------
 # toy hyper-representation
 
-def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> BilevelProblem:
+def make_hyperrep(episodes: EpisodeSet, rep_dim: int) -> BilevelProblem:
     """Shared linear representation (outer) with per-task softmax heads (inner).
 
     The outer variable reshapes to a d x r map applied as x -> x @ L; the
@@ -582,12 +623,9 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
     if ytr.size == 0 or yva.size == 0:
         raise ValueError("bad-episode: empty episode set or split")
     n_tasks, _, d = Xtr.shape
-    way = episodes.way
+    way, r = episodes.way, rep_dim
     if max(ytr.max(), yva.max()) >= way or min(ytr.min(), yva.min()) < 0:
         raise ValueError("bad-episode: episode labels exceed way or are negative")
-    r = rep_dim
-    n = n_tasks * r * way
-    m = d * r
 
     # logits are task x way x sample (class-major, see the module docstring)
     def rows_and_targets(X, y):
@@ -618,19 +656,6 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         # sum over tasks and samples of X^T M for a task x sample x r array M
         return (X2.T @ M.reshape(-1, r)).ravel()
 
-    # the values on a stack of rows sum each row's losses as one flat run and
-    # take w @ w one row at a time: a stacked reduction would round it
-    # differently
-    def loss_sums(X2, YT, W, lam):
-        ZT = np.matmul(WT(W), features(X2, lam))
-        return sample_losses(ZT, YT, axis=-2).reshape(len(W), -1).sum(axis=-1)
-
-    def h_batch(W, lam):
-        return loss_sums(Xtr2, YtrT, W, lam)
-
-    def g_batch(W, lam):
-        return loss_sums(Xva2, YvaT, W, lam) + ridge * np.array([w @ w for w in W])
-
     def lam_part(X2, R, dP, w, a):
         # the lam side over the rows X2: R is the residual P - Y and dP the
         # softmax's response to a's heads, each weighted per column alike
@@ -657,43 +682,24 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int, ridge: float = 1e-4) -> Bi
         # the averaged steps on one lam row; a stack's run the splits apart
         both = None if lam.ndim == 2 else (np.concatenate(
             [F.swapaxes(-1, -2) for F in (FTtr, FTva)], axis=-2).swapaxes(-1, -2), YallT)
-        return _softmax_linearize(WT, (FTtr, YtrT), (FTva, YvaT), both, None, ridge, lam_side)
+        return _softmax_linearize(WT, (FTtr, YtrT), (FTva, YvaT), both, None, RIDGE, lam_side)
 
-    # the slots: the same kernels with the features mapped at each call
-    def slots(X2, YT, rg):
-        def grad1(w, lam):
-            FT = features(X2, lam)
-            return _grad(FT, _errors(WT, FT, YT, w), w, rg=rg)
-
-        def vjp11(a, w, lam):
-            FT = features(X2, lam)
-            return _grad(FT, _softmax_jvp(_probs(WT, FT, w), WT(a) @ FT, axis=-2), a, rg=rg)
-
-        def vjp12(a, w, lam):
-            FT = features(X2, lam)
-            P = _probs(WT, FT, w)
-            return lam_part(X2, P - YT, _softmax_jvp(P, WT(a) @ FT, axis=-2), w, a)
-
-        return grad1, vjp11, vjp12
-
-    grad1_h, vjp11_h, vjp12_h = slots(Xtr2, YtrT, 0.0)
-    grad1_g, vjp11_g, vjp12_g = slots(Xva2, YvaT, ridge)
+    def split_slots(X2, YT, ridge):
+        # one split's slots, its features mapped at each call
+        return _softmax_slots(
+            WT, lambda lam: features(X2, lam), lambda lam: None, YT, ridge,
+            lambda P, A, w, a, lam: lam_part(X2, P - YT, _softmax_jvp(P, A), w, a))
 
     def grad2_g(w, lam):
         R = _errors(WT, features(Xva2, lam), YvaT, w)
         return contract_inputs(Xva2, np.matmul(R.transpose(0, 2, 1), WT(w)))
 
-    p = BilevelProblem(
-        inner_dim=n, outer_dim=m, name="hyperrep",
-        h_value=_row_value(h_batch), g_value=_row_value(g_batch),
-        grad1_h=grad1_h, grad1_g=grad1_g, grad2_g=grad2_g,
-        vjp11_h=vjp11_h, vjp12_h=vjp12_h, vjp11_g=vjp11_g, vjp12_g=vjp12_g,
-        h_batch=h_batch, g_batch=g_batch,
-        grad1_h_many=grad1_h, grad1_g_many=grad1_g,
-    )
-    p.linearize = linearize
-    p.answers = {"n_tasks": n_tasks, "rep_dim": r, "way": way}
-    return p
+    return _softmax_problem(
+        "hyperrep", n_tasks * r * way, d * r,
+        lambda W, lam: _loss_sums(WT, features(Xtr2, lam), YtrT, W),
+        lambda W, lam: _loss_sums(WT, features(Xva2, lam), YvaT, W, RIDGE),
+        split_slots(Xtr2, YtrT, 0.0), split_slots(Xva2, YvaT, RIDGE), linearize, grad2_g,
+        n_tasks=n_tasks, rep_dim=r, way=way)
 
 
 def hyperrep_accuracy_metric(episodes: EpisodeSet, rep_dim: int) -> Callable:

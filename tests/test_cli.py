@@ -620,6 +620,17 @@ class TestOutputDirectory:
         assert err.startswith("error: ") and str(out) in err
         assert "Traceback" not in err
 
+    REFUSED = {"check": ["--tol", "nan", "--out", "new/r.json"],
+               "solve": ["--problem", "closedform_quadratic", "--seed", "-1",
+                         "--out", "new/run.csv"],
+               "clean": ["--rho", "2", "--out", "new/c.csv"]}
+
+    def test_refused_run_creates_no_directory(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, *self.REFUSED[command]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReplay:
     """A replay rewrites its run's outputs and manifest byte for byte, and nothing else."""

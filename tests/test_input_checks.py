@@ -14,6 +14,7 @@ import pytest
 
 import bilevelopt as bl
 from bilevelopt.data import Dataset, EpisodeSet
+from bilevelopt.problem import as_vector
 
 SPEC = bl.InnerSolveSpec(K=3, t=0.1, s=0.1)
 
@@ -40,6 +41,13 @@ class TestVectors:
         config = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=3, T=1)
         with pytest.raises(ValueError, match="lam0 " + re.escape(message)):
             bl.run_model(degenerate(), lam0, config)
+
+    def test_a_scalar_is_a_one_entry_vector(self):
+        assert np.array_equal(as_vector(0.5, 1), [0.5])
+        scalar = bl.solve_inner(degenerate(), np.float64(0.5), SPEC)
+        row = bl.solve_inner(degenerate(), np.array([0.5]), SPEC)
+        assert np.array_equal(scalar.lam, [0.5])
+        assert np.array_equal(scalar.iterates, row.iterates)
 
 
 class TestTape:

@@ -151,6 +151,26 @@ class TestCheckSuite:
         assert [(r.name, r.max_rel_err) for r in a] == [(r.name, r.max_rel_err) for r in b]
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
+    def test_no_analytic_vjp_gives_no_vjp_row(self):
+        # every VJP slot None: each step differences the gradients, and the
+        # VJP check has nothing analytic to compare
+        p = dataclasses.replace(bl.make_degenerate_quadratic(), vjp11_h=None, vjp12_h=None,
+                                vjp11_g=None, vjp12_g=None)
+        reports = bl.check_suite(p, [CheckConfig(K=5, n_points=1, hg_points=1)])
+        assert [r.name for r in reports] == ["first-order-vs-fd",
+                                             "reverse-vs-fd-hypergradient",
+                                             "grid-min-vs-analytic"]
+        assert all(r.passed for r in reports)
+
+    def test_no_analytic_minimum_gives_no_grid_row(self):
+        # a 2+2 problem small enough for the grid, but with nothing to compare
+        # its minimum against: the grid, over budget at this size, is not
+        # even attempted
+        reports = bl.check_suite(two_by_two_quadratic(),
+                                 [CheckConfig(K=5, n_points=1, hg_points=1)])
+        assert [r.name for r in reports] == ["first-order-vs-fd", "vjp-vs-fd",
+                                             "reverse-vs-fd-hypergradient"]
+
 
 def drawn_two_plus_one():
     """A drawn 2+1 ``make_quadratic`` problem with its closed-form minimum as ``min_f``.
