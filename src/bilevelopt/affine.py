@@ -27,13 +27,34 @@ so one scan composes the n x (1 + m) state [omega | J] with the offsets
 the hypergradient of f_K(lam) = g(omega_K, lam) off it as
 grad2_g + J_K^T grad1_g(omega_K, lam).
 
-Steps are composed ``BLOCK`` = 256 at a time with the state carried from
-block to block, so beyond the O(K n) iterates and O(K) weights the memory is
-O(BLOCK (n + m)^2) for any K.  256 is measured (2-core Xeon, OpenBLAS on one
-thread): at n = 2, m = 1 and K = 5000, blocks of 512 or 1024 steps scan
-about 1.4x or 1.7x faster, since they make fewer numpy calls per step; at
-n = m = 50 and K = 1000 they scan about 1.2x or 1.5x slower, and a block
-of 1024 steps holds 84 MB.
+Steps are composed a block at a time with the state carried from block to
+block.  A block holds as many step matrices as fill ``BLOCK_BYTES`` = 512
+KiB, max(1, BLOCK_BYTES // (8 (n + 1 + m)^2)) steps, at most K; so beyond
+the O(K n) iterates and O(K) weights the memory is O(BLOCK_BYTES) for any K
+and any state size (one step matrix, where one alone is larger).  At small
+n the scan is bound by numpy calls, 2 log2(B) per block of B steps, and
+long blocks make fewer calls per step; at large n it is bound by flops,
+about two (n+1+m)-square products per step, and short blocks keep their
+matrices in cache.  The budget is measured (2-core Xeon, 2 MiB L2 per
+core, OpenBLAS on one thread; median microseconds per step of K = 2000
+steps over 40 interleaved rounds, with the steps per block in brackets,
+against fixed blocks of 256 steps):
+
+    n+1+m   256 steps      256 KiB        512 KiB        1 MiB
+      3      0.53           0.29 (2000)    0.29 (2000)    0.29 (2000)
+      4      0.54           0.29 (2000)    0.30 (2000)    0.29 (2000)
+      8      0.68           0.55 (512)     0.49 (1024)    0.54 (2000)
+     12      1.00           0.99 (227)     0.91 (455)     0.94 (910)
+     21      2.30           2.64 (74)      2.28 (148)     2.36 (297)
+     31      6.73           6.14 (34)      5.80 (68)      5.94 (136)
+     41     12.8           10.1 (19)      10.0 (38)      10.4 (77)
+     61     37.1           25.1 (8)       26.1 (17)      28.2 (35)
+    101    199             62.6 (3)       94.4 (6)      115 (12)
+
+512 KiB is no slower than fixed 256-step blocks at any of these sizes.
+256 KiB is faster at n+1+m >= 61 but 15% slower at 21, and larger budgets
+gain nothing at small n and lose at large n.
+
 ``inner_iterates`` returns None when a composed value, of the iterates or of
 J_K, is not finite; the caller then reruns the generic loop, which is the
 reference path and names the step that diverged.
@@ -45,9 +66,17 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["BLOCK", "inner_iterates"]
+__all__ = ["BLOCK_BYTES", "inner_iterates"]
 
-BLOCK = 256
+BLOCK_BYTES = 512 * 1024
+
+
+def _block(size: int, K: int) -> int:
+    """Steps per block: as many (size x size) float64 step matrices as fill ``BLOCK_BYTES``.
+
+    At least one and at most K, or one step when K = 0.
+    """
+    return max(1, min(K, BLOCK_BYTES // (8 * size * size)))
 
 
 def _scan(H: np.ndarray) -> None:
@@ -97,12 +126,13 @@ def _states(spec, alphas: np.ndarray, t: float, s: float, X: np.ndarray,
     # one block's steps, rewritten for every block; the scan keeps their
     # [0, I] rows while its values stay finite, and a value that does not
     # fails the whole solve
-    H = np.zeros((min(BLOCK, K), n + r, n + r))
+    block = _block(n + r, K)
+    H = np.zeros((block, n + r, n + r))
     H[:, n:, n:] = np.eye(r)
-    tops = H.reshape(H.shape[0], (n + r) ** 2)[:, :n * (n + r)]
-    for lo in range(0, K, BLOCK):
-        G = H[:min(BLOCK, K - lo)]
-        np.matmul(weights[lo:lo + BLOCK], rows, out=tops[:G.shape[0]])
+    tops = H.reshape(block, (n + r) ** 2)[:, :n * (n + r)]
+    for lo in range(0, K, block):
+        G = H[:min(block, K - lo)]
+        np.matmul(weights[lo:lo + block], rows, out=tops[:G.shape[0]])
         # the block's first step starts from the carried state, so after the
         # scan the offset columns of step k hold the state X_{lo+k+1}
         G[0, :n, n:] += G[0, :n, :n] @ X

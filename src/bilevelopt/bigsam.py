@@ -246,9 +246,10 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
     no gradient oracle and agrees with the loop to roundoff.  That scan
     carries the lam-Jacobian J_K alongside the iterates, and the tape
     records it in place of VJPs; if a composed value is not finite the loop
-    is run instead.  Finiteness is checked once on the recorded trajectory:
-    the first non-finite iterate names the diverging step, and the gradient
-    oracles that are not finite at its input name the cause.
+    is run instead.  The loop's trajectory is checked for finiteness once,
+    after the loop: the first non-finite iterate names the diverging step,
+    and the gradient oracles that are not finite at its input name the cause.
+    The composed trajectory is already checked by ``affine.inner_iterates``.
     """
     alphas = schedule(spec)
     lam = as_vector(lam, problem.outer_dim, "lam")
@@ -264,12 +265,12 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
         vjps = []
         _iterate(omega, alphas, spec.t, spec.s, linearizer(problem, lam),
                  out=iterates, vjps=vjps)
-    finite_rows = np.all(np.isfinite(iterates), axis=1)
-    if not finite_rows.all():
-        k = max(int(np.argmin(finite_rows)) - 1, 0)
-        raise OracleDivergence(
-            f"oracle-divergence: non-finite iterate "
-            f"(inner step {k}{_culprit(problem, iterates[k], lam, alphas[k])})")
+        finite_rows = np.all(np.isfinite(iterates), axis=1)
+        if not finite_rows.all():
+            k = max(int(np.argmin(finite_rows)) - 1, 0)
+            raise OracleDivergence(
+                f"oracle-divergence: non-finite iterate "
+                f"(inner step {k}{_culprit(problem, iterates[k], lam, alphas[k])})")
     return Tape(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
                 lam=lam.copy(), vjps=None if vjps is None else tuple(vjps),
                 jacobian=jacobian)

@@ -384,15 +384,17 @@ def _grad(F: np.ndarray, R: np.ndarray, w: np.ndarray, sw=None, rg: float = 0.0)
     return out
 
 
-def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[tuple], sw,
+def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[Callable], sw,
                        ridge: float, lam_side: Callable) -> Callable:
     """The ``linearize`` step of a linear softmax model at one bound lam row or a stack.
 
     ``tr`` and ``va`` are the splits' (features, targets): h fits the model
     to the training split, each sample weighted by ``sw`` (None is 1), and g
-    scores it on the validation split plus ``ridge`` |w|^2.  ``both`` stacks
-    the two splits as one input, training samples first, for the averaged
-    steps on one lam row; it is None on a stack of lam rows.
+    scores it on the validation split plus ``ridge`` |w|^2.  ``both()``
+    stacks the two splits as one input, training samples first, for the
+    averaged steps on one lam row; the first averaged step calls it, so a
+    solve whose steps all have alpha == 1 never does.  It is None on a stack
+    of lam rows.
     ``lam_side(P, A, dP, ta, c, w, a)`` is the problem's lam side of a
     VJP, which the VJP subtracts from ``lam_bar``: from the saved
     probabilities P, the adjoint's logits A, the softmax's response dP, and,
@@ -401,11 +403,12 @@ def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[tuple]
     """
     (Ftr, Ytr), (Fva, Yva) = tr, va
     m = Ytr.shape[-1]
+    fused = None    # both(), once an averaged step has asked for it
 
     def weights(ta, sb):
         # an averaged step's per-column weights on the stacked splits,
         # [ta * sw ; sb], rebuilt by its VJP rather than kept on the tape
-        c = np.empty(both[1].shape[-1])
+        c = np.empty(m + Yva.shape[-1])
         if sw is None:
             c[:m] = ta
         else:
@@ -414,6 +417,7 @@ def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[tuple]
         return c
 
     def step(w, ta, sb):
+        nonlocal fused
         if both is None:
             # a stack of lam rows (the FD referee's probes) is bound by
             # memory traffic, not by calls: fused, its largest array would
@@ -439,7 +443,9 @@ def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[tuple]
         # one softmax over both splits' logits, whose residual, weighted per
         # column, is projected back once; the ridge shrinks w.  The VJP
         # weights the softmax's response once, for both sides
-        F, Y = both
+        if fused is None:
+            fused = both()
+        F, Y = fused
         shrink = 1.0 - (2.0 * ridge) * sb
         P = _probs(WT, F, w)
 
@@ -576,8 +582,8 @@ def make_hypercleaning(train: Dataset, val: Dataset) -> BilevelProblem:
         sig = sigmoid(lam)
         dsig = sig * (1.0 - sig)
         return _softmax_linearize(
-            WT, (XtrT, YtrT), (XvaT, YvaT), None if lam.ndim == 2 else (XT, YT), sig, RIDGE,
-            lambda P, A, dP, ta, c, w, a: ta * h_lam(P[:, :m], A[:, :m], dsig))
+            WT, (XtrT, YtrT), (XvaT, YvaT), None if lam.ndim == 2 else lambda: (XT, YT),
+            sig, RIDGE, lambda P, A, dP, ta, c, w, a: ta * h_lam(P[:, :m], A[:, :m], dsig))
 
     def h_lam_part(P, A, w, a, lam):
         # the slots' lam side, at an unbound lam
@@ -680,9 +686,12 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int) -> BilevelProblem:
         # both splits' features as one task x r x (N_tr + N_val) input,
         # training samples first, laid out as features() lays them out, for
         # the averaged steps on one lam row; a stack's run the splits apart
-        both = None if lam.ndim == 2 else (np.concatenate(
-            [F.swapaxes(-1, -2) for F in (FTtr, FTva)], axis=-2).swapaxes(-1, -2), YallT)
-        return _softmax_linearize(WT, (FTtr, YtrT), (FTva, YvaT), both, None, RIDGE, lam_side)
+        def both():
+            return (np.concatenate([F.swapaxes(-1, -2) for F in (FTtr, FTva)],
+                                   axis=-2).swapaxes(-1, -2), YallT)
+
+        return _softmax_linearize(WT, (FTtr, YtrT), (FTva, YvaT),
+                                  None if lam.ndim == 2 else both, None, RIDGE, lam_side)
 
     def split_slots(X2, YT, ridge):
         # one split's slots, its features mapped at each call

@@ -6,6 +6,7 @@ the reference every fast-path result is checked against.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,11 @@ SCHEDULES = {
 }
 
 
+def state_size(p):
+    """n + 1 + m: the side of a composed step matrix of problem p."""
+    return sum(p.affine.B_h.shape) + 1
+
+
 def _close(got, want, rtol):
     # relative to each entry, with the array's scale as the floor for entries
     # that pass through zero
@@ -53,32 +59,42 @@ def _close(got, want, rtol):
 
 
 class TestFastPathMatchesLoop:
-    @pytest.mark.parametrize("K", [0, 1, 2, affine.BLOCK + 1, 5000])
+    # K = 257 in blocks of 256 reaches one block carry and a one-step tail;
+    # K = 5000 runs the real block, several of them for the random problems
+    @pytest.mark.parametrize("K,steps", [(0, None), (1, None), (2, None), (257, 256),
+                                         (5000, None)])
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
     @pytest.mark.parametrize("name", list(PROBLEMS))
-    def test_iterates_and_hypergradient(self, name, schedule, K):
+    def test_iterates_and_hypergradient(self, scan_blocks, name, schedule, K, steps):
+        blocks, lengths = scan_blocks
         p = PROBLEMS[name]()
         ref = dataclasses.replace(p)
         assert p.affine is not None and ref.affine is None
         expo, freq = SCHEDULES[schedule]
         spec = bl.InnerSolveSpec(K=K, t=0.2, s=0.15, alpha_exponent=expo, bigsam_frequency=freq)
         lam = np.random.default_rng(K).normal(size=p.outer_dim)
-        fast = bl.solve_inner(p, lam, spec)
+        size = state_size(p)
+        with blocks(steps, size) as seen:
+            fast = bl.solve_inner(p, lam, spec)
+            final = final_inner_iterate(p, lam, spec)
+        assert seen == 2 * lengths(K, steps or affine._block(size, K))
         loop = bl.solve_inner(ref, lam, spec)
         assert np.array_equal(fast.alphas, loop.alphas)
         _close(fast.iterates, loop.iterates, 1e-12)
         _close(bl.reverse_hypergradient(p, fast), bl.reverse_hypergradient(ref, loop), 1e-10)
-        assert np.array_equal(final_inner_iterate(p, lam, spec), fast.final)
+        assert np.array_equal(final, fast.final)
 
     @pytest.mark.parametrize("name", list(PROBLEMS))
-    def test_exponent_zero_is_basic_bit_for_bit(self, name):
+    def test_exponent_zero_is_basic_bit_for_bit(self, scan_blocks, name):
+        blocks, lengths = scan_blocks
         p = PROBLEMS[name]()
         lam = np.random.default_rng(4).normal(size=p.outer_dim)
-        spec0 = bl.InnerSolveSpec(K=affine.BLOCK + 7, t=0.2, s=0.15, alpha_exponent=0.0)
-        spec = bl.SolveConfig(t=0.2, s=0.15, eta=0.1, K=affine.BLOCK + 7, T=1,
-                              mode="basic").inner_spec()
-        imp = bl.solve_inner(p, lam, spec0)
-        bas = bl.solve_inner(p, lam, spec)
+        spec0 = bl.InnerSolveSpec(K=263, t=0.2, s=0.15, alpha_exponent=0.0)
+        spec = bl.SolveConfig(t=0.2, s=0.15, eta=0.1, K=263, T=1, mode="basic").inner_spec()
+        with blocks(256, state_size(p)) as seen:
+            imp = bl.solve_inner(p, lam, spec0)
+            bas = bl.solve_inner(p, lam, spec)
+        assert seen == 2 * lengths(263, 256) == [256, 7, 256, 7]
         assert np.array_equal(imp.iterates, bas.iterates)
         assert np.array_equal(bl.reverse_hypergradient(p, imp),
                               bl.reverse_hypergradient(p, bas))
@@ -136,15 +152,57 @@ class TestScanIndexing:
         _close(J, want_J, 1e-13)
 
     @pytest.mark.parametrize("block", [8, 16])
-    def test_every_horizon_up_to_seventy(self, monkeypatch, block):
-        monkeypatch.setattr(affine, "BLOCK", block)
+    def test_every_horizon_up_to_seventy(self, scan_blocks, block):
+        blocks, lengths = scan_blocks
+        size = state_size(random_quadratic(1))
         for K in range(71):
-            self.check(K)
+            with blocks(block, size) as seen:
+                self.check(K)
+            assert seen == lengths(K, block)
 
-    @pytest.mark.parametrize("K", [affine.BLOCK - 1, affine.BLOCK, affine.BLOCK + 1,
-                                   2 * affine.BLOCK + 1])
-    def test_around_the_real_block(self, K):
-        self.check(K)
+    # the real block of random_quadratic(1), whose state has n + 1 + m = 8
+    # columns: 1024 steps
+    @pytest.mark.parametrize("offset,want", [(-1, [1023]), (0, [1024]), (1, [1024, 1]),
+                                             (1025, [1024, 1024, 1])])
+    def test_around_the_real_block(self, scan_blocks, offset, want):
+        blocks, _ = scan_blocks
+        block = affine._block(state_size(random_quadratic(1)), 10 ** 9)
+        assert block == 1024
+        with blocks() as seen:
+            self.check(block + offset)
+        assert seen == want
+
+
+class TestBlockSize:
+    """The block is derived from the state size, so the scan's memory is bounded for any size."""
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 600, 5000])
+    def test_derived_block_is_between_one_step_and_k(self, K):
+        for size in range(3, 102):
+            block = affine._block(size, K)
+            assert 1 <= block <= K
+            # one step matrix alone may exceed the budget; a block of more never does
+            assert block == 1 or block * 8 * size ** 2 <= affine.BLOCK_BYTES
+
+    def test_scan_memory_is_bounded_at_n_m_fifty(self):
+        # a 256-step block of this size would hold 256 * 8 * 101^2 bytes = 20.9 MB
+        p = random_quadratic(2, n=50, m=50)
+        spec = bl.InnerSolveSpec(K=600, t=0.1, s=0.1)
+        alphas = bl.schedule(spec)
+        lam = np.random.default_rng(2).normal(size=p.outer_dim)
+        tracemalloc.start()
+        try:
+            composed = affine.inner_iterates(p.affine, lam, alphas, spec.t, spec.s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert composed is not None
+        iterates, J = composed
+        # the block buffer holds at most the budget, and the scan's
+        # temporaries, its weights and its constant rows less than twice
+        # more (1.1 MB in all, of which 0.24 MB iterates; 32 MB in blocks of
+        # 256 steps)
+        assert peak < 3 * affine.BLOCK_BYTES + iterates.nbytes + J.nbytes, peak
 
 
 class TestDivergence:
@@ -249,16 +307,20 @@ class TestOneScan:
 
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
     @pytest.mark.parametrize("name", list(PROBLEMS))
-    def test_jacobian_is_the_loop_difference(self, name, schedule):
+    def test_jacobian_is_the_loop_difference(self, scan_blocks, name, schedule):
         # omega_K is affine in lam, so a unit difference of the loop's final
-        # iterate is J_K's column exactly, up to roundoff
+        # iterate is J_K's column exactly, up to roundoff; J_K is carried
+        # across a block boundary
+        blocks, _ = scan_blocks
         p = PROBLEMS[name]()
         ref = dataclasses.replace(p)
         expo, freq = SCHEDULES[schedule]
-        spec = bl.InnerSolveSpec(K=affine.BLOCK + 1, t=0.2, s=0.15, alpha_exponent=expo,
+        spec = bl.InnerSolveSpec(K=257, t=0.2, s=0.15, alpha_exponent=expo,
                                  bigsam_frequency=freq)
         lam = np.random.default_rng(3).normal(size=p.outer_dim)
-        J = bl.solve_inner(p, lam, spec).jacobian
+        with blocks(256, state_size(p)) as seen:
+            J = bl.solve_inner(p, lam, spec).jacobian
+        assert seen == [256, 1]
         base = final_inner_iterate(ref, lam, spec)
         for j in range(p.outer_dim):
             e = np.zeros(p.outer_dim)

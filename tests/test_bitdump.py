@@ -2,10 +2,12 @@
 
 Bit identity is a property of every refactor: the quadratics (their
 composed path, their ``replace`` copies on the generic loop, their
-FD-fallback copies and their ``check_suite`` rows), the two small learning
-instances (their hooks, their ``replace`` copies on the slots, their serial
-copies and their ``check_suite`` rows) and the command line at small
-budgets must print the committed digest lines.  ``python3
+FD-fallback copies, their ``check_suite`` rows, and the degenerate
+quadratic's composed solve at the benchmark's ``quad_gap`` settings, which
+runs several scan blocks), the two small learning instances (their hooks,
+their ``replace`` copies on the slots, their serial copies and their
+``check_suite`` rows) and the command line at small budgets must print the
+committed digest lines.  ``python3
 tools/bitdump.py --check`` compares all of them, the zoo's learning
 problems too.
 """

@@ -15,9 +15,9 @@ shares no code with the paths it referees.  It takes the alpha_k from
 bits ``tests/test_properties.py`` pins.
 
 The paths are the composed affine scan (the problem itself, at the real
-``affine.BLOCK`` and at blocks of 1, 3 and 8 steps, so that block carries
-and odd tails are reached at small K), the generic loop (a ``replace``
-copy) and the FD-fallback copy, whose reverse pass takes central
+block, which holds every drawn K, and at blocks of 1, 3 and 8 steps forced
+through ``affine._block``, so that block carries and odd tails are reached
+at small K), the generic loop (a ``replace`` copy) and the FD-fallback copy, whose reverse pass takes central
 differences of the gradient slots instead of the analytic VJPs.
 """
 
@@ -25,7 +25,6 @@ import dataclasses
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -201,12 +200,17 @@ def exact_case(case):
 
 @settings(max_examples=40)
 @given(cases())
-def test_every_path_matches_the_exact_recurrence(case):
+def test_every_path_matches_the_exact_recurrence(scan_blocks, case):
+    blocks, lengths = scan_blocks
     problem, inner, lam = case
     want = exact_case(case)
-    for block in (affine.BLOCK,) + SMALL_BLOCKS:
-        with mock.patch.object(affine, "BLOCK", block):
+    size = sum(problem.affine.B_h.shape) + 1
+    # the real block holds every drawn K, at most 60 steps, in one block
+    assert affine._block(size, 60) == 60
+    for block in (None,) + SMALL_BLOCKS:
+        with blocks(block, size) as seen:
             errors = composed_errors(problem, inner, lam, want)
+        assert seen == lengths(inner.K, block or 60), (block, seen)
         for name, err, bound in zip(("iterates", "J_K", "hypergradient"), errors,
                                     (ITERATES_BOUND, JACOBIAN_BOUND, HYPERGRADIENT_BOUND)):
             assert err <= bound, (block, name, err)

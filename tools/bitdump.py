@@ -14,10 +14,13 @@ learning problems also get a "serial" copy without stacked oracles
 (``grad1_h_many``, ``grad1_g_many``, ``h_batch``, ``g_batch``), whose
 finite-difference referee reaches the row oracles row by row through
 ``bilevelopt.problem.batched``; it digests its central-difference
-hypergradient.  Each zoo problem's ``check_suite``
-report (seed 0, ``default_check_configs``), and that of each serial copy,
-gets one line per verifier row: the SHA-256 of the row's JSON, whose floats
-round-trip, so every referee value (first-order, VJP and hypergradient
+hypergradient.  The degenerate quadratic also gets, at the settings of the
+benchmark's ``quad_gap`` workload (K = 5000, t = s = 0.1, lam = 0.25, each
+mode, frequency 1), the digests of the iterates and the hypergradient of
+its composed path, the one path there that runs several scan blocks.  Each
+zoo problem's ``check_suite`` report (seed 0, ``default_check_configs``),
+and that of each serial copy, gets one line per verifier row: the SHA-256
+of the row's JSON, whose floats round-trip, so every referee value (first-order, VJP and hypergradient
 differences, grid minimum) is compared bit for bit.  Two small learning
 instances, ``hyperclean_small`` (24 training and 24 validation samples,
 d = 5, C = 3) and ``hyperrep_small`` (3 tasks, way 5, 1 shot, 5
@@ -163,6 +166,27 @@ def lines(names):
                         yield f"{label} hypergradient", bl.reverse_hypergradient(problem, tape)
                     yield (f"{label} fd_hypergradient",
                            bl.hypergradient_fd_oracle(problem, lam, spec))
+        if name == "degenerate_quadratic":
+            yield from quad_gap_lines()
+
+
+def quad_gap_lines():
+    """(label, array) for the degenerate quadratic's composed solve, each mode.
+
+    These are the settings of the benchmark's ``quad_gap`` workload, whose
+    K = 5000 steps take several scan blocks.
+    """
+    import numpy as np
+    import bilevelopt as bl
+    from bilevelopt.bigsam import model_exponent
+
+    problem = bl.zoo_problem("degenerate_quadratic").problem
+    for mode in ("improved", "basic"):
+        spec = bl.InnerSolveSpec(K=5000, t=0.1, s=0.1, alpha_exponent=model_exponent(mode))
+        tape = bl.solve_inner(problem, np.array([0.25]), spec)
+        label = f"degenerate_quadratic quad_gap {mode}"
+        yield f"{label} iterates", tape.iterates
+        yield f"{label} hypergradient", bl.reverse_hypergradient(problem, tape)
 
 
 def check_lines(names):
