@@ -23,6 +23,9 @@ gradient-based hyperparameter optimization"):
 
 so one scan composes the n x (1 + m) state [omega | J] with the offsets
 [t alpha_k (B_h lam + d_h) + s (1 - alpha_k) A_g c_g | t alpha_k B_h].
+``inner_iterates`` holds each step as the block matrix
+[[M_k, offset_k], [0, I]], so composing two steps is one matrix product and
+the columns of the state do not mix.
 ``bilevelopt.bigsam`` records J_K on the tape, and the reverse pass reads
 the hypergradient of f_K(lam) = g(omega_K, lam) off it as
 grad2_g + J_K^T grad1_g(omega_K, lam).
@@ -99,28 +102,32 @@ def _scan(H: np.ndarray) -> None:
         H[3 * d - 1::2 * d] = later @ H[2 * d - 1::2 * d][:later.shape[0]]
 
 
-def _states(spec, alphas: np.ndarray, t: float, s: float, X: np.ndarray,
-            b: np.ndarray, gc: np.ndarray):
-    """Apply X <- M_k X + [t alpha_k b + s (1 - alpha_k) gc | t alpha_k B_h] for every step k.
+@np.errstate(over="ignore", invalid="ignore")
+def inner_iterates(spec, lam: np.ndarray, alphas: np.ndarray,
+                   t: float, s: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """omega_0..omega_K from omega_0 = 0, stacked row-wise, and J_K = d omega_K / d lam.
 
-    ``X`` is the (n, 1 + m) state [omega | J].  Each step is held as the
-    block matrix [[M_k, offset_k], [0, I]], so composing two steps is one
-    matrix product, and the columns of the state do not mix.  Yields each
-    block's states X_{lo+1}..X_{hi} as one (len, n, 1 + m) array, a view
-    that the next block overwrites.
+    One loop over the blocks applies X <- M_k X + [t alpha_k b + s (1 -
+    alpha_k) gc | t alpha_k B_h] for every step k to the (n, 1 + m) state
+    X = [omega | J], from X = 0, with b = B_h lam + d_h and gc = A_g c_g:
+    each block forms its steps' block matrices [[M_k, offset_k], [0, I]],
+    folds the carried state into its first step, scans, writes its iterates
+    and carries its last state to the next block, all with numpy's overflow
+    warnings off.  None if a composed value is not finite.
     """
-    n, r = X.shape
+    n, m = spec.B_h.shape
+    r = 1 + m
     K = alphas.shape[0]
     # the top rows [M_k | offset_k] of step k combine three constant rows,
     # t alpha_k [-A_h | b | B_h] + [I | 0] + s (1 - alpha_k) [-A_g | gc | 0],
     # and one matrix product forms them for a whole block
     rows = np.zeros((3, n, n + r))
     rows[0, :, :n] = -spec.A_h
-    rows[0, :, n] = b
+    rows[0, :, n] = spec.B_h @ lam + spec.d_h
     rows[0, :, n + 1:] = spec.B_h
     rows[1, :, :n] = np.eye(n)
     rows[2, :, :n] = -spec.A_g
-    rows[2, :, n] = gc
+    rows[2, :, n] = spec.A_g @ spec.c_g
     rows = rows.reshape(3, n * (n + r))
     weights = np.stack((t * alphas, np.ones(K), s * (1.0 - alphas)), axis=1)
     # one block's steps, rewritten for every block; the scan keeps their
@@ -130,6 +137,9 @@ def _states(spec, alphas: np.ndarray, t: float, s: float, X: np.ndarray,
     H = np.zeros((block, n + r, n + r))
     H[:, n:, n:] = np.eye(r)
     tops = H.reshape(block, (n + r) ** 2)[:, :n * (n + r)]
+    X = np.zeros((n, r))
+    iterates = np.empty((K + 1, n))
+    iterates[0] = 0.0
     for lo in range(0, K, block):
         G = H[:min(block, K - lo)]
         np.matmul(weights[lo:lo + block], rows, out=tops[:G.shape[0]])
@@ -137,26 +147,7 @@ def _states(spec, alphas: np.ndarray, t: float, s: float, X: np.ndarray,
         # scan the offset columns of step k hold the state X_{lo+k+1}
         G[0, :n, n:] += G[0, :n, :n] @ X
         _scan(G)
+        iterates[lo + 1:lo + 1 + G.shape[0]] = G[:, :n, n]
         X = G[-1, :n, n:].copy()
-        yield G[:, :n, n:]
-
-
-def inner_iterates(spec, lam: np.ndarray, alphas: np.ndarray,
-                   t: float, s: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """omega_0..omega_K from omega_0 = 0, stacked row-wise, and J_K = d omega_K / d lam.
-
-    None if a composed value is not finite.
-    """
-    n, m = spec.B_h.shape
-    X = np.zeros((n, 1 + m))
-    iterates = np.empty((alphas.shape[0] + 1, n))
-    iterates[0] = 0.0
-    row = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for Y in _states(spec, alphas, t, s, X, spec.B_h @ lam + spec.d_h,
-                         spec.A_g @ spec.c_g):
-            iterates[row:row + Y.shape[0]] = Y[:, :, 0]
-            row += Y.shape[0]
-            X = Y[-1]
     J = X[:, 1:].copy()
     return (iterates, J) if np.all(np.isfinite(iterates)) and np.all(np.isfinite(J)) else None

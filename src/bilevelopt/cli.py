@@ -132,8 +132,7 @@ def _records(problem, lam0, config: SolveConfig, metric, no_timing: bool):
         return run_model(problem, lam0, config, metric=metric,
                          collect_timing=not no_timing).records, None
     except OracleDivergence as exc:
-        partial = getattr(exc.__cause__, "partial_trace", None)
-        return (partial.records if partial is not None else []), exc
+        return exc.__cause__.partial_trace.records, exc
 
 
 def _divergence_exit(errors: list) -> int:

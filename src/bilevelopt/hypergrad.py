@@ -69,11 +69,10 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
     docstring: the tape's recorded ones, else those of ``linearizer`` at the
     tape's iterates, newest first.  A tape that records the lam-Jacobian J_K
     (the composed affine path's), reversed by a problem that declares its
-    affine structure, instead gives grad2_g + J_K^T grad1_g, and the loop
-    runs only if that value is not finite.  A problem without the
-    declaration (a ``replace`` copy, the reference) walks the loop.
-    Finiteness is checked once on the result, so an overflow on the way is
-    not warned about.
+    affine structure, instead gives grad2_g + J_K^T grad1_g from the same
+    a = grad1_g and G = grad2_g.  A problem without the declaration (a
+    ``replace`` copy, the reference) walks the loop.  Finiteness is checked
+    once on the result, so an overflow on the way is not warned about.
     """
     n, m = problem.dims
     if tape.iterates.shape[1] != n or tape.lam.shape[0] != m:
@@ -83,12 +82,8 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
     lam = tape.lam
     omega_K = tape.final
     if tape.jacobian is not None and problem.affine is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = np.asarray(problem.grad2_g(omega_K, lam), dtype=np.float64) \
-                + tape.jacobian.T @ np.asarray(problem.grad1_g(omega_K, lam), dtype=np.float64)
-        if np.all(np.isfinite(G)):
-            return G
-    if tape.vjps is not None:
+        vjps = None
+    elif tape.vjps is not None:
         vjps = reversed(tape.vjps)
     else:
         step = linearizer(problem, lam)
@@ -97,8 +92,11 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.asarray(problem.grad1_g(omega_K, lam), dtype=np.float64)
         G = np.asarray(problem.grad2_g(omega_K, lam), dtype=np.float64).copy()
-        for k, vjp in zip(range(tape.K - 1, -1, -1), vjps):
-            a = vjp(a, k > 0, G)
+        if vjps is None:
+            G += tape.jacobian.T @ a
+        else:
+            for k, vjp in zip(range(tape.K - 1, -1, -1), vjps):
+                a = vjp(a, k > 0, G)
     if not np.all(np.isfinite(G)):
         raise OracleDivergence("oracle-divergence: non-finite hypergradient")
     return G

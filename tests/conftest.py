@@ -27,25 +27,26 @@ settings.load_profile("reproducible")
 
 @contextlib.contextmanager
 def _scan_blocks(steps=None, size=None):
-    """Record the length of every block ``affine._states`` yields, in a list.
+    """Record the length of every block of the composed scan, in a list.
 
+    ``affine.inner_iterates`` calls ``affine._scan`` once per block, on that
+    block's slice of step matrices, so the slice's length is the block's.
     With ``steps``, ``BLOCK_BYTES`` holds exactly ``steps`` step matrices of
     a state of ``size`` = n + 1 + m, so ``affine._block`` derives blocks of
     ``steps`` steps for that size.
     """
     seen = []
-    real = affine._states
+    real = affine._scan
 
-    def counted(*args):
-        for Y in real(*args):
-            seen.append(Y.shape[0])
-            yield Y
+    def counted(H):
+        seen.append(H.shape[0])
+        real(H)
 
     with contextlib.ExitStack() as stack:
         if steps is not None:
             stack.enter_context(mock.patch.object(affine, "BLOCK_BYTES", 8 * steps * size ** 2))
             assert affine._block(size, steps + 1) == steps
-        stack.enter_context(mock.patch.object(affine, "_states", counted))
+        stack.enter_context(mock.patch.object(affine, "_scan", counted))
         yield seen
 
 

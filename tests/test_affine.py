@@ -281,13 +281,13 @@ class TestOneScan:
     @pytest.fixture
     def passes(self, monkeypatch):
         count = []
-        real = affine._states
+        real = affine.inner_iterates
 
         def counted(*args):
             count.append(1)
             return real(*args)
 
-        monkeypatch.setattr(affine, "_states", counted)
+        monkeypatch.setattr(affine, "inner_iterates", counted)
         return count
 
     @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bilevelopt as bl
+from bilevelopt import hypergrad
 
 
 def counting_problem(problem):
@@ -318,7 +319,7 @@ class TestReverseDivergence:
     @pytest.mark.parametrize("declared", [True, False])
     def test_overflow_is_reported_once_without_warnings(self, declared):
         # a finite tape whose step size overflows every product of the pass;
-        # the declared problem tries its composed maps first, then the loop
+        # the hand-built tape records no J_K, so both problems linearize it again
         p = bl.make_closedform_quadratic()
         if not declared:
             p = dataclasses.replace(p)
@@ -328,6 +329,30 @@ class TestReverseDivergence:
             warnings.simplefilter("error")
             with pytest.raises(bl.OracleDivergence, match="non-finite hypergradient"):
                 bl.reverse_hypergradient(p, tape)
+
+    def test_composed_overflow_is_reported_once_without_the_loop(self, monkeypatch):
+        # basic steps never weigh g, so the solve composes a finite tape with
+        # J_K and omega_K near 9.95e9, on which grad1_g = 1e300 omega_K overflows
+        p = bl.make_quadratic(bl.QuadraticBilevelSpec(
+            A_h=np.eye(2), B_h=np.ones((2, 1)), d_h=np.zeros(2),
+            A_g=1e300 * np.eye(2), c_g=np.zeros(2)))
+        spec = bl.InnerSolveSpec(K=50, t=0.1, s=0.1, alpha_exponent=0.0)
+        tape = bl.solve_inner(p, np.array([1e10]), spec)
+        assert tape.jacobian is not None and np.all(np.isfinite(tape.final))
+        calls = []
+        real = hypergrad.linearizer
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(hypergrad, "linearizer", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bl.OracleDivergence,
+                               match="oracle-divergence: non-finite hypergradient"):
+                bl.reverse_hypergradient(p, tape)
+        assert calls == []
 
 
 def serial_copy(problem):
