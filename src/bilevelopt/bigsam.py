@@ -25,10 +25,10 @@ returns the step map itself: ``_iterate`` makes one ``step`` call per inner
 step, and a problem's hook may evaluate h and g in one fused kernel.
 ``solve_inner`` records each step's VJP on the ``Tape`` (the composed affine
 path records J_K = d omega_K / d lam instead), and ``final_inner_iterate``
-is its last iterate.  The shape of lam decides what a step saves: a stack
-of lam rows (``final_inner_iterates_many``, the finite-difference referee's
-probes) binds value-only steps that record nothing.  The reverse pass over
-a ``Tape`` is ``bilevelopt.hypergrad``.
+is its last iterate.  A stack of lam rows (``final_inner_iterates_many``,
+the finite-difference referee's probes) binds the same step map on a
+stack; that solve keeps no VJP, so each step's is dropped at the next
+step.  The reverse pass over a ``Tape`` is ``bilevelopt.hypergrad``.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ def check_alpha_exponent(exponent: float, K: int, frequency: int) -> None:
 
 
 def check_count(name: str, value, least: int) -> int:
-    """``value`` as an int; a non-integral value or one below ``least`` is rejected."""
+    """``value`` as an int; a bool, a non-integral value or one below ``least`` is rejected."""
     try:
-        count = int(value)
+        count = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None or count != value or count < least:
@@ -287,8 +287,9 @@ def final_inner_iterates_many(problem: BilevelProblem, lams: np.ndarray,
 
     Every row runs the same schedule from omega_0 = 0, so this is the
     per-row recursion executed together.  ``linearizer`` binds the whole
-    stack once, as value-only steps, through the problem's stacked gradient
-    oracles or its row oracles applied row by row.  It never reads
+    stack once, through the problem's hook or its stacked gradient oracles
+    (its row oracles applied row by row where it has none), and ``_iterate``
+    keeps no VJP: each step's is dropped at the next step.  It never reads
     ``affine``: the rows run the step loop.  A row whose solve diverged is
     returned non-finite and not reported here: the caller, which knows what
     each row stands for, names it.

@@ -93,13 +93,21 @@ def _resolve_config(args, problem: str) -> dict:
     return cfg
 
 
+def _number(name: str, value) -> float:
+    """A float field's value: what float() takes, but for a JSON boolean."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _solve_config(run: dict) -> SolveConfig:
     """The validated ``SolveConfig`` of a run: its model, or its ablation frequency."""
     cfg = run["config"]
     try:
-        # a float field takes what float() takes; the counts are checked as given
-        config = SolveConfig(**{f.name: float(cfg[f.name]) if f.type == "float" else cfg[f.name]
-                                for f in CONFIG_FIELDS}, mode=run.get("model", "improved"))
+        # the counts are checked as given
+        config = SolveConfig(**{f.name: _number(f.name, cfg[f.name]) if f.type == "float"
+                                else cfg[f.name] for f in CONFIG_FIELDS},
+                             mode=run.get("model", "improved"))
         return ablation_config(config, run["frequency"]) if "frequency" in run else config
     except (ValueError, TypeError) as exc:
         raise ValueError(f"invalid config: {exc}")

@@ -227,8 +227,11 @@ def write_idx(ds: Dataset, images_path, labels_path, rows: int = 1, cols: int = 
     """Write a dataset whose features lie in [0, 1] as an IDX pair.
 
     Features are quantized to bytes (round to nearest); a dataset already on
-    the k/255 grid round-trips exactly.
+    the k/255 grid round-trips exactly.  ``rows`` must be at least 1 and
+    ``cols`` at least 0, which derives it from ``rows``.
     """
+    if rows < 1 or cols < 0:
+        raise ValueError(f"rows must be at least 1 and cols at least 0, got {rows} and {cols}")
     if cols == 0:
         cols = ds.d // rows
     if rows * cols != ds.d:

@@ -56,8 +56,7 @@ from .bigsam import InnerSolveSpec, Tape, final_inner_iterates_many, step_weight
 # not called here, but the perfbench tracer patches it through this module
 from .bigsam import final_inner_iterate  # noqa: F401
 from .problem import (BilevelProblem, OracleDivergence, as_vector, batched,
-                      central_differences, check_finite_positive, linearizer, probe_name,
-                      stacked)
+                      central_differences, check_finite_positive, finite_probes, linearizer)
 
 __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 
@@ -111,13 +110,13 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
     ``central_differences``.  Deliberately independent of the VJP machinery:
     it only consumes values and the forward solver, and it runs that solver's
     generic loop even where the problem declares an affine structure.  It
-    solves the 2m probes in blocks (``stacked``), one
-    ``final_inner_iterates_many`` per block, whose steps are value-only, and
-    reads g on a block through ``batched(problem, "g_batch")``.  A problem
-    without stacked oracles runs its row oracles row by row, with the bits
-    of one solve per probe.  Every probe's final iterate and value must be
-    finite: the first probe of a block where one is not raises
-    ``OracleDivergence`` naming it, and so does a non-finite difference.
+    solves each block of probes that ``central_differences`` forms with one
+    ``final_inner_iterates_many``, which records no VJP, and reads g on a
+    block through ``batched(problem, "g_batch")``.  A problem without
+    stacked oracles runs its row oracles row by row, with the bits of one
+    solve per probe.  Every probe's final iterate and value must be finite:
+    ``finite_probes`` names the first probe of a block where one is not,
+    and a non-finite difference raises ``OracleDivergence`` too.
     The solves and g run with numpy's warnings off, so that one report
     replaces them.
     """
@@ -126,23 +125,14 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
     lam = as_vector(lam, m, "lam")
     g_batch = batched(problem, "g_batch")
 
-    def finite(what, rows, start):
-        # the rows of probes start, start + 1, ...
-        rows = np.asarray(rows, dtype=np.float64)
-        ok = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
-        if not ok.all():
-            raise OracleDivergence(f"oracle-divergence: {what} non-finite at probe "
-                                   f"{probe_name(start + int(np.argmin(ok)), m, eps)}")
-        return rows
-
     def solve(block, start):
         # every probe shares the schedule: a block solves as one stack
-        finals = finite("final iterate", final_inner_iterates_many(problem, block, spec),
-                        start)
-        return finite("g", g_batch(finals, block), start)
+        finals = finite_probes("final iterate", final_inner_iterates_many(problem, block, spec),
+                               start, m, eps)
+        return finite_probes("g", g_batch(finals, block), start, m, eps)
 
     with np.errstate(all="ignore"):
-        G = central_differences(stacked(solve), lam, eps)
+        G = central_differences(solve, lam, eps)
     if not np.all(np.isfinite(G)):
         raise OracleDivergence("oracle-divergence: non-finite FD hypergradient")
     return G

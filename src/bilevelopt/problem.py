@@ -27,8 +27,8 @@ reverse pass always has.  A hook may evaluate h and g in one fused kernel
 per step.  ``linearizer(problem, lam)``, the one way the solver and the
 reverse pass ask for derivatives, returns the hook's step or builds it from
 the slots.  Given a stack of lam rows (the finite-difference referee's
-probes), either step takes a stack of omega rows, and ``linearizer`` makes
-it value-only: it drops the step's VJP and returns (w_next, None).
+probes), either step takes a stack of omega rows; its VJP is never called,
+and the solve over a stack records none.
 
 A problem may also offer stacked oracles, which evaluate a stack of rows in
 one call: ``h_batch``/``g_batch`` for the values and
@@ -38,9 +38,10 @@ oracle, else its row oracle applied row by row; the rows of either give the
 row oracle's bits.
 
 Every central difference of the package, f(x + eps e_j) - f(x - eps e_j)
-over the coordinates j of x, goes through ``central_differences``, and
-``stacked`` evaluates its probes in blocks of ``PROBE_BLOCK`` rows, one
-stacked call per block.
+over the coordinates j of x, goes through ``central_differences``, which
+forms its probes in blocks of ``PROBE_BLOCK`` rows and hands each block to
+one call of its oracle.  ``finite_probes`` names the first non-finite probe
+of a block.
 
 All oracles must be pure: identical inputs produce bit-identical outputs.
 Arithmetic is IEEE-754 float64 throughout.
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -68,7 +69,6 @@ __all__ = [
     "validate_first_order",
     "as_vector",
     "central_differences",
-    "stacked",
     "batched",
 ]
 
@@ -109,9 +109,9 @@ def check_finite_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def default_fd_eps(point: np.ndarray, base: float = 1e-5) -> float:
-    """Central-difference step scaled by the sup-norm of the evaluation point."""
-    return base * max(1.0, float(np.max(np.abs(point)))) if point.size else base
+def default_fd_eps(point: np.ndarray) -> float:
+    """Central-difference step, 1e-5 scaled by the sup-norm of the evaluation point."""
+    return 1e-5 * max(1.0, float(np.max(np.abs(point)))) if point.size else 1e-5
 
 
 @dataclass
@@ -149,7 +149,7 @@ class BilevelProblem:
     alpha == 1 it must give bit for bit what the slot-built step gives; an
     averaged step may fuse h and g and so round differently.  A step on one
     lam row returns its VJP.  The hook must also accept a stack of lam rows,
-    and then takes stacks of omega rows; ``linearizer`` drops the VJP such a
+    and then takes stacks of omega rows; no caller reads the VJP such a
     step returns, so a hook need not make it usable.  The hook is set after
     construction and dropped by a ``replace`` copy, as ``affine`` is.
     ``g_lambda_free`` and the stacked oracles stay init fields because an
@@ -226,63 +226,52 @@ def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam, eps: float) -> np
         gm = _check_finite_grad(grad(omega - eps * a, lam), gname, f"omega-eps*a (eps={eps})")
         return (gp - gm) / (2.0 * eps)
 
-    def dot(g, i):
-        # a . g of probe i, whose gradient g must be finite
-        return a @ _check_finite_grad(g, gname, probe_name(i, m, eps))
-
     def oracle(block, start):
+        G = finite_probes(gname, grad_many(np.tile(omega, (len(block), 1)), block), start, m, eps)
         # one dot per row: a stacked G @ a would round differently
-        return [dot(g, start + i)
-                for i, g in enumerate(grad_many(np.tile(omega, (len(block), 1)), block))]
+        return [a @ g for g in G]
 
-    return central_differences(stacked(oracle), lam, eps)
+    return central_differences(oracle, lam, eps)
 
 
-def central_differences(values: Callable, x: np.ndarray, eps: float) -> np.ndarray:
+def central_differences(oracle: Callable, x: np.ndarray, eps: float) -> np.ndarray:
     """[f(x + eps e_j) - f(x - eps e_j)] / (2 eps) for every coordinate j of x.
 
-    ``values`` takes an iterable of the 2n probes, x + eps e_j for j = 0..n-1
-    and then x - eps e_j for j = 0..n-1, and returns their 2n values f(probe)
-    in that order.  The probes are formed one at a time as ``values`` draws
-    them, so ``stacked`` holds one block of them.  Each probe is x + e or
-    x - e with e = eps e_j, so every coordinate but j is x's own plus or
-    minus 0.0.
+    The 2n probes are x + eps e_j for j = 0..n-1 and then x - eps e_j for
+    j = 0..n-1.  They are formed ``PROBE_BLOCK`` at a time (the last block
+    may be shorter), stacked as the rows of one (B, n) array, and
+    ``oracle(block, start)`` returns their values f(probe) in order, one per
+    row, where ``start`` is the index of the block's first probe among the
+    2n.  A block is released before the next is formed.  Each probe is
+    x + e or x - e with e = eps e_j, so every coordinate but j is x's own
+    plus or minus 0.0, which differ where x holds -0.0.
     """
     n = x.shape[0]
-
-    def probes():
-        for plus in (True, False):
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = eps
-                yield x + e if plus else x - e
-
-    v = np.asarray(values(probes()), dtype=np.float64)
-    return (v[:n] - v[n:]) / (2.0 * eps)
-
-
-def probe_name(i: int, n: int, eps: float) -> str:
-    """The name of probe i of ``central_differences`` of lam over n coordinates."""
-    return f"lam{'+-'[i // n]}eps*e_{i % n} (eps={eps})"
+    sides = np.stack([x + 0.0, x - 0.0])
+    values = np.empty(2 * n)
+    for start in range(0, 2 * n, PROBE_BLOCK):
+        minus, j = np.divmod(np.arange(start, min(start + PROBE_BLOCK, 2 * n)), n)
+        block = sides[minus]
+        block[np.arange(len(j)), j] = np.where(minus, x[j] - eps, x[j] + eps)
+        values[start:start + len(j)] = oracle(block, start)
+        del block   # so that the next block is formed without it
+    return (values[:n] - values[n:]) / (2.0 * eps)
 
 
-def stacked(oracle: Callable) -> Callable:
-    """The ``central_differences`` evaluator over a stacked oracle.
+def finite_probes(what: str, rows, start: int, n: int, eps: float) -> np.ndarray:
+    """The values ``rows`` of probes start, start + 1, ... of lam over n coordinates, as float64.
 
-    It draws the probes ``PROBE_BLOCK`` at a time (the last block may be
-    shorter), stacks each block as the rows of one (B, n) array and returns
-    the values of ``oracle(block, start)`` in order: one per row, where
-    ``start`` is the index of the block's first probe among the 2n.  Only
-    one block is held at a time.
+    Every row must be finite: else ``OracleDivergence`` names the first
+    probe of the block whose ``what`` is not, as ``central_differences``
+    orders its probes.
     """
-    def values(probes):
-        probes = iter(probes)
-        out = []
-        while block := list(islice(probes, PROBE_BLOCK)):
-            out.extend(oracle(np.array(block), len(out)))
-        return out
-
-    return values
+    rows = np.asarray(rows, dtype=np.float64)
+    ok = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
+    if not ok.all():
+        i = start + int(np.argmin(ok))
+        raise OracleDivergence(f"oracle-divergence: {what} non-finite at probe "
+                               f"lam{'+-'[i // n]}eps*e_{i % n} (eps={eps})")
+    return rows
 
 
 def batched(problem: BilevelProblem, name: str) -> Callable:
@@ -328,15 +317,11 @@ def _fd_fallback(problem: BilevelProblem, which: str, a, omega, lam) -> np.ndarr
 def linearizer(problem: BilevelProblem, lam) -> Callable:
     """The averaged step map ``step(w, ta, sb) -> (w_next, vjp)`` of ``problem`` at ``lam``.
 
-    The ``linearize`` hook, else the step built from the slots.  This is
-    the one place that makes a step on a stack of lam rows value-only,
-    whichever built it: such a step returns (w_next, None), and whatever
-    the step kept for its VJP is freed on return.
+    The ``linearize`` hook, else the step built from the slots, on one lam
+    row or a stack of rows alike.  The VJP of a step on a stack is never
+    called: ``final_inner_iterates_many`` drops it at the next step.
     """
-    step = (problem.linearize or partial(_slot_step, problem))(lam)
-    if np.ndim(lam) != 2:
-        return step
-    return lambda w, ta, sb: (step(w, ta, sb)[0], None)
+    return (problem.linearize or partial(_slot_step, problem))(lam)
 
 
 def _slot_step(problem: BilevelProblem, lam) -> Callable:
@@ -344,10 +329,10 @@ def _slot_step(problem: BilevelProblem, lam) -> Callable:
 
     It steps in the solver's expression order, w - ta*grad1_h - sb*grad1_g
     (w - ta*grad1_h where ``sb`` is None), through
-    ``batched(problem, "grad1_*_many")`` on a stack.  Its vjp keeps only
-    (w, lam) and calls vjp11/vjp12, or their FD fallbacks, when the reverse
-    pass reaches it; it takes no g VJP where ``sb`` is None and no lam side
-    of g when ``g_lambda_free`` is set.
+    ``batched(problem, "grad1_*_many")`` on a stack.  Its vjp, never called
+    on a stack, keeps only (w, lam) and calls vjp11/vjp12, or their FD
+    fallbacks, when the reverse pass reaches it; it takes no g VJP where
+    ``sb`` is None and no lam side of g when ``g_lambda_free`` is set.
     """
     many = np.ndim(lam) == 2
     grad_h = batched(problem, "grad1_h_many") if many else problem.grad1_h
@@ -402,7 +387,7 @@ def validate_first_order(problem: BilevelProblem, omega, lam, eps: float = 1e-5)
     errors = {}
     for name, (grad, batch, x) in checks.items():
         analytic = np.asarray(grad(omega, lam), dtype=np.float64)
-        fd = central_differences(stacked(batch), x, eps)
+        fd = central_differences(batch, x, eps)
         errors[name] = (float(np.max(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))))
                         if analytic.size else 0.0)
     return errors

@@ -6,10 +6,10 @@ FD-fallback copies, their ``check_suite`` rows, and the degenerate
 quadratic's composed solve at the benchmark's ``quad_gap`` settings, which
 runs several scan blocks), the two small learning instances (their hooks,
 their ``replace`` copies on the slots, their serial copies and their
-``check_suite`` rows) and the command line at small budgets must print the
-committed digest lines.  ``python3
+``check_suite`` rows) must print the committed digest lines.  ``python3
 tools/bitdump.py --check`` compares all of them, the zoo's learning
-problems too.
+problems too.  The command line's outputs are held byte for byte by
+``tests/test_golden.py``.
 """
 
 import sys

@@ -3,8 +3,8 @@
 Every referee value that differences along coordinates (``fd_vjp``'s lam
 side, the three checks of ``validate_first_order`` and the FD hypergradient)
 must keep the bits of the per-coordinate loop each of them used to run,
-which ``reference_loop`` copies, whether its probes run one at a time or
-stacked in blocks of rows (``stacked``).
+which ``reference_loop`` copies, whether the oracle evaluates a block of
+probes row by row or as one stack.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import pytest
 import bilevelopt as bl
 from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
 from bilevelopt.data import corrupt_labels, gen_synthetic, make_episodes, split
-from bilevelopt.problem import PROBE_BLOCK, central_differences, fd_vjp, stacked
+from bilevelopt.problem import PROBE_BLOCK, central_differences, fd_vjp
 
 
 def reference_loop(f, x, eps):
@@ -76,7 +76,7 @@ class TestProbes:
         x = np.array([-0.0, 1.5, 0.0, -2.0])
         eps = 1e-3
         seen = []
-        central_differences(lambda probes: [seen.append(p) or 0.0 for p in probes], x, eps)
+        central_differences(lambda block, _: [seen.append(p.copy()) or 0.0 for p in block], x, eps)
         want = []
         for plus in (True, False):
             for j in range(4):
@@ -87,6 +87,18 @@ class TestProbes:
         for got, ref in zip(seen, want):
             assert same_bits(got, ref)
 
+    @pytest.mark.parametrize("n", [1, PROBE_BLOCK // 2 + 9, PROBE_BLOCK + 3])
+    def test_signed_zeros_keep_their_bits_across_blocks(self, n):
+        # every other coordinate -0.0 or +0.0: each row of every block is
+        # x + e or x - e, bit for bit, past the block edges too
+        x = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
+        x[1::3] = np.random.default_rng(n).normal(0, 1.0, len(x[1::3]))
+        blocks = []
+        central_differences(lambda block, _: blocks.append(block.copy()) or np.zeros(len(block)),
+                            x, 1e-3)
+        want = [x + e for e in 1e-3 * np.eye(n)] + [x - e for e in 1e-3 * np.eye(n)]
+        assert same_bits(np.concatenate(blocks), np.array(want))
+
     def test_equals_the_reference_loop(self):
         rng = np.random.default_rng(0)
         x = rng.normal(0, 2.0, 9)
@@ -94,17 +106,18 @@ class TestProbes:
         def f(v):
             return float(np.sin(v) @ np.cosh(v) + v[0] * v[-1])
 
-        got = central_differences(lambda probes: [f(p) for p in probes], x, 1e-5)
+        got = central_differences(lambda block, _: [f(p) for p in block], x, 1e-5)
         assert same_bits(got, reference_loop(f, x, 1e-5))
 
     def test_serial_evaluator_holds_o_n_memory(self):
         # 2n probes of n floats stacked would take 2 * 2000 * 2000 * 8 bytes
-        # = 64 MiB; drawn one at a time they stay far below 2 MiB
+        # = 64 MiB; one block of PROBE_BLOCK = 64 of them takes 1 MiB, and the
+        # previous block is released before the next is formed
         n = 2000
         x = np.ones(n)
         tracemalloc.start()
         try:
-            got = central_differences(lambda probes: [p[0] + p[-1] for p in probes], x, 1e-3)
+            got = central_differences(lambda block, _: block[:, 0] + block[:, -1], x, 1e-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -198,7 +211,8 @@ class TestDivergence:
             grad2_g=lambda w, lam: np.zeros(5),
         )
         probe = f"lam{'+' if sign > 0 else '-'}eps*e_{bad} "
-        with pytest.raises(bl.OracleDivergence, match=re.escape(f"grad1_h non-finite at {probe}")):
+        with pytest.raises(bl.OracleDivergence,
+                           match=re.escape(f"grad1_h non-finite at probe {probe}")):
             fd_vjp(p, "h12", np.ones(2), np.ones(2), np.zeros(5), 1e-4)
 
     @pytest.mark.parametrize("m, bad, sign", [(5, 3, -1.0), (5, 1, 1.0), (40, 37, -1.0),
@@ -225,11 +239,11 @@ class TestDivergence:
             messages.append(str(info.value))
         probe = f"lam{'+' if sign > 0 else '-'}eps*e_{bad} "
         assert messages[0] == messages[1]
-        assert f"grad1_h non-finite at {probe}" in messages[0]
+        assert f"grad1_h non-finite at probe {probe}" in messages[0]
 
 
 class TestBlocks:
-    """``stacked`` hands its oracle ``PROBE_BLOCK`` probes at a time, in order."""
+    """``central_differences`` hands its oracle ``PROBE_BLOCK`` probes at a time, in order."""
 
     @pytest.mark.parametrize("n", [1, PROBE_BLOCK // 2, PROBE_BLOCK // 2 + 9, PROBE_BLOCK + 3])
     def test_blocks_cover_the_probes_in_order(self, n):
@@ -243,8 +257,9 @@ class TestBlocks:
         def f(v):
             return v.sum()
 
-        got = central_differences(stacked(oracle), x, 1e-4)
-        assert same_bits(got, central_differences(lambda probes: [f(p) for p in probes], x, 1e-4))
+        got = central_differences(oracle, x, 1e-4)
+        assert same_bits(got, central_differences(lambda block, _: [f(p) for p in block], x, 1e-4))
+        assert same_bits(got, reference_loop(f, x, 1e-4))
         starts = list(range(0, 2 * n, PROBE_BLOCK))
         assert [start for start, _ in seen] == starts
         assert [len(block) for _, block in seen] == [min(PROBE_BLOCK, 2 * n - s) for s in starts]

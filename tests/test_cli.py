@@ -177,6 +177,18 @@ class TestSolve:
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("field, message", [("K", "K must be an integer of at least 1"),
+                                                ("t", "t must be a number")])
+    def test_boolean_field_exits_2(self, tmp_path, capsys, field, message):
+        # JSON true is no count and no step size, though int(True) and
+        # float(True) both read 1
+        cfg = write_config(tmp_path / "c.json", **{field: True})
+        code = run_cli("solve", "--problem", "closedform_quadratic", "--config", str(cfg),
+                       "--out", str(tmp_path / "x.csv"), "--no-timing")
+        assert code == 2
+        assert f"invalid config: {message}, got True" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_integral_float_counts_run_as_integers(self, tmp_path):
         csvs = []
         for name, counts in (("int", {"K": 200, "T": 3, "bigsam_frequency": 2}),

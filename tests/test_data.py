@@ -184,6 +184,14 @@ class TestIdx:
         assert np.array_equal(back.X, X)
         assert np.array_equal(back.y, y)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (-1, 0), (-1, -4), (2, -2)])
+    def test_bad_shape_is_refused_before_any_file_opens(self, tmp_path, rows, cols):
+        X = np.zeros((3, 4))
+        ds = Dataset(X=X, y=np.zeros(3, np.int64), mask=np.zeros(3, bool), C=1)
+        with pytest.raises(ValueError, match="rows must be at least 1 and cols at least 0"):
+            bl.write_idx(ds, tmp_path / "img", tmp_path / "lab", rows=rows, cols=cols)
+        assert not list(tmp_path.iterdir())
+
     def test_bad_magic_detected(self, tmp_path):
         rng = np.random.default_rng(1)
         X = rng.integers(0, 256, size=(3, 4)).astype(np.float64) / 255.0

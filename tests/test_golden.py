@@ -7,7 +7,8 @@ zoo problem, one ``ablation`` (basic and frequency 3, two cell manifests),
 one ``clean`` and one ``check``.  The test replays every manifest on outputs
 it has deleted, so a change to the manifest format, to how a run is read,
 or to any number that a run writes fails it.  Regenerate the set only on a
-deliberate format change, and say why in CHANGES.md:
+deliberate format change or a deliberate bit move, in the same change that
+regenerates ``tools/bitdump.txt``, and say why in CHANGES.md:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """

@@ -1,9 +1,9 @@
 """Every check the library makes on its inputs raises, with its own message.
 
 One test per check that no other test reaches: the arrays handed to the
-solver, hand-built tapes and problems, quadratic specs, the data makers and
-the IDX reader and writer.  Each asserts the exception type and a fragment of
-the message.
+solver, hand-built tapes and problems, quadratic specs, the counts of the
+configs, the data makers and the IDX reader and writer.  Each asserts the
+exception type and a fragment of the message.
 """
 
 import re
@@ -256,6 +256,18 @@ class TestIdx:
         with pytest.raises(ValueError, match="labels beyond one byte"):
             bl.write_idx(self.dataset(C=257), tmp_path / "img", tmp_path / "lab")
         assert not (tmp_path / "img").exists()
+
+
+class TestCounts:
+    # a bool is an int to Python, but True is no count
+    @pytest.mark.parametrize("make, name", [
+        (lambda: bl.InnerSolveSpec(K=True, t=0.1, s=0.1), "K"),
+        (lambda: bl.CheckConfig(n_points=True), "n_points"),
+        (lambda: bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=5, T=3, seed=False), "seed"),
+    ], ids=["InnerSolveSpec", "CheckConfig", "SolveConfig"])
+    def test_a_bool_is_not_a_count(self, make, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least"):
+            make()
 
 
 def test_default_check_configs_unknown_name():

@@ -328,14 +328,11 @@ class TestLinearizeHook:
         ws = rng.normal(0, 0.5, (6, p.inner_dim))
         lams = rng.normal(0, 0.5, (6, p.outer_dim))
         # a stack is bound by memory traffic: the hook runs the halves apart,
-        # and ``linearizer`` makes a step on a stack value-only on both paths;
-        # the hook's own step on a stack returns no VJP either
+        # and its step on a stack is value-only, returning no VJP
         for ta, sb in WEIGHTS:
             assert p.linearize(lams)(ws, ta, sb)[1] is None
-            got, vjp = bl.linearizer(p, lams)(ws, ta, sb)
-            want, slot_vjp = slot_step(p, lams)(ws, ta, sb)
-            assert vjp is None and slot_vjp is None
-            assert_bits(got, want)
+            got = bl.linearizer(p, lams)(ws, ta, sb)[0]
+            assert_bits(got, slot_step(p, lams)(ws, ta, sb)[0])
 
     def test_hyperrep_keeps_the_slots_bits_at_a_ragged_row_count(self):
         # the features X @ L of 27 training rows at r = 1: the BLAS rounds

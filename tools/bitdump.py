@@ -26,16 +26,9 @@ instances, ``hyperclean_small`` (24 training and 24 validation samples,
 d = 5, C = 3) and ``hyperrep_small`` (3 tasks, way 5, 1 shot, 5
 validation samples per class, d = 10, r = 2), get the same lines as the
 zoo problems, at the run settings and check bundles of the zoo problem
-they shrink.
-
-It then runs the command line in a temporary directory, with small budgets,
-``--seed 1`` and ``--no-timing``: ``solve`` on every zoo problem,
-``ablation --freqs 1,3``, ``clean`` and ``check --problem
-closedform_quadratic``, and prints each command's exit code and the SHA-256
-of every CSV, summary, index and report it wrote.  Manifests are left out:
-their fields may change while the numbers stay.  Each command writes into a
-directory of its own that does not exist yet, so each run also checks that
-the command creates its output directory.
+they shrink.  The command line's outputs are not digested here:
+``tests/golden/`` holds them byte for byte, and ``tests/test_golden.py``
+replays them.
 
 ``--src`` selects the library sources to import (default: ``src/`` next to
 this directory), so two checkouts compare with one command:
@@ -44,16 +37,15 @@ this directory), so two checkouts compare with one command:
 
 The script calls the solver API without a ``mode`` argument, the model
 given as an exponent through ``bilevelopt.bigsam.model_exponent``, so
-``--src`` and ``--rel`` work only against sources of that API, whose
-commands also create their output directories.  To compare with older
-sources, run that checkout's own copy of the script on them and ``diff``
-the two outputs: the labels are the same byte for byte.
+``--src`` and ``--rel`` work only against sources of that API.  To compare
+with older sources, run that checkout's own copy of the script on them and
+``diff`` the two outputs: the labels are the same byte for byte.
 
 ``--rel OTHER`` prints, instead of digests, the same lines with the largest
 relative deviation of each result from the one the sources in OTHER give:
-max |x - y| / max |y|, with y from OTHER, and 0 where the bits agree.  A CLI
-output compares the numbers in its text, an exit code compares exactly
-(``inf`` where they differ).  The sources in OTHER run in a child process:
+max |x - y| / max |y|, with y from OTHER, and 0 where the bits agree.  A
+``check_suite`` row compares the numbers in its JSON text.  The sources in
+OTHER run in a child process:
 
     python3 tools/bitdump.py --rel ../parent/src
 
@@ -61,9 +53,9 @@ output compares the numbers in its text, an exit code compares exactly
 digests in ``tools/bitdump.txt``; it prints the differing lines and exits 1
 if there are any.  ``tests/test_bitdump.py`` runs the same comparison on a
 fast subset: the two quadratics and the two small learning instances
-(every copy, and their ``check_suite`` rows) and the command line.  A
-change that moves bits on purpose regenerates the file, with OpenBLAS on
-one thread:
+(every copy, and their ``check_suite`` rows).  A change that moves bits
+on purpose regenerates the file, with OpenBLAS on one thread, and the
+golden set of ``tests/test_golden.py`` with it:
 
     OPENBLAS_NUM_THREADS=1 python3 tools/bitdump.py > tools/bitdump.txt
 """
@@ -71,11 +63,9 @@ one thread:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import difflib
 import hashlib
-import io
 import json
 import pickle
 import re
@@ -204,54 +194,16 @@ def check_lines(names):
                        json.dumps(report.to_dict(), sort_keys=True).encode())
 
 
-def cli_lines():
-    """(label, exit code) per command and (label, bytes) per output it wrote."""
-    import bilevelopt as bl
-    from bilevelopt.cli import main
-
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        configs = {}
-        for name in bl.ZOO_NAMES:
-            configs[name] = str(tmp / f"{name}.json")
-            Path(configs[name]).write_text(json.dumps(dict(bl.zoo_problem(name).defaults,
-                                                           K=20, T=3)))
-        runs = {f"solve-{name}": ["solve", "--problem", name, "--config", configs[name],
-                                  "--out", str(tmp / f"solve-{name}" / "run.csv")]
-                for name in bl.ZOO_NAMES}
-        runs["ablation"] = ["ablation", "--problem", "hyperclean_synthetic", "--freqs", "1,3",
-                            "--config", configs["hyperclean_synthetic"],
-                            "--out-dir", str(tmp / "ablation")]
-        runs["clean"] = ["clean", "--ntr", "60", "--nval", "60",
-                         "--config", configs["hyperclean_synthetic"],
-                         "--out", str(tmp / "clean" / "clean.csv")]
-        for argv in runs.values():
-            argv += ["--seed", "1", "--no-timing"]
-        runs["check"] = ["check", "--problem", "closedform_quadratic",
-                         "--out", str(tmp / "check" / "report.json")]
-        for label, argv in runs.items():
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = main(argv)
-            yield f"cli {label} exit", code
-            for path in sorted((tmp / label).iterdir()):
-                if not path.name.endswith(".manifest.json"):
-                    yield f"cli {label}/{path.name}", path.read_bytes()
-
-
 def results(names=None):
-    """Every result on the problems ``names`` (default: all), then the command line's."""
+    """Every result on the problems ``names`` (default: all)."""
     if names is None:
         from bilevelopt import ZOO_NAMES
         names = (*ZOO_NAMES, *SMALL)
     yield from lines(names)
     yield from check_lines(names)
-    yield from cli_lines()
 
 
 def digest_line(label: str, value) -> str:
-    if isinstance(value, int):
-        return f"{label}={value}"
     if isinstance(value, bytes):
         return f"{label} {hashlib.sha256(value).hexdigest()}"
     return f"{label} {digest(value)}"
@@ -263,8 +215,6 @@ NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 def relative_deviation(value, other) -> float:
     """max |value - other| / max |other|; 0 where the bits agree, inf where the shapes differ."""
     import numpy as np
-    if isinstance(value, int):
-        return 0.0 if value == other else float("inf")
     if isinstance(value, bytes):
         value, other = ([float(tok) for tok in NUMBER.findall(text)] for text in (value, other))
     x, y = (np.asarray(v, dtype=np.float64) for v in (value, other))
@@ -279,7 +229,7 @@ def relative_deviation(value, other) -> float:
 def selected(line: str, names) -> bool:
     """Whether the digest line ``line`` is one that ``results(names)`` prints."""
     words = line.split()
-    return words[0] in names or words[0] == "cli" or (words[0] == "check" and words[1] in names)
+    return words[0] in names or (words[0] == "check" and words[1] in names)
 
 
 def diff(names=None) -> list:
