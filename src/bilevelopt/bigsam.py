@@ -42,8 +42,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import affine
-from .problem import (BilevelProblem, OracleDivergence, as_vector, check_finite_positive,
-                      linearizer)
+from .problem import BilevelProblem, as_vector, check_finite_positive, finite, linearizer
 
 __all__ = ["InnerSolveSpec", "Tape", "model_exponent", "schedule", "step_weights",
            "solve_inner", "bigsam_standalone"]
@@ -265,12 +264,9 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
         vjps = []
         _iterate(omega, alphas, spec.t, spec.s, linearizer(problem, lam),
                  out=iterates, vjps=vjps)
-        finite_rows = np.all(np.isfinite(iterates), axis=1)
-        if not finite_rows.all():
-            k = max(int(np.argmin(finite_rows)) - 1, 0)
-            raise OracleDivergence(
-                f"oracle-divergence: non-finite iterate "
-                f"(inner step {k}{_culprit(problem, iterates[k], lam, alphas[k])})")
+        # row r is iterate r, made by inner step r - 1 (row 0 is the zero start)
+        finite(iterates, lambda r: f"non-finite iterate (inner step {r - 1}"
+                                   f"{_culprit(problem, iterates[r - 1], lam, alphas[r - 1])})")
     return Tape(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
                 lam=lam.copy(), vjps=None if vjps is None else tuple(vjps),
                 jacobian=jacobian)
@@ -326,7 +322,4 @@ def bigsam_standalone(h_oracle: Tuple[Callable, Callable],
             w_next = w_next - sb * np.asarray(g_grad(w), dtype=np.float64)
         return w_next, None
 
-    omega = _iterate(omega, schedule(spec), t, s, step)
-    if not np.all(np.isfinite(omega)):
-        raise OracleDivergence("oracle-divergence: non-finite final iterate")
-    return omega
+    return finite(_iterate(omega, schedule(spec), t, s, step), "non-finite final iterate")

@@ -94,8 +94,8 @@ def _resolve_config(args, problem: str) -> dict:
 
 
 def _number(name: str, value) -> float:
-    """A float field's value: what float() takes, but for a JSON boolean."""
-    if isinstance(value, bool):
+    """A float field's value: a JSON number (an int or a float, not a boolean), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -140,7 +140,7 @@ def _records(problem, lam0, config: SolveConfig, metric, no_timing: bool):
         return run_model(problem, lam0, config, metric=metric,
                          collect_timing=not no_timing).records, None
     except OracleDivergence as exc:
-        return exc.__cause__.partial_trace.records, exc
+        return exc.partial_trace.records, exc
 
 
 def _divergence_exit(errors: list) -> int:

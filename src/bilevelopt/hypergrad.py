@@ -55,8 +55,8 @@ import numpy as np
 from .bigsam import InnerSolveSpec, Tape, final_inner_iterates_many, step_weights
 # not called here, but the perfbench tracer patches it through this module
 from .bigsam import final_inner_iterate  # noqa: F401
-from .problem import (BilevelProblem, OracleDivergence, as_vector, batched,
-                      central_differences, check_finite_positive, finite_probes, linearizer)
+from .problem import (BilevelProblem, as_vector, batched, central_differences,
+                      check_finite_positive, finite, finite_probes, linearizer)
 
 __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 
@@ -96,9 +96,7 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
         else:
             for k, vjp in zip(range(tape.K - 1, -1, -1), vjps):
                 a = vjp(a, k > 0, G)
-    if not np.all(np.isfinite(G)):
-        raise OracleDivergence("oracle-divergence: non-finite hypergradient")
-    return G
+    return finite(G, "non-finite hypergradient")
 
 
 def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
@@ -133,6 +131,4 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
 
     with np.errstate(all="ignore"):
         G = central_differences(solve, lam, eps)
-    if not np.all(np.isfinite(G)):
-        raise OracleDivergence("oracle-divergence: non-finite FD hypergradient")
-    return G
+    return finite(G, "non-finite FD hypergradient")

@@ -21,7 +21,7 @@ import numpy as np
 from .bigsam import (ALPHA_EXPONENT, InnerSolveSpec, check_alpha_exponent, check_count,
                      model_exponent, solve_inner)
 from .hypergrad import reverse_hypergradient
-from .problem import BilevelProblem, OracleDivergence, as_vector, check_finite_positive
+from .problem import BilevelProblem, OracleDivergence, as_vector, check_finite_positive, finite
 
 __all__ = ["SolveConfig", "TraceRecord", "ExperimentTrace", "run_model", "ablation_config"]
 
@@ -110,8 +110,10 @@ def run_model(problem: BilevelProblem, lam0, config: SolveConfig,
     after the inner solve, as metric(omega_hat, lam).  ``collect_timing``
     False zeroes the wall-clock column, for byte-level reproducibility.
 
-    An oracle divergence mid-run aborts with the failing outer iteration in
-    the message and the partial trace attached to the exception's cause.  A
+    An oracle divergence mid-run aborts with an ``OracleDivergence`` that
+    names the failing outer iteration in its message and carries it as
+    ``failed_iteration``, beside ``partial_trace``, the trace of the
+    iterations that finished; its cause is the inner divergence.  A
     non-finite outer value, gradient norm, metric or updated lam is reported
     the same way, and is never recorded.
     """
@@ -146,12 +148,12 @@ def run_model(problem: BilevelProblem, lam0, config: SolveConfig,
             if bad:
                 raise OracleDivergence(f"oracle-divergence: non-finite {' and '.join(bad)}")
             trace.records.append(record)
-            if not np.all(np.isfinite(lam)):
-                raise OracleDivergence("oracle-divergence: non-finite lam after the outer update")
+            finite(lam, "non-finite lam after the outer update")
         except OracleDivergence as exc:
-            exc.partial_trace = trace
-            exc.failed_iteration = it
-            raise OracleDivergence(f"outer iteration {it}: {exc}") from exc
+            error = OracleDivergence(f"outer iteration {it}: {exc}")
+            error.partial_trace = trace
+            error.failed_iteration = it
+            raise error from exc
     trace.final_lambda = lam
     trace.final_omega = omega_hat
     return trace

@@ -37,7 +37,8 @@ import numpy as np
 from .bigsam import MODES, InnerSolveSpec, check_count, model_exponent, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
 from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, OracleDivergence, batched,
-                      check_finite_positive, default_fd_eps, fd_vjp, validate_first_order)
+                      check_finite_positive, default_fd_eps, fd_vjp, finite,
+                      validate_first_order)
 from .problems import ZOO_DEFAULTS
 
 __all__ = ["OracleReport", "CheckConfig", "grid_min_oracle", "check_suite",
@@ -198,10 +199,9 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
             raise OracleDivergence(f"oracle-divergence: h non-finite on the grid at lam={lam}")
         members = np.flatnonzero(h <= h_min + ARGMIN_BAND)
         with np.errstate(all="ignore"):
-            g = np.asarray(g_batch(om_grid[members], lam))
-        if not np.all(np.isfinite(g)):
-            raise OracleDivergence(
-                f"oracle-divergence: g non-finite on the argmin set at lam={lam}")
+            # a function, so that the message is formed on the failure path only
+            g = finite(g_batch(om_grid[members], lam),
+                       lambda _: f"g non-finite on the argmin set at lam={lam}")
         pick = int(np.argmin(g))
         if g[pick] < best_val:
             best_val = float(g[pick])

@@ -43,6 +43,12 @@ forms its probes in blocks of ``PROBE_BLOCK`` rows and hands each block to
 one call of its oracle.  ``finite_probes`` names the first non-finite probe
 of a block.
 
+One rule reports a divergence: ``finite(value, what)`` returns the value as
+float64 when every entry is finite, else raises ``OracleDivergence`` with
+the message "oracle-divergence: " + ``what``, where ``what`` may be a
+function of the first non-finite row's index.  The inner solve, the reverse
+pass, the referees and the outer loop check their values through it.
+
 All oracles must be pure: identical inputs produce bit-identical outputs.
 Arithmetic is IEEE-754 float64 throughout.
 """
@@ -62,6 +68,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "OracleDivergence",
+    "finite",
     "BilevelProblem",
     "fd_vjp",
     "default_fd_eps",
@@ -87,6 +94,22 @@ PROBE_BLOCK = 64
 
 class OracleDivergence(RuntimeError):
     """An oracle returned a non-finite value ("oracle-divergence")."""
+
+
+def finite(value, what) -> np.ndarray:
+    """``value`` as float64 when every entry is finite, else ``OracleDivergence``.
+
+    The error reads "oracle-divergence: " and then ``what``: the message
+    itself, or a function of the index of the first row (along axis 0) that
+    holds a non-finite entry, called on the failure path only.
+    """
+    value = np.asarray(value, dtype=np.float64)
+    ok = np.isfinite(value)
+    if not ok.all():
+        if callable(what):
+            what = what(int(np.argmin(ok.reshape(len(ok), -1).all(axis=1))))
+        raise OracleDivergence("oracle-divergence: " + what)
+    return value
 
 
 def as_vector(x, length: Optional[int] = None, name: str = "vector") -> np.ndarray:
@@ -194,13 +217,6 @@ class BilevelProblem:
         return (self.inner_dim, self.outer_dim)
 
 
-def _check_finite_grad(vec: np.ndarray, what: str, point_desc: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=np.float64)
-    if not np.all(np.isfinite(vec)):
-        raise OracleDivergence(f"oracle-divergence: {what} non-finite at {point_desc}")
-    return vec
-
-
 def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam, eps: float) -> np.ndarray:
     """Second-order VJP by central differences of a first-order gradient.
 
@@ -222,8 +238,8 @@ def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam, eps: float) -> np
     grad, grad_many = getattr(problem, gname), batched(problem, gname + "_many")
 
     if which.endswith("11"):
-        gp = _check_finite_grad(grad(omega + eps * a, lam), gname, f"omega+eps*a (eps={eps})")
-        gm = _check_finite_grad(grad(omega - eps * a, lam), gname, f"omega-eps*a (eps={eps})")
+        gp = finite(grad(omega + eps * a, lam), f"{gname} non-finite at omega+eps*a (eps={eps})")
+        gm = finite(grad(omega - eps * a, lam), f"{gname} non-finite at omega-eps*a (eps={eps})")
         return (gp - gm) / (2.0 * eps)
 
     def oracle(block, start):
@@ -261,17 +277,15 @@ def central_differences(oracle: Callable, x: np.ndarray, eps: float) -> np.ndarr
 def finite_probes(what: str, rows, start: int, n: int, eps: float) -> np.ndarray:
     """The values ``rows`` of probes start, start + 1, ... of lam over n coordinates, as float64.
 
-    Every row must be finite: else ``OracleDivergence`` names the first
-    probe of the block whose ``what`` is not, as ``central_differences``
-    orders its probes.
+    Every row must be finite: else ``finite``'s ``OracleDivergence`` names
+    the first probe of the block whose ``what`` is not, as
+    ``central_differences`` orders its probes.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    ok = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
-    if not ok.all():
-        i = start + int(np.argmin(ok))
-        raise OracleDivergence(f"oracle-divergence: {what} non-finite at probe "
-                               f"lam{'+-'[i // n]}eps*e_{i % n} (eps={eps})")
-    return rows
+    def probe(row):
+        i = start + row
+        return f"{what} non-finite at probe lam{'+-'[i // n]}eps*e_{i % n} (eps={eps})"
+
+    return finite(rows, probe)
 
 
 def batched(problem: BilevelProblem, name: str) -> Callable:
@@ -367,8 +381,10 @@ def validate_first_order(problem: BilevelProblem, omega, lam, eps: float = 1e-5)
 
     Returns ``{gradient name: max_rel_err}`` and judges nothing: the caller
     holds the tolerance.  The per-component error is
-    |fd - analytic| / max(1, |analytic|), returned as its maximum.  The
-    differences evaluate their probes in blocks through
+    |fd - analytic| / max(1, |analytic|), returned as its maximum.  An
+    analytic gradient of any shape but that of the point differenced scores
+    inf, so that the check fails closed.  The differences evaluate their
+    probes in blocks through
     ``batched(problem, "g_batch")``/``batched(problem, "h_batch")``: the
     omega probes against the one lam, and grad2_g's lam probes, a stack,
     against omega tiled over each block.
@@ -389,5 +405,5 @@ def validate_first_order(problem: BilevelProblem, omega, lam, eps: float = 1e-5)
         analytic = np.asarray(grad(omega, lam), dtype=np.float64)
         fd = central_differences(batch, x, eps)
         errors[name] = (float(np.max(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))))
-                        if analytic.size else 0.0)
+                        if analytic.shape == x.shape else math.inf)
     return errors

@@ -19,6 +19,7 @@ from bilevelopt.data import corrupt_labels, gen_synthetic, make_episodes, split,
 from bilevelopt.models import ablation_config
 from bilevelopt.problems import (hyperclean_f1_metric, hyperrep_accuracy_metric,
                                  make_hypercleaning, make_hyperrep)
+from bitwise import same_bits
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -133,11 +134,6 @@ def test_criterion_3_inner_horizon_convergence():
     assert gaps[-1] <= 1e-3
     assert non_increasing
     assert elapsed < 5.0
-
-
-def same_bits(x, y) -> bool:
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def test_criterion_4_reduction_identity():

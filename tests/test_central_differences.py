@@ -18,6 +18,7 @@ import bilevelopt as bl
 from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
 from bilevelopt.data import corrupt_labels, gen_synthetic, make_episodes, split
 from bilevelopt.problem import PROBE_BLOCK, central_differences, fd_vjp
+from bitwise import same_bits
 
 
 def reference_loop(f, x, eps):
@@ -28,11 +29,6 @@ def reference_loop(f, x, eps):
         e[j] = eps
         out[j] = (f(x + e) - f(x - e)) / (2.0 * eps)
     return out
-
-
-def same_bits(got, want):
-    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
-    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def zoo_point(name, seed=0):

@@ -189,6 +189,16 @@ class TestSolve:
         assert f"invalid config: {message}, got True" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_string_float_field_exits_2(self, tmp_path, capsys):
+        # float("0.1") reads a number, but a JSON string is none; a count
+        # field given as a string exits 2 as well
+        cfg = write_config(tmp_path / "c.json", K=5, T=3, t="0.1", s="1e-1", eta="0.5")
+        code = run_cli("solve", "--problem", "closedform_quadratic", "--config", str(cfg),
+                       "--out", str(tmp_path / "x.csv"), "--no-timing")
+        assert code == 2
+        assert "invalid config: t must be a number, got '0.1'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_integral_float_counts_run_as_integers(self, tmp_path):
         csvs = []
         for name, counts in (("int", {"K": 200, "T": 3, "bigsam_frequency": 2}),

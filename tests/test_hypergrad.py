@@ -9,6 +9,7 @@ import pytest
 
 import bilevelopt as bl
 from bilevelopt import hypergrad
+from bitwise import same_bits
 
 
 def counting_problem(problem):
@@ -247,11 +248,6 @@ class TestFdOracleIndependence:
             calls.clear()
             bl.hypergradient_fd_oracle(p, np.array([0.2]), spec)
             assert calls == []
-
-
-def same_bits(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def agree(x, y, exact):

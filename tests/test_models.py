@@ -115,15 +115,15 @@ class TestRunModel:
             p,
             grad1_h=lambda w, lam: (w - lam) if lam[0] >= 4.0 else np.array([np.nan]))
         cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=20, T=50, mode="basic")
-        with pytest.raises(bl.OracleDivergence, match="outer iteration 1"):
+        with pytest.raises(bl.OracleDivergence, match="outer iteration 1") as info:
             bl.run_model(booby, np.array([5.0]), cfg)
-        try:
-            bl.run_model(booby, np.array([5.0]), cfg)
-        except bl.OracleDivergence as exc:
-            assert exc.__cause__.failed_iteration == 1
-            partial = exc.__cause__.partial_trace
-            assert isinstance(partial, bl.ExperimentTrace)
-            assert len(partial.records) == 1
+        exc = info.value
+        assert exc.failed_iteration == 1
+        assert isinstance(exc.partial_trace, bl.ExperimentTrace)
+        assert len(exc.partial_trace.records) == 1
+        # the cause is the inner divergence, whose message the error repeats
+        assert isinstance(exc.__cause__, bl.OracleDivergence)
+        assert str(exc) == f"outer iteration 1: {exc.__cause__}"
 
     @pytest.mark.parametrize("lam0, failed, what", [
         (2.0, 1, "non-finite outer value and gradient norm"),   # g overflows at lam ~ -1.4e307
@@ -134,10 +134,11 @@ class TestRunModel:
         cfg = bl.SolveConfig(t=0.1, s=0.1, eta=1e308, K=200, T=100)
         with pytest.raises(bl.OracleDivergence, match=f"outer iteration {failed}: .*{what}") as info:
             bl.run_model(p, np.array([lam0]), cfg)
-        cause = info.value.__cause__
-        assert cause.failed_iteration == failed
-        assert len(cause.partial_trace.records) == 1
-        assert np.isfinite(cause.partial_trace.outer_values).all()
+        exc = info.value
+        assert exc.failed_iteration == failed
+        assert len(exc.partial_trace.records) == 1
+        assert np.isfinite(exc.partial_trace.outer_values).all()
+        assert isinstance(exc.__cause__, bl.OracleDivergence)
 
     @pytest.mark.parametrize("bad", ["outer value", "metric"])
     def test_non_finite_record_is_a_divergence(self, bad):
@@ -152,10 +153,11 @@ class TestRunModel:
         cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.1, K=50, T=20)
         with pytest.raises(bl.OracleDivergence, match=f"outer iteration (\\d+): .*{bad}") as info:
             bl.run_model(p, np.array([2.0]), cfg, metric=metric)
-        cause = info.value.__cause__
-        assert cause.failed_iteration >= 1
-        assert len(cause.partial_trace.records) == cause.failed_iteration
-        assert np.isfinite(cause.partial_trace.outer_values).all()
+        exc = info.value
+        assert exc.failed_iteration >= 1
+        assert len(exc.partial_trace.records) == exc.failed_iteration
+        assert np.isfinite(exc.partial_trace.outer_values).all()
+        assert isinstance(exc.__cause__, bl.OracleDivergence)
 
 
 class TestTapeLifetime:

@@ -10,7 +10,8 @@ import pytest
 import bilevelopt as bl
 from bilevelopt import oracles
 from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
-from bilevelopt.problem import ROW_ORACLES, OracleDivergence, batched, default_fd_eps
+from bilevelopt.oracles import CheckConfig
+from bilevelopt.problem import ROW_ORACLES, OracleDivergence, batched, default_fd_eps, finite
 
 
 def scalar_coupled_quadratic():
@@ -23,6 +24,34 @@ def scalar_coupled_quadratic():
         grad1_g=lambda w, lam: w.copy(),
         grad2_g=lambda w, lam: np.zeros(1),
     )
+
+
+class TestFinite:
+    def test_finite_input_is_returned_as_float64(self):
+        got = finite([1, 2, 3], "unused")
+        assert got.dtype == np.float64 and np.array_equal(got, [1.0, 2.0, 3.0])
+        x = np.array([[0.5, -1.0]])
+        assert finite(x, lambda row: pytest.fail("called on finite input")) is x
+
+    def test_plain_message(self):
+        with pytest.raises(OracleDivergence, match=r"^oracle-divergence: non-finite thing$"):
+            finite(np.array([1.0, np.inf]), "non-finite thing")
+
+    def test_first_non_finite_row_is_named_through_the_function(self):
+        stack = np.zeros((4, 3))
+        stack[2, 1] = np.nan
+        stack[3, 0] = np.inf
+        seen = []
+
+        def name(row):
+            seen.append(row)
+            return f"row {row} non-finite"
+
+        with pytest.raises(OracleDivergence, match=r"^oracle-divergence: row 2 non-finite$"):
+            finite(stack, name)
+        assert seen == [2]
+        with pytest.raises(OracleDivergence, match=r"^oracle-divergence: entry 1$"):
+            finite(np.array([0.0, -np.inf, np.nan]), lambda row: f"entry {row}")
 
 
 class TestFdVjp:
@@ -186,6 +215,24 @@ class TestValidateFirstOrder:
         )
         errors = bl.validate_first_order(p, np.zeros(1), np.zeros(1))
         assert errors == {"grad1_g": 0.0, "grad2_g": 0.0, "grad1_h": 0.0}
+
+
+    @pytest.mark.parametrize("slot, wrong", [
+        ("grad2_g", lambda w, lam: np.zeros(0)),                  # empty
+        ("grad1_g", lambda w, lam: np.array([w[0] - 1.0, 0.0])),  # broadcast against FD
+    ], ids=["empty", "broadcast"])
+    def test_wrong_shaped_gradient_scores_inf(self, slot, wrong):
+        bad = dataclasses.replace(bl.make_closedform_quadratic(), **{slot: wrong})
+        errors = bl.validate_first_order(bad, np.array([0.7]), np.array([-0.3]))
+        assert errors[slot] == np.inf
+        assert all(err <= 1e-6 for name, err in errors.items() if name != slot), errors
+
+    def test_empty_outer_gradient_fails_the_first_order_report(self):
+        bad = dataclasses.replace(bl.make_closedform_quadratic(),
+                                  grad2_g=lambda w, lam: np.zeros(0))
+        reports = {r.name: r for r in bl.check_suite(bad, [CheckConfig(n_points=2, K=20)])}
+        assert reports["first-order-vs-fd"].max_rel_err == np.inf
+        assert not reports["first-order-vs-fd"].passed
 
 
 class TestZooAnalyticVjps:

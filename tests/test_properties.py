@@ -25,6 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 import bilevelopt as bl
 from bilevelopt.problem import ROW_ORACLES, batched, default_fd_eps, fd_vjp
+from bitwise import same_bits
 
 entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
@@ -210,13 +211,6 @@ def learning_problems(draw):
         episodes = bl.make_episodes(ds, way, shot, vpc, draw(st.integers(1, 4)), seed)
         p = bl.make_hyperrep(episodes, draw(st.integers(1, 4)))
     return p, np.random.default_rng(seed)
-
-
-def same_bits(x, y):
-    if x is None or y is None:
-        return x is None and y is None
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def close(x, y):
