@@ -127,6 +127,12 @@ class InnerSolveSpec:
         alphas.flags.writeable = False
         return alphas
 
+    @cached_property
+    def _affine_states(self) -> dict:
+        # the composed path's lam-free states of this spec's solves, which
+        # ``bilevelopt.affine.inner_iterates`` keeps and reads
+        return {}
+
 
 @dataclass(frozen=True)
 class Tape:
@@ -243,9 +249,12 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
     its affine structure (``BilevelProblem.affine``) instead has its K step
     maps composed by a blocked scan (``bilevelopt.affine``), which evaluates
     no gradient oracle and agrees with the loop to roundoff.  That scan
-    carries the lam-Jacobian J_K alongside the iterates, and the tape
-    records it in place of VJPs; if a composed value is not finite the loop
-    is run instead.  The loop's trajectory is checked for finiteness once,
+    composes the lam-free states [u_k | J_k], and each iterate is
+    u_k + J_k lam; the tape records the lam-Jacobian J_K in place of VJPs.
+    The spec keeps the states of the affine spec it last solved, where they
+    fit ``affine.BLOCK_BYTES``, so its later solves at a new lam form their
+    iterates without a scan, with the bits a fresh spec's solve gives.  If a
+    composed value is not finite the loop is run instead.  The loop's trajectory is checked for finiteness once,
     after the loop: the first non-finite iterate names the diverging step,
     and the gradient oracles that are not finite at its input name the cause.
     The composed trajectory is already checked by ``affine.inner_iterates``.
@@ -254,7 +263,8 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
     lam = as_vector(lam, problem.outer_dim, "lam")
     iterates = vjps = jacobian = None
     if problem.affine is not None:
-        composed = affine.inner_iterates(problem.affine, lam, alphas, spec.t, spec.s)
+        composed = affine.inner_iterates(problem.affine, lam, alphas, spec.t, spec.s,
+                                         spec._affine_states)
         if composed is not None:
             iterates, jacobian = composed
     if iterates is None:

@@ -20,7 +20,9 @@ inner solve that ``InnerSolveSpec`` rejects, is refused at construction,
 before any check runs.  The three sampling checks (first-order, VJP and
 reverse) draw their unit-ball points through one sampler, ``_points``, each
 from its own fixed seed: 0, 1 and 2; one builder, ``_report``, makes their
-reports from the worst per-point error.  The reverse-vs-FD solves of an
+reports from the worst per-point error, and the VJP and reverse checks
+score each point through one rule, ``_rel_err``, under which a result of
+the wrong shape scores inf.  The reverse-vs-FD solves of an
 improved config average with the solver's default exponent,
 ``bilevelopt.bigsam.ALPHA_EXPONENT``, and those of a basic config with
 exponent 0 (``bilevelopt.bigsam.model_exponent``).
@@ -143,6 +145,18 @@ def _points(seed: int, count: int, *dims: int) -> list:
     return [tuple(_unit_ball(rng, dim) for dim in dims) for _ in range(count)]
 
 
+def _rel_err(got, want: np.ndarray) -> float:
+    """||got - want|| / max(1, ||want||), or inf where got's shape is not want's.
+
+    A wrong-shaped result would broadcast against the reference, so it
+    scores inf and its check fails closed, as in ``validate_first_order``.
+    """
+    got = np.asarray(got, dtype=np.float64)
+    if got.shape != want.shape:
+        return math.inf
+    return float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
+
+
 def _report(name: str, problem, tol: float, details: list) -> OracleReport:
     """A sampling check's report: its largest per-point ``rel_err`` against ``tol``.
 
@@ -230,8 +244,7 @@ def _check_vjps(problem, cfg) -> Optional[OracleReport]:
             got = getattr(problem, attr)(a, omega, lam)
             point = omega if which.endswith("11") else lam
             want = fd_vjp(problem, which, a, omega, lam, default_fd_eps(point))
-            err = float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
-            details.append({"vjp": attr, "rel_err": err})
+            details.append({"vjp": attr, "rel_err": _rel_err(got, want)})
     return _report("vjp-vs-fd", problem, cfg.tol_vjp, details)
 
 
@@ -242,8 +255,7 @@ def _check_reverse(problem, cfg) -> OracleReport:
         tape = solve_inner(problem, lam, spec)
         got = reverse_hypergradient(problem, tape)
         want = hypergradient_fd_oracle(problem, lam, spec)
-        err = float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
-        details.append({"mode": cfg.mode, "K": cfg.K, "rel_err": err})
+        details.append({"mode": cfg.mode, "K": cfg.K, "rel_err": _rel_err(got, want)})
     return _report("reverse-vs-fd-hypergradient", problem, cfg.tol_hg, details)
 
 

@@ -90,7 +90,7 @@ any height gets its row value's bits.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -211,7 +211,12 @@ class QuadraticBilevelSpec:
 
 
 def _frozen_spec(**arrays) -> QuadraticBilevelSpec:
-    """An unvalidated spec over read-only copies, shared by every instance."""
+    """An unvalidated spec over read-only float64 copies of ``arrays``.
+
+    A problem that declares a spec closes over its arrays, and a solve may
+    keep states scanned from them (``bilevelopt.affine``), so they must not
+    change under it.
+    """
     for key, value in arrays.items():
         arrays[key] = np.array(value, dtype=np.float64)
         arrays[key].flags.writeable = False
@@ -298,10 +303,13 @@ def make_quadratic(spec: QuadraticBilevelSpec, name: str = "quadratic") -> Bilev
     """Bilevel problem from a quadratic spec, with exact derivatives.
 
     The problem declares the spec as its affine structure, so the inner
-    solver and the reverse pass compose its step maps.  Its stacked values
-    take lam as one row or as a (B, m) stack, and its row values are them on
-    a stack of one row.
+    solver and the reverse pass compose its step maps.  It declares, and its
+    oracles close over, read-only copies of the spec's arrays, so a caller
+    that later changes its own arrays in place changes no result.  Its
+    stacked values take lam as one row or as a (B, m) stack, and its row
+    values are them on a stack of one row.
     """
+    spec = _frozen_spec(**{f.name: getattr(spec, f.name) for f in fields(spec)})
     A_h, B_h, d_h, A_g, c_g = spec.A_h, spec.B_h, spec.d_h, spec.A_g, spec.c_g
 
     def h_batch(W, lam):

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import bilevelopt as bl
-from bilevelopt import affine
+from bilevelopt import affine, models
 from bilevelopt.bigsam import final_inner_iterate
+from bitwise import same_bits
 from bilevelopt.problems import _CLOSEDFORM_SPEC, _DEGENERATE_SPEC
 
 
@@ -51,6 +52,12 @@ def state_size(p):
     return sum(p.affine.B_h.shape) + 1
 
 
+def kept_fits(p, K):
+    """Whether the K + 1 lam-free states of problem p, n (1 + m) floats each, fit the budget."""
+    n, m = p.affine.B_h.shape
+    return 8 * (K + 1) * n * (1 + m) <= affine.BLOCK_BYTES
+
+
 def _close(got, want, rtol):
     # relative to each entry, with the array's scale as the floor for entries
     # that pass through zero
@@ -76,8 +83,13 @@ class TestFastPathMatchesLoop:
         size = state_size(p)
         with blocks(steps, size) as seen:
             fast = bl.solve_inner(p, lam, spec)
+            scanned = list(seen)
             final = final_inner_iterate(p, lam, spec)
-        assert seen == 2 * lengths(K, steps or affine._block(size, K))
+            fits = kept_fits(p, K)
+        # the first solve scans; the second reads the kept states, and scans
+        # again only where they do not fit the budget
+        assert scanned == lengths(K, steps or affine._block(size, K))
+        assert seen == scanned * (1 if fits else 2)
         loop = bl.solve_inner(ref, lam, spec)
         assert np.array_equal(fast.alphas, loop.alphas)
         _close(fast.iterates, loop.iterates, 1e-12)
@@ -259,6 +271,32 @@ class TestDeclaredSpecs:
         assert not any(getattr(spec, f.name).flags.writeable
                        for f in dataclasses.fields(spec))
 
+    def test_make_quadratic_takes_read_only_copies(self):
+        n, m = 4, 3
+        rng = np.random.default_rng(9)
+        N = rng.normal(size=(n, n))
+        spec = bl.QuadraticBilevelSpec(A_h=np.diag([1.0, 0.5, 0.0, 0.0]),
+                                       B_h=rng.normal(size=(n, m)), d_h=rng.normal(size=n),
+                                       A_g=N @ N.T + np.eye(n), c_g=rng.normal(size=n))
+        p = bl.make_quadratic(spec)
+        assert not any(getattr(p.affine, f.name).flags.writeable
+                       for f in dataclasses.fields(p.affine))
+        inner = bl.InnerSolveSpec(K=50, t=0.2, s=0.1)
+        lam = rng.normal(size=m)
+        before = bl.solve_inner(p, lam, inner)
+        for f in dataclasses.fields(spec):
+            array = getattr(spec, f.name)
+            array *= 2.0
+            array += 1.0
+        for solve in (inner, dataclasses.replace(inner)):
+            after = bl.solve_inner(p, lam, solve)
+            assert same_bits(after.iterates, before.iterates)
+            assert same_bits(after.jacobian, before.jacobian)
+        # the oracles read the copies too
+        q, w = p.affine, rng.normal(size=n)
+        assert same_bits(p.grad1_h(w, lam), q.A_h @ w - (q.B_h @ lam + q.d_h))
+        assert same_bits(p.grad1_g(w, lam), q.A_g @ (w - q.c_g))
+
     def test_makers_run_no_eigenvalue_solve(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("eigvalsh called while building an analytic instance")
@@ -299,10 +337,15 @@ class TestOneScan:
         bl.reverse_hypergradient(p, tape)
         assert len(passes) == 1
 
-    def test_one_pass_per_outer_iteration(self, passes):
+    def test_one_pass_per_outer_iteration(self, scan_blocks, passes):
+        blocks, lengths = scan_blocks
         p = bl.make_degenerate_quadratic()
         config = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=600, T=3, mode="improved")
-        trace = bl.run_model(p, np.array([0.25]), config)
+        with blocks(256, state_size(p)) as seen:
+            trace = bl.run_model(p, np.array([0.25]), config)
+        # the first outer iteration scans all K steps and keeps the states;
+        # every outer iteration forms its iterates from them once
+        assert seen == lengths(600, 256) == [256, 256, 88]
         assert len(passes) == len(trace.records) == 3
 
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
@@ -354,3 +397,101 @@ class TestOneScan:
         with pytest.raises(ValueError, match="jacobian"):
             bl.Tape(iterates=np.zeros((2, 2)), alphas=np.ones(1), t=0.1, s=0.1,
                     lam=np.zeros(1), jacobian=np.zeros((1, 2)))
+
+
+class TestKeptStates:
+    """A spec's kept lam-free states change no bit of any result: reuse cannot be seen."""
+
+    @staticmethod
+    def solved(p, lam, spec):
+        tape = bl.solve_inner(p, lam, spec)
+        return tape.iterates, tape.jacobian, bl.reverse_hypergradient(p, tape)
+
+    @staticmethod
+    def problem_and_spec(name, schedule):
+        """Problem ``name``, a K = 600 spec on ``schedule`` and two lam points."""
+        p = PROBLEMS[name]()
+        expo, freq = SCHEDULES[schedule]
+        spec = bl.InnerSolveSpec(K=600, t=0.2, s=0.15, alpha_exponent=expo, bigsam_frequency=freq)
+        lams = np.random.default_rng(6).normal(size=(2, p.outer_dim))
+        return p, spec, lams
+
+    @pytest.mark.parametrize("schedule", list(SCHEDULES))
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_a_second_solve_equals_a_fresh_spec(self, scan_blocks, name, schedule):
+        # K = 600 in blocks of 256: the kept states span three blocks
+        blocks, lengths = scan_blocks
+        p, spec, (lam0, lam1) = self.problem_and_spec(name, schedule)
+        with blocks(256, state_size(p)) as seen:
+            assert kept_fits(p, spec.K)
+            self.solved(p, lam0, spec)
+            again = self.solved(p, lam1, spec)
+            fresh = self.solved(p, lam1, dataclasses.replace(spec))
+        assert seen == 2 * lengths(600, 256)
+        assert all(same_bits(x, y) for x, y in zip(again, fresh))
+
+    @pytest.mark.parametrize("schedule", list(SCHEDULES))
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_kept_equals_streamed(self, scan_blocks, name, schedule):
+        # the scan's bits depend on its block, so each comparison runs at one
+        # block length: at 256 steps the states fit and are kept, at 128 the
+        # budget forces every solve to stream and keep none; a call without a
+        # holder always streams
+        blocks, lengths = scan_blocks
+        p, spec, (lam0, lam1) = self.problem_and_spec(name, schedule)
+        alphas = bl.schedule(spec)
+        for steps, fits in ((256, True), (128, False)):
+            solve = dataclasses.replace(spec)
+            with blocks(steps, state_size(p)) as seen:
+                assert kept_fits(p, spec.K) is fits
+                bl.solve_inner(p, lam0, solve)
+                tape = bl.solve_inner(p, lam1, solve)
+                streamed = affine.inner_iterates(p.affine, lam1, alphas, spec.t, spec.s)
+            assert seen == lengths(600, steps) * (2 if fits else 3)
+            assert bool(solve._affine_states) is fits
+            assert same_bits(tape.iterates, streamed[0])
+            assert same_bits(tape.jacobian, streamed[1])
+
+    @pytest.mark.parametrize("schedule", list(SCHEDULES))
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_run_model_equals_a_fresh_spec_per_outer_iteration(self, monkeypatch, name,
+                                                               schedule):
+        p = PROBLEMS[name]()
+        expo, freq = SCHEDULES[schedule]
+        config = bl.SolveConfig(t=0.2, s=0.15, eta=0.3, K=600, T=3, alpha_exponent=expo,
+                                bigsam_frequency=freq, mode="improved" if expo else "basic")
+        lam0 = np.random.default_rng(7).normal(size=p.outer_dim)
+        kept = bl.run_model(p, lam0, config, collect_timing=False)
+        real = models.solve_inner
+        monkeypatch.setattr(models, "solve_inner",
+                            lambda p, lam, spec: real(p, lam, dataclasses.replace(spec)))
+        fresh = bl.run_model(p, lam0, config, collect_timing=False)
+        assert kept.records == fresh.records
+        assert same_bits(kept.final_lambda, fresh.final_lambda)
+        assert same_bits(kept.final_omega, fresh.final_omega)
+
+    def test_quad_gap_states_fit_the_budget(self, scan_blocks):
+        # the benchmark's quad_gap solve: 5001 states of 2 x 2 floats, 160 KB
+        blocks, lengths = scan_blocks
+        p = bl.make_degenerate_quadratic()
+        spec = bl.InnerSolveSpec(K=5000, t=0.1, s=0.1)
+        assert kept_fits(p, 5000)
+        with blocks() as seen:
+            bl.solve_inner(p, np.array([0.25]), spec)
+            bl.solve_inner(p, np.array([0.5]), spec)
+        assert seen == lengths(5000, affine._block(state_size(p), 5000)) == [4096, 904]
+        (held, states), = spec._affine_states.values()
+        assert held is p.affine
+        assert sum(S.nbytes for _, S in states) == 8 * 5000 * 2 * 2 <= affine.BLOCK_BYTES
+        assert not any(S.flags.writeable for _, S in states)
+
+    def test_a_holder_keeps_the_last_affine_spec_only(self, scan_blocks):
+        blocks, lengths = scan_blocks
+        spec = bl.InnerSolveSpec(K=40, t=0.2, s=0.15)
+        first, second = random_quadratic(0), random_quadratic(1)
+        with blocks() as seen:
+            for p in (first, second, second, first):
+                bl.solve_inner(p, np.ones(3), spec)
+        assert seen == [40, 40, 40]
+        (held, _), = spec._affine_states.values()
+        assert held is first.affine

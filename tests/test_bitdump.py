@@ -26,3 +26,11 @@ import bitdump  # noqa: E402
 def test_fast_subset_prints_the_committed_digests():
     differences = bitdump.diff(bitdump.FAST)
     assert not differences, "\n".join(differences)
+
+
+def test_a_reused_quad_gap_solve_prints_the_first_solves_digests():
+    digests = dict(line.rsplit(" ", 1) for line in bitdump.DIGESTS.read_text().splitlines())
+    reused = [label for label in digests if " reused " in label]
+    assert len(reused) == 4
+    for label in reused:
+        assert digests[label] == digests[label.replace(" reused", "")], label

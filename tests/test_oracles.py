@@ -338,6 +338,27 @@ class TestNonFiniteErrorsFail:
         assert not rep.passed and np.isnan(rep.max_rel_err)
         strict_json(rep.to_dict())
 
+    def test_wrong_shaped_vjp_fails_the_vjp_check(self):
+        # one entry too many broadcasts against the FD VJP of the scalar instance
+        from bilevelopt.oracles import _check_vjps
+        p = bl.make_closedform_quadratic()
+        bad = dataclasses.replace(p, vjp11_g=lambda a, w, lam: np.append(p.vjp11_g(a, w, lam),
+                                                                         0.0))
+        rep = _check_vjps(bad, CheckConfig(n_points=3))
+        assert rep.name == "vjp-vs-fd" and not rep.passed
+        assert rep.max_rel_err == np.inf
+        assert _check_vjps(dataclasses.replace(p), CheckConfig(n_points=3)).passed
+
+    def test_wrong_shaped_hypergradient_fails_the_reverse_check(self):
+        # g's lam-gradient of the wrong shape: the reverse pass returns an
+        # empty hypergradient, which would broadcast against the FD one
+        bad = dataclasses.replace(bl.make_closedform_quadratic(),
+                                  grad2_g=lambda w, lam: np.zeros(0))
+        reports = {r.name: r for r in bl.check_suite(bad, [CheckConfig(K=10, hg_points=2)])}
+        rep = reports["reverse-vs-fd-hypergradient"]
+        assert not rep.passed and rep.max_rel_err == np.inf
+        assert rep.to_dict()["max_rel_err"] == "inf"
+
     def test_nan_error_fails_the_reverse_check(self, monkeypatch):
         from bilevelopt import oracles
         real = oracles.reverse_hypergradient

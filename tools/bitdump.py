@@ -17,7 +17,9 @@ finite-difference referee reaches the row oracles row by row through
 hypergradient.  The degenerate quadratic also gets, at the settings of the
 benchmark's ``quad_gap`` workload (K = 5000, t = s = 0.1, lam = 0.25, each
 mode, frequency 1), the digests of the iterates and the hypergradient of
-its composed path, the one path there that runs several scan blocks.  Each
+its composed path, the one path there that runs several scan blocks, and
+of a second solve on the same spec object, which reads the states the
+first one kept.  Each
 zoo problem's ``check_suite`` report (seed 0, ``default_check_configs``),
 and that of each serial copy, gets one line per verifier row: the SHA-256
 of the row's JSON, whose floats round-trip, so every referee value (first-order, VJP and hypergradient
@@ -164,7 +166,9 @@ def quad_gap_lines():
     """(label, array) for the degenerate quadratic's composed solve, each mode.
 
     These are the settings of the benchmark's ``quad_gap`` workload, whose
-    K = 5000 steps take several scan blocks.
+    K = 5000 steps take several scan blocks.  A second solve on the same
+    spec object forms its iterates from the states the first one kept; its
+    "reused" lines must print the first solve's digests.
     """
     import numpy as np
     import bilevelopt as bl
@@ -173,10 +177,11 @@ def quad_gap_lines():
     problem = bl.zoo_problem("degenerate_quadratic").problem
     for mode in ("improved", "basic"):
         spec = bl.InnerSolveSpec(K=5000, t=0.1, s=0.1, alpha_exponent=model_exponent(mode))
-        tape = bl.solve_inner(problem, np.array([0.25]), spec)
-        label = f"degenerate_quadratic quad_gap {mode}"
-        yield f"{label} iterates", tape.iterates
-        yield f"{label} hypergradient", bl.reverse_hypergradient(problem, tape)
+        for solve in ("", " reused"):
+            tape = bl.solve_inner(problem, np.array([0.25]), spec)
+            label = f"degenerate_quadratic quad_gap {mode}{solve}"
+            yield f"{label} iterates", tape.iterates
+            yield f"{label} hypergradient", bl.reverse_hypergradient(problem, tape)
 
 
 def check_lines(names):
