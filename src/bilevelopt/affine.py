@@ -96,9 +96,11 @@ against fixed blocks of 256 steps):
 256 KiB is faster at n+1+m >= 61 but 15% slower at 21, and larger budgets
 gain nothing at small n and lose at large n.
 
-``inner_iterates`` returns None when a composed value, of the iterates or of
-J_K, is not finite; the caller then reruns the generic loop, which is the
-reference path and names the step that diverged.
+``inner_iterates`` returns None when a composed iterate is not finite; the
+caller then reruns the generic loop, which is the reference path and names
+the step that diverged.  J_K needs no check of its own: lam is finite, so a
+non-finite entry of J_K makes omega_K = u_K + J_K lam non-finite (inf * 0
+is NaN).
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ def inner_iterates(spec, lam: np.ndarray, alphas: np.ndarray, t: float, s: float
     ``spec``.  ``kept``, a dict that belongs to the ``InnerSolveSpec`` whose
     ``alphas``, ``t`` and ``s`` these are, holds the states of the one
     affine spec it last scanned, where all K + 1 fit ``BLOCK_BYTES``.  None
-    if a composed value is not finite.
+    if a composed iterate is not finite.
     """
     n, m = spec.B_h.shape
     K = alphas.shape[0]
@@ -220,5 +222,4 @@ def inner_iterates(spec, lam: np.ndarray, alphas: np.ndarray, t: float, s: float
     if keep is not None:
         kept.clear()
         kept[id(spec)] = (spec, keep)
-    J = J.copy()
-    return (iterates, J) if np.all(np.isfinite(iterates)) and np.all(np.isfinite(J)) else None
+    return (iterates, J.copy()) if np.all(np.isfinite(iterates)) else None

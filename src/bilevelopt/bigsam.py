@@ -254,9 +254,10 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
     The spec keeps the states of the affine spec it last solved, where they
     fit ``affine.BLOCK_BYTES``, so its later solves at a new lam form their
     iterates without a scan, with the bits a fresh spec's solve gives.  If a
-    composed value is not finite the loop is run instead.  The loop's trajectory is checked for finiteness once,
-    after the loop: the first non-finite iterate names the diverging step,
-    and the gradient oracles that are not finite at its input name the cause.
+    composed iterate is not finite the loop is run instead.  The loop's
+    trajectory is checked for finiteness once, after the loop: the first
+    non-finite iterate names the diverging step, and the gradient oracles
+    that are not finite at its input name the cause.
     The composed trajectory is already checked by ``affine.inner_iterates``.
     """
     alphas = schedule(spec)

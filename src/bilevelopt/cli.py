@@ -37,16 +37,13 @@ from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .bigsam import check_count
-from .data import corrupt_labels, gen_synthetic, load_idx, split
+from .data import gen_synthetic, load_idx
 from .models import SolveConfig, ablation_config, run_model
 from .oracles import check_suite, default_check_configs
 from .problem import OracleDivergence, check_finite_positive
-from .problems import (HYPERCLEAN_DATA, ZOO_DEFAULTS, ZOO_NAMES, hyperclean_f1_metric,
-                       make_hypercleaning, zoo_problem)
+from .problems import HYPERCLEAN_DATA, ZOO_DEFAULTS, ZOO_NAMES, hypercleaning_task, zoo_problem
 
 __all__ = ["main", "replay_manifest"]
 
@@ -200,6 +197,7 @@ def _run_trace(run: dict, out_dir: Path) -> Optional[str]:
 
 
 def _clean_dataset(args: dict, seed: int):
+    """The dataset that ``args["data"]`` names, and its spec for the summary."""
     if args["data"] == "synthetic":
         data = {k: HYPERCLEAN_DATA[k] for k in ("d", "C", "margin")}
         ds = gen_synthetic(seed, args["ntr"] + args["nval"], **data)
@@ -215,23 +213,19 @@ def _clean_dataset(args: dict, seed: int):
         spec = {"kind": "idx", "images": parts[0], "labels": parts[1]}
     else:
         raise ValueError(f"unknown data source {args['data']!r} (use synthetic or idx:<paths>)")
-    train, val = split(ds, args["ntr"], args["nval"], seed)
-    train = corrupt_labels(train, args["rho"], seed)
-    return train, val, spec
+    return ds, spec
 
 
 def _run_clean(run: dict, out_dir: Path) -> list:
     """Run both models on one corrupted split; returns the divergence messages."""
     args = run["args"]
-    if not 0.0 <= args["rho"] <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
     improved = _solve_config(run)
     configs = {"improved": improved, "basic": replace(improved, mode="basic")}
-    train, val, data_spec = _clean_dataset(args, improved.seed)
+    ds, data_spec = _clean_dataset(args, improved.seed)
+    # corrupt_labels refuses a rho outside [0, 1] here, before any output
+    problem, lam0, metric, mask = hypercleaning_task(ds, args["ntr"], args["nval"], args["rho"],
+                                                     improved.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    problem = make_hypercleaning(train, val)
-    metric = hyperclean_f1_metric(train.mask)
-    lam0 = np.zeros(problem.outer_dim)
 
     records, errors = {}, []
     for mode, config in configs.items():
@@ -244,11 +238,11 @@ def _run_clean(run: dict, out_dir: Path) -> list:
                 for ri, rb in zip(records["improved"], records["basic"])], bool(errors))
     outputs = [out.name]
     if not errors:
-        no_positives = int(train.mask.sum()) == 0
+        no_positives = int(mask.sum()) == 0
         summary = {
             "flag_rule": "sample i is flagged corrupted when its weight lambda_i < 0",
             "rho": args["rho"],
-            "corrupted_count": int(train.mask.sum()),
+            "corrupted_count": int(mask.sum()),
             "final_f1_improved": records["improved"][-1].metric,
             "final_f1_basic": records["basic"][-1].metric,
             "undefined_f1": no_positives,

@@ -11,6 +11,7 @@ across platforms and one operation's draws never disturb another's.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Tuple
@@ -185,14 +186,30 @@ def make_episodes(ds: Dataset, way: int, shot: int, val_per_class: int,
                       way=way)
 
 
-def _idx_header(f, fmt: str, path) -> tuple:
-    """Unpack an IDX header; a file shorter than it is a ValueError naming the file."""
-    size = struct.calcsize(fmt)
-    head = f.read(size)
-    if len(head) != size:
-        raise ValueError(f"idx-short-header: {path} holds {len(head)} bytes, "
-                         f"fewer than its {size}-byte header")
-    return struct.unpack(fmt, head)
+def _read_idx(path, magic: int, dims: int, kind: str) -> tuple:
+    """The counts and payload of one big-endian IDX file: a magic, ``dims`` counts, bytes.
+
+    The header must be whole ("idx-short-header", naming the file), its
+    magic ``magic`` ("idx-bad-magic") and the payload at least the product
+    of the counts ("idx-count-mismatch"), checked in that order; ``kind``
+    names the file in the last two.  Bytes past the payload are ignored.
+    """
+    size = 4 * (1 + dims)
+    with open(path, "rb") as f:
+        head = f.read(size)
+        if len(head) != size:
+            raise ValueError(f"idx-short-header: {path} holds {len(head)} bytes, "
+                             f"fewer than its {size}-byte header")
+        found, *counts = struct.unpack(f">{1 + dims}I", head)
+        if found != magic:
+            raise ValueError(f"idx-bad-magic: expected {magic:#010x} in {kind} file, "
+                             f"got {found:#010x}")
+        # read to the end, so that a header's claim is never allocated up front
+        payload = f.read()
+    length = math.prod(counts)
+    if len(payload) < length:
+        raise ValueError(f"idx-count-mismatch: {kind} file truncated")
+    return counts, payload[:length]
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -201,20 +218,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     Image bytes scale linearly to [0, 1]; images flatten row-major to
     d = rows * cols.
     """
-    with open(images_path, "rb") as f:
-        magic, n_img, rows, cols = _idx_header(f, ">IIII", images_path)
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(f"idx-bad-magic: expected {IDX_IMAGES_MAGIC:#010x} in image file, got {magic:#010x}")
-        raw = f.read(n_img * rows * cols)
-    if len(raw) != n_img * rows * cols:
-        raise ValueError("idx-count-mismatch: image file truncated")
-    with open(labels_path, "rb") as f:
-        magic, n_lab = _idx_header(f, ">II", labels_path)
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(f"idx-bad-magic: expected {IDX_LABELS_MAGIC:#010x} in label file, got {magic:#010x}")
-        lab = f.read(n_lab)
-    if len(lab) != n_lab:
-        raise ValueError("idx-count-mismatch: label file truncated")
+    (n_img, rows, cols), raw = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "image")
+    (n_lab,), lab = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "label")
     if n_img != n_lab:
         raise ValueError(f"idx-count-mismatch: {n_img} images vs {n_lab} labels")
     X = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(n_img, rows * cols) / 255.0

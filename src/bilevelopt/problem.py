@@ -101,13 +101,14 @@ def finite(value, what) -> np.ndarray:
 
     The error reads "oracle-divergence: " and then ``what``: the message
     itself, or a function of the index of the first row (along axis 0) that
-    holds a non-finite entry, called on the failure path only.
+    holds a non-finite entry, called on the failure path only.  A 0-d value
+    is its own row 0.
     """
     value = np.asarray(value, dtype=np.float64)
     ok = np.isfinite(value)
     if not ok.all():
         if callable(what):
-            what = what(int(np.argmin(ok.reshape(len(ok), -1).all(axis=1))))
+            what = what(int(np.argmin(ok.reshape(ok.shape[:1] + (-1,)).all(axis=-1))))
         raise OracleDivergence("oracle-divergence: " + what)
     return value
 
@@ -217,7 +218,8 @@ class BilevelProblem:
         return (self.inner_dim, self.outer_dim)
 
 
-def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam, eps: float) -> np.ndarray:
+def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam,
+           eps: Optional[float] = None) -> np.ndarray:
     """Second-order VJP by central differences of a first-order gradient.
 
     For "h11" the result approximates a^T d11h via the symmetric form
@@ -225,15 +227,19 @@ def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam, eps: float) -> np
     the j-th entry differentiates a . grad1_h along the j-th lam coordinate.
     "g11"/"g12" do the same with grad1_g.  The lam side evaluates its 2m
     probes in blocks through ``batched(problem, "grad1_*_many")``, omega
-    tiled over each block; a non-finite gradient names its probe.
+    tiled over each block; a non-finite gradient names its probe.  ``eps``
+    defaults to ``default_fd_eps`` of the point differenced: omega for
+    "*11", lam for "*12".
     """
     if which not in VJP_NAMES:
         raise ValueError(f"unknown vjp selector {which!r}")
-    check_finite_positive("eps", eps)
     n, m = problem.dims
     a = as_vector(a, n, "adjoint")
     omega = as_vector(omega, n, "omega")
     lam = as_vector(lam, m, "lam")
+    if eps is None:
+        eps = default_fd_eps(omega if which.endswith("11") else lam)
+    check_finite_positive("eps", eps)
     gname = "grad1_h" if which[0] == "h" else "grad1_g"
     grad, grad_many = getattr(problem, gname), batched(problem, gname + "_many")
 
@@ -323,9 +329,7 @@ def _fd_fallback(problem: BilevelProblem, which: str, a, omega, lam) -> np.ndarr
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if scale == 0.0:
         return np.zeros(problem.inner_dim if which.endswith("11") else problem.outer_dim)
-    point = omega if which.endswith("11") else lam
-    eps = default_fd_eps(np.asarray(point, dtype=np.float64))
-    return scale * fd_vjp(problem, which, a / scale, omega, lam, eps)
+    return scale * fd_vjp(problem, which, a / scale, omega, lam)
 
 
 def linearizer(problem: BilevelProblem, lam) -> Callable:

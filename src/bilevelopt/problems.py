@@ -19,8 +19,9 @@ three quadratic makers go through one constructor, which declares the spec
 as the problem's affine structure and attaches the answers.
 
 Each zoo problem is described once: its run settings in ``ZOO_DEFAULTS``,
-hyper-cleaning's synthetic data in ``HYPERCLEAN_DATA``, and its instance in
-``zoo_problem``.  The check bundles and the command line read them here.
+hyper-cleaning's synthetic data in ``HYPERCLEAN_DATA`` and its task (split,
+corrupt, build, start, metric) in ``hypercleaning_task``, and its instance
+in ``zoo_problem``.  The check bundles and the command line read them here.
 
 Losses are plain sums over samples, not means.  Softmax cross-entropy is not
 strongly convex in the weights, so the hyper-cleaning and hyper-representation
@@ -107,6 +108,7 @@ __all__ = [
     "make_hypercleaning",
     "make_hyperrep",
     "hyperclean_f1_metric",
+    "hypercleaning_task",
     "hyperrep_accuracy_metric",
     "ZooInstance",
     "zoo_problem",
@@ -617,6 +619,21 @@ def hyperclean_f1_metric(mask: np.ndarray) -> Callable:
     return metric
 
 
+def hypercleaning_task(ds: Dataset, n_tr: int, n_val: int, rho: float, seed: int) -> tuple:
+    """Hyper-cleaning on ``ds``: ``(problem, lam0, metric, mask)``.
+
+    Splits ``ds`` into ``n_tr`` training and ``n_val`` validation samples,
+    flips the labels of a fraction ``rho`` of the training samples, and
+    builds the problem, its start lam0 = 0, the detection F1 metric and the
+    training split's corruption mask.  ``zoo_problem`` and ``bilevelopt
+    clean`` both build their task here.
+    """
+    train, val = split(ds, n_tr, n_val, seed)
+    train = corrupt_labels(train, rho, seed)
+    problem = make_hypercleaning(train, val)
+    return problem, np.zeros(problem.outer_dim), hyperclean_f1_metric(train.mask), train.mask
+
+
 # ---------------------------------------------------------------------------
 # toy hyper-representation
 
@@ -782,10 +799,7 @@ def zoo_problem(name: str, seed: int = 0, rho: float = 0.5) -> ZooInstance:
     elif name == "hyperclean_synthetic":
         spec = {"kind": "synthetic", "n": 1000, **HYPERCLEAN_DATA, "rho": rho, "seed": seed}
         ds = gen_synthetic(seed, spec["n"], spec["d"], spec["C"], spec["margin"])
-        train, val = split(ds, spec["n_tr"], spec["n_val"], seed)
-        train = corrupt_labels(train, rho, seed)
-        problem = make_hypercleaning(train, val)
-        lam0, metric = np.zeros(problem.outer_dim), hyperclean_f1_metric(train.mask)
+        problem, lam0, metric, _ = hypercleaning_task(ds, spec["n_tr"], spec["n_val"], rho, seed)
     else:
         spec = {"kind": "synthetic", "n": 1200, "d": 20, "C": 20, "margin": 3.0,
                 "way": 5, "shot": 1, "val_per_class": 10, "n_tasks": 8,

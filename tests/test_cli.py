@@ -564,8 +564,17 @@ class TestClean:
         for key in ("d", "C", "margin", "n_tr", "n_val"):
             assert data[key] == zoo[key], key
 
-    def test_bad_rho_exits_2(self, tmp_path):
-        assert run_cli("clean", "--rho", "1.5", "--out", str(tmp_path / "x.csv")) == 2
+    def test_bad_rho_exits_2(self, tmp_path, capsys):
+        # corrupt_labels refuses the rho before the output directory is made
+        for rho in ("1.5", "-0.1", "nan"):
+            assert run_cli("clean", "--rho", rho, "--out", str(tmp_path / "new" / "x.csv")) == 2
+            assert capsys.readouterr().err == "error: rho must lie in [0, 1]\n"
+            assert list(tmp_path.iterdir()) == []
+        # the config is validated first
+        assert run_cli("clean", "--rho", "1.5", "--seed", "-1",
+                       "--out", str(tmp_path / "new" / "x.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: invalid config: seed")
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_seed_equals_seed_flag(self, tmp_path):
         runs = {"file": ("--config", str(write_clean_config(tmp_path / "file.json", seed=3))),

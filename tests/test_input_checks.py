@@ -218,22 +218,49 @@ class TestIdx:
         (tmp_path / "lab").write_bytes(labels)
         return tmp_path / "img", tmp_path / "lab"
 
-    def test_image_magic(self, tmp_path):
-        paths = self.write(tmp_path, struct.pack(">IIII", LABELS, 1, 1, 1) + bytes([5]),
-                           struct.pack(">II", LABELS, 1) + bytes([0]))
-        with pytest.raises(ValueError, match="idx-bad-magic: expected 0x00000803 in image file"):
-            bl.load_idx(*paths)
+    # a good image file (two 1 x 1 images) and label file, and each fault
+    # of either with its exact message
+    GOOD = {"img": struct.pack(">IIII", IMAGES, 2, 1, 1) + bytes([5, 9]),
+            "lab": struct.pack(">II", LABELS, 2) + bytes([0, 1])}
+    FAULTS = {
+        ("img", "short-header"): (struct.pack(">III", IMAGES, 2, 1),
+                                  "idx-short-header: {path} holds 12 bytes, "
+                                  "fewer than its 16-byte header"),
+        ("lab", "short-header"): (struct.pack(">I", LABELS) + bytes([0, 0]),
+                                  "idx-short-header: {path} holds 6 bytes, "
+                                  "fewer than its 8-byte header"),
+        ("img", "bad-magic"): (struct.pack(">IIII", LABELS, 2, 1, 1) + bytes([5, 9]),
+                               "idx-bad-magic: expected 0x00000803 in image file, "
+                               "got 0x00000801"),
+        ("lab", "bad-magic"): (struct.pack(">II", IMAGES, 2) + bytes([0, 1]),
+                               "idx-bad-magic: expected 0x00000801 in label file, "
+                               "got 0x00000803"),
+        ("img", "truncated"): (struct.pack(">IIII", IMAGES, 2, 1, 1) + bytes([5]),
+                               "idx-count-mismatch: image file truncated"),
+        ("lab", "truncated"): (struct.pack(">II", LABELS, 2) + bytes([0]),
+                               "idx-count-mismatch: label file truncated"),
+    }
 
-    def test_image_file_truncated(self, tmp_path):
-        paths = self.write(tmp_path, struct.pack(">IIII", IMAGES, 2, 2, 1) + bytes([5, 9, 1]),
-                           struct.pack(">II", LABELS, 2) + bytes([0, 1]))
-        with pytest.raises(ValueError, match="idx-count-mismatch: image file truncated"):
+    @pytest.mark.parametrize("name, fault", list(FAULTS), ids=[f"{n}-{f}" for n, f in FAULTS])
+    def test_fault_names_its_file(self, tmp_path, name, fault):
+        files = {**self.GOOD, name: self.FAULTS[name, fault][0]}
+        paths = self.write(tmp_path, files["img"], files["lab"])
+        with pytest.raises(ValueError) as info:
             bl.load_idx(*paths)
+        assert str(info.value) == self.FAULTS[name, fault][1].format(path=tmp_path / name)
 
-    def test_label_file_truncated(self, tmp_path):
-        paths = self.write(tmp_path, struct.pack(">IIII", IMAGES, 2, 1, 1) + bytes([5, 9]),
-                           struct.pack(">II", LABELS, 2) + bytes([0]))
-        with pytest.raises(ValueError, match="idx-count-mismatch: label file truncated"):
+    def test_bytes_past_the_payload_are_ignored(self, tmp_path):
+        ds = bl.load_idx(*self.write(tmp_path, self.GOOD["img"] + bytes([7]),
+                                     self.GOOD["lab"] + bytes([1, 1])))
+        np.testing.assert_array_equal(ds.X, [[5 / 255], [9 / 255]])
+        np.testing.assert_array_equal(ds.y, [0, 1])
+
+    def test_a_header_claiming_more_than_the_file_holds_is_truncated(self, tmp_path):
+        # 2^32 - 1 images of 2^32 - 1 x 2^32 - 1 bytes: refused without allocating them
+        top = 2 ** 32 - 1
+        paths = self.write(tmp_path, struct.pack(">IIII", IMAGES, top, top, top) + bytes([5]),
+                           self.GOOD["lab"])
+        with pytest.raises(ValueError, match="^idx-count-mismatch: image file truncated$"):
             bl.load_idx(*paths)
 
     @staticmethod

@@ -440,6 +440,16 @@ class TestGridNonFinite:
         with pytest.raises(bl.OracleDivergence, match="g non-finite on the argmin set"):
             bl.grid_min_oracle(nan_g(p), [(-2, 2)], [(-2, 2), (-2, 2)], 21)
 
+    @pytest.mark.parametrize("oracle, message", [
+        ("h_batch", r"^oracle-divergence: h non-finite on the grid at lam=\[-2\.\]$"),
+        ("g_batch", r"^oracle-divergence: g non-finite on the argmin set at lam=\[-2\.\]$")])
+    def test_scalar_nan_raises(self, oracle, message):
+        # a stacked oracle that returns one 0-d NaN for the whole stack
+        bad = dataclasses.replace(bl.make_degenerate_quadratic(),
+                                  **{oracle: lambda W, lam: float("nan")})
+        with pytest.raises(bl.OracleDivergence, match=message):
+            bl.grid_min_oracle(bad, [(-2, 2)], [(-2, 2), (-2, 2)], 21)
+
     def test_nan_g_off_the_argmin_set_is_not_read(self):
         # g is NaN only where w1 > 1.5, off every argmin line w1 = lam in [-1, 1]
         p = bl.make_degenerate_quadratic()

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import bilevelopt as bl
+from bitwise import same_bits
 from bilevelopt import oracles
 from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
 from bilevelopt.oracles import CheckConfig
-from bilevelopt.problem import ROW_ORACLES, OracleDivergence, batched, default_fd_eps, finite
+from bilevelopt.problem import (ROW_ORACLES, VJP_NAMES, OracleDivergence, batched, default_fd_eps,
+                                finite)
 
 
 def scalar_coupled_quadratic():
@@ -52,6 +54,12 @@ class TestFinite:
         assert seen == [2]
         with pytest.raises(OracleDivergence, match=r"^oracle-divergence: entry 1$"):
             finite(np.array([0.0, -np.inf, np.nan]), lambda row: f"entry {row}")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, np.array(-np.inf), np.float64(np.nan)])
+    def test_a_0d_value_is_row_0(self, value):
+        with pytest.raises(OracleDivergence, match=r"^oracle-divergence: row 0$"):
+            finite(value, lambda row: f"row {row}")
+        assert finite(np.float64(2.5), lambda row: pytest.fail("called")).shape == ()
 
 
 class TestFdVjp:
@@ -112,6 +120,36 @@ class TestFdVjp:
             bl.fd_vjp(p, "h21", np.ones(1), np.zeros(1), np.zeros(1), eps=1e-5)
         with pytest.raises(ValueError):
             bl.fd_vjp(p, "h11", np.ones(1), np.zeros(1), np.zeros(1), eps=0.0)
+
+
+def drawn_quadratic():
+    """A drawn 3+2 ``make_quadratic`` problem."""
+    rng = np.random.default_rng(3)
+    M, N = rng.normal(0, 0.5, (2, 3, 3))
+    return bl.make_quadratic(bl.QuadraticBilevelSpec(
+        A_h=M @ M.T + np.eye(3), B_h=rng.normal(0, 0.5, (3, 2)), d_h=rng.normal(0, 0.3, 3),
+        A_g=N @ N.T + np.eye(3), c_g=rng.normal(0, 0.3, 3)))
+
+
+class TestFdVjpDefaultStep:
+    """Without ``eps``, ``fd_vjp`` steps by ``default_fd_eps`` of the point it differences."""
+
+    @pytest.mark.parametrize("make", [drawn_quadratic,
+                                      lambda: bl.zoo_problem("hyperclean_synthetic").problem],
+                             ids=["drawn-quadratic", "hyperclean"])
+    def test_default_is_default_fd_eps_of_the_point(self, make):
+        p = make()
+        n, m = p.dims
+        rng = np.random.default_rng(7)
+        # points beyond the unit box, so that the step scales with each
+        a, w, lam = rng.normal(size=n), 3.0 * rng.normal(size=n), 5.0 * rng.normal(size=m)
+        for which in VJP_NAMES:
+            point = w if which.endswith("11") else lam
+            want = bl.fd_vjp(p, which, a, w, lam, default_fd_eps(point))
+            assert same_bits(bl.fd_vjp(p, which, a, w, lam), want), which
+            for eps in (0.0, float("nan")):
+                with pytest.raises(ValueError, match="eps must be finite and positive"):
+                    bl.fd_vjp(p, which, a, w, lam, eps)
 
 
 BAD_STEPS = [float("nan"), float("inf"), 0.0, -1.0]
@@ -252,8 +290,7 @@ class TestZooAnalyticVjps:
                                 ("vjp11_g", "g11"), ("vjp12_g", "g12")):
                 assert problem.vjp_flavor[attr] == "analytic"
                 got = getattr(problem, attr)(a, w, lam)
-                point = w if which.endswith("11") else lam
-                want = bl.fd_vjp(problem, which, a, w, lam, default_fd_eps(point))
+                want = bl.fd_vjp(problem, which, a, w, lam)
                 err = np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
                 assert err < 1e-4, (name, attr, err)
 

@@ -6,9 +6,12 @@ its ``SLOTS`` as keyword arguments.  A renamed function or field would only
 crash a traced run; these tests catch it in the suite.  The benchmark's
 modules are imported, never changed.  Every name that ``bilevelopt`` and
 each of its modules export in ``__all__`` must be defined there too, or a
-``from ... import *`` fails.
+``from ... import *`` fails.  And one rule raises the library's
+divergences: ``OracleDivergence`` is constructed only in ``problem.finite``
+and in ``models.run_model``, which reports its record and wraps the error.
 """
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
@@ -50,3 +53,27 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names {missing}"
+
+
+def divergence_constructors(node, function=None):
+    """The names of the functions, innermost, around each ``OracleDivergence(...)`` under node.
+
+    None stands for module level.
+    """
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= divergence_constructors(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "OracleDivergence":
+                found.add(function)
+        found |= divergence_constructors(child, function)
+    return found
+
+
+def test_divergences_are_raised_through_finite_and_run_model():
+    found = {(path.stem, function) for path in (ROOT / "src" / "bilevelopt").glob("*.py")
+             for function in divergence_constructors(ast.parse(path.read_text()))}
+    assert found == {("problem", "finite"), ("models", "run_model")}
