@@ -13,7 +13,7 @@ inner trajectory.  Everything is float64 numpy and deterministic given seeds.
 """
 
 from .problem import (BilevelProblem, OracleDivergence, default_fd_eps, fd_vjp, linearizer,
-                      validate_first_order)
+                      rowwise, validate_first_order)
 from .bigsam import InnerSolveSpec, Tape, bigsam_standalone, schedule, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
 from .models import ExperimentTrace, SolveConfig, TraceRecord, run_model
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilevelProblem", "OracleDivergence", "default_fd_eps",
-    "fd_vjp", "linearizer", "validate_first_order",
+    "fd_vjp", "linearizer", "rowwise", "validate_first_order",
     "InnerSolveSpec", "Tape", "bigsam_standalone", "schedule", "solve_inner",
     "hypergradient_fd_oracle", "reverse_hypergradient",
     "ExperimentTrace", "SolveConfig", "TraceRecord", "run_model",

@@ -200,7 +200,8 @@ def _clean_dataset(args: dict, seed: int):
     """The dataset that ``args["data"]`` names, and its spec for the summary."""
     if args["data"] == "synthetic":
         data = {k: HYPERCLEAN_DATA[k] for k in ("d", "C", "margin")}
-        ds = gen_synthetic(seed, args["ntr"] + args["nval"], **data)
+        # at least one sample per class, so that ``split`` judges the sizes
+        ds = gen_synthetic(seed, max(args["ntr"] + args["nval"], data["C"]), **data)
         spec = {"kind": "synthetic", **data, "n": len(ds)}
     elif args["data"].startswith("idx:"):
         parts = args["data"][4:].split(",")

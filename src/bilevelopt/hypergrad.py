@@ -55,8 +55,8 @@ import numpy as np
 from .bigsam import InnerSolveSpec, Tape, final_inner_iterates_many, step_weights
 # not called here, but the perfbench tracer patches it through this module
 from .bigsam import final_inner_iterate  # noqa: F401
-from .problem import (BilevelProblem, as_vector, batched, central_differences,
-                      check_finite_positive, finite, finite_probes, linearizer)
+from .problem import (BilevelProblem, as_vector, central_differences, check_finite_positive,
+                      finite, finite_probes, linearizer)
 
 __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 
@@ -109,10 +109,11 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
     it only consumes values and the forward solver, and it runs that solver's
     generic loop even where the problem declares an affine structure.  It
     solves each block of probes that ``central_differences`` forms with one
-    ``final_inner_iterates_many``, which records no VJP, and reads g on a
-    block through ``batched(problem, "g_batch")``.  A problem without
-    stacked oracles runs its row oracles row by row, with the bits of one
-    solve per probe.  Every probe's final iterate and value must be finite:
+    ``final_inner_iterates_many``, which records no VJP, and reads g on the
+    block's final iterates, paired row by row with its probes, in one
+    ``g_value`` call.  A problem without stacked gradients runs its row
+    gradients row by row, with the bits of one solve per probe.  Every
+    probe's final iterate and value must be finite:
     ``finite_probes`` names the first probe of a block where one is not,
     and a non-finite difference raises ``OracleDivergence`` too.
     The solves and g run with numpy's warnings off, so that one report
@@ -121,14 +122,13 @@ def hypergradient_fd_oracle(problem: BilevelProblem, lam, spec: InnerSolveSpec,
     check_finite_positive("eps", eps)
     m = problem.outer_dim
     lam = as_vector(lam, m, "lam")
-    g_batch = batched(problem, "g_batch")
 
     def solve(block, start):
         # every probe shares the schedule: a block solves as one stack
         finals = finite_probes("final iterate", final_inner_iterates_many(problem, block, spec),
                                start, m, eps)
-        return finite_probes("g", g_batch(finals, block), start, m, eps)
+        return finite_probes("g", problem.g_value(finals, block), start, m, eps)
 
     with np.errstate(all="ignore"):
-        G = central_differences(solve, lam, eps)
+        G = central_differences(solve, lam, eps, "g_value")
     return finite(G, "non-finite FD hypergradient")

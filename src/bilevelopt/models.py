@@ -21,7 +21,8 @@ import numpy as np
 from .bigsam import (ALPHA_EXPONENT, InnerSolveSpec, check_alpha_exponent, check_count,
                      model_exponent, solve_inner)
 from .hypergrad import reverse_hypergradient
-from .problem import BilevelProblem, OracleDivergence, as_vector, check_finite_positive, finite
+from .problem import (BilevelProblem, OracleDivergence, as_vector, check_finite_positive, finite,
+                      per_row)
 
 __all__ = ["SolveConfig", "TraceRecord", "ExperimentTrace", "run_model", "ablation_config"]
 
@@ -106,6 +107,9 @@ def run_model(problem: BilevelProblem, lam0, config: SolveConfig,
               collect_timing: bool = True) -> ExperimentTrace:
     """Drive the outer variable for T iterations with unrolled hypergradients.
 
+    Each record's outer value is f_K(lam) = g(omega_hat, lam), read as
+    ``g_value`` on the stack of one row omega_hat[None], the oracle the
+    referees check; a result of any shape but (1,) raises ``ValueError``.
     The optional ``metric`` evaluator is called once per outer iteration,
     after the inner solve, as metric(omega_hat, lam).  ``collect_timing``
     False zeroes the wall-clock column, for byte-level reproducibility.
@@ -132,9 +136,10 @@ def run_model(problem: BilevelProblem, lam0, config: SolveConfig,
             wall_ms = (time.monotonic() - started) * 1e3 if collect_timing else 0.0
             # an overflow past this point is reported once, as the divergence below
             with np.errstate(over="ignore", invalid="ignore"):
+                f_K = per_row("g_value", problem.g_value(omega_hat[None], lam), 1)
                 record = TraceRecord(
                     index=it,
-                    outer_value=float(problem.g_value(omega_hat, lam)),
+                    outer_value=float(f_K[0]),
                     grad_norm=float(np.linalg.norm(G)),
                     metric=None if metric is None else float(metric(omega_hat, lam)),
                     wall_ms=wall_ms,

@@ -38,8 +38,8 @@ import numpy as np
 
 from .bigsam import MODES, InnerSolveSpec, check_count, model_exponent, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
-from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, batched, check_finite_positive,
-                      fd_vjp, finite, validate_first_order)
+from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, check_finite_positive, fd_vjp,
+                      finite, per_row, validate_first_order)
 from .problems import ZOO_DEFAULTS
 
 __all__ = ["OracleReport", "CheckConfig", "grid_min_oracle", "check_suite",
@@ -50,8 +50,8 @@ GRID_TOL = 0.05         # grid minimum against the analytic one, absolute
 GRID_RESOLUTION = 401   # grid points per axis
 GRID_HALFWIDTH = 2.0    # every grid axis spans [-GRID_HALFWIDTH, GRID_HALFWIDTH]
 # h evaluations (lam points x omega points) a grid may ask for.  A 2+1 grid at
-# 401 per axis asks for 6.4e7 (a fraction of a second through a stacked
-# h_batch), a 2+2 grid for 2.6e10, which would run for hours
+# 401 per axis asks for 6.4e7 (a fraction of a second through h_value on
+# whole stacks), a 2+2 grid for 2.6e10, which would run for hours
 GRID_BUDGET = 10 ** 8
 
 
@@ -174,9 +174,10 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
     For each grid lam: find the grid argmin set of h (within a 1e-6 band of
     the grid minimum), pick its g-minimizing member, and track the best
     (lam, omega, value) overall.  h is evaluated on the whole omega grid and
-    g on the argmin set alone, each as one stack through ``batched``.  Ties
-    break toward the lowest lexicographic grid index, so the reduction is
-    deterministic.  A grid lam where h's minimum, or g on a member of the
+    g on the argmin set alone, each as one stack through ``h_value`` and
+    ``g_value``, whose results ``per_row`` checks for one value per row.
+    Ties break toward the lowest lexicographic grid index, so the reduction
+    is deterministic.  A grid lam where h's minimum, or g on a member of the
     argmin set, is not finite raises ``OracleDivergence``.  A box that does
     not give one (lo, hi) axis per coordinate (``lam_box`` m, ``omega_box``
     n), and a grid whose h evaluations, resolution**(m + n), exceed
@@ -200,19 +201,18 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
     om_axes = [np.linspace(lo, hi, resolution) for lo, hi in omega_box]
     om_grid = np.stack([g.ravel() for g in np.meshgrid(*om_axes, indexing="ij")], axis=1)
 
-    h_batch, g_batch = batched(problem, "h_batch"), batched(problem, "g_batch")
     best_val = np.inf
     best = None
     lam_grid = np.stack([g.ravel() for g in np.meshgrid(*lam_axes, indexing="ij")], axis=1)
     for lam in lam_grid:
         with np.errstate(all="ignore"):
-            h = np.asarray(h_batch(om_grid, lam))
+            h = per_row("h_value", problem.h_value(om_grid, lam), len(om_grid))
             h_min = h.min()
         # functions, so that the messages are formed on the failure path only
         finite(h_min, lambda _: f"h non-finite on the grid at lam={lam}")
         members = np.flatnonzero(h <= h_min + ARGMIN_BAND)
         with np.errstate(all="ignore"):
-            g = finite(g_batch(om_grid[members], lam),
+            g = finite(per_row("g_value", problem.g_value(om_grid[members], lam), len(members)),
                        lambda _: f"g non-finite on the argmin set at lam={lam}")
         pick = int(np.argmin(g))
         if g[pick] < best_val:

@@ -30,12 +30,21 @@ the slots.  Given a stack of lam rows (the finite-difference referee's
 probes), either step takes a stack of omega rows; its VJP is never called,
 and the solve over a stack records none.
 
-A problem may also offer stacked oracles, which evaluate a stack of rows in
-one call: ``h_batch``/``g_batch`` for the values and
-``grad1_h_many``/``grad1_g_many`` for the inner gradients.  Every reader
-asks for them through ``batched(problem, name)``, which returns the stacked
-oracle, else its row oracle applied row by row; the rows of either give the
-row oracle's bits.
+Each value has one oracle, and it takes a stack: ``h_value(W, lam)`` and
+``g_value(W, lam)`` map a (B, n) stack of omega rows W to the (B,) values of
+its rows, lam being one row shared by every row of W or a (B, m) stack
+paired row by row with W's.  A row's value is the oracle on a stack of one
+row, ``h_value(w[None], lam)[0]``, and a row of a stack of any height must
+give it bit for bit.  ``rowwise(row)`` makes such an oracle from a function
+of one row.  ``per_row`` refuses a result on B rows that is not of shape
+(B,): the referees and the outer loop read every value through it, so that
+a scalar is never broadcast over a stack.
+
+A problem may also offer stacked inner gradients,
+``grad1_h_many``/``grad1_g_many``.  Every reader asks for them through
+``batched(problem, name)``, which returns the stacked gradient, else its row
+gradient applied row by row; the rows of either give the row gradient's
+bits.
 
 Every central difference of the package, f(x + eps e_j) - f(x - eps e_j)
 over the coordinates j of x, goes through ``central_differences``, which
@@ -77,13 +86,14 @@ __all__ = [
     "as_vector",
     "central_differences",
     "batched",
+    "per_row",
+    "rowwise",
 ]
 
 VJP_NAMES = ("h11", "h12", "g11", "g12")
 VJP_SLOTS = ("vjp11_h", "vjp12_h", "vjp11_g", "vjp12_g")
-# each stacked oracle and the row oracle whose bits its rows give
-ROW_ORACLES = {"h_batch": "h_value", "g_batch": "g_value",
-               "grad1_h_many": "grad1_h", "grad1_g_many": "grad1_g"}
+# each stacked gradient and the row gradient whose bits its rows give
+ROW_ORACLES = {"grad1_h_many": "grad1_h", "grad1_g_many": "grad1_g"}
 
 # probes per stacked oracle call.  A stack of all 2n probes is bound by
 # memory traffic at the zoo's sizes: on a 2-core Xeon, hyper-cleaning's FD
@@ -149,16 +159,15 @@ class BilevelProblem:
     The library reads the slots themselves; the field stays an init field
     because an outside tracer passes it to ``replace``.
 
-    ``answers`` carries optional closed-form attachments (inner solutions,
-    outer minima) used by oracles and tests.  ``h_batch``/``g_batch`` are
-    optional evaluators over a stack of omega rows, W (B, n) -> (B,): lam is
-    one row, shared by every row of W, or a (B, m) stack paired row by row
-    with W's.  Each row must give h_value/g_value of its pair bit for bit;
-    the zoo's problems hold this at one row by construction, their row
-    values being their stacked kernels on a stack of one row.
-    ``grad1_h_many``/``grad1_g_many`` are the same for the inner gradients,
-    (B, n) x (B, m) -> (B, n).  A stacked oracle left None is the row oracle
-    applied row by row: the referees read all four through ``batched``.
+    ``h_value``/``g_value`` are the values on a stack of omega rows,
+    W (B, n) -> (B,), lam one row shared by every row of W or a (B, m) stack
+    paired row by row with W's; a row of a stack of any height gives that
+    row's value on a stack of one row bit for bit.  A value written for one
+    row becomes one through ``rowwise``.  ``answers`` carries optional
+    closed-form attachments (inner solutions, outer minima) used by oracles
+    and tests.  ``grad1_h_many``/``grad1_g_many`` are optional stacked inner
+    gradients, (B, n) x (B, m) -> (B, n).  One left None is the row gradient
+    applied row by row: the referees read both through ``batched``.
 
     ``affine`` declares that the inner gradients are affine in omega: it holds
     the ``QuadraticBilevelSpec`` whose quadratics reproduce grad1_h, grad1_g,
@@ -176,14 +185,14 @@ class BilevelProblem:
     and then takes stacks of omega rows; no caller reads the VJP such a
     step returns, so a hook need not make it usable.  The hook is set after
     construction and dropped by a ``replace`` copy, as ``affine`` is.
-    ``g_lambda_free`` and the stacked oracles stay init fields because an
+    ``g_lambda_free`` and the stacked gradients stay init fields because an
     outside tracer copies problems through ``replace``.
     """
 
     inner_dim: int
     outer_dim: int
-    g_value: Callable[[np.ndarray, np.ndarray], float]
-    h_value: Callable[[np.ndarray, np.ndarray], float]
+    g_value: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    h_value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad1_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad2_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad1_h: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -193,8 +202,6 @@ class BilevelProblem:
     vjp12_g: Optional[Callable] = None
     name: str = "unnamed"
     answers: dict = field(default_factory=dict)
-    h_batch: Optional[Callable] = None
-    g_batch: Optional[Callable] = None
     vjp_flavor: dict = field(default_factory=dict)
     # set when g never reads lam: grad2_g and vjp12_g are identically zero,
     # and the reverse pass may skip their (exactly zero) contributions
@@ -256,7 +263,8 @@ def fd_vjp(problem: BilevelProblem, which: str, a, omega, lam,
     return central_differences(oracle, lam, eps)
 
 
-def central_differences(oracle: Callable, x: np.ndarray, eps: float) -> np.ndarray:
+def central_differences(oracle: Callable, x: np.ndarray, eps: float,
+                        what: str = "oracle") -> np.ndarray:
     """[f(x + eps e_j) - f(x - eps e_j)] / (2 eps) for every coordinate j of x.
 
     The 2n probes are x + eps e_j for j = 0..n-1 and then x - eps e_j for
@@ -264,7 +272,8 @@ def central_differences(oracle: Callable, x: np.ndarray, eps: float) -> np.ndarr
     may be shorter), stacked as the rows of one (B, n) array, and
     ``oracle(block, start)`` returns their values f(probe) in order, one per
     row, where ``start`` is the index of the block's first probe among the
-    2n.  A block is released before the next is formed.  Each probe is
+    2n; ``per_row`` refuses a result of any other shape, naming ``what``.
+    A block is released before the next is formed.  Each probe is
     x + e or x - e with e = eps e_j, so every coordinate but j is x's own
     plus or minus 0.0, which differ where x holds -0.0.
     """
@@ -275,7 +284,7 @@ def central_differences(oracle: Callable, x: np.ndarray, eps: float) -> np.ndarr
         minus, j = np.divmod(np.arange(start, min(start + PROBE_BLOCK, 2 * n)), n)
         block = sides[minus]
         block[np.arange(len(j)), j] = np.where(minus, x[j] - eps, x[j] + eps)
-        values[start:start + len(j)] = oracle(block, start)
+        values[start:start + len(j)] = per_row(what, oracle(block, start), len(j))
         del block   # so that the next block is formed without it
     return (values[:n] - values[n:]) / (2.0 * eps)
 
@@ -294,28 +303,44 @@ def finite_probes(what: str, rows, start: int, n: int, eps: float) -> np.ndarray
     return finite(rows, probe)
 
 
-def batched(problem: BilevelProblem, name: str) -> Callable:
-    """The stacked oracle ``name`` of ``problem``, else its row oracle applied row by row.
+def per_row(what: str, values, rows: int) -> np.ndarray:
+    """``values`` as float64 when it holds one value per row of a stack of ``rows``.
 
-    ``name`` is one of ``h_batch``, ``g_batch``, ``grad1_h_many`` and
-    ``grad1_g_many``, whose row oracles are ``h_value``, ``g_value``,
-    ``grad1_h`` and ``grad1_g``.  The oracle takes a (B, n) stack W and lam,
-    one row shared by every row of W or a (B, m) stack paired row by row
-    with W's.  The row-by-row default is the serial reference that the
-    problem's own stacked oracle must match bit for bit.
+    Else a ``ValueError`` names the oracle ``what`` and both shapes: a
+    scalar, say, would broadcast over the stack.
     """
-    if name not in ROW_ORACLES:
-        raise ValueError(f"unknown stacked oracle {name!r}")
-    oracle = getattr(problem, name)
-    if oracle is not None:
-        return oracle
-    row = getattr(problem, ROW_ORACLES[name])
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (rows,):
+        raise ValueError(f"{what} on {rows} rows returned shape {values.shape}, not ({rows},)")
+    return values
 
+
+def rowwise(row: Callable) -> Callable:
+    """The stacked oracle that applies ``row(w, lam)`` to each row of a stack.
+
+    It takes a (B, n) stack W and lam, one row shared by every row of W or a
+    (B, m) stack paired row by row with W's, and stacks ``row``'s results as
+    float64, with their bits.  A value written for one row becomes a
+    ``BilevelProblem`` value this way.
+    """
     def rows(W, lam):
         lams = lam if np.ndim(lam) == 2 else repeat(lam)
         return np.array([row(w, lam_row) for w, lam_row in zip(W, lams)], dtype=np.float64)
 
     return rows
+
+
+def batched(problem: BilevelProblem, name: str) -> Callable:
+    """The stacked gradient ``name`` of ``problem``, else its row gradient applied row by row.
+
+    ``name`` is ``grad1_h_many`` or ``grad1_g_many``, whose row gradients
+    are ``grad1_h`` and ``grad1_g``.  The row-by-row default, ``rowwise`` of
+    the row gradient, is the serial reference that the problem's own stacked
+    gradient must match bit for bit.
+    """
+    if name not in ROW_ORACLES:
+        raise ValueError(f"unknown stacked oracle {name!r}")
+    return getattr(problem, name) or rowwise(getattr(problem, ROW_ORACLES[name]))
 
 
 def _fd_fallback(problem: BilevelProblem, which: str, a, omega, lam) -> np.ndarray:
@@ -388,26 +413,25 @@ def validate_first_order(problem: BilevelProblem, omega, lam, eps: float = 1e-5)
     |fd - analytic| / max(1, |analytic|), returned as its maximum.  An
     analytic gradient of any shape but that of the point differenced scores
     inf, so that the check fails closed.  The differences evaluate their
-    probes in blocks through
-    ``batched(problem, "g_batch")``/``batched(problem, "h_batch")``: the
-    omega probes against the one lam, and grad2_g's lam probes, a stack,
-    against omega tiled over each block.
+    probes in blocks through ``g_value``/``h_value``: the omega probes
+    against the one lam, and grad2_g's lam probes, a stack, against omega
+    tiled over each block.
     """
     check_finite_positive("eps", eps)
     n, m = problem.dims
     omega = as_vector(omega, n, "omega")
     lam = as_vector(lam, m, "lam")
-    g_batch, h_batch = batched(problem, "g_batch"), batched(problem, "h_batch")
+    g_value, h_value = problem.g_value, problem.h_value
 
-    # each check's f on a block of probes
-    checks = {"grad1_g": (problem.grad1_g, lambda W, _: g_batch(W, lam), omega),
-              "grad2_g": (problem.grad2_g,
-                          lambda L, _: g_batch(np.tile(omega, (len(L), 1)), L), lam),
-              "grad1_h": (problem.grad1_h, lambda W, _: h_batch(W, lam), omega)}
+    # each check's value and its f on a block of probes
+    checks = {"grad1_g": (problem.grad1_g, "g_value", lambda W, _: g_value(W, lam), omega),
+              "grad2_g": (problem.grad2_g, "g_value",
+                          lambda L, _: g_value(np.tile(omega, (len(L), 1)), L), lam),
+              "grad1_h": (problem.grad1_h, "h_value", lambda W, _: h_value(W, lam), omega)}
     errors = {}
-    for name, (grad, batch, x) in checks.items():
+    for name, (grad, value, f, x) in checks.items():
         analytic = np.asarray(grad(omega, lam), dtype=np.float64)
-        fd = central_differences(batch, x, eps)
+        fd = central_differences(f, x, eps, value)
         errors[name] = (float(np.max(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))))
                         if analytic.shape == x.shape else math.inf)
     return errors

@@ -76,17 +76,15 @@ the slots do, and is value-only: it keeps no P and returns no VJP.  What no
 step reads of lam, the stacked targets and hyper-representation's stacked
 inputs, the makers build once.
 
-Each row of a stacked value or gradient gives the row oracle's bits: the
-kernels run per row of the stack, and the dot products that reduce a row
-(sigmoid(lam) @ losses, w @ w) are taken one row at a time, since a stacked
-reduction would round them differently.
-
-Every zoo problem has one kernel per value: ``h_value``/``g_value`` are its
-``h_batch``/``g_batch`` on a stack of one row (``_row_value``), so a row
-value gives its stacked kernel's bits by construction.  So does every
-``make_quadratic`` problem.  Its stacked values sum each quadratic form
-column by column (``_half_forms``), with no matmul, so a row of a stack of
-any height gets its row value's bits.
+Every zoo problem, and every ``make_quadratic`` problem, has one kernel
+per value, and it is the problem's ``h_value``/``g_value``: it takes a
+stack of rows, and a row's value is the kernel on a stack of one row.  A
+row of a stack of any height gets that value's bits.  The learning
+problems' kernels run per row of the stack, and the dot products that
+reduce a row (sigmoid(lam) @ losses, w @ w) are taken one row at a time,
+since a stacked reduction would round them differently; so do their
+stacked gradients.  ``make_quadratic`` sums each quadratic form column by
+column (``_half_forms``), with no matmul.
 """
 
 from __future__ import annotations
@@ -242,33 +240,28 @@ def _quadratic_slots(spec: QuadraticBilevelSpec) -> dict:
     )
 
 
-def _row_value(batch: Callable) -> Callable:
-    """The row value of a stacked value kernel: the kernel on a stack of one row."""
-    return lambda w, lam: float(batch(w[None], lam)[0])
-
-
-def _analytic_kernels(spec: QuadraticBilevelSpec, h_batch: Callable, g_batch: Callable) -> dict:
+def _analytic_kernels(spec: QuadraticBilevelSpec, h_value: Callable, g_value: Callable) -> dict:
     """Every oracle of an analytic instance: the spec's slots and the instance's own values."""
-    return dict(_quadratic_slots(spec), h_batch=h_batch, g_batch=g_batch,
-                h_value=_row_value(h_batch), g_value=_row_value(g_batch))
+    return dict(_quadratic_slots(spec), h_value=h_value, g_value=g_value)
 
 
 # the analytic instances as quadratic specs: h = (w1 - lam)^2 / 2 up to the
 # lam-only term lam^2 / 2, and g as written in each maker.  Their own value
-# kernels are not the spec's quadratic forms: their roundings fix the bits of
-# the FD referee's values and of the command line's outputs.  Specs and
-# kernels are built once, here, and shared by every instance.
+# kernels, which take a stack of rows, are not the spec's quadratic forms:
+# their roundings fix the bits of the FD referee's values and of the command
+# line's outputs.  Specs and kernels are built once, here, and shared by
+# every instance.
 _CLOSEDFORM_SPEC = _frozen_spec(A_h=[[1.0]], B_h=[[1.0]], d_h=[0.0], A_g=[[1.0]], c_g=[0.0])
 _DEGENERATE_SPEC = _frozen_spec(A_h=[[1.0, 0.0], [0.0, 0.0]], B_h=[[1.0], [0.0]],
                                 d_h=[0.0, 0.0], A_g=np.eye(2), c_g=[0.0, 1.0])
 _CLOSEDFORM_KERNELS = _analytic_kernels(
     _CLOSEDFORM_SPEC,
-    h_batch=lambda W, lam: 0.5 * np.square(W[:, 0] - lam[..., 0]),
-    g_batch=lambda W, lam: 0.5 * np.square(W[:, 0]))
+    h_value=lambda W, lam: 0.5 * np.square(W[:, 0] - lam[..., 0]),
+    g_value=lambda W, lam: 0.5 * np.square(W[:, 0]))
 _DEGENERATE_KERNELS = _analytic_kernels(
     _DEGENERATE_SPEC,
-    h_batch=lambda W, lam: 0.5 * np.square(W[:, 0] - lam[..., 0]),
-    g_batch=lambda W, lam: 0.5 * np.square(W[:, 0]) + 0.5 * np.square(W[:, 1] - 1.0))
+    h_value=lambda W, lam: 0.5 * np.square(W[:, 0] - lam[..., 0]),
+    g_value=lambda W, lam: 0.5 * np.square(W[:, 0]) + 0.5 * np.square(W[:, 1] - 1.0))
 
 
 def _affine_problem(name: str, spec: QuadraticBilevelSpec, kernels: dict,
@@ -308,20 +301,19 @@ def make_quadratic(spec: QuadraticBilevelSpec, name: str = "quadratic") -> Bilev
     solver and the reverse pass compose its step maps.  It declares, and its
     oracles close over, read-only copies of the spec's arrays, so a caller
     that later changes its own arrays in place changes no result.  Its
-    stacked values take lam as one row or as a (B, m) stack, and its row
-    values are them on a stack of one row.
+    values take lam as one row or as a (B, m) stack.
     """
     spec = _frozen_spec(**{f.name: getattr(spec, f.name) for f in fields(spec)})
     A_h, B_h, d_h, A_g, c_g = spec.A_h, spec.B_h, spec.d_h, spec.A_g, spec.c_g
 
-    def h_batch(W, lam):
+    def h_value(W, lam):
         offset = d_h   # B_h lam + d_h, elementwise over lam's entries: a row or a stack
         for j in range(B_h.shape[1]):
             offset = offset + B_h[:, j] * lam[..., j, None]
         return _half_forms(W, A_h, offset)
 
     return _affine_problem(name, spec, _analytic_kernels(
-        spec, h_batch, lambda W, lam: _half_forms(W - c_g, A_g)))
+        spec, h_value, lambda W, lam: _half_forms(W - c_g, A_g)))
 
 
 def make_closedform_quadratic() -> BilevelProblem:
@@ -510,10 +502,10 @@ def _loss_sums(WT: Callable, F: np.ndarray, Y: np.ndarray, W: np.ndarray,
     return sums
 
 
-def _softmax_problem(name: str, n: int, m: int, h_batch: Callable, g_batch: Callable,
+def _softmax_problem(name: str, n: int, m: int, h_value: Callable, g_value: Callable,
                      h_slots: tuple, g_slots: tuple, linearize: Callable,
                      grad2_g: Optional[Callable] = None, **answers) -> BilevelProblem:
-    """A learning problem on its stacked values, its two splits' slots and its hook.
+    """A learning problem on its values, its two splits' slots and its hook.
 
     The slots take a stack of lam rows as they take one, so they are also the
     stacked gradients.  ``grad2_g`` None declares g lam-free, with zero
@@ -525,8 +517,7 @@ def _softmax_problem(name: str, n: int, m: int, h_batch: Callable, g_batch: Call
         grad2_g, vjp12_g = (lambda w, lam: np.zeros(m)), (lambda a, w, lam: np.zeros(m))
     p = BilevelProblem(
         inner_dim=n, outer_dim=m, name=name, answers=answers, g_lambda_free=lam_free,
-        h_value=_row_value(h_batch), g_value=_row_value(g_batch), h_batch=h_batch, g_batch=g_batch,
-        grad1_h=grad1_h, grad1_g=grad1_g, grad2_g=grad2_g,
+        h_value=h_value, g_value=g_value, grad1_h=grad1_h, grad1_g=grad1_g, grad2_g=grad2_g,
         vjp11_h=vjp11_h, vjp12_h=vjp12_h, vjp11_g=vjp11_g, vjp12_g=vjp12_g,
         grad1_h_many=grad1_h, grad1_g_many=grad1_g)
     p.linearize = linearize
@@ -579,7 +570,7 @@ def make_hypercleaning(train: Dataset, val: Dataset) -> BilevelProblem:
 
     # h on a stack of rows takes its dot products one row at a time: a
     # stacked reduction would round them differently
-    def h_batch(W, lam):
+    def h_value(W, lam):
         sig = np.broadcast_to(sigmoid(lam), (len(W), m))
         return np.array([s @ losses for s, losses in zip(sig, train_losses(W))])
 
@@ -601,7 +592,7 @@ def make_hypercleaning(train: Dataset, val: Dataset) -> BilevelProblem:
         return h_lam(P, A, sig * (1.0 - sig))
 
     return _softmax_problem(
-        "hypercleaning", d * C, m, h_batch, lambda W, lam: _loss_sums(WT, XvaT, YvaT, W, RIDGE),
+        "hypercleaning", d * C, m, h_value, lambda W, lam: _loss_sums(WT, XvaT, YvaT, W, RIDGE),
         _softmax_slots(WT, lambda lam: XtrT, sigmoid, YtrT, 0.0, h_lam_part),
         _softmax_slots(WT, lambda lam: XvaT, lambda lam: None, YvaT, RIDGE, None), linearize,
         train_losses=train_losses,

@@ -121,8 +121,8 @@ def test_criterion_3_inner_horizon_convergence():
     gaps = []
     for K in (10, 100, 1000):
         spec = bl.InnerSolveSpec(K=K, t=0.1, s=0.1)
-        best = min(float(p.g_value(final_inner_iterate(p, np.array([lv]), spec),
-                                   np.array([lv])))
+        best = min(float(p.g_value(final_inner_iterate(p, np.array([lv]), spec)[None],
+                                   np.array([lv]))[0])
                    for lv in lam_grid)
         gaps.append(abs(best - p.answers["min_f"]))
     elapsed = time.monotonic() - started

@@ -258,11 +258,11 @@ class TestDeclaredSpecs:
                 np.testing.assert_allclose(getattr(p, slot)(a, w, lam),
                                            getattr(q, slot)(a, w, lam),
                                            rtol=1e-14, atol=1e-14, err_msg=slot)
-            assert p.g_value(w, lam) == pytest.approx(q.g_value(w, lam), rel=1e-14)
+            assert p.g_value(w[None], lam) == pytest.approx(q.g_value(w[None], lam), rel=1e-14)
             # h may differ only by a term in lam alone
-            w2 = rng.normal(size=p.inner_dim)
-            assert p.h_value(w, lam) - p.h_value(w2, lam) == pytest.approx(
-                q.h_value(w, lam) - q.h_value(w2, lam), rel=1e-12, abs=1e-12)
+            W = np.stack([w, rng.normal(size=p.inner_dim)])
+            assert np.subtract(*p.h_value(W, lam)) == pytest.approx(
+                np.subtract(*q.h_value(W, lam)), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("spec", [_CLOSEDFORM_SPEC, _DEGENERATE_SPEC])
     def test_analytic_specs_pass_validation(self, spec):

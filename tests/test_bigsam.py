@@ -195,7 +195,7 @@ class TestBigsamStep:
     def test_divergent_gradient_raises(self):
         bad = bl.BilevelProblem(
             inner_dim=1, outer_dim=1, name="bad",
-            h_value=lambda w, lam: 0.0, g_value=lambda w, lam: 0.0,
+            h_value=bl.rowwise(lambda w, lam: 0.0), g_value=bl.rowwise(lambda w, lam: 0.0),
             grad1_h=lambda w, lam: np.array([np.nan]),
             grad1_g=lambda w, lam: np.zeros(1),
             grad2_g=lambda w, lam: np.zeros(1),
@@ -252,8 +252,8 @@ class TestVjpPhi:
         c = np.array([2.0, 1.0])
         flat = bl.BilevelProblem(
             inner_dim=2, outer_dim=1, name="flat",
-            h_value=lambda w, lam: float(lam[0] * (c @ w)),
-            g_value=lambda w, lam: float(np.array([0.25, -1.0]) @ w),
+            h_value=bl.rowwise(lambda w, lam: float(lam[0] * (c @ w))),
+            g_value=bl.rowwise(lambda w, lam: float(np.array([0.25, -1.0]) @ w)),
             grad1_h=lambda w, lam: lam[0] * c,
             grad1_g=lambda w, lam: np.array([0.25, -1.0]),
             grad2_g=lambda w, lam: np.zeros(1),
@@ -268,8 +268,8 @@ class TestVjpPhi:
     def test_lambda_free_objectives_give_zero(self):
         iso = bl.BilevelProblem(
             inner_dim=1, outer_dim=1, name="iso",
-            h_value=lambda w, lam: float(0.5 * w[0] ** 2),
-            g_value=lambda w, lam: float(w[0]),
+            h_value=bl.rowwise(lambda w, lam: float(0.5 * w[0] ** 2)),
+            g_value=bl.rowwise(lambda w, lam: float(w[0])),
             grad1_h=lambda w, lam: w.copy(),
             grad1_g=lambda w, lam: np.ones(1),
             grad2_g=lambda w, lam: np.zeros(1),
@@ -478,8 +478,8 @@ def counting_problem():
 
     p = bl.BilevelProblem(
         inner_dim=1, outer_dim=1, name="counted",
-        h_value=lambda w, lam: float(0.5 * (w[0] - lam[0]) ** 2),
-        g_value=lambda w, lam: float(0.5 * w[0] ** 2),
+        h_value=bl.rowwise(lambda w, lam: float(0.5 * (w[0] - lam[0]) ** 2)),
+        g_value=bl.rowwise(lambda w, lam: float(0.5 * w[0] ** 2)),
         grad1_h=counted("grad1_h", lambda w, lam: w - lam),
         grad1_g=counted("grad1_g", lambda w, lam: w.copy()),
         grad2_g=counted("grad2_g", lambda w, lam: np.zeros(1)),

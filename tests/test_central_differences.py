@@ -18,7 +18,7 @@ import bilevelopt as bl
 from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
 from bilevelopt.data import corrupt_labels, gen_synthetic, make_episodes, split
 from bilevelopt.problem import PROBE_BLOCK, central_differences, fd_vjp
-from bitwise import same_bits
+from bitwise import same_bits, serial
 
 
 def reference_loop(f, x, eps):
@@ -49,18 +49,12 @@ def small_hyperrep(r=3):
     return bl.make_hyperrep(make_episodes(ds, 3, 2, 4, 3, 0), r)
 
 
-def serial(p):
-    """A copy without stacked oracles: the referee applies its row oracles row by row."""
-    return dataclasses.replace(p, grad1_h_many=None, grad1_g_many=None, h_batch=None,
-                               g_batch=None)
-
-
 def serial_f_K(p, spec):
     """f_K at one probe: one inner solve on a copy that takes the slot-built step."""
     generic = serial(p)
 
     def f_K(probe):
-        return float(p.g_value(final_inner_iterate(generic, probe, spec), probe))
+        return float(p.g_value(final_inner_iterate(generic, probe, spec)[None], probe)[0])
 
     return f_K
 
@@ -137,9 +131,9 @@ class TestCallersKeepTheirBits:
     def test_validate_first_order_entries(self, name):
         p, _, w, lam = zoo_point(name, seed=1)
         eps = 1e-5
-        fds = {"grad1_g": reference_loop(lambda v: p.g_value(v, lam), w, eps),
-               "grad2_g": reference_loop(lambda v: p.g_value(w, v), lam, eps),
-               "grad1_h": reference_loop(lambda v: p.h_value(v, lam), w, eps)}
+        fds = {"grad1_g": reference_loop(lambda v: p.g_value(v[None], lam)[0], w, eps),
+               "grad2_g": reference_loop(lambda v: p.g_value(w[None], v)[0], lam, eps),
+               "grad1_h": reference_loop(lambda v: p.h_value(v[None], lam)[0], w, eps)}
         errors = bl.validate_first_order(p, w, lam, eps=eps)
         assert set(errors) == set(fds)
         for gname, fd in fds.items():
@@ -158,7 +152,7 @@ class TestCallersKeepTheirBits:
         generic = dataclasses.replace(p)
 
         def f_K(probe):
-            return float(p.g_value(final_inner_iterate(generic, probe, spec), probe))
+            return float(p.g_value(final_inner_iterate(generic, probe, spec)[None], probe)[0])
 
         want = reference_loop(f_K, lam, 1e-5)
         assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec), want)
@@ -184,7 +178,7 @@ class TestCallersKeepTheirBits:
         spec = bl.InnerSolveSpec(K=8, t=0.05, s=0.01, alpha_exponent=expo)
 
         def f_K(probe):
-            return p.g_value(final_inner_iterates_many(p, probe[None], spec)[0], probe)
+            return p.g_value(final_inner_iterates_many(p, probe[None], spec), probe)[0]
 
         want = reference_loop(f_K, lam, 1e-5)
         assert same_bits(bl.hypergradient_fd_oracle(p, lam, spec), want)
@@ -200,8 +194,8 @@ class TestDivergence:
 
         p = bl.BilevelProblem(
             inner_dim=2, outer_dim=5, name="one-bad-probe",
-            h_value=lambda w, lam: 0.5 * float(w @ w),
-            g_value=lambda w, lam: 0.0,
+            h_value=bl.rowwise(lambda w, lam: 0.5 * float(w @ w)),
+            g_value=bl.rowwise(lambda w, lam: 0.0),
             grad1_h=grad1_h,
             grad1_g=lambda w, lam: np.zeros(2),
             grad2_g=lambda w, lam: np.zeros(5),
@@ -221,8 +215,8 @@ class TestDivergence:
 
         p = bl.BilevelProblem(
             inner_dim=2, outer_dim=m, name="one-bad-probe",
-            h_value=lambda w, lam: 0.5 * float(w @ w),
-            g_value=lambda w, lam: 0.0,
+            h_value=bl.rowwise(lambda w, lam: 0.5 * float(w @ w)),
+            g_value=bl.rowwise(lambda w, lam: 0.0),
             grad1_h=grad1_h,
             grad1_g=lambda w, lam: np.zeros(2),
             grad2_g=lambda w, lam: np.zeros(m),
@@ -275,9 +269,10 @@ class TestBlocks:
         lam = np.random.default_rng(m).normal(0, 0.5, m)
         spec = bl.InnerSolveSpec(K=5, t=0.05, s=0.05, alpha_exponent=expo)
         want = reference_loop(serial_f_K(p, spec), lam, 1e-5)
-        # the hook's stack step with g_batch, and the slot-built stack step
-        # with g_value per probe
-        for copy in (p, dataclasses.replace(p, g_batch=None)):
+        # the hook's stack step with g on the whole block, and the
+        # slot-built stack step with g on one probe at a time
+        one_row = bl.rowwise(lambda w, lam: p.g_value(w[None], lam)[0])
+        for copy in (p, dataclasses.replace(p, g_value=one_row)):
             assert same_bits(bl.hypergradient_fd_oracle(copy, lam, spec), want)
         a, w = np.random.default_rng(m + 1).normal(0, 0.5, (2, p.inner_dim))
         eps = bl.default_fd_eps(lam)
@@ -291,14 +286,17 @@ class TestStackedOracles:
     @pytest.mark.parametrize("name", bl.ZOO_NAMES)
     def test_batch_rows_equal_the_values(self, name):
         # a stack of lam rows is paired row by row with W's; one lam row is
-        # shared by every row of W
+        # shared by every row of W.  Each row of a stack of any height is
+        # that row's value on a stack of one row
         p = bl.zoo_problem(name, seed=0).problem
         rng = np.random.default_rng(5)
         W = rng.normal(0, 0.7, (PROBE_BLOCK + 5, p.inner_dim))
         L = rng.normal(0, 0.7, (PROBE_BLOCK + 5, p.outer_dim))
-        for batch, value in ((p.h_batch, p.h_value), (p.g_batch, p.g_value)):
-            assert same_bits(batch(W, L), [value(w, lam) for w, lam in zip(W, L)])
-            assert same_bits(batch(W, L[0]), [value(w, L[0]) for w in W])
+        for value in (p.h_value, p.g_value):
+            for B in (2, PROBE_BLOCK + 5):
+                assert same_bits(value(W[:B], L[:B]),
+                                 [value(w[None], lam)[0] for w, lam in zip(W[:B], L)])
+                assert same_bits(value(W[:B], L[0]), [value(w[None], L[0])[0] for w in W[:B]])
 
     def test_fd_hypergradient_memory_is_bounded_by_the_block(self):
         # the 800 probes of the zoo's hyper-cleaning problem as one stack

@@ -512,6 +512,17 @@ class TestClean:
         assert "split-too-small" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ntr, nval", [("0", "1"), ("1", "0"), ("0", "0"), ("-5", "-5")])
+    def test_sizes_below_the_class_count_get_splits_own_message(self, tmp_path, capsys, ntr,
+                                                                 nval):
+        # fewer samples in all than hyper-cleaning's two classes: the sizes
+        # the user gave are judged by ``split``, not a sample count of the draw
+        out = tmp_path / "b.csv"
+        assert run_cli("clean", "--ntr", ntr, "--nval", nval, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: split-too-small: n_tr and n_val must be at "
+                                           f"least 1, got {ntr} and {nval}\n")
+        assert not out.exists()
+
     def test_missing_idx_file_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         missing = tmp_path / "nofile"

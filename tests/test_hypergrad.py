@@ -9,7 +9,7 @@ import pytest
 
 import bilevelopt as bl
 from bilevelopt import hypergrad
-from bitwise import same_bits
+from bitwise import same_bits, serial
 
 
 def counting_problem(problem):
@@ -146,7 +146,7 @@ class TestModeConsistency:
         p = bl.zoo_problem("hyperclean_synthetic", seed=1).problem
         doubled = dataclasses.replace(
             p,
-            g_value=lambda w, lam: 2.0 * p.g_value(w, lam),
+            g_value=lambda W, lam: 2.0 * p.g_value(W, lam),
             grad1_g=lambda w, lam: 2.0 * p.grad1_g(w, lam),
             grad2_g=lambda w, lam: 2.0 * p.grad2_g(w, lam),
             vjp11_g=lambda a, w, lam: 2.0 * p.vjp11_g(a, w, lam),
@@ -166,8 +166,8 @@ class TestFdOracleEdges:
     def test_constant_outer_objective_gives_zero(self):
         p = bl.BilevelProblem(
             inner_dim=1, outer_dim=2, name="const-g",
-            h_value=lambda w, lam: float(0.5 * (w[0] - lam[0]) ** 2),
-            g_value=lambda w, lam: 7.0,
+            h_value=bl.rowwise(lambda w, lam: float(0.5 * (w[0] - lam[0]) ** 2)),
+            g_value=bl.rowwise(lambda w, lam: 7.0),
             grad1_h=lambda w, lam: np.array([w[0] - lam[0]]),
             grad1_g=lambda w, lam: np.zeros(1),
             grad2_g=lambda w, lam: np.zeros(2),
@@ -181,8 +181,8 @@ class TestFdOracleEdges:
         # differences are exact up to rounding
         p = bl.BilevelProblem(
             inner_dim=1, outer_dim=1, name="affine",
-            h_value=lambda w, lam: float(0.5 * (w[0] - lam[0]) ** 2),
-            g_value=lambda w, lam: float(w[0] + 2.0 * lam[0]),
+            h_value=bl.rowwise(lambda w, lam: float(0.5 * (w[0] - lam[0]) ** 2)),
+            g_value=bl.rowwise(lambda w, lam: float(w[0] + 2.0 * lam[0])),
             grad1_h=lambda w, lam: w - lam,
             grad1_g=lambda w, lam: np.ones(1),
             grad2_g=lambda w, lam: np.array([2.0]),
@@ -351,12 +351,6 @@ class TestReverseDivergence:
         assert calls == []
 
 
-def serial_copy(problem):
-    """A copy without stacked oracles: the FD referee applies its row oracles row by row."""
-    return dataclasses.replace(problem, grad1_h_many=None, grad1_g_many=None,
-                               h_batch=None, g_batch=None)
-
-
 class TestFdOracleDivergence:
     """A non-finite probe value is one ``OracleDivergence`` naming the probe, not NaN."""
 
@@ -365,7 +359,7 @@ class TestFdOracleDivergence:
         # the final iterates of K = 3 huge steps stay finite; g overflows on them
         p = bl.zoo_problem("hyperclean_synthetic").problem
         if path == "serial":
-            p = serial_copy(p)
+            p = serial(p)
         spec = bl.InnerSolveSpec(K=3, t=1e200, s=1e-3, alpha_exponent=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -386,9 +380,9 @@ class TestFdOracleDivergence:
                 return np.where(sign * probe[..., bad] > 0, np.nan, value(w, probe))
             return g
 
-        p = dataclasses.replace(p, g_value=poisoned(p.g_value), g_batch=poisoned(p.g_batch))
+        p = dataclasses.replace(p, g_value=poisoned(p.g_value))
         if path == "serial":
-            p = serial_copy(p)
+            p = serial(p)
         probe = f"lam{'+' if sign > 0 else '-'}eps*e_{bad} "
         with pytest.raises(bl.OracleDivergence, match=re.escape(f"g non-finite at probe {probe}")):
             bl.hypergradient_fd_oracle(p, lam, bl.InnerSolveSpec(K=2, t=0.01, s=0.001,
@@ -405,8 +399,8 @@ class TestFdOracleDivergence:
 
         p = bl.BilevelProblem(
             inner_dim=2, outer_dim=m, name="one-bad-probe",
-            h_value=lambda w, lam: 0.5 * float(w @ w),
-            g_value=lambda w, lam: float(w.sum()),
+            h_value=bl.rowwise(lambda w, lam: 0.5 * float(w @ w)),
+            g_value=bl.rowwise(lambda w, lam: float(w.sum())),
             grad1_h=grad1_h,
             grad1_g=lambda w, lam: w.copy(),
             grad2_g=lambda w, lam: np.zeros(m),
@@ -422,10 +416,8 @@ class TestFdOracleDivergence:
                     bl.hypergradient_fd_oracle(copy, np.zeros(m), spec)
 
     def test_nan_g_on_a_declared_quadratic(self):
-        # g_value and g_batch poisoned alike, as the row contract asks
         p = dataclasses.replace(bl.make_degenerate_quadratic(),
-                                g_value=lambda w, lam: float("nan"),
-                                g_batch=lambda W, lam: np.full(len(W), np.nan))
+                                g_value=lambda W, lam: np.full(len(W), np.nan))
         with pytest.raises(bl.OracleDivergence, match=r"lam\+eps\*e_0"):
             bl.hypergradient_fd_oracle(p, np.array([0.3]), bl.InnerSolveSpec(K=5, t=0.1, s=0.1))
 
@@ -433,8 +425,8 @@ class TestFdOracleDivergence:
         # every probe's value is finite, but their difference overflows
         p = bl.BilevelProblem(
             inner_dim=1, outer_dim=1, name="cliff",
-            h_value=lambda w, lam: float(0.5 * w[0] ** 2),
-            g_value=lambda w, lam: 1.5e308 * float(np.sign(lam[0])),
+            h_value=bl.rowwise(lambda w, lam: float(0.5 * w[0] ** 2)),
+            g_value=bl.rowwise(lambda w, lam: 1.5e308 * float(np.sign(lam[0]))),
             grad1_h=lambda w, lam: w.copy(),
             grad1_g=lambda w, lam: np.zeros(1),
             grad2_g=lambda w, lam: np.zeros(1),

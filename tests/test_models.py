@@ -23,7 +23,7 @@ def outer_reference(problem, lam0, config):
         G = bl.reverse_hypergradient(problem, tape)
         if it < config.T - 1:
             lam = lam - config.eta * G
-    return lam, float(problem.g_value(tape.final, lam))
+    return lam, float(problem.g_value(tape.final[None], lam)[0])
 
 
 class TestRunModel:
@@ -145,7 +145,7 @@ class TestRunModel:
         p = bl.make_closedform_quadratic()
         if bad == "outer value":
             p = dataclasses.replace(
-                p, g_value=lambda w, lam: 0.5 * w[0] ** 2 if lam[0] > 1.5 else np.inf)
+                p, g_value=lambda W, lam: np.where(lam[0] > 1.5, 0.5 * W[:, 0] ** 2, np.inf))
             metric = None
         else:
             def metric(omega, lam):

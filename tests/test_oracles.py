@@ -36,8 +36,8 @@ class TestGridMinOracle:
     def test_constant_outer_objective_any_point(self):
         p = bl.BilevelProblem(
             inner_dim=1, outer_dim=1, name="const",
-            h_value=lambda w, lam: float(w[0] ** 2),
-            g_value=lambda w, lam: 3.25,
+            h_value=bl.rowwise(lambda w, lam: float(w[0] ** 2)),
+            g_value=bl.rowwise(lambda w, lam: 3.25),
             grad1_h=lambda w, lam: 2.0 * w,
             grad1_g=lambda w, lam: np.zeros(1),
             grad2_g=lambda w, lam: np.zeros(1),
@@ -78,7 +78,7 @@ class TestGridMinOracle:
             raise AssertionError("the grid was evaluated")
 
         p = dataclasses.replace(bl.make_degenerate_quadratic(), h_value=unreachable,
-                                g_value=unreachable, h_batch=unreachable, g_batch=unreachable)
+                                g_value=unreachable)
         with pytest.raises(ValueError, match=refused):
             bl.grid_min_oracle(p, [(-2, 2)] * lam_axes, [(-2, 2)] * omega_axes, 401)
 
@@ -198,7 +198,7 @@ class TestModelFreeChecks:
     """Only the reverse-vs-FD check reads a model; the others run once per problem."""
 
     def test_drawn_two_plus_one_quadratic_runs_its_grid_in_under_a_second(self):
-        # the grid evaluates h 401^3 times, through the stacked h_batch;
+        # the grid evaluates h 401^3 times, in stacks through h_value;
         # row by row it took about 11 minutes.  CPU time, so that other
         # processes on the machine do not count
         p = drawn_two_plus_one()
@@ -301,10 +301,30 @@ class TestCheckConfigFailsClosed:
         assert basic == bl.InnerSolveSpec(K=7, t=0.2, s=0.3, alpha_exponent=0.0)
 
 
+class TestValuesAreRefereed:
+    """The values a problem states are the ones the referee checks.
+
+    A ``replace`` copy of a zoo problem whose h or g is off by a factor of
+    1 + 1e-3 fails at least one report of a small improved bundle.
+    """
+
+    @pytest.mark.parametrize("name", bl.ZOO_NAMES)
+    def test_a_scaled_value_fails_the_suite(self, name):
+        p = bl.zoo_problem(name).problem
+        cfg = dataclasses.replace(bl.default_check_configs(name)[0], n_points=2, hg_points=1)
+        assert cfg.mode == "improved"
+        assert all(r.passed for r in bl.check_suite(p, [cfg]))
+        for value in ("h_value", "g_value"):
+            exact = getattr(p, value)
+            scaled = dataclasses.replace(
+                p, **{value: lambda W, lam: (1.0 + 1e-3) * exact(W, lam)})
+            failed = [r.name for r in bl.check_suite(scaled, [cfg]) if not r.passed]
+            assert failed, value
+
+
 def nan_g(problem):
     """A ``replace`` copy whose g is NaN everywhere; its gradients stay finite."""
-    return dataclasses.replace(problem, g_value=lambda w, lam: float("nan"),
-                               g_batch=lambda W, lam: np.full(len(W), np.nan))
+    return dataclasses.replace(problem, g_value=lambda W, lam: np.full(len(W), np.nan))
 
 
 def strict_json(doc):
@@ -428,8 +448,8 @@ class TestGridNonFinite:
 
     def test_nan_h_raises(self):
         p = bl.make_degenerate_quadratic()
-        bad = dataclasses.replace(p, h_batch=lambda W, lam: np.where(W[:, 0] > 1.0, np.nan,
-                                                                     p.h_batch(W, lam)))
+        bad = dataclasses.replace(p, h_value=lambda W, lam: np.where(W[:, 0] > 1.0, np.nan,
+                                                                     p.h_value(W, lam)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(bl.OracleDivergence, match="h non-finite on the grid"):
@@ -441,20 +461,22 @@ class TestGridNonFinite:
             bl.grid_min_oracle(nan_g(p), [(-2, 2)], [(-2, 2), (-2, 2)], 21)
 
     @pytest.mark.parametrize("oracle, message", [
-        ("h_batch", r"^oracle-divergence: h non-finite on the grid at lam=\[-2\.\]$"),
-        ("g_batch", r"^oracle-divergence: g non-finite on the argmin set at lam=\[-2\.\]$")])
-    def test_scalar_nan_raises(self, oracle, message):
-        # a stacked oracle that returns one 0-d NaN for the whole stack
+        ("h_value", r"^h_value on 441 rows returned shape \(\), not \(441,\)$"),
+        ("g_value", r"^g_value on 21 rows returned shape \(\), not \(21,\)$")])
+    def test_scalar_nan_is_refused_as_the_wrong_shape(self, oracle, message):
+        # a value that returns one 0-d NaN for the whole stack is refused
+        # before it could broadcast; g sees the 21 members of the argmin
+        # line w1 = lam = -2
         bad = dataclasses.replace(bl.make_degenerate_quadratic(),
                                   **{oracle: lambda W, lam: float("nan")})
-        with pytest.raises(bl.OracleDivergence, match=message):
+        with pytest.raises(ValueError, match=message):
             bl.grid_min_oracle(bad, [(-2, 2)], [(-2, 2), (-2, 2)], 21)
 
     def test_nan_g_off_the_argmin_set_is_not_read(self):
         # g is NaN only where w1 > 1.5, off every argmin line w1 = lam in [-1, 1]
         p = bl.make_degenerate_quadratic()
-        bad = dataclasses.replace(p, g_batch=lambda W, lam: np.where(W[:, 0] > 1.5, np.nan,
-                                                                     p.g_batch(W, lam)))
+        bad = dataclasses.replace(p, g_value=lambda W, lam: np.where(W[:, 0] > 1.5, np.nan,
+                                                                     p.g_value(W, lam)))
         want = bl.grid_min_oracle(p, [(-1, 1)], [(-2, 2), (-2, 2)], 21)
         got = bl.grid_min_oracle(bad, [(-1, 1)], [(-2, 2), (-2, 2)], 21)
         assert got[2] == want[2]
@@ -462,6 +484,6 @@ class TestGridNonFinite:
 
     def test_nan_h_stops_the_suite(self):
         p = bl.make_closedform_quadratic()
-        bad = dataclasses.replace(p, h_batch=lambda W, lam: np.full(len(W), np.nan))
+        bad = dataclasses.replace(p, h_value=lambda W, lam: np.full(len(W), np.nan))
         with pytest.raises(bl.OracleDivergence, match="h non-finite on the grid"):
             bl.check_suite(bad, [CheckConfig(K=10, hg_points=1, n_points=1)])

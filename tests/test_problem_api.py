@@ -2,13 +2,14 @@
 
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 import bilevelopt as bl
-from bitwise import same_bits
+from bitwise import same_bits, serial
 from bilevelopt import oracles
 from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
 from bilevelopt.oracles import CheckConfig
@@ -20,8 +21,8 @@ def scalar_coupled_quadratic():
     """h = (w - lam)^2 / 2, g = w^2 / 2 with only first-order oracles supplied."""
     return bl.BilevelProblem(
         inner_dim=1, outer_dim=1, name="fd-backed",
-        h_value=lambda w, lam: float(0.5 * (w[0] - lam[0]) ** 2),
-        g_value=lambda w, lam: float(0.5 * w[0] ** 2),
+        h_value=bl.rowwise(lambda w, lam: float(0.5 * (w[0] - lam[0]) ** 2)),
+        g_value=bl.rowwise(lambda w, lam: float(0.5 * w[0] ** 2)),
         grad1_h=lambda w, lam: w - lam,
         grad1_g=lambda w, lam: w.copy(),
         grad2_g=lambda w, lam: np.zeros(1),
@@ -83,8 +84,8 @@ class TestFdVjp:
     def test_linear_h_has_zero_curvature(self):
         p = bl.BilevelProblem(
             inner_dim=2, outer_dim=1, name="linear-h",
-            h_value=lambda w, lam: float(3.0 * w[0] - w[1]),
-            g_value=lambda w, lam: float(w @ w),
+            h_value=bl.rowwise(lambda w, lam: float(3.0 * w[0] - w[1])),
+            g_value=bl.rowwise(lambda w, lam: float(w @ w)),
             grad1_h=lambda w, lam: np.array([3.0, -1.0]),
             grad1_g=lambda w, lam: 2.0 * w,
             grad2_g=lambda w, lam: np.zeros(1),
@@ -105,8 +106,8 @@ class TestFdVjp:
     def test_divergent_oracle_is_reported(self):
         p = bl.BilevelProblem(
             inner_dim=1, outer_dim=1, name="divergent",
-            h_value=lambda w, lam: float(w[0]),
-            g_value=lambda w, lam: 0.0,
+            h_value=bl.rowwise(lambda w, lam: float(w[0])),
+            g_value=bl.rowwise(lambda w, lam: 0.0),
             grad1_h=lambda w, lam: np.array([np.inf]),
             grad1_g=lambda w, lam: np.zeros(1),
             grad2_g=lambda w, lam: np.zeros(1),
@@ -245,8 +246,8 @@ class TestValidateFirstOrder:
     def test_constant_function_has_exactly_zero_error(self):
         p = bl.BilevelProblem(
             inner_dim=1, outer_dim=1, name="constant",
-            h_value=lambda w, lam: 4.0,
-            g_value=lambda w, lam: -1.0,
+            h_value=bl.rowwise(lambda w, lam: 4.0),
+            g_value=bl.rowwise(lambda w, lam: -1.0),
             grad1_h=lambda w, lam: np.zeros(1),
             grad1_g=lambda w, lam: np.zeros(1),
             grad2_g=lambda w, lam: np.zeros(1),
@@ -271,6 +272,62 @@ class TestValidateFirstOrder:
         reports = {r.name: r for r in bl.check_suite(bad, [CheckConfig(n_points=2, K=20)])}
         assert reports["first-order-vs-fd"].max_rel_err == np.inf
         assert not reports["first-order-vs-fd"].passed
+
+
+def scalar_valued(which):
+    """h = |w - lam|^2 / 2 and g = |w|^2 / 2 on 1+1 dims, ``which`` of them summed over the stack.
+
+    A value that sums over the stack returns one scalar for the whole
+    stack, where one value per row is due.
+    """
+    values = {"h_value": lambda W, lam: 0.5 * (W[:, 0] - lam[..., 0]) ** 2,
+              "g_value": lambda W, lam: 0.5 * W[:, 0] ** 2}
+    summed = values[which]
+    values[which] = lambda W, lam: np.sum(summed(W, lam))
+    return bl.BilevelProblem(
+        inner_dim=1, outer_dim=1, name="scalar-valued", **values,
+        grad1_h=lambda w, lam: w - lam,
+        grad1_g=lambda w, lam: w.copy(),
+        grad2_g=lambda w, lam: np.zeros(1),
+    )
+
+
+class TestWrongShapedValues:
+    """A value on B rows of any shape but (B,) is refused, naming the oracle and both shapes.
+
+    Broadcast over a block of probes, a scalar would read as equal values,
+    and so as a zero FD gradient.
+    """
+
+    @staticmethod
+    def refused(which, rows):
+        return pytest.raises(ValueError, match=re.escape(
+            f"{which} on {rows} rows returned shape (), not ({rows},)"))
+
+    @pytest.mark.parametrize("which", ["h_value", "g_value"])
+    def test_first_order_check(self, which):
+        with self.refused(which, 2):
+            bl.validate_first_order(scalar_valued(which), np.array([0.7]), np.array([-0.3]))
+        with self.refused(which, 2):
+            bl.check_suite(scalar_valued(which), [CheckConfig(n_points=1, hg_points=1, K=5)])
+
+    @pytest.mark.parametrize("which, rows", [("h_value", 3), ("g_value", 1)])
+    def test_grid(self, which, rows):
+        # h is read on the 3 omega grid points, g on h's argmin set, the
+        # one grid point w = lam
+        with self.refused(which, rows):
+            bl.grid_min_oracle(scalar_valued(which), [(-1, 1)], [(-1, 1)], 3)
+
+    def test_fd_hypergradient_and_run_model(self):
+        p = scalar_valued("g_value")
+        spec = bl.InnerSolveSpec(K=5, t=0.1, s=0.1)
+        with self.refused("g_value", 2):
+            bl.hypergradient_fd_oracle(p, np.array([0.5]), spec)
+        with self.refused("g_value", 1):
+            bl.run_model(p, np.array([0.5]), bl.SolveConfig(t=0.1, s=0.1, eta=0.1, K=5, T=2))
+        # h is read by neither
+        bl.run_model(scalar_valued("h_value"), np.array([0.5]),
+                     bl.SolveConfig(t=0.1, s=0.1, eta=0.1, K=5, T=2))
 
 
 class TestZooAnalyticVjps:
@@ -360,7 +417,7 @@ class TestFallbackFollowsTheCopy:
 
     def test_copy_with_a_swapped_gradient_differentiates_its_own(self):
         p = scalar_coupled_quadratic()
-        tripled = dataclasses.replace(p, h_value=lambda w, lam: float(1.5 * (w[0] - lam[0]) ** 2),
+        tripled = dataclasses.replace(p, h_value=lambda W, lam: 1.5 * (W[:, 0] - lam[..., 0]) ** 2,
                                       grad1_h=lambda w, lam: 3.0 * (w - lam))
         a, w, lam = np.ones(1), np.array([0.3]), np.array([0.4])
         h11, h12 = fallback_vjps(tripled, a, w, lam)[:2]
@@ -382,26 +439,40 @@ class TestFallbackFollowsTheCopy:
 
 
 def unstacked_quadratic():
-    """The degenerate 2+1 quadratic built by ``make_quadratic``, its stacked values
-    taken away: no stacked oracle at all."""
+    """The degenerate 2+1 quadratic built by ``make_quadratic``, every stack
+    evaluated one row at a time: no stacked gradient, and values row by row."""
     zoo = bl.make_degenerate_quadratic()
-    p = bl.make_quadratic(zoo.affine, name="unstacked")
-    p.h_batch = p.g_batch = None
+    p = serial(bl.make_quadratic(zoo.affine, name="unstacked"))
     assert all(getattr(p, name) is None for name in ROW_ORACLES)
     p.answers = dict(zoo.answers)
     return p
 
 
 class TestBatchedDefault:
-    """A stacked oracle left None is its row oracle, row by row, for every referee."""
+    """A stacked gradient left None is its row gradient, row by row, for every referee."""
 
     def test_unknown_name_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown stacked oracle"):
-            batched(scalar_coupled_quadratic(), "vjp11_h_many")
+        # the values have no stacked field: each takes a stack itself
+        for name in ("vjp11_h_many", "h_value", "h_batch"):
+            with pytest.raises(ValueError, match="unknown stacked oracle"):
+                batched(scalar_coupled_quadratic(), name)
 
     def test_the_problems_own_stacked_oracle_is_returned(self):
-        p = bl.make_degenerate_quadratic()
-        assert batched(p, "h_batch") is p.h_batch and batched(p, "g_batch") is p.g_batch
+        p = bl.zoo_problem("hyperclean_synthetic").problem
+        assert p.grad1_h_many is not None and p.grad1_g_many is not None
+        assert (batched(p, "grad1_h_many") is p.grad1_h_many
+                and batched(p, "grad1_g_many") is p.grad1_g_many)
+
+    def test_rowwise_gives_the_row_functions_bits(self):
+        # on a stack of lam rows paired with W's, and on one lam row shared
+        p = bl.zoo_problem("hyperrep_synthetic").problem
+        rng = np.random.default_rng(8)
+        W = rng.normal(0, 0.5, (5, p.inner_dim))
+        L = rng.normal(0, 0.5, (5, p.outer_dim))
+        for row in (p.grad1_h, p.grad1_g, lambda w, lam: p.g_value(w[None], lam)[0]):
+            stacked = bl.rowwise(row)
+            assert same_bits(stacked(W, L), [row(w, lam) for w, lam in zip(W, L)])
+            assert same_bits(stacked(W, L[0]), [row(w, L[0]) for w in W])
 
     def test_check_suite_with_the_grid_passes(self, monkeypatch):
         # every row oracle is called alone: a 41-point grid per axis keeps

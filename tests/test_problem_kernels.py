@@ -183,8 +183,8 @@ class TestHypercleaningKernels:
         rng = np.random.default_rng(C)
         for _ in range(3):
             a, w, lam = random_point(p, rng)
-            _close(p.h_value(w, lam), ref.h_value(w, lam))
-            _close(p.g_value(w, lam), ref.g_value(w, lam))
+            _close(p.h_value(w[None], lam)[0], ref.h_value(w, lam))
+            _close(p.g_value(w[None], lam)[0], ref.g_value(w, lam))
             _close(p.grad1_h(w, lam), ref.grad1_h(w, lam))
             _close(p.grad1_g(w, lam), ref.grad1_g(w, lam))
             _close(p.vjp11_h(a, w, lam), ref.vjp11_h(a, w, lam))
@@ -234,8 +234,8 @@ class TestHyperrepKernels:
         rng = np.random.default_rng(shape["way"])
         for _ in range(3):
             a, w, lam = random_point(p, rng)
-            _close(p.h_value(w, lam), ref.h_value(w, lam))
-            _close(p.g_value(w, lam), ref.g_value(w, lam))
+            _close(p.h_value(w[None], lam)[0], ref.h_value(w, lam))
+            _close(p.g_value(w[None], lam)[0], ref.g_value(w, lam))
             _close(p.grad1_h(w, lam), ref.grad1(ref.Xtr, ref.Ytr, w, lam, 0.0))
             _close(p.grad1_g(w, lam), ref.grad1(ref.Xva, ref.Yva, w, lam, ref.ridge))
             _close(p.grad2_g(w, lam), ref.grad2_g(w, lam))

@@ -22,17 +22,19 @@ class TestClosedFormQuadratic:
 
     def test_values(self):
         w, lam = np.array([1.5]), np.array([0.5])
-        assert self.p.h_value(w, lam) == pytest.approx(0.5)
-        assert self.p.g_value(w, lam) == pytest.approx(1.125)
+        assert self.p.h_value(w[None], lam) == pytest.approx([0.5])
+        assert self.p.g_value(w[None], lam) == pytest.approx([1.125])
 
     def test_batch_evaluators_agree_with_scalar(self):
         W = np.array([[0.0], [1.0], [-2.0]])
         lam = np.array([0.5])
-        hb = self.p.h_batch(W, lam)
-        gb = self.p.g_batch(W, lam)
+        hb = self.p.h_value(W, lam)
+        gb = self.p.g_value(W, lam)
+        assert hb == pytest.approx([0.125, 0.125, 3.125])
+        assert gb == pytest.approx([0.0, 0.5, 2.0])
         for i, w in enumerate(W):
-            assert hb[i] == pytest.approx(self.p.h_value(w, lam))
-            assert gb[i] == pytest.approx(self.p.g_value(w, lam))
+            assert hb[i] == pytest.approx(self.p.h_value(w[None], lam)[0])
+            assert gb[i] == pytest.approx(self.p.g_value(w[None], lam)[0])
 
 
 class TestDegenerateQuadratic:
@@ -41,8 +43,8 @@ class TestDegenerateQuadratic:
         lam = np.array([0.7])
         imp = p.answers["inner_solution_improved"](lam)
         bas = p.answers["inner_solution_basic"](lam)
-        assert p.g_value(imp, lam) == pytest.approx(0.5 * 0.49)
-        assert p.g_value(bas, lam) == pytest.approx(0.5 * 0.49 + 0.5)
+        assert p.g_value(np.stack([imp, bas]), lam) == pytest.approx([0.5 * 0.49,
+                                                                      0.5 * 0.49 + 0.5])
         assert p.answers["min_f_improved"] == 0.0
         assert p.answers["min_f_basic"] == 0.5
         assert p.answers["formulation_gap"] == 0.5
@@ -50,8 +52,7 @@ class TestDegenerateQuadratic:
     def test_inner_objective_ignores_second_coordinate(self):
         p = bl.make_degenerate_quadratic()
         lam = np.array([0.3])
-        a = p.h_value(np.array([0.1, -5.0]), lam)
-        b = p.h_value(np.array([0.1, 17.0]), lam)
+        a, b = p.h_value(np.array([[0.1, -5.0], [0.1, 17.0]]), lam)
         assert a == b
         assert p.grad1_h(np.array([0.1, 9.0]), lam)[1] == 0.0
 
@@ -103,13 +104,13 @@ class TestHypercleaning:
         w = np.random.default_rng(0).normal(0, 0.5, p.inner_dim)
         lam = np.full(p.outer_dim, -20.0)
         total = p.answers["train_losses"](w).sum()
-        assert p.h_value(w, lam) < 1e-8 * total
+        assert p.h_value(w[None], lam)[0] < 1e-8 * total
 
     def test_zero_weights_halve_the_loss_sum(self):
         p, _ = small_clean_problem()
         w = np.random.default_rng(1).normal(0, 0.5, p.inner_dim)
         lam = np.zeros(p.outer_dim)
-        assert p.h_value(w, lam) == pytest.approx(
+        assert p.h_value(w[None], lam)[0] == pytest.approx(
             0.5 * p.answers["train_losses"](w).sum(), rel=1e-12)
 
     def test_gradients_match_fd_at_random_points(self):
@@ -130,7 +131,7 @@ class TestHypercleaning:
         for j in (0, 7, 23):
             e = np.zeros(p.outer_dim)
             e[j] = eps
-            fd = (p.h_value(w, lam + e) - p.h_value(w, lam - e)) / (2 * eps)
+            fd = (p.h_value(w[None], lam + e)[0] - p.h_value(w[None], lam - e)[0]) / (2 * eps)
             assert got[j] == pytest.approx(fd, rel=1e-6)
 
     def test_h_monotone_in_each_weight(self):
@@ -138,11 +139,11 @@ class TestHypercleaning:
         rng = np.random.default_rng(4)
         w = rng.normal(0, 0.4, p.inner_dim)
         lam = rng.normal(0, 0.5, p.outer_dim)
-        base = p.h_value(w, lam)
+        base = p.h_value(w[None], lam)[0]
         bump = lam.copy()
         bump[5] += 0.5
-        assert p.h_value(w, bump) > base  # losses are positive
-        assert p.h_value(w, lam) >= 0.0
+        assert p.h_value(w[None], bump)[0] > base  # losses are positive
+        assert base >= 0.0
 
     def test_class_count_mismatch_rejected(self):
         ds = gen_synthetic(0, 60, 6, 2, 3.0)
@@ -175,13 +176,13 @@ class TestHyperrep:
         w = rng.normal(0, 0.4, p.inner_dim)
         Y = np.eye(5)[eps.y_tr[0]]
         direct = sample_losses(eps.X_tr[0] @ w.reshape(5, 5), Y).sum()
-        assert p.h_value(w, lam) == pytest.approx(direct, rel=1e-12)
+        assert p.h_value(w[None], lam)[0] == pytest.approx(direct, rel=1e-12)
 
     def test_zero_representation_gives_log_way_loss(self):
         p, eps = tiny_episode_problem()
         w = np.random.default_rng(6).normal(0, 0.3, p.inner_dim)
         n_train = eps.y_tr.size
-        assert p.h_value(w, np.zeros(p.outer_dim)) == pytest.approx(
+        assert p.h_value(w[None], np.zeros(p.outer_dim))[0] == pytest.approx(
             n_train * np.log(eps.way), rel=1e-12)
 
     def test_task_blocks_are_independent(self):
@@ -313,7 +314,8 @@ def same_bytes(x, y):
 
 class TestOneKernelPerQuantity:
     """Each zoo quantity has one kernel: the quadratics' derivatives come from
-    their spec, and every row value is its stacked kernel at one row."""
+    their spec, and each value is one kernel on a stack, whose rows are
+    their values on a stack of one row."""
 
     @pytest.mark.parametrize("maker", [bl.make_closedform_quadratic,
                                        bl.make_degenerate_quadratic])
@@ -332,14 +334,14 @@ class TestOneKernelPerQuantity:
     @pytest.mark.parametrize("name", bl.ZOO_NAMES)
     def test_row_values_are_the_stacked_kernels_at_one_row(self, name):
         p = bl.zoo_problem(name).problem
-        for value, batch in ((p.h_value, p.h_batch), (p.g_value, p.g_batch)):
-            # the row value calls the problem's own stacked kernel
-            assert batch in [cell.cell_contents for cell in value.__closure__ or ()]
         rng = np.random.default_rng(22)
         for scale in (0.0, 0.5, 3.0, 1e3):
-            w = rng.normal(0.0, scale, p.inner_dim)
-            lam = rng.normal(0.0, max(scale, 0.5), p.outer_dim)
-            for value, batch in ((p.h_value, p.h_batch), (p.g_value, p.g_batch)):
-                # lam shared by the stack, and lam as a stack of one row
-                assert same_bytes(value(w, lam), batch(w[None], lam))
-                assert same_bytes(value(w, lam), batch(w[None], lam[None]))
+            W = rng.normal(0.0, scale, (3, p.inner_dim))
+            L = rng.normal(0.0, max(scale, 0.5), (3, p.outer_dim))
+            for value in (p.h_value, p.g_value):
+                # lam as a stack paired row by row, and one lam row shared
+                # by the stack; one row's lam either way
+                rows = [value(w[None], lam)[0] for w, lam in zip(W, L)]
+                assert same_bytes(value(W, L), rows)
+                assert same_bytes(value(W[:1], L[:1]), rows[:1])
+                assert same_bytes(value(W, L[0]), [value(w[None], L[0])[0] for w in W])

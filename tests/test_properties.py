@@ -70,7 +70,7 @@ def test_reverse_pass_matches_fd_hypergradient(case):
     # rounding of f_K, which is what the tolerance scales with
     p, spec, lam = case
     want = bl.hypergradient_fd_oracle(p, lam, spec)
-    f_K = abs(p.g_value(bl.solve_inner(p, lam, spec).final, lam))
+    f_K = abs(p.g_value(bl.solve_inner(p, lam, spec).final[None], lam)[0])
     for problem in (p, loop_copy(p)):
         got = bl.reverse_hypergradient(problem, bl.solve_inner(problem, lam, spec))
         tol = 1e-7 * (1.0 + f_K + np.abs(want).max())
@@ -125,7 +125,7 @@ def test_fd_fallback_vjps_pass_reverse_against_fd(case):
     want = bl.hypergradient_fd_oracle(p, lam, spec)
     tape = bl.solve_inner(bare, lam, spec)
     got = bl.reverse_hypergradient(bare, tape)
-    f_K = abs(p.g_value(tape.final, lam))
+    f_K = abs(p.g_value(tape.final[None], lam)[0])
     tol = 1e-7 * (1.0 + f_K + np.abs(want).max())
     assert np.abs(got - want).max() <= tol, (got, want)
 
@@ -269,10 +269,11 @@ def test_stacked_oracles_equal_the_row_oracles(case, rows):
     for many, row in ((p.grad1_h_many, p.grad1_h), (p.grad1_g_many, p.grad1_g)):
         for got, w, lam in zip(many(W, L), W, L):
             assert same_bits(got, row(w, lam))
-    for batch, value in ((p.h_batch, p.h_value), (p.g_batch, p.g_value)):
-        # a stack of lam rows paired with W's, and one lam row shared by all
-        assert same_bits(batch(W, L), [value(w, lam) for w, lam in zip(W, L)])
-        assert same_bits(batch(W, L[0]), [value(w, L[0]) for w in W])
+    for value in (p.h_value, p.g_value):
+        # a stack of lam rows paired with W's, and one lam row shared by
+        # all: each row is that row's value on a stack of one row
+        assert same_bits(value(W, L), [value(w[None], lam)[0] for w, lam in zip(W, L)])
+        assert same_bits(value(W, L[0]), [value(w[None], L[0])[0] for w in W])
 
 
 @given(K=st.integers(0, 500), exponent=st.just(0.0) | st.floats(-1.0, 4.0),
@@ -321,22 +322,23 @@ def test_schedule_equals_the_list_comprehension_bit_for_bit(K, exponent, freq):
 @settings(max_examples=40)
 @given(quadratic_cases(), st.integers(1, 9), st.integers(0, 2 ** 16))
 def test_batched_default_gives_the_row_oracles_bits(case, rows, seed):
-    # a drawn quadratic has its own h_batch/g_batch and no grad1_*_many; a
-    # copy without its stacked values has no stacked oracle at all, so
-    # ``batched`` applies each row oracle row by row.  Either way, on one
-    # shared lam row or on lam rows paired with W's, every row gets the row
-    # oracle's bits
+    # a drawn quadratic has no grad1_*_many, so ``batched`` applies each
+    # row gradient row by row, and its values take the stack whole; a
+    # value's ``rowwise`` over one-row calls is its row-by-row reference.
+    # Either way, on one shared lam row or on lam rows paired with W's,
+    # every row gets the bits of that row alone
     p, _, _ = case
-    unstacked = dataclasses.replace(p, h_batch=None, g_batch=None)
-    assert p.h_batch is not None and p.g_batch is not None
-    assert all(getattr(unstacked, name) is None for name in ROW_ORACLES)
+    assert all(getattr(p, name) is None for name in ROW_ORACLES)
     rng = np.random.default_rng(seed)
     W, L = rng.normal(0, 0.5, (rows, p.inner_dim)), rng.normal(0, 0.5, (rows, p.outer_dim))
-    for problem in (p, unstacked):
-        for name, row in ROW_ORACLES.items():
-            oracle, by_row = batched(problem, name), getattr(problem, row)
-            assert same_bits(oracle(W, L), [by_row(w, lam) for w, lam in zip(W, L)]), name
-            assert same_bits(oracle(W, L[0]), [by_row(w, L[0]) for w in W]), name
+    for name, row in ROW_ORACLES.items():
+        oracle, by_row = batched(p, name), getattr(p, row)
+        assert same_bits(oracle(W, L), [by_row(w, lam) for w, lam in zip(W, L)]), name
+        assert same_bits(oracle(W, L[0]), [by_row(w, L[0]) for w in W]), name
+    for value in (p.h_value, p.g_value):
+        one_row = bl.rowwise(lambda w, lam: value(w[None], lam)[0])
+        for lam in (L, L[0]):
+            assert same_bits(value(W, lam), one_row(W, lam))
 
 
 lattice = st.sampled_from([0.0, 0.0, -1.0, -0.5, 0.5, 1.0])
@@ -376,8 +378,8 @@ def whole_grid_min(problem, lam_box, omega_box, resolution):
     lam_grid = np.stack([g.ravel() for g in np.meshgrid(*lam_axes, indexing="ij")], axis=1)
     best_val, best = np.inf, None
     for lam in lam_grid:
-        h = np.array([problem.h_value(w, lam) for w in om_grid])
-        g = np.array([problem.g_value(w, lam) for w in om_grid])
+        h = np.array([problem.h_value(w[None], lam)[0] for w in om_grid])
+        g = np.array([problem.g_value(w[None], lam)[0] for w in om_grid])
         members = np.flatnonzero(h <= h.min() + 1e-6)
         pick = members[np.argmin(g[members])]
         if g[pick] < best_val:

@@ -10,16 +10,17 @@ of the bytes of the recorded iterates, of the reverse-mode hypergradient and
 of the central-difference hypergradient.  The zoo quadratics also get a
 copy with all four VJP slots set to None, whose reverse pass runs on the
 finite-difference fallback (every zoo problem supplies analytic VJPs).  The
-learning problems also get a "serial" copy without stacked oracles
-(``grad1_h_many``, ``grad1_g_many``, ``h_batch``, ``g_batch``), whose
-finite-difference referee reaches the row oracles row by row through
-``bilevelopt.problem.batched``; it digests its central-difference
-hypergradient.  The degenerate quadratic also gets, at the settings of the
-benchmark's ``quad_gap`` workload (K = 5000, t = s = 0.1, lam = 0.25, each
-mode, frequency 1), the digests of the iterates and the hypergradient of
-its composed path, the one path there that runs several scan blocks, and
-of a second solve on the same spec object, which reads the states the
-first one kept.  Each
+learning problems also get a "serial" copy that evaluates every stack row
+by row: it has no stacked gradients (``grad1_h_many``, ``grad1_g_many``),
+so its finite-difference referee reaches the row gradients row by row
+through ``bilevelopt.problem.batched``, and its ``h_value``/``g_value`` are
+``bilevelopt.rowwise`` over one-row calls of the problem's own; it digests
+its central-difference hypergradient.  The degenerate quadratic also gets,
+at the settings of the benchmark's ``quad_gap`` workload (K = 5000,
+t = s = 0.1, lam = 0.25, each mode, frequency 1), the digests of the
+iterates and the hypergradient of its composed path, the one path there
+that runs several scan blocks, and of a second solve on the same spec
+object, which reads the states the first one kept.  Each
 zoo problem's ``check_suite`` report (seed 0, ``default_check_configs``),
 and that of each serial copy, gets one line per verifier row: the SHA-256
 of the row's JSON, whose floats round-trip, so every referee value (first-order, VJP and hypergradient
@@ -108,9 +109,14 @@ def digest(array) -> str:
 
 
 def serial(problem):
-    """A copy without stacked oracles: the referee applies the row oracles row by row."""
+    """A copy that evaluates every stack row by row, each row on a stack of one row."""
+    from bilevelopt import rowwise
+
+    def one_row(value):
+        return rowwise(lambda w, lam: value(w[None], lam)[0])
+
     return dataclasses.replace(problem, grad1_h_many=None, grad1_g_many=None,
-                               h_batch=None, g_batch=None)
+                               h_value=one_row(problem.h_value), g_value=one_row(problem.g_value))
 
 
 def instance(name):
