@@ -42,7 +42,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import affine
-from .problem import BilevelProblem, as_vector, check_finite_positive, finite, linearizer
+from .problem import (BilevelProblem, as_vector, check_finite_positive, check_number, finite,
+                      linearizer)
 
 __all__ = ["InnerSolveSpec", "Tape", "model_exponent", "schedule", "step_weights",
            "solve_inner", "bigsam_standalone"]
@@ -68,11 +69,16 @@ def check_alpha_exponent(exponent: float, K: int, frequency: int) -> None:
 
     A negative exponent pins every weight at 1, as exponent 0 (the basic
     model) does, and a weight of 0 would drop h from its step altogether.
+    The exponent, and K, whose last weight is taken as a float, must be
+    numbers that a float can hold.
     """
+    if type(exponent) is not float:
+        check_number("alpha_exponent", exponent)
+    check_number("K", K)
     if not (math.isfinite(exponent) and exponent >= 0):
         raise ValueError(f"alpha_exponent must be finite and non-negative, got {exponent!r}")
     # the weights fall with k: the last averaged step has the smallest
-    last = 1 + (int(K) - 1) // int(frequency) * int(frequency)
+    last = 1 + (K - 1) // frequency * frequency
     if K and float(last) ** -exponent == 0.0:
         raise ValueError(f"alpha_exponent {exponent!r} underflows the averaging weight "
                          f"of inner step {last} to 0")

@@ -49,7 +49,6 @@ __all__ = ["main", "replay_manifest"]
 
 # a config file holds SolveConfig's fields but the mode, which each command sets
 CONFIG_FIELDS = tuple(f for f in fields(SolveConfig) if f.name != "mode")
-CONFIG_KEYS = tuple(f.name for f in CONFIG_FIELDS)
 REQUIRED_KEYS = tuple(f.name for f in CONFIG_FIELDS if f.default is MISSING)
 CONFIG_DEFAULTS = {f.name: f.default for f in CONFIG_FIELDS if f.default is not MISSING}
 
@@ -65,7 +64,7 @@ def _load_config(path: str) -> dict:
         raise ValueError(f"cannot read config {path}: {exc}")
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object of flat scalar fields")
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    unknown = sorted(set(raw).difference(REQUIRED_KEYS, CONFIG_DEFAULTS))
     if unknown:
         raise ValueError(f"unknown config field {unknown[0]!r}")
     missing = [k for k in REQUIRED_KEYS if k not in raw]
@@ -90,21 +89,11 @@ def _resolve_config(args, problem: str) -> dict:
     return cfg
 
 
-def _number(name: str, value) -> float:
-    """A float field's value: a JSON number (an int or a float, not a boolean), as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 def _solve_config(run: dict) -> SolveConfig:
     """The validated ``SolveConfig`` of a run: its model, or its ablation frequency."""
-    cfg = run["config"]
     try:
-        # the counts are checked as given
-        config = SolveConfig(**{f.name: _number(f.name, cfg[f.name]) if f.type == "float"
-                                else cfg[f.name] for f in CONFIG_FIELDS},
-                             mode=run.get("model", "improved"))
+        # every field as given: SolveConfig checks each by its kind's one rule
+        config = SolveConfig(**run["config"], mode=run.get("model", "improved"))
         return ablation_config(config, run["frequency"]) if "frequency" in run else config
     except (ValueError, TypeError) as exc:
         raise ValueError(f"invalid config: {exc}")
@@ -153,10 +142,12 @@ def _run_check(run: dict, out_dir: Path) -> int:
     tol, rows = run["tol"], []
     if tol is not None:
         check_finite_positive("--tol", tol)
+    # a bad seed writes no file, as a bad solve config writes none
+    seed = check_count("seed", run["config"]["seed"], 0)
     if run["outputs"]:
         out_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
-        inst = zoo_problem(name, seed=run["config"]["seed"])
+        inst = zoo_problem(name, seed=seed)
         configs = default_check_configs(name)
         if tol is not None:
             configs = [replace(c, tol_grad=tol, tol_vjp=tol, tol_hg=tol) for c in configs]
@@ -276,10 +267,8 @@ def _execute(run: dict, out_dir: Path) -> int:
 
 def cmd_check(args) -> int:
     out = Path(args.out) if args.out else None
-    # a bad seed writes no file, as a bad solve config writes none
-    seed = 0 if args.seed is None else check_count("seed", args.seed, 0)
     run = {"command": "check", "problem": args.problem, "tol": args.tol,
-           "config": {"seed": seed},
+           "config": {"seed": 0 if args.seed is None else args.seed},
            "outputs": [out.name] if out else []}
     return _execute(run, out.parent if out else Path("."))
 

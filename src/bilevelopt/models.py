@@ -33,8 +33,10 @@ class SolveConfig:
 
     ``K``, ``T``, ``bigsam_frequency`` and ``seed`` must be integral: 200.0 is
     200, 2.5 fails.  The seed may be 0; the other counts are at least 1.  The
-    step sizes ``t``, ``s`` and ``eta`` must be finite and positive.  A basic
-    run solves with exponent 0, whatever ``alpha_exponent`` holds.
+    step sizes ``t``, ``s``, ``eta`` and ``alpha_exponent`` must be numbers
+    that a float can hold, not bools or strings (``check_number``), and the
+    step sizes finite and positive.  A basic run solves with exponent 0,
+    whatever ``alpha_exponent`` holds.
     """
 
     t: float
@@ -169,12 +171,11 @@ def ablation_config(base_config: SolveConfig, frequency: int) -> SolveConfig:
 
     Frequency f applies the averaged step every f-th inner iteration and a
     pure inner-gradient step otherwise; the sentinel 0 runs basic mode on the
-    same budget.
+    same budget.  The frequency is a count of at least 0 (``check_count``).
     """
     if base_config.mode != "improved":
         raise ValueError("ablation requires an improved-mode base config")
+    frequency = check_count("frequency", frequency, 0)
     if frequency == 0:
         return replace(base_config, mode="basic", bigsam_frequency=1)
-    if frequency >= 1:
-        return replace(base_config, bigsam_frequency=int(frequency))
-    raise ValueError(f"frequency must be a positive integer or the 0 sentinel, got {frequency}")
+    return replace(base_config, bigsam_frequency=frequency)

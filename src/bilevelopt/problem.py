@@ -65,6 +65,7 @@ Arithmetic is IEEE-754 float64 throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -137,8 +138,28 @@ def as_vector(x, length: Optional[int] = None, name: str = "vector") -> np.ndarr
     return v
 
 
+def check_number(name: str, value) -> None:
+    """Reject a value that is not a number a float can hold.
+
+    The one number rule of every run setting: a bool, a non-number (a
+    string, None) and a value that no float can hold (a 400-digit int) are
+    each refused with "<name> must be a number, got ...".  A caller tests
+    ``type(value) is not float`` first, so that a float costs one type test.
+    """
+    # an int first: the ABC test of numbers.Real costs several times more
+    if type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            float(value)
+            return
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def check_finite_positive(name: str, value) -> None:
-    """Reject a step size or tolerance that is not finite and positive (NaN included)."""
+    """Reject a step size or tolerance that is no number, or not finite and positive (NaN too)."""
+    if type(value) is not float:
+        check_number(name, value)
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 

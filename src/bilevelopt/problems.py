@@ -61,10 +61,11 @@ hyper-representation's contraction with the inputs and its ``grad2_g``),
 hyper-cleaning's sigmoid-weighted h value, and its binding of the hook.
 
 The hook binds lam once, for one row or for a stack of rows (the
-finite-difference referee's probes).  A step with alpha == 1 runs h's
-kernels on the training split alone, exactly as the slots do.  An averaged
-step stacks the two splits as one input with the training samples first,
-takes one softmax over the concatenated logits, weights the residual per
+finite-difference referee's probes).  On one row it binds its fused input
+with lam: the two splits stacked as one input, training samples first, with
+their targets stacked alike.  A step with alpha == 1 runs h's kernels on the
+training split alone, exactly as the slots do.  An averaged step takes one
+softmax over the fused input's logits, weights the residual per
 column, [t alpha sigmoid(lam) ; s (1 - alpha)] for hyper-cleaning and
 [t alpha ; s (1 - alpha)] for hyper-representation, and projects it back
 once.  Either step saves its probabilities P, and its VJP takes one softmax
@@ -73,8 +74,10 @@ than saving them and weights the response once, for both sides.  The lam
 side of hyper-representation's averaged VJP contracts both splits' rows at
 once.  A stack takes the one stack branch, which runs h and g apart, as
 the slots do, and is value-only: it keeps no P and returns no VJP.  What no
-step reads of lam, the stacked targets and hyper-representation's stacked
-inputs, the makers build once.
+step reads of lam, hyper-cleaning's fused input, the stacked targets and
+hyper-representation's stacked inputs, the makers build once;
+hyper-representation concatenates its two splits' mapped features each
+time it binds a lam row.
 
 Every zoo problem, and every ``make_quadratic`` problem, has one kernel
 per value, and it is the problem's ``h_value``/``g_value``: it takes a
@@ -223,12 +226,12 @@ def _frozen_spec(**arrays) -> QuadraticBilevelSpec:
     return QuadraticBilevelSpec(**arrays, check=False)
 
 
-def _quadratic_slots(spec: QuadraticBilevelSpec) -> dict:
-    """The dims, the seven derivative slots and ``g_lambda_free`` of a spec's quadratics."""
+def _quadratic_kernels(spec: QuadraticBilevelSpec, h_value: Callable, g_value: Callable) -> dict:
+    """The fields of a quadratic instance: its spec's dims and seven slots, and its own values."""
     A_h, B_h, d_h, A_g, c_g = spec.A_h, spec.B_h, spec.d_h, spec.A_g, spec.c_g
     n, m = B_h.shape
     return dict(
-        inner_dim=n, outer_dim=m,
+        inner_dim=n, outer_dim=m, h_value=h_value, g_value=g_value,
         grad1_h=lambda w, lam: A_h @ w - (B_h @ lam + d_h),
         grad1_g=lambda w, lam: A_g @ (w - c_g),
         grad2_g=lambda w, lam: np.zeros(m),
@@ -240,11 +243,6 @@ def _quadratic_slots(spec: QuadraticBilevelSpec) -> dict:
     )
 
 
-def _analytic_kernels(spec: QuadraticBilevelSpec, h_value: Callable, g_value: Callable) -> dict:
-    """Every oracle of an analytic instance: the spec's slots and the instance's own values."""
-    return dict(_quadratic_slots(spec), h_value=h_value, g_value=g_value)
-
-
 # the analytic instances as quadratic specs: h = (w1 - lam)^2 / 2 up to the
 # lam-only term lam^2 / 2, and g as written in each maker.  Their own value
 # kernels, which take a stack of rows, are not the spec's quadratic forms:
@@ -254,11 +252,11 @@ def _analytic_kernels(spec: QuadraticBilevelSpec, h_value: Callable, g_value: Ca
 _CLOSEDFORM_SPEC = _frozen_spec(A_h=[[1.0]], B_h=[[1.0]], d_h=[0.0], A_g=[[1.0]], c_g=[0.0])
 _DEGENERATE_SPEC = _frozen_spec(A_h=[[1.0, 0.0], [0.0, 0.0]], B_h=[[1.0], [0.0]],
                                 d_h=[0.0, 0.0], A_g=np.eye(2), c_g=[0.0, 1.0])
-_CLOSEDFORM_KERNELS = _analytic_kernels(
+_CLOSEDFORM_KERNELS = _quadratic_kernels(
     _CLOSEDFORM_SPEC,
     h_value=lambda W, lam: 0.5 * np.square(W[:, 0] - lam[..., 0]),
     g_value=lambda W, lam: 0.5 * np.square(W[:, 0]))
-_DEGENERATE_KERNELS = _analytic_kernels(
+_DEGENERATE_KERNELS = _quadratic_kernels(
     _DEGENERATE_SPEC,
     h_value=lambda W, lam: 0.5 * np.square(W[:, 0] - lam[..., 0]),
     g_value=lambda W, lam: 0.5 * np.square(W[:, 0]) + 0.5 * np.square(W[:, 1] - 1.0))
@@ -312,7 +310,7 @@ def make_quadratic(spec: QuadraticBilevelSpec, name: str = "quadratic") -> Bilev
             offset = offset + B_h[:, j] * lam[..., j, None]
         return _half_forms(W, A_h, offset)
 
-    return _affine_problem(name, spec, _analytic_kernels(
+    return _affine_problem(name, spec, _quadratic_kernels(
         spec, h_value, lambda W, lam: _half_forms(W - c_g, A_g)))
 
 
@@ -386,17 +384,16 @@ def _grad(F: np.ndarray, R: np.ndarray, w: np.ndarray, sw=None, rg: float = 0.0)
     return out
 
 
-def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[Callable], sw,
+def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, fused: Optional[tuple], sw,
                        ridge: float, lam_side: Callable) -> Callable:
     """The ``linearize`` step of a linear softmax model at one bound lam row or a stack.
 
     ``tr`` and ``va`` are the splits' (features, targets): h fits the model
     to the training split, each sample weighted by ``sw`` (None is 1), and g
-    scores it on the validation split plus ``ridge`` |w|^2.  ``both()``
-    stacks the two splits as one input, training samples first, for the
-    averaged steps on one lam row; the first averaged step calls it, so a
-    solve whose steps all have alpha == 1 never does.  It is None on a stack
-    of lam rows.
+    scores it on the validation split plus ``ridge`` |w|^2.  ``fused`` is
+    the averaged steps' (features, targets) on one lam row: the two splits
+    stacked as one input, training samples first, which the maker binds
+    with lam.  It is None on a stack of lam rows.
     ``lam_side(P, A, dP, ta, c, w, a)`` is the problem's lam side of a
     VJP, which the VJP subtracts from ``lam_bar``: from the saved
     probabilities P, the adjoint's logits A, the softmax's response dP, and,
@@ -405,7 +402,6 @@ def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[Callab
     """
     (Ftr, Ytr), (Fva, Yva) = tr, va
     m = Ytr.shape[-1]
-    fused = None    # both(), once an averaged step has asked for it
 
     def weights(ta, sb):
         # an averaged step's per-column weights on the stacked splits,
@@ -419,8 +415,7 @@ def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[Callab
         return c
 
     def step(w, ta, sb):
-        nonlocal fused
-        if both is None:
+        if fused is None:
             # a stack of lam rows (the FD referee's probes) is bound by
             # memory traffic, not by calls: fused, its largest array would
             # double, so h and g run apart, as the slots run them.  The step
@@ -445,8 +440,6 @@ def _softmax_linearize(WT: Callable, tr: tuple, va: tuple, both: Optional[Callab
         # one softmax over both splits' logits, whose residual, weighted per
         # column, is projected back once; the ridge shrinks w.  The VJP
         # weights the softmax's response once, for both sides
-        if fused is None:
-            fused = both()
         F, Y = fused
         shrink = 1.0 - (2.0 * ridge) * sb
         P = _probs(WT, F, w)
@@ -583,7 +576,7 @@ def make_hypercleaning(train: Dataset, val: Dataset) -> BilevelProblem:
         sig = sigmoid(lam)
         dsig = sig * (1.0 - sig)
         return _softmax_linearize(
-            WT, (XtrT, YtrT), (XvaT, YvaT), None if lam.ndim == 2 else lambda: (XT, YT),
+            WT, (XtrT, YtrT), (XvaT, YvaT), None if lam.ndim == 2 else (XT, YT),
             sig, RIDGE, lambda P, A, dP, ta, c, w, a: ta * h_lam(P[:, :m], A[:, :m], dsig))
 
     def h_lam_part(P, A, w, a, lam):
@@ -702,12 +695,10 @@ def make_hyperrep(episodes: EpisodeSet, rep_dim: int) -> BilevelProblem:
         # both splits' features as one task x r x (N_tr + N_val) input,
         # training samples first, laid out as features() lays them out, for
         # the averaged steps on one lam row; a stack's run the splits apart
-        def both():
-            return (np.concatenate([F.swapaxes(-1, -2) for F in (FTtr, FTva)],
-                                   axis=-2).swapaxes(-1, -2), YallT)
-
-        return _softmax_linearize(WT, (FTtr, YtrT), (FTva, YvaT),
-                                  None if lam.ndim == 2 else both, None, RIDGE, lam_side)
+        fused = None if lam.ndim == 2 else (
+            np.concatenate([F.swapaxes(-1, -2) for F in (FTtr, FTva)],
+                           axis=-2).swapaxes(-1, -2), YallT)
+        return _softmax_linearize(WT, (FTtr, YtrT), (FTva, YvaT), fused, None, RIDGE, lam_side)
 
     def split_slots(X2, YT, ridge):
         # one split's slots, its features mapped at each call

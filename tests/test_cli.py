@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ import pytest
 import bilevelopt as bl
 import bilevelopt.cli as cli
 from bilevelopt import OracleDivergence
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*argv):
@@ -209,6 +213,37 @@ class TestSolve:
                            "--out", str(out), "--no-timing") == 0
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 4
+
+    @pytest.mark.parametrize("field", ["t", "eta", "alpha_exponent", "K"])
+    def test_integer_past_a_float_exits_2(self, tmp_path, capsys, field):
+        # a 400-digit JSON integer: no float holds it
+        cfg = write_config(tmp_path / "c.json", **{field: 10 ** 400})
+        out = tmp_path / "new" / "x.csv"
+        code = run_cli("solve", "--problem", "closedform_quadratic", "--config", str(cfg),
+                       "--out", str(out), "--no-timing")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config: {field} must be a number, got 1000")
+        assert "Traceback" not in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("problem, fields", [
+        ("degenerate_quadratic", {"t": 1, "s": 1, "eta": 1, "alpha_exponent": 1, "K": 50, "T": 4}),
+        ("hyperclean_synthetic", {"t": 0.01, "s": 0.001, "eta": 1, "K": 10, "T": 3}),
+    ])
+    def test_integer_float_fields_run_as_their_floats(self, tmp_path, problem, fields):
+        # a JSON integer in a float field reaches SolveConfig as an int
+        floats = {k: float(v) if k in ("t", "s", "eta", "alpha_exponent") else v
+                  for k, v in fields.items()}
+        csvs = []
+        for name, values in (("int", fields), ("float", floats)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(values))
+            out = tmp_path / f"{name}.csv"
+            assert run_cli("solve", "--problem", problem, "--config", str(cfg),
+                           "--out", str(out), "--no-timing") == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == fields["T"] + 1
 
     @pytest.mark.parametrize("seed, flag", [(1.7, None), (-1, None), (None, "-1")])
     def test_bad_seed_exits_2(self, tmp_path, capsys, seed, flag):
@@ -715,6 +750,19 @@ class TestReplay:
         manifest.write_text(json.dumps({"command": "train", "outputs": []}))
         assert cli.replay_manifest(manifest) == 2
         assert capsys.readouterr().err == "error: cannot run command 'train'\n"
+
+    @pytest.mark.parametrize("change", [{"tol": True}, {"tol": "x"}, {"config": {"seed": -1}},
+                                        {"config": {"seed": True}}],
+                             ids=["tol-true", "tol-string", "seed-negative", "seed-true"])
+    def test_a_check_manifests_settings_are_checked_as_the_flags_are(self, tmp_path, capsys,
+                                                                    change):
+        manifest = tmp_path / "check.json.manifest.json"
+        doc = json.loads((GOLDEN / "check.json.manifest.json").read_text())
+        manifest.write_text(json.dumps({**doc, **change}))
+        assert cli.replay_manifest(manifest) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be" in err
+        assert not (tmp_path / "check.json").exists()
 
     def test_check_with_seed_flag(self, tmp_path):
         assert run_cli("check", "--problem", "closedform_quadratic", "--seed", "3",

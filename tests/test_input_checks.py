@@ -1,9 +1,9 @@
 """Every check the library makes on its inputs raises, with its own message.
 
 One test per check that no other test reaches: the arrays handed to the
-solver, hand-built tapes and problems, quadratic specs, the counts of the
-configs, the data makers and the IDX reader and writer.  Each asserts the
-exception type and a fragment of the message.
+solver, hand-built tapes and problems, quadratic specs, the counts and
+numbers of the configs, the data makers and the IDX reader and writer.
+Each asserts the exception type and a fragment of the message.
 """
 
 import re
@@ -17,6 +17,7 @@ from bilevelopt.data import Dataset, EpisodeSet
 from bilevelopt.problem import as_vector
 
 SPEC = bl.InnerSolveSpec(K=3, t=0.1, s=0.1)
+HUGE = 10 ** 400   # an int that no float can hold
 
 
 def degenerate():
@@ -294,6 +295,39 @@ class TestCounts:
     ], ids=["InnerSolveSpec", "CheckConfig", "SolveConfig"])
     def test_a_bool_is_not_a_count(self, make, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer of at least"):
+            make()
+
+
+class TestNumbers:
+    """One number rule for every float setting: no bool, no non-number, no int past a float."""
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: bl.SolveConfig(t=v, s=0.1, eta=0.5, K=5, T=3), "t"),
+        (lambda v: bl.SolveConfig(t=0.1, s=0.1, eta=v, K=5, T=3), "eta"),
+        (lambda v: bl.InnerSolveSpec(K=5, t=0.1, s=v), "s"),
+        (lambda v: bl.InnerSolveSpec(K=5, t=0.1, s=0.1, alpha_exponent=v), "alpha_exponent"),
+        (lambda v: bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=5, T=3, alpha_exponent=v),
+         "alpha_exponent"),
+        (lambda v: bl.CheckConfig(tol_grad=v), "tol_grad"),
+        (lambda v: bl.CheckConfig(tol_hg=v), "tol_hg"),
+        (lambda v: bl.hypergradient_fd_oracle(degenerate(), [1.0], SPEC, eps=v), "eps"),
+        (lambda v: bl.validate_first_order(degenerate(), [0.0, 0.0], [1.0], eps=v), "eps"),
+    ], ids=["SolveConfig.t", "SolveConfig.eta", "InnerSolveSpec.s",
+            "InnerSolveSpec.alpha_exponent", "SolveConfig.alpha_exponent", "CheckConfig.tol_grad",
+            "CheckConfig.tol_hg", "hypergradient_fd_oracle", "validate_first_order"])
+    @pytest.mark.parametrize("value", [True, "0.1", None, HUGE],
+                             ids=["bool", "str", "None", "huge"])
+    def test_a_non_number_is_refused(self, make, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+            make(value)
+
+    @pytest.mark.parametrize("make", [
+        lambda: bl.InnerSolveSpec(K=HUGE, t=0.1, s=0.1),
+        lambda: bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=HUGE, T=3),
+    ], ids=["InnerSolveSpec", "SolveConfig"])
+    def test_a_K_past_a_float_is_refused(self, make):
+        # its last averaging weight is taken as a float
+        with pytest.raises(ValueError, match="^K must be a number, got 1000"):
             make()
 
 

@@ -228,8 +228,21 @@ class TestRunAblation:
     @pytest.mark.parametrize("frequency", [-1, -3])
     def test_negative_frequency_rejected(self, frequency):
         cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=10, T=3)
-        with pytest.raises(ValueError, match="positive integer or the 0 sentinel"):
+        with pytest.raises(ValueError, match="frequency must be an integer of at least 0"):
             ablation_config(cfg, frequency)
+
+    @pytest.mark.parametrize("frequency", [2.5, True, "2"])
+    def test_a_frequency_that_is_no_count_is_rejected(self, frequency):
+        # a frequency is a count, with the 0 sentinel: 2.5 is not 2, True is not 1
+        cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=10, T=3)
+        with pytest.raises(ValueError,
+                           match=f"frequency must be an integer of at least 0, got {frequency!r}"):
+            ablation_config(cfg, frequency)
+
+    def test_an_integral_float_frequency_is_its_count(self):
+        cfg = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=10, T=3)
+        assert ablation_config(cfg, 3.0) == ablation_config(cfg, 3)
+        assert ablation_config(cfg, 0.0) == ablation_config(cfg, 0)
 
 
 class TestMatchedBudgetComparisons:

@@ -9,6 +9,8 @@ each of its modules export in ``__all__`` must be defined there too, or a
 ``from ... import *`` fails.  And one rule raises the library's
 divergences: ``OracleDivergence`` is constructed only in ``problem.finite``
 and in ``models.run_model``, which reports its record and wraps the error.
+One rule refuses a setting that is no number: only ``problem.check_number``
+raises a ``ValueError`` saying "must be a number".
 """
 
 import ast
@@ -55,25 +57,48 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names {missing}"
 
 
-def divergence_constructors(node, function=None):
-    """The names of the functions, innermost, around each ``OracleDivergence(...)`` under node.
+def callers(node, wanted, function=None):
+    """The names of the functions, innermost, around each call under node that ``wanted`` picks.
 
     None stands for module level.
     """
     found = set()
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found |= divergence_constructors(child, child.name)
+            found |= callers(child, wanted, child.name)
             continue
-        if isinstance(child, ast.Call):
-            func = child.func
-            if getattr(func, "id", getattr(func, "attr", None)) == "OracleDivergence":
-                found.add(function)
-        found |= divergence_constructors(child, function)
+        if isinstance(child, ast.Call) and wanted(child):
+            found.add(function)
+        found |= callers(child, wanted, function)
     return found
+
+
+def called(call) -> str:
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def divergence_constructors(node):
+    """The names of the functions, innermost, around each ``OracleDivergence(...)`` under node."""
+    return callers(node, lambda call: called(call) == "OracleDivergence")
+
+
+def number_refusals(node):
+    """The names of the functions around each ``ValueError`` that says "must be a number"."""
+    def refusal(call):
+        return called(call) == "ValueError" and any(
+            isinstance(c, ast.Constant) and "must be a number" in str(c.value)
+            for c in ast.walk(call))
+
+    return callers(node, refusal)
 
 
 def test_divergences_are_raised_through_finite_and_run_model():
     found = {(path.stem, function) for path in (ROOT / "src" / "bilevelopt").glob("*.py")
              for function in divergence_constructors(ast.parse(path.read_text()))}
     assert found == {("problem", "finite"), ("models", "run_model")}
+
+
+def test_one_rule_refuses_a_non_number():
+    found = {(path.stem, function) for path in (ROOT / "src" / "bilevelopt").glob("*.py")
+             for function in number_refusals(ast.parse(path.read_text()))}
+    assert found == {("problem", "check_number")}
