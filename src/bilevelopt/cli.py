@@ -1,15 +1,41 @@
 """Command-line entry point: check, solve, ablation, clean.
 
-Each command resolves its arguments once into a run: the plain dict that its
-manifest records beside the tool and version.  That dict alone drives the
-work, and ``replay_manifest`` loads a manifest and runs the same dict again,
-so a replay reproduces the outputs byte-identically (the wall-clock column is
-zeroed under --no-timing, which the determinism checks use).  Replaying an
-ablation cell's manifest reruns and rewrites only that cell.  Floats are
-written with 17 significant digits, '.' decimal, no locale.
+Each command resolves its arguments into a run: the plain dict that its
+manifest records beside ``tool`` and ``version``.  ``parse_run`` checks every
+run, whether a command built it from argv or ``replay_manifest`` loaded it
+from a manifest, and that checked dict alone drives the work.  So a replay
+returns the exit code that the recorded command would return and reproduces
+its outputs byte-identically (the wall-clock column is zeroed under
+--no-timing, which the determinism checks use).  Replaying an ablation
+cell's manifest reruns and rewrites only that cell.  Floats are written with
+17 significant digits, '.' decimal, no locale.
 
-The run's config holds the fields of ``SolveConfig`` but its mode, and
-merges that class's defaults, then the problem's, then the --config file, then
+The run schema.  A run holds exactly these keys; a missing or unknown key
+exits 2, and so does a value that its rule refuses:
+
+    check     command, problem, tol, config {seed}, outputs
+    solve     command, problem, model, config, data, no_timing, outputs
+    ablation  command, problem, frequency, config, data, no_timing, outputs
+    clean     command, args {data, rho, ntr, nval}, config, no_timing, outputs
+
+``problem`` is a zoo name (or "all" for check), ``model`` improved or basic,
+``no_timing`` true or false, ``tol`` null or a finite positive number.  The
+config of solve, ablation and clean holds every field of ``SolveConfig`` but
+its mode, each checked by that class's rule for its kind; an ablation cell's
+``frequency`` is a count, 0 for the basic baseline.  ``outputs`` lists plain
+file names, no path: check names one report or none, solve one CSV, an
+ablation cell the one name that its frequency gives (``basic.csv`` or
+``improved-<f>.csv``), and clean its CSV, then its summary
+``<csv>.summary.json`` if it wrote one.  clean's ``ntr`` and ``nval`` are
+counts of at least 1, ``rho`` a number (``corrupt_labels`` refuses one
+outside [0, 1]), and ``data`` the string ``synthetic`` or
+``idx:<images>,<labels>``.  A solve or ablation manifest's ``data`` is the
+spec of the data that the run builds, and a replay refuses one that differs;
+a run from argv, which has built nothing yet, holds ``...`` there instead.  A
+K whose averaging weights no memory can hold is refused with the config.
+
+A run from argv merges ``SolveConfig``'s defaults, then the problem's, then
+the --config file, which must hold the fields without a default, then
 --seed: the seed is the flag, else the file's, else 0.  That seed builds the
 data of every command and must be a non-negative integer (5.0 is 5); a solve
 or ablation manifest's ``data.seed`` is its ``config.seed``.
@@ -32,58 +58,114 @@ import argparse
 import concurrent.futures
 import json
 import sys
-from dataclasses import MISSING, fields, replace
-from itertools import repeat
+from dataclasses import MISSING, astuple, fields, replace
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
-from .bigsam import check_count
+from .bigsam import check_count, schedule
 from .data import gen_synthetic, load_idx
 from .models import SolveConfig, ablation_config, run_model
 from .oracles import check_suite, default_check_configs
-from .problem import OracleDivergence, check_finite_positive
+from .problem import OracleDivergence, check_finite_positive, check_number
 from .problems import HYPERCLEAN_DATA, ZOO_DEFAULTS, ZOO_NAMES, hypercleaning_task, zoo_problem
 
-__all__ = ["main", "replay_manifest"]
+__all__ = ["main", "parse_run", "replay_manifest"]
 
-# a config file holds SolveConfig's fields but the mode, which each command sets
-CONFIG_FIELDS = tuple(f for f in fields(SolveConfig) if f.name != "mode")
-REQUIRED_KEYS = tuple(f.name for f in CONFIG_FIELDS if f.default is MISSING)
-CONFIG_DEFAULTS = {f.name: f.default for f in CONFIG_FIELDS if f.default is not MISSING}
+# a config holds SolveConfig's fields but the mode, which each command sets
+CONFIG_KEYS = tuple(f.name for f in fields(SolveConfig) if f.name != "mode")
+CONFIG_DEFAULTS = {f.name: f.default for f in fields(SolveConfig)
+                   if f.name != "mode" and f.default is not MISSING}
+# the keys of each command's run beside command, config and outputs, as its
+# manifest records them but tool and version
+RUN_KEYS = {"check": ("problem", "tol"), "solve": ("problem", "model", "data", "no_timing"),
+            "ablation": ("problem", "frequency", "data", "no_timing"),
+            "clean": ("args", "no_timing")}
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _load_config(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config {path}: {exc}")
-    if not isinstance(raw, dict):
-        raise ValueError("config file must hold a JSON object of flat scalar fields")
-    unknown = sorted(set(raw).difference(REQUIRED_KEYS, CONFIG_DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown config field {unknown[0]!r}")
-    missing = [k for k in REQUIRED_KEYS if k not in raw]
-    if missing:
-        raise ValueError(f"missing config field {missing[0]!r}")
-    return raw
+def _json(doc) -> str:
+    """The text of every JSON file a command writes."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _check_problem(name: str) -> str:
-    if name not in ZOO_NAMES:
-        raise ValueError(f"unknown problem {name!r}; known: {', '.join(ZOO_NAMES)}")
-    return name
+def _keys(what: str, doc, known, defaults=()) -> dict:
+    """``doc``, if it is a JSON object that holds each of ``known`` and no other key.
+
+    A key of ``defaults`` may be left out.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must hold a JSON object, got {doc!r}")
+    for key in [*doc, *known]:
+        if (key in doc) != (key in known) and key not in defaults:
+            raise ValueError(f"{'missing' if key in known else 'unknown'} {what} key {key!r}")
+    return doc
+
+
+def _cell_outputs(frequency) -> list:
+    """The one output of the ablation cell at ``frequency``, 0 being the basic baseline."""
+    return ["basic.csv" if frequency == 0 else f"improved-{int(frequency)}.csv"]
+
+
+def parse_run(doc) -> dict:
+    """The run that ``doc`` records, every key checked by its kind (see the module docstring).
+
+    ``doc`` is a loaded manifest or the dict that a command builds from its
+    argv.  The result drops ``tool`` and ``version`` and holds clean's counts
+    as ints.  A fault raises ``ValueError`` naming it.
+    """
+    command = doc.get("command") if isinstance(doc, dict) else None
+    if command not in tuple(RUN_KEYS):
+        raise ValueError(f"cannot run command {command!r}")
+    run = _keys("run", {k: v for k, v in doc.items() if k not in ("tool", "version")},
+                ("command", "config", "outputs") + RUN_KEYS[command])
+    # the problem is checked here, the model by SolveConfig, the one place that reads it
+    if command != "clean" and run["problem"] not in ZOO_NAMES + ("all",) * (command == "check"):
+        raise ValueError(f"unknown problem {run['problem']!r}; known: {', '.join(ZOO_NAMES)}")
+    if not isinstance(run.get("no_timing", False), bool):
+        raise ValueError(f"no_timing must be true or false, got {run['no_timing']!r}")
+    if command == "check":
+        check_count("seed", _keys("config", run["config"], ("seed",))["seed"], 0)
+        if run["tol"] is not None:
+            check_finite_positive("--tol", run["tol"])
+    else:
+        # a K whose averaging weights no memory can hold is refused here
+        config = _solve_config(run)
+        try:
+            schedule(config.inner_spec())
+        except (MemoryError, ValueError):
+            raise ValueError(f"invalid config: K = {config.K} steps do not fit in memory")
+    if command == "clean":
+        args = _keys("args", run["args"], ("data", "rho", "ntr", "nval"))
+        data = args["data"]
+        if not isinstance(data, str) or data != "synthetic" and not data.startswith("idx:"):
+            raise ValueError(f"unknown data source {data!r} (use synthetic or idx:<paths>)")
+        if data != "synthetic" and data.count(",") != 1:
+            raise ValueError("idx data spec must be idx:<images_path>,<labels_path>")
+        check_number("rho", args["rho"])
+        run["args"] = {**args, **{k: check_count(k, args[k], 1) for k in ("ntr", "nval")}}
+    outputs = run["outputs"] if isinstance(run["outputs"], list) else [None]
+    names = _cell_outputs(run["frequency"]) if command == "ablation" else outputs[:1]
+    # clean names its summary too, once it has written one
+    names += [f"{n}.summary.json" for n in names if command == "clean" and len(outputs) == 2]
+    if run["outputs"] != names or not (names or command == "check") or not all(
+            isinstance(n, str) and n not in ("", "..") and n == Path(n).name for n in names):
+        raise ValueError(f"outputs {run['outputs']!r} are not plain names of this {command} run")
+    return run
 
 
 def _resolve_config(args, problem: str) -> dict:
     """Merge ``SolveConfig``'s defaults, the problem's, the optional config file, ``--seed``."""
-    cfg = {**CONFIG_DEFAULTS, **ZOO_DEFAULTS[_check_problem(problem)]}
+    cfg = {**CONFIG_DEFAULTS, **ZOO_DEFAULTS.get(problem, {})}
     if args.config:
-        cfg.update(_load_config(args.config))
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc}")
+        # the file must hold each field that has no default
+        cfg.update(_keys("config file", raw, CONFIG_KEYS, CONFIG_DEFAULTS))
     if args.seed is not None:
         cfg["seed"] = args.seed
     return cfg
@@ -93,17 +175,17 @@ def _solve_config(run: dict) -> SolveConfig:
     """The validated ``SolveConfig`` of a run: its model, or its ablation frequency."""
     try:
         # every field as given: SolveConfig checks each by its kind's one rule
-        config = SolveConfig(**run["config"], mode=run.get("model", "improved"))
+        config = SolveConfig(**_keys("config", run["config"], CONFIG_KEYS),
+                             mode=run.get("model", "improved"))
         return ablation_config(config, run["frequency"]) if "frequency" in run else config
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"invalid config: {exc}")
 
 
 def _write_manifest(out_dir: Path, run: dict) -> None:
     """Record a run beside its first output."""
     manifest = {**run, "tool": "bilevelopt", "version": __version__}
-    mpath = out_dir / (run["outputs"][0] + ".manifest.json")
-    mpath.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    (out_dir / f"{run['outputs'][0]}.manifest.json").write_text(_json(manifest))
 
 
 def _write_csv(path: Path, header: str, rows, truncated: bool) -> None:
@@ -114,8 +196,7 @@ def _write_csv(path: Path, header: str, rows, truncated: bool) -> None:
     """
     with open(path, "w", newline="") as f:
         f.write(header + "\n")
-        for row in rows:
-            f.write(",".join("" if x is None else _fmt(x) for x in row) + "\n")
+        f.writelines(",".join("" if x is None else _fmt(x) for x in row) + "\n" for row in rows)
         if truncated:
             f.write("# truncated\n")
 
@@ -130,35 +211,26 @@ def _records(problem, lam0, config: SolveConfig, metric, no_timing: bool):
 
 
 def _divergence_exit(errors: list) -> int:
-    """Report each divergence message (None is a clean run); 3 if there was one."""
-    errors = [e for e in errors if e is not None]
+    """Report each divergence message; 3 if there was one."""
     for error in errors:
         print(f"divergence: {error}", file=sys.stderr)
     return 3 if errors else 0
 
 
 def _run_check(run: dict, out_dir: Path) -> int:
-    names = list(ZOO_NAMES) if run["problem"] == "all" else [_check_problem(run["problem"])]
-    tol, rows = run["tol"], []
-    if tol is not None:
-        check_finite_positive("--tol", tol)
-    # a bad seed writes no file, as a bad solve config writes none
-    seed = check_count("seed", run["config"]["seed"], 0)
-    if run["outputs"]:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    for name in names:
+    tol, seed, rows = run["tol"], run["config"]["seed"], []
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ZOO_NAMES if run["problem"] == "all" else [run["problem"]]:
         inst = zoo_problem(name, seed=seed)
-        configs = default_check_configs(name)
-        if tol is not None:
-            configs = [replace(c, tol_grad=tol, tol_vjp=tol, tol_hg=tol) for c in configs]
         # each report with the model of the config that produced it
-        for cfg in configs:
+        for cfg in default_check_configs(name):
+            cfg = cfg if tol is None else replace(cfg, tol_grad=tol, tol_vjp=tol, tol_hg=tol)
             rows.extend((r, cfg.mode) for r in check_suite(inst.problem, [cfg]))
     all_pass = all(r.passed for r, _ in rows)
     if run["outputs"]:
         doc = {"tool": "bilevelopt", "version": __version__, "all_pass": all_pass,
                "reports": [r.to_dict() for r, _ in rows]}
-        (out_dir / run["outputs"][0]).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        (out_dir / run["outputs"][0]).write_text(_json(doc))
         _write_manifest(out_dir, run)
     for r, mode in rows:
         status = "pass" if r.passed else "FAIL"
@@ -168,62 +240,53 @@ def _run_check(run: dict, out_dir: Path) -> int:
     return 0 if all_pass else 1
 
 
-def _run_trace(run: dict, out_dir: Path) -> Optional[str]:
+def _run_trace(run: dict, out_dir: Path) -> list:
     """Run a solve or one ablation cell; write its trace CSV and manifest.
 
-    Returns the divergence message, or None.  Under ``ablation --jobs`` this
-    runs in a worker process, so the message, not the exception, crosses the
-    pool.
+    Returns the divergence message in a list, or an empty list.  Under
+    ``ablation --jobs`` this runs in a worker process, so the message, not
+    the exception, crosses the pool.
     """
     config = _solve_config(run)
-    inst = zoo_problem(_check_problem(run["problem"]), seed=config.seed)
+    inst = zoo_problem(run["problem"], seed=config.seed)
+    # a manifest states the data it ran on; a run from argv holds ... there
+    if run["data"] is not ... and _json(run["data"]) != _json(inst.data_spec):
+        raise ValueError(f"data {run['data']!r} is not the data of this run, {inst.data_spec!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / run["outputs"][0]
     records, error = _records(inst.problem, inst.lam0, config, inst.metric, run["no_timing"])
-    _write_csv(out, "iter,outer_value,grad_norm,metric,wall_ms",
-               [(r.index, r.outer_value, r.grad_norm, r.metric, r.wall_ms) for r in records],
+    # a record's fields are the CSV's columns, in order
+    _write_csv(out, "iter,outer_value,grad_norm,metric,wall_ms", map(astuple, records),
                error is not None)
     _write_manifest(out_dir, {**run, "data": inst.data_spec})
-    return None if error is None else f"{out.name}: {error}"
-
-
-def _clean_dataset(args: dict, seed: int):
-    """The dataset that ``args["data"]`` names, and its spec for the summary."""
-    if args["data"] == "synthetic":
-        data = {k: HYPERCLEAN_DATA[k] for k in ("d", "C", "margin")}
-        # at least one sample per class, so that ``split`` judges the sizes
-        ds = gen_synthetic(seed, max(args["ntr"] + args["nval"], data["C"]), **data)
-        spec = {"kind": "synthetic", **data, "n": len(ds)}
-    elif args["data"].startswith("idx:"):
-        parts = args["data"][4:].split(",")
-        if len(parts) != 2:
-            raise ValueError("idx data spec must be idx:<images_path>,<labels_path>")
-        try:
-            ds = load_idx(parts[0], parts[1])
-        except OSError as exc:
-            raise ValueError(f"cannot read idx data: {exc}")
-        spec = {"kind": "idx", "images": parts[0], "labels": parts[1]}
-    else:
-        raise ValueError(f"unknown data source {args['data']!r} (use synthetic or idx:<paths>)")
-    return ds, spec
+    return [] if error is None else [f"{out.name}: {error}"]
 
 
 def _run_clean(run: dict, out_dir: Path) -> list:
     """Run both models on one corrupted split; returns the divergence messages."""
-    args = run["args"]
-    improved = _solve_config(run)
-    configs = {"improved": improved, "basic": replace(improved, mode="basic")}
-    ds, data_spec = _clean_dataset(args, improved.seed)
+    args, improved = run["args"], _solve_config(run)
+    if args["data"] == "synthetic":
+        data = {k: HYPERCLEAN_DATA[k] for k in ("d", "C", "margin")}
+        # at least one sample per class, so that ``split`` judges the sizes
+        ds = gen_synthetic(improved.seed, max(args["ntr"] + args["nval"], data["C"]), **data)
+        data_spec = {"kind": "synthetic", **data, "n": len(ds)}
+    else:
+        images, labels = args["data"][4:].split(",")
+        try:
+            ds = load_idx(images, labels)
+        except OSError as exc:
+            raise ValueError(f"cannot read idx data: {exc}")
+        data_spec = {"kind": "idx", "images": images, "labels": labels}
     # corrupt_labels refuses a rho outside [0, 1] here, before any output
     problem, lam0, metric, mask = hypercleaning_task(ds, args["ntr"], args["nval"], args["rho"],
                                                      improved.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     records, errors = {}, []
-    for mode, config in configs.items():
-        records[mode], error = _records(problem, lam0, config, metric, run["no_timing"])
+    for config in (improved, replace(improved, mode="basic")):
+        records[config.mode], error = _records(problem, lam0, config, metric, run["no_timing"])
         if error is not None:
-            errors.append(f"{mode} model: {error}")
+            errors.append(f"{config.mode} model: {error}")
     out = out_dir / run["outputs"][0]
     _write_csv(out, "iter,f1_improved,f1_basic",
                [(ri.index, ri.metric, rb.metric)
@@ -233,52 +296,47 @@ def _run_clean(run: dict, out_dir: Path) -> list:
         no_positives = int(mask.sum()) == 0
         summary = {
             "flag_rule": "sample i is flagged corrupted when its weight lambda_i < 0",
-            "rho": args["rho"],
-            "corrupted_count": int(mask.sum()),
+            "rho": args["rho"], "corrupted_count": int(mask.sum()),
             "final_f1_improved": records["improved"][-1].metric,
-            "final_f1_basic": records["basic"][-1].metric,
-            "undefined_f1": no_positives,
+            "final_f1_basic": records["basic"][-1].metric, "undefined_f1": no_positives,
             "note": "undefined-F1, reported 0" if no_positives else "",
             "config": run["config"],
             "data": {**data_spec, "n_tr": args["ntr"], "n_val": args["nval"],
-                     "rho": args["rho"], "seed": improved.seed},
-        }
-        spath = out.with_suffix(out.suffix + ".summary.json")
-        spath.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-        outputs.append(spath.name)
+                     "rho": args["rho"], "seed": improved.seed}}
+        outputs.append(f"{out.name}.summary.json")
+        (out_dir / outputs[1]).write_text(_json(summary))
     _write_manifest(out_dir, {**run, "outputs": outputs})
     return errors
 
 
-def _execute(run: dict, out_dir: Path) -> int:
-    """Do the work that a run names and return the command's exit code.
+def _execute(doc: dict, out_dir: Path) -> int:
+    """Check a run with ``parse_run``, do its work and return the command's exit code.
 
-    Each runner validates the whole run and builds its data before it
-    creates the output directory, so a refused run creates nothing.
+    Each runner builds its data before it creates the output directory, so a
+    refused run creates nothing.
     """
+    run = parse_run(doc)
     if run["command"] == "check":
         return _run_check(run, out_dir)
-    if run["command"] == "clean":
-        return _divergence_exit(_run_clean(run, out_dir))
-    if run["command"] in ("solve", "ablation"):
-        return _divergence_exit([_run_trace(run, out_dir)])
-    raise ValueError(f"cannot run command {run['command']!r}")
+    runner = _run_clean if run["command"] == "clean" else _run_trace
+    return _divergence_exit(runner(run, out_dir))
+
+
+def _execute_argv(ns, **run) -> int:
+    """Execute the run that a command's argv ``ns`` names, its output beside ``--out``."""
+    out = Path(ns.out) if ns.out else None
+    return _execute({"command": ns.command, **run, "outputs": [out.name] if out else []},
+                    out.parent if out else Path("."))
 
 
 def cmd_check(args) -> int:
-    out = Path(args.out) if args.out else None
-    run = {"command": "check", "problem": args.problem, "tol": args.tol,
-           "config": {"seed": 0 if args.seed is None else args.seed},
-           "outputs": [out.name] if out else []}
-    return _execute(run, out.parent if out else Path("."))
+    return _execute_argv(args, problem=args.problem, tol=args.tol,
+                         config={"seed": 0 if args.seed is None else args.seed})
 
 
 def cmd_solve(args) -> int:
-    out = Path(args.out)
-    run = {"command": "solve", "problem": args.problem, "model": args.model,
-           "config": _resolve_config(args, args.problem),
-           "no_timing": args.no_timing, "outputs": [out.name]}
-    return _execute(run, out.parent)
+    return _execute_argv(args, problem=args.problem, model=args.model, data=...,
+                         config=_resolve_config(args, args.problem), no_timing=args.no_timing)
 
 
 def cmd_ablation(args) -> int:
@@ -289,36 +347,30 @@ def cmd_ablation(args) -> int:
         raise ValueError(f"cannot parse frequency list {args.freqs!r}")
     if not freqs:
         raise ValueError("frequency list is empty")
-    if any(f < 1 for f in freqs):
-        raise ValueError("frequencies must be positive integers")
+    freqs = sorted(freqs + [0])                     # sentinel 0 = basic baseline
     if len(set(freqs)) != len(freqs):
-        raise ValueError(f"frequency list {args.freqs!r} repeats a frequency")
+        raise ValueError(f"frequency list {args.freqs!r} repeats a frequency or the baseline 0")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    cells = [{"command": "ablation", "problem": args.problem, "frequency": f, "config": cfg,
-              "no_timing": args.no_timing,
-              "outputs": ["basic.csv" if f == 0 else f"improved-{f}.csv"]}
-             for f in sorted(freqs + [0])]          # sentinel 0 = basic baseline
-    _solve_config(cells[0])                         # a bad config writes no file
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every cell is checked before the directory is made
+    cells = [parse_run({"command": "ablation", "problem": args.problem, "frequency": f,
+                        "config": cfg, "data": ..., "no_timing": args.no_timing,
+                        "outputs": _cell_outputs(f)}) for f in freqs]
+    out_dir = Path(args.out_dir)            # each cell makes it before its model runs
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_trace, cells, repeat(out_dir)))
+            results = list(pool.map(_run_trace, cells, [out_dir] * len(cells)))
     else:
         results = [_run_trace(cell, out_dir) for cell in cells]
     index = [{"frequency": c["frequency"], "file": c["outputs"][0]} for c in cells]
-    (out_dir / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
-    return _divergence_exit(results)
+    (out_dir / "index.json").write_text(_json(index))
+    return _divergence_exit(sum(results, []))
 
 
 def cmd_clean(args) -> int:
-    out = Path(args.out)
-    run = {"command": "clean",
-           "args": {"data": args.data, "rho": args.rho, "ntr": args.ntr, "nval": args.nval},
-           "config": _resolve_config(args, "hyperclean_synthetic"),
-           "no_timing": args.no_timing, "outputs": [out.name]}
-    return _execute(run, out.parent)
+    return _execute_argv(args, args={k: getattr(args, k) for k in ("data", "rho", "ntr", "nval")},
+                         config=_resolve_config(args, "hyperclean_synthetic"),
+                         no_timing=args.no_timing)
 
 
 def _exit_code(work) -> int:
@@ -328,8 +380,7 @@ def _exit_code(work) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleDivergence as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+        return _divergence_exit([exc])
 
 
 def replay_manifest(path) -> int:
@@ -385,9 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     return _exit_code(lambda: args.func(args))

@@ -3,15 +3,22 @@
 import dataclasses
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import bilevelopt as bl
 import bilevelopt.cli as cli
 from bilevelopt import OracleDivergence
 
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT / "tools") not in sys.path:
+    sys.path.insert(0, str(ROOT / "tools"))
+
+import replay_sweep  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -227,6 +234,18 @@ class TestSolve:
         assert "Traceback" not in err
         assert not out.parent.exists()
 
+    def test_a_K_past_memory_exits_2_naming_it(self, tmp_path, capsys):
+        # K = 10^15 fits a float, but no address space holds its 8 PB of
+        # averaging weights, so numpy refuses the schedule at once
+        cfg = write_config(tmp_path / "c.json", K=10 ** 15)
+        out = tmp_path / "new" / "x.csv"
+        code = run_cli("solve", "--problem", "closedform_quadratic", "--config", str(cfg),
+                       "--out", str(out), "--no-timing")
+        assert code == 2
+        assert capsys.readouterr().err == ("error: invalid config: K = 1000000000000000 steps "
+                                           "do not fit in memory\n")
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("problem, fields", [
         ("degenerate_quadratic", {"t": 1, "s": 1, "eta": 1, "alpha_exponent": 1, "K": 50, "T": 4}),
         ("hyperclean_synthetic", {"t": 0.01, "s": 0.001, "eta": 1, "K": 10, "T": 3}),
@@ -437,8 +456,10 @@ class TestAblation:
 
     @pytest.mark.parametrize("freqs, message", [
         ("a,b", "cannot parse frequency list 'a,b'"), ("1.5", "cannot parse frequency list"),
-        ("0", "frequencies must be positive integers"),
-        ("2,-1", "frequencies must be positive integers")])
+        # 0 is the basic baseline, which every sweep runs already
+        ("0", "frequency list '0' repeats a frequency or the baseline 0"),
+        # each cell's frequency is a count of at least 0, checked with its config
+        ("2,-1", "invalid config: frequency must be an integer of at least 0, got -1")])
     def test_bad_frequency_list_exits_2(self, tmp_path, capsys, freqs, message):
         out_dir = tmp_path / "abl"
         assert run_cli("ablation", "--problem", "degenerate_quadratic", "--freqs", freqs,
@@ -544,18 +565,21 @@ class TestClean:
     def test_split_count_below_one_exits_2(self, tmp_path, capsys, flag, count):
         out = tmp_path / "b.csv"
         assert run_cli("clean", flag, count, "--out", str(out)) == 2
-        assert "split-too-small" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {flag[2:]} must be an integer of at least 1, "
+                                           f"got {count}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("ntr, nval", [("0", "1"), ("1", "0"), ("0", "0"), ("-5", "-5")])
-    def test_sizes_below_the_class_count_get_splits_own_message(self, tmp_path, capsys, ntr,
-                                                                 nval):
-        # fewer samples in all than hyper-cleaning's two classes: the sizes
-        # the user gave are judged by ``split``, not a sample count of the draw
+    @pytest.mark.parametrize("ntr, nval, named", [("0", "1", "ntr"), ("1", "0", "nval"),
+                                                  ("0", "0", "ntr"), ("-5", "-5", "ntr")])
+    def test_sizes_below_the_class_count_name_the_size_given(self, tmp_path, capsys, ntr, nval,
+                                                             named):
+        # fewer samples in all than hyper-cleaning's two classes: the message
+        # names a size the user gave, not a sample count of the draw
         out = tmp_path / "b.csv"
         assert run_cli("clean", "--ntr", ntr, "--nval", nval, "--out", str(out)) == 2
-        assert capsys.readouterr().err == (f"error: split-too-small: n_tr and n_val must be at "
-                                           f"least 1, got {ntr} and {nval}\n")
+        given = ntr if named == "ntr" else nval
+        assert capsys.readouterr().err == (f"error: {named} must be an integer of at least 1, "
+                                           f"got {given}\n")
         assert not out.exists()
 
     def test_missing_idx_file_exits_2_naming_it(self, tmp_path, capsys):
@@ -768,6 +792,51 @@ class TestReplay:
         assert run_cli("check", "--problem", "closedform_quadratic", "--seed", "3",
                        "--out", str(tmp_path / "report.json")) == 0
         self.assert_replays_exactly(tmp_path / "report.json.manifest.json")
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("solve-closedform_quadratic.csv", ("no_timing",), "x", "no_timing must be true or false"),
+        ("solve-closedform_quadratic.csv", ("no_timing",), [], "no_timing must be true or false"),
+        ("solve-closedform_quadratic.csv", ("outputs",), "x", "outputs 'x' are not plain names"),
+        ("solve-closedform_quadratic.csv", ("outputs",), ["."], "are not plain names"),
+        ("solve-closedform_quadratic.csv", ("outputs",), [".."], "are not plain names"),
+        ("solve-closedform_quadratic.csv", ("outputs",), ["sub/x.csv"], "are not plain names"),
+        ("solve-closedform_quadratic.csv", ("outputs",), [], "outputs [] are not plain names"),
+        ("check.json", ("outputs",), False, "outputs False are not plain names"),
+        ("check.json", ("outputs",), None, "outputs None are not plain names"),
+        ("check.json", ("outputs",), 0, "outputs 0 are not plain names"),
+        ("check.json", ("outputs",), {}, "outputs {} are not plain names"),
+        ("solve-hyperclean_synthetic.csv", ("data", "n"), 999, "is not the data of this run"),
+        ("solve-hyperclean_synthetic.csv", ("data", "seed"), True, "is not the data of this run"),
+        ("solve-hyperrep_synthetic.csv", ("data",), None, "data None is not the data of this run"),
+        ("solve-closedform_quadratic.csv", ("data",), replay_sweep.DELETE,
+         "missing run key 'data'"),
+        ("clean.csv", ("args", "rho"), True, "rho must be a number, got True"),
+        ("clean.csv", ("args", "rho"), False, "rho must be a number, got False"),
+        ("clean.csv", ("args", "ntr"), True, "ntr must be an integer of at least 1, got True"),
+        ("clean.csv", ("args", "data"), 5, "unknown data source 5"),
+        ("ablation/improved-3.csv", ("frequency",), replay_sweep.DELETE,
+         "missing run key 'frequency'"),
+        ("ablation/improved-3.csv", ("frequency",), 0, "outputs ['improved-3.csv'] are not"),
+        ("ablation/improved-3.csv", ("outputs",), ["../improved-3.csv"], "are not plain names"),
+        ("ablation/improved-3.csv", ("config", "K"), 10 ** 15, "K = 1000000000000000 steps"),
+        ("check.json", ("config",), None, "config must hold a JSON object, got None"),
+    ])
+    def test_a_value_no_flag_can_give_exits_2_and_writes_nothing(self, name, path, value,
+                                                                 message):
+        # no command line writes these values: a replay refuses each before any file
+        code, err, written = replay_sweep.replay(replay_sweep.mutated(name, path, value), name)
+        assert code == 2 and written == set()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+    @given(st.data())
+    def test_a_mutated_manifest_runs_or_exits_2_and_never_raises(self, data):
+        # a golden manifest, one of its key paths, one of the sweep's mutations
+        name = data.draw(st.sampled_from(replay_sweep.MANIFESTS))
+        path = data.draw(st.sampled_from(replay_sweep.key_paths(replay_sweep.load(name))))
+        mutation = data.draw(st.sampled_from(replay_sweep.MUTATIONS))
+        assume(not replay_sweep.endless(path, mutation))
+        doc = replay_sweep.mutated(name, path, mutation)
+        assert replay_sweep.broken(doc, *replay_sweep.replay(doc, name)) is None
 
 
 class TestFormatting:
