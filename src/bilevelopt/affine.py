@@ -48,6 +48,10 @@ of one affine spec, the last scanned, and only while all K + 1 of them,
 streams its states block by block and keeps none.  The kept states live
 as long as the spec object that holds them: a fresh spec, such as each
 ``SolveConfig.inner_spec()`` call makes, scans again.  Kept states are
+laid out as the iterates read them: each column of [u | J] is one
+contiguous (steps, n) slab, so a kept solve reads no state through a
+stride.  A streamed block is a transposed view of the scan's buffer with
+the same indexing, so both are read through one path.  Kept states are
 read-only, and so are the arrays of the affine spec they were scanned
 from (``bilevelopt.problems.make_quadratic``).
 
@@ -145,11 +149,12 @@ def _scan(H: np.ndarray) -> None:
 def _states(spec, alphas: np.ndarray, t: float, s: float) -> Iterator[Tuple[int, np.ndarray]]:
     """The lam-free states [u | J] after steps 1..K, one block at a time.
 
-    Yields (lo, S) per block, where S[i] is the (n, 1 + m) state after step
-    lo + i + 1.  Each block forms its steps' block matrices
-    [[M_k, offset_k], [0, I]], folds the carried state into its first step,
-    scans, and yields its states as a view of the block buffer: a view the
-    next block overwrites.
+    Yields (lo, S) per block, where S[j, i] is column j of the (n, 1 + m)
+    state after step lo + i + 1: S[0] holds the block's u_k and S[j] the
+    j-th columns of its J_k, the slabs in which the iterates read them.
+    Each block forms its steps' block matrices [[M_k, offset_k], [0, I]],
+    folds the carried state into its first step, scans, and yields its
+    states as a view of the block buffer: a view the next block overwrites.
     """
     n, m = spec.B_h.shape
     r = 1 + m
@@ -181,7 +186,7 @@ def _states(spec, alphas: np.ndarray, t: float, s: float) -> Iterator[Tuple[int,
         # scan the offset columns of step k hold the state X_{lo+k+1}
         G[0, :n, n:] += G[0, :n, :n] @ X
         _scan(G)
-        yield lo, G[:, :n, n:]
+        yield lo, G[:, :n, n:].transpose(2, 0, 1)
         X = G[-1, :n, n:].copy()
 
 
@@ -193,7 +198,8 @@ def inner_iterates(spec, lam: np.ndarray, alphas: np.ndarray, t: float, s: float
     One loop over the blocks of lam-free states [u_k | J_k] writes each
     block's iterates u_k + J_k lam, all with numpy's overflow warnings off.
     The blocks are ``_states``' scan, or the states that ``kept`` holds for
-    ``spec``.  ``kept``, a dict that belongs to the ``InnerSolveSpec`` whose
+    ``spec``, each column of a kept block one contiguous (steps, n) slab.
+    ``kept``, a dict that belongs to the ``InnerSolveSpec`` whose
     ``alphas``, ``t`` and ``s`` these are, holds the states of the one
     affine spec it last scanned, where all K + 1 fit ``BLOCK_BYTES``.  None
     if a composed iterate is not finite.
@@ -210,16 +216,19 @@ def inner_iterates(spec, lam: np.ndarray, alphas: np.ndarray, t: float, s: float
     J = np.zeros((n, m))
     for lo, S in blocks:
         if keep is not None:
+            # a C-order copy lays each column's slab S[j] out contiguously
             S = S.copy()
             S.flags.writeable = False
             keep.append((lo, S))
         # elementwise over lam's entries, so the bits do not depend on the block
-        out = iterates[lo + 1:lo + 1 + S.shape[0]]
-        np.copyto(out, S[:, :, 0])
+        out = iterates[lo + 1:lo + 1 + S.shape[1]]
+        np.copyto(out, S[0])
         for j, x in enumerate(lam.tolist(), 1):
-            out += S[:, :, j] * x
-        J = S[-1, :, 1:]
+            out += S[j] * x
+        J = S[1:, -1].T
     if keep is not None:
         kept.clear()
         kept[id(spec)] = (spec, keep)
+    # a C-order copy: the reverse pass reads J through BLAS, whose summation
+    # order follows its layout, so a kept and a streamed J must share one
     return (iterates, J.copy()) if np.all(np.isfinite(iterates)) else None

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -124,12 +123,13 @@ class InnerSolveSpec:
         K = self.K
         alphas = np.ones(K)
         if self.alpha_exponent != 0.0:
-            # math.pow is libm pow, as float ** float is; np.power rounds some
-            # entries differently
-            freq, power = self.bigsam_frequency, -self.alpha_exponent
+            # np.float_power calls libm pow on each entry, so every weight has
+            # the bits of math.pow(k, -exponent) in one vectorized call;
+            # np.power's SIMD loop rounds some entries differently
+            freq = self.bigsam_frequency
             alphas[::freq] = np.minimum(
-                np.fromiter(map(math.pow, range(1, K + 1, freq), repeat(power)), np.float64),
-                1.0)
+                np.float_power(np.arange(1, K + 1, freq, dtype=np.float64),
+                               -self.alpha_exponent), 1.0)
         alphas.flags.writeable = False
         return alphas
 
@@ -154,6 +154,12 @@ class Tape:
     reverse pass of a problem that declares its affine structure reads the
     hypergradient off it.  A tape with neither (hand-built) is linearized
     again by the reverse pass.
+
+    Every constructor path checks the shapes.  The dataclass constructor,
+    the one a hand-built tape goes through, also checks that every iterate
+    and weight is finite.  ``solve_inner`` builds its tapes through
+    ``_solved``, which skips that scan: its solver has already checked the
+    iterates, and a schedule's weights are finite by construction.
     """
 
     iterates: np.ndarray
@@ -165,6 +171,20 @@ class Tape:
     jacobian: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        self._check_shapes()
+        if not (np.all(np.isfinite(self.iterates)) and np.all(np.isfinite(self.alphas))):
+            raise ValueError("tape contains non-finite entries")
+
+    @classmethod
+    def _solved(cls, **fields) -> "Tape":
+        """The tape of a solve whose iterates and weights are known finite: shapes checked only."""
+        tape = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(tape, name, value)
+        tape._check_shapes()
+        return tape
+
+    def _check_shapes(self) -> None:
         if self.iterates.shape[0] != self.alphas.shape[0] + 1:
             raise ValueError("tape must hold exactly one more iterate than alphas")
         if self.vjps is not None and len(self.vjps) != self.alphas.shape[0]:
@@ -172,8 +192,6 @@ class Tape:
         if self.jacobian is not None and \
                 self.jacobian.shape != (self.iterates.shape[1], self.lam.shape[0]):
             raise ValueError("tape jacobian must be (inner_dim, outer_dim)")
-        if not (np.all(np.isfinite(self.iterates)) and np.all(np.isfinite(self.alphas))):
-            raise ValueError("tape contains non-finite entries")
 
     @property
     def K(self) -> int:
@@ -264,7 +282,8 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
     trajectory is checked for finiteness once, after the loop: the first
     non-finite iterate names the diverging step, and the gradient oracles
     that are not finite at its input name the cause.
-    The composed trajectory is already checked by ``affine.inner_iterates``.
+    The composed trajectory is already checked by ``affine.inner_iterates``,
+    so the tape is built without a second scan (``Tape._solved``).
     """
     alphas = schedule(spec)
     lam = as_vector(lam, problem.outer_dim, "lam")
@@ -284,9 +303,9 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
         # row r is iterate r, made by inner step r - 1 (row 0 is the zero start)
         finite(iterates, lambda r: f"non-finite iterate (inner step {r - 1}"
                                    f"{_culprit(problem, iterates[r - 1], lam, alphas[r - 1])})")
-    return Tape(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
-                lam=lam.copy(), vjps=None if vjps is None else tuple(vjps),
-                jacobian=jacobian)
+    return Tape._solved(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
+                        lam=lam.copy(), vjps=None if vjps is None else tuple(vjps),
+                        jacobian=jacobian)
 
 
 def final_inner_iterate(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> np.ndarray:

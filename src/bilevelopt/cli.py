@@ -22,8 +22,10 @@ exits 2, and so does a value that its rule refuses:
 ``no_timing`` true or false, ``tol`` null or a finite positive number.  The
 config of solve, ablation and clean holds every field of ``SolveConfig`` but
 its mode, each checked by that class's rule for its kind; an ablation cell's
-``frequency`` is a count, 0 for the basic baseline.  ``outputs`` lists plain
-file names, no path: check names one report or none, solve one CSV, an
+``frequency`` is a count, 0 for the basic baseline, and replaces the
+config's ``bigsam_frequency``, which must therefore be 1 (on argv too, so a
+--config file that sets another is refused).  ``outputs`` lists plain file
+names, no path: check names one report or none, solve one CSV, an
 ablation cell the one name that its frequency gives (``basic.csv`` or
 ``improved-<f>.csv``), and clean its CSV, then its summary
 ``<csv>.summary.json`` if it wrote one.  clean's ``ntr`` and ``nval`` are
@@ -177,7 +179,13 @@ def _solve_config(run: dict) -> SolveConfig:
         # every field as given: SolveConfig checks each by its kind's one rule
         config = SolveConfig(**_keys("config", run["config"], CONFIG_KEYS),
                              mode=run.get("model", "improved"))
-        return ablation_config(config, run["frequency"]) if "frequency" in run else config
+        if "frequency" not in run:
+            return config
+        # a cell's frequency replaces the config's, which would be recorded unread
+        if config.bigsam_frequency != 1:
+            raise ValueError(f"bigsam_frequency must be 1 in an ablation run, whose cells set "
+                             f"it from their frequency, got {config.bigsam_frequency!r}")
+        return ablation_config(config, run["frequency"])
     except ValueError as exc:
         raise ValueError(f"invalid config: {exc}")
 

@@ -58,6 +58,13 @@ def kept_fits(p, K):
     return 8 * (K + 1) * n * (1 + m) <= affine.BLOCK_BYTES
 
 
+def reverse_of_streamed(p, streamed, alphas, spec, lam):
+    """The reverse hypergradient of a tape built by hand from a streamed solve."""
+    iterates, jacobian = streamed
+    return bl.reverse_hypergradient(p, bl.Tape(iterates=iterates, alphas=alphas, t=spec.t,
+                                               s=spec.s, lam=lam, jacobian=jacobian))
+
+
 def _close(got, want, rtol):
     # relative to each entry, with the array's scale as the floor for entries
     # that pass through zero
@@ -451,6 +458,28 @@ class TestKeptStates:
             assert bool(solve._affine_states) is fits
             assert same_bits(tape.iterates, streamed[0])
             assert same_bits(tape.jacobian, streamed[1])
+            # the reverse pass reads J through BLAS, whose summation order
+            # follows the array's layout: the kept J must round as a streamed one
+            assert same_bits(bl.reverse_hypergradient(p, tape), reverse_of_streamed(
+                p, streamed, alphas, spec, lam1))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_wide_kept_hypergradient_equals_streamed(self, m):
+        # n = 24 at the real block: J^T a runs BLAS's unrolled dot (m = 1) or
+        # gemv (m = 3) kernels, whose sums are ordered by J's strides
+        p = random_quadratic(2, n=24, m=m)
+        spec = bl.InnerSolveSpec(K=600, t=0.05, s=0.05, alpha_exponent=0.25)
+        lam0, lam1 = np.random.default_rng(7).normal(size=(2, m))
+        alphas = bl.schedule(spec)
+        assert kept_fits(p, spec.K) and affine._block(state_size(p), spec.K) < spec.K
+        bl.solve_inner(p, lam0, spec)
+        tape = bl.solve_inner(p, lam1, spec)
+        assert spec._affine_states
+        streamed = affine.inner_iterates(p.affine, lam1, alphas, spec.t, spec.s)
+        assert same_bits(tape.iterates, streamed[0])
+        assert same_bits(tape.jacobian, streamed[1])
+        assert same_bits(bl.reverse_hypergradient(p, tape), reverse_of_streamed(
+            p, streamed, alphas, spec, lam1))
 
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
     @pytest.mark.parametrize("name", list(PROBLEMS))

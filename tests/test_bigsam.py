@@ -6,9 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import bilevelopt as bl
 from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
+from bitwise import same_bits
 
 
 def reference_trajectory(grad_h, grad_g, lam, omega0, K, t, s,
@@ -78,13 +80,26 @@ class TestOneSchedulePerSpec:
         assert bl.solve_inner(bl.make_degenerate_quadratic(), [0.3], s).alphas is alphas
 
     def test_run_model_takes_the_powers_once(self, monkeypatch):
+        # one vectorized pow over the bases 1..K, for all T solves
         bases = []
-        pow_ = math.pow
-        monkeypatch.setattr(math, "pow", lambda x, y: bases.append(x) or pow_(x, y))
+        float_power = np.float_power
+        monkeypatch.setattr(np, "float_power",
+                            lambda x, y: bases.append(np.copy(x)) or float_power(x, y))
         config = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=50, T=10, mode="improved")
         trace = bl.run_model(bl.make_degenerate_quadratic(), np.array([0.25]), config)
         assert len(trace.records) == 10
-        assert bases == list(range(1, 51))
+        assert len(bases) == 1
+        assert bases[0].dtype == np.float64
+        assert np.array_equal(bases[0], np.arange(1, 51))
+
+    @given(K=st.integers(1, 20_000), exponent=st.floats(0.0, 3.0),
+           frequency=st.integers(1, 7))
+    def test_weights_have_libm_pow_bits(self, K, exponent, frequency):
+        # the weights of one math.pow per averaged step, bit for bit
+        reference = [min(1.0, math.pow(k + 1, -exponent)) if k % frequency == 0 else 1.0
+                     for k in range(K)]
+        assert same_bits(bl.schedule(spec(K=K, alpha_exponent=exponent,
+                                          bigsam_frequency=frequency)), reference)
 
 
 class TestModelExponent:

@@ -467,6 +467,17 @@ class TestAblation:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out_dir.exists()
 
+    def test_config_file_bigsam_frequency_exits_2(self, tmp_path, capsys):
+        # each cell sets its own averaging frequency: the file's would go unread
+        cfg = write_config(tmp_path / "c.json", bigsam_frequency=2)
+        out_dir = tmp_path / "abl"
+        assert run_cli("ablation", "--problem", "degenerate_quadratic", "--freqs", "1,3",
+                       "--config", str(cfg), "--out-dir", str(out_dir)) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid config: bigsam_frequency must be 1 in an ablation run, whose cells "
+            "set it from their frequency, got 2\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("argv", [("--freqs", "1,1"), ("--freqs", "5,1,5", "--jobs", "2"),
                                       ("--freqs", "1", "--jobs", "0"),
                                       ("--freqs", "1", "--jobs", "-3")])
@@ -820,6 +831,13 @@ class TestReplay:
         ("ablation/improved-3.csv", ("outputs",), ["../improved-3.csv"], "are not plain names"),
         ("ablation/improved-3.csv", ("config", "K"), 10 ** 15, "K = 1000000000000000 steps"),
         ("check.json", ("config",), None, "config must hold a JSON object, got None"),
+        # the cell's frequency replaces the config's, so any other would go unread
+        pytest.param("ablation/improved-3.csv", ("config", "bigsam_frequency"), 5,
+                     "invalid config: bigsam_frequency must be 1 in an ablation run",
+                     id="ablation-bigsam_frequency-5"),
+        pytest.param("ablation/improved-3.csv", ("config", "bigsam_frequency"), 10 ** 400,
+                     "invalid config: bigsam_frequency must be 1 in an ablation run",
+                     id="ablation-bigsam_frequency-10^400"),
     ])
     def test_a_value_no_flag_can_give_exits_2_and_writes_nothing(self, name, path, value,
                                                                  message):

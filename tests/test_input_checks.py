@@ -68,12 +68,16 @@ class TestTape:
         with pytest.raises(ValueError, match="exactly one VJP per step"):
             self.tape(vjps=(None,) * count)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_iterate(self, value):
-        iterates = np.zeros((3, 2))
-        iterates[1, 0] = value
+    @pytest.mark.parametrize("field, value", [
+        ("iterates", np.nan), ("iterates", np.inf), ("alphas", np.nan), ("alphas", np.inf)],
+        ids=["nan", "inf", "alphas-nan", "alphas-inf"])
+    def test_non_finite_iterate(self, field, value):
+        # a hand-built tape is the one kind whose finiteness the tape checks
+        fields = dict(iterates=np.zeros((3, 2)), alphas=np.ones(2))
+        # one entry: iterates[1, 0] or alphas[1]
+        fields[field][(1, 0)[:fields[field].ndim]] = value
         with pytest.raises(ValueError, match="tape contains non-finite entries"):
-            self.tape(iterates=iterates)
+            self.tape(**fields)
 
 
 class TestProblemDimensions:
