@@ -27,38 +27,42 @@ where the lam-free part follows the same maps with lam left out,
     u_{k+1} = M_k u_k + t alpha_k d_h + s (1 - alpha_k) A_g c_g,    u_0 = 0,
 
 so one scan composes the n x (1 + m) lam-free state [u | J] with the
-offsets [t alpha_k d_h + s (1 - alpha_k) A_g c_g | t alpha_k B_h].
-``inner_iterates`` holds each step as the block matrix
-[[M_k, offset_k], [0, I]], so composing two steps is one matrix product and
-the columns of the state do not mix: J_K has the bits it would have in a
-scan of [omega | J].  It then forms each iterate u_k + J_k lam, and
-``bilevelopt.bigsam`` records J_K on the tape; the reverse pass reads the
-hypergradient of f_K(lam) = g(omega_K, lam) off it as
-grad2_g + J_K^T grad1_g(omega_K, lam).
+offsets [t alpha_k d_h + s (1 - alpha_k) A_g c_g | t alpha_k B_h].  Each
+step is held as the block matrix [[M_k, offset_k], [0, I]], so composing two
+steps is one matrix product and the columns of the state do not mix: J_K has
+the bits it would have in a scan of [omega | J].  ``bilevelopt.bigsam``
+records omega_K and J_K on the tape; the reverse pass reads the hypergradient
+of f_K(lam) = g(omega_K, lam) off them as grad2_g + J_K^T grad1_g.
 
-The states depend on the affine spec, the weights, t and s, never on lam,
-so a model that solves one inner spec at T outer iterates needs them once.
-``bilevelopt.bigsam.solve_inner`` hands ``inner_iterates`` a holder that
+Every library caller of a solve reads omega_K and J_K only, so
+``final_iterate`` composes the final state [u_K | J_K] alone.  Per block it
+runs the up-sweep, which leaves the block's last prefix unfinished, and then
+only the down-sweep products on that prefix's chain (``_chain``):
+popcount(B) - 1 products for a block of B steps, in the down-sweep's own
+order, so [u_K | J_K] has the bits of the full scan.  The trajectory
+omega_0..omega_K is formed on demand by ``inner_iterates``, which streams
+the full scan (up-sweep and down-sweep) block by block at the block length
+the final state was composed with, and so its last row is omega_K bit for
+bit.  The tape of a composed solve calls it on the first read of its
+``iterates`` and no library path makes that read.
+
+The state depends on the affine spec, the weights, t and s, never on lam,
+so a model that solves one inner spec at T outer iterates needs it once.
+``bilevelopt.bigsam.solve_inner`` hands ``final_iterate`` a holder that
 belongs to its ``InnerSolveSpec``, as that spec's weights do: the first
-solve of an affine spec scans and keeps its states there, and later solves
-of the same spec object on the same affine spec object form their
-iterates from the kept states and scan nothing.  A holder keeps the states
-of one affine spec, the last scanned, and only while all K + 1 of them,
-(K + 1) n (1 + m) floats, fit ``BLOCK_BYTES``; above that every solve
-streams its states block by block and keeps none.  The kept states live
-as long as the spec object that holds them: a fresh spec, such as each
-``SolveConfig.inner_spec()`` call makes, scans again.  Kept states are
-laid out as the iterates read them: each column of [u | J] is one
-contiguous (steps, n) slab, so a kept solve reads no state through a
-stride.  A streamed block is a transposed view of the scan's buffer with
-the same indexing, so both are read through one path.  Kept states are
-read-only, and so are the arrays of the affine spec they were scanned
-from (``bilevelopt.problems.make_quadratic``).
+solve of an affine spec composes [u_K | J_K] and keeps it there, n (1 + m)
+floats at any K, and later solves of the same spec object on the same
+affine spec object form omega_K = u_K + J_K lam from it and scan nothing.
+A holder keeps the state of one affine spec, the last solved.  The state
+lives as long as the spec object that holds it: a fresh spec, such as each
+``SolveConfig.inner_spec()`` call makes, scans again.  The kept state is
+read-only, and so are the arrays of the affine spec it was composed from
+(``bilevelopt.problems.make_quadratic``).
 
 An iterate sums J_k lam over lam's entries in order, elementwise, and not
 through a BLAS matrix-vector product, which rounds a row by its position
-in the call: so an iterate has the same bits from kept states as from a
-streamed block, in a block of any length.  Forming omega_k from u_k and
+in the call: so omega_K has the same bits from the kept state as in the
+last row of the trajectory, in a block of any length.  Forming omega_k from u_k and
 J_k rounds differently from scanning omega_k itself, and loses to
 cancellation where u_k and J_k lam nearly cancel.  Against the exact
 rational recurrence (``tests/test_exact_referee.py``, 4,000 random draws
@@ -75,9 +79,10 @@ where u_K and J_K lam cancel to a fifth of their size in omega_K.
 Steps are composed a block at a time with the state carried from block to
 block.  A block holds as many step matrices as fill ``BLOCK_BYTES`` = 512
 KiB, max(1, BLOCK_BYTES // (8 (n + 1 + m)^2)) steps, at most K; so beyond
-the O(K n) iterates and O(K) weights the memory is O(BLOCK_BYTES) for any K
-and any state size (one step matrix, where one alone is larger).  At small
-n the scan is bound by numpy calls, 2 log2(B) per block of B steps, and
+the O(K) weights, and the O(K n) iterates where the trajectory is read, the
+memory is O(BLOCK_BYTES) for any K and any state size (one step matrix,
+where one alone is larger).  At small n the scan is bound by numpy calls,
+2 log2(B) per block of B steps (about half that for the final state), and
 long blocks make fewer calls per step; at large n it is bound by flops,
 about two (n+1+m)-square products per step, and short blocks keep their
 matrices in cache.  The budget is measured (2-core Xeon, 2 MiB L2 per
@@ -100,11 +105,14 @@ against fixed blocks of 256 steps):
 256 KiB is faster at n+1+m >= 61 but 15% slower at 21, and larger budgets
 gain nothing at small n and lose at large n.
 
-``inner_iterates`` returns None when a composed iterate is not finite; the
-caller then reruns the generic loop, which is the reference path and names
-the step that diverged.  J_K needs no check of its own: lam is finite, so a
-non-finite entry of J_K makes omega_K = u_K + J_K lam non-finite (inf * 0
-is NaN).
+``final_iterate`` returns None when omega_K, or a matrix the up-sweep
+formed, is not finite; the caller then reruns the generic loop, which is
+the reference path and names the step that diverged.  J_K needs no check of
+its own: lam is finite, so a non-finite entry of J_K makes
+omega_K = u_K + J_K lam non-finite (inf * 0 is NaN).  ``inner_iterates``
+checks nothing: a trajectory read later may still hold a non-finite iterate
+(say, where u_k and J_k lam overflow before they cancel), and its caller,
+the tape, raises ``OracleDivergence`` naming the step.
 """
 
 from __future__ import annotations
@@ -113,7 +121,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["BLOCK_BYTES", "inner_iterates"]
+__all__ = ["BLOCK_BYTES", "final_iterate", "inner_iterates"]
 
 BLOCK_BYTES = 512 * 1024
 
@@ -126,35 +134,63 @@ def _block(size: int, K: int) -> int:
     return max(1, min(K, BLOCK_BYTES // (8 * size * size)))
 
 
-def _scan(H: np.ndarray) -> None:
-    """Replace each H[k] by the composition H[k] @ ... @ H[0], in place.
+def _upsweep(H: np.ndarray) -> None:
+    """Compose pairs of H's steps at strides 1, 2, 4, ..., in place.
 
-    An up-sweep composes pairs at strides 1, 2, 4, ..., leaving the
-    composition of every aligned run of 2d steps on the run's last step; a
-    down-sweep then finishes, from the widest stride down, each step that
-    sits d past such a run.  About 2B products in 2 log2(B) batched matmuls
-    for B steps.
+    Each aligned run of 2d steps ends holding the composition of the run,
+    so step v (1-based) holds that of the lowbit(v) steps ending at v: the
+    steps at powers of two hold their whole prefix.
     """
     B = H.shape[0]
     d = 1
     while 2 * d <= B:
         H[2 * d - 1::2 * d] = H[2 * d - 1::2 * d] @ H[d - 1::2 * d][:B // (2 * d)]
         d *= 2
+
+
+def _downsweep(H: np.ndarray) -> None:
+    """Finish an up-swept H: each H[k] becomes the composition H[k] @ ... @ H[0].
+
+    From the widest stride down, each step v = (2j + 1) d, j >= 1, composes
+    its run with the finished prefix of step v - d.  With the up-sweep,
+    about 2B products in 2 log2(B) batched matmuls for B steps.
+    """
+    d = 1 << (H.shape[0].bit_length() - 1)
     while d > 1:
         d //= 2
         later = H[3 * d - 1::2 * d]
         H[3 * d - 1::2 * d] = later @ H[2 * d - 1::2 * d][:later.shape[0]]
 
 
-def _states(spec, alphas: np.ndarray, t: float, s: float) -> Iterator[Tuple[int, np.ndarray]]:
-    """The lam-free states [u | J] after steps 1..K, one block at a time.
+def _chain(H: np.ndarray) -> None:
+    """Finish the last step of an up-swept H alone, with the bits ``_downsweep`` gives it.
 
-    Yields (lo, S) per block, where S[j, i] is column j of the (n, 1 + m)
-    state after step lo + i + 1: S[0] holds the block's u_k and S[j] the
-    j-th columns of its J_k, the slabs in which the iterates read them.
-    Each block forms its steps' block matrices [[M_k, offset_k], [0, I]],
-    folds the carried state into its first step, scans, and yields its
-    states as a view of the block buffer: a view the next block overwrites.
+    The down-sweep finishes step B through its chain B, B - lowbit(B), ...
+    down to the largest power of two, which the up-sweep finished: each
+    link composes its run with the finished prefix of the link below.
+    These are popcount(B) - 1 products, taken here in the down-sweep's
+    order, from the lowest link up.
+    """
+    links = []
+    v = H.shape[0]
+    while v & (v - 1):
+        links.append(v)
+        v &= v - 1
+    prefix = H[v - 1:v]
+    for v in reversed(links):
+        prefix = H[v - 1:v] @ prefix
+    H[-1:] = prefix
+
+
+def _upswept(spec, alphas: np.ndarray, t: float, s: float,
+             block: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """The K steps' block matrices, ``block`` steps at a time, each block up-swept.
+
+    Yields (lo, G) per block, G[i] the step matrix [[M_k, offset_k], [0, I]]
+    of step k = lo + i, the carried state folded into its first step.  The
+    caller finishes G, whole (``_downsweep``) or its last step (``_chain``),
+    before it asks for the next block, which carries the state of G's last
+    step; G is a view of a buffer that the next block overwrites.
     """
     n, m = spec.B_h.shape
     r = 1 + m
@@ -174,7 +210,6 @@ def _states(spec, alphas: np.ndarray, t: float, s: float) -> Iterator[Tuple[int,
     # one block's steps, rewritten for every block; the scan keeps their
     # [0, I] rows while its values stay finite, and a value that does not
     # fails the whole solve
-    block = _block(n + r, K)
     H = np.zeros((block, n + r, n + r))
     H[:, n:, n:] = np.eye(r)
     tops = H.reshape(block, (n + r) ** 2)[:, :n * (n + r)]
@@ -182,53 +217,86 @@ def _states(spec, alphas: np.ndarray, t: float, s: float) -> Iterator[Tuple[int,
     for lo in range(0, K, block):
         G = H[:min(block, K - lo)]
         np.matmul(weights[lo:lo + block], rows, out=tops[:G.shape[0]])
-        # the block's first step starts from the carried state, so after the
-        # scan the offset columns of step k hold the state X_{lo+k+1}
+        # the block's first step starts from the carried state, so once
+        # finished the offset columns of step k hold the state X_{lo+k+1}
         G[0, :n, n:] += G[0, :n, :n] @ X
-        _scan(G)
-        yield lo, G[:, :n, n:].transpose(2, 0, 1)
+        _upsweep(G)
+        yield lo, G
         X = G[-1, :n, n:].copy()
+
+
+def _final_state(spec, alphas: np.ndarray, t: float, s: float,
+                 block: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """u_K and J_K, read-only, J_K in C order; None if a matrix the up-sweep formed is not finite."""
+    n, m = spec.B_h.shape
+    state = np.zeros((n, 1 + m))
+    for _, G in _upswept(spec, alphas, t, s, block):
+        if not np.isfinite(G).all():
+            return None
+        _chain(G)
+        state = G[-1, :n, n:]
+    # a C-order J: the reverse pass reads it through BLAS, whose summation
+    # order follows its layout, so it must be laid out as a streamed J is
+    u, J = state[:, 0].copy(), state[:, 1:].copy()
+    u.flags.writeable = J.flags.writeable = False
+    return u, J
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def final_iterate(spec, lam: np.ndarray, alphas: np.ndarray, t: float, s: float,
+                  held: dict) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+    """omega_K and J_K = d omega_K / d lam from omega_0 = 0, and the block of their scan.
+
+    ``held``, a dict that belongs to the ``InnerSolveSpec`` whose
+    ``alphas``, ``t`` and ``s`` these are, keeps u_K and J_K of the one
+    affine spec it last solved, with the block length they were composed
+    at: ``inner_iterates`` at that block gives the trajectory whose last
+    row is omega_K.  The J_K returned is the held, read-only array.  None
+    if omega_K, or a matrix the up-sweep formed, is not finite; numpy's
+    overflow warnings are off.
+    """
+    entry = held.get(id(spec))
+    if entry is None:
+        n, m = spec.B_h.shape
+        block = _block(n + 1 + m, alphas.shape[0])
+        held.clear()
+        # the entry keeps its spec alive, so no other spec reuses its id
+        entry = held[id(spec)] = (spec, block, _final_state(spec, alphas, t, s, block))
+    _, block, state = entry
+    if state is None:
+        return None
+    u, J = state
+    # elementwise over lam's entries, as ``inner_iterates`` forms each row
+    omega = u.copy()
+    for j, x in enumerate(lam.tolist()):
+        omega += J[:, j] * x
+    return (omega, J, block) if np.all(np.isfinite(omega)) else None
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def inner_iterates(spec, lam: np.ndarray, alphas: np.ndarray, t: float, s: float,
-                   kept: Optional[dict] = None) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+                   block: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """omega_0..omega_K from omega_0 = 0, stacked row-wise, and J_K = d omega_K / d lam.
 
-    One loop over the blocks of lam-free states [u_k | J_k] writes each
-    block's iterates u_k + J_k lam, all with numpy's overflow warnings off.
-    The blocks are ``_states``' scan, or the states that ``kept`` holds for
-    ``spec``, each column of a kept block one contiguous (steps, n) slab.
-    ``kept``, a dict that belongs to the ``InnerSolveSpec`` whose
-    ``alphas``, ``t`` and ``s`` these are, holds the states of the one
-    affine spec it last scanned, where all K + 1 fit ``BLOCK_BYTES``.  None
-    if a composed iterate is not finite.
+    The full scan, in blocks of ``block`` steps (by default ``_block``'s),
+    streams each block's lam-free states [u_k | J_k] once and writes its
+    iterates u_k + J_k lam, with numpy's overflow warnings off.  The
+    iterates are not checked for finiteness: the caller checks them.
     """
     n, m = spec.B_h.shape
     K = alphas.shape[0]
-    held = None if kept is None else kept.get(id(spec))
-    # the held entry keeps its spec alive, so no other spec reuses its id
-    blocks = _states(spec, alphas, t, s) if held is None else held[1]
-    keep = [] if held is None and kept is not None and \
-        8 * (K + 1) * n * (1 + m) <= BLOCK_BYTES else None
     iterates = np.empty((K + 1, n))
     iterates[0] = 0.0
     J = np.zeros((n, m))
-    for lo, S in blocks:
-        if keep is not None:
-            # a C-order copy lays each column's slab S[j] out contiguously
-            S = S.copy()
-            S.flags.writeable = False
-            keep.append((lo, S))
+    for lo, G in _upswept(spec, alphas, t, s, block or _block(n + 1 + m, K)):
+        _downsweep(G)
+        # S[j, i] is column j of the state after step lo + i + 1
+        S = G[:, :n, n:].transpose(2, 0, 1)
         # elementwise over lam's entries, so the bits do not depend on the block
         out = iterates[lo + 1:lo + 1 + S.shape[1]]
         np.copyto(out, S[0])
         for j, x in enumerate(lam.tolist(), 1):
             out += S[j] * x
         J = S[1:, -1].T
-    if keep is not None:
-        kept.clear()
-        kept[id(spec)] = (spec, keep)
-    # a C-order copy: the reverse pass reads J through BLAS, whose summation
-    # order follows its layout, so a kept and a streamed J must share one
-    return (iterates, J.copy()) if np.all(np.isfinite(iterates)) else None
+    # a C-order copy, laid out as the final state's J
+    return iterates, J.copy()

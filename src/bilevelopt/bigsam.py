@@ -24,8 +24,9 @@ Every solve binds lam once through ``bilevelopt.problem.linearizer``, which
 returns the step map itself: ``_iterate`` makes one ``step`` call per inner
 step, and a problem's hook may evaluate h and g in one fused kernel.
 ``solve_inner`` records each step's VJP on the ``Tape`` (the composed affine
-path records J_K = d omega_K / d lam instead), and ``final_inner_iterate``
-is its last iterate.  A stack of lam rows (``final_inner_iterates_many``,
+path records omega_K and J_K = d omega_K / d lam instead, and forms the
+trajectory only if it is read), and ``final_inner_iterate`` is its last
+iterate.  A stack of lam rows (``final_inner_iterates_many``,
 the finite-difference referee's probes) binds the same step map on a
 stack; that solve keeps no VJP, so each step's is dropped at the next
 step.  The reverse pass over a ``Tape`` is ``bilevelopt.hypergrad``.
@@ -101,6 +102,11 @@ class InnerSolveSpec:
     ``bigsam_frequency`` f applies the averaged step on iterations with
     k % f == 0 (0-based) and a pure h-gradient step otherwise; f = 1 averages
     every step.  Every solve starts at omega_0 = 0.
+
+    A spec computes its weights once (``schedule``) and holds, for the
+    composed affine path, the final lam-free state [u_K | J_K] of the affine
+    spec it last solved: n (1 + m) floats at any K, from which its later
+    solves of that affine spec form omega_K without a scan.
     """
 
     K: int
@@ -134,9 +140,10 @@ class InnerSolveSpec:
         return alphas
 
     @cached_property
-    def _affine_states(self) -> dict:
-        # the composed path's lam-free states of this spec's solves, which
-        # ``bilevelopt.affine.inner_iterates`` keeps and reads
+    def _affine_state(self) -> dict:
+        # the composed path's final lam-free state [u_K | J_K] of the affine
+        # spec this spec last solved, which ``bilevelopt.affine.final_iterate``
+        # keeps and reads
         return {}
 
 
@@ -144,22 +151,30 @@ class InnerSolveSpec:
 class Tape:
     """Recorded inner trajectory consumed by the reverse pass.
 
-    ``iterates`` stacks omega_0..omega_K row-wise; ``alphas`` holds the K
-    averaging weights actually used (alphas[k] produced iterates[k+1]).
-    ``vjps``, recorded by every solve that runs the step loop, holds one VJP
-    per step k: that of the step map at omega_k with the weight alphas[k].
-    Their saved residuals are O(K) arrays of the problem's intermediate size.
-    ``jacobian``, recorded only by the composed affine path, is the (n, m)
-    J_K = d omega_K / d lam that its scan carried with the iterates; the
-    reverse pass of a problem that declares its affine structure reads the
-    hypergradient off it.  A tape with neither (hand-built) is linearized
-    again by the reverse pass.
+    ``iterates`` stacks omega_0..omega_K row-wise, and ``final`` is omega_K;
+    ``alphas`` holds the K averaging weights actually used (alphas[k]
+    produced iterates[k+1]).  ``vjps``, recorded by every solve that runs
+    the step loop, holds one VJP per step k: that of the step map at omega_k
+    with the weight alphas[k].  Their saved residuals are O(K) arrays of the
+    problem's intermediate size.  ``jacobian``, recorded only by the
+    composed affine path, is the (n, m) J_K = d omega_K / d lam that its
+    scan carried with omega_K; the reverse pass of a problem that declares
+    its affine structure reads the hypergradient off it.  A tape with
+    neither (hand-built) is linearized again by the reverse pass.
 
-    Every constructor path checks the shapes.  The dataclass constructor,
-    the one a hand-built tape goes through, also checks that every iterate
-    and weight is finite.  ``solve_inner`` builds its tapes through
-    ``_solved``, which skips that scan: its solver has already checked the
-    iterates, and a schedule's weights are finite by construction.
+    The composed path's tape records ``final`` and ``jacobian`` only: its
+    ``iterates`` are formed on their first read, by the streamed scan of
+    ``bilevelopt.affine.inner_iterates`` at the solve's block length, with
+    ``final`` as their last row.  No library path reads them.  A read whose
+    scan forms a non-finite iterate raises ``OracleDivergence`` naming the
+    inner step, and returns no rows.
+
+    Every constructor path checks the shapes it can see without forming a
+    trajectory.  The dataclass constructor, the one a hand-built tape goes
+    through, also checks that every iterate and weight is finite.
+    ``solve_inner`` builds its tapes through ``_solved``, which skips that
+    scan: its solver has already checked omega_K, or the loop's iterates,
+    and a schedule's weights are finite by construction.
     """
 
     iterates: np.ndarray
@@ -187,10 +202,13 @@ class Tape:
     def _check_shapes(self) -> None:
         if self.iterates.shape[0] != self.alphas.shape[0] + 1:
             raise ValueError("tape must hold exactly one more iterate than alphas")
+        self._check_records()
+
+    def _check_records(self) -> None:
         if self.vjps is not None and len(self.vjps) != self.alphas.shape[0]:
             raise ValueError("tape must hold exactly one VJP per step")
         if self.jacobian is not None and \
-                self.jacobian.shape != (self.iterates.shape[1], self.lam.shape[0]):
+                self.jacobian.shape != (self.final.shape[0], self.lam.shape[0]):
             raise ValueError("tape jacobian must be (inner_dim, outer_dim)")
 
     @property
@@ -206,6 +224,29 @@ class Tape:
     def mode(self) -> str:
         """The model the weights run: "improved" iff some alpha < 1."""
         return "improved" if np.any(self.alphas < 1.0) else "basic"
+
+
+class _ComposedTape(Tape):
+    """The tape of a composed affine solve: omega_K and J_K recorded, the trajectory on demand.
+
+    ``_affine`` and ``_block`` are the affine spec and the block length of
+    the solve's scan, so that the trajectory has the bits of ``final``.
+    """
+
+    # the trajectory is not there to count its rows
+    _check_shapes = Tape._check_records
+
+    @cached_property
+    def iterates(self) -> np.ndarray:
+        iterates, _ = affine.inner_iterates(self._affine, self.lam, self.alphas, self.t, self.s,
+                                            self._block)
+        # row r is iterate r, made by inner step r - 1 (row 0 is the zero start)
+        return finite(iterates, lambda r: f"non-finite iterate (inner step {r - 1})")
+
+    @cached_property
+    def final(self) -> np.ndarray:
+        # recorded by the solve; a copy made by ``dataclasses.replace`` reads its iterates
+        return self.iterates[-1]
 
 
 def schedule(spec: InnerSolveSpec) -> np.ndarray:
@@ -273,39 +314,37 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
     its affine structure (``BilevelProblem.affine``) instead has its K step
     maps composed by a blocked scan (``bilevelopt.affine``), which evaluates
     no gradient oracle and agrees with the loop to roundoff.  That scan
-    composes the lam-free states [u_k | J_k], and each iterate is
-    u_k + J_k lam; the tape records the lam-Jacobian J_K in place of VJPs.
-    The spec keeps the states of the affine spec it last solved, where they
-    fit ``affine.BLOCK_BYTES``, so its later solves at a new lam form their
-    iterates without a scan, with the bits a fresh spec's solve gives.  If a
-    composed iterate is not finite the loop is run instead.  The loop's
-    trajectory is checked for finiteness once, after the loop: the first
-    non-finite iterate names the diverging step, and the gradient oracles
-    that are not finite at its input name the cause.
-    The composed trajectory is already checked by ``affine.inner_iterates``,
-    so the tape is built without a second scan (``Tape._solved``).
+    composes the final lam-free state [u_K | J_K] and omega_K = u_K + J_K lam;
+    the tape records omega_K and the lam-Jacobian J_K in place of VJPs, and
+    forms the trajectory only if its ``iterates`` are read.  The spec keeps
+    the state of the affine spec it last solved, so its later solves at a
+    new lam scan nothing and have the bits a fresh spec's solve gives.  If
+    omega_K, or a matrix the scan formed, is not finite the loop is run
+    instead.  The loop's trajectory is checked for finiteness once, after
+    the loop: the first non-finite iterate names the diverging step, and the
+    gradient oracles that are not finite at its input name the cause.
+    Either tape is built without a second check (``Tape._solved``).
     """
     alphas = schedule(spec)
     lam = as_vector(lam, problem.outer_dim, "lam")
-    iterates = vjps = jacobian = None
     if problem.affine is not None:
-        composed = affine.inner_iterates(problem.affine, lam, alphas, spec.t, spec.s,
-                                         spec._affine_states)
+        composed = affine.final_iterate(problem.affine, lam, alphas, spec.t, spec.s,
+                                        spec._affine_state)
         if composed is not None:
-            iterates, jacobian = composed
-    if iterates is None:
-        omega = np.zeros(problem.inner_dim)
-        iterates = np.empty((spec.K + 1, problem.inner_dim))
-        iterates[0] = omega
-        vjps = []
-        _iterate(omega, alphas, spec.t, spec.s, linearizer(problem, lam),
-                 out=iterates, vjps=vjps)
-        # row r is iterate r, made by inner step r - 1 (row 0 is the zero start)
-        finite(iterates, lambda r: f"non-finite iterate (inner step {r - 1}"
-                                   f"{_culprit(problem, iterates[r - 1], lam, alphas[r - 1])})")
+            final, jacobian, block = composed
+            return _ComposedTape._solved(final=final, jacobian=jacobian, alphas=alphas,
+                                         t=spec.t, s=spec.s, lam=lam.copy(),
+                                         _affine=problem.affine, _block=block)
+    omega = np.zeros(problem.inner_dim)
+    iterates = np.empty((spec.K + 1, problem.inner_dim))
+    iterates[0] = omega
+    vjps = []
+    _iterate(omega, alphas, spec.t, spec.s, linearizer(problem, lam), out=iterates, vjps=vjps)
+    # row r is iterate r, made by inner step r - 1 (row 0 is the zero start)
+    finite(iterates, lambda r: f"non-finite iterate (inner step {r - 1}"
+                               f"{_culprit(problem, iterates[r - 1], lam, alphas[r - 1])})")
     return Tape._solved(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
-                        lam=lam.copy(), vjps=None if vjps is None else tuple(vjps),
-                        jacobian=jacobian)
+                        lam=lam.copy(), vjps=tuple(vjps))
 
 
 def final_inner_iterate(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> np.ndarray:

@@ -40,12 +40,13 @@ problem's intermediate size.  VJPs of a step built from the slots (a
 vjp11/vjp12, or the FD fallback of a slot left None, as the pass reaches
 them, each recomputing its forward quantities.  A problem that declares its
 affine structure (``BilevelProblem.affine``) has its solve compose the step
-maps in a blocked scan that carries the lam-Jacobian J_K forward with the
-iterates (``bilevelopt.affine``); its tape records J_K in place of VJPs,
-and the pass reads grad2_g + J_K^T grad1_g off it without calling a VJP.
-A tape with neither (hand-built), or one reversed by a problem without the
-declaration, is linearized again from its iterates by the problem the pass
-is given, at one more forward step each.
+maps in a blocked scan that carries the lam-Jacobian J_K forward with
+omega_K (``bilevelopt.affine``); its tape records omega_K and J_K in place
+of VJPs and of the trajectory, and the pass reads grad2_g + J_K^T grad1_g
+off them without calling a VJP or forming an iterate.  A tape with neither
+(hand-built), or one reversed by a problem without the declaration, is
+linearized again from its iterates by the problem the pass is given, at one
+more forward step each; a composed tape forms its trajectory for that.
 """
 
 from __future__ import annotations
@@ -69,14 +70,16 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
     tape's iterates, newest first.  A tape that records the lam-Jacobian J_K
     (the composed affine path's), reversed by a problem that declares its
     affine structure, instead gives grad2_g + J_K^T grad1_g from the same
-    a = grad1_g and G = grad2_g.  A problem without the declaration (a
-    ``replace`` copy, the reference) walks the loop.  Finiteness is checked
+    a = grad1_g and G = grad2_g, and reads no iterate but omega_K: the
+    tape's dimensions are read off ``final`` too, so a composed tape forms
+    no trajectory.  A problem without the declaration (a ``replace`` copy,
+    the reference) walks the loop.  Finiteness is checked
     once on the result, so an overflow on the way is not warned about.
     """
     n, m = problem.dims
-    if tape.iterates.shape[1] != n or tape.lam.shape[0] != m:
+    if tape.final.shape[0] != n or tape.lam.shape[0] != m:
         raise ValueError(
-            f"tape-mismatch: tape is ({tape.iterates.shape[1]}, {tape.lam.shape[0]})-dimensional, "
+            f"tape-mismatch: tape is ({tape.final.shape[0]}, {tape.lam.shape[0]})-dimensional, "
             f"problem expects ({n}, {m})")
     lam = tape.lam
     omega_K = tape.final

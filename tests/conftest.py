@@ -8,11 +8,13 @@ reproducible set of examples,
 
     pytest tests/test_properties.py --hypothesis-profile=sweep --hypothesis-seed=N
 
-The ``scan_blocks`` fixture counts the blocks of the composed affine scan
-and can force their length through ``affine._block``'s derivation.
+The ``scan_blocks`` fixture counts the blocks of the composed affine scan,
+its up-sweeps and its down-sweeps apart, and can force their length through
+``affine._block``'s derivation.
 """
 
 import contextlib
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -27,26 +29,33 @@ settings.load_profile("reproducible")
 
 @contextlib.contextmanager
 def _scan_blocks(steps=None, size=None):
-    """Record the length of every block of the composed scan, in a list.
+    """Record the length of every block that the scan up-sweeps and down-sweeps.
 
-    ``affine.inner_iterates`` calls ``affine._scan`` once per block, on that
-    block's slice of step matrices, so the slice's length is the block's.
+    Yields a namespace of two lists, ``up`` and ``down``.  Each block of the
+    composed scan calls ``affine._upsweep`` once on its slice of step
+    matrices, and a block of the full scan (a trajectory) also calls
+    ``affine._downsweep`` once on it, so the slice's length is the block's.
     With ``steps``, ``BLOCK_BYTES`` holds exactly ``steps`` step matrices of
     a state of ``size`` = n + 1 + m, so ``affine._block`` derives blocks of
     ``steps`` steps for that size.
     """
-    seen = []
-    real = affine._scan
+    seen = SimpleNamespace(up=[], down=[])
 
-    def counted(H):
-        seen.append(H.shape[0])
-        real(H)
+    def counted(sweep, lengths):
+        def run(H):
+            lengths.append(H.shape[0])
+            sweep(H)
+
+        return run
 
     with contextlib.ExitStack() as stack:
         if steps is not None:
             stack.enter_context(mock.patch.object(affine, "BLOCK_BYTES", 8 * steps * size ** 2))
             assert affine._block(size, steps + 1) == steps
-        stack.enter_context(mock.patch.object(affine, "_scan", counted))
+        stack.enter_context(mock.patch.object(affine, "_upsweep",
+                                              counted(affine._upsweep, seen.up)))
+        stack.enter_context(mock.patch.object(affine, "_downsweep",
+                                              counted(affine._downsweep, seen.down)))
         yield seen
 
 

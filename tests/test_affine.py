@@ -10,12 +10,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bilevelopt as bl
 from bilevelopt import affine, models
 from bilevelopt.bigsam import final_inner_iterate
 from bitwise import same_bits
 from bilevelopt.problems import _CLOSEDFORM_SPEC, _DEGENERATE_SPEC
+from test_properties import quadratic_cases
 
 
 def random_quadratic(seed, n=4, m=3):
@@ -52,12 +55,6 @@ def state_size(p):
     return sum(p.affine.B_h.shape) + 1
 
 
-def kept_fits(p, K):
-    """Whether the K + 1 lam-free states of problem p, n (1 + m) floats each, fit the budget."""
-    n, m = p.affine.B_h.shape
-    return 8 * (K + 1) * n * (1 + m) <= affine.BLOCK_BYTES
-
-
 def reverse_of_streamed(p, streamed, alphas, spec, lam):
     """The reverse hypergradient of a tape built by hand from a streamed solve."""
     iterates, jacobian = streamed
@@ -88,20 +85,23 @@ class TestFastPathMatchesLoop:
         spec = bl.InnerSolveSpec(K=K, t=0.2, s=0.15, alpha_exponent=expo, bigsam_frequency=freq)
         lam = np.random.default_rng(K).normal(size=p.outer_dim)
         size = state_size(p)
+        want = lengths(K, steps or affine._block(size, K))
         with blocks(steps, size) as seen:
             fast = bl.solve_inner(p, lam, spec)
-            scanned = list(seen)
+            G = bl.reverse_hypergradient(p, fast)
             final = final_inner_iterate(p, lam, spec)
-            fits = kept_fits(p, K)
-        # the first solve scans; the second reads the kept states, and scans
-        # again only where they do not fit the budget
-        assert scanned == lengths(K, steps or affine._block(size, K))
-        assert seen == scanned * (1 if fits else 2)
+            # the first solve up-sweeps each block once and down-sweeps none;
+            # the second reads the kept final state and scans nothing
+            assert (seen.up, seen.down) == (want, [])
+            # the trajectory's first read streams one full scan, its second none
+            iterates = fast.iterates
+            assert fast.iterates is iterates
+        assert (seen.up, seen.down) == (want * 2, want)
         loop = bl.solve_inner(ref, lam, spec)
         assert np.array_equal(fast.alphas, loop.alphas)
-        _close(fast.iterates, loop.iterates, 1e-12)
-        _close(bl.reverse_hypergradient(p, fast), bl.reverse_hypergradient(ref, loop), 1e-10)
-        assert np.array_equal(final, fast.final)
+        _close(iterates, loop.iterates, 1e-12)
+        _close(G, bl.reverse_hypergradient(ref, loop), 1e-10)
+        assert same_bits(final, fast.final) and same_bits(iterates[-1], fast.final)
 
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_exponent_zero_is_basic_bit_for_bit(self, scan_blocks, name):
@@ -113,8 +113,10 @@ class TestFastPathMatchesLoop:
         with blocks(256, state_size(p)) as seen:
             imp = bl.solve_inner(p, lam, spec0)
             bas = bl.solve_inner(p, lam, spec)
-        assert seen == 2 * lengths(263, 256) == [256, 7, 256, 7]
-        assert np.array_equal(imp.iterates, bas.iterates)
+            assert (seen.up, seen.down) == (2 * lengths(263, 256), []) == ([256, 7, 256, 7], [])
+            assert np.array_equal(imp.iterates, bas.iterates)
+        assert seen.down == [256, 7, 256, 7]
+        assert same_bits(imp.final, bas.final) and same_bits(imp.jacobian, bas.jacobian)
         assert np.array_equal(bl.reverse_hypergradient(p, imp),
                               bl.reverse_hypergradient(p, bas))
 
@@ -177,7 +179,7 @@ class TestScanIndexing:
         for K in range(71):
             with blocks(block, size) as seen:
                 self.check(K)
-            assert seen == lengths(K, block)
+            assert seen.up == seen.down == lengths(K, block)
 
     # the real block of random_quadratic(1), whose state has n + 1 + m = 8
     # columns: 1024 steps
@@ -189,7 +191,7 @@ class TestScanIndexing:
         assert block == 1024
         with blocks() as seen:
             self.check(block + offset)
-        assert seen == want
+        assert seen.up == seen.down == want
 
 
 class TestBlockSize:
@@ -246,6 +248,27 @@ class TestDivergence:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(bl.OracleDivergence, match="non-finite hypergradient"):
                 bl.reverse_hypergradient(p, tape)
+
+
+    def test_a_trajectory_read_raises_where_an_iterate_overflows(self):
+        # M_k = 0.5 - 50 / k: J_k peaks near 4.6e14 at k = 33 and falls to
+        # 0.004 by K = 400.  At lam = 1e300 the scan and omega_K stay finite,
+        # so the solve composes, but J_k lam overflows on the way; the loop
+        # itself overflows there too
+        spec = bl.QuadraticBilevelSpec(A_h=np.array([[50.5]]), B_h=np.eye(1), d_h=np.zeros(1),
+                                       A_g=np.array([[0.5]]), c_g=np.zeros(1))
+        p = bl.make_quadratic(spec)
+        inner = bl.InnerSolveSpec(K=400, t=1.0, s=1.0, alpha_exponent=1.0)
+        tape = bl.solve_inner(p, np.array([1e300]), inner)
+        assert tape.jacobian is not None and np.all(np.isfinite(tape.final))
+        assert np.all(np.isfinite(bl.reverse_hypergradient(p, tape)))
+        # every read raises, and none returns the non-finite rows
+        for _ in range(2):
+            with pytest.raises(bl.OracleDivergence,
+                               match=r"^oracle-divergence: non-finite iterate \(inner step 9\)$"):
+                tape.iterates
+        with pytest.raises(bl.OracleDivergence, match="non-finite iterate"):
+            bl.solve_inner(dataclasses.replace(p), np.array([1e300]), inner)
 
 
 class TestDeclaredSpecs:
@@ -326,23 +349,26 @@ class TestOneScan:
     @pytest.fixture
     def passes(self, monkeypatch):
         count = []
-        real = affine.inner_iterates
+        real = affine.final_iterate
 
         def counted(*args):
             count.append(1)
             return real(*args)
 
-        monkeypatch.setattr(affine, "inner_iterates", counted)
+        monkeypatch.setattr(affine, "final_iterate", counted)
         return count
 
     @pytest.mark.parametrize("expo", [0.25, 0.0], ids=["improved", "basic"])
-    def test_one_pass_per_solve_and_none_in_the_reverse_pass(self, passes, expo):
+    def test_one_pass_per_solve_and_none_in_the_reverse_pass(self, scan_blocks, passes, expo):
+        blocks, _ = scan_blocks
         p = bl.make_degenerate_quadratic()
         spec = bl.InnerSolveSpec(K=5000, t=0.1, s=0.1, alpha_exponent=expo)
-        tape = bl.solve_inner(p, np.array([0.25]), spec)
-        assert len(passes) == 1 and tape.jacobian.shape == (2, 1)
-        bl.reverse_hypergradient(p, tape)
+        with blocks() as seen:
+            tape = bl.solve_inner(p, np.array([0.25]), spec)
+            assert len(passes) == 1 and tape.jacobian.shape == (2, 1)
+            bl.reverse_hypergradient(p, tape)
         assert len(passes) == 1
+        assert (seen.up, seen.down) == ([4096, 904], [])
 
     def test_one_pass_per_outer_iteration(self, scan_blocks, passes):
         blocks, lengths = scan_blocks
@@ -350,10 +376,31 @@ class TestOneScan:
         config = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=600, T=3, mode="improved")
         with blocks(256, state_size(p)) as seen:
             trace = bl.run_model(p, np.array([0.25]), config)
-        # the first outer iteration scans all K steps and keeps the states;
-        # every outer iteration forms its iterates from them once
-        assert seen == lengths(600, 256) == [256, 256, 88]
+        # the first outer iteration up-sweeps all K steps and keeps the final
+        # state; every outer iteration forms omega_K from it once
+        assert (seen.up, seen.down) == (lengths(600, 256), []) == ([256, 256, 88], [])
         assert len(passes) == len(trace.records) == 3
+
+    def test_run_model_up_sweeps_once_and_forms_no_trajectory(self, scan_blocks, monkeypatch):
+        # the quad_gap run: T = 10 at K = 5000 in the real blocks; a tape's
+        # trajectory, read once, streams one full scan
+        blocks, _ = scan_blocks
+        p = bl.make_degenerate_quadratic()
+        config = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=5000, T=10, mode="improved")
+        tapes = []
+        real = models.solve_inner
+
+        def kept(*args):
+            tapes.append(real(*args))
+            return tapes[-1]
+
+        monkeypatch.setattr(models, "solve_inner", kept)
+        with blocks() as seen:
+            bl.run_model(p, np.array([0.25]), config)
+            assert (seen.up, seen.down) == ([4096, 904], [])
+            assert len(tapes) == 10 and all("iterates" not in vars(tape) for tape in tapes)
+            tapes[3].iterates
+        assert (seen.up, seen.down) == ([4096, 904] * 2, [4096, 904])
 
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
     @pytest.mark.parametrize("name", list(PROBLEMS))
@@ -370,7 +417,7 @@ class TestOneScan:
         lam = np.random.default_rng(3).normal(size=p.outer_dim)
         with blocks(256, state_size(p)) as seen:
             J = bl.solve_inner(p, lam, spec).jacobian
-        assert seen == [256, 1]
+        assert (seen.up, seen.down) == ([256, 1], [])
         base = final_inner_iterate(ref, lam, spec)
         for j in range(p.outer_dim):
             e = np.zeros(p.outer_dim)
@@ -407,12 +454,13 @@ class TestOneScan:
 
 
 class TestKeptStates:
-    """A spec's kept lam-free states change no bit of any result: reuse cannot be seen."""
+    """A spec's kept final state changes no bit of any result: reuse cannot be seen."""
 
     @staticmethod
     def solved(p, lam, spec):
+        """A solve's omega_K, J_K and reverse hypergradient, and its tape."""
         tape = bl.solve_inner(p, lam, spec)
-        return tape.iterates, tape.jacobian, bl.reverse_hypergradient(p, tape)
+        return (tape.final, tape.jacobian, bl.reverse_hypergradient(p, tape)), tape
 
     @staticmethod
     def problem_and_spec(name, schedule):
@@ -426,37 +474,40 @@ class TestKeptStates:
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_a_second_solve_equals_a_fresh_spec(self, scan_blocks, name, schedule):
-        # K = 600 in blocks of 256: the kept states span three blocks
+        # K = 600 in blocks of 256: the kept state is carried over three blocks
         blocks, lengths = scan_blocks
         p, spec, (lam0, lam1) = self.problem_and_spec(name, schedule)
         with blocks(256, state_size(p)) as seen:
-            assert kept_fits(p, spec.K)
             self.solved(p, lam0, spec)
-            again = self.solved(p, lam1, spec)
-            fresh = self.solved(p, lam1, dataclasses.replace(spec))
-        assert seen == 2 * lengths(600, 256)
+            again, tape = self.solved(p, lam1, spec)
+            fresh, fresh_tape = self.solved(p, lam1, dataclasses.replace(spec))
+            assert (seen.up, seen.down) == (2 * lengths(600, 256), [])
+            assert same_bits(tape.iterates, fresh_tape.iterates)
         assert all(same_bits(x, y) for x, y in zip(again, fresh))
+        assert seen.down == 2 * lengths(600, 256)
 
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_kept_equals_streamed(self, scan_blocks, name, schedule):
         # the scan's bits depend on its block, so each comparison runs at one
-        # block length: at 256 steps the states fit and are kept, at 128 the
-        # budget forces every solve to stream and keep none; a call without a
-        # holder always streams
+        # block length; the holder keeps the final state at either, and a
+        # trajectory, the tape's or one streamed without a holder, always
+        # runs the full scan
         blocks, lengths = scan_blocks
         p, spec, (lam0, lam1) = self.problem_and_spec(name, schedule)
         alphas = bl.schedule(spec)
-        for steps, fits in ((256, True), (128, False)):
+        for steps in (256, 128):
             solve = dataclasses.replace(spec)
+            want = lengths(600, steps)
             with blocks(steps, state_size(p)) as seen:
-                assert kept_fits(p, spec.K) is fits
                 bl.solve_inner(p, lam0, solve)
                 tape = bl.solve_inner(p, lam1, solve)
+                assert (seen.up, seen.down) == (want, [])
                 streamed = affine.inner_iterates(p.affine, lam1, alphas, spec.t, spec.s)
-            assert seen == lengths(600, steps) * (2 if fits else 3)
-            assert bool(solve._affine_states) is fits
-            assert same_bits(tape.iterates, streamed[0])
+                iterates = tape.iterates
+            assert (seen.up, seen.down) == (want * 3, want * 2)
+            assert solve._affine_state
+            assert same_bits(iterates, streamed[0]) and same_bits(tape.final, streamed[0][-1])
             assert same_bits(tape.jacobian, streamed[1])
             # the reverse pass reads J through BLAS, whose summation order
             # follows the array's layout: the kept J must round as a streamed one
@@ -471,15 +522,16 @@ class TestKeptStates:
         spec = bl.InnerSolveSpec(K=600, t=0.05, s=0.05, alpha_exponent=0.25)
         lam0, lam1 = np.random.default_rng(7).normal(size=(2, m))
         alphas = bl.schedule(spec)
-        assert kept_fits(p, spec.K) and affine._block(state_size(p), spec.K) < spec.K
+        assert affine._block(state_size(p), spec.K) < spec.K
         bl.solve_inner(p, lam0, spec)
         tape = bl.solve_inner(p, lam1, spec)
-        assert spec._affine_states
+        assert spec._affine_state
         streamed = affine.inner_iterates(p.affine, lam1, alphas, spec.t, spec.s)
-        assert same_bits(tape.iterates, streamed[0])
+        assert same_bits(tape.final, streamed[0][-1])
         assert same_bits(tape.jacobian, streamed[1])
         assert same_bits(bl.reverse_hypergradient(p, tape), reverse_of_streamed(
             p, streamed, alphas, spec, lam1))
+        assert same_bits(tape.iterates, streamed[0])
 
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
     @pytest.mark.parametrize("name", list(PROBLEMS))
@@ -499,20 +551,21 @@ class TestKeptStates:
         assert same_bits(kept.final_lambda, fresh.final_lambda)
         assert same_bits(kept.final_omega, fresh.final_omega)
 
-    def test_quad_gap_states_fit_the_budget(self, scan_blocks):
-        # the benchmark's quad_gap solve: 5001 states of 2 x 2 floats, 160 KB
+    def test_quad_gap_holder_holds_two_by_two_floats(self, scan_blocks):
+        # the benchmark's quad_gap solve: u_K and J_K, 2 x 2 floats in all,
+        # where the trajectory is 5001 x 2
         blocks, lengths = scan_blocks
         p = bl.make_degenerate_quadratic()
         spec = bl.InnerSolveSpec(K=5000, t=0.1, s=0.1)
-        assert kept_fits(p, 5000)
         with blocks() as seen:
             bl.solve_inner(p, np.array([0.25]), spec)
             bl.solve_inner(p, np.array([0.5]), spec)
-        assert seen == lengths(5000, affine._block(state_size(p), 5000)) == [4096, 904]
-        (held, states), = spec._affine_states.values()
-        assert held is p.affine
-        assert sum(S.nbytes for _, S in states) == 8 * 5000 * 2 * 2 <= affine.BLOCK_BYTES
-        assert not any(S.flags.writeable for _, S in states)
+        want = lengths(5000, affine._block(state_size(p), 5000))
+        assert (seen.up, seen.down) == (want, []) == ([4096, 904], [])
+        (held, block, state), = spec._affine_state.values()
+        assert held is p.affine and block == 4096
+        assert sum(x.nbytes for x in state) == 8 * 2 * 2
+        assert not any(x.flags.writeable for x in state)
 
     def test_a_holder_keeps_the_last_affine_spec_only(self, scan_blocks):
         blocks, lengths = scan_blocks
@@ -521,6 +574,67 @@ class TestKeptStates:
         with blocks() as seen:
             for p in (first, second, second, first):
                 bl.solve_inner(p, np.ones(3), spec)
-        assert seen == [40, 40, 40]
-        (held, _), = spec._affine_states.values()
+        assert (seen.up, seen.down) == ([40, 40, 40], [])
+        (held, _, _), = spec._affine_state.values()
         assert held is first.affine
+
+
+@st.composite
+def final_state_cases(draw):
+    """(problem, spec, lam, block): a drawn quadratic at K near a power of two.
+
+    The quadratic (n <= 4, m <= 3) and its step sizes come from
+    ``quadratic_cases``; K lies within 2 of a power of two up to 4096, or is
+    5000; the schedule is one of ``SCHEDULES``, and the block is forced to
+    1, 3 or 8 steps, or left at the real one (None).
+    """
+    p, inner, lam = draw(quadratic_cases())
+    K = draw(st.one_of(st.builds(lambda e, d: max(0, 2 ** e + d),
+                                 st.integers(0, 12), st.integers(-2, 2)),
+                       st.just(5000)))
+    expo, freq = SCHEDULES[draw(st.sampled_from(list(SCHEDULES)))]
+    spec = bl.InnerSolveSpec(K=K, t=inner.t, s=inner.s, alpha_exponent=expo,
+                             bigsam_frequency=freq)
+    return p, spec, lam, draw(st.sampled_from([1, 3, 8, None]))
+
+
+def check_final_state(scan_blocks, p, spec, lam, block):
+    """The tape's omega_K, J_K and hypergradient against the streamed and the formed trajectory."""
+    blocks, lengths = scan_blocks
+    alphas = bl.schedule(spec)
+    size = state_size(p)
+    scanned = lengths(spec.K, block or affine._block(size, spec.K))
+    with blocks(block, size) as seen:
+        tape = bl.solve_inner(p, lam, spec)
+        assert tape.jacobian is not None, "the composed path fell back to the loop"
+        G = bl.reverse_hypergradient(p, tape)
+        again = bl.solve_inner(p, lam, spec)
+        # the solve runs no down-sweep, and the second scans nothing
+        assert (seen.up, seen.down) == (scanned, [])
+        streamed = affine.inner_iterates(p.affine, lam, alphas, spec.t, spec.s)
+        formed = tape.iterates
+    assert seen.down == scanned * 2
+    for iterates in (streamed[0], formed):
+        assert same_bits(tape.final, iterates[-1])
+    assert same_bits(formed, streamed[0])
+    assert same_bits(tape.jacobian, streamed[1])
+    assert same_bits(G, reverse_of_streamed(p, streamed, alphas, spec, lam))
+    assert same_bits(again.final, tape.final) and same_bits(again.jacobian, tape.jacobian)
+
+
+class TestFinalState:
+    """The final-state reduction has the full scan's bits, at every block and K."""
+
+    @settings(max_examples=40)
+    @given(final_state_cases())
+    def test_final_state_has_the_trajectory_bits(self, scan_blocks, case):
+        check_final_state(scan_blocks, *case)
+
+    @pytest.mark.parametrize("block", [1, 3, 8, None])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_wide_final_state_has_the_trajectory_bits(self, scan_blocks, m, block):
+        # n = 24: J^T a runs BLAS's dot (m = 1) or gemv (m = 3) kernels, and
+        # K = 1025 spans 13 real blocks of 83 steps at m = 3
+        p = random_quadratic(3, n=24, m=m)
+        spec = bl.InnerSolveSpec(K=1025, t=0.05, s=0.05, alpha_exponent=0.25)
+        check_final_state(scan_blocks, p, spec, np.random.default_rng(8).normal(size=m), block)

@@ -816,6 +816,9 @@ class TestReplay:
         ("check.json", ("outputs",), None, "outputs None are not plain names"),
         ("check.json", ("outputs",), 0, "outputs 0 are not plain names"),
         ("check.json", ("outputs",), {}, "outputs {} are not plain names"),
+        ("check.json", ("outputs", 0), True, "outputs [True] are not plain names"),
+        ("clean.csv", ("outputs", 1), "x", "outputs ['clean.csv', 'x'] are not plain names"),
+        ("ablation/improved-3.csv", ("outputs", 0), "x", "outputs ['x'] are not plain names"),
         ("solve-hyperclean_synthetic.csv", ("data", "n"), 999, "is not the data of this run"),
         ("solve-hyperclean_synthetic.csv", ("data", "seed"), True, "is not the data of this run"),
         ("solve-hyperrep_synthetic.csv", ("data",), None, "data None is not the data of this run"),

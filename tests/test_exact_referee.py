@@ -18,7 +18,8 @@ The paths are the composed affine scan (the problem itself, at the real
 block, which holds every drawn K, and at blocks of 1, 3 and 8 steps forced
 through ``affine._block``, so that block carries and odd tails are reached
 at small K; each setting solves on a fresh spec object, which holds no
-kept states and so scans), the generic loop (a ``replace`` copy) and the
+kept state and so scans, and reads the trajectory, which streams the full
+scan at the solve's block), the generic loop (a ``replace`` copy) and the
 FD-fallback copy, whose reverse pass takes central differences of the
 gradient slots instead of the analytic VJPs.
 """
@@ -215,10 +216,12 @@ def test_every_path_matches_the_exact_recurrence(scan_blocks, case):
     # the real block holds every drawn K, at most 60 steps, in one block
     assert affine._block(size, 60) == 60
     for block in (None,) + SMALL_BLOCKS:
-        # a fresh spec holds no states, so every block setting scans
+        # a fresh spec holds no state, so every block setting up-sweeps its
+        # blocks; reading the trajectory then streams one full scan
         with blocks(block, size) as seen:
             errors = composed_errors(problem, dataclasses.replace(inner), lam, want)
-        assert seen == lengths(inner.K, block or 60), (block, seen)
+        scanned = lengths(inner.K, block or 60)
+        assert (seen.up, seen.down) == (scanned * 2, scanned), (block, seen)
         for name, err, bound in zip(("iterates", "J_K", "hypergradient"), errors,
                                     (ITERATES_BOUND, JACOBIAN_BOUND, HYPERGRADIENT_BOUND)):
             assert err <= bound, (block, name, err)

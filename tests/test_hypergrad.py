@@ -233,18 +233,23 @@ class TestFdOracleIndependence:
         # must not run it
         from bilevelopt import affine
         calls = []
-        real = affine.inner_iterates
 
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
+        def spy(name):
+            real = getattr(affine, name)
 
-        monkeypatch.setattr(affine, "inner_iterates", spy)
+            def spied(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(affine, name, spied)
+
+        spy("final_iterate")
+        spy("inner_iterates")
         spec = bl.InnerSolveSpec(K=20, t=0.1, s=0.1)
         for p in (bl.make_closedform_quadratic(), bl.make_degenerate_quadratic()):
             assert p.affine is not None
             bl.solve_inner(p, np.array([0.2]), spec)
-            assert len(calls) == 1
+            assert calls == ["final_iterate"]
             calls.clear()
             bl.hypergradient_fd_oracle(p, np.array([0.2]), spec)
             assert calls == []

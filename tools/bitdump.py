@@ -20,7 +20,10 @@ at the settings of the benchmark's ``quad_gap`` workload (K = 5000,
 t = s = 0.1, lam = 0.25, each mode, frequency 1), the digests of the
 iterates and the hypergradient of its composed path, the one path there
 that runs several scan blocks, and of a second solve on the same spec
-object, which reads the states the first one kept.  Each
+object, which reads the final state the first one kept.  A composed tape
+forms its iterates on their first read, by the full streamed scan at the
+solve's block length; its hypergradient reads omega_K off the final state.
+Each
 zoo problem's ``check_suite`` report (seed 0, ``default_check_configs``),
 and that of each serial copy, gets one line per verifier row: the SHA-256
 of the row's JSON, whose floats round-trip, so every referee value (first-order, VJP and hypergradient
@@ -173,8 +176,9 @@ def quad_gap_lines():
 
     These are the settings of the benchmark's ``quad_gap`` workload, whose
     K = 5000 steps take several scan blocks.  A second solve on the same
-    spec object forms its iterates from the states the first one kept; its
-    "reused" lines must print the first solve's digests.
+    spec object forms omega_K from the final state the first one kept, and
+    its iterates, on their read, by the streamed scan; its "reused" lines
+    must print the first solve's digests.
     """
     import numpy as np
     import bilevelopt as bl

@@ -4,9 +4,11 @@
 
 The sweep takes four manifests from ``tests/golden/``: ``check.json``,
 ``solve-closedform_quadratic.csv``, ``clean.csv`` and the ``ablation`` cell
-``improved-3.csv``.  Every key and nested key but ``tool`` and ``version``
+``improved-3.csv``.  Every key and nested key but ``tool`` and ``version``,
+and every entry of a list (``outputs[0]``, and ``clean``'s second output),
 takes each of eleven mutations in turn: ``true``, ``false``, ``"x"``,
-``null``, -1, 0, 2.5, 10^400, ``[]``, ``{}``, and deleting the key.  Each
+``null``, -1, 0, 2.5, 10^400, ``[]``, ``{}``, and deleting the key or the
+entry.  Each
 mutated copy is written alone into a fresh temporary directory and replayed
 in process with ``bilevelopt.cli.replay_manifest``.
 
@@ -44,15 +46,25 @@ def load(name: str) -> dict:
     return json.loads((GOLDEN / f"{name}.manifest.json").read_text())
 
 
-def key_paths(doc: dict, prefix: tuple = ()) -> list:
-    """Every key path of ``doc`` down through nested objects, but ``tool`` and ``version``."""
+def key_paths(doc, prefix: tuple = ()) -> list:
+    """Every key path of ``doc`` down through nested objects and lists, but ``tool`` and ``version``.
+
+    A list entry's step in a path is its index.
+    """
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
     paths = []
-    for key, value in doc.items():
+    for key, value in items:
         if prefix or key not in ("tool", "version"):
             paths.append(prefix + (key,))
-            if isinstance(value, dict):
+            if isinstance(value, (dict, list)):
                 paths.extend(key_paths(value, prefix + (key,)))
     return paths
+
+
+def label(path: tuple) -> str:
+    """A key path as its manifest reads it, e.g. ``args.rho`` or ``outputs[1]``."""
+    # a path starts at a key of the manifest's top object
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
 
 
 def endless(path: tuple, mutation) -> bool:
@@ -67,7 +79,7 @@ def cases() -> list:
 
 
 def mutated(name: str, path: tuple, mutation) -> dict:
-    """The golden manifest of ``name`` with the key at ``path`` set to ``mutation``, or deleted."""
+    """The golden manifest of ``name`` with the key or entry at ``path`` set to ``mutation``, or deleted."""
     doc = load(name)
     node = doc
     for key in path[:-1]:
@@ -135,7 +147,7 @@ def main() -> int:
         tally[f"raised {type(code).__name__}" if raised else f"exit {code}"] += 1
         fault = broken(doc, code, err, written)
         if fault:
-            faults.append(f"{name} {'.'.join(path)} = {mutation!r}: {fault}")
+            faults.append(f"{name} {label(path)} = {mutation!r}: {fault}")
     counts = ", ".join(f"{outcome} {n}" for outcome, n in sorted(tally.items()))
     print(f"{sum(tally.values())} cases: {counts}")
     print("\n".join(faults) or "every replay kept the contract")
