@@ -41,10 +41,12 @@ only the down-sweep products on that prefix's chain (``_chain``):
 popcount(B) - 1 products for a block of B steps, in the down-sweep's own
 order, so [u_K | J_K] has the bits of the full scan.  The trajectory
 omega_0..omega_K is formed on demand by ``inner_iterates``, which streams
-the full scan (up-sweep and down-sweep) block by block at the block length
-the final state was composed with, and so its last row is omega_K bit for
-bit.  The tape of a composed solve calls it on the first read of its
-``iterates`` and no library path makes that read.
+the full scan (up-sweep and down-sweep) block by block.  Both cut their
+blocks in one place, ``_upswept``, at the length ``_block`` derives from
+n + 1 + m and K, so the trajectory's last row is omega_K bit for bit and
+no caller passes a block length.  The tape of a composed solve calls
+``inner_iterates`` on the first read of its ``iterates`` and no library
+path makes that read.
 
 The state depends on the affine spec, the weights, t and s, never on lam,
 so a model that solves one inner spec at T outer iterates needs it once.
@@ -53,11 +55,13 @@ belongs to its ``InnerSolveSpec``, as that spec's weights do: the first
 solve of an affine spec composes [u_K | J_K] and keeps it there, n (1 + m)
 floats at any K, and later solves of the same spec object on the same
 affine spec object form omega_K = u_K + J_K lam from it and scan nothing.
-A holder keeps the state of one affine spec, the last solved.  The state
-lives as long as the spec object that holds it: a fresh spec, such as each
-``SolveConfig.inner_spec()`` call makes, scans again.  The kept state is
-read-only, and so are the arrays of the affine spec it was composed from
-(``bilevelopt.problems.make_quadratic``).
+A holder is one slot, the affine spec last solved and its state, and it
+knows an affine spec by identity (``held.get("spec") is spec``): a solve
+of any other affine spec object composes that spec's state and replaces
+the slot.  The state lives as long as the spec object that holds it: a
+fresh spec, such as each ``SolveConfig.inner_spec()`` call makes, scans
+again.  The kept state is read-only, and so are the arrays of the affine
+spec it was composed from (``bilevelopt.problems.make_quadratic``).
 
 An iterate sums J_k lam over lam's entries in order, elementwise, and not
 through a BLAS matrix-vector product, which rounds a row by its position
@@ -182,9 +186,8 @@ def _chain(H: np.ndarray) -> None:
     H[-1:] = prefix
 
 
-def _upswept(spec, alphas: np.ndarray, t: float, s: float,
-             block: int) -> Iterator[Tuple[int, np.ndarray]]:
-    """The K steps' block matrices, ``block`` steps at a time, each block up-swept.
+def _upswept(spec, alphas: np.ndarray, t: float, s: float) -> Iterator[Tuple[int, np.ndarray]]:
+    """The K steps' block matrices, ``_block``'s steps at a time, each block up-swept.
 
     Yields (lo, G) per block, G[i] the step matrix [[M_k, offset_k], [0, I]]
     of step k = lo + i, the carried state folded into its first step.  The
@@ -195,6 +198,7 @@ def _upswept(spec, alphas: np.ndarray, t: float, s: float,
     n, m = spec.B_h.shape
     r = 1 + m
     K = alphas.shape[0]
+    block = _block(n + r, K)
     # the top rows [M_k | offset_k] of step k combine three constant rows,
     # t alpha_k [-A_h | d_h | B_h] + [I | 0] + s (1 - alpha_k) [-A_g | gc | 0],
     # and one matrix product forms them for a whole block
@@ -225,12 +229,12 @@ def _upswept(spec, alphas: np.ndarray, t: float, s: float,
         X = G[-1, :n, n:].copy()
 
 
-def _final_state(spec, alphas: np.ndarray, t: float, s: float,
-                 block: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+def _final_state(spec, alphas: np.ndarray, t: float,
+                 s: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """u_K and J_K, read-only, J_K in C order; None if a matrix the up-sweep formed is not finite."""
     n, m = spec.B_h.shape
     state = np.zeros((n, 1 + m))
-    for _, G in _upswept(spec, alphas, t, s, block):
+    for _, G in _upswept(spec, alphas, t, s):
         if not np.isfinite(G).all():
             return None
         _chain(G)
@@ -244,51 +248,47 @@ def _final_state(spec, alphas: np.ndarray, t: float, s: float,
 
 @np.errstate(over="ignore", invalid="ignore")
 def final_iterate(spec, lam: np.ndarray, alphas: np.ndarray, t: float, s: float,
-                  held: dict) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
-    """omega_K and J_K = d omega_K / d lam from omega_0 = 0, and the block of their scan.
+                  held: dict) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """omega_K and J_K = d omega_K / d lam from omega_0 = 0.
 
     ``held``, a dict that belongs to the ``InnerSolveSpec`` whose
-    ``alphas``, ``t`` and ``s`` these are, keeps u_K and J_K of the one
-    affine spec it last solved, with the block length they were composed
-    at: ``inner_iterates`` at that block gives the trajectory whose last
-    row is omega_K.  The J_K returned is the held, read-only array.  None
-    if omega_K, or a matrix the up-sweep formed, is not finite; numpy's
-    overflow warnings are off.
+    ``alphas``, ``t`` and ``s`` these are, keeps one slot: the affine spec
+    it last solved, under "spec", and that spec's u_K and J_K, under
+    "state".  A solve of the same spec object reads the state; any other
+    spec replaces the slot.  The J_K returned is the held, read-only
+    array.  None if omega_K, or a matrix the up-sweep formed, is not
+    finite; numpy's overflow warnings are off.
     """
-    entry = held.get(id(spec))
-    if entry is None:
-        n, m = spec.B_h.shape
-        block = _block(n + 1 + m, alphas.shape[0])
-        held.clear()
-        # the entry keeps its spec alive, so no other spec reuses its id
-        entry = held[id(spec)] = (spec, block, _final_state(spec, alphas, t, s, block))
-    _, block, state = entry
-    if state is None:
+    if held.get("spec") is not spec:
+        held.update(spec=spec, state=_final_state(spec, alphas, t, s))
+    if held["state"] is None:
         return None
-    u, J = state
+    u, J = held["state"]
     # elementwise over lam's entries, as ``inner_iterates`` forms each row
     omega = u.copy()
     for j, x in enumerate(lam.tolist()):
         omega += J[:, j] * x
-    return (omega, J, block) if np.all(np.isfinite(omega)) else None
+    return (omega, J) if np.all(np.isfinite(omega)) else None
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def inner_iterates(spec, lam: np.ndarray, alphas: np.ndarray, t: float, s: float,
-                   block: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+def inner_iterates(spec, lam: np.ndarray, alphas: np.ndarray, t: float,
+                   s: float) -> Tuple[np.ndarray, np.ndarray]:
     """omega_0..omega_K from omega_0 = 0, stacked row-wise, and J_K = d omega_K / d lam.
 
-    The full scan, in blocks of ``block`` steps (by default ``_block``'s),
-    streams each block's lam-free states [u_k | J_k] once and writes its
-    iterates u_k + J_k lam, with numpy's overflow warnings off.  The
-    iterates are not checked for finiteness: the caller checks them.
+    The full scan, in the blocks ``final_iterate`` composes (``_block``'s
+    length for n + 1 + m and K), streams each block's lam-free states
+    [u_k | J_k] once and writes its iterates u_k + J_k lam, so its last row
+    is ``final_iterate``'s omega_K bit for bit, with numpy's overflow
+    warnings off.  The iterates are not checked for finiteness: the caller
+    checks them.
     """
     n, m = spec.B_h.shape
     K = alphas.shape[0]
     iterates = np.empty((K + 1, n))
     iterates[0] = 0.0
     J = np.zeros((n, m))
-    for lo, G in _upswept(spec, alphas, t, s, block or _block(n + 1 + m, K)):
+    for lo, G in _upswept(spec, alphas, t, s):
         _downsweep(G)
         # S[j, i] is column j of the state after step lo + i + 1
         S = G[:, :n, n:].transpose(2, 0, 1)

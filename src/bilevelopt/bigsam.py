@@ -64,14 +64,20 @@ def model_exponent(mode: str, alpha_exponent: float = ALPHA_EXPONENT) -> float:
     return 0.0 if mode == "basic" else alpha_exponent
 
 
-def check_alpha_exponent(exponent: float, K: int, frequency: int) -> None:
-    """Reject an exponent outside [0, inf) or one whose weights underflow within K steps.
+def check_inner_settings(t: float, s: float, exponent: float, K: int, frequency: int) -> None:
+    """Reject step sizes that are not finite and positive, and a bad averaging exponent.
 
-    A negative exponent pins every weight at 1, as exponent 0 (the basic
-    model) does, and a weight of 0 would drop h from its step altogether.
-    The exponent, and K, whose last weight is taken as a float, must be
-    numbers that a float can hold.
+    The one place the float settings of an inner solve are checked, for
+    ``InnerSolveSpec`` and for ``bilevelopt.models.SolveConfig`` alike,
+    after their counts.  An exponent outside [0, inf) is refused: a
+    negative one pins every weight at 1, as exponent 0 (the basic model)
+    does.  So is one whose weights underflow within K steps, because a
+    weight of 0 would drop h from its step altogether.  The exponent, and
+    K, whose last weight is taken as a float, must be numbers that a float
+    can hold.
     """
+    check_finite_positive("t", t)
+    check_finite_positive("s", s)
     if type(exponent) is not float:
         check_number("alpha_exponent", exponent)
     check_number("K", K)
@@ -117,11 +123,9 @@ class InnerSolveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "K", check_count("K", self.K, 0))
-        check_finite_positive("t", self.t)
-        check_finite_positive("s", self.s)
         object.__setattr__(self, "bigsam_frequency",
                            check_count("bigsam_frequency", self.bigsam_frequency, 1))
-        check_alpha_exponent(self.alpha_exponent, self.K, self.bigsam_frequency)
+        check_inner_settings(self.t, self.s, self.alpha_exponent, self.K, self.bigsam_frequency)
 
     @cached_property
     def _alphas(self) -> np.ndarray:
@@ -141,9 +145,10 @@ class InnerSolveSpec:
 
     @cached_property
     def _affine_state(self) -> dict:
-        # the composed path's final lam-free state [u_K | J_K] of the affine
-        # spec this spec last solved, which ``bilevelopt.affine.final_iterate``
-        # keeps and reads
+        # one slot, {"spec": affine spec, "state": its [u_K | J_K] or None}:
+        # the composed path's final lam-free state of the affine spec this
+        # spec last solved, which ``bilevelopt.affine.final_iterate`` keeps
+        # and reads
         return {}
 
 
@@ -164,17 +169,21 @@ class Tape:
 
     The composed path's tape records ``final`` and ``jacobian`` only: its
     ``iterates`` are formed on their first read, by the streamed scan of
-    ``bilevelopt.affine.inner_iterates`` at the solve's block length, with
-    ``final`` as their last row.  No library path reads them.  A read whose
-    scan forms a non-finite iterate raises ``OracleDivergence`` naming the
-    inner step, and returns no rows.
+    ``bilevelopt.affine.inner_iterates``, which derives the block length
+    the final state was composed at, with ``final`` as their last row.  No
+    library path reads them.  A read whose scan forms a non-finite iterate
+    raises ``OracleDivergence`` naming the inner step, and returns no rows.
 
-    Every constructor path checks the shapes it can see without forming a
-    trajectory.  The dataclass constructor, the one a hand-built tape goes
-    through, also checks that every iterate and weight is finite.
-    ``solve_inner`` builds its tapes through ``_solved``, which skips that
-    scan: its solver has already checked omega_K, or the loop's iterates,
-    and a schedule's weights are finite by construction.
+    A tape is checked in one place, the dataclass constructor, which a
+    hand-built tape goes through: ``iterates`` must be a 2-D array, and
+    ``alphas`` and ``lam`` 1-D arrays, with one more iterate than weights,
+    one VJP per step and an (n, m) ``jacobian`` where they are recorded;
+    ``t`` and ``s`` finite and positive; and every iterate and weight
+    finite.  Each refusal is a ``ValueError`` naming the field.
+    ``solve_inner`` builds its tapes through ``_solved``, which checks
+    nothing: its solver has just formed those shapes, has checked omega_K
+    or the loop's iterates, and a schedule's weights are finite by
+    construction.
     """
 
     iterates: np.ndarray
@@ -186,37 +195,39 @@ class Tape:
     jacobian: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self._check_shapes()
+        for name, ndim in (("iterates", 2), ("alphas", 1), ("lam", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, np.ndarray) and value.ndim == ndim):
+                raise ValueError(f"tape {name} must be a {ndim}-D array, "
+                                 f"got {getattr(value, 'shape', type(value).__name__)}")
+        check_finite_positive("t", self.t)
+        check_finite_positive("s", self.s)
+        if self.iterates.shape[0] != self.K + 1:
+            raise ValueError("tape must hold exactly one more iterate than alphas")
+        if self.vjps is not None and len(self.vjps) != self.K:
+            raise ValueError("tape must hold exactly one VJP per step")
+        if self.jacobian is not None and not (
+                isinstance(self.jacobian, np.ndarray)
+                and self.jacobian.shape == (self.iterates.shape[1], self.lam.shape[0])):
+            raise ValueError("tape jacobian must be (inner_dim, outer_dim)")
         if not (np.all(np.isfinite(self.iterates)) and np.all(np.isfinite(self.alphas))):
             raise ValueError("tape contains non-finite entries")
 
     @classmethod
     def _solved(cls, **fields) -> "Tape":
-        """The tape of a solve whose iterates and weights are known finite: shapes checked only."""
+        """The tape of a solve, which has just formed and checked its fields: nothing is checked."""
         tape = object.__new__(cls)
         for name, value in fields.items():
             object.__setattr__(tape, name, value)
-        tape._check_shapes()
         return tape
-
-    def _check_shapes(self) -> None:
-        if self.iterates.shape[0] != self.alphas.shape[0] + 1:
-            raise ValueError("tape must hold exactly one more iterate than alphas")
-        self._check_records()
-
-    def _check_records(self) -> None:
-        if self.vjps is not None and len(self.vjps) != self.alphas.shape[0]:
-            raise ValueError("tape must hold exactly one VJP per step")
-        if self.jacobian is not None and \
-                self.jacobian.shape != (self.final.shape[0], self.lam.shape[0]):
-            raise ValueError("tape jacobian must be (inner_dim, outer_dim)")
 
     @property
     def K(self) -> int:
         return self.alphas.shape[0]
 
-    @property
+    @cached_property
     def final(self) -> np.ndarray:
+        # a composed solve records it; a ``dataclasses.replace`` copy reads its iterates
         return self.iterates[-1]
 
     # not read by the library, but the perfbench tracer's span notes read it
@@ -229,24 +240,16 @@ class Tape:
 class _ComposedTape(Tape):
     """The tape of a composed affine solve: omega_K and J_K recorded, the trajectory on demand.
 
-    ``_affine`` and ``_block`` are the affine spec and the block length of
-    the solve's scan, so that the trajectory has the bits of ``final``.
+    ``_affine`` is the affine spec of the solve's scan, which the
+    trajectory's scan composes again, at the same block length, so that
+    its last row has the bits of ``final``.
     """
-
-    # the trajectory is not there to count its rows
-    _check_shapes = Tape._check_records
 
     @cached_property
     def iterates(self) -> np.ndarray:
-        iterates, _ = affine.inner_iterates(self._affine, self.lam, self.alphas, self.t, self.s,
-                                            self._block)
+        iterates, _ = affine.inner_iterates(self._affine, self.lam, self.alphas, self.t, self.s)
         # row r is iterate r, made by inner step r - 1 (row 0 is the zero start)
         return finite(iterates, lambda r: f"non-finite iterate (inner step {r - 1})")
-
-    @cached_property
-    def final(self) -> np.ndarray:
-        # recorded by the solve; a copy made by ``dataclasses.replace`` reads its iterates
-        return self.iterates[-1]
 
 
 def schedule(spec: InnerSolveSpec) -> np.ndarray:
@@ -323,7 +326,8 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
     instead.  The loop's trajectory is checked for finiteness once, after
     the loop: the first non-finite iterate names the diverging step, and the
     gradient oracles that are not finite at its input name the cause.
-    Either tape is built without a second check (``Tape._solved``).
+    Either tape is built unchecked (``Tape._solved``): the solve has just
+    formed its fields and checked what could diverge.
     """
     alphas = schedule(spec)
     lam = as_vector(lam, problem.outer_dim, "lam")
@@ -331,10 +335,10 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
         composed = affine.final_iterate(problem.affine, lam, alphas, spec.t, spec.s,
                                         spec._affine_state)
         if composed is not None:
-            final, jacobian, block = composed
+            final, jacobian = composed
             return _ComposedTape._solved(final=final, jacobian=jacobian, alphas=alphas,
                                          t=spec.t, s=spec.s, lam=lam.copy(),
-                                         _affine=problem.affine, _block=block)
+                                         _affine=problem.affine)
     omega = np.zeros(problem.inner_dim)
     iterates = np.empty((spec.K + 1, problem.inner_dim))
     iterates[0] = omega

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .bigsam import (ALPHA_EXPONENT, InnerSolveSpec, check_alpha_exponent, check_count,
+from .bigsam import (ALPHA_EXPONENT, InnerSolveSpec, check_count, check_inner_settings,
                      model_exponent, solve_inner)
 from .hypergrad import reverse_hypergradient
 from .problem import (BilevelProblem, OracleDivergence, as_vector, check_finite_positive, finite,
@@ -35,8 +35,9 @@ class SolveConfig:
     200, 2.5 fails.  The seed may be 0; the other counts are at least 1.  The
     step sizes ``t``, ``s``, ``eta`` and ``alpha_exponent`` must be numbers
     that a float can hold, not bools or strings (``check_number``), and the
-    step sizes finite and positive.  A basic run solves with exponent 0,
-    whatever ``alpha_exponent`` holds.
+    step sizes finite and positive; ``t``, ``s`` and the exponent are
+    checked as ``InnerSolveSpec`` checks them (``check_inner_settings``).
+    A basic run solves with exponent 0, whatever ``alpha_exponent`` holds.
     """
 
     t: float
@@ -50,15 +51,14 @@ class SolveConfig:
     mode: str = "improved"
 
     def __post_init__(self):
-        check_finite_positive("t", self.t)
-        check_finite_positive("s", self.s)
-        check_finite_positive("eta", self.eta)
         for name, least in (("K", 1), ("T", 1), ("bigsam_frequency", 1), ("seed", 0)):
             value = getattr(self, name)
             if type(value) is not int or value < least:
                 object.__setattr__(self, name, check_count(name, value, least))
+        # the exponent is checked in a basic run too
+        check_inner_settings(self.t, self.s, self.alpha_exponent, self.K, self.bigsam_frequency)
+        check_finite_positive("eta", self.eta)
         model_exponent(self.mode)   # rejects an unknown mode
-        check_alpha_exponent(self.alpha_exponent, self.K, self.bigsam_frequency)
 
     def inner_spec(self) -> InnerSolveSpec:
         return InnerSolveSpec(K=self.K, t=self.t, s=self.s,

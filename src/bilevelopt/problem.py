@@ -369,9 +369,11 @@ def _fd_fallback(problem: BilevelProblem, which: str, a, omega, lam) -> np.ndarr
 
     The adjoint is normalized before differencing so the effective step stays
     at the default scale regardless of the adjoint's magnitude, then the
-    result is scaled back (fd_vjp is linear in the adjoint).
+    result is scaled back (fd_vjp is linear in the adjoint).  The adjoint is
+    the reverse pass's own: one that is not finite is a divergence of that
+    pass, raised through ``finite``, and not a caller's bad input.
     """
-    a = as_vector(a, problem.inner_dim, "adjoint")
+    a = finite(a, f"non-finite adjoint (FD fallback of {VJP_SLOTS[VJP_NAMES.index(which)]})")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if scale == 0.0:
         return np.zeros(problem.inner_dim if which.endswith("11") else problem.outer_dim)

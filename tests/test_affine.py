@@ -561,9 +561,12 @@ class TestKeptStates:
             bl.solve_inner(p, np.array([0.25]), spec)
             bl.solve_inner(p, np.array([0.5]), spec)
         want = lengths(5000, affine._block(state_size(p), 5000))
+        # one scan, in blocks of 4096 steps: the second solve reads the kept state
         assert (seen.up, seen.down) == (want, []) == ([4096, 904], [])
-        (held, block, state), = spec._affine_state.values()
-        assert held is p.affine and block == 4096
+        held = spec._affine_state
+        assert set(held) == {"spec", "state"} and held["spec"] is p.affine
+        state = held["state"]
+        assert [(x.shape, x.dtype) for x in state] == [((2,), np.float64), ((2, 1), np.float64)]
         assert sum(x.nbytes for x in state) == 8 * 2 * 2
         assert not any(x.flags.writeable for x in state)
 
@@ -575,8 +578,8 @@ class TestKeptStates:
             for p in (first, second, second, first):
                 bl.solve_inner(p, np.ones(3), spec)
         assert (seen.up, seen.down) == ([40, 40, 40], [])
-        (held, _, _), = spec._affine_state.values()
-        assert held is first.affine
+        held = spec._affine_state
+        assert set(held) == {"spec", "state"} and held["spec"] is first.affine
 
 
 @st.composite

@@ -68,6 +68,25 @@ class TestTape:
         with pytest.raises(ValueError, match="exactly one VJP per step"):
             self.tape(vjps=(None,) * count)
 
+    # each is refused where it is built, naming the field, and not left to
+    # fail later in the reverse pass
+    @pytest.mark.parametrize("field, value, message", [
+        ("iterates", np.zeros(3), r"^tape iterates must be a 2-D array, got \(3,\)$"),
+        ("iterates", [[0.0, 0.0]] * 3, "^tape iterates must be a 2-D array, got list$"),
+        ("alphas", np.ones((2, 1)), r"^tape alphas must be a 1-D array, got \(2, 1\)$"),
+        ("alphas", [1.0, 1.0], "^tape alphas must be a 1-D array, got list$"),
+        ("lam", np.array(0.0), r"^tape lam must be a 1-D array, got \(\)$"),
+        ("t", np.nan, "^t must be finite and positive, got nan$"),
+        ("t", 0.0, "^t must be finite and positive, got 0.0$"),
+        ("s", np.inf, "^s must be finite and positive, got inf$"),
+        ("s", "0.1", "^s must be a number, got '0.1'$"),
+        ("jacobian", [[0.0], [0.0]], "^tape jacobian must be"),
+    ], ids=["iterates-1d", "iterates-list", "alphas-2d", "alphas-list", "lam-0d", "t-nan",
+            "t-zero", "s-inf", "s-str", "jacobian-list"])
+    def test_malformed_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            self.tape(**{field: value})
+
     @pytest.mark.parametrize("field, value", [
         ("iterates", np.nan), ("iterates", np.inf), ("alphas", np.nan), ("alphas", np.inf)],
         ids=["nan", "inf", "alphas-nan", "alphas-inf"])

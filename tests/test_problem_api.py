@@ -13,8 +13,8 @@ from bitwise import same_bits, serial
 from bilevelopt import oracles
 from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
 from bilevelopt.oracles import CheckConfig
-from bilevelopt.problem import (ROW_ORACLES, VJP_NAMES, OracleDivergence, batched, default_fd_eps,
-                                finite)
+from bilevelopt.problem import (ROW_ORACLES, VJP_NAMES, VJP_SLOTS, OracleDivergence, batched,
+                                default_fd_eps, finite)
 
 
 def scalar_coupled_quadratic():
@@ -218,6 +218,43 @@ class TestFdFallbackWiring:
         a = np.array([1e8])
         got = fallback_vjps(p, a, np.zeros(1), np.zeros(1))[0]
         assert got == pytest.approx(1e8, rel=1e-6)
+
+
+class TestFdFallbackDivergence:
+    """An adjoint that diverges into a VJP slot's FD fallback is a divergence, as with the slots."""
+
+    # basic steps on h = 50 w^2 - w lam at lam = 0 keep every iterate at 0,
+    # and the reverse pass multiplies the adjoint by 1 - t * 100 = -9 per step
+    SPEC = bl.InnerSolveSpec(K=400, t=0.1, s=0.1, alpha_exponent=0.0)
+
+    @staticmethod
+    def analytic_and_fallback():
+        p = bl.make_quadratic(bl.QuadraticBilevelSpec(
+            A_h=np.array([[100.0]]), B_h=np.ones((1, 1)), d_h=np.zeros(1), A_g=np.eye(1),
+            c_g=np.ones(1)))
+        return p, dataclasses.replace(p, **dict.fromkeys(VJP_SLOTS))
+
+    def test_reverse_pass_reports_a_divergence(self):
+        analytic, fallback = self.analytic_and_fallback()
+        assert set(fallback.vjp_flavor.values()) == {"fd-fallback"}
+        for p, message in ((analytic, "non-finite hypergradient"),
+                           (fallback, r"non-finite adjoint \(FD fallback of vjp12_h\)")):
+            tape = bl.solve_inner(p, np.zeros(1), self.SPEC)
+            assert np.all(tape.final == 0.0)
+            with pytest.raises(OracleDivergence, match=f"^oracle-divergence: {message}$"):
+                bl.reverse_hypergradient(p, tape)
+
+    def test_run_model_names_the_outer_iteration(self):
+        _, fallback = self.analytic_and_fallback()
+        config = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=400, T=2, mode="basic")
+        with pytest.raises(OracleDivergence, match="^outer iteration 0: oracle-divergence: "
+                                                   "non-finite adjoint") as info:
+            bl.run_model(fallback, [0.0], config)
+        assert info.value.failed_iteration == 0 and info.value.partial_trace.records == []
+
+    def test_public_fd_vjp_still_refuses_a_non_finite_adjoint(self):
+        with pytest.raises(ValueError, match="adjoint contains non-finite entries"):
+            bl.fd_vjp(scalar_coupled_quadratic(), "h11", [np.inf], [0.0], [0.0])
 
 
 class TestValidateFirstOrder:

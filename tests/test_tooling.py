@@ -10,7 +10,10 @@ each of its modules export in ``__all__`` must be defined there too, or a
 divergences: ``OracleDivergence`` is constructed only in ``problem.finite``
 and in ``models.run_model``, which reports its record and wraps the error.
 One rule refuses a setting that is no number: only ``problem.check_number``
-raises a ``ValueError`` saying "must be a number".
+raises a ``ValueError`` saying "must be a number".  And one rule refuses a
+malformed tape: a ``ValueError`` whose message names a tape is raised only
+in ``bigsam.Tape.__post_init__`` and, where a tape's dimensions are not its
+problem's, in ``hypergrad.reverse_hypergradient``.
 """
 
 import ast
@@ -57,15 +60,19 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names {missing}"
 
 
-def callers(node, wanted, function=None):
+def callers(node, wanted, function=None, owner=""):
     """The names of the functions, innermost, around each call under node that ``wanted`` picks.
 
-    None stands for module level.
+    A method is named with its class, as ``Class.method``; None stands for
+    module level.
     """
     found = set()
     for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            found |= callers(child, wanted, function, f"{owner}{child.name}.")
+            continue
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found |= callers(child, wanted, child.name)
+            found |= callers(child, wanted, owner + child.name)
             continue
         if isinstance(child, ast.Call) and wanted(child):
             found.add(function)
@@ -92,13 +99,33 @@ def number_refusals(node):
     return callers(node, refusal)
 
 
+def tape_refusals(node):
+    """The names of the functions around each ``ValueError`` whose message names a tape."""
+    def refusal(call):
+        return called(call) == "ValueError" and any(
+            isinstance(c, ast.Constant) and "tape" in str(c.value).lower()
+            for c in ast.walk(call))
+
+    return callers(node, refusal)
+
+
+def found_in_src(rule):
+    """The (module, function) pairs of the package around every call that ``rule`` finds."""
+    return {(path.stem, function) for path in (ROOT / "src" / "bilevelopt").glob("*.py")
+            for function in rule(ast.parse(path.read_text()))}
+
+
 def test_divergences_are_raised_through_finite_and_run_model():
-    found = {(path.stem, function) for path in (ROOT / "src" / "bilevelopt").glob("*.py")
-             for function in divergence_constructors(ast.parse(path.read_text()))}
+    found = found_in_src(divergence_constructors)
     assert found == {("problem", "finite"), ("models", "run_model")}
 
 
 def test_one_rule_refuses_a_non_number():
-    found = {(path.stem, function) for path in (ROOT / "src" / "bilevelopt").glob("*.py")
-             for function in number_refusals(ast.parse(path.read_text()))}
-    assert found == {("problem", "check_number")}
+    assert found_in_src(number_refusals) == {("problem", "check_number")}
+
+
+def test_one_rule_refuses_a_malformed_tape():
+    # a hand-built tape is checked where it is built; the reverse pass
+    # refuses only a tape whose dimensions are not its problem's
+    assert found_in_src(tape_refusals) == {("bigsam", "Tape.__post_init__"),
+                                           ("hypergrad", "reverse_hypergradient")}

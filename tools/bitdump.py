@@ -21,9 +21,9 @@ t = s = 0.1, lam = 0.25, each mode, frequency 1), the digests of the
 iterates and the hypergradient of its composed path, the one path there
 that runs several scan blocks, and of a second solve on the same spec
 object, which reads the final state the first one kept.  A composed tape
-forms its iterates on their first read, by the full streamed scan at the
-solve's block length; its hypergradient reads omega_K off the final state.
-Each
+forms its iterates on their first read, by the full streamed scan in the
+blocks its final state was composed in (the scan derives their length from
+n + 1 + m and K); its hypergradient reads omega_K off the final state.  Each
 zoo problem's ``check_suite`` report (seed 0, ``default_check_configs``),
 and that of each serial copy, gets one line per verifier row: the SHA-256
 of the row's JSON, whose floats round-trip, so every referee value (first-order, VJP and hypergradient
