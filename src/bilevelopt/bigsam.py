@@ -24,12 +24,12 @@ Every solve binds lam once through ``bilevelopt.problem.linearizer``, which
 returns the step map itself: ``_iterate`` makes one ``step`` call per inner
 step, and a problem's hook may evaluate h and g in one fused kernel.
 ``solve_inner`` records each step's VJP on the ``Tape`` (the composed affine
-path records omega_K and J_K = d omega_K / d lam instead, and forms the
-trajectory only if it is read), and ``final_inner_iterate`` is its last
-iterate.  A stack of lam rows (``final_inner_iterates_many``,
-the finite-difference referee's probes) binds the same step map on a
-stack; that solve keeps no VJP, so each step's is dropped at the next
-step.  The reverse pass over a ``Tape`` is ``bilevelopt.hypergrad``.
+path records omega_K and J_K = d omega_K / d lam instead, and no
+trajectory), and ``final_inner_iterate`` is its last iterate.  A stack of
+lam rows (``final_inner_iterates_many``, the finite-difference referee's
+probes) binds the same step map on a stack; that solve keeps no VJP, so
+each step's is dropped at the next step.  The reverse pass over a ``Tape``
+is ``bilevelopt.hypergrad``.
 """
 
 from __future__ import annotations
@@ -163,16 +163,15 @@ class Tape:
     with the weight alphas[k].  Their saved residuals are O(K) arrays of the
     problem's intermediate size.  ``jacobian``, recorded only by the
     composed affine path, is the (n, m) J_K = d omega_K / d lam that its
-    scan carried with omega_K; the reverse pass of a problem that declares
-    its affine structure reads the hypergradient off it.  A tape with
-    neither (hand-built) is linearized again by the reverse pass.
+    scan carried with omega_K; the reverse pass reads the hypergradient off
+    it.  A tape with neither (hand-built) is linearized again by the
+    reverse pass.
 
-    The composed path's tape records ``final`` and ``jacobian`` only: its
-    ``iterates`` are formed on their first read, by the streamed scan of
-    ``bilevelopt.affine.inner_iterates``, which derives the block length
-    the final state was composed at, with ``final`` as their last row.  No
-    library path reads them.  A read whose scan forms a non-finite iterate
-    raises ``OracleDivergence`` naming the inner step, and returns no rows.
+    The composed path's tape records ``final`` and ``jacobian`` and holds
+    no trajectory: its ``iterates`` are None.  A ``dataclasses.replace``
+    copy of the problem, the reference path, runs the loop and records
+    one; a ``dataclasses.replace`` copy of a composed tape is refused, as
+    any tape without a 2-D ``iterates`` is.
 
     A tape is checked in one place, the dataclass constructor, which a
     hand-built tape goes through: ``iterates`` must be a 2-D array, and
@@ -181,12 +180,12 @@ class Tape:
     ``t`` and ``s`` finite and positive; and every iterate and weight
     finite.  Each refusal is a ``ValueError`` naming the field.
     ``solve_inner`` builds its tapes through ``_solved``, which checks
-    nothing: its solver has just formed those shapes, has checked omega_K
+    nothing: its solver has just formed those fields, has checked omega_K
     or the loop's iterates, and a schedule's weights are finite by
     construction.
     """
 
-    iterates: np.ndarray
+    iterates: Optional[np.ndarray]
     alphas: np.ndarray
     t: float
     s: float
@@ -227,7 +226,7 @@ class Tape:
 
     @cached_property
     def final(self) -> np.ndarray:
-        # a composed solve records it; a ``dataclasses.replace`` copy reads its iterates
+        # a composed solve records it; a loop's or a hand-built tape reads its iterates
         return self.iterates[-1]
 
     # not read by the library, but the perfbench tracer's span notes read it
@@ -235,21 +234,6 @@ class Tape:
     def mode(self) -> str:
         """The model the weights run: "improved" iff some alpha < 1."""
         return "improved" if np.any(self.alphas < 1.0) else "basic"
-
-
-class _ComposedTape(Tape):
-    """The tape of a composed affine solve: omega_K and J_K recorded, the trajectory on demand.
-
-    ``_affine`` is the affine spec of the solve's scan, which the
-    trajectory's scan composes again, at the same block length, so that
-    its last row has the bits of ``final``.
-    """
-
-    @cached_property
-    def iterates(self) -> np.ndarray:
-        iterates, _ = affine.inner_iterates(self._affine, self.lam, self.alphas, self.t, self.s)
-        # row r is iterate r, made by inner step r - 1 (row 0 is the zero start)
-        return finite(iterates, lambda r: f"non-finite iterate (inner step {r - 1})")
 
 
 def schedule(spec: InnerSolveSpec) -> np.ndarray:
@@ -305,7 +289,7 @@ def _culprit(problem: BilevelProblem, omega: np.ndarray, lam: np.ndarray, alpha:
 
 
 def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
-    """Run K averaged steps from omega_0 = 0 and record the full trajectory.
+    """Run K averaged steps from omega_0 = 0 and record them on a ``Tape``.
 
     Exponent 0 (the basic model) gives alpha == 1 on every step: the averaged
     update then is plain gradient descent on h and never touches g.  No
@@ -319,15 +303,19 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
     no gradient oracle and agrees with the loop to roundoff.  That scan
     composes the final lam-free state [u_K | J_K] and omega_K = u_K + J_K lam;
     the tape records omega_K and the lam-Jacobian J_K in place of VJPs, and
-    forms the trajectory only if its ``iterates`` are read.  The spec keeps
-    the state of the affine spec it last solved, so its later solves at a
-    new lam scan nothing and have the bits a fresh spec's solve gives.  If
-    omega_K, or a matrix the scan formed, is not finite the loop is run
-    instead.  The loop's trajectory is checked for finiteness once, after
-    the loop: the first non-finite iterate names the diverging step, and the
-    gradient oracles that are not finite at its input name the cause.
-    Either tape is built unchecked (``Tape._solved``): the solve has just
-    formed its fields and checked what could diverge.
+    holds no trajectory (``iterates`` is None).  A ``dataclasses.replace``
+    copy of the problem drops the declaration: it runs the loop, the
+    reference path, and records the trajectory.  The spec keeps the state
+    of the affine spec it last solved, so its later solves at a new lam
+    scan nothing and have the bits a fresh spec's solve gives.  If omega_K,
+    or a matrix the scan formed, is not finite the loop is run instead.
+    Those are the composed path's only checks: it forms no intermediate
+    iterate, so it can return a finite omega_K where the loop overflows an
+    iterate on the way and raises.  The loop's trajectory is checked for
+    finiteness once, after the loop: the first non-finite iterate names the
+    diverging step, and the gradient oracles that are not finite at its
+    input name the cause.  Either tape is built unchecked (``Tape._solved``):
+    the solve has just formed its fields and checked what could diverge.
     """
     alphas = schedule(spec)
     lam = as_vector(lam, problem.outer_dim, "lam")
@@ -336,9 +324,8 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
                                         spec._affine_state)
         if composed is not None:
             final, jacobian = composed
-            return _ComposedTape._solved(final=final, jacobian=jacobian, alphas=alphas,
-                                         t=spec.t, s=spec.s, lam=lam.copy(),
-                                         _affine=problem.affine)
+            return Tape._solved(iterates=None, final=final, jacobian=jacobian, alphas=alphas,
+                                t=spec.t, s=spec.s, lam=lam.copy())
     omega = np.zeros(problem.inner_dim)
     iterates = np.empty((spec.K + 1, problem.inner_dim))
     iterates[0] = omega

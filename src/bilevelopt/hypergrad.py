@@ -28,6 +28,7 @@ bound; truncating the oldest transition leaves an O(alpha_1 * t) error that
 is far above tolerance at small K.  The pass therefore takes exactly K
 lam-side and K-1 omega-side step VJPs: O(K), matching the forward cost.
 
+The pass reads what the solve recorded, whatever problem it is given.
 Where those VJPs come from sets what each costs.  Every solve that runs the
 step loop records them on its tape, and the pass walks a tape's own VJPs.
 A ``linearize`` hook's VJPs read the residuals their forward step saved (the
@@ -43,10 +44,9 @@ affine structure (``BilevelProblem.affine``) has its solve compose the step
 maps in a blocked scan that carries the lam-Jacobian J_K forward with
 omega_K (``bilevelopt.affine``); its tape records omega_K and J_K in place
 of VJPs and of the trajectory, and the pass reads grad2_g + J_K^T grad1_g
-off them without calling a VJP or forming an iterate.  A tape with neither
-(hand-built), or one reversed by a problem without the declaration, is
+off them without calling a VJP.  Only a tape with neither (hand-built) is
 linearized again from its iterates by the problem the pass is given, at one
-more forward step each; a composed tape forms its trajectory for that.
+more forward step each.
 """
 
 from __future__ import annotations
@@ -65,16 +65,15 @@ __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
     """Accumulate the hypergradient of f_K at the tape's recorded lam.
 
-    The loop makes one call per step to the step map's VJP of the module
-    docstring: the tape's recorded ones, else those of ``linearizer`` at the
-    tape's iterates, newest first.  A tape that records the lam-Jacobian J_K
-    (the composed affine path's), reversed by a problem that declares its
-    affine structure, instead gives grad2_g + J_K^T grad1_g from the same
-    a = grad1_g and G = grad2_g, and reads no iterate but omega_K: the
-    tape's dimensions are read off ``final`` too, so a composed tape forms
-    no trajectory.  A problem without the declaration (a ``replace`` copy,
-    the reference) walks the loop.  Finiteness is checked
-    once on the result, so an overflow on the way is not warned about.
+    A tape that records the lam-Jacobian J_K (the composed affine path's)
+    gives grad2_g + J_K^T grad1_g from a = grad1_g and G = grad2_g at
+    omega_K, and reads no iterate but omega_K: the tape's dimensions are
+    read off ``final`` too.  Otherwise the loop makes one call per step to
+    the step map's VJP of the module docstring: the tape's recorded ones,
+    else, for a hand-built tape, those of ``linearizer`` at the tape's
+    iterates, newest first.  The problem given only supplies the g slots
+    and, for a hand-built tape, the step map.  Finiteness is checked once
+    on the result, so an overflow on the way is not warned about.
     """
     n, m = problem.dims
     if tape.final.shape[0] != n or tape.lam.shape[0] != m:
@@ -83,7 +82,7 @@ def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
             f"problem expects ({n}, {m})")
     lam = tape.lam
     omega_K = tape.final
-    if tape.jacobian is not None and problem.affine is not None:
+    if tape.jacobian is not None:
         vjps = None
     elif tape.vjps is not None:
         vjps = reversed(tape.vjps)

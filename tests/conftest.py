@@ -9,8 +9,8 @@ reproducible set of examples,
     pytest tests/test_properties.py --hypothesis-profile=sweep --hypothesis-seed=N
 
 The ``scan_blocks`` fixture counts the blocks of the composed affine scan,
-its up-sweeps and its down-sweeps apart, and can force their length through
-``affine._block``'s derivation.
+one up-sweep each, and can force their length through ``affine._block``'s
+derivation.
 """
 
 import contextlib
@@ -29,33 +29,27 @@ settings.load_profile("reproducible")
 
 @contextlib.contextmanager
 def _scan_blocks(steps=None, size=None):
-    """Record the length of every block that the scan up-sweeps and down-sweeps.
+    """Record the length of every block that the scan up-sweeps.
 
-    Yields a namespace of two lists, ``up`` and ``down``.  Each block of the
-    composed scan calls ``affine._upsweep`` once on its slice of step
-    matrices, and a block of the full scan (a trajectory) also calls
-    ``affine._downsweep`` once on it, so the slice's length is the block's.
+    Yields a namespace whose list ``up`` gets the length of each block:
+    each block of the composed scan calls ``affine._upsweep`` once on its
+    slice of step matrices, so the slice's length is the block's.
     With ``steps``, ``BLOCK_BYTES`` holds exactly ``steps`` step matrices of
     a state of ``size`` = n + 1 + m, so ``affine._block`` derives blocks of
     ``steps`` steps for that size.
     """
-    seen = SimpleNamespace(up=[], down=[])
+    seen = SimpleNamespace(up=[])
+    upsweep = affine._upsweep
 
-    def counted(sweep, lengths):
-        def run(H):
-            lengths.append(H.shape[0])
-            sweep(H)
-
-        return run
+    def counted(H):
+        seen.up.append(H.shape[0])
+        upsweep(H)
 
     with contextlib.ExitStack() as stack:
         if steps is not None:
             stack.enter_context(mock.patch.object(affine, "BLOCK_BYTES", 8 * steps * size ** 2))
             assert affine._block(size, steps + 1) == steps
-        stack.enter_context(mock.patch.object(affine, "_upsweep",
-                                              counted(affine._upsweep, seen.up)))
-        stack.enter_context(mock.patch.object(affine, "_downsweep",
-                                              counted(affine._downsweep, seen.down)))
+        stack.enter_context(mock.patch.object(affine, "_upsweep", counted))
         yield seen
 
 

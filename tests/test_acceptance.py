@@ -148,7 +148,10 @@ def test_criterion_4_reduction_identity():
         spec0 = bl.InnerSolveSpec(alpha_exponent=0.0, **d)
         tape_imp = bl.solve_inner(inst.problem, inst.lam0, spec0)
         tape_bas = bl.solve_inner(inst.problem, inst.lam0, spec_bas)
-        traj_equal = same_bits(tape_imp.iterates, tape_bas.iterates)
+        # what each tape records: the loop's trajectory, the composed path's
+        # omega_K and J_K (its iterates and the loop's jacobian are None)
+        traj_equal = all(same_bits(getattr(tape_imp, f), getattr(tape_bas, f))
+                         for f in ("iterates", "final", "jacobian"))
         G_imp = bl.reverse_hypergradient(inst.problem, tape_imp)
         G_bas = bl.reverse_hypergradient(inst.problem, tape_bas)
         grad_equal = same_bits(G_imp, G_bas)
@@ -256,10 +259,15 @@ def test_criterion_8_property_bundle(tmp_path):
                for _ in range(25)]
     check("f1-bounds", all(0.0 <= v <= 1.0 for v in f1_vals))
 
-    # tape lengths and alpha range
+    # tape lengths and alpha range: the trajectory of the loop (a replace
+    # copy); the composed path records omega_K and J_K
     p = bl.make_degenerate_quadratic()
-    tape = bl.solve_inner(p, np.array([0.5]), bl.InnerSolveSpec(K=33, t=0.1, s=0.1))
+    tape = bl.solve_inner(dataclasses.replace(p), np.array([0.5]),
+                          bl.InnerSolveSpec(K=33, t=0.1, s=0.1))
     check("tape-length", tape.iterates.shape[0] == 34 and tape.alphas.shape[0] == 33)
+    composed = bl.solve_inner(p, np.array([0.5]), bl.InnerSolveSpec(K=33, t=0.1, s=0.1))
+    check("composed-tape", composed.final.shape == (2,) and composed.jacobian.shape == (2, 1)
+          and composed.alphas.shape == (33,))
     check("alpha-range", bool(np.all((tape.alphas > 0) & (tape.alphas <= 1))))
 
     # VJP symmetry of the inner Hessian
@@ -275,11 +283,12 @@ def test_criterion_8_property_bundle(tmp_path):
     check("vjp-symmetry", sym_ok)
 
     # reverse-pass operation count is linear in K: one lam-side VJP per
-    # transition and one omega-side VJP per interior transition
+    # transition and one omega-side VJP per interior transition, on the loop
+    # of the counting copy (a replace copy)
     from test_hypergrad import counting_problem
     K = 17
-    tape = bl.solve_inner(p, np.array([0.5]), bl.InnerSolveSpec(K=K, t=0.1, s=0.1))
     wrapped, counts = counting_problem(p)
+    tape = bl.solve_inner(wrapped, np.array([0.5]), bl.InnerSolveSpec(K=K, t=0.1, s=0.1))
     bl.reverse_hypergradient(wrapped, tape)
     check("op-count", counts["vjp12_h"] == K and counts["vjp11_h"] == K - 1)
 

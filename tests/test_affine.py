@@ -2,7 +2,9 @@
 
 A ``dataclasses.replace`` copy of a problem drops its affine declaration, so
 the copy runs the generic per-step loop over the same oracles: that copy is
-the reference every fast-path result is checked against.
+the reference every fast-path result is checked against.  The composed path
+records omega_K and J_K and no trajectory; the scan itself is checked
+against ``sequential``, the step maps applied one after another.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bilevelopt as bl
-from bilevelopt import affine, models
+from bilevelopt import affine, hypergrad, models
 from bilevelopt.bigsam import final_inner_iterate
 from bitwise import same_bits
 from bilevelopt.problems import _CLOSEDFORM_SPEC, _DEGENERATE_SPEC
@@ -55,13 +57,6 @@ def state_size(p):
     return sum(p.affine.B_h.shape) + 1
 
 
-def reverse_of_streamed(p, streamed, alphas, spec, lam):
-    """The reverse hypergradient of a tape built by hand from a streamed solve."""
-    iterates, jacobian = streamed
-    return bl.reverse_hypergradient(p, bl.Tape(iterates=iterates, alphas=alphas, t=spec.t,
-                                               s=spec.s, lam=lam, jacobian=jacobian))
-
-
 def _close(got, want, rtol):
     # relative to each entry, with the array's scale as the floor for entries
     # that pass through zero
@@ -76,7 +71,7 @@ class TestFastPathMatchesLoop:
                                          (5000, None)])
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
     @pytest.mark.parametrize("name", list(PROBLEMS))
-    def test_iterates_and_hypergradient(self, scan_blocks, name, schedule, K, steps):
+    def test_final_state_and_hypergradient(self, scan_blocks, name, schedule, K, steps):
         blocks, lengths = scan_blocks
         p = PROBLEMS[name]()
         ref = dataclasses.replace(p)
@@ -90,18 +85,16 @@ class TestFastPathMatchesLoop:
             fast = bl.solve_inner(p, lam, spec)
             G = bl.reverse_hypergradient(p, fast)
             final = final_inner_iterate(p, lam, spec)
-            # the first solve up-sweeps each block once and down-sweeps none;
-            # the second reads the kept final state and scans nothing
-            assert (seen.up, seen.down) == (want, [])
-            # the trajectory's first read streams one full scan, its second none
-            iterates = fast.iterates
-            assert fast.iterates is iterates
-        assert (seen.up, seen.down) == (want * 2, want)
+        # the first solve up-sweeps each block once; the reverse pass scans
+        # nothing, and the second solve reads the kept final state
+        assert seen.up == want
+        assert fast.iterates is None
         loop = bl.solve_inner(ref, lam, spec)
         assert np.array_equal(fast.alphas, loop.alphas)
-        _close(iterates, loop.iterates, 1e-12)
+        _close(fast.final, loop.final, 1e-12)
+        _close(fast.jacobian, sequential(p.affine, lam, fast.alphas, spec.t, spec.s)[1], 1e-12)
         _close(G, bl.reverse_hypergradient(ref, loop), 1e-10)
-        assert same_bits(final, fast.final) and same_bits(iterates[-1], fast.final)
+        assert same_bits(final, fast.final)
 
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_exponent_zero_is_basic_bit_for_bit(self, scan_blocks, name):
@@ -113,9 +106,7 @@ class TestFastPathMatchesLoop:
         with blocks(256, state_size(p)) as seen:
             imp = bl.solve_inner(p, lam, spec0)
             bas = bl.solve_inner(p, lam, spec)
-            assert (seen.up, seen.down) == (2 * lengths(263, 256), []) == ([256, 7, 256, 7], [])
-            assert np.array_equal(imp.iterates, bas.iterates)
-        assert seen.down == [256, 7, 256, 7]
+        assert seen.up == 2 * lengths(263, 256) == [256, 7, 256, 7]
         assert same_bits(imp.final, bas.final) and same_bits(imp.jacobian, bas.jacobian)
         assert np.array_equal(bl.reverse_hypergradient(p, imp),
                               bl.reverse_hypergradient(p, bas))
@@ -142,23 +133,26 @@ class TestFastPathMatchesLoop:
 
 
 def sequential(spec, lam, alphas, t, s):
-    """omega_0..omega_K and J_K from the step maps applied one after another, in floats."""
+    """omega_K and J_K from the step maps applied one after another, in floats."""
     n, m = spec.B_h.shape
     b = spec.B_h @ lam + spec.d_h
     gc = spec.A_g @ spec.c_g
     omega, J = np.zeros(n), np.zeros((n, m))
-    iterates = [omega]
     for alpha in alphas:
         ta, sb = t * alpha, s * (1.0 - alpha)
         M = np.eye(n) - ta * spec.A_h - sb * spec.A_g
         omega = M @ omega + ta * b + sb * gc
         J = M @ J + ta * spec.B_h
-        iterates.append(omega)
-    return np.array(iterates), J
+    return omega, J
+
+
+def hypergradient_of(p, lam, omega, J):
+    """grad2_g + J^T grad1_g at omega: the hypergradient of a final state."""
+    return p.grad2_g(omega, lam) + J.T @ p.grad1_g(omega, lam)
 
 
 class TestScanIndexing:
-    """Every step's state lands on its own row, in every block and across block carries."""
+    """Every block's state is carried into the next, whatever K and the block's tail."""
 
     @staticmethod
     def check(K):
@@ -166,10 +160,10 @@ class TestScanIndexing:
         spec = bl.InnerSolveSpec(K=K, t=0.2, s=0.15)
         alphas = bl.schedule(spec)
         lam = np.random.default_rng(K).normal(size=p.outer_dim)
-        iterates, J = affine.inner_iterates(p.affine, lam, alphas, spec.t, spec.s)
-        want_iterates, want_J = sequential(p.affine, lam, alphas, spec.t, spec.s)
-        assert iterates.shape == want_iterates.shape
-        _close(iterates, want_iterates, 1e-13)
+        omega, J = affine.final_iterate(p.affine, lam, alphas, spec.t, spec.s, {})
+        want_omega, want_J = sequential(p.affine, lam, alphas, spec.t, spec.s)
+        assert omega.shape == want_omega.shape and J.shape == want_J.shape
+        _close(omega, want_omega, 1e-13)
         _close(J, want_J, 1e-13)
 
     @pytest.mark.parametrize("block", [8, 16])
@@ -179,7 +173,7 @@ class TestScanIndexing:
         for K in range(71):
             with blocks(block, size) as seen:
                 self.check(K)
-            assert seen.up == seen.down == lengths(K, block)
+            assert seen.up == lengths(K, block)
 
     # the real block of random_quadratic(1), whose state has n + 1 + m = 8
     # columns: 1024 steps
@@ -191,7 +185,7 @@ class TestScanIndexing:
         assert block == 1024
         with blocks() as seen:
             self.check(block + offset)
-        assert seen.up == seen.down == want
+        assert seen.up == want
 
 
 class TestBlockSize:
@@ -213,17 +207,16 @@ class TestBlockSize:
         lam = np.random.default_rng(2).normal(size=p.outer_dim)
         tracemalloc.start()
         try:
-            composed = affine.inner_iterates(p.affine, lam, alphas, spec.t, spec.s)
+            composed = affine.final_iterate(p.affine, lam, alphas, spec.t, spec.s, {})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert composed is not None
-        iterates, J = composed
+        omega, J = composed
         # the block buffer holds at most the budget, and the scan's
         # temporaries, its weights and its constant rows less than twice
-        # more (1.1 MB in all, of which 0.24 MB iterates; 32 MB in blocks of
-        # 256 steps)
-        assert peak < 3 * affine.BLOCK_BYTES + iterates.nbytes + J.nbytes, peak
+        # more (0.89 MB in all; 32 MB in blocks of 256 steps)
+        assert peak < 3 * affine.BLOCK_BYTES + omega.nbytes + J.nbytes, peak
 
 
 class TestDivergence:
@@ -250,25 +243,54 @@ class TestDivergence:
                 bl.reverse_hypergradient(p, tape)
 
 
-    def test_a_trajectory_read_raises_where_an_iterate_overflows(self):
-        # M_k = 0.5 - 50 / k: J_k peaks near 4.6e14 at k = 33 and falls to
-        # 0.004 by K = 400.  At lam = 1e300 the scan and omega_K stay finite,
-        # so the solve composes, but J_k lam overflows on the way; the loop
-        # itself overflows there too
+    @staticmethod
+    def overflowing():
+        """(problem, lam, spec) whose composed solve is finite where the loop overflows.
+
+        M_k = 0.5 - 50 / k: J_k peaks near 4.6e14 at k = 33 and falls to
+        0.004 by K = 400.  At lam = 1e300 the scan and omega_K stay finite,
+        so the solve composes, but J_k lam, and the loop's iterate, overflow
+        on the way.
+        """
         spec = bl.QuadraticBilevelSpec(A_h=np.array([[50.5]]), B_h=np.eye(1), d_h=np.zeros(1),
                                        A_g=np.array([[0.5]]), c_g=np.zeros(1))
-        p = bl.make_quadratic(spec)
         inner = bl.InnerSolveSpec(K=400, t=1.0, s=1.0, alpha_exponent=1.0)
-        tape = bl.solve_inner(p, np.array([1e300]), inner)
-        assert tape.jacobian is not None and np.all(np.isfinite(tape.final))
+        return bl.make_quadratic(spec), np.array([1e300]), inner
+
+    def test_the_composed_solve_finishes_where_the_loop_overflows(self):
+        # the composed path checks omega_K and the up-sweep's matrices only:
+        # it forms no intermediate iterate, so it never sees the overflow
+        p, lam, inner = self.overflowing()
+        tape = bl.solve_inner(p, lam, inner)
+        assert tape.jacobian is not None and tape.iterates is None
+        assert np.all(np.isfinite(tape.final))
         assert np.all(np.isfinite(bl.reverse_hypergradient(p, tape)))
-        # every read raises, and none returns the non-finite rows
-        for _ in range(2):
-            with pytest.raises(bl.OracleDivergence,
-                               match=r"^oracle-divergence: non-finite iterate \(inner step 9\)$"):
-                tape.iterates
-        with pytest.raises(bl.OracleDivergence, match="non-finite iterate"):
-            bl.solve_inner(dataclasses.replace(p), np.array([1e300]), inner)
+        with pytest.raises(bl.OracleDivergence, match=r"^oracle-divergence: non-finite iterate "
+                                                       r"\(inner step 8: grad1_h\)$"):
+            bl.solve_inner(dataclasses.replace(p), lam, inner)
+
+    def test_printing_or_comparing_a_composed_tape_scans_nothing(self, scan_blocks):
+        # the dataclass repr and == read every compared field: no field may
+        # stand for a scan, which could raise or take a trajectory's memory
+        blocks, _ = scan_blocks
+        quad_gap = (bl.make_degenerate_quadratic(), np.array([0.25]),
+                    bl.InnerSolveSpec(K=5000, t=0.1, s=0.1))
+        for p, lam, inner in (self.overflowing(), quad_gap):
+            tape = bl.solve_inner(p, lam, inner)
+            assert tape.jacobian is not None
+            with blocks() as seen:
+                tracemalloc.start()
+                try:
+                    text = repr(tape)
+                    assert tape == tape
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert seen.up == []
+            assert text.startswith("Tape(iterates=None, ")
+        # the quad_gap tape's 5000 weights print summarized, in 8 KB; its
+        # trajectory would be 80 KB, and a scan's block buffer 512 KiB
+        assert peak < 64 * 1024, peak
 
 
 class TestDeclaredSpecs:
@@ -320,7 +342,7 @@ class TestDeclaredSpecs:
             array += 1.0
         for solve in (inner, dataclasses.replace(inner)):
             after = bl.solve_inner(p, lam, solve)
-            assert same_bits(after.iterates, before.iterates)
+            assert same_bits(after.final, before.final)
             assert same_bits(after.jacobian, before.jacobian)
         # the oracles read the copies too
         q, w = p.affine, rng.normal(size=n)
@@ -368,7 +390,7 @@ class TestOneScan:
             assert len(passes) == 1 and tape.jacobian.shape == (2, 1)
             bl.reverse_hypergradient(p, tape)
         assert len(passes) == 1
-        assert (seen.up, seen.down) == ([4096, 904], [])
+        assert seen.up == [4096, 904]
 
     def test_one_pass_per_outer_iteration(self, scan_blocks, passes):
         blocks, lengths = scan_blocks
@@ -378,12 +400,11 @@ class TestOneScan:
             trace = bl.run_model(p, np.array([0.25]), config)
         # the first outer iteration up-sweeps all K steps and keeps the final
         # state; every outer iteration forms omega_K from it once
-        assert (seen.up, seen.down) == (lengths(600, 256), []) == ([256, 256, 88], [])
+        assert seen.up == lengths(600, 256) == [256, 256, 88]
         assert len(passes) == len(trace.records) == 3
 
     def test_run_model_up_sweeps_once_and_forms_no_trajectory(self, scan_blocks, monkeypatch):
-        # the quad_gap run: T = 10 at K = 5000 in the real blocks; a tape's
-        # trajectory, read once, streams one full scan
+        # the quad_gap run: T = 10 at K = 5000 in the real blocks
         blocks, _ = scan_blocks
         p = bl.make_degenerate_quadratic()
         config = bl.SolveConfig(t=0.1, s=0.1, eta=0.5, K=5000, T=10, mode="improved")
@@ -397,10 +418,8 @@ class TestOneScan:
         monkeypatch.setattr(models, "solve_inner", kept)
         with blocks() as seen:
             bl.run_model(p, np.array([0.25]), config)
-            assert (seen.up, seen.down) == ([4096, 904], [])
-            assert len(tapes) == 10 and all("iterates" not in vars(tape) for tape in tapes)
-            tapes[3].iterates
-        assert (seen.up, seen.down) == ([4096, 904] * 2, [4096, 904])
+        assert seen.up == [4096, 904]
+        assert len(tapes) == 10 and all(tape.iterates is None for tape in tapes)
 
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
     @pytest.mark.parametrize("name", list(PROBLEMS))
@@ -417,7 +436,7 @@ class TestOneScan:
         lam = np.random.default_rng(3).normal(size=p.outer_dim)
         with blocks(256, state_size(p)) as seen:
             J = bl.solve_inner(p, lam, spec).jacobian
-        assert (seen.up, seen.down) == ([256, 1], [])
+        assert seen.up == [256, 1]
         base = final_inner_iterate(ref, lam, spec)
         for j in range(p.outer_dim):
             e = np.zeros(p.outer_dim)
@@ -436,16 +455,38 @@ class TestOneScan:
         ref = dataclasses.replace(p)
         spec = bl.InnerSolveSpec(K=40, t=0.2, s=0.15)
         lam = np.random.default_rng(5).normal(size=p.outer_dim)
-        fast = bl.solve_inner(p, lam, spec)
-        assert bl.solve_inner(ref, lam, spec).jacobian is None
-        hand = bl.Tape(iterates=fast.iterates, alphas=fast.alphas, t=fast.t, s=fast.s,
-                       lam=fast.lam)
+        loop = bl.solve_inner(ref, lam, spec)
+        assert loop.jacobian is None
+        hand = bl.Tape(iterates=loop.iterates, alphas=loop.alphas, t=loop.t, s=loop.s,
+                       lam=loop.lam)
         assert hand.jacobian is None
         # a hand-built tape is linearized again: the declared problem takes
         # the slot-built step of its replace copy
         G = bl.reverse_hypergradient(p, hand)
         assert np.array_equal(G.view(np.uint64),
                               bl.reverse_hypergradient(ref, hand).view(np.uint64))
+
+    def test_the_pass_reads_the_recorded_jacobian_whatever_problem_reverses(self,
+                                                                             monkeypatch):
+        # a ``replace`` copy runs the loop when it solves, but a composed
+        # tape it reverses still holds J_K: nothing is linearized again
+        p = bl.make_degenerate_quadratic()
+        tape = bl.solve_inner(p, np.array([0.25]), bl.InnerSolveSpec(K=600, t=0.1, s=0.1))
+        G = bl.reverse_hypergradient(p, tape)
+
+        def refuse(*args):
+            raise AssertionError("a composed tape was linearized again")
+
+        monkeypatch.setattr(hypergrad, "linearizer", refuse)
+        assert same_bits(bl.reverse_hypergradient(dataclasses.replace(p), tape), G)
+
+    def test_a_replace_copy_of_a_composed_tape_is_refused(self):
+        # it holds no trajectory, and a tape built through the constructor needs one
+        tape = bl.solve_inner(random_quadratic(0), np.ones(3),
+                              bl.InnerSolveSpec(K=40, t=0.2, s=0.15))
+        assert tape.iterates is None and tape.jacobian is not None
+        with pytest.raises(ValueError, match=r"^tape iterates must be a 2-D array, got NoneType$"):
+            dataclasses.replace(tape)
 
     def test_jacobian_shape_is_checked(self):
         with pytest.raises(ValueError, match="jacobian"):
@@ -479,43 +520,41 @@ class TestKeptStates:
         p, spec, (lam0, lam1) = self.problem_and_spec(name, schedule)
         with blocks(256, state_size(p)) as seen:
             self.solved(p, lam0, spec)
-            again, tape = self.solved(p, lam1, spec)
-            fresh, fresh_tape = self.solved(p, lam1, dataclasses.replace(spec))
-            assert (seen.up, seen.down) == (2 * lengths(600, 256), [])
-            assert same_bits(tape.iterates, fresh_tape.iterates)
+            again, _ = self.solved(p, lam1, spec)
+            fresh, _ = self.solved(p, lam1, dataclasses.replace(spec))
+        assert seen.up == 2 * lengths(600, 256)
         assert all(same_bits(x, y) for x, y in zip(again, fresh))
-        assert seen.down == 2 * lengths(600, 256)
 
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
     @pytest.mark.parametrize("name", list(PROBLEMS))
-    def test_kept_equals_streamed(self, scan_blocks, name, schedule):
+    def test_kept_equals_the_recurrence(self, scan_blocks, name, schedule):
         # the scan's bits depend on its block, so each comparison runs at one
         # block length; the holder keeps the final state at either, and a
-        # trajectory, the tape's or one streamed without a holder, always
-        # runs the full scan
+        # fresh holder composes it again
         blocks, lengths = scan_blocks
         p, spec, (lam0, lam1) = self.problem_and_spec(name, schedule)
         alphas = bl.schedule(spec)
+        want_omega, want_J = sequential(p.affine, lam1, alphas, spec.t, spec.s)
         for steps in (256, 128):
             solve = dataclasses.replace(spec)
             want = lengths(600, steps)
             with blocks(steps, state_size(p)) as seen:
                 bl.solve_inner(p, lam0, solve)
-                tape = bl.solve_inner(p, lam1, solve)
-                assert (seen.up, seen.down) == (want, [])
-                streamed = affine.inner_iterates(p.affine, lam1, alphas, spec.t, spec.s)
-                iterates = tape.iterates
-            assert (seen.up, seen.down) == (want * 3, want * 2)
+                kept, tape = self.solved(p, lam1, solve)
+                assert seen.up == want
+                omega, J = affine.final_iterate(p.affine, lam1, alphas, spec.t, spec.s, {})
+            assert seen.up == want * 2
             assert solve._affine_state
-            assert same_bits(iterates, streamed[0]) and same_bits(tape.final, streamed[0][-1])
-            assert same_bits(tape.jacobian, streamed[1])
+            assert same_bits(tape.final, omega) and same_bits(tape.jacobian, J)
+            _close(tape.final, want_omega, 1e-12)
+            _close(tape.jacobian, want_J, 1e-12)
             # the reverse pass reads J through BLAS, whose summation order
-            # follows the array's layout: the kept J must round as a streamed one
-            assert same_bits(bl.reverse_hypergradient(p, tape), reverse_of_streamed(
-                p, streamed, alphas, spec, lam1))
+            # follows the array's layout: the kept J is laid out in C order
+            assert tape.jacobian.flags.c_contiguous
+            _close(kept[2], hypergradient_of(p, lam1, want_omega, want_J), 1e-10)
 
     @pytest.mark.parametrize("m", [1, 3])
-    def test_wide_kept_hypergradient_equals_streamed(self, m):
+    def test_wide_kept_hypergradient_equals_a_fresh_spec(self, m):
         # n = 24 at the real block: J^T a runs BLAS's unrolled dot (m = 1) or
         # gemv (m = 3) kernels, whose sums are ordered by J's strides
         p = random_quadratic(2, n=24, m=m)
@@ -523,15 +562,16 @@ class TestKeptStates:
         lam0, lam1 = np.random.default_rng(7).normal(size=(2, m))
         alphas = bl.schedule(spec)
         assert affine._block(state_size(p), spec.K) < spec.K
-        bl.solve_inner(p, lam0, spec)
-        tape = bl.solve_inner(p, lam1, spec)
+        self.solved(p, lam0, spec)
+        kept, tape = self.solved(p, lam1, spec)
         assert spec._affine_state
-        streamed = affine.inner_iterates(p.affine, lam1, alphas, spec.t, spec.s)
-        assert same_bits(tape.final, streamed[0][-1])
-        assert same_bits(tape.jacobian, streamed[1])
-        assert same_bits(bl.reverse_hypergradient(p, tape), reverse_of_streamed(
-            p, streamed, alphas, spec, lam1))
-        assert same_bits(tape.iterates, streamed[0])
+        fresh, _ = self.solved(p, lam1, dataclasses.replace(spec))
+        assert all(same_bits(x, y) for x, y in zip(kept, fresh))
+        assert tape.jacobian.flags.c_contiguous
+        want_omega, want_J = sequential(p.affine, lam1, alphas, spec.t, spec.s)
+        _close(tape.final, want_omega, 1e-12)
+        _close(tape.jacobian, want_J, 1e-12)
+        _close(kept[2], hypergradient_of(p, lam1, want_omega, want_J), 1e-10)
 
     @pytest.mark.parametrize("schedule", list(SCHEDULES))
     @pytest.mark.parametrize("name", list(PROBLEMS))
@@ -562,7 +602,7 @@ class TestKeptStates:
             bl.solve_inner(p, np.array([0.5]), spec)
         want = lengths(5000, affine._block(state_size(p), 5000))
         # one scan, in blocks of 4096 steps: the second solve reads the kept state
-        assert (seen.up, seen.down) == (want, []) == ([4096, 904], [])
+        assert seen.up == want == [4096, 904]
         held = spec._affine_state
         assert set(held) == {"spec", "state"} and held["spec"] is p.affine
         state = held["state"]
@@ -577,7 +617,7 @@ class TestKeptStates:
         with blocks() as seen:
             for p in (first, second, second, first):
                 bl.solve_inner(p, np.ones(3), spec)
-        assert (seen.up, seen.down) == ([40, 40, 40], [])
+        assert seen.up == [40, 40, 40]
         held = spec._affine_state
         assert set(held) == {"spec", "state"} and held["spec"] is first.affine
 
@@ -602,7 +642,7 @@ def final_state_cases(draw):
 
 
 def check_final_state(scan_blocks, p, spec, lam, block):
-    """The tape's omega_K, J_K and hypergradient against the streamed and the formed trajectory."""
+    """The tape's omega_K, J_K and hypergradient against the recurrence, and a second solve."""
     blocks, lengths = scan_blocks
     alphas = bl.schedule(spec)
     size = state_size(p)
@@ -612,30 +652,26 @@ def check_final_state(scan_blocks, p, spec, lam, block):
         assert tape.jacobian is not None, "the composed path fell back to the loop"
         G = bl.reverse_hypergradient(p, tape)
         again = bl.solve_inner(p, lam, spec)
-        # the solve runs no down-sweep, and the second scans nothing
-        assert (seen.up, seen.down) == (scanned, [])
-        streamed = affine.inner_iterates(p.affine, lam, alphas, spec.t, spec.s)
-        formed = tape.iterates
-    assert seen.down == scanned * 2
-    for iterates in (streamed[0], formed):
-        assert same_bits(tape.final, iterates[-1])
-    assert same_bits(formed, streamed[0])
-    assert same_bits(tape.jacobian, streamed[1])
-    assert same_bits(G, reverse_of_streamed(p, streamed, alphas, spec, lam))
+    # the solve up-sweeps each block once, and the second scans nothing
+    assert seen.up == scanned
+    want_omega, want_J = sequential(p.affine, lam, alphas, spec.t, spec.s)
+    _close(tape.final, want_omega, 1e-12)
+    _close(tape.jacobian, want_J, 1e-12)
+    _close(G, hypergradient_of(p, lam, want_omega, want_J), 1e-10)
     assert same_bits(again.final, tape.final) and same_bits(again.jacobian, tape.jacobian)
 
 
 class TestFinalState:
-    """The final-state reduction has the full scan's bits, at every block and K."""
+    """The final-state reduction composes the recurrence, at every block and K."""
 
     @settings(max_examples=40)
     @given(final_state_cases())
-    def test_final_state_has_the_trajectory_bits(self, scan_blocks, case):
+    def test_final_state_is_the_recurrence(self, scan_blocks, case):
         check_final_state(scan_blocks, *case)
 
     @pytest.mark.parametrize("block", [1, 3, 8, None])
     @pytest.mark.parametrize("m", [1, 3])
-    def test_wide_final_state_has_the_trajectory_bits(self, scan_blocks, m, block):
+    def test_wide_final_state_is_the_recurrence(self, scan_blocks, m, block):
         # n = 24: J^T a runs BLAS's dot (m = 1) or gemv (m = 3) kernels, and
         # K = 1025 spans 13 real blocks of 83 steps at m = 3
         p = random_quadratic(3, n=24, m=m)

@@ -154,7 +154,8 @@ class TestBigsamStep:
     """One averaged step, seen through ``solve_inner`` and ``bigsam_standalone``.
 
     The closed-form problem runs its composed affine steps, its ``replace``
-    copy the loop; both are checked.
+    copy the loop; both are checked, the loop's trajectory and the composed
+    path's final iterate.
     """
 
     def setup_method(self):
@@ -165,31 +166,34 @@ class TestBigsamStep:
         # goes to 0.1; step 2 averages, with alpha_2 = 2^-0.25, the h step
         # 0.1 - 0.1*(0.1 - 1) = 0.19 and the g step 0.1 - 0.1*0.1 = 0.09
         alpha = 2.0 ** -0.25
-        for p in (self.p, loop_copy(self.p)):
-            tape = bl.solve_inner(p, np.ones(1), spec(K=2))
-            assert tape.alphas[1] == alpha
-            np.testing.assert_allclose(tape.iterates[:, 0],
-                                       [0.0, 0.1, alpha * 0.19 + (1.0 - alpha) * 0.09],
-                                       rtol=1e-15)
+        want = [0.0, 0.1, alpha * 0.19 + (1.0 - alpha) * 0.09]
+        composed = bl.solve_inner(self.p, np.ones(1), spec(K=2))
+        loop = bl.solve_inner(loop_copy(self.p), np.ones(1), spec(K=2))
+        assert composed.alphas[1] == loop.alphas[1] == alpha
+        np.testing.assert_allclose(loop.iterates[:, 0], want, rtol=1e-15)
+        np.testing.assert_allclose(composed.final, want[-1:], rtol=1e-15)
 
     def test_alpha_one_is_pure_h_descent(self):
         def no_g(w, lam):
             raise AssertionError("an alpha == 1 step evaluated grad1_g")
 
         # at lam=1 from w=0 each step is w -> 0.9*w + 0.1
-        for p in (self.p, dataclasses.replace(self.p, grad1_g=no_g)):
-            tape = bl.solve_inner(p, np.ones(1), spec(K=3, alpha_exponent=0.0))
-            np.testing.assert_allclose(tape.iterates[:, 0], [0.0, 0.1, 0.19, 0.271], rtol=1e-15)
+        composed = bl.solve_inner(self.p, np.ones(1), spec(K=3, alpha_exponent=0.0))
+        loop = bl.solve_inner(dataclasses.replace(self.p, grad1_g=no_g), np.ones(1),
+                              spec(K=3, alpha_exponent=0.0))
+        np.testing.assert_allclose(loop.iterates[:, 0], [0.0, 0.1, 0.19, 0.271], rtol=1e-15)
+        np.testing.assert_allclose(composed.final, [0.271], rtol=1e-15)
         out = bl.bigsam_standalone((None, lambda w: w), (None, no_g), np.ones(1),
                                    K=1, t=0.1, s=0.1)
         assert out == pytest.approx(0.9)
 
     def test_joint_stationary_point_is_fixed(self):
         # both gradients vanish at w = lam = 0
-        for p in (self.p, loop_copy(self.p)):
-            tape = bl.solve_inner(p, np.zeros(1), spec(K=5))
-            assert np.all(tape.alphas[1:] < 1.0)
-            assert np.array_equal(tape.iterates, np.zeros((6, 1)))
+        composed = bl.solve_inner(self.p, np.zeros(1), spec(K=5))
+        loop = bl.solve_inner(loop_copy(self.p), np.zeros(1), spec(K=5))
+        assert np.all(composed.alphas[1:] < 1.0) and np.all(loop.alphas[1:] < 1.0)
+        assert np.array_equal(loop.iterates, np.zeros((6, 1)))
+        assert same_bits(composed.final, np.zeros(1))
         out = bl.bigsam_standalone((None, lambda w: w - 2.0), (None, lambda w: w - 2.0),
                                    np.full(1, 2.0), K=5, t=0.1, s=0.1)
         assert np.array_equal(out, np.full(1, 2.0))
@@ -307,16 +311,23 @@ class TestVjpPhi:
 class TestSolveInner:
     def test_k_zero_holds_only_start(self):
         p = bl.make_closedform_quadratic()
-        tape = bl.solve_inner(p, np.array([1.0]), bl.InnerSolveSpec(K=0, t=0.1, s=0.1))
-        assert tape.iterates.shape == (1, 1)
-        assert tape.alphas.shape == (0,)
-        assert np.array_equal(tape.final, np.zeros(1))
+        inner = bl.InnerSolveSpec(K=0, t=0.1, s=0.1)
+        loop = bl.solve_inner(loop_copy(p), np.array([1.0]), inner)
+        assert loop.iterates.shape == (1, 1)
+        composed = bl.solve_inner(p, np.array([1.0]), inner)
+        for tape in (loop, composed):
+            assert tape.alphas.shape == (0,)
+            assert np.array_equal(tape.final, np.zeros(1))
+        assert np.array_equal(composed.jacobian, np.zeros((1, 1)))
 
     def test_tape_lengths(self):
         p = bl.make_degenerate_quadratic()
-        tape = bl.solve_inner(p, np.array([0.5]), bl.InnerSolveSpec(K=37, t=0.1, s=0.1))
-        assert tape.iterates.shape == (38, 2)
-        assert tape.alphas.shape == (37,)
+        inner = bl.InnerSolveSpec(K=37, t=0.1, s=0.1)
+        loop = bl.solve_inner(loop_copy(p), np.array([0.5]), inner)
+        assert loop.iterates.shape == (38, 2)
+        composed = bl.solve_inner(p, np.array([0.5]), inner)
+        assert composed.final.shape == (2,) and composed.jacobian.shape == (2, 1)
+        assert loop.alphas.shape == composed.alphas.shape == (37,)
 
     def test_matches_reference_recurrence(self):
         p = bl.make_degenerate_quadratic()
@@ -324,12 +335,14 @@ class TestSolveInner:
         for expo, freq in ((0.25, 1), (0.25, 3), (0.0, 1)):
             spec = bl.InnerSolveSpec(K=200, t=0.1, s=0.1, alpha_exponent=expo,
                                      bigsam_frequency=freq)
-            tape = bl.solve_inner(p, lam, spec)
             ref, alphas = reference_trajectory(p.grad1_h, p.grad1_g, lam,
                                                np.zeros(2), 200, 0.1, 0.1,
                                                expo=expo, freq=freq)
-            np.testing.assert_allclose(tape.iterates, ref, rtol=1e-12, atol=1e-13)
-            assert np.array_equal(tape.alphas, alphas)
+            loop = bl.solve_inner(loop_copy(p), lam, spec)
+            np.testing.assert_allclose(loop.iterates, ref, rtol=1e-12, atol=1e-13)
+            composed = bl.solve_inner(p, lam, spec)
+            np.testing.assert_allclose(composed.final, ref[-1], rtol=1e-12, atol=1e-13)
+            assert np.array_equal(loop.alphas, alphas) and np.array_equal(composed.alphas, alphas)
 
     def test_closedform_limits_per_mode(self):
         # basic descends h only: the iterate reaches the inner minimizer lam;
@@ -370,7 +383,10 @@ class TestSolveInner:
             assert basic == spec0
             imp = bl.solve_inner(inst.problem, inst.lam0, spec0)
             bas = bl.solve_inner(inst.problem, inst.lam0, basic)
-            assert np.array_equal(imp.iterates, bas.iterates), name
+            # the composed path records no trajectory, the loop no jacobian
+            assert same_bits(imp.iterates, bas.iterates), name
+            assert same_bits(imp.final, bas.final), name
+            assert same_bits(imp.jacobian, bas.jacobian), name
             assert np.all(imp.alphas == 1.0)
             assert imp.mode == bas.mode == "basic"
 
@@ -383,7 +399,12 @@ class TestSolveInner:
         basic = bl.solve_inner(p, lam, bl.InnerSolveSpec(K=K, t=0.1, s=0.1,
                                                          alpha_exponent=0.0))
         # the k=0 averaged step fires but its weight is alpha_1 = 1
-        assert np.array_equal(freq.iterates, basic.iterates)
+        assert same_bits(freq.final, basic.final) and same_bits(freq.jacobian, basic.jacobian)
+        freq = bl.solve_inner(loop_copy(p), lam, bl.InnerSolveSpec(K=K, t=0.1, s=0.1,
+                                                                   bigsam_frequency=K + 1))
+        basic = bl.solve_inner(loop_copy(p), lam, bl.InnerSolveSpec(K=K, t=0.1, s=0.1,
+                                                                    alpha_exponent=0.0))
+        assert same_bits(freq.iterates, basic.iterates)
 
     def test_tape_mode_is_read_off_the_weights(self):
         p = bl.make_degenerate_quadratic()

@@ -18,10 +18,11 @@ The paths are the composed affine scan (the problem itself, at the real
 block, which holds every drawn K, and at blocks of 1, 3 and 8 steps forced
 through ``affine._block``, so that block carries and odd tails are reached
 at small K; each setting solves on a fresh spec object, which holds no
-kept state and so scans, and reads the trajectory, which streams the full
-scan at the solve's block), the generic loop (a ``replace`` copy) and the
+kept state and so scans), the generic loop (a ``replace`` copy) and the
 FD-fallback copy, whose reverse pass takes central differences of the
-gradient slots instead of the analytic VJPs.
+gradient slots instead of the analytic VJPs.  The composed path records
+omega_K and J_K and no trajectory; the loop paths record the trajectory,
+which is checked whole.
 """
 
 import dataclasses
@@ -39,20 +40,22 @@ from bilevelopt import affine
 
 # The largest error of each path against the exact value over 4,000 random
 # draws of ``cases`` (hypothesis seeds 3101 and 3102, 2,000 draws each).
-# The iterates (the whole trajectory) and J_K are relative to their largest
-# exact entry, the hypergradient to ``hypergradient_scale``:
-#                        iterates   J_K       hypergradient
-#   composed, any block  6.5e-15    1.5e-15   4.5e-15
-#   (omega scanned       1.4e-15    1.5e-15   1.5e-15, on the same draws)
-#   generic loop         1.1e-15              1.7e-15
-#   FD-fallback copy     1.1e-15              3.6e-10
-# The composed path forms omega_k = u_k + J_k lam from lam-free states
-# (``bilevelopt.affine``); its largest iterate and hypergradient errors are
-# one draw's (K = 57), where u_K and J_K lam cancel to a fifth of their size
-# in omega_K.  Scanning omega itself, as the path did before it kept
-# states, does not cancel.  The bounds were set at about 4x the largest
-# errors of an earlier table (iterates 4.6e-15, J_K 1.7e-15, hypergradient
-# 2.0e-15); the composed hypergradient now reaches 0.56 of its bound.
+# omega_K, the iterates (the loop paths' whole trajectory) and J_K are
+# relative to their largest exact entry, the hypergradient to
+# ``hypergradient_scale``:
+#                        omega_K   iterates  J_K       hypergradient
+#   composed, any block  6.5e-15             1.5e-15   4.5e-15
+#   generic loop         3.8e-15   1.1e-15             1.7e-15
+#   FD-fallback copy     3.8e-15   1.1e-15             3.6e-10
+# The composed path records no trajectory: ``ITERATES_BOUND`` bounds its
+# omega_K, and the loop paths' iterates.  It forms omega_K = u_K + J_K lam
+# from lam-free states (``bilevelopt.affine``); its largest omega_K and
+# hypergradient errors are one draw's (K = 57), where u_K and J_K lam cancel
+# to a fifth of their size in omega_K.  Scanning omega itself, as the path
+# did before it kept states, does not cancel.  The bounds were set at about
+# 4x the largest errors of an earlier table (iterates 4.6e-15, J_K 1.7e-15,
+# hypergradient 2.0e-15); the composed hypergradient now reaches 0.56 of
+# its bound.
 ITERATES_BOUND = 2e-14
 JACOBIAN_BOUND = 7e-15
 HYPERGRADIENT_BOUND = 8e-15
@@ -195,7 +198,7 @@ def fd_fallback(problem):
 def composed_errors(problem, inner, lam, want):
     tape = bl.solve_inner(problem, lam, inner)
     assert tape.jacobian is not None, "the composed path fell back to the loop"
-    return (rel_error(tape.iterates, want[0]), rel_error(tape.jacobian, want[1]),
+    return (rel_error(tape.final, want[0][-1]), rel_error(tape.jacobian, want[1]),
             rel_error(bl.reverse_hypergradient(problem, tape), want[2], want[3]))
 
 
@@ -217,12 +220,11 @@ def test_every_path_matches_the_exact_recurrence(scan_blocks, case):
     assert affine._block(size, 60) == 60
     for block in (None,) + SMALL_BLOCKS:
         # a fresh spec holds no state, so every block setting up-sweeps its
-        # blocks; reading the trajectory then streams one full scan
+        # blocks, once
         with blocks(block, size) as seen:
             errors = composed_errors(problem, dataclasses.replace(inner), lam, want)
-        scanned = lengths(inner.K, block or 60)
-        assert (seen.up, seen.down) == (scanned * 2, scanned), (block, seen)
-        for name, err, bound in zip(("iterates", "J_K", "hypergradient"), errors,
+        assert seen.up == lengths(inner.K, block or 60), (block, seen)
+        for name, err, bound in zip(("omega_K", "J_K", "hypergradient"), errors,
                                     (ITERATES_BOUND, JACOBIAN_BOUND, HYPERGRADIENT_BOUND)):
             assert err <= bound, (block, name, err)
     for copy, bound in ((dataclasses.replace(problem), HYPERGRADIENT_BOUND),

@@ -48,7 +48,8 @@ class TestVectors:
         scalar = bl.solve_inner(degenerate(), np.float64(0.5), SPEC)
         row = bl.solve_inner(degenerate(), np.array([0.5]), SPEC)
         assert np.array_equal(scalar.lam, [0.5])
-        assert np.array_equal(scalar.iterates, row.iterates)
+        assert np.array_equal(scalar.final, row.final)
+        assert np.array_equal(scalar.jacobian, row.jacobian)
 
 
 class TestTape:

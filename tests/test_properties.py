@@ -85,7 +85,13 @@ def test_affine_path_matches_the_loop(case):
     ref = bl.solve_inner(loop_copy(p), lam, spec)
     assert np.array_equal(fast.alphas, ref.alphas)
     scale = 1.0 + np.abs(ref.iterates).max()
-    np.testing.assert_allclose(fast.iterates, ref.iterates, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(fast.final, ref.final, rtol=0, atol=1e-10 * scale)
+    # omega_K is affine in lam: a unit difference of the loop's is a column of J_K
+    for j, e in enumerate(np.eye(p.outer_dim)):
+        shifted = bl.solve_inner(loop_copy(p), lam + e, spec)
+        np.testing.assert_allclose(
+            fast.jacobian[:, j], shifted.final - ref.final, rtol=0,
+            atol=1e-10 * (scale + np.abs(shifted.iterates).max()))
     G_fast = bl.reverse_hypergradient(p, fast)
     G_ref = bl.reverse_hypergradient(loop_copy(p), ref)
     np.testing.assert_allclose(G_fast, G_ref, rtol=0,
@@ -108,7 +114,9 @@ def test_exponent_zero_is_basic_bit_for_bit(case):
     for problem in (p, loop_copy(p)):
         imp = bl.solve_inner(problem, lam, flat)
         bas = bl.solve_inner(problem, lam, beyond)
-        assert np.array_equal(imp.iterates, bas.iterates)
+        # the composed path records no trajectory, the loop no jacobian
+        assert same_bits(imp.iterates, bas.iterates)
+        assert same_bits(imp.final, bas.final) and same_bits(imp.jacobian, bas.jacobian)
         assert np.array_equal(imp.alphas, bas.alphas) and np.all(imp.alphas == 1.0)
         assert np.array_equal(bl.reverse_hypergradient(problem, imp),
                               bl.reverse_hypergradient(problem, bas))
@@ -173,9 +181,11 @@ def test_iterates_track_the_fixed_point_of_the_last_step_map(case):
     # and 0.82, so the bound is not loose.  The iterates approach F_K, which
     # tends to argmin g as alpha_K -> 0, not g's pick on argmin h.  With the
     # weights swapped as in BiG-SAM (h step t (1 - alpha), g step s alpha),
-    # this property fails.
+    # this property fails.  The loop copy's trajectory is checked at every
+    # step, the composed path's omega_K at the last.
     spec, inner, lam = case
-    tape = bl.solve_inner(bl.make_quadratic(spec, name="deficient"), lam, inner)
+    problem = bl.make_quadratic(spec, name="deficient")
+    tape = bl.solve_inner(loop_copy(problem), lam, inner)
     alphas = tape.alphas[1:]
     assert np.all(alphas < 1.0) and tape.alphas[0] == 1.0
     ta, sb = inner.t * alphas, inner.s * (1.0 - alphas)
@@ -193,6 +203,9 @@ def test_iterates_track_the_fixed_point_of_the_last_step_map(case):
     error = np.linalg.norm(tape.iterates[2:] - F, axis=1)
     rounding = 1e-14 * (1.0 + np.abs(tape.iterates).max() + np.abs(F).max(axis=1))
     assert np.all(error <= bound + rounding / spectrum[:, 0]), (error, bound)
+    composed = bl.solve_inner(problem, lam, inner)
+    assert composed.jacobian is not None
+    assert np.linalg.norm(composed.final - F[-1]) <= bound[-1] + rounding[-1] / spectrum[-1, 0]
 
 
 @st.composite

@@ -13,7 +13,9 @@ One rule refuses a setting that is no number: only ``problem.check_number``
 raises a ``ValueError`` saying "must be a number".  And one rule refuses a
 malformed tape: a ``ValueError`` whose message names a tape is raised only
 in ``bigsam.Tape.__post_init__`` and, where a tape's dimensions are not its
-problem's, in ``hypergrad.reverse_hypergradient``.
+problem's, in ``hypergrad.reverse_hypergradient``.  A composed solve records
+its final state on a plain ``Tape``: no class in the package subclasses it,
+and ``bilevelopt.affine`` exports the final state's composition alone.
 """
 
 import ast
@@ -129,3 +131,17 @@ def test_one_rule_refuses_a_malformed_tape():
     # refuses only a tape whose dimensions are not its problem's
     assert found_in_src(tape_refusals) == {("bigsam", "Tape.__post_init__"),
                                            ("hypergrad", "reverse_hypergradient")}
+
+
+def test_no_class_subclasses_tape():
+    subclasses = {(path.stem, node.name) for path in (ROOT / "src" / "bilevelopt").glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ClassDef)
+                  and any(getattr(base, "id", getattr(base, "attr", None)) == "Tape"
+                          for base in node.bases)}
+    assert not subclasses, subclasses
+
+
+def test_affine_exports_the_final_state_alone():
+    from bilevelopt import affine
+    assert affine.__all__ == ["BLOCK_BYTES", "final_iterate"]

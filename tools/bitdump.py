@@ -6,8 +6,10 @@ For each zoo problem (seed 0), each mode and averaging frequencies 1 and 3,
 on the problem itself and on a ``dataclasses.replace`` copy of it (which
 drops every declaration set after construction, so it runs the generic loop
 over the oracle slots), the script prints one line per result: the SHA-256
-of the bytes of the recorded iterates, of the reverse-mode hypergradient and
-of the central-difference hypergradient.  The zoo quadratics also get a
+of the bytes of the recorded iterates (of the recorded final iterate, under
+a "final" label, for a tape of the composed path, which records no
+trajectory), of the reverse-mode hypergradient and of the central-difference
+hypergradient.  The zoo quadratics also get a
 copy with all four VJP slots set to None, whose reverse pass runs on the
 finite-difference fallback (every zoo problem supplies analytic VJPs).  The
 learning problems also get a "serial" copy that evaluates every stack row
@@ -18,12 +20,10 @@ through ``bilevelopt.problem.batched``, and its ``h_value``/``g_value`` are
 its central-difference hypergradient.  The degenerate quadratic also gets,
 at the settings of the benchmark's ``quad_gap`` workload (K = 5000,
 t = s = 0.1, lam = 0.25, each mode, frequency 1), the digests of the
-iterates and the hypergradient of its composed path, the one path there
-that runs several scan blocks, and of a second solve on the same spec
-object, which reads the final state the first one kept.  A composed tape
-forms its iterates on their first read, by the full streamed scan in the
-blocks its final state was composed in (the scan derives their length from
-n + 1 + m and K); its hypergradient reads omega_K off the final state.  Each
+final iterate and the hypergradient of its composed path, the one path
+there that runs several scan blocks, and of a second solve on the same spec
+object, which reads the final state the first one kept.  A composed
+tape's hypergradient reads omega_K and J_K off the final state.  Each
 zoo problem's ``check_suite`` report (seed 0, ``default_check_configs``),
 and that of each serial copy, gets one line per verifier row: the SHA-256
 of the row's JSON, whose floats round-trip, so every referee value (first-order, VJP and hypergradient
@@ -45,7 +45,9 @@ The script calls the solver API without a ``mode`` argument, the model
 given as an exponent through ``bilevelopt.bigsam.model_exponent``, so
 ``--src`` and ``--rel`` work only against sources of that API.  To compare
 with older sources, run that checkout's own copy of the script on them and
-``diff`` the two outputs: the labels are the same byte for byte.
+``diff`` the two outputs: the labels are the same byte for byte, but for
+those of the composed path's tapes, which older sources digest as the whole
+"iterates" and these as the "final" iterate, their last row.
 
 ``--rel OTHER`` prints, instead of digests, the same lines with the largest
 relative deviation of each result from the one the sources in OTHER give:
@@ -163,7 +165,10 @@ def lines(names):
                     label = f"{name} {copy} {mode} freq={freq}"
                     if copy != "serial":
                         tape = bl.solve_inner(problem, lam, spec)
-                        yield f"{label} iterates", tape.iterates
+                        if tape.iterates is None:
+                            yield f"{label} final", tape.final
+                        else:
+                            yield f"{label} iterates", tape.iterates
                         yield f"{label} hypergradient", bl.reverse_hypergradient(problem, tape)
                     yield (f"{label} fd_hypergradient",
                            bl.hypergradient_fd_oracle(problem, lam, spec))
@@ -176,9 +181,8 @@ def quad_gap_lines():
 
     These are the settings of the benchmark's ``quad_gap`` workload, whose
     K = 5000 steps take several scan blocks.  A second solve on the same
-    spec object forms omega_K from the final state the first one kept, and
-    its iterates, on their read, by the streamed scan; its "reused" lines
-    must print the first solve's digests.
+    spec object forms omega_K from the final state the first one kept; its
+    "reused" lines must print the first solve's digests.
     """
     import numpy as np
     import bilevelopt as bl
@@ -190,7 +194,7 @@ def quad_gap_lines():
         for solve in ("", " reused"):
             tape = bl.solve_inner(problem, np.array([0.25]), spec)
             label = f"degenerate_quadratic quad_gap {mode}{solve}"
-            yield f"{label} iterates", tape.iterates
+            yield f"{label} final", tape.final
             yield f"{label} hypergradient", bl.reverse_hypergradient(problem, tape)
 
 
