@@ -22,14 +22,15 @@ entirely.  Every solve starts at omega_0 = 0.
 
 Every solve binds lam once through ``bilevelopt.problem.linearizer``, which
 returns the step map itself: ``_iterate`` makes one ``step`` call per inner
-step, and a problem's hook may evaluate h and g in one fused kernel.
-``solve_inner`` records each step's VJP on the ``Tape`` (the composed affine
-path records omega_K and J_K = d omega_K / d lam instead, and no
-trajectory), and ``final_inner_iterate`` is its last iterate.  A stack of
-lam rows (``final_inner_iterates_many``, the finite-difference referee's
-probes) binds the same step map on a stack; that solve keeps no VJP, so
-each step's is dropped at the next step.  The reverse pass over a ``Tape``
-is ``bilevelopt.hypergrad``.
+step, and a problem's hook may evaluate h and g in one fused kernel.  The
+forward solve is the only code that binds a step.  ``solve_inner`` records
+each step's VJP on the ``Tape`` it builds (the composed affine path records
+omega_K and J_K = d omega_K / d lam instead, and no trajectory), and
+``final_inner_iterate`` is its ``final``.  A stack of lam rows
+(``final_inner_iterates_many``, the finite-difference referee's probes)
+binds the same step map on a stack; that solve keeps no VJP, so each
+step's is dropped at the next step.  The reverse pass over a ``Tape`` is
+``bilevelopt.hypergrad``; it reads what the tape recorded and binds nothing.
 """
 
 from __future__ import annotations
@@ -154,80 +155,35 @@ class InnerSolveSpec:
 
 @dataclass(frozen=True)
 class Tape:
-    """Recorded inner trajectory consumed by the reverse pass.
+    """What ``solve_inner`` computed, as the reverse pass reads it.
 
-    ``iterates`` stacks omega_0..omega_K row-wise, and ``final`` is omega_K;
-    ``alphas`` holds the K averaging weights actually used (alphas[k]
-    produced iterates[k+1]).  ``vjps``, recorded by every solve that runs
-    the step loop, holds one VJP per step k: that of the step map at omega_k
-    with the weight alphas[k].  Their saved residuals are O(K) arrays of the
-    problem's intermediate size.  ``jacobian``, recorded only by the
-    composed affine path, is the (n, m) J_K = d omega_K / d lam that its
-    scan carried with omega_K; the reverse pass reads the hypergradient off
-    it.  A tape with neither (hand-built) is linearized again by the
-    reverse pass.
+    ``final`` is omega_K, and ``alphas`` holds the K averaging weights
+    actually used (alphas[k] produced iterate k+1).  A solve that runs the
+    step loop records its trajectory, omega_0..omega_K stacked row-wise in
+    ``iterates``, and in ``vjps`` one VJP per step k: that of the step map
+    at omega_k with the weight alphas[k].  Their saved residuals are O(K)
+    arrays of the problem's intermediate size.  The composed affine path
+    records no trajectory (``iterates`` is None) and no VJP: its
+    ``jacobian`` is the (n, m) J_K = d omega_K / d lam that its scan
+    carried with omega_K, and the reverse pass reads the hypergradient off
+    it.  A ``dataclasses.replace`` copy of a tape reverses as the tape does.
 
-    The composed path's tape records ``final`` and ``jacobian`` and holds
-    no trajectory: its ``iterates`` are None.  A ``dataclasses.replace``
-    copy of the problem, the reference path, runs the loop and records
-    one; a ``dataclasses.replace`` copy of a composed tape is refused, as
-    any tape without a 2-D ``iterates`` is.
-
-    A tape is checked in one place, the dataclass constructor, which a
-    hand-built tape goes through: ``iterates`` must be a 2-D array, and
-    ``alphas`` and ``lam`` 1-D arrays, with one more iterate than weights,
-    one VJP per step and an (n, m) ``jacobian`` where they are recorded;
-    ``t`` and ``s`` finite and positive; and every iterate and weight
-    finite.  Each refusal is a ``ValueError`` naming the field.
-    ``solve_inner`` builds its tapes through ``_solved``, which checks
-    nothing: its solver has just formed those fields, has checked omega_K
-    or the loop's iterates, and a schedule's weights are finite by
-    construction.
+    A tape is a plain record with one constructor, which checks nothing:
+    the library builds tapes in ``solve_inner`` alone, which has just formed
+    their fields and checked what could diverge.  The reverse pass, a
+    tape's one reader, refuses a tape it cannot reverse.
     """
 
     iterates: Optional[np.ndarray]
+    final: np.ndarray
     alphas: np.ndarray
-    t: float
-    s: float
     lam: np.ndarray
     vjps: Optional[tuple] = field(default=None, repr=False, compare=False)
     jacobian: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        for name, ndim in (("iterates", 2), ("alphas", 1), ("lam", 1)):
-            value = getattr(self, name)
-            if not (isinstance(value, np.ndarray) and value.ndim == ndim):
-                raise ValueError(f"tape {name} must be a {ndim}-D array, "
-                                 f"got {getattr(value, 'shape', type(value).__name__)}")
-        check_finite_positive("t", self.t)
-        check_finite_positive("s", self.s)
-        if self.iterates.shape[0] != self.K + 1:
-            raise ValueError("tape must hold exactly one more iterate than alphas")
-        if self.vjps is not None and len(self.vjps) != self.K:
-            raise ValueError("tape must hold exactly one VJP per step")
-        if self.jacobian is not None and not (
-                isinstance(self.jacobian, np.ndarray)
-                and self.jacobian.shape == (self.iterates.shape[1], self.lam.shape[0])):
-            raise ValueError("tape jacobian must be (inner_dim, outer_dim)")
-        if not (np.all(np.isfinite(self.iterates)) and np.all(np.isfinite(self.alphas))):
-            raise ValueError("tape contains non-finite entries")
-
-    @classmethod
-    def _solved(cls, **fields) -> "Tape":
-        """The tape of a solve, which has just formed and checked its fields: nothing is checked."""
-        tape = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(tape, name, value)
-        return tape
-
     @property
     def K(self) -> int:
         return self.alphas.shape[0]
-
-    @cached_property
-    def final(self) -> np.ndarray:
-        # a composed solve records it; a loop's or a hand-built tape reads its iterates
-        return self.iterates[-1]
 
     # not read by the library, but the perfbench tracer's span notes read it
     @property
@@ -314,8 +270,8 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
     iterate on the way and raises.  The loop's trajectory is checked for
     finiteness once, after the loop: the first non-finite iterate names the
     diverging step, and the gradient oracles that are not finite at its
-    input name the cause.  Either tape is built unchecked (``Tape._solved``):
-    the solve has just formed its fields and checked what could diverge.
+    input name the cause.  This is the one place a step is bound and a
+    ``Tape`` is built.
     """
     alphas = schedule(spec)
     lam = as_vector(lam, problem.outer_dim, "lam")
@@ -324,8 +280,8 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
                                         spec._affine_state)
         if composed is not None:
             final, jacobian = composed
-            return Tape._solved(iterates=None, final=final, jacobian=jacobian, alphas=alphas,
-                                t=spec.t, s=spec.s, lam=lam.copy())
+            return Tape(iterates=None, final=final, alphas=alphas, lam=lam.copy(),
+                        jacobian=jacobian)
     omega = np.zeros(problem.inner_dim)
     iterates = np.empty((spec.K + 1, problem.inner_dim))
     iterates[0] = omega
@@ -334,8 +290,8 @@ def solve_inner(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> Tape:
     # row r is iterate r, made by inner step r - 1 (row 0 is the zero start)
     finite(iterates, lambda r: f"non-finite iterate (inner step {r - 1}"
                                f"{_culprit(problem, iterates[r - 1], lam, alphas[r - 1])})")
-    return Tape._solved(iterates=iterates, alphas=alphas, t=spec.t, s=spec.s,
-                        lam=lam.copy(), vjps=tuple(vjps))
+    return Tape(iterates=iterates, final=iterates[-1], alphas=alphas, lam=lam.copy(),
+                vjps=tuple(vjps))
 
 
 def final_inner_iterate(problem: BilevelProblem, lam, spec: InnerSolveSpec) -> np.ndarray:
@@ -375,12 +331,14 @@ def bigsam_standalone(h_oracle: Tuple[Callable, Callable],
     g = (w1 - 1)^2/2 + (w2 - 3)^2/2, t = s = 0.1, from (5, 0), g's pick on
     argmin h is (0, 3) but w1 reads 0.676, 0.822 and 0.881 at K = 100, 1,000
     and 5,000, moving toward argmin g at (1, 3).  BiG-SAM (Sabach & Shtern
-    2017) puts the decaying weight on the g step instead.
+    2017) puts the decaying weight on the g step instead.  ``omega0`` is
+    taken through ``as_vector``: a start that is not a finite vector is
+    refused with a ``ValueError`` naming it.
     """
     spec = InnerSolveSpec(K=K, t=t, s=s, alpha_exponent=alpha_exponent)
     _, h_grad = h_oracle
     _, g_grad = g_oracle
-    omega = np.array(omega0, dtype=np.float64, copy=True).reshape(-1)
+    omega = as_vector(omega0, name="omega0").copy()
 
     def step(w, ta, sb):
         w_next = w - ta * np.asarray(h_grad(w), dtype=np.float64)

@@ -28,8 +28,9 @@ bound; truncating the oldest transition leaves an O(alpha_1 * t) error that
 is far above tolerance at small K.  The pass therefore takes exactly K
 lam-side and K-1 omega-side step VJPs: O(K), matching the forward cost.
 
-The pass reads what the solve recorded, whatever problem it is given.
-Where those VJPs come from sets what each costs.  Every solve that runs the
+The pass reads what the solve recorded, whatever problem it is given, and
+binds no step: the forward solve is the only code that does.  Where the
+recorded VJPs come from sets what each costs.  Every solve that runs the
 step loop records them on its tape, and the pass walks a tape's own VJPs.
 A ``linearize`` hook's VJPs read the residuals their forward step saved (the
 learning problems' softmax probabilities over both splits at once, and
@@ -44,20 +45,18 @@ affine structure (``BilevelProblem.affine``) has its solve compose the step
 maps in a blocked scan that carries the lam-Jacobian J_K forward with
 omega_K (``bilevelopt.affine``); its tape records omega_K and J_K in place
 of VJPs and of the trajectory, and the pass reads grad2_g + J_K^T grad1_g
-off them without calling a VJP.  Only a tape with neither (hand-built) is
-linearized again from its iterates by the problem the pass is given, at one
-more forward step each.
+off them without calling a VJP.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bigsam import InnerSolveSpec, Tape, final_inner_iterates_many, step_weights
+from .bigsam import InnerSolveSpec, Tape, final_inner_iterates_many
 # not called here, but the perfbench tracer patches it through this module
 from .bigsam import final_inner_iterate  # noqa: F401
 from .problem import (BilevelProblem, as_vector, central_differences, check_finite_positive,
-                      finite, finite_probes, linearizer)
+                      finite, finite_probes)
 
 __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 
@@ -65,38 +64,35 @@ __all__ = ["reverse_hypergradient", "hypergradient_fd_oracle"]
 def reverse_hypergradient(problem: BilevelProblem, tape: Tape) -> np.ndarray:
     """Accumulate the hypergradient of f_K at the tape's recorded lam.
 
-    A tape that records the lam-Jacobian J_K (the composed affine path's)
-    gives grad2_g + J_K^T grad1_g from a = grad1_g and G = grad2_g at
-    omega_K, and reads no iterate but omega_K: the tape's dimensions are
-    read off ``final`` too.  Otherwise the loop makes one call per step to
-    the step map's VJP of the module docstring: the tape's recorded ones,
-    else, for a hand-built tape, those of ``linearizer`` at the tape's
-    iterates, newest first.  The problem given only supplies the g slots
-    and, for a hand-built tape, the step map.  Finiteness is checked once
-    on the result, so an overflow on the way is not warned about.
+    A tape that records an (n, m) lam-Jacobian J_K (the composed affine
+    path's) gives grad2_g + J_K^T grad1_g from a = grad1_g and G = grad2_g
+    at omega_K, and reads no iterate.  Otherwise the loop makes one call
+    per step to the tape's recorded VJPs of the module docstring, newest
+    first.  The problem given only supplies the g slots.  The pass is a
+    tape's one reader, so it is the one place that refuses one, with a
+    ``ValueError``: a tape whose dimensions are not the problem's, one that
+    holds neither an (n, m) J_K nor exactly K VJPs, and one whose ``final``
+    is not finite.  Finiteness of the result is checked once, so an
+    overflow on the way is not warned about.
     """
     n, m = problem.dims
-    if tape.final.shape[0] != n or tape.lam.shape[0] != m:
-        raise ValueError(
-            f"tape-mismatch: tape is ({tape.final.shape[0]}, {tape.lam.shape[0]})-dimensional, "
-            f"problem expects ({n}, {m})")
-    lam = tape.lam
-    omega_K = tape.final
-    if tape.jacobian is not None:
-        vjps = None
-    elif tape.vjps is not None:
-        vjps = reversed(tape.vjps)
-    else:
-        step = linearizer(problem, lam)
-        vjps = (step(w, ta, sb)[1] for w, (ta, sb) in
-                zip(tape.iterates[-2::-1], step_weights(tape.alphas, tape.t, tape.s)[::-1]))
+    omega_K, lam = tape.final, tape.lam
+    if omega_K.shape != (n,) or lam.shape != (m,):
+        raise ValueError(f"tape-mismatch: tape final and lam are {omega_K.shape} and "
+                         f"{lam.shape}, problem expects ({n},) and ({m},)")
+    composed = getattr(tape.jacobian, "shape", None) == (n, m)
+    if not (composed or tape.vjps is not None and len(tape.vjps) == tape.K):
+        raise ValueError(f"tape-mismatch: tape holds neither an ({n}, {m}) jacobian "
+                         f"nor one VJP per step")
+    if not np.all(np.isfinite(omega_K)):
+        raise ValueError("tape final iterate is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.asarray(problem.grad1_g(omega_K, lam), dtype=np.float64)
         G = np.asarray(problem.grad2_g(omega_K, lam), dtype=np.float64).copy()
-        if vjps is None:
+        if composed:
             G += tape.jacobian.T @ a
         else:
-            for k, vjp in zip(range(tape.K - 1, -1, -1), vjps):
+            for k, vjp in zip(range(tape.K - 1, -1, -1), reversed(tape.vjps)):
                 a = vjp(a, k > 0, G)
     return finite(G, "non-finite hypergradient")
 

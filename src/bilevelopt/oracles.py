@@ -38,8 +38,8 @@ import numpy as np
 
 from .bigsam import MODES, InnerSolveSpec, check_count, model_exponent, solve_inner
 from .hypergrad import hypergradient_fd_oracle, reverse_hypergradient
-from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, check_finite_positive, fd_vjp,
-                      finite, per_row, validate_first_order)
+from .problem import (VJP_NAMES, VJP_SLOTS, BilevelProblem, check_finite_positive,
+                      check_number, fd_vjp, finite, per_row, validate_first_order)
 from .problems import ZOO_DEFAULTS
 
 __all__ = ["OracleReport", "CheckConfig", "grid_min_oracle", "check_suite",
@@ -180,9 +180,10 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
     is deterministic.  A grid lam where h's minimum, or g on a member of the
     argmin set, is not finite raises ``OracleDivergence``.  A box that does
     not give one (lo, hi) axis per coordinate (``lam_box`` m, ``omega_box``
-    n), and a grid whose h evaluations, resolution**(m + n), exceed
-    ``GRID_BUDGET``, are refused with a ``ValueError`` before anything is
-    evaluated.
+    n) or has a bound that is not a finite number, a resolution that is not
+    an integer of at least 3, and a grid whose h evaluations,
+    resolution**(m + n), exceed ``GRID_BUDGET``, are refused with a
+    ``ValueError`` naming the argument before anything is evaluated.
     """
     n, m = problem.dims
     if n > 2 or m > 2:
@@ -191,8 +192,11 @@ def grid_min_oracle(problem: BilevelProblem, lam_box, omega_box,
         if len(box) != dim:
             raise ValueError(f"{name} must give one axis per coordinate of {name[:-4]}: "
                              f"{dim}, got {len(box)}")
-    if resolution < 3:
-        raise ValueError("resolution must be at least 3")
+        for bound in (b for axis in box for b in axis):
+            check_number(name, bound)
+            if not math.isfinite(bound):
+                raise ValueError(f"{name} bounds must be finite, got {bound!r}")
+    resolution = check_count("resolution", resolution, 3)
     count = resolution ** (m + n)
     if count > GRID_BUDGET:
         raise ValueError(f"grid-budget: {resolution}^{m} lam points x {resolution}^{n} omega "

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 import bilevelopt as bl
 from bilevelopt.bigsam import final_inner_iterate, final_inner_iterates_many
 from bitwise import same_bits
+from tapes import hand_tape
 
 
 def reference_trajectory(grad_h, grad_g, lam, omega0, K, t, s,
@@ -228,15 +230,8 @@ class TestBigsamStep:
                                  K=4, t=0.1, s=0.1)
 
 
-def tape(iterates, alphas, t=0.1, s=0.1, lam=(0.0,)):
-    """A hand-built tape: its iterates need not follow the solver's dynamics."""
-    return bl.Tape(iterates=np.array(iterates, dtype=float).reshape(len(alphas) + 1, -1),
-                   alphas=np.array(alphas, dtype=float), t=t, s=s,
-                   lam=np.array(lam, dtype=float))
-
-
 class TestVjpPhi:
-    """The step map's VJPs, seen through ``reverse_hypergradient`` on short tapes.
+    """The step map's VJPs, seen through ``reverse_hypergradient`` on short hand-built tapes.
 
     For the scalar pair h = (w-lam)^2/2, g = w^2/2 the reverse pass starts
     from a = grad1_g(omega_K) = omega_K and G = grad2_g = 0; each step adds
@@ -249,19 +244,20 @@ class TestVjpPhi:
 
     def test_lambda_hand_value(self):
         # one step at alpha = 0.5: G = 0.1*0.5*1 = 0.05
-        G = bl.reverse_hypergradient(self.p, tape([0.0, 1.0], [0.5]))
+        G = bl.reverse_hypergradient(self.p, hand_tape(self.p, [0.0, 1.0], [0.5]))
         assert G == pytest.approx(0.05, rel=1e-15)
 
     def test_omega_hand_value(self):
         # the newer step passes back a = 1 - 0.05 - 0.05 = 0.9 to the older
         # step (alpha 1): G = 0.1*0.5*1 + 0.1*1*0.9 = 0.14
-        G = bl.reverse_hypergradient(self.p, tape([0.0, 0.0, 1.0], [1.0, 0.5]))
+        G = bl.reverse_hypergradient(self.p, hand_tape(self.p, [0.0, 0.0, 1.0], [1.0, 0.5]))
         assert G == pytest.approx(0.14, rel=1e-15)
 
     def test_omega_alpha_one_collapses_to_h_jacobian(self):
         # a = 2 through an alpha = 1 step becomes 2 - 0.1*2 = 1.8, whatever s
         for s in (0.1, 0.7):
-            G = bl.reverse_hypergradient(self.p, tape([0.0, 0.0, 2.0], [1.0, 1.0], s=s))
+            G = bl.reverse_hypergradient(self.p,
+                                         hand_tape(self.p, [0.0, 0.0, 2.0], [1.0, 1.0], s=s))
             assert G == pytest.approx(0.1 * 2.0 + 0.1 * 1.8, rel=1e-15)
 
     def test_identity_dynamics_when_curvature_vanishes(self):
@@ -281,7 +277,8 @@ class TestVjpPhi:
             vjp11_g=lambda a, w, lam: np.zeros(2),
             vjp12_g=lambda a, w, lam: np.zeros(1),
         )
-        G = bl.reverse_hypergradient(flat, tape(np.zeros((3, 2)), [0.5, 1.0], t=0.5, s=0.25))
+        G = bl.reverse_hypergradient(flat, hand_tape(flat, np.zeros((3, 2)), [0.5, 1.0], t=0.5,
+                                                     s=0.25))
         assert np.array_equal(G, np.array([0.375]))
 
     def test_lambda_free_objectives_give_zero(self):
@@ -298,13 +295,13 @@ class TestVjpPhi:
             vjp12_g=lambda a, w, lam: np.zeros(1),
         )
         for iterates, alphas in (([1.0, 1.0], [0.5]), ([1.0, 1.0, 1.0], [1.0, 0.5])):
-            G = bl.reverse_hypergradient(iso, tape(iterates, alphas, lam=(1.0,)))
+            G = bl.reverse_hypergradient(iso, hand_tape(iso, iterates, alphas, lam=(1.0,)))
             assert np.all(G == 0.0)
 
     def test_zero_adjoint_gives_zero(self):
         # omega_K = 0 makes a = grad1_g(omega_K) = 0
         for iterates, alphas in (([1.0, 0.0], [0.5]), ([1.0, 1.0, 0.0], [1.0, 0.5])):
-            G = bl.reverse_hypergradient(self.p, tape(iterates, alphas, lam=(1.0,)))
+            G = bl.reverse_hypergradient(self.p, hand_tape(self.p, iterates, alphas, lam=(1.0,)))
             assert np.all(G == 0.0)
 
 
@@ -413,11 +410,12 @@ class TestSolveInner:
         assert bl.solve_inner(p, lam, spec(K=3, alpha_exponent=0.0)).mode == "basic"
         # a single step's weight is alpha_1 = 1 at any exponent
         assert bl.solve_inner(p, lam, spec(K=1)).mode == "basic"
-        assert tape([0.0, 0.0, 0.0], [1.0, 0.5]).mode == "improved"
-        assert tape([0.0, 0.0], [1.0]).mode == "basic"
+        for alphas, mode in (([1.0, 0.5], "improved"), ([1.0], "basic")):
+            assert bl.Tape(iterates=None, final=np.zeros(1), alphas=np.array(alphas),
+                           lam=np.zeros(1)).mode == mode
         with pytest.raises(TypeError):
-            bl.Tape(iterates=np.zeros((1, 1)), alphas=np.zeros(0), t=0.1, s=0.1,
-                    lam=np.zeros(1), mode="basic")
+            bl.Tape(iterates=None, final=np.zeros(1), alphas=np.zeros(0), lam=np.zeros(1),
+                    mode="basic")
 
     def test_frequency_alpha_pattern(self):
         spec = bl.InnerSolveSpec(K=9, t=0.1, s=0.1, bigsam_frequency=3)
@@ -481,11 +479,25 @@ class TestStandalone:
             w1.append(out[0])
         assert w1 == sorted(w1) and w1[-1] < 1.0
 
+    @pytest.mark.parametrize("start, refused", [
+        (np.array([np.nan, 0.0]), "omega0 contains non-finite entries"),
+        (np.array([5.0, np.inf]), "omega0 contains non-finite entries"),
+        (np.zeros((1, 2)), "omega0 must be one-dimensional, got shape (1, 2)"),
+    ], ids=["nan", "inf", "2d"])
+    def test_bad_start_is_refused_before_any_step(self, start, refused):
+        def unreachable(w):
+            raise AssertionError("a step was taken")
+
+        oracle = (None, unreachable)
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            bl.bigsam_standalone(oracle, oracle, start, K=4, t=0.1, s=0.1)
+
     def test_k_zero_returns_start(self):
         h = (lambda w: 0.0, lambda w: np.zeros(1))
         g = (lambda w: 0.0, lambda w: np.zeros(1))
-        out = bl.bigsam_standalone(h, g, np.array([4.0]), K=0, t=0.1, s=0.1)
-        assert np.array_equal(out, np.array([4.0]))
+        start = np.array([4.0])
+        out = bl.bigsam_standalone(h, g, start, K=0, t=0.1, s=0.1)
+        assert np.array_equal(out, np.array([4.0])) and out is not start
 
 
 class TestFinalIterateHelper:

@@ -1,11 +1,13 @@
 """Every check the library makes on its inputs raises, with its own message.
 
 One test per check that no other test reaches: the arrays handed to the
-solver, hand-built tapes and problems, quadratic specs, the counts and
-numbers of the configs, the data makers and the IDX reader and writer.
+solver, tapes the reverse pass cannot reverse, hand-built problems,
+quadratic specs, the counts and numbers of the configs, the data makers and
+the IDX reader and writer.
 Each asserts the exception type and a fragment of the message.
 """
 
+import dataclasses
 import re
 import struct
 
@@ -53,51 +55,39 @@ class TestVectors:
 
 
 class TestTape:
+    """A tape the reverse pass cannot reverse is refused there, with a ``ValueError``."""
+
     @staticmethod
-    def tape(**kw):
-        fields = dict(iterates=np.zeros((3, 2)), alphas=np.ones(2), t=0.1, s=0.1,
-                      lam=np.zeros(1))
-        fields.update(kw)
-        return bl.Tape(**fields)
+    def reverse(composed=False, **kw):
+        p = degenerate()
+        solved = p if composed else dataclasses.replace(p)
+        tape = bl.solve_inner(solved, np.array([0.5]), SPEC)
+        assert (tape.jacobian is not None) == composed
+        return bl.reverse_hypergradient(p, dataclasses.replace(tape, **kw))
 
-    def test_extra_iterate(self):
-        with pytest.raises(ValueError, match="exactly one more iterate than alphas"):
-            self.tape(iterates=np.zeros((4, 2)))
+    @pytest.mark.parametrize("vjps", [None, 2, 4], ids=["none", "fewer", "more"])
+    def test_vjp_count_other_than_k(self, vjps):
+        vjps = None if vjps is None else (None,) * vjps
+        with pytest.raises(ValueError, match=r"^tape-mismatch: tape holds neither an \(2, 1\) "
+                                             r"jacobian nor one VJP per step$"):
+            self.reverse(vjps=vjps)
 
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_vjp_count_other_than_k(self, count):
-        with pytest.raises(ValueError, match="exactly one VJP per step"):
-            self.tape(vjps=(None,) * count)
+    # a transposed J_K: tests/test_affine.py::TestOneScan::test_jacobian_shape_is_checked
+    @pytest.mark.parametrize("jacobian", [np.zeros((2, 1, 1)), [[0.0], [0.0]]], ids=["3d", "list"])
+    def test_jacobian_other_than_n_by_m(self, jacobian):
+        with pytest.raises(ValueError, match="^tape-mismatch: tape holds neither an"):
+            self.reverse(composed=True, jacobian=jacobian)
 
-    # each is refused where it is built, naming the field, and not left to
-    # fail later in the reverse pass
-    @pytest.mark.parametrize("field, value, message", [
-        ("iterates", np.zeros(3), r"^tape iterates must be a 2-D array, got \(3,\)$"),
-        ("iterates", [[0.0, 0.0]] * 3, "^tape iterates must be a 2-D array, got list$"),
-        ("alphas", np.ones((2, 1)), r"^tape alphas must be a 1-D array, got \(2, 1\)$"),
-        ("alphas", [1.0, 1.0], "^tape alphas must be a 1-D array, got list$"),
-        ("lam", np.array(0.0), r"^tape lam must be a 1-D array, got \(\)$"),
-        ("t", np.nan, "^t must be finite and positive, got nan$"),
-        ("t", 0.0, "^t must be finite and positive, got 0.0$"),
-        ("s", np.inf, "^s must be finite and positive, got inf$"),
-        ("s", "0.1", "^s must be a number, got '0.1'$"),
-        ("jacobian", [[0.0], [0.0]], "^tape jacobian must be"),
-    ], ids=["iterates-1d", "iterates-list", "alphas-2d", "alphas-list", "lam-0d", "t-nan",
-            "t-zero", "s-inf", "s-str", "jacobian-list"])
-    def test_malformed_field(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
-            self.tape(**{field: value})
+    def test_lam_other_than_a_vector(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "tape-mismatch: tape final and lam are (2,) and (), problem expects (2,) and (1,)")):
+            self.reverse(lam=np.array(0.0))
 
-    @pytest.mark.parametrize("field, value", [
-        ("iterates", np.nan), ("iterates", np.inf), ("alphas", np.nan), ("alphas", np.inf)],
-        ids=["nan", "inf", "alphas-nan", "alphas-inf"])
-    def test_non_finite_iterate(self, field, value):
-        # a hand-built tape is the one kind whose finiteness the tape checks
-        fields = dict(iterates=np.zeros((3, 2)), alphas=np.ones(2))
-        # one entry: iterates[1, 0] or alphas[1]
-        fields[field][(1, 0)[:fields[field].ndim]] = value
-        with pytest.raises(ValueError, match="tape contains non-finite entries"):
-            self.tape(**fields)
+    @pytest.mark.parametrize("composed", [False, True], ids=["loop", "composed"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_final(self, composed, value):
+        with pytest.raises(ValueError, match="^tape final iterate is not finite$"):
+            self.reverse(composed, final=np.array([0.0, value]))
 
 
 class TestProblemDimensions:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import time
 import warnings
 
@@ -54,6 +55,25 @@ class TestGridMinOracle:
         p = bl.make_closedform_quadratic()
         with pytest.raises(ValueError, match="resolution"):
             bl.grid_min_oracle(p, [(-1, 1)], [(-1, 1)], 2)
+
+    @pytest.mark.parametrize("lam_box, omega_box, resolution, refused", [
+        ([(-np.inf, 1)], [(-1, 1)] * 2, 5, "lam_box bounds must be finite, got -inf"),
+        ([(-1, 1)], [(-1, 1), (np.nan, 1)], 5, "omega_box bounds must be finite, got nan"),
+        ([(-1, 1)], [(-1, "1"), (-1, 1)], 5, "omega_box must be a number, got '1'"),
+        ([(-1, 1)], [(-1, 1)] * 2, 3.5, "resolution must be an integer of at least 3, got 3.5"),
+        ([(-1, 1)], [(-1, 1)] * 2, True, "resolution must be an integer of at least 3, got True"),
+    ], ids=["lam-inf", "omega-nan", "omega-str", "resolution-fraction", "resolution-bool"])
+    def test_bad_box_or_resolution_is_refused_before_any_evaluation(self, lam_box, omega_box,
+                                                                     resolution, refused):
+        def unreachable(*_):
+            raise AssertionError("the grid was evaluated")
+
+        p = dataclasses.replace(bl.make_degenerate_quadratic(), h_value=unreachable,
+                                g_value=unreachable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+                bl.grid_min_oracle(p, lam_box, omega_box, resolution)
 
     def test_grid_above_the_budget_is_refused_before_any_evaluation(self):
         def unreachable(*_):

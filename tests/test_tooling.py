@@ -12,10 +12,12 @@ and in ``models.run_model``, which reports its record and wraps the error.
 One rule refuses a setting that is no number: only ``problem.check_number``
 raises a ``ValueError`` saying "must be a number".  And one rule refuses a
 malformed tape: a ``ValueError`` whose message names a tape is raised only
-in ``bigsam.Tape.__post_init__`` and, where a tape's dimensions are not its
-problem's, in ``hypergrad.reverse_hypergradient``.  A composed solve records
-its final state on a plain ``Tape``: no class in the package subclasses it,
-and ``bilevelopt.affine`` exports the final state's composition alone.
+in ``hypergrad.reverse_hypergradient``, a tape's one reader.  Only the
+forward solve binds a step: ``hypergrad`` imports neither ``linearizer``
+nor ``step_weights``, and ``bigsam.solve_inner`` is the one caller of
+``Tape(...)`` in the package.  A composed solve records its final state on
+a plain ``Tape``: no class in the package subclasses it, and
+``bilevelopt.affine`` exports the final state's composition alone.
 """
 
 import ast
@@ -127,10 +129,24 @@ def test_one_rule_refuses_a_non_number():
 
 
 def test_one_rule_refuses_a_malformed_tape():
-    # a hand-built tape is checked where it is built; the reverse pass
-    # refuses only a tape whose dimensions are not its problem's
-    assert found_in_src(tape_refusals) == {("bigsam", "Tape.__post_init__"),
-                                           ("hypergrad", "reverse_hypergradient")}
+    # a tape checks nothing where it is built; the reverse pass refuses
+    # one whose dimensions are not its problem's, or that it cannot reverse
+    assert found_in_src(tape_refusals) == {("hypergrad", "reverse_hypergradient")}
+
+
+def test_the_reverse_pass_binds_no_step():
+    # hypergrad neither imports nor reads the step map's binder or weights
+    tree = ast.parse((ROOT / "src" / "bilevelopt" / "hypergrad.py").read_text())
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names |= {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not names & {"linearizer", "step_weights"}
+
+
+def test_only_the_solve_builds_a_tape():
+    assert found_in_src(lambda node: callers(node, lambda call: called(call) == "Tape")) == {
+        ("bigsam", "solve_inner")}
 
 
 def test_no_class_subclasses_tape():
